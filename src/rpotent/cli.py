@@ -135,12 +135,16 @@ def _print_bundle_human(bundle: dict, out) -> None:
             file=out,
         )
     sp = bundle["spectral"]
+    if sp["perron_value"] is None:
+        perron = f"perron value withheld ({sp['perron_withheld']})"
+    else:
+        perron = f"perron value {sp['perron_value']:.9f}"
     period = sp["period"]
     if period is not None:
         prim = "primitive" if sp["is_primitive"] else f"period {period}"
-        print(f"spectral: {prim}, perron value {sp['perron_value']:.9f}", file=out)
+        print(f"spectral: {prim}, {perron}", file=out)
     else:
-        print(f"spectral: perron value {sp['perron_value']:.9f}", file=out)
+        print(f"spectral: {perron}", file=out)
     if sp["trace_zero_applicable"]:
         print(f"  zero-trace identity: {'holds' if sp['trace_is_zero'] else 'FAILS'}", file=out)
     pred = bundle["prediction"]

@@ -45,42 +45,56 @@ class Digraph:
 
         Emission order places a component after every component it can reach,
         which is already a valid block order; the deterministic tie-broken
-        order used for triangularization is computed separately.
+        order used for triangularization is computed separately.  The depth
+        first search keeps its own stack of ``[vertex, unvisited out-mask]``
+        frames instead of recursing, so a long path or cycle cannot hit the
+        interpreter's recursion limit; it visits neighbours in increasing
+        index order, as the recursive form does, and emits the same sequence.
         """
         n = self.n
+        out = self.out
         index = [-1] * n
         low = [0] * n
         on_stack = [False] * n
         stack: list[int] = []
         comps: list[tuple[int, ...]] = []
-        counter = iter(range(n))
-
-        def strongconnect(v: int) -> None:
-            index[v] = low[v] = next(counter)
-            stack.append(v)
-            on_stack[v] = True
-            m = self.out[v]
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                if index[w] < 0:
-                    strongconnect(w)
-                    low[v] = min(low[v], low[w])
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(tuple(sorted(comp)))
-
-        for v in range(n):
-            if index[v] < 0:
-                strongconnect(v)
+        counter = 0
+        for root in range(n):
+            if index[root] >= 0:
+                continue
+            index[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack[root] = True
+            frames = [[root, out[root]]]
+            while frames:
+                frame = frames[-1]
+                v, m = frame
+                if m:
+                    w = (m & -m).bit_length() - 1
+                    frame[1] = m & (m - 1)
+                    if index[w] < 0:
+                        index[w] = low[w] = counter
+                        counter += 1
+                        stack.append(w)
+                        on_stack[w] = True
+                        frames.append([w, out[w]])
+                    elif on_stack[w]:
+                        low[v] = min(low[v], index[w])
+                    continue
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(tuple(sorted(comp)))
         return comps
 
     def is_strongly_connected(self) -> bool:
@@ -195,7 +209,7 @@ class BlockTriangularization:
                     continue
                 for i in range(ri, ri + rs):
                     for j in range(cj, cj + cs):
-                        if b.entries[i][j] != 0:
+                        if b.num[i][j]:
                             return False
         return True
 

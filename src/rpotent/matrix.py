@@ -3,13 +3,19 @@
 Everything downstream (potency detection, reducibility, semigroup closures)
 is built from three immutable value types:
 
-* ``RMatrix``       square nonnegative matrix with ``Fraction`` entries
+* ``RMatrix``       square nonnegative rational matrix, stored as one common
+                    denominator and a grid of integer numerators
 * ``PatternMatrix`` boolean support of such a matrix, stored as row bitmasks
 * ``Permutation``   bijection of ``{0, ..., n-1}`` for simultaneous relabeling
 
-Arithmetic in this module is exact; no floating point enters.  Storage is
-dense: the target dimensions are at most a few dozen, where dense layout is
-the simplest thing that works.
+Arithmetic in this module is exact; no floating point enters.  A product of
+two matrices is an integer matrix product plus one gcd normalisation, instead
+of a ``Fraction`` gcd on every multiply and add.  Input is validated where it
+enters: ``coerce_entry`` and the public ``RMatrix`` constructors reject
+booleans, unparsable strings, non-square grids and negative entries, and
+operations on validated matrices build their results without re-checking.
+Storage is dense: the target dimensions are at most a few dozen, where dense
+layout is the simplest thing that works.
 """
 
 from __future__ import annotations
@@ -19,6 +25,9 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
+from math import gcd, lcm
+from operator import add, mul
 from typing import Iterator, Sequence
 
 Entry = Fraction | int | str
@@ -28,9 +37,15 @@ _ONE = Fraction(1)
 
 
 def coerce_entry(value: Entry) -> Fraction:
-    """Turn an int, ``"p/q"`` string, or Fraction into a Fraction."""
+    """Turn an int, ``"p/q"`` string, or Fraction into a Fraction.
+
+    ``bool`` is rejected although it is an ``int`` subclass: a JSON ``true``
+    is not a matrix entry.
+    """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"boolean matrix entry {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -43,9 +58,15 @@ def coerce_entry(value: Entry) -> Fraction:
 
 def format_entry(x: Fraction) -> int | str:
     """Render an entry for JSON: a plain int when integral, else ``"p/q"``."""
-    if x.denominator == 1:
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
+    return _format_ratio(x.numerator, x.denominator)
+
+
+def _format_ratio(p: int, q: int) -> int | str:
+    """``format_entry`` of ``p / q`` (q > 0) without building the Fraction."""
+    g = gcd(p, q)
+    if g == q:
+        return p // q
+    return f"{p // g}/{q // g}"
 
 
 @dataclass(frozen=True)
@@ -237,44 +258,133 @@ class Permutation:
         rows = [[_ZERO] * self.n for _ in range(self.n)]
         for j, img in enumerate(self.images):
             rows[img][j] = _ONE
-        return RMatrix(tuple(tuple(row) for row in rows))
+        return RMatrix(tuple([tuple(row) for row in rows]))
 
 
-@dataclass(frozen=True)
 class RMatrix:
     """Square nonnegative matrix with exact rational entries.
 
+    Stored as one positive common denominator ``den`` and a tuple-of-tuples
+    grid ``num`` of nonnegative integers: entry (i, j) is ``num[i][j] / den``.
+    The form is canonical: ``gcd(den, every numerator) == 1``, so the zero
+    matrix has ``den == 1``, and two matrices are equal iff their ``(den,
+    num)`` pairs are.  Products are integer matrix products followed by one
+    gcd normalisation.
+
     Instances are immutable and hashable; every operation returns a new
-    matrix.  Nonnegativity is checked once at construction, so all
-    operations may assume it.
+    matrix.  Squareness, entry types and nonnegativity are checked in
+    ``__post_init__``, which every public constructor runs: ``RMatrix(entries)``
+    with a grid of ``Fraction``, ``from_rows``, ``identity``, ``zeros``,
+    ``diagonal``, the JSON and CSV readers and ``Permutation.to_matrix``.
+    Results of operations on validated matrices (products, powers, Kronecker
+    products, relabellings, submatrices) are built by ``_make`` without those
+    checks: products and sums of nonnegative integers stay nonnegative.
+
+    ``entries`` is a read-only ``Fraction`` view of the grid, built on first
+    use and then kept.
+
+    Tuples are built from lists, ``tuple([...])``, never from generators or
+    ``map``: CPython sizes a tuple built from an iterator by reallocating it,
+    so such a tuple is not taken from the per-length free list of short
+    tuples but is put on it when freed.  Over many products those lists grow
+    to thousands of tuples per length and hold megabytes.
     """
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("den", "num", "_entries", "_hash")
+
+    den: int
+    num: tuple[tuple[int, ...], ...]
+
+    def __init__(self, entries: Sequence[Sequence[Fraction]]) -> None:
+        object.__setattr__(self, "_entries", entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        n = len(self.entries)
+        # Kept under its dataclass name: bench/tracer.py counts validated
+        # constructions by wrapping RMatrix.__post_init__.
+        grid = self._entries
+        n = len(grid)
         if n < 1:
             raise ValueError("matrix dimension must be positive")
-        for i, row in enumerate(self.entries):
+        for i, row in enumerate(grid):
             if len(row) != n:
                 raise ValueError("matrix must be square")
             for j, x in enumerate(row):
                 if not isinstance(x, Fraction):
                     raise TypeError(f"entry ({i}, {j}) is not a Fraction")
-                if x < 0:
+                if x.numerator < 0:
                     raise ValueError(f"negative entry {x} at ({i}, {j})")
+        den = lcm(*[x.denominator for row in grid for x in row])
+        if den == 1:
+            num = tuple([tuple([x.numerator for x in row]) for row in grid])
+        else:
+            num = tuple([tuple([x.numerator * (den // x.denominator) for x in row]) for row in grid])
+        setattr_ = object.__setattr__
+        setattr_(self, "den", den)
+        setattr_(self, "num", num)
+        setattr_(self, "_entries", tuple([tuple(row) for row in grid]))
+        setattr_(self, "_hash", None)
+
+    @classmethod
+    def _make(cls, den: int, num: tuple[tuple[int, ...], ...]) -> RMatrix:
+        """Trusted constructor: ``(den, num)`` must already be canonical and nonnegative."""
+        m = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(m, "den", den)
+        setattr_(m, "num", num)
+        setattr_(m, "_entries", None)
+        setattr_(m, "_hash", None)
+        return m
+
+    @classmethod
+    def _normalized(cls, den: int, num: tuple[tuple[int, ...], ...]) -> RMatrix:
+        """Divide ``den`` and every numerator by their gcd, then build without checks."""
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(num))
+            if g != 1:
+                den //= g
+                num = tuple([tuple([x // g for x in row]) for row in num])
+        return cls._make(den, num)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RMatrix is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RMatrix is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RMatrix):
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.den, self.num))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.num)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Entries as ``Fraction`` values (built once, on first use)."""
+        grid = self._entries
+        if grid is None:
+            den = self.den
+            grid = tuple([tuple([Fraction(x, den) if x else _ZERO for x in row]) for row in self.num])
+            object.__setattr__(self, "_entries", grid)
+        return grid
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Entry]]) -> RMatrix:
-        return cls(tuple(tuple(coerce_entry(x) for x in row) for row in rows))
+        return cls(tuple([tuple([coerce_entry(x) for x in row]) for row in rows]))
 
     @classmethod
     def identity(cls, n: int) -> RMatrix:
-        return cls(tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)))
+        return cls(tuple([tuple([_ONE if i == j else _ZERO for j in range(n)]) for i in range(n)]))
 
     @classmethod
     def zeros(cls, n: int) -> RMatrix:
@@ -284,34 +394,46 @@ class RMatrix:
     def diagonal(cls, values: Sequence[Entry]) -> RMatrix:
         vals = [coerce_entry(v) for v in values]
         n = len(vals)
-        return cls(tuple(tuple(vals[i] if i == j else _ZERO for j in range(n)) for i in range(n)))
+        return cls(tuple([tuple([vals[i] if i == j else _ZERO for j in range(n)]) for i in range(n)]))
 
     def get(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def __matmul__(self, other: RMatrix) -> RMatrix:
         if not isinstance(other, RMatrix):
             return NotImplemented
-        if other.n != self.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        n = self.n
+        n = len(self.num)
+        if len(other.num) != n:
+            raise ValueError(f"dimension mismatch: {n} vs {other.n}")
+        b = other.num
+        zero_row = (0,) * n
+        cols = None
         rows = []
-        for i in range(n):
-            acc = [_ZERO] * n
-            for k, f in enumerate(self.entries[i]):
-                if not f:
-                    continue
-                for j, g in enumerate(other.entries[k]):
-                    if g:
-                        acc[j] += f * g
-            rows.append(tuple(acc))
-        return RMatrix(tuple(rows))
+        for row in self.num:
+            support = [k for k, f in enumerate(row) if f]
+            if 2 * len(support) < n:
+                # Sparse row: add up the rows of b it selects, n operations
+                # per nonzero instead of n per column.
+                acc = zero_row
+                for k in support:
+                    f = row[k]
+                    if f == 1 and acc is zero_row:
+                        acc = b[k]
+                    else:
+                        acc = tuple([*map(add, acc, b[k] if f == 1 else map(mul, b[k], repeat(f)))])
+                rows.append(acc)
+            else:
+                if cols is None:
+                    cols = tuple(zip(*b))
+                rows.append(tuple([sum(map(mul, row, col)) for col in cols]))
+        return RMatrix._normalized(self.den * other.den, tuple(rows))
 
     def pow(self, k: int) -> RMatrix:
         """Exact k-th power by repeated squaring; ``pow(0)`` is the identity."""
         if k < 0:
             raise ValueError("exponent must be nonnegative")
-        result = RMatrix.identity(self.n)
+        n = self.n
+        result = RMatrix._make(1, tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]))
         base = self
         while k:
             if k & 1:
@@ -323,52 +445,41 @@ class RMatrix:
 
     def kron(self, other: RMatrix) -> RMatrix:
         """Kronecker product: block (i, j) of the result is entry (i,j) times ``other``."""
-        na, nb = self.n, other.n
+        zero_block = (0,) * other.n
         rows = []
-        for i in range(na):
-            for r in range(nb):
-                row: list[Fraction] = []
-                for j in range(na):
-                    f = self.entries[i][j]
-                    if f:
-                        row.extend(f * x for x in other.entries[r])
-                    else:
-                        row.extend([_ZERO] * nb)
+        for arow in self.num:
+            for brow in other.num:
+                row: list[int] = []
+                for f in arow:
+                    row.extend(map(mul, brow, repeat(f)) if f else zero_block)
                 rows.append(tuple(row))
-        return RMatrix(tuple(rows))
+        return RMatrix._normalized(self.den * other.den, tuple(rows))
 
     def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(self.n)), _ZERO)
+        return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
 
     def diagonal_entries(self) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i][i] for i in range(self.n))
+        den = self.den
+        return tuple([Fraction(row[i], den) for i, row in enumerate(self.num)])
 
     def has_zero_diagonal_entry(self) -> bool:
-        return any(self.entries[i][i] == 0 for i in range(self.n))
+        return any(not row[i] for i, row in enumerate(self.num))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.num))
 
     def is_positive(self) -> bool:
-        return all(x > 0 for row in self.entries for x in row)
+        return all(map(all, self.num))
 
     def rank(self) -> int:
         """Exact rank over the rationals.
 
-        Each row is first scaled by the lcm of its denominators (row scaling
-        does not change rank), then fraction-free Bareiss elimination runs on
-        the integer matrix.  Every division in the Bareiss update is exact;
-        this is asserted rather than assumed so that a bug cannot silently
-        floor-divide its way to a wrong rank.
+        Fraction-free Bareiss elimination on the integer grid ``num`` (scaling
+        by the common denominator does not change rank).  Every division in
+        the Bareiss update is exact; this is asserted rather than assumed so
+        that a bug cannot silently floor-divide its way to a wrong rank.
         """
-        import math
-
-        m: list[list[int]] = []
-        for row in self.entries:
-            den = 1
-            for x in row:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-            m.append([int(x * den) for x in row])
+        m = [list(row) for row in self.num]
         n = self.n
         r = 0
         prev = 1
@@ -394,7 +505,7 @@ class RMatrix:
 
     def pattern(self) -> PatternMatrix:
         rows = []
-        for row in self.entries:
+        for row in self.num:
             mask = 0
             for j, x in enumerate(row):
                 if x:
@@ -409,24 +520,23 @@ class RMatrix:
         """
         if p.n != self.n:
             raise ValueError(f"size mismatch: matrix {self.n}, permutation {p.n}")
-        return RMatrix(
-            tuple(
-                tuple(self.entries[p.images[i]][p.images[j]] for j in range(self.n))
-                for i in range(self.n)
-            )
-        )
+        images = p.images
+        num = self.num
+        return RMatrix._make(self.den, tuple([tuple([num[i][j] for j in images]) for i in images]))
 
     def submatrix(self, indices: Sequence[int]) -> RMatrix:
         """Principal submatrix on the given (distinct) index set, in the given order."""
         idx = tuple(indices)
         if not idx:
             raise ValueError("submatrix needs at least one index")
-        return RMatrix(tuple(tuple(self.entries[i][j] for j in idx) for i in idx))
+        num = self.num
+        return RMatrix._normalized(self.den, tuple([tuple([num[i][j] for j in idx]) for i in idx]))
 
     def to_json_dict(self) -> dict:
+        den = self.den
         return {
             "n": self.n,
-            "entries": [[format_entry(x) for x in row] for row in self.entries],
+            "entries": [[_format_ratio(x, den) for x in row] for row in self.num],
         }
 
     @classmethod
@@ -435,7 +545,7 @@ class RMatrix:
             raise ValueError("matrix JSON must contain 'n' and 'entries'")
         n = data["n"]
         entries = data["entries"]
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError("'n' must be a positive integer")
         if not isinstance(entries, list) or len(entries) != n:
             raise ValueError(f"'entries' must be a list of {n} rows")
@@ -445,7 +555,8 @@ class RMatrix:
         return cls.from_rows(entries)
 
     def __str__(self) -> str:
-        cells = [[str(format_entry(x)) for x in row] for row in self.entries]
+        den = self.den
+        cells = [[str(_format_ratio(x, den)) for x in row] for row in self.num]
         width = max(len(c) for row in cells for c in row)
         return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
 

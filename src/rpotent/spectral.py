@@ -3,12 +3,14 @@
 Everything structural (period, primitivity, positivity of the power at the
 n^2 - 2n + 2 exponent) is exact.  The only floating point in the package is
 the power iteration that estimates the spectral radius; its tolerance and
-iteration cap are explicit arguments.
+iteration cap are explicit arguments.  When that iteration gives no finite
+estimate, the spectral report withholds the value and says why.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,12 @@ WIELANDT_REPORT_DIM_LIMIT = 16
 
 
 class PowerIterationError(RuntimeError):
-    """Raised when power iteration fails to converge; carries the last estimate."""
+    """Raised when power iteration gives no finite estimate.
+
+    Either it did not converge within the iteration cap (``last_estimate`` is
+    the last one), or the spectral radius lies beyond the float range
+    (``last_estimate`` is None).
+    """
 
     def __init__(self, message: str, last_estimate: float | None):
         super().__init__(message)
@@ -111,13 +118,31 @@ def perron_value(
     Iterates on B = A^h, where h is the lcm of the diagonal-block periods,
     and reports the h-th root of B's estimate: every peripheral eigenvalue of
     B equals rho(A)^h, so the quotient sequence converges even when plain
-    iteration on A would cycle.  Non-convergence within ``max_iter`` raises
-    ``PowerIterationError`` carrying the last estimate.
+    iteration on A would cycle.
+
+    The float copy is A / 2^e, where 2^e is within a factor two of the largest
+    entry, read exactly from the integer grid.  Scaling by a power of two is
+    exact in binary floating point, so wherever the unscaled iteration stays
+    finite the iterates, the stopping step (``tol`` is scaled alike) and the
+    estimate are bit for bit the unscaled ones; entries far beyond the float
+    range (1e200 and up) still convert, and the estimate is 2^e * rho(A / 2^e).
+    Non-convergence within ``max_iter``, or an estimate beyond the float
+    range, raises ``PowerIterationError``.
     """
     if a.is_zero():
         raise ValueError("spectral radius estimation needs a nonzero matrix")
     h = _composite_period(a)
-    af = np.array([[float(x) for x in row] for row in a.entries], dtype=float)
+    e = max(map(max, a.num)).bit_length() - a.den.bit_length()
+    if e >= 0:
+        den, up = a.den << e, 0
+    else:
+        den, up = a.den, -e
+    af = np.array([[(x << up) / den for x in row] for row in a.num], dtype=float)
+    try:
+        tol = math.ldexp(tol, -e * h)
+    except OverflowError:
+        # rho(A) is so far below tol that any two estimates agree within it
+        tol = math.inf
     bf = np.linalg.matrix_power(af, h)
     x = np.ones(a.n) / math.sqrt(a.n)
     prev: float | None = None
@@ -130,12 +155,31 @@ def perron_value(
         est = float(x @ y)
         x = y / norm
         if prev is not None and abs(est - prev) <= tol:
-            return est ** (1.0 / h)
+            return _unscaled_root(est, e, h)
         prev = est
-    last = None if prev is None else (prev ** (1.0 / h) if prev > 0 else prev)
+    last = None if prev is None else (_unscaled_root(prev, e, h) if prev > 0 else prev)
     raise PowerIterationError(
         f"power iteration did not converge within {max_iter} iterations", last
     )
+
+
+def _is_normal_after_scaling(x: float, e: int) -> bool:
+    """Whether ``x * 2^e`` is a normal float (neither overflows nor underflows)."""
+    return sys.float_info.min_exp <= math.frexp(x)[1] + e <= sys.float_info.max_exp
+
+
+def _unscaled_root(est: float, e: int, h: int) -> float:
+    """rho(A) = 2^e * est^(1/h) from the estimate ``est`` of rho((A / 2^e)^h).
+
+    Where 2^(e*h) * est is a normal float this is computed as
+    (2^(e*h) * est)^(1/h), the rounding of the unscaled iteration.
+    """
+    if est == 0.0 or _is_normal_after_scaling(est, e * h):
+        return math.ldexp(est, e * h) ** (1.0 / h)
+    root = est ** (1.0 / h)
+    if not _is_normal_after_scaling(root, e):
+        raise PowerIterationError("perron value outside the float range", None)
+    return math.ldexp(root, e)
 
 
 def trace_zero_check(a: RMatrix, r: int) -> bool:
@@ -163,19 +207,22 @@ class SpectralReport:
     Period, primitivity, and the peripheral eigenvalue count are defined for
     nonzero indecomposable input only.  ``wielandt_positive`` is evaluated
     for primitive matrices up to ``WIELANDT_REPORT_DIM_LIMIT`` (the exponent
-    grows quadratically with the dimension).
+    grows quadratically with the dimension).  ``perron_value`` is None when
+    power iteration gave no finite estimate, and ``perron_withheld`` then
+    says why.
     """
 
     period: int | None
     is_primitive: bool | None
-    perron_value: float
+    perron_value: float | None
     wielandt_positive: bool | None
     expected_peripheral_count: int | None
     trace_zero_applicable: bool
     trace_is_zero: bool | None
+    perron_withheld: str | None = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "period": self.period,
             "is_primitive": self.is_primitive,
             "perron_value": self.perron_value,
@@ -184,6 +231,9 @@ class SpectralReport:
             "trace_zero_applicable": self.trace_zero_applicable,
             "trace_is_zero": self.trace_is_zero,
         }
+        if self.perron_withheld is not None:
+            out["perron_withheld"] = self.perron_withheld
+        return out
 
 
 def spectral_report(
@@ -202,7 +252,13 @@ def spectral_report(
         primitive = h == 1
         if primitive and a.n <= WIELANDT_REPORT_DIM_LIMIT:
             wielandt = wielandt_check(a)
-    perron = perron_value(a, tol=tol, max_iter=max_iter) if nonzero else 0.0
+    perron: float | None = 0.0
+    withheld: str | None = None
+    if nonzero:
+        try:
+            perron = perron_value(a, tol=tol, max_iter=max_iter)
+        except PowerIterationError as exc:
+            perron, withheld = None, str(exc)
     applicable = (
         r is not None
         and r >= 3
@@ -219,4 +275,5 @@ def spectral_report(
         expected_peripheral_count=h,
         trace_zero_applicable=applicable,
         trace_is_zero=(a.trace() == 0) if applicable else None,
+        perron_withheld=withheld,
     )

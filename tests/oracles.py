@@ -121,3 +121,37 @@ def random_pattern_local(rng: random.Random, n: int, density: float) -> PatternM
                 mask |= 1 << j
         rows.append(mask)
     return PatternMatrix(n, tuple(rows))
+
+
+def unscaled_perron(a: RMatrix, tol: float = 1e-9, max_iter: int = 10_000) -> float:
+    """Power iteration on float(A)^h with no rescaling of the entries.
+
+    h is the lcm of the periods of the nonzero diagonal blocks, as in
+    ``perron_value``; the loop and its stopping rule are the same, so on
+    input whose floats stay in range the two must agree bit for bit.
+    """
+    import math
+
+    import numpy as np
+
+    from rpotent.decomposition import block_triangularize
+    from rpotent.spectral import period
+
+    h = 1
+    for blk in block_triangularize(a).diagonal_blocks:
+        if not blk.is_zero():
+            h = math.lcm(h, period(blk))
+    bf = np.linalg.matrix_power(np.array([[float(x) for x in row] for row in a.entries]), h)
+    x = np.ones(a.n) / math.sqrt(a.n)
+    prev = None
+    for _ in range(max_iter):
+        y = bf @ x
+        norm = float(np.linalg.norm(y))
+        if norm == 0.0:
+            return 0.0
+        est = float(x @ y)
+        x = y / norm
+        if prev is not None and abs(est - prev) <= tol:
+            return est ** (1.0 / h)
+        prev = est
+    raise AssertionError("reference iteration did not converge")

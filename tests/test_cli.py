@@ -6,6 +6,7 @@ import sys
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from rpotent.cli import main
 from rpotent.generators import block_diagonal, cycle_matrix, uniform_idempotent
@@ -70,6 +71,29 @@ class TestAnalyze:
         bad = tmp_path / "neg.json"
         bad.write_text(json.dumps({"n": 1, "entries": [[-1]]}))
         assert main(["analyze", str(bad)]) == 2
+
+    def test_boolean_entry_exits_two(self, tmp_path):
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps({"n": 2, "entries": [[True, False], [False, False]]}))
+        assert main(["analyze", str(bad)]) == 2
+        bad.write_text(json.dumps({"n": True, "entries": [[1]]}))
+        assert main(["analyze", str(bad)]) == 2
+
+    def test_perron_value_of_huge_entries(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        for exponent, expected in ((200, 2e200), (400, None)):
+            big = str(10**exponent)
+            path.write_text(json.dumps({"n": 2, "entries": [[big, big], [big, big]]}))
+            assert main(["analyze", str(path), "--json"]) == 0
+            bundle = json.loads(capsys.readouterr().out)
+            jsonschema.validate(bundle, _load_schema())
+            if expected is None:
+                assert bundle["spectral"]["perron_value"] is None
+                assert "float range" in bundle["spectral"]["perron_withheld"]
+            else:
+                assert bundle["spectral"]["perron_value"] == pytest.approx(expected, rel=1e-12)
+        assert main(["analyze", str(path)]) == 0
+        assert "perron value withheld (perron value outside the float range)" in capsys.readouterr().out
 
     def test_missing_file_exits_two(self):
         assert main(["analyze", "/nonexistent/matrix.json"]) == 2

@@ -47,6 +47,14 @@ class TestDigraph:
         assert len(Digraph.from_matrix(cycle_matrix(4)).strongly_connected_components()) == 1
         assert len(Digraph.from_matrix(RMatrix.zeros(3)).strongly_connected_components()) == 3
 
+    def test_long_cycle_and_path_do_not_recurse(self):
+        n = 1500
+        cycle = Digraph(n, tuple(1 << ((v + 1) % n) for v in range(n)))
+        assert cycle.strongly_connected_components() == [tuple(range(n))]
+        # a path v -> v + 1 emits its sink first, like the recursive Tarjan
+        path = Digraph(n, tuple(1 << (v + 1) if v + 1 < n else 0 for v in range(n)))
+        assert path.strongly_connected_components() == [(v,) for v in reversed(range(n))]
+
 
 class TestIsDecomposable:
     def test_positive_idempotent_is_not(self):

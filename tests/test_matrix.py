@@ -3,6 +3,8 @@
 import json
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,14 @@ from rpotent.matrix import (
     matrix_to_json,
 )
 
-from oracles import bool_product, gauss_rank, kron_entry, naive_multiply, random_small_matrix
+from oracles import (
+    bool_product,
+    gauss_rank,
+    kron_entry,
+    naive_multiply,
+    naive_power,
+    random_small_matrix,
+)
 
 CYCLE3 = RMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 HALF = RMatrix.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
@@ -33,6 +42,104 @@ def _matrix_strategy(max_n=5):
         )
 
     return st.integers(min_value=1, max_value=max_n).flatmap(rows).map(RMatrix.from_rows)
+
+
+# Entries with denominators up to 10^6, and zeros, for the differential tests
+# of the integer backend against the Fraction oracles.
+_wide_entry = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=0, max_value=1000, max_denominator=10**6),
+)
+
+
+def _wide_square(n):
+    return st.lists(
+        st.lists(_wide_entry, min_size=n, max_size=n), min_size=n, max_size=n
+    ).map(RMatrix.from_rows)
+
+
+_wide_pair = st.integers(1, 6).flatmap(lambda n: st.tuples(_wide_square(n), _wide_square(n)))
+
+
+def _is_canonical(m):
+    return m.den > 0 and gcd(m.den, *chain.from_iterable(m.num)) == 1
+
+
+class TestIntegerBackend:
+    @settings(max_examples=60, deadline=None)
+    @given(_wide_pair)
+    def test_product_matches_fraction_oracle(self, pair):
+        a, b = pair
+        assert a @ b == naive_multiply(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6).flatmap(_wide_square), st.integers(0, 5))
+    def test_power_matches_fraction_oracle(self, a, k):
+        assert a.pow(k) == naive_power(a, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(_wide_square))
+    def test_rank_matches_fraction_oracle(self, a):
+        assert a.rank() == gauss_rank(a)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_wide_pair)
+    def test_products_are_canonical(self, pair):
+        a, b = pair
+        for m in (a, b, a @ b, a.kron(b), a.submatrix(range(a.n - 1, -1, -1))):
+            rebuilt = RMatrix.from_rows(m.entries)
+            assert _is_canonical(m)
+            assert m == rebuilt and hash(m) == hash(rebuilt)
+            assert (m.den, m.num) == (rebuilt.den, rebuilt.num)
+            assert m.to_json_dict() == rebuilt.to_json_dict()
+        zero = a @ RMatrix.zeros(a.n)
+        assert zero.den == 1 and zero.is_zero()
+
+    def test_zero_matrix_has_unit_denominator(self):
+        assert RMatrix.zeros(3).den == 1
+        assert RMatrix.from_rows([["0/7", 0], [0, 0]]).den == 1
+        assert (HALF @ RMatrix.zeros(2)).den == 1
+
+    def test_entries_view_matches_public_grid(self):
+        m = HALF @ HALF
+        assert m.entries == ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
+        assert m.entries is m.entries
+        assert m.get(1, 0) == Fraction(1, 2) and m.trace() == 1
+
+    def test_matrices_are_immutable(self):
+        with pytest.raises(AttributeError):
+            HALF.den = 3
+        with pytest.raises(AttributeError):
+            HALF.entries = ()
+
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: RMatrix(((Fraction(-1),),)), ValueError),
+            (lambda: RMatrix(((1,),)), TypeError),
+            (lambda: RMatrix(((Fraction(1), Fraction(0)), (0.5, Fraction(0)))), TypeError),
+            (lambda: RMatrix.from_rows([["-1/2", 0], [0, 0]]), ValueError),
+            (lambda: RMatrix.from_rows([[1.5]]), TypeError),
+            (lambda: RMatrix.from_rows([[True]]), TypeError),
+            (lambda: RMatrix.identity(0), ValueError),
+            (lambda: RMatrix.zeros(0), ValueError),
+            (lambda: RMatrix.diagonal([1, -1]), ValueError),
+            (lambda: RMatrix.diagonal([False]), TypeError),
+            (lambda: matrix_from_json(json.dumps({"n": 1, "entries": [[-3]]})), ValueError),
+            (lambda: matrix_from_json(json.dumps({"n": 1, "entries": [[False]]})), TypeError),
+            (lambda: matrix_from_json(json.dumps({"n": 1, "entries": [[0.5]]})), TypeError),
+            (lambda: matrix_from_csv("1,-1\n0,0\n"), ValueError),
+        ],
+    )
+    def test_public_constructors_reject_bad_entries(self, build, error):
+        with pytest.raises(error):
+            build()
+
+    def test_permutation_matrix_is_built_through_validation(self):
+        p = Permutation((2, 0, 1))
+        m = p.to_matrix()
+        assert m == RMatrix(tuple(tuple(Fraction(int(p(j) == i)) for j in range(3)) for i in range(3)))
+        assert m.den == 1
 
 
 class TestConstruction:

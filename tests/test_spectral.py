@@ -23,7 +23,7 @@ from rpotent.spectral import (
     wielandt_exponent,
 )
 
-from oracles import period_by_diagonal_hits, random_small_matrix
+from oracles import period_by_diagonal_hits, random_small_matrix, unscaled_perron
 
 
 class TestPeriod:
@@ -153,6 +153,33 @@ class TestPerronValue:
             rho = max(abs(np.linalg.eigvals(dense)))
             assert perron_value(m) == pytest.approx(float(rho), abs=1e-6)
 
+    def test_scaled_iteration_is_bit_identical_to_unscaled(self):
+        # entries up to 3 and down to 1/3 make the power-of-two scale nonzero
+        rng = random.Random(8)
+        checked = 0
+        while checked < 40:
+            n = rng.randint(1, 6)
+            m = random_small_matrix(rng, n, density=rng.uniform(0.3, 1.0))
+            if m.is_zero():
+                continue
+            checked += 1
+            assert perron_value(m) == unscaled_perron(m)
+
+    def test_entries_beyond_float_range_are_scaled_first(self):
+        # the squares of 10^200 and of 10^-200 leave the float range
+        big = 10**200
+        m = RMatrix.from_rows([[big, big], [big, big]])
+        assert perron_value(m) == pytest.approx(2e200, rel=1e-12)
+        tiny = RMatrix.from_rows([[f"1/{big}", 0], [0, f"3/{big}"]])
+        assert perron_value(tiny) == pytest.approx(3e-200, rel=1e-12)
+
+    def test_value_outside_float_range_raises(self):
+        huge = 10**400
+        with pytest.raises(PowerIterationError, match="float range"):
+            perron_value(RMatrix.from_rows([[huge, huge], [huge, huge]]))
+        with pytest.raises(PowerIterationError, match="float range"):
+            perron_value(RMatrix.from_rows([[f"1/{huge}"]]))
+
     def test_every_generated_potent_has_unit_radius(self):
         for seed in range(60):
             r = (2, 3, 4, 5)[seed % 4]
@@ -194,6 +221,17 @@ class TestSpectralReport:
         rep = spectral_report(RMatrix.identity(2), r=2)
         assert rep.period is None
         assert rep.perron_value == pytest.approx(1.0, abs=1e-9)
+
+    def test_withheld_perron_value_is_reported_with_reason(self):
+        huge = 10**400
+        rep = spectral_report(RMatrix.from_rows([[huge, huge], [huge, huge]]))
+        assert rep.perron_value is None
+        assert rep.to_dict()["perron_withheld"] == "perron value outside the float range"
+        # a Jordan block: the estimate approaches 1 too slowly to converge
+        rep = spectral_report(RMatrix.from_rows([[1, 1], [0, 1]]), max_iter=50)
+        assert rep.perron_value is None
+        assert "did not converge" in rep.perron_withheld
+        assert "perron_withheld" not in spectral_report(RMatrix.identity(2)).to_dict()
 
     def test_primitive_report_includes_positive_power(self):
         rep = spectral_report(RMatrix.from_rows([[1, 1], [1, 0]]))
