@@ -8,6 +8,7 @@ Exit codes are uniform across commands: 0 success / all properties hold,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -138,7 +139,8 @@ def _print_bundle_human(bundle: dict, out) -> None:
     if sp["perron_value"] is None:
         perron = f"perron value withheld ({sp['perron_withheld']})"
     else:
-        perron = f"perron value {sp['perron_value']:.9f}"
+        value = sp["perron_value"]
+        perron = f"perron value {value:.9f}" if value < 1e12 else f"perron value {value:.9e}"
     period = sp["period"]
     if period is not None:
         prim = "primitive" if sp["is_primitive"] else f"period {period}"
@@ -265,7 +267,9 @@ def cmd_semigroup(args) -> int:
     return exit_code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="rpotent",
         description="Exact decomposability analysis for nonnegative matrices with A^r = A.",
@@ -278,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--json", action="store_true", help="machine-readable output")
     p_an.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_an.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p_an.set_defaults(func=cmd_analyze)
 
     p_gen = sub.add_parser("generate", help="emit a seeded matrix as JSON with provenance")
     p_gen.add_argument(
@@ -304,28 +307,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, default=None, help="permutation size")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--output", type=str, default=None)
-    p_gen.set_defaults(func=cmd_generate)
 
     p_ver = sub.add_parser("verify", help="run one named property suite")
     p_ver.add_argument("--theorem", required=True, help="check id, e.g. 3.2 (see README)")
     p_ver.add_argument("--trials", type=int, default=None)
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--n", type=int, default=None, help="dimension for enumeration checks")
-    p_ver.set_defaults(func=cmd_verify)
 
     p_sg = sub.add_parser("semigroup", help="close generators and report decomposability")
     p_sg.add_argument("files", nargs="+")
     p_sg.add_argument("--r", type=int, default=None, help="potency exponent for the rank floor")
     p_sg.add_argument("--cap", type=int, default=None, help="closure member cap")
-    p_sg.set_defaults(func=cmd_semigroup)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call rather than stored in the shared parser, so that a
+    # command function rebound after the first call (bench/tracer.py wraps
+    # them) is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

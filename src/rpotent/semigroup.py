@@ -7,6 +7,12 @@ boolean pattern matrices, which are finite (at most 2^(n^2) of them), with a
 member cap and an explicit truncation flag; a truncated closure refuses
 every verdict rather than reporting one from an incomplete set.
 
+Pattern and exact closures share one routine.  Every member of the
+semigroup generated by G is a word in G, so the closure multiplies each
+member on the right by each generator only: |S|·|G| products for |S|
+members, instead of multiplying every new member against every member on
+both sides.
+
 For a closed semigroup the union pattern U of all members is transitively
 closed (U_{ik} and U_{kj} nonzero in some members forces U_{ij} nonzero via
 their product), which ties three facts together: the union has a zero entry
@@ -18,7 +24,9 @@ equivalence can be tested rather than assumed.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+import operator
+from collections import Counter
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from math import lcm
 
@@ -57,11 +65,7 @@ class PatternSemigroup:
             raise ClosureTruncated("closure was truncated at the member cap")
 
     def union_pattern(self) -> PatternMatrix:
-        rows = [0] * self.n
-        for m in self.members:
-            for i, mask in enumerate(m.rows):
-                rows[i] |= mask
-        return PatternMatrix(self.n, tuple(rows))
+        return _union_pattern(self.n, self.members)
 
 
 @dataclass(frozen=True)
@@ -80,17 +84,44 @@ class RationalSemigroup:
 
     def union_pattern(self) -> PatternMatrix:
         n = self.members[0].n
-        rows = [0] * n
-        for m in self.members:
-            for i, mask in enumerate(m.pattern().rows):
-                rows[i] |= mask
-        return PatternMatrix(n, tuple(rows))
+        return _union_pattern(n, (m.pattern() for m in self.members))
 
 
-def pattern_closure(
-    generators: list[PatternMatrix], cap: int = DEFAULT_CLOSURE_CAP
-) -> PatternSemigroup:
-    """Breadth-first closure under boolean product, deduplicated, cap-bounded."""
+def _union_pattern(n: int, patterns: Iterable[PatternMatrix]) -> PatternMatrix:
+    """The n x n pattern nonzero wherever one of the given patterns is."""
+    rows = [0] * n
+    for p in patterns:
+        for i, mask in enumerate(p.rows):
+            rows[i] |= mask
+    return PatternMatrix(n, tuple(rows))
+
+
+def _close(generators: list, product: Callable, cap: int) -> tuple[list, bool]:
+    """Members of the semigroup the generators generate, and whether it exceeds ``cap``.
+
+    Every member is a word g1 g2 ... gk in the generators, so one pass over
+    the member list that admits x * g for each member x and generator g
+    reaches all of them (Froidure & Pin, 1997) in |S|·|G| products.  When
+    the semigroup has more than ``cap`` members, exactly ``cap`` of them are
+    returned with the flag set.
+    """
+    gens = list(dict.fromkeys(generators))
+    if len(gens) > cap:
+        return gens[:cap], True
+    members = list(gens)
+    seen = set(gens)
+    for x in members:  # also visits the members appended on the way
+        for g in gens:
+            p = product(x, g)
+            if p not in seen:
+                if len(members) == cap:
+                    return members, True
+                seen.add(p)
+                members.append(p)
+    return members, False
+
+
+def _check_generators(generators: list, cap: int) -> int:
     if not generators:
         raise ValueError("need at least one generator")
     if cap < 1:
@@ -98,71 +129,33 @@ def pattern_closure(
     n = generators[0].n
     if any(g.n != n for g in generators):
         raise ValueError("generators must share a dimension")
-    members: list[PatternMatrix] = []
-    seen: set[PatternMatrix] = set()
-    queue: deque[PatternMatrix] = deque()
-    truncated = False
-    gen_count = len(set(generators))
+    return n
 
-    def admit(p: PatternMatrix) -> bool:
-        nonlocal truncated
-        if p in seen:
-            return True
-        if len(members) >= cap:
-            truncated = True
-            return False
-        seen.add(p)
-        members.append(p)
-        queue.append(p)
-        return True
 
-    for g in generators:
-        if not admit(g):
-            break
-    while queue and not truncated:
-        z = queue.popleft()
-        for m in list(members):
-            if not admit(z * m) or not admit(m * z):
-                break
+def pattern_closure(
+    generators: list[PatternMatrix], cap: int = DEFAULT_CLOSURE_CAP
+) -> PatternSemigroup:
+    """Closure under boolean product by right multiplication with the generators.
+
+    Costs |S|·|G| boolean products for |S| members and |G| distinct
+    generators; deduplicated and cap-bounded (see ``_close``).
+    """
+    n = _check_generators(generators, cap)
+    members, truncated = _close(generators, operator.mul, cap)
     return PatternSemigroup(
-        n=n, members=tuple(members), generator_count=gen_count, truncated=truncated
+        n=n,
+        members=tuple(members),
+        generator_count=len(set(generators)),
+        truncated=truncated,
     )
 
 
 def rational_closure(
     generators: list[RMatrix], cap: int = DEFAULT_CLOSURE_CAP
 ) -> RationalSemigroup:
-    """Exact-arithmetic closure under matrix product, deduplicated, cap-bounded."""
-    if not generators:
-        raise ValueError("need at least one generator")
-    n = generators[0].n
-    if any(g.n != n for g in generators):
-        raise ValueError("generators must share a dimension")
-    members: list[RMatrix] = []
-    seen: set[RMatrix] = set()
-    queue: deque[RMatrix] = deque()
-    truncated = False
-
-    def admit(m: RMatrix) -> bool:
-        nonlocal truncated
-        if m in seen:
-            return True
-        if len(members) >= cap:
-            truncated = True
-            return False
-        seen.add(m)
-        members.append(m)
-        queue.append(m)
-        return True
-
-    for g in generators:
-        if not admit(g):
-            break
-    while queue and not truncated:
-        z = queue.popleft()
-        for m in list(members):
-            if not admit(z @ m) or not admit(m @ z):
-                break
+    """Exact-arithmetic closure under matrix product, built like ``pattern_closure``."""
+    _check_generators(generators, cap)
+    members, truncated = _close(generators, operator.matmul, cap)
     return RationalSemigroup(members=tuple(members), truncated=truncated)
 
 

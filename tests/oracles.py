@@ -3,14 +3,17 @@
 Each oracle takes a deliberately different route than the implementation it
 checks: naive cubic multiplication against the sparse-aware product, plain
 fraction Gaussian elimination against fraction-free Bareiss, diagonal hits of
-boolean powers against the BFS-level period, and exhaustive subset scans
-against the component decision.
+boolean powers against the BFS-level period, exhaustive subset scans
+against the component decision, and a closure that multiplies every new
+member with every member on both sides against the one that multiplies
+each member by the generators on the right.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 from math import gcd
 
@@ -121,6 +124,40 @@ def random_pattern_local(rng: random.Random, n: int, density: float) -> PatternM
                 mask |= 1 << j
         rows.append(mask)
     return PatternMatrix(n, tuple(rows))
+
+
+def two_sided_closure(gens: list, product, cap: int) -> tuple[list, bool]:
+    """Breadth-first closure multiplying each new member with every member on both sides.
+
+    O(|S|^2) products; returns the admitted members in order and whether the
+    member cap was hit.
+    """
+    members: list = []
+    seen: set = set()
+    queue: deque = deque()
+    truncated = False
+
+    def admit(p) -> bool:
+        nonlocal truncated
+        if p in seen:
+            return True
+        if len(members) >= cap:
+            truncated = True
+            return False
+        seen.add(p)
+        members.append(p)
+        queue.append(p)
+        return True
+
+    for g in gens:
+        if not admit(g):
+            break
+    while queue and not truncated:
+        z = queue.popleft()
+        for m in list(members):
+            if not admit(product(z, m)) or not admit(product(m, z)):
+                break
+    return members, truncated
 
 
 def unscaled_perron(a: RMatrix, tol: float = 1e-9, max_iter: int = 10_000) -> float:

@@ -95,6 +95,23 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 0
         assert "perron value withheld (perron value outside the float range)" in capsys.readouterr().out
 
+    def test_human_perron_value_of_huge_entries_is_bounded(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        big = str(10**200)
+        path.write_text(json.dumps({"n": 2, "entries": [[big, big], [big, big]]}))
+        assert main(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "perron value 2.000000000e+200" in out
+        assert max(len(line) for line in out.splitlines()) < 80
+
+    def test_human_perron_value_keeps_fixed_point_below_1e12(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        for value, expected in ((10**12 - 1, "perron value 999999999999.000000000"),
+                                (10**12, "perron value 1.000000000e+12")):
+            path.write_text(json.dumps({"n": 1, "entries": [[value]]}))
+            assert main(["analyze", str(path)]) == 0
+            assert expected in capsys.readouterr().out
+
     def test_missing_file_exits_two(self):
         assert main(["analyze", "/nonexistent/matrix.json"]) == 2
 
@@ -255,6 +272,27 @@ class TestSemigroupCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("nope")
         assert main(["semigroup", str(bad)]) == 2
+
+
+class TestParserReuse:
+    def test_successive_calls_parse_independently(self, tmp_path, capsys):
+        cycle = _write_cycle(tmp_path)
+        assert main(["analyze", cycle, "--r", "3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["r"] == 3
+        assert main(["semigroup", cycle, "--cap", "1"]) == 1
+        assert json.loads(capsys.readouterr().out)["truncated"] is True
+        # no --r, --json or --cap carried over from the calls above
+        assert main(["analyze", cycle]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("matrix: 3x3") and "A^4 = A holds" in out
+        assert main(["semigroup", cycle]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["closure_size"] == 3 and "rank_floor" not in report
+
+    def test_parser_is_built_once(self):
+        from rpotent.cli import build_parser
+
+        assert build_parser() is build_parser()
 
 
 class TestAnalyzeWithMismatchedExponent:

@@ -1,8 +1,12 @@
 """Pattern closures, zero-entry equivalences, rank floors, permutation groups."""
 
+import operator
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpotent.generators import (
     block_diagonal,
@@ -26,7 +30,56 @@ from rpotent.semigroup import (
     symmetric_group_analysis,
 )
 
-from oracles import random_pattern_local
+from oracles import random_pattern_local, two_sided_closure
+
+
+def _patterns(n):
+    row = st.integers(0, (1 << n) - 1)
+    return st.lists(row, min_size=n, max_size=n).map(lambda rows: PatternMatrix(n, tuple(rows)))
+
+
+def _pattern_generator_sets():
+    return st.integers(1, 4).flatmap(lambda n: st.lists(_patterns(n), min_size=1, max_size=3))
+
+
+def _exact_generator_sets():
+    """1-3 partial transformation matrices, all conjugated by one diagonal D.
+
+    D P D^-1 has entries in {0, 1, 2, 1/2, 4, 1/4} and the closure is D S D^-1
+    for the finite closure S of the 0/1 matrices, so exact arithmetic with
+    denominators is exercised while the O(|S|^2) oracle stays affordable.
+    """
+
+    def sets(n):
+        transformation = st.lists(st.integers(-1, n - 1), min_size=n, max_size=n)
+        factor = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2)])
+        scale = st.lists(factor, min_size=n, max_size=n)
+
+        def build(d, images):
+            return [
+                RMatrix.from_rows(
+                    [[d[i] / d[j] if j == c else 0 for j in range(n)] for i, c in enumerate(cols)]
+                )
+                for cols in images
+            ]
+
+        return st.builds(build, scale, st.lists(transformation, min_size=1, max_size=3))
+
+    return st.integers(1, 4).flatmap(sets)
+
+
+def _permutation_patterns(*images):
+    return [Permutation(p).to_matrix().pattern() for p in images]
+
+
+def _assert_matches_two_sided(gens, product, closure, cap):
+    expected, truncated = two_sided_closure(gens, product, cap)
+    assert closure.truncated == truncated
+    if truncated:
+        assert len(closure) == cap == len(expected)
+    else:
+        assert set(closure.members) == set(expected)
+        assert len(closure) == len(expected)
 
 
 class TestPatternClosure:
@@ -69,6 +122,85 @@ class TestPatternClosure:
             common_zero_entry(s)
         with pytest.raises(ClosureTruncated):
             semigroup_decomposable(s)
+
+
+class TestGeneratorProductClosure:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_pattern_generator_sets(), st.integers(1, 5000))
+    def test_pattern_closure_matches_two_sided_oracle(self, gens, cap):
+        s = pattern_closure(gens, cap=cap)
+        _assert_matches_two_sided(gens, operator.mul, s, cap)
+        assert s.generator_count == len(set(gens))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_exact_generator_sets(), st.integers(1, 5000))
+    def test_rational_closure_matches_two_sided_oracle(self, gens, cap):
+        s = rational_closure(gens, cap=cap)
+        _assert_matches_two_sided(gens, operator.matmul, s, cap)
+
+    def test_seeded_random_closures_match_two_sided_oracle(self):
+        # larger closures (up to a few hundred members) than hypothesis reaches
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            gens = [random_pattern_local(rng, n, rng.random()) for _ in range(rng.randint(1, 3))]
+            cap = rng.randint(1, 5000)
+            _assert_matches_two_sided(gens, operator.mul, pattern_closure(gens, cap=cap), cap)
+
+    def test_symmetric_group_five_takes_one_product_per_member_and_generator(self, monkeypatch):
+        calls = 0
+        original = PatternMatrix.__mul__
+
+        def counting(self, other):
+            nonlocal calls
+            calls += 1
+            return original(self, other)
+
+        monkeypatch.setattr(PatternMatrix, "__mul__", counting)
+        s = pattern_closure(_permutation_patterns((1, 0, 2, 3, 4), (1, 2, 3, 4, 0)))
+        assert len(s) == 120 and not s.truncated
+        assert calls == 120 * 2
+
+    def test_symmetric_group_six(self):
+        s = pattern_closure(_permutation_patterns((1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)))
+        assert len(s) == 720 and not s.truncated
+        assert common_zero_entry(s) is None
+
+    def test_truncated_closure_holds_exactly_cap_members(self):
+        gens = _permutation_patterns((1, 0, 2, 3), (1, 2, 3, 0))
+        for cap in (1, 2, 23):
+            s = pattern_closure(gens, cap=cap)
+            assert s.truncated and len(s) == cap
+        s = pattern_closure(gens, cap=24)
+        assert not s.truncated and len(s) == 24
+
+    def test_duplicate_generators_count_once(self):
+        c = cycle_matrix(3).pattern()
+        s = pattern_closure([c, c, c * c], cap=3)
+        assert s.generator_count == 2
+        assert len(s) == 3 and not s.truncated
+        assert pattern_closure([c, c * c], cap=1).truncated
+
+    def test_argument_checks(self):
+        c = cycle_matrix(3)
+        for closure, gens in ((pattern_closure, [c.pattern()]), (rational_closure, [c])):
+            with pytest.raises(ValueError):
+                closure([])
+            with pytest.raises(ValueError):
+                closure(gens, cap=0)
+        with pytest.raises(ValueError):
+            pattern_closure([c.pattern(), cycle_matrix(4).pattern()])
+        with pytest.raises(ValueError):
+            rational_closure([c, cycle_matrix(4)])
+
+    def test_union_pattern_agrees_between_pattern_and_exact_closures(self):
+        for seed in range(6):
+            r = (2, 3, 4)[seed % 3]
+            gens = rank_dominant_semigroup_generators(r, 2, seed)
+            exact = rational_closure(gens)
+            boolean = pattern_closure([g.pattern() for g in gens])
+            assert {m.pattern() for m in exact.members} == set(boolean.members)
+            assert exact.union_pattern() == boolean.union_pattern()
 
 
 class TestCommonZeroAndSum:
@@ -193,6 +325,11 @@ class TestRationalClosure:
         gens = [cycle_matrix(3)]
         s = rational_closure(gens, cap=2)
         assert s.truncated
+
+    def test_infinite_semigroup_truncates_at_cap(self):
+        s = rational_closure([RMatrix.from_rows([[2]])], cap=5)
+        assert s.truncated
+        assert set(s.members) == {RMatrix.from_rows([[2**k]]) for k in range(1, 6)}
 
 
 class TestRankFloor:
