@@ -1,104 +1,6 @@
-"""Exact decomposability analysis for nonnegative matrices with A^r = A."""
+"""Exact decomposability analysis for nonnegative matrices with A^r = A.
 
-from .decomposition import (
-    BlockTriangularization,
-    Digraph,
-    InvariantSubsetWitness,
-    block_triangularize,
-    brute_force_decomposable,
-    is_decomposable,
-    main_decomposability_test,
-    rank_one_idempotent_diag_test,
-)
-from .generators import (
-    GeneratorSpec,
-    block_diagonal,
-    cycle_matrix,
-    random_r_potent,
-    rank_one_idempotent,
-    triangular_family,
-    uniform_idempotent,
-)
-from .matrix import PatternMatrix, Permutation, RMatrix, load_matrix
-from .potency import (
-    PotencyReport,
-    idempotent_projection,
-    is_r_potent,
-    minimal_potency,
-    potency_report,
-    rank_trace_check,
-    zero_diagonal_powers,
-)
-from .semigroup import (
-    PatternSemigroup,
-    RationalSemigroup,
-    common_zero_entry,
-    cyclic_semigroup,
-    cyclic_semigroup_decomposable_check,
-    pattern_closure,
-    semigroup_decomposable,
-    semigroup_rank_floor_check,
-    sum_has_zero,
-    symmetric_group_analysis,
-)
-from .spectral import (
-    SpectralReport,
-    is_primitive,
-    period,
-    perron_value,
-    spectral_report,
-    trace_zero_check,
-    wielandt_check,
-)
-from .structure import StructureReport, analyze_structure, reorder_to_avoid_consecutive_zeros
+Import the submodules directly, e.g. ``from rpotent.potency import as_potent``.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlockTriangularization",
-    "Digraph",
-    "GeneratorSpec",
-    "InvariantSubsetWitness",
-    "PatternMatrix",
-    "PatternSemigroup",
-    "Permutation",
-    "PotencyReport",
-    "RMatrix",
-    "RationalSemigroup",
-    "SpectralReport",
-    "StructureReport",
-    "analyze_structure",
-    "block_diagonal",
-    "block_triangularize",
-    "brute_force_decomposable",
-    "common_zero_entry",
-    "cycle_matrix",
-    "cyclic_semigroup",
-    "cyclic_semigroup_decomposable_check",
-    "idempotent_projection",
-    "is_decomposable",
-    "is_primitive",
-    "is_r_potent",
-    "load_matrix",
-    "main_decomposability_test",
-    "minimal_potency",
-    "pattern_closure",
-    "period",
-    "perron_value",
-    "potency_report",
-    "random_r_potent",
-    "rank_one_idempotent",
-    "rank_one_idempotent_diag_test",
-    "rank_trace_check",
-    "reorder_to_avoid_consecutive_zeros",
-    "semigroup_decomposable",
-    "semigroup_rank_floor_check",
-    "spectral_report",
-    "sum_has_zero",
-    "symmetric_group_analysis",
-    "trace_zero_check",
-    "triangular_family",
-    "uniform_idempotent",
-    "wielandt_check",
-    "zero_diagonal_powers",
-]

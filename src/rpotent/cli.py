@@ -17,12 +17,11 @@ from .decomposition import (
     InvariantSubsetWitness,
     block_triangularize,
     brute_force_decomposable,
-    is_decomposable,
     main_decomposability_test,
 )
 from .generators import GeneratorSpec
 from .matrix import RMatrix, load_matrix, matrix_to_json
-from .potency import DEFAULT_POTENCY_CAP, minimal_potency, potency_report
+from .potency import potency_report
 from .semigroup import (
     ClosureTruncated,
     DEFAULT_CLOSURE_CAP,
@@ -50,21 +49,19 @@ def _closure_cap(flag_value: int | None) -> int:
 
 
 def _analysis_bundle(a: RMatrix, r: int | None, tol: float, max_iter: int) -> dict:
-    """Assemble every report for one matrix into a JSON-ready bundle."""
-    if r is None:
-        r = minimal_potency(a, DEFAULT_POTENCY_CAP)
-    potency = potency_report(a, r) if r is not None else None
-    potent = potency is not None and potency.is_r_potent
-    decomposable = is_decomposable(a)
+    """Every report for one matrix, from one potency pass and one triangularization."""
+    potency = potency_report(a, r)
+    potent = None if potency is None else potency.potent
     tri = block_triangularize(a)
+    decomposable = not tri.is_trivial
     oracle_checked = a.n <= ORACLE_DIM_LIMIT
     oracle_witness = brute_force_decomposable(a) if oracle_checked else None
     oracle_agrees = None
     if oracle_checked:
         oracle_agrees = (oracle_witness is not None) == decomposable
-    prediction = main_decomposability_test(a, r) if potent else None
-    structure = analyze_structure(a, r) if potent else None
-    spectral = spectral_report(a, r=r if potent else None, tol=tol, max_iter=max_iter)
+    prediction = None if potent is None else main_decomposability_test(potent)
+    structure = None if potent is None else analyze_structure(potent, tri)
+    spectral = spectral_report(tri, potent, tol=tol, max_iter=max_iter)
     checks_ok = all(
         flag is not False
         for flag in (
@@ -75,14 +72,14 @@ def _analysis_bundle(a: RMatrix, r: int | None, tol: float, max_iter: int) -> di
         )
     )
     witness = None
-    if decomposable and not tri.is_trivial:
+    if decomposable:
         w = InvariantSubsetWitness(frozenset(tri.components[0]), a.n)
         if not w.verify(a):
             raise RuntimeError("sink component failed to verify as invariant")
         witness = w.sorted_indices()
     return {
         "matrix": a.to_json_dict(),
-        "r": r,
+        "r": None if potency is None else potency.r,
         "potency": None if potency is None else potency.to_dict(),
         "decomposability": {
             "decomposable": decomposable,

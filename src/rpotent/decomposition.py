@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrix import PatternMatrix, Permutation, RMatrix
-from .potency import is_r_potent, zero_diagonal_powers
+from .potency import Potent, is_r_potent, zero_diagonal_powers
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -96,9 +96,6 @@ class Digraph:
                             break
                     comps.append(tuple(sorted(comp)))
         return comps
-
-    def is_strongly_connected(self) -> bool:
-        return len(self.strongly_connected_components()) == 1
 
 
 @dataclass(frozen=True)
@@ -190,28 +187,14 @@ class BlockTriangularization:
     def conjugated(self) -> RMatrix:
         return self.source.conjugate(self.permutation)
 
-    def block_starts(self) -> list[int]:
-        starts = [0]
-        for size in self.block_sizes[:-1]:
-            starts.append(starts[-1] + size)
-        return starts
-
     def is_respected_by(self, m: RMatrix) -> bool:
         """Whether conjugating ``m`` by the same permutation is block upper triangular."""
         if m.n != self.source.n:
             return False
-        b = m.conjugate(self.permutation)
-        starts = self.block_starts()
-        bounds = list(zip(starts, self.block_sizes))
-        for bi, (ri, rs) in enumerate(bounds):
-            for bj, (cj, cs) in enumerate(bounds):
-                if bi <= bj:
-                    continue
-                for i in range(ri, ri + rs):
-                    for j in range(cj, cj + cs):
-                        if b.num[i][j]:
-                            return False
-        return True
+        block = {v: ci for ci, comp in enumerate(self.components) for v in comp}
+        return not any(
+            x and block[i] > block[j] for i, row in enumerate(m.num) for j, x in enumerate(row)
+        )
 
     def is_valid(self) -> bool:
         return self.is_respected_by(self.source)
@@ -353,11 +336,9 @@ class DecompositionPrediction:
         }
 
 
-def main_decomposability_test(a: RMatrix, r: int) -> DecompositionPrediction:
+def main_decomposability_test(p: Potent) -> DecompositionPrediction:
     """Classify an r-potent matrix by the decomposability criteria and compare."""
-    if not is_r_potent(a, r):
-        raise ValueError(f"matrix is not {r}-potent")
-    k = a.rank()
+    a, r, k = p.a, p.r, p.rank
     actual = is_decomposable(a)
     if k > r - 1:
         case, predicted = "rank_above_threshold", True
@@ -365,7 +346,7 @@ def main_decomposability_test(a: RMatrix, r: int) -> DecompositionPrediction:
         r >= 3
         and a.n >= 2
         and k < a.n
-        and set(range(2, r)) <= zero_diagonal_powers(a, r)
+        and set(range(2, r)) <= zero_diagonal_powers(p)
     ):
         case, predicted = "singular_zero_diagonal", True
     else:

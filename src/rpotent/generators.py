@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .matrix import Entry, Permutation, RMatrix, coerce_entry
-from .potency import is_r_potent
+from .potency import Potent, as_potent, is_r_potent
 
 _POOL = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3))
 _POOL_WITH_ZERO = _POOL + (Fraction(0),)
@@ -81,15 +81,14 @@ def block_diagonal(blocks: Sequence[RMatrix]) -> RMatrix:
     return RMatrix(tuple(tuple(row) for row in rows))
 
 
-def triangular_family(b: RMatrix, x: Sequence[Sequence[Entry]] | RMatrix, r: int) -> RMatrix:
+def triangular_family(p: Potent, x: Sequence[Sequence[Entry]] | RMatrix) -> RMatrix:
     """[[B, C], [0, 0]] with C = B^(r-1) X, r-potent for any nonnegative k x m X.
 
-    B^(r-1) C = B^(2r-2) X = B^(r-1) X = C, so the r-th power reproduces the
-    matrix.  The rank equals rank(B): the coupling columns lie in the range
-    of B.
+    ``p`` is B checked at r.  B^(r-1) C = B^(2r-2) X = B^(r-1) X = C, so the
+    r-th power reproduces the matrix.  The rank equals rank(B): the coupling
+    columns lie in the range of B.
     """
-    if not is_r_potent(b, r):
-        raise ValueError(f"base block is not {r}-potent")
+    b = p.a
     x_rows = x.entries if isinstance(x, RMatrix) else x
     k = b.n
     if len(x_rows) != k:
@@ -103,7 +102,7 @@ def triangular_family(b: RMatrix, x: Sequence[Sequence[Entry]] | RMatrix, r: int
             raise ValueError("coupling seed must be nonnegative")
     if m < 1:
         raise ValueError("coupling seed must have at least one column")
-    proj = b.pow(r - 1)
+    proj = p.projection
     coupling = [
         [sum((proj.entries[i][t] * xs[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
         for i in range(k)
@@ -119,9 +118,10 @@ def triangular_family(b: RMatrix, x: Sequence[Sequence[Entry]] | RMatrix, r: int
     return RMatrix(tuple(tuple(row) for row in rows))
 
 
-def _random_positive_idempotent(rng: random.Random, k: int) -> RMatrix:
-    u = [rng.choice(_POOL) for _ in range(k)]
-    raw = [rng.choice(_POOL) for _ in range(k)]
+def _random_idempotent(rng: random.Random, dim: int, su: range | set[int], sv: range | set[int]) -> RMatrix:
+    """Rank-one idempotent u v^T with pool entries on the supports ``su`` of u and ``sv`` of v."""
+    u = [rng.choice(_POOL) if i in su else Fraction(0) for i in range(dim)]
+    raw = [rng.choice(_POOL) if i in sv else Fraction(0) for i in range(dim)]
     s = sum((a * b for a, b in zip(raw, u)), Fraction(0))
     return rank_one_idempotent(u, [x / s for x in raw])
 
@@ -146,12 +146,8 @@ def random_rank_one_idempotent(dim: int, seed: int, padded: bool | None = None) 
             drop = rng.choice([i for i in range(dim) if i != anchor])
             su.discard(drop)
     else:
-        su = set(range(dim))
-        sv = set(range(dim))
-    u = [rng.choice(_POOL) if i in su else Fraction(0) for i in range(dim)]
-    raw = [rng.choice(_POOL) if i in sv else Fraction(0) for i in range(dim)]
-    s = sum((a * b for a, b in zip(raw, u)), Fraction(0))
-    return rank_one_idempotent(u, [x / s for x in raw])
+        su = sv = range(dim)
+    return _random_idempotent(rng, dim, su, sv)
 
 
 def _divisor_cycle_lengths(r: int) -> list[int]:
@@ -193,7 +189,7 @@ def _random_part(
         while k < desired and others * (k + 1) <= allowed_dim:
             k += 1
         dims[idx] = k
-        mats.append(_random_positive_idempotent(rng, k))
+        mats.append(_random_idempotent(rng, k, range(k), range(k)))
     part = mats[0]
     for m in mats[1:]:
         part = part.kron(m)
@@ -249,7 +245,7 @@ def random_r_potent(
     m = _random_core(rng, r, target_rank, max_dim)
     if m.n < max_dim and rng.random() < 0.4:
         x = [[rng.choice(_POOL_WITH_ZERO)] for _ in range(m.n)]
-        m = triangular_family(m, x, r)
+        m = triangular_family(as_potent(m, r), x)
     m = m.conjugate(Permutation.random(m.n, rng))
     return _verify_emission(m, r, target_rank)
 
@@ -269,7 +265,7 @@ def random_singular_zero_diag(r: int, seed: int, max_dim: int = 24) -> RMatrix:
     core = _random_core(rng, r, target, max_dim - 1)
     if rng.random() < 0.5:
         x = [[rng.choice(_POOL_WITH_ZERO)] for _ in range(core.n)]
-        m = triangular_family(core, x, r)
+        m = triangular_family(as_potent(core, r), x)
     else:
         m = block_diagonal([core, RMatrix.zeros(1)])
     m = m.conjugate(Permutation.random(m.n, rng))

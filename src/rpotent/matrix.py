@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 Entry = Fraction | int | str
 
@@ -172,12 +172,6 @@ class PatternMatrix:
             if missing:
                 return i, (missing & -missing).bit_length() - 1
         return None
-
-    def zero_positions(self) -> Iterator[tuple[int, int]]:
-        for i in range(self.n):
-            for j in range(self.n):
-                if not self.get(i, j):
-                    yield i, j
 
     def to_bools(self) -> list[list[bool]]:
         return [[self.get(i, j) for j in range(self.n)] for i in range(self.n)]
@@ -458,10 +452,6 @@ class RMatrix:
     def trace(self) -> Fraction:
         return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
 
-    def diagonal_entries(self) -> tuple[Fraction, ...]:
-        den = self.den
-        return tuple([Fraction(row[i], den) for i, row in enumerate(self.num)])
-
     def has_zero_diagonal_entry(self) -> bool:
         return any(not row[i] for i, row in enumerate(self.num))
 
@@ -576,14 +566,18 @@ def matrix_to_json(a: RMatrix, provenance: dict | None = None, indent: int = 2) 
 def matrix_from_json(text: str) -> RMatrix:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's recursion limit
         raise ValueError(f"invalid matrix JSON: {exc}") from exc
     return RMatrix.from_json_dict(data)
 
 
 def matrix_from_csv(text: str) -> RMatrix:
     """Parse a CSV matrix: one row per line, integer or ``p/q`` cells."""
-    rows = [row for row in csv.reader(io.StringIO(text)) if row and any(c.strip() for c in row)]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text)) if row and any(c.strip() for c in row)]
+    except csv.Error as exc:  # a field beyond csv.field_size_limit(), for one
+        raise ValueError(f"invalid CSV matrix: {exc}") from exc
     if not rows:
         raise ValueError("empty CSV matrix")
     return RMatrix.from_rows([[cell for cell in row] for row in rows])

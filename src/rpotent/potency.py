@@ -3,13 +3,18 @@
 A matrix with A^r = A for some r >= 2 is called r-potent (idempotent is the
 r = 2 case).  For such matrices A^(r-1) is an idempotent projection and the
 rank of A equals the trace of that projection, an identity this module checks
-with exact arithmetic only.
+with exact arithmetic only.  Reports take a ``Potent``, a matrix checked
+once, so none of them re-checks potency or recomputes a power.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate, repeat
+from typing import Callable, Iterator
 
 from .matrix import RMatrix, format_entry
 
@@ -23,61 +28,98 @@ def is_r_potent(a: RMatrix, r: int) -> bool:
     return a.pow(r) == a
 
 
-def minimal_potency(a: RMatrix, cap: int = DEFAULT_POTENCY_CAP) -> int | None:
-    """Smallest r in [2, cap] with A^r = A, or None if there is none.
+@dataclass(frozen=True)
+class Potent:
+    """A matrix A with A^r = A, checked once.
 
-    For a permutation matrix this is the lcm of the cycle lengths plus one.
+    ``powers`` is A, ..., A^d for the least d with A^(d+1) = A, kept by the
+    ``minimal_potency`` walk that found d; A^r = A exactly when d divides
+    r - 1.  Past the walk's cap d is unknown and ``powers`` is None.  Only
+    ``potency_report`` and ``minimal_potency`` build one: holding one proves A^r = A.
+    """
+
+    a: RMatrix
+    r: int
+    powers: tuple[RMatrix, ...] | None
+
+    @cached_property
+    def projection(self) -> RMatrix:
+        """A^(r-1), which squares to itself because A^r = A."""
+        return self.a.pow(self.r - 1) if self.powers is None else self.powers[-1]
+
+    @cached_property
+    def rank(self) -> int:
+        return self.a.rank()
+
+    def power_cycle(self) -> Iterator[RMatrix]:
+        """A, A^2, ... over one period (d, or else r - 1), so A^j is item (j - 1) mod its length."""
+        if self.powers is not None:
+            return iter(self.powers)
+        return accumulate(repeat(self.a, self.r - 2), operator.matmul, initial=self.a)
+
+    def per_exponent(self, test: Callable[[RMatrix], bool]) -> tuple[bool, ...]:
+        """``test`` of A^j for each j in 1, ..., r-1, run once per power in the cycle."""
+        flags = [test(m) for m in self.power_cycle()]
+        return tuple(flags[j % len(flags)] for j in range(self.r - 1))
+
+
+def minimal_potency(a: RMatrix, cap: int = DEFAULT_POTENCY_CAP) -> Potent | None:
+    """A checked at its smallest r in [2, cap] with A^r = A, or None if there is none.
+
+    For a permutation matrix this r is the lcm of the cycle lengths plus one.
     Absence is a value, not an error: matrices that are not potent within the
     cap simply report None.
     """
     if cap < 2:
         raise ValueError("cap must be at least 2")
-    p = a
+    powers = [a]
     for r in range(2, cap + 1):
-        p = p @ a
+        p = powers[-1] @ a
         if p == a:
-            return r
+            return Potent(a, r, tuple(powers))
+        powers.append(p)
     return None
 
 
-def idempotent_projection(a: RMatrix, r: int) -> RMatrix:
-    """A^(r-1), which squares to itself whenever A^r = A."""
-    if not is_r_potent(a, r):
+def as_potent(a: RMatrix, r: int) -> Potent:
+    """``a`` checked at exponent ``r``; ValueError unless A^r = A."""
+    potent = potency_report(a, r).potent
+    if potent is None:
         raise ValueError(f"matrix is not {r}-potent")
-    return a.pow(r - 1)
+    return potent
 
 
-def rank_trace_check(a: RMatrix, r: int) -> bool:
+def rank_trace_check(p: Potent) -> bool:
     """Exact test of rank(A) == trace(A^(r-1)) for an r-potent A."""
-    if not is_r_potent(a, r):
-        raise ValueError(f"matrix is not {r}-potent")
-    t = a.pow(r - 1).trace()
-    return t.denominator == 1 and a.rank() == t
+    return p.rank == p.projection.trace()
 
 
-def zero_diagonal_powers(a: RMatrix, r: int) -> set[int]:
+def zero_diagonal_powers(p: Potent) -> set[int]:
     """Exponents j in {1, ..., r-1} for which A^j has a zero diagonal entry."""
-    if r < 2:
-        raise ValueError("potency exponent must be at least 2")
-    out = set()
-    p = a
-    for j in range(1, r):
-        if p.has_zero_diagonal_entry():
-            out.add(j)
-        if j < r - 1:
-            p = p @ a
-    return out
+    flags = p.per_exponent(RMatrix.has_zero_diagonal_entry)
+    return {j for j, zero in enumerate(flags, start=1) if zero}
 
 
 @dataclass(frozen=True)
 class PotencyReport:
-    """Summary of the potency facts for one matrix at one exponent."""
+    """Potency facts for one matrix at one exponent; ``potent`` is set iff A^r = A."""
 
-    is_r_potent: bool
+    a: RMatrix
     r: int
     minimal_r: int | None
-    rank: int
-    trace_of_projection: Fraction
+    potent: Potent | None
+
+    @property
+    def is_r_potent(self) -> bool:
+        return self.potent is not None
+
+    @cached_property
+    def rank(self) -> int:
+        return self.a.rank() if self.potent is None else self.potent.rank
+
+    @cached_property
+    def trace_of_projection(self) -> Fraction:
+        return (self.a.pow(self.r - 1) if self.potent is None else self.potent.projection).trace()
 
     @property
     def rank_trace_ok(self) -> bool:
@@ -94,13 +136,21 @@ class PotencyReport:
         }
 
 
-def potency_report(a: RMatrix, r: int, cap: int = DEFAULT_POTENCY_CAP) -> PotencyReport:
-    if r < 2:
+def potency_report(a: RMatrix, r: int | None = None) -> PotencyReport | None:
+    """Potency facts of ``a`` at ``r`` (default: the minimal exponent), from one walk.
+
+    None when ``r`` is not given and no exponent up to the cap has A^r = A.
+    Past the cap, one power A^r decides, where a walk could take r - 1 products.
+    """
+    if r is not None and r < 2:
         raise ValueError("potency exponent must be at least 2")
-    return PotencyReport(
-        is_r_potent=is_r_potent(a, r),
-        r=r,
-        minimal_r=minimal_potency(a, cap),
-        rank=a.rank(),
-        trace_of_projection=a.pow(r - 1).trace(),
-    )
+    walk = minimal_potency(a)
+    if r is None:
+        if walk is None:
+            return None
+        r = walk.r
+    if walk is not None:
+        potent = None if (r - 1) % len(walk.powers) else replace(walk, r=r)
+    else:
+        potent = Potent(a, r, None) if r > DEFAULT_POTENCY_CAP and a.pow(r) == a else None
+    return PotencyReport(a, r, None if walk is None else walk.r, potent)

@@ -39,7 +39,7 @@ from .decomposition import (
     main_decomposability_test,
 )
 from .matrix import PatternMatrix, Permutation, RMatrix
-from .potency import is_r_potent, minimal_potency
+from .potency import Potent, is_r_potent, minimal_potency
 
 DEFAULT_CLOSURE_CAP = 10_000
 
@@ -48,8 +48,19 @@ class ClosureTruncated(RuntimeError):
     """A closure hit its member cap; verdicts on it are withheld."""
 
 
+class _Closure:
+    """What the two closure types share; both have ``members`` and ``truncated``."""
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def require_complete(self) -> None:
+        if self.truncated:
+            raise ClosureTruncated("closure was truncated at the member cap")
+
+
 @dataclass(frozen=True)
-class PatternSemigroup:
+class PatternSemigroup(_Closure):
     """Multiplicatively closed set of patterns (unless ``truncated``)."""
 
     n: int
@@ -57,30 +68,16 @@ class PatternSemigroup:
     generator_count: int
     truncated: bool
 
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def require_complete(self) -> None:
-        if self.truncated:
-            raise ClosureTruncated("closure was truncated at the member cap")
-
     def union_pattern(self) -> PatternMatrix:
         return _union_pattern(self.n, self.members)
 
 
 @dataclass(frozen=True)
-class RationalSemigroup:
+class RationalSemigroup(_Closure):
     """Multiplicatively closed set of exact matrices (unless ``truncated``)."""
 
     members: tuple[RMatrix, ...]
     truncated: bool
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def require_complete(self) -> None:
-        if self.truncated:
-            raise ClosureTruncated("closure was truncated at the member cap")
 
     def union_pattern(self) -> PatternMatrix:
         n = self.members[0].n
@@ -171,8 +168,7 @@ def sum_has_zero(s: PatternSemigroup) -> bool:
     For nonnegative members the sum vanishes exactly where all members do,
     so this is a zero of the union pattern.
     """
-    s.require_complete()
-    return s.union_pattern().first_zero() is not None
+    return common_zero_entry(s) is not None
 
 
 def semigroup_decomposable(s: PatternSemigroup) -> InvariantSubsetWitness | None:
@@ -252,19 +248,9 @@ def equivalence_report(s: PatternSemigroup) -> EquivalenceReport:
     )
 
 
-def cyclic_semigroup(a: RMatrix, r: int) -> RationalSemigroup:
+def cyclic_semigroup(p: Potent) -> RationalSemigroup:
     """The distinct powers A, A^2, ..., A^(r-1); closed because A^r = A."""
-    if not is_r_potent(a, r):
-        raise ValueError(f"matrix is not {r}-potent")
-    members: list[RMatrix] = []
-    seen: set[RMatrix] = set()
-    p = a
-    for _ in range(1, r):
-        if p not in seen:
-            seen.add(p)
-            members.append(p)
-        p = p @ a
-    return RationalSemigroup(members=tuple(members), truncated=False)
+    return RationalSemigroup(members=tuple(dict.fromkeys(p.power_cycle())), truncated=False)
 
 
 @dataclass(frozen=True)
@@ -288,20 +274,14 @@ class CyclicSemigroupReport:
         }
 
 
-def cyclic_semigroup_decomposable_check(a: RMatrix, r: int) -> CyclicSemigroupReport:
+def cyclic_semigroup_decomposable_check(p: Potent) -> CyclicSemigroupReport:
     """When A decomposes, its triangularizing permutation must fit every power."""
-    pred = main_decomposability_test(a, r)
+    pred = main_decomposability_test(p)
     if not pred.actual_decomposable:
         return CyclicSemigroupReport(prediction=pred, applicable=False, powers_triangular=())
-    t = block_triangularize(a)
-    flags = []
-    p = a
-    for _ in range(1, r):
-        flags.append(t.is_respected_by(p))
-        p = p @ a
-    return CyclicSemigroupReport(
-        prediction=pred, applicable=True, powers_triangular=tuple(flags)
-    )
+    t = block_triangularize(p.a)
+    flags = p.per_exponent(t.is_respected_by)
+    return CyclicSemigroupReport(prediction=pred, applicable=True, powers_triangular=flags)
 
 
 @dataclass(frozen=True)
@@ -368,25 +348,14 @@ def semigroup_rank_floor_check(
     for comp in t.components:
         compressions = {m.submatrix(comp) for m in closure.members}
         nonzero = any(not c.is_zero() for c in compressions)
-        if not nonzero:
-            records.append(
-                BlockFloorRecord(
-                    indices=comp,
-                    is_nonzero=False,
-                    min_rank=None,
-                    all_compressions_r_potent=True,
-                    floor_ok=True,
-                )
-            )
-            continue
-        ranks = sorted(c.rank() for c in compressions)
+        min_rank = min(c.rank() for c in compressions) if nonzero else None
         records.append(
             BlockFloorRecord(
                 indices=comp,
-                is_nonzero=True,
-                min_rank=ranks[0],
-                all_compressions_r_potent=all(is_r_potent(c, r) for c in compressions),
-                floor_ok=ranks[0] <= r - 1,
+                is_nonzero=nonzero,
+                min_rank=min_rank,
+                all_compressions_r_potent=not nonzero or all(is_r_potent(c, r) for c in compressions),
+                floor_ok=not nonzero or min_rank <= r - 1,
             )
         )
     return RankFloorReport(
@@ -444,7 +413,8 @@ def symmetric_group_analysis(n: int) -> SymmetricGroupReport:
         perm = Permutation(tuple(images))
         matrix = perm.to_matrix()
         expected = lcm(*perm.cycle_lengths()) + 1
-        got = minimal_potency(matrix, cap=max(2, expected))
+        walk = minimal_potency(matrix, cap=max(2, expected))
+        got = None if walk is None else walk.r
         if got != expected:
             mismatches += 1
         counts[got if got is not None else expected] += 1

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import block_triangularize, is_decomposable
+from .decomposition import BlockTriangularization, is_decomposable
 from .matrix import RMatrix
-from .potency import is_r_potent
+from .potency import Potent
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10_000
@@ -48,6 +48,11 @@ def period(a: RMatrix) -> int:
         raise ValueError("period is undefined for the zero matrix")
     if is_decomposable(a):
         raise ValueError("period is defined only for indecomposable matrices")
+    return _cycle_gcd(a)
+
+
+def _cycle_gcd(a: RMatrix) -> int:
+    """``period`` of ``a``, whose support digraph must be strongly connected."""
     graph_out = a.pattern().column_masks()
     n = a.n
     level = [-1] * n
@@ -76,9 +81,7 @@ def period(a: RMatrix) -> int:
 
 def is_primitive(a: RMatrix) -> bool:
     """Indecomposable with period one; False (not an error) otherwise."""
-    if a.is_zero() or is_decomposable(a):
-        return False
-    return period(a) == 1
+    return not a.is_zero() and not is_decomposable(a) and _cycle_gcd(a) == 1
 
 
 def wielandt_exponent(n: int) -> int:
@@ -96,7 +99,7 @@ def wielandt_check(a: RMatrix) -> bool:
     return a.pow(wielandt_exponent(a.n)).is_positive()
 
 
-def _composite_period(a: RMatrix) -> int:
+def _composite_period(t: BlockTriangularization) -> int:
     """Lcm of the periods of the nonzero diagonal blocks of the triangularization.
 
     Raising the matrix to this exponent turns every peripheral eigenvalue
@@ -104,16 +107,18 @@ def _composite_period(a: RMatrix) -> int:
     converge on input whose plain iterates would oscillate.
     """
     h = 1
-    for blk in block_triangularize(a).diagonal_blocks:
+    for blk in t.diagonal_blocks:
         if not blk.is_zero():
-            h = math.lcm(h, period(blk))
+            h = math.lcm(h, _cycle_gcd(blk))
     return h
 
 
 def perron_value(
-    a: RMatrix, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+    t: BlockTriangularization, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> float:
-    """Spectral radius estimate by power iteration on a floating-point copy.
+    """Spectral radius estimate of A by power iteration on a floating-point copy.
+
+    ``t`` is the maximal block triangularization of A (``block_triangularize``).
 
     Iterates on B = A^h, where h is the lcm of the diagonal-block periods,
     and reports the h-th root of B's estimate: every peripheral eigenvalue of
@@ -129,9 +134,10 @@ def perron_value(
     Non-convergence within ``max_iter``, or an estimate beyond the float
     range, raises ``PowerIterationError``.
     """
+    a = t.source
     if a.is_zero():
         raise ValueError("spectral radius estimation needs a nonzero matrix")
-    h = _composite_period(a)
+    h = _composite_period(t)
     e = max(map(max, a.num)).bit_length() - a.den.bit_length()
     if e >= 0:
         den, up = a.den << e, 0
@@ -182,22 +188,20 @@ def _unscaled_root(est: float, e: int, h: int) -> float:
     return math.ldexp(root, e)
 
 
-def trace_zero_check(a: RMatrix, r: int) -> bool:
+def trace_zero_check(p: Potent) -> bool:
     """Exact zero-trace test for indecomposable r-potent matrices of rank r-1.
 
     The nonzero eigenvalues of such a matrix are all the (r-1)-th roots of
     unity, each simple, and those sum to zero whenever r >= 3.  For r = 2 the
     sum degenerates to 1, so that case is rejected rather than tested.
     """
-    if r < 3:
+    if p.r < 3:
         raise ValueError("the zero-trace identity needs r >= 3 (the r = 2 sum is 1)")
-    if not is_r_potent(a, r):
-        raise ValueError(f"matrix is not {r}-potent")
-    if is_decomposable(a):
+    if is_decomposable(p.a):
         raise ValueError("zero-trace identity applies to indecomposable matrices only")
-    if a.rank() != r - 1:
+    if p.rank != p.r - 1:
         raise ValueError("zero-trace identity needs rank exactly r - 1")
-    return a.trace() == 0
+    return p.a.trace() == 0
 
 
 @dataclass(frozen=True)
@@ -237,35 +241,34 @@ class SpectralReport:
 
 
 def spectral_report(
-    a: RMatrix,
-    r: int | None = None,
+    t: BlockTriangularization,
+    potent: Potent | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SpectralReport:
-    nonzero = not a.is_zero()
-    decomposable = is_decomposable(a)
+    """Spectral facts of A = ``t.source``; the zero-trace identity needs ``potent``."""
+    a = t.source
+    nonzero_indecomposable = not a.is_zero() and t.is_trivial
     h: int | None = None
     primitive: bool | None = None
     wielandt: bool | None = None
-    if nonzero and not decomposable:
-        h = period(a)
+    if nonzero_indecomposable:
+        h = _composite_period(t)
         primitive = h == 1
         if primitive and a.n <= WIELANDT_REPORT_DIM_LIMIT:
             wielandt = wielandt_check(a)
     perron: float | None = 0.0
     withheld: str | None = None
-    if nonzero:
+    if not a.is_zero():
         try:
-            perron = perron_value(a, tol=tol, max_iter=max_iter)
+            perron = perron_value(t, tol=tol, max_iter=max_iter)
         except PowerIterationError as exc:
             perron, withheld = None, str(exc)
     applicable = (
-        r is not None
-        and r >= 3
-        and nonzero
-        and not decomposable
-        and is_r_potent(a, r)
-        and a.rank() == r - 1
+        nonzero_indecomposable
+        and potent is not None
+        and potent.r >= 3
+        and potent.rank == potent.r - 1
     )
     return SpectralReport(
         period=h,

@@ -16,12 +16,10 @@ from dataclasses import dataclass
 from .decomposition import (
     BlockTriangularization,
     Digraph,
-    block_triangularize,
     condensation_successors,
     is_decomposable,
 )
-from .matrix import RMatrix
-from .potency import is_r_potent
+from .potency import Potent, is_r_potent
 
 EXACT_REORDER_LIMIT = 16
 
@@ -65,7 +63,6 @@ class StructureReport:
     total_count: int
     consecutive_zero_pairs: int
     bounds_ok: bool
-    triangularization: BlockTriangularization
 
     @property
     def blocks_ok(self) -> bool:
@@ -98,24 +95,25 @@ def count_adjacent_zero_pairs(t: BlockTriangularization) -> int:
     return sum(1 for a, b in zip(flags, flags[1:]) if a and b)
 
 
-def analyze_structure(a: RMatrix, r: int) -> StructureReport:
-    """Classify every diagonal block and evaluate the count bounds."""
-    if not is_r_potent(a, r):
-        raise ValueError(f"matrix is not {r}-potent")
-    k = a.rank()
-    t = block_triangularize(a)
-    records = []
-    for blk in t.diagonal_blocks:
-        zero = blk.is_zero()
-        records.append(
+def analyze_structure(p: Potent, t: BlockTriangularization) -> StructureReport:
+    """Classify every diagonal block of ``t`` (A's triangularization) and evaluate the bounds."""
+    if t.source != p.a:
+        raise ValueError("t is the triangularization of another matrix")
+    r, k = p.r, p.rank
+    if t.is_trivial:
+        # the one block is A itself, whose facts are known
+        records = [BlockRecord(p.a.n, p.a.is_zero(), k, True, True)]
+    else:
+        records = [
             BlockRecord(
                 size=blk.n,
-                is_zero=zero,
+                is_zero=blk.is_zero(),
                 block_rank=blk.rank(),
                 block_is_r_potent=is_r_potent(blk, r),
                 block_is_indecomposable=not is_decomposable(blk),
             )
-        )
+            for blk in t.diagonal_blocks
+        ]
     nonzero_count = sum(1 for rec in records if not rec.is_zero)
     total = len(records)
     lower = -(-k // (r - 1))  # ceil(k / (r-1))
@@ -129,7 +127,6 @@ def analyze_structure(a: RMatrix, r: int) -> StructureReport:
         total_count=total,
         consecutive_zero_pairs=count_adjacent_zero_pairs(t),
         bounds_ok=bounds_ok,
-        triangularization=t,
     )
 
 

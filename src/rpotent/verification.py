@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .decomposition import (
+    block_triangularize,
     is_decomposable,
     main_decomposability_test,
     rank_one_idempotent_diag_test,
@@ -25,7 +26,7 @@ from .generators import (
     rank_dominant_semigroup_generators,
 )
 from .matrix import PatternMatrix, Permutation, RMatrix
-from .potency import is_r_potent, rank_trace_check, zero_diagonal_powers
+from .potency import as_potent, is_r_potent, rank_trace_check, zero_diagonal_powers
 from .semigroup import (
     common_zero_entry,
     cyclic_semigroup,
@@ -229,8 +230,9 @@ def run_zero_diagonal_chain(trials: int = 100, seed: int = DEFAULT_SEED, n: int 
     """A potent matrix whose every power has a zero diagonal entry is reducible and singular."""
     rec = _Recorder("2.5", "all-powers-zero-diagonal forces decomposability and a zero eigenvalue")
     for i, case_seed, r, m in singular_zero_diag_cases(trials, seed):
-        hypothesis = zero_diagonal_powers(m, r) == set(range(1, r))
-        ok = hypothesis and is_decomposable(m) and m.rank() < m.n
+        p = as_potent(m, r)
+        hypothesis = zero_diagonal_powers(p) == set(range(1, r))
+        ok = hypothesis and is_decomposable(m) and p.rank < m.n
         rec.record(ok, i, seed=case_seed, matrix=m, detail=f"r={r}")
     return rec.result()
 
@@ -239,7 +241,7 @@ def run_rank_trace(trials: int = 500, seed: int = DEFAULT_SEED, n: int | None = 
     """rank(A) equals trace(A^(r-1)) exactly, for every generated r-potent."""
     rec = _Recorder("2.6", "rank equals projection trace")
     for i, case_seed, r, m in rank_trace_cases(trials, seed):
-        rec.record(rank_trace_check(m, r), i, seed=case_seed, matrix=m, detail=f"r={r}")
+        rec.record(rank_trace_check(as_potent(m, r)), i, seed=case_seed, matrix=m, detail=f"r={r}")
     return rec.result()
 
 
@@ -256,55 +258,52 @@ def run_rank_one_diagonal(trials: int = 100, seed: int = DEFAULT_SEED, n: int | 
     return rec.result()
 
 
+def decomposable_cases(trials: int, seed: int) -> Iterator[tuple[int, int, int, RMatrix, str]]:
+    """Two thirds high-rank cases, then singular zero-diagonal ones, with the case each predicts."""
+    high = (2 * trials) // 3
+    for i, case_seed, r, m in high_rank_cases(high, seed):
+        yield i, case_seed, r, m, "rank_above_threshold"
+    for i, case_seed, r, m in singular_zero_diag_cases(trials - high, seed + 1):
+        yield high + i, case_seed, r, m, "singular_zero_diagonal"
+
+
 def run_decomposability_criteria(trials: int = 300, seed: int = DEFAULT_SEED, n: int | None = None) -> CheckResult:
     """Both prediction branches (high rank; singular with zero-diagonal powers) decompose."""
     rec = _Recorder("3.2", "rank and diagonal criteria force decomposability")
-    high = (2 * trials) // 3
-    for i, case_seed, r, m in high_rank_cases(high, seed):
-        pred = main_decomposability_test(m, r)
-        ok = pred.case == "rank_above_threshold" and pred.actual_decomposable
+    for i, case_seed, r, m, case in decomposable_cases(trials, seed):
+        pred = main_decomposability_test(as_potent(m, r))
+        ok = pred.case == case and pred.actual_decomposable
         rec.record(ok, i, seed=case_seed, matrix=m, detail=f"r={r} case={pred.case}")
-    for i, case_seed, r, m in singular_zero_diag_cases(trials - high, seed + 1):
-        pred = main_decomposability_test(m, r)
-        ok = pred.case == "singular_zero_diagonal" and pred.actual_decomposable
-        rec.record(ok, high + i, seed=case_seed, matrix=m, detail=f"r={r} case={pred.case}")
     return rec.result()
 
 
 def structure_case_ok(m: RMatrix, r: int) -> tuple[bool, str]:
     """Full block-structure contract for one decomposable r-potent matrix."""
-    report = analyze_structure(m, r)
+    t = block_triangularize(m)
+    report = analyze_structure(as_potent(m, r), t)
     if not report.applicable:
         return True, "indecomposable, nothing to check"
-    k = report.k
     if not report.blocks_ok:
         return False, "a diagonal block is neither zero nor an indecomposable potent block"
     if not report.rank_sum_ok:
         return False, "block ranks do not sum to the rank"
-    lower = -(-k // (r - 1))
-    if not (lower <= report.nonzero_count <= k):
-        return False, f"nonzero block count {report.nonzero_count} outside [{lower}, {k}]"
-    reordered = reorder_to_avoid_consecutive_zeros(report.triangularization)
+    if not report.bounds_ok:
+        return False, f"{report.nonzero_count} nonzero of {report.total_count} blocks break the bounds at rank {report.k}"
+    reordered = reorder_to_avoid_consecutive_zeros(t)
     if not reordered.is_valid():
         return False, "reordered triangularization is not block upper triangular"
     pairs = count_adjacent_zero_pairs(reordered)
     if pairs != 0:
         return False, f"no zero-separating order found (best has {pairs} adjacent pairs)"
-    if report.total_count > 2 * k + 1:
-        return False, f"{report.total_count} blocks exceeds {2 * k + 1}"
     return True, ""
 
 
 def run_structure(trials: int = 300, seed: int = DEFAULT_SEED, n: int | None = None) -> CheckResult:
     """Block dichotomy, rank sums, and count bounds on the decomposable families."""
     rec = _Recorder("4.1", "maximal triangularization structure bounds")
-    high = (2 * trials) // 3
-    for i, case_seed, r, m in high_rank_cases(high, seed):
+    for i, case_seed, r, m, _ in decomposable_cases(trials, seed):
         ok, detail = structure_case_ok(m, r)
         rec.record(ok, i, seed=case_seed, matrix=m, detail=detail)
-    for i, case_seed, r, m in singular_zero_diag_cases(trials - high, seed + 1):
-        ok, detail = structure_case_ok(m, r)
-        rec.record(ok, high + i, seed=case_seed, matrix=m, detail=detail)
     return rec.result()
 
 
@@ -314,10 +313,11 @@ def run_kron(trials: int = 100, seed: int = DEFAULT_SEED, n: int | None = None, 
     rec = _Recorder(check_id, "Kronecker products inherit potency and decompose")
     for i, case_seed, r, a, b in kron_cases(trials, seed, idempotent_b):
         k = a.kron(b)
+        rank = k.rank()
         ok = (
             is_r_potent(k, r)
-            and k.rank() == a.rank() * b.rank()
-            and k.rank() > r - 1
+            and rank == a.rank() * b.rank()
+            and rank > r - 1
             and is_decomposable(k)
         )
         rec.record(ok, i, seed=case_seed, matrix=k, detail=f"r={r}")
@@ -330,9 +330,10 @@ def run_cyclic_semigroup(trials: int = 100, seed: int = DEFAULT_SEED, n: int | N
     half = trials // 2
     cases = list(high_rank_cases(half, seed)) + list(singular_zero_diag_cases(trials - half, seed + 1))
     for i, (trial, case_seed, r, m) in enumerate(cases):
-        s = cyclic_semigroup(m, r)
+        p = as_potent(m, r)
+        s = cyclic_semigroup(p)
         closed = all(x @ y in set(s.members) for x in s.members for y in s.members)
-        rep = cyclic_semigroup_decomposable_check(m, r)
+        rep = cyclic_semigroup_decomposable_check(p)
         ok = closed and rep.prediction.agrees and (not rep.applicable or rep.all_triangular)
         rec.record(ok, i, seed=case_seed, matrix=m, detail=f"r={r}")
     return rec.result()
@@ -433,14 +434,14 @@ def run_perron_trace(trials: int = 100, seed: int = DEFAULT_SEED, n: int | None 
     """Spectral radius 1 for every nonzero potent matrix; zero trace at rank r-1."""
     rec = _Recorder("perron", "unit spectral radius and zero trace where applicable")
     for i, case_seed, r, m in high_rank_cases(trials // 2, seed):
-        value = perron_value(m)
+        value = perron_value(block_triangularize(m))
         rec.record(abs(value - 1.0) <= 1e-9, i, seed=case_seed, matrix=m, detail=f"perron={value}")
     for i in range(trials - trials // 2):
         r = (3, 4, 5, 6)[i % 4]
         case_seed = _case_seed(seed, i)
         rng = random.Random(case_seed)
         m = cycle_matrix(r - 1).conjugate(Permutation.random(r - 1, rng))
-        ok = abs(perron_value(m) - 1.0) <= 1e-9 and trace_zero_check(m, r)
+        ok = abs(perron_value(block_triangularize(m)) - 1.0) <= 1e-9 and trace_zero_check(as_potent(m, r))
         rec.record(ok, trials // 2 + i, seed=case_seed, matrix=m, detail=f"r={r}")
     return rec.result()
 

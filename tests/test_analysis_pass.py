@@ -1,0 +1,91 @@
+"""One potency pass and one triangularization per ``analyze`` run.
+
+Counts calls while ``analyze --json`` runs on each bundled example: the walk
+of ``minimal_potency`` runs once, A is triangularized once, its rank is taken
+at most once, and no report re-checks A^r = A.
+"""
+
+import json
+import sys
+from collections import Counter
+from importlib import resources
+
+import pytest
+
+from rpotent import cli, decomposition, potency
+from rpotent.matrix import RMatrix, load_matrix
+
+DATA = resources.files("rpotent").joinpath("data")
+BUNDLED = sorted(p.name for p in DATA.iterdir() if p.name.endswith(".json"))
+
+
+def _rebind(monkeypatch, original, replacement):
+    """Replace ``original`` under every name any rpotent module binds it to."""
+    for name, module in list(sys.modules.items()):
+        if name == "rpotent" or name.startswith("rpotent."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+
+
+def test_every_bundled_example_is_covered():
+    assert len(BUNDLED) == 4
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_analyze_makes_one_pass(name, monkeypatch, capsys):
+    path = str(DATA.joinpath(name))
+    a = load_matrix(path)
+    counts = Counter()
+
+    def counting(label, fn, on_a_only):
+        def wrapper(*args, **kwargs):
+            if not on_a_only or args[0] == a:
+                counts[label] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    _rebind(monkeypatch, potency.minimal_potency, counting("walk", potency.minimal_potency, False))
+    _rebind(monkeypatch, potency.is_r_potent, counting("check", potency.is_r_potent, True))
+    _rebind(
+        monkeypatch,
+        decomposition.block_triangularize,
+        counting("triangularize", decomposition.block_triangularize, True),
+    )
+    monkeypatch.setattr(RMatrix, "rank", counting("rank", RMatrix.rank, True))
+
+    assert cli.main(["analyze", path, "--json"]) == 0
+    bundle = json.loads(capsys.readouterr().out)
+    assert bundle["potency"]["is_r_potent"]
+
+    assert counts["walk"] == 1
+    assert counts["triangularize"] == 1
+    assert counts["rank"] <= 1
+    assert counts["check"] == 0
+
+
+def test_explicit_exponent_past_the_cap_is_checked_by_powers(tmp_path, monkeypatch, capsys):
+    # cycles of lengths 5, 7, 8, 9 and 11 on 40 points: A^r = A first at r = 27721,
+    # which a walk of one product per exponent would take 27720 products to reach
+    images, start = [], 0
+    for n in (5, 7, 8, 9, 11):
+        images += [start + (i + 1) % n for i in range(n)]
+        start += n
+    rows = [[int(images[i] == j) for j in range(40)] for i in range(40)]
+    path = tmp_path / "order27720.json"
+    path.write_text(json.dumps({"n": 40, "entries": rows}))
+    products = Counter()
+    matmul = RMatrix.__matmul__
+
+    def counting(x, y):
+        products["matmul"] += 1
+        return matmul(x, y)
+
+    monkeypatch.setattr(RMatrix, "__matmul__", counting)
+    assert cli.main(["analyze", str(path), "--r", "27721", "--json"]) == 0
+    bundle = json.loads(capsys.readouterr().out)
+    assert bundle["potency"]["is_r_potent"] and bundle["potency"]["minimal_r"] is None
+    assert bundle["potency"]["rank"] == 40
+    # the capped walk, then a few square-and-multiply powers of A and its blocks
+    assert products["matmul"] <= 400

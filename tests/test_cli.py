@@ -1,12 +1,18 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rpotent.cli import main
 from rpotent.generators import block_diagonal, cycle_matrix, uniform_idempotent
@@ -316,3 +322,135 @@ class TestSubprocessEntryPoint:
         )
         assert proc.returncode == 0
         assert "indecomposable" in proc.stdout
+
+
+def _oversized_csv_field(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("1" * 200_000 + "\n")
+    return str(path)
+
+
+def _deeply_nested_json(tmp_path, depth=100_000):
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": ' + "[" * depth + "]" * depth + ', "entries": []}')
+    return str(path)
+
+
+class TestParseBoundary:
+    """Input the parsers cannot take ends in exit code 2 and a message."""
+
+    def test_csv_field_beyond_the_field_limit_exits_two(self, tmp_path, capsys):
+        path = _oversized_csv_field(tmp_path)
+        for command in ("analyze", "semigroup"):
+            assert main([command, path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid CSV matrix:")
+            assert "Traceback" not in err
+
+    def test_json_nested_beyond_the_recursion_limit_exits_two(self, tmp_path, capsys):
+        path = _deeply_nested_json(tmp_path)
+        for command in ("analyze", "semigroup"):
+            assert main([command, path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid matrix JSON:")
+            assert "Traceback" not in err
+
+
+# Input text for the contract test below: arbitrary text, JSON documents of
+# every shape, matrix documents with degenerate or oversized ``n``, CSV grids,
+# and the two inputs that once escaped as tracebacks (a CSV field longer than
+# the csv module's field limit, JSON nested deeper than the recursion limit).
+_ENTRIES = st.one_of(
+    st.integers(0, 6),
+    st.integers(-3, 10**6),
+    st.sampled_from(["1/2", "0", "3/0", "x", "1e3", " 2 ", "", "-1/2", "1/3", "nan", "inf"]),
+    st.booleans(),
+    st.floats(0, 3),
+    st.none(),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+_SIZES = st.one_of(
+    st.integers(-2, 4),
+    st.integers(10**6, 10**30),
+    st.sampled_from([True, False, "2", 2.0, None, [], {}]),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=16,
+)
+
+
+@st.composite
+def _matrix_documents(draw):
+    n = draw(_SIZES)
+    if isinstance(n, int) and not isinstance(n, bool) and 1 <= n <= 4 and draw(st.booleans()):
+        entries = draw(st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n))
+    else:
+        entries = draw(st.one_of(st.lists(st.lists(_ENTRIES, max_size=4), max_size=4), _JSON_VALUES))
+    doc = {"n": n, "entries": entries}
+    if draw(st.booleans()):
+        del doc[draw(st.sampled_from(["n", "entries"]))]
+    return json.dumps(doc)
+
+
+@st.composite
+def _csv_grids(draw):
+    k = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(
+            st.lists(_ENTRIES.map(lambda x: x if isinstance(x, str) else json.dumps(x)), min_size=1, max_size=k + 1),
+            min_size=1,
+            max_size=k + 1,
+        )
+    )
+    return "\n".join(",".join(row) for row in rows)
+
+
+_JSON_TEXT = st.one_of(
+    st.text(max_size=60),
+    _JSON_VALUES.map(json.dumps),
+    _matrix_documents(),
+    st.integers(1, 100_000).map(lambda d: '{"n": ' + "[" * d + "]" * d + ', "entries": []}'),
+)
+_CSV_TEXT = st.one_of(
+    st.text(max_size=60),
+    st.text(alphabet="0123456789/,.- \n\"e+x\r\t", max_size=60),
+    _csv_grids(),
+    st.integers(1, 200_000).map(lambda k: "1" * k),
+)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+class TestInputContract:
+    """Whatever a file holds, analyze and semigroup end in 0, 1 or 2, never a traceback."""
+
+    @settings(max_examples=120, deadline=None)
+    @example((".json", '{"n": ' + "[" * 100_000 + "]" * 100_000 + ', "entries": []}'))
+    @example((".csv", "1" * 200_000))
+    @example((".json", '{"n": 1000000, "entries": [[1]]}'))
+    @example((".json", '{"n": 0, "entries": []}'))
+    @given(
+        st.one_of(
+            st.tuples(st.just(".json"), _JSON_TEXT),
+            st.tuples(st.sampled_from([".csv", ".txt"]), _CSV_TEXT),
+        )
+    )
+    def test_every_file_ends_in_an_exit_code(self, case):
+        suffix, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "input" + suffix)
+            with open(path, "w", encoding="utf-8", errors="surrogatepass", newline="") as fh:
+                fh.write(text)
+            for command in ("analyze", "semigroup"):
+                rc, err = _run([command, path])
+                assert rc in (0, 1, 2)
+                assert "Traceback" not in err

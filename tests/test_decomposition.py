@@ -22,6 +22,7 @@ from rpotent.generators import (
     uniform_idempotent,
 )
 from rpotent.matrix import PatternMatrix, RMatrix
+from rpotent.potency import as_potent
 
 from oracles import closed_subsets
 
@@ -204,32 +205,33 @@ class TestMainDecomposabilityTest:
         rank2 = block_diagonal([uniform_idempotent(1), uniform_idempotent(2)])
         m = cycle_matrix(3).kron(rank2)
         assert m.rank() == 6
-        pred = main_decomposability_test(m, 4)
+        pred = main_decomposability_test(as_potent(m, 4))
         assert pred.case == "rank_above_threshold"
         assert pred.predicted_decomposable and pred.actual_decomposable
         assert pred.agrees
 
     def test_cycle_gets_no_prediction(self):
         for r in (3, 4, 5):
-            pred = main_decomposability_test(cycle_matrix(r - 1), r)
+            pred = main_decomposability_test(as_potent(cycle_matrix(r - 1), r))
             assert pred.case == "no_prediction"
             assert not pred.actual_decomposable
             assert pred.agrees
 
     def test_rejects_non_potent_input(self):
-        with pytest.raises(ValueError):
-            main_decomposability_test(RMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), 3)
+        # the test takes a checked value; non-potent input stops at the check
+        with pytest.raises(ValueError, match="not 3-potent"):
+            as_potent(RMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), 3)
 
     def test_idempotent_rank_one_gets_no_prediction(self):
         # singular rank-one idempotent: the power window is empty for r = 2,
         # and the branch must not fire (the positive one is indecomposable)
-        pred = main_decomposability_test(HALF, 2)
+        pred = main_decomposability_test(as_potent(HALF, 2))
         assert pred.case == "no_prediction"
         assert pred.agrees
 
     def test_singular_zero_diag_case(self):
         m = block_diagonal([cycle_matrix(3), RMatrix.zeros(1)])
-        pred = main_decomposability_test(m, 4)
+        pred = main_decomposability_test(as_potent(m, 4))
         assert pred.case == "singular_zero_diagonal"
         assert pred.actual_decomposable
         assert pred.agrees

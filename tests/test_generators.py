@@ -18,7 +18,7 @@ from rpotent.generators import (
     uniform_idempotent,
 )
 from rpotent.matrix import RMatrix, matrix_to_json
-from rpotent.potency import is_r_potent, minimal_potency, zero_diagonal_powers
+from rpotent.potency import as_potent, is_r_potent, minimal_potency, zero_diagonal_powers
 
 
 class TestCycleMatrix:
@@ -35,7 +35,7 @@ class TestCycleMatrix:
 
     def test_is_length_plus_one_potent(self):
         for length in (1, 2, 3, 4, 5):
-            assert minimal_potency(cycle_matrix(length), 10) == length + 1
+            assert minimal_potency(cycle_matrix(length), 10).r == length + 1
 
 
 class TestRankOneIdempotent:
@@ -85,17 +85,18 @@ class TestBlockDiagonal:
 
     def test_mixed_cycles_lcm_potency(self):
         m = block_diagonal([cycle_matrix(2), cycle_matrix(3)])
-        assert minimal_potency(m, 10) == 7
+        assert minimal_potency(m, 10).r == 7
 
 
 class TestTriangularFamily:
     def test_rejects_non_potent_base(self):
-        with pytest.raises(ValueError):
-            triangular_family(RMatrix.from_rows([[2]]), [[1]], 2)
+        # the family takes a checked base block; a non-potent one stops at the check
+        with pytest.raises(ValueError, match="not 2-potent"):
+            as_potent(RMatrix.from_rows([[2]]), 2)
 
     def test_coupling_is_projected(self):
         b = cycle_matrix(3)
-        m = triangular_family(b, [[1], [0], [2]], 4)
+        m = triangular_family(as_potent(b, 4), [[1], [0], [2]])
         assert is_r_potent(m, 4)
         # coupling column equals B^3 X = X here since B^3 = I
         assert [m.get(i, 3) for i in range(3)] == [1, 0, 2]
@@ -137,7 +138,7 @@ class TestSingularZeroDiagFamily:
             assert is_r_potent(m, r)
             assert m.rank() <= r - 1
             assert m.rank() < m.n
-            assert zero_diagonal_powers(m, r) == set(range(1, r))
+            assert zero_diagonal_powers(as_potent(m, r)) == set(range(1, r))
 
     def test_rejects_r_two(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from rpotent.generators import (
     uniform_idempotent,
 )
 from rpotent.matrix import PatternMatrix, Permutation, RMatrix
+from rpotent.potency import as_potent
 from rpotent.semigroup import (
     ClosureTruncated,
     common_zero_entry,
@@ -261,27 +262,28 @@ class TestEquivalences:
 class TestCyclicSemigroup:
     def test_idempotent_gives_singleton(self):
         e = uniform_idempotent(2)
-        s = cyclic_semigroup(e, 2)
+        s = cyclic_semigroup(as_potent(e, 2))
         assert s.members == (e,)
 
     def test_cycle_three_at_r_four(self):
         c = cycle_matrix(3)
-        s = cyclic_semigroup(c, 4)
+        s = cyclic_semigroup(as_potent(c, 4))
         assert set(s.members) == {c, c.pow(2), RMatrix.identity(3)}
 
     def test_closure_property_exhaustive(self):
         for seed in range(20):
             r = (3, 4, 5)[seed % 3]
             a = random_r_potent(r, 1 + seed % 4, seed, max_dim=12)
-            s = cyclic_semigroup(a, r)
+            s = cyclic_semigroup(as_potent(a, r))
             members = set(s.members)
             for x in members:
                 for y in members:
                     assert x @ y in members
 
     def test_rejects_non_potent(self):
-        with pytest.raises(ValueError):
-            cyclic_semigroup(RMatrix.from_rows([[0, 1], [0, 0]]), 3)
+        # the semigroup is built from a checked value; non-potent input stops at the check
+        with pytest.raises(ValueError, match="not 3-potent"):
+            as_potent(RMatrix.from_rows([[0, 1], [0, 0]]), 3)
 
 
 class TestCyclicSemigroupCheck:
@@ -289,19 +291,19 @@ class TestCyclicSemigroupCheck:
         for seed in range(20):
             r = (2, 3, 4)[seed % 3]
             a = random_r_potent(r, r + seed % 2, seed, max_dim=12)
-            rep = cyclic_semigroup_decomposable_check(a, r)
+            rep = cyclic_semigroup_decomposable_check(as_potent(a, r))
             assert rep.prediction.agrees
             assert rep.applicable
             assert rep.all_triangular
 
     def test_indecomposable_case_not_applicable(self):
-        rep = cyclic_semigroup_decomposable_check(cycle_matrix(3), 4)
+        rep = cyclic_semigroup_decomposable_check(as_potent(cycle_matrix(3), 4))
         assert not rep.applicable
         assert rep.prediction.case == "no_prediction"
 
     def test_block_diagonal_is_trivially_common(self):
         m = block_diagonal([uniform_idempotent(1), uniform_idempotent(2)])
-        rep = cyclic_semigroup_decomposable_check(m, 2)
+        rep = cyclic_semigroup_decomposable_check(as_potent(m, 2))
         assert rep.applicable and rep.all_triangular
 
 

@@ -12,6 +12,7 @@ from rpotent.generators import (
     uniform_idempotent,
 )
 from rpotent.matrix import RMatrix
+from rpotent.potency import as_potent
 from rpotent.structure import (
     analyze_structure,
     count_adjacent_zero_pairs,
@@ -23,7 +24,7 @@ class TestAnalyzeStructure:
     def test_uniform_tower(self):
         r = 4
         tower = block_diagonal([uniform_idempotent(k) for k in range(1, r)])
-        rep = analyze_structure(tower, r)
+        rep = analyze_structure(as_potent(tower, r), block_triangularize(tower))
         assert rep.applicable
         assert rep.k == r - 1
         assert rep.nonzero_count == r - 1
@@ -34,7 +35,7 @@ class TestAnalyzeStructure:
 
     def test_kron_of_swaps(self):
         m = cycle_matrix(2).kron(cycle_matrix(2))
-        rep = analyze_structure(m, 3)
+        rep = analyze_structure(as_potent(m, 3), block_triangularize(m))
         assert rep.applicable
         assert rep.k == 4
         assert all(b.block_rank <= 2 for b in rep.blocks)
@@ -43,19 +44,24 @@ class TestAnalyzeStructure:
         assert rep.bounds_ok
 
     def test_indecomposable_is_flagged_not_applicable(self):
-        rep = analyze_structure(cycle_matrix(3), 4)
+        rep = analyze_structure(as_potent(cycle_matrix(3), 4), block_triangularize(cycle_matrix(3)))
         assert not rep.applicable
         assert rep.total_count == 1
 
     def test_rejects_non_potent(self):
-        with pytest.raises(ValueError):
-            analyze_structure(RMatrix.from_rows([[0, 1], [0, 0]]), 2)
+        # the report takes a checked value; non-potent input stops at the check
+        with pytest.raises(ValueError, match="not 2-potent"):
+            as_potent(RMatrix.from_rows([[0, 1], [0, 0]]), 2)
+
+    def test_rejects_triangularization_of_another_matrix(self):
+        with pytest.raises(ValueError, match="triangularization"):
+            analyze_structure(as_potent(cycle_matrix(3), 4), block_triangularize(RMatrix.identity(3)))
 
     def test_generated_families_satisfy_all_block_facts(self):
         for seed in range(40):
             r = (2, 3, 4, 5)[seed % 4]
             m = random_r_potent(r, r + seed % 2, seed, max_dim=16)
-            rep = analyze_structure(m, r)
+            rep = analyze_structure(as_potent(m, r), block_triangularize(m))
             assert rep.blocks_ok
             assert rep.rank_sum_ok
             if rep.applicable:
@@ -125,17 +131,17 @@ class TestReorder:
 class TestTriangularFamilyShapes:
     def test_coupled_wrap_keeps_rank_and_potency(self):
         b = cycle_matrix(3)
-        m = triangular_family(b, [[1], [1], [1]], 4)
+        m = triangular_family(as_potent(b, 4), [[1], [1], [1]])
         assert m.n == 4
         assert m.pow(4) == m
         assert m.rank() == 3
 
     def test_idempotent_wrap_from_unit(self):
-        m = triangular_family(RMatrix.from_rows([[1]]), [[1]], 2)
+        m = triangular_family(as_potent(RMatrix.from_rows([[1]]), 2), [[1]])
         assert m == RMatrix.from_rows([[1, 1], [0, 0]])
         assert m.pow(2) == m
 
     def test_zero_coupling_gives_block_diagonal(self):
         b = cycle_matrix(2)
-        m = triangular_family(b, [[0], [0]], 3)
+        m = triangular_family(as_potent(b, 3), [[0], [0]])
         assert m == block_diagonal([b, RMatrix.zeros(1)])
