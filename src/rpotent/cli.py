@@ -21,7 +21,7 @@ from .decomposition import (
 )
 from .generators import GeneratorSpec
 from .matrix import RMatrix, load_matrix, matrix_to_json
-from .potency import potency_report
+from .potency import NonPotency, potency_report
 from .semigroup import (
     ClosureTruncated,
     DEFAULT_CLOSURE_CAP,
@@ -50,7 +50,8 @@ def _closure_cap(flag_value: int | None) -> int:
 
 def _analysis_bundle(a: RMatrix, r: int | None, tol: float, max_iter: int) -> dict:
     """Every report for one matrix, from one potency pass and one triangularization."""
-    potency = potency_report(a, r)
+    proof: list[NonPotency] = []
+    potency = potency_report(a, r, proof)
     potent = None if potency is None else potency.potent
     tri = block_triangularize(a)
     decomposable = not tri.is_trivial
@@ -77,7 +78,7 @@ def _analysis_bundle(a: RMatrix, r: int | None, tol: float, max_iter: int) -> di
         if not w.verify(a):
             raise RuntimeError("sink component failed to verify as invariant")
         witness = w.sorted_indices()
-    return {
+    bundle = {
         "matrix": a.to_json_dict(),
         "r": None if potency is None else potency.r,
         "potency": None if potency is None else potency.to_dict(),
@@ -94,6 +95,16 @@ def _analysis_bundle(a: RMatrix, r: int | None, tol: float, max_iter: int) -> di
         "prediction": None if prediction is None else prediction.to_dict(),
         "ok": checks_ok,
     }
+    if proof:
+        bundle["nonpotency"] = proof[0].to_dict()
+    return bundle
+
+
+_BROKEN_INVARIANT_TEXT = {
+    "trace_integer": "has a trace that is not an integer",
+    "trace_bound": "has a trace above n",
+    "nonzero": "is zero while A is not",
+}
 
 
 def _print_bundle_human(bundle: dict, out) -> None:
@@ -109,6 +120,10 @@ def _print_bundle_human(bundle: dict, out) -> None:
             f"rank = {pot['rank']}; projection trace = {pot['trace_of_projection']}",
             file=out,
         )
+    proof = bundle.get("nonpotency")
+    if proof is not None:
+        reason = _BROKEN_INVARIANT_TEXT[proof["invariant"]]
+        print(f"  not potent for any r: A^{proof['power']} {reason}", file=out)
     dec = bundle["decomposability"]
     verdict = "decomposable" if dec["decomposable"] else "indecomposable"
     oracle = ""

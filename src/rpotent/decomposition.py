@@ -17,6 +17,8 @@ indecomposable by definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import gcd
 
 from .matrix import PatternMatrix, Permutation, RMatrix
 from .potency import Potent, is_r_potent, zero_diagonal_powers
@@ -96,6 +98,36 @@ class Digraph:
                             break
                     comps.append(tuple(sorted(comp)))
         return comps
+
+    def cycle_gcd(self) -> int:
+        """Gcd of all cycle lengths; the digraph must be strongly connected.
+
+        Computed from a BFS level assignment: the gcd over all edges v -> w of
+        level(v) + 1 - level(w) equals the gcd of all cycle lengths.
+        """
+        out = self.out
+        level = [-1] * self.n
+        level[0] = 0
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                m = out[v]
+                while m:
+                    w = (m & -m).bit_length() - 1
+                    m &= m - 1
+                    if level[w] < 0:
+                        level[w] = level[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        g = 0
+        for v in range(self.n):
+            m = out[v]
+            while m:
+                w = (m & -m).bit_length() - 1
+                m &= m - 1
+                g = gcd(g, abs(level[v] + 1 - level[w]))
+        return g
 
 
 @dataclass(frozen=True)
@@ -183,6 +215,17 @@ class BlockTriangularization:
     is_trivial: bool
     components: tuple[tuple[int, ...], ...]
     source: RMatrix
+
+    @cached_property
+    def periods(self) -> tuple[int | None, ...]:
+        """Period of each diagonal block, None for a zero block; found once, then kept.
+
+        Each block is strongly connected, so no component search is needed.
+        """
+        return tuple(
+            None if blk.is_zero() else Digraph.from_matrix(blk).cycle_gcd()
+            for blk in self.diagonal_blocks
+        )
 
     def conjugated(self) -> RMatrix:
         return self.source.conjugate(self.permutation)

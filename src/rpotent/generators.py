@@ -285,6 +285,17 @@ def rank_dominant_semigroup_generators(
     generators are powers A^(a_i) (x) B^(b_i) under one shared conjugation.
     Every word then equals a conjugated A^s (x) B^t with s, t >= 1, which is
     r-potent of rank rank(A) * rank(B) > r-1.
+
+    The closure is decomposable because A is (an r-potent of rank > r-1 is
+    decomposable, and an invariant index set of A gives one shared by every
+    A^s (x) B^t), not because its members have rank > r-1.  That reading is
+    false: (12)(34) and (13)(24) are 3-potent of rank 4 > 2, yet they close
+    to the Klein four-group, whose union pattern is all ones, so the
+    semigroup is indecomposable and its one block holds no member of rank
+    <= 2.  The same group appears here when A and B each have an irreducible
+    block of period 2: the parity classes of (s, t) act on the Kronecker
+    product of those blocks as Z2 x Z2, and the rank floor of check 6.4
+    fails on that block.
     """
     if count < 1:
         raise ValueError("need at least one generator")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
@@ -50,10 +51,27 @@ def coerce_entry(value: Entry) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            x = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse matrix entry {value!r}") from exc
+        if not _printable(x):
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"matrix entry {value!r} has more than {limit} digits")
+        return x
     raise TypeError(f"unsupported matrix entry type {type(value).__name__}")
+
+
+def _printable(x: Fraction) -> bool:
+    """Whether numerator and denominator convert to decimal strings.
+
+    An exponent ("1e-10000") parses into integers longer than the interpreter
+    converts to text (``sys.get_int_max_str_digits``), so the entry could be
+    computed with but never printed.
+    """
+    limit = sys.get_int_max_str_digits()
+    big = max(x.numerator, x.denominator)
+    # d digits need at least 3.32 (d - 1) bits: under 3 * limit bits, d <= limit
+    return not limit or big.bit_length() <= 3 * limit or big < 10**limit
 
 
 def format_entry(x: Fraction) -> int | str:
@@ -138,6 +156,20 @@ class PatternMatrix:
                 m &= m - 1
             out.append(acc)
         return PatternMatrix(self.n, tuple(out))
+
+    def pow(self, k: int) -> PatternMatrix:
+        """k-th boolean power by repeated squaring; ``pow(0)`` is the identity."""
+        if k < 0:
+            raise ValueError("exponent must be nonnegative")
+        result = PatternMatrix.identity(self.n)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
 
     def __or__(self, other: PatternMatrix) -> PatternMatrix:
         if not isinstance(other, PatternMatrix):
@@ -566,8 +598,10 @@ def matrix_to_json(a: RMatrix, provenance: dict | None = None, indent: int = 2) 
 def matrix_from_json(text: str) -> RMatrix:
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, or an integer longer than the interpreter
+        # converts from text; RecursionError: nesting deeper than the decoder's
+        # recursion limit
         raise ValueError(f"invalid matrix JSON: {exc}") from exc
     return RMatrix.from_json_dict(data)
 

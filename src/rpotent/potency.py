@@ -4,7 +4,9 @@ A matrix with A^r = A for some r >= 2 is called r-potent (idempotent is the
 r = 2 case).  For such matrices A^(r-1) is an idempotent projection and the
 rank of A equals the trace of that projection, an identity this module checks
 with exact arithmetic only.  Reports take a ``Potent``, a matrix checked
-once, so none of them re-checks potency or recomputes a power.
+once, so none of them re-checks potency or recomputes a power.  The walk that
+finds the minimal exponent stops at the first power that no potent matrix can
+have and returns that power as a ``NonPotency`` certificate.
 """
 
 from __future__ import annotations
@@ -63,17 +65,61 @@ class Potent:
         return tuple(flags[j % len(flags)] for j in range(self.r - 1))
 
 
-def minimal_potency(a: RMatrix, cap: int = DEFAULT_POTENCY_CAP) -> Potent | None:
+@dataclass(frozen=True)
+class NonPotency:
+    """Proof that no r >= 2 has A^r = A: the power A^k breaks ``invariant``.
+
+    Let A >= 0 with A^r = A.  Its minimal polynomial divides x^r - x, which
+    has distinct roots, so A is diagonalizable with eigenvalues 0 and
+    (r-1)-th roots of unity, rank(A) of them nonzero.  Hence every power A^k
+    has a trace that is a sum of rank(A) roots of unity: an algebraic integer
+    that is rational, so an integer, and it lies in [0, rank A] within
+    [0, n] (A^k >= 0 has a nonnegative diagonal).  And A^k != 0 when A != 0,
+    since A = A^(m(r-1)+1) for every m >= 1.  ``invariant`` names the broken
+    fact: ``trace_integer``, ``trace_bound`` or ``nonzero``.
+    """
+
+    power: int
+    invariant: str
+
+    def to_dict(self) -> dict:
+        return {"power": self.power, "invariant": self.invariant}
+
+
+def _broken_invariant(p: RMatrix, n: int, a_is_zero: bool) -> str | None:
+    """The invariant of every power of a potent n x n matrix that ``p`` breaks, if any."""
+    trace = sum(map(operator.getitem, p.num, range(n)))
+    if trace % p.den:
+        return "trace_integer"
+    if trace > n * p.den:
+        return "trace_bound"
+    if trace == 0 and not a_is_zero and p.is_zero():
+        return "nonzero"
+    return None
+
+
+def minimal_potency(
+    a: RMatrix, cap: int = DEFAULT_POTENCY_CAP, proof: list[NonPotency] | None = None
+) -> Potent | None:
     """A checked at its smallest r in [2, cap] with A^r = A, or None if there is none.
 
     For a permutation matrix this r is the lcm of the cycle lengths plus one.
     Absence is a value, not an error: matrices that are not potent within the
-    cap simply report None.
+    cap simply report None.  Before each product the walk screens the power
+    it holds; the first power that breaks an invariant of ``NonPotency``
+    proves that no r exists at all, so the walk stops there and appends that
+    certificate to ``proof`` when one is given.
     """
     if cap < 2:
         raise ValueError("cap must be at least 2")
+    n, a_is_zero = a.n, a.is_zero()
     powers = [a]
     for r in range(2, cap + 1):
+        broken = _broken_invariant(powers[-1], n, a_is_zero)
+        if broken is not None:
+            if proof is not None:
+                proof.append(NonPotency(r - 1, broken))
+            return None
         p = powers[-1] @ a
         if p == a:
             return Potent(a, r, tuple(powers))
@@ -136,15 +182,22 @@ class PotencyReport:
         }
 
 
-def potency_report(a: RMatrix, r: int | None = None) -> PotencyReport | None:
+def potency_report(
+    a: RMatrix, r: int | None = None, proof: list[NonPotency] | None = None
+) -> PotencyReport | None:
     """Potency facts of ``a`` at ``r`` (default: the minimal exponent), from one walk.
 
     None when ``r`` is not given and no exponent up to the cap has A^r = A.
-    Past the cap, one power A^r decides, where a walk could take r - 1 products.
+    Past the cap, one power A^r decides, where a walk could take r - 1
+    products, unless the walk found a ``NonPotency`` certificate; that
+    certificate is appended to ``proof`` when one is given.
     """
     if r is not None and r < 2:
         raise ValueError("potency exponent must be at least 2")
-    walk = minimal_potency(a)
+    found: list[NonPotency] = []
+    walk = minimal_potency(a, proof=found)
+    if proof is not None:
+        proof.extend(found)
     if r is None:
         if walk is None:
             return None
@@ -152,5 +205,6 @@ def potency_report(a: RMatrix, r: int | None = None) -> PotencyReport | None:
     if walk is not None:
         potent = None if (r - 1) % len(walk.powers) else replace(walk, r=r)
     else:
-        potent = Potent(a, r, None) if r > DEFAULT_POTENCY_CAP and a.pow(r) == a else None
+        past_cap = r > DEFAULT_POTENCY_CAP and not found
+        potent = Potent(a, r, None) if past_cap and a.pow(r) == a else None
     return PotencyReport(a, r, None if walk is None else walk.r, potent)

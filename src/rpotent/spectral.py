@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import BlockTriangularization, is_decomposable
+from .decomposition import BlockTriangularization, Digraph, is_decomposable
 from .matrix import RMatrix
 from .potency import Potent
 
@@ -41,62 +41,42 @@ def period(a: RMatrix) -> int:
     """Gcd of all cycle lengths of an indecomposable nonzero matrix.
 
     Computed from a BFS level assignment on the strongly connected support
-    digraph: the gcd over all edges v -> w of level(v) + 1 - level(w) equals
-    the gcd of all cycle lengths.
+    digraph (``Digraph.cycle_gcd``).
     """
     if a.is_zero():
         raise ValueError("period is undefined for the zero matrix")
     if is_decomposable(a):
         raise ValueError("period is defined only for indecomposable matrices")
-    return _cycle_gcd(a)
-
-
-def _cycle_gcd(a: RMatrix) -> int:
-    """``period`` of ``a``, whose support digraph must be strongly connected."""
-    graph_out = a.pattern().column_masks()
-    n = a.n
-    level = [-1] * n
-    level[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            m = graph_out[v]
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                if level[w] < 0:
-                    level[w] = level[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    g = 0
-    for v in range(n):
-        m = graph_out[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            g = math.gcd(g, abs(level[v] + 1 - level[w]))
-    return g
+    return Digraph.from_matrix(a).cycle_gcd()
 
 
 def is_primitive(a: RMatrix) -> bool:
     """Indecomposable with period one; False (not an error) otherwise."""
-    return not a.is_zero() and not is_decomposable(a) and _cycle_gcd(a) == 1
+    return not a.is_zero() and not is_decomposable(a) and Digraph.from_matrix(a).cycle_gcd() == 1
 
 
 def wielandt_exponent(n: int) -> int:
     return n * n - 2 * n + 2
 
 
-def wielandt_check(a: RMatrix) -> bool:
-    """Exact positivity of A^(n^2 - 2n + 2), the guaranteed-positive power.
+def wielandt_check(a: RMatrix | BlockTriangularization) -> bool:
+    """Positivity of A^(n^2 - 2n + 2), the guaranteed-positive power, read on the support.
 
-    Rejects non-primitive input: the exponent only promises positivity for
-    primitive matrices.
+    ``a`` is A, or the maximal block triangularization of A, whose block
+    periods then tell without a new search whether A is primitive.  Rejects
+    non-primitive input: the exponent only promises positivity for primitive
+    matrices.  A >= 0, so no sum of products cancels and the support of A^k
+    is the k-th boolean power of the support of A: about 2 log2(n^2) pattern
+    products decide it, with no rational entry computed.
     """
-    if not is_primitive(a):
+    if isinstance(a, BlockTriangularization):
+        primitive = a.periods == (1,)
+        a = a.source
+    else:
+        primitive = is_primitive(a)
+    if not primitive:
         raise ValueError("positivity of the squared-index power needs a primitive matrix")
-    return a.pow(wielandt_exponent(a.n)).is_positive()
+    return a.pattern().pow(wielandt_exponent(a.n)).is_full()
 
 
 def _composite_period(t: BlockTriangularization) -> int:
@@ -106,11 +86,7 @@ def _composite_period(t: BlockTriangularization) -> int:
     into the spectral radius itself, which is what lets power iteration
     converge on input whose plain iterates would oscillate.
     """
-    h = 1
-    for blk in t.diagonal_blocks:
-        if not blk.is_zero():
-            h = math.lcm(h, _cycle_gcd(blk))
-    return h
+    return math.lcm(*[h for h in t.periods if h is not None])
 
 
 def perron_value(
@@ -256,7 +232,7 @@ def spectral_report(
         h = _composite_period(t)
         primitive = h == 1
         if primitive and a.n <= WIELANDT_REPORT_DIM_LIMIT:
-            wielandt = wielandt_check(a)
+            wielandt = wielandt_check(t)
     perron: float | None = 0.0
     withheld: str | None = None
     if not a.is_zero():

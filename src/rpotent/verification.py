@@ -182,7 +182,15 @@ def kron_cases(
 def semigroup_family_cases(
     count: int, seed: int
 ) -> Iterator[tuple[int, int, int, list[RMatrix]]]:
-    """Generator families whose full closures stay r-potent of rank > r-1."""
+    """Generator families whose full closures stay r-potent of rank > r-1.
+
+    Check 6.3 passes on them because they are decomposable by construction
+    (``rank_dominant_semigroup_generators``), not because of the rank of
+    their members.  Check 6.4 tests that every nonzero block of their joint
+    triangularization holds a member of rank <= r-1, which the Klein
+    four-group refutes; a family that contains it fails the check, as trials
+    1 and 10 of ``verify --theorem 6.4 --seed 8`` do.
+    """
     for i in range(count):
         r = (2, 3, 4)[i % 3]
         case_seed = _case_seed(seed, i)

@@ -4,9 +4,11 @@ Each oracle takes a deliberately different route than the implementation it
 checks: naive cubic multiplication against the sparse-aware product, plain
 fraction Gaussian elimination against fraction-free Bareiss, diagonal hits of
 boolean powers against the BFS-level period, exhaustive subset scans
-against the component decision, and a closure that multiplies every new
+against the component decision, a closure that multiplies every new
 member with every member on both sides against the one that multiplies
-each member by the generators on the right.
+each member by the generators on the right, and a potency walk that takes
+every power up to its cap against the one that stops at a power no potent
+matrix has.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from rpotent.matrix import PatternMatrix, RMatrix
+from rpotent.potency import DEFAULT_POTENCY_CAP, Potent
 
 
 def naive_multiply(a: RMatrix, b: RMatrix) -> RMatrix:
@@ -37,6 +40,17 @@ def naive_power(a: RMatrix, k: int) -> RMatrix:
     for _ in range(k):
         result = naive_multiply(result, a)
     return result
+
+
+def unscreened_minimal_potency(a: RMatrix, cap: int = DEFAULT_POTENCY_CAP) -> Potent | None:
+    """The potency walk without the non-potency screen: every power up to the cap."""
+    powers = [a]
+    for r in range(2, cap + 1):
+        p = powers[-1] @ a
+        if p == a:
+            return Potent(a, r, tuple(powers))
+        powers.append(p)
+    return None
 
 
 def gauss_rank(a: RMatrix) -> int:

@@ -2,7 +2,8 @@
 
 Counts calls while ``analyze --json`` runs on each bundled example: the walk
 of ``minimal_potency`` runs once, A is triangularized once, its rank is taken
-at most once, and no report re-checks A^r = A.
+at most once, and no report re-checks A^r = A.  On non-potent input the walk
+stops at the first power that certifies it, within a product budget.
 """
 
 import json
@@ -89,3 +90,70 @@ def test_explicit_exponent_past_the_cap_is_checked_by_powers(tmp_path, monkeypat
     assert bundle["potency"]["rank"] == 40
     # the capped walk, then a few square-and-multiply powers of A and its blocks
     assert products["matmul"] <= 400
+
+
+def _walk_products(monkeypatch):
+    """Counts, from now on, of exact products inside the potency walk and outside it, and of powers by exponent."""
+    inside = [False]
+    products = Counter()
+    walk, matmul, power = potency.minimal_potency, RMatrix.__matmul__, RMatrix.pow
+
+    def counting_walk(*args, **kwargs):
+        inside[0] = True
+        try:
+            return walk(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def counting_matmul(x, y):
+        products["walk" if inside[0] else "other"] += 1
+        return matmul(x, y)
+
+    def counting_pow(x, k):
+        products[f"pow{k}"] += 1
+        return power(x, k)
+
+    _rebind(monkeypatch, walk, counting_walk)
+    monkeypatch.setattr(RMatrix, "__matmul__", counting_matmul)
+    monkeypatch.setattr(RMatrix, "pow", counting_pow)
+    return products
+
+
+def _write(tmp_path, rows):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"n": len(rows), "entries": rows}))
+    return str(path)
+
+
+def test_positive_nonpotent_input_makes_no_walk_product(tmp_path, monkeypatch, capsys):
+    # trace(A) = 36/7 is not an integer, so A itself certifies non-potency
+    rows = [[f"{i + j + 1}/7" for j in range(6)] for i in range(6)]
+    path = _write(tmp_path, rows)
+    products = _walk_products(monkeypatch)
+    assert cli.main(["analyze", path, "--json"]) == 0
+    bundle = json.loads(capsys.readouterr().out)
+    assert bundle["potency"] is None
+    assert bundle["nonpotency"] == {"power": 1, "invariant": "trace_integer"}
+    assert products["walk"] == 0
+
+
+def test_nilpotent_walk_stops_at_the_zero_power(tmp_path, monkeypatch, capsys):
+    # all ones below the diagonal: A^19 != 0 = A^20
+    rows = [[int(j < i) for j in range(20)] for i in range(20)]
+    path = _write(tmp_path, rows)
+    products = _walk_products(monkeypatch)
+    assert cli.main(["analyze", path, "--json"]) == 0
+    bundle = json.loads(capsys.readouterr().out)
+    assert bundle["nonpotency"] == {"power": 20, "invariant": "nonzero"}
+    assert products["walk"] <= 19
+
+
+def test_certified_input_skips_the_power_past_the_cap(tmp_path, monkeypatch, capsys):
+    path = _write(tmp_path, [[2, 1], [1, 2]])
+    products = _walk_products(monkeypatch)
+    assert cli.main(["analyze", path, "--r", "100", "--json"]) == 0
+    bundle = json.loads(capsys.readouterr().out)
+    assert not bundle["potency"]["is_r_potent"]
+    assert bundle["nonpotency"] == {"power": 1, "invariant": "trace_bound"}
+    # A^99 is still taken for the reported projection trace; A^100 is not
+    assert products["pow100"] == 0 and products["pow99"] == 1

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from importlib import resources
 
 import jsonschema
@@ -67,6 +68,17 @@ class TestAnalyze:
         bundle = json.loads(capsys.readouterr().out)
         jsonschema.validate(bundle, _load_schema())
         assert bundle["potency"] is None
+        assert bundle["nonpotency"] == {"power": 2, "invariant": "nonzero"}
+
+    def test_human_report_names_the_nonpotency_certificate(self, tmp_path, capsys):
+        path = tmp_path / "nilpotent.json"
+        path.write_text(json.dumps({"n": 2, "entries": [[0, 1], [0, 0]]}))
+        assert main(["analyze", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == [
+            "potency: no exponent r <= 64 with A^r = A",
+            "  not potent for any r: A^2 is zero while A is not",
+        ]
 
     def test_malformed_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -354,6 +366,23 @@ class TestParseBoundary:
             err = capsys.readouterr().err
             assert err.startswith("error: invalid matrix JSON:")
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [("tiny.json", '{"n": 1, "entries": [["1e-10000"]]}'), ("huge.csv", "1e10000\n")],
+    )
+    def test_entry_beyond_the_int_string_limit_exits_two(self, tmp_path, capsys, name, text):
+        # the entry parses, but its integers have more digits than the
+        # interpreter converts to text, so no report could print it
+        path = tmp_path / name
+        path.write_text(text)
+        for command in ("analyze", "semigroup"):
+            start = time.perf_counter()
+            assert main([command, str(path)]) == 2
+            assert time.perf_counter() - start < 0.2
+            err = capsys.readouterr().err
+            assert err.startswith("error: matrix entry '1e")
+            assert f"more than {sys.get_int_max_str_digits()} digits" in err
 
 
 # Input text for the contract test below: arbitrary text, JSON documents of

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -423,6 +424,17 @@ class TestSerialization:
             matrix_from_json("{not json")
         with pytest.raises(ValueError):
             matrix_from_json(json.dumps({"n": 2, "entries": [[1, 2]]}))
+
+    def test_entries_are_limited_to_printable_integers(self):
+        limit = sys.get_int_max_str_digits()
+        # 10^(limit-1) has limit digits, 10^limit one more
+        for text in (f"1e{limit - 1}", f"1e-{limit - 1}", f"{'9' * limit}/7"):
+            assert matrix_from_csv(text).n == 1
+        for text in (f"1e{limit}", f"1e-{limit}", f"2.5e{limit + 5}"):
+            with pytest.raises(ValueError, match=f"more than {limit} digits"):
+                matrix_from_csv(text)
+        with pytest.raises(ValueError, match="invalid matrix JSON"):
+            matrix_from_json('{"n": 1, "entries": [[1%s]]}' % ("0" * limit))
 
     def test_load_matrix_sniffs_extensionless_content(self, tmp_path):
         jpath = tmp_path / "matrix_json"

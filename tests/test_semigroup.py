@@ -363,6 +363,23 @@ class TestRankFloor:
         with pytest.raises(ClosureTruncated):
             semigroup_rank_floor_check([cycle_matrix(3)], 4, cap=2)
 
+    def test_klein_four_group_refutes_both_readings(self):
+        # (12)(34) and (13)(24) generate the regular representation of Z2 x Z2:
+        # four 3-potent members of rank 4 > r - 1 = 2 whose union pattern is
+        # all ones.  So a semigroup of r-potents of rank > r - 1 need not be
+        # decomposable (the reading behind check 6.3), and a block of its
+        # triangularization need not hold a member of rank <= r - 1 (check 6.4).
+        gens = [Permutation((1, 0, 3, 2)).to_matrix(), Permutation((2, 3, 0, 1)).to_matrix()]
+        closure = rational_closure(gens, 100)
+        assert len(closure) == 4 and not closure.truncated
+        assert all(as_potent(m, 3).rank == 4 for m in closure.members)
+        assert closure.union_pattern().is_full()
+        assert semigroup_decomposable(pattern_closure([g.pattern() for g in gens])) is None
+        rep = semigroup_rank_floor_check(gens, 3)
+        assert not rep.all_ok
+        assert not rep.decomposable
+        assert [(b.min_rank, b.floor_ok) for b in rep.blocks] == [(4, False)]
+
 
 class TestSymmetricGroup:
     def test_n_two(self):
