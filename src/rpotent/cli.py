@@ -29,7 +29,7 @@ from .semigroup import (
     pattern_closure,
     semigroup_rank_floor_check,
 )
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, spectral_report
+from .spectral import spectral_report
 from .structure import analyze_structure
 from .verification import CHECKS, run_check
 
@@ -48,7 +48,7 @@ def _closure_cap(flag_value: int | None) -> int:
     return DEFAULT_CLOSURE_CAP
 
 
-def _analysis_bundle(a: RMatrix, r: int | None, tol: float, max_iter: int) -> dict:
+def _analysis_bundle(a: RMatrix, r: int | None) -> dict:
     """Every report for one matrix, from one potency pass and one triangularization."""
     proof: list[NonPotency] = []
     potency = potency_report(a, r, proof)
@@ -62,7 +62,7 @@ def _analysis_bundle(a: RMatrix, r: int | None, tol: float, max_iter: int) -> di
         oracle_agrees = (oracle_witness is not None) == decomposable
     prediction = None if potent is None else main_decomposability_test(potent)
     structure = None if potent is None else analyze_structure(potent, tri)
-    spectral = spectral_report(tri, potent, tol=tol, max_iter=max_iter)
+    spectral = spectral_report(tri, potent)
     checks_ok = all(
         flag is not False
         for flag in (
@@ -115,11 +115,11 @@ def _print_bundle_human(bundle: dict, out) -> None:
         print("potency: no exponent r <= 64 with A^r = A", file=out)
     else:
         state = "holds" if pot["is_r_potent"] else "fails"
-        print(
-            f"potency: A^{pot['r']} = A {state}; minimal r = {pot['minimal_r']}; "
-            f"rank = {pot['rank']}; projection trace = {pot['trace_of_projection']}",
-            file=out,
-        )
+        line = f"potency: A^{pot['r']} = A {state}; minimal r = {pot['minimal_r']}; "
+        line += f"rank = {pot['rank']}"
+        if pot["trace_of_projection"] is not None:
+            line += f"; projection trace = {pot['trace_of_projection']}"
+        print(line, file=out)
     proof = bundle.get("nonpotency")
     if proof is not None:
         reason = _BROKEN_INVARIANT_TEXT[proof["invariant"]]
@@ -148,10 +148,10 @@ def _print_bundle_human(bundle: dict, out) -> None:
             file=out,
         )
     sp = bundle["spectral"]
-    if sp["perron_value"] is None:
-        perron = f"perron value withheld ({sp['perron_withheld']})"
+    value = sp["perron_value"]
+    if value is None:
+        perron = "perron value above the float range"
     else:
-        value = sp["perron_value"]
         perron = f"perron value {value:.9f}" if value < 1e12 else f"perron value {value:.9e}"
     period = sp["period"]
     if period is not None:
@@ -173,7 +173,7 @@ def _print_bundle_human(bundle: dict, out) -> None:
 
 def cmd_analyze(args) -> int:
     a = load_matrix(args.file)
-    bundle = _analysis_bundle(a, args.r, args.tol, args.max_iter)
+    bundle = _analysis_bundle(a, args.r)
     if args.json:
         print(json.dumps(bundle, indent=2, sort_keys=True))
     else:
@@ -292,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("file")
     p_an.add_argument("--r", type=int, default=None, help="potency exponent (default: inferred)")
     p_an.add_argument("--json", action="store_true", help="machine-readable output")
-    p_an.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_an.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
 
     p_gen = sub.add_parser("generate", help="emit a seeded matrix as JSON with provenance")
     p_gen.add_argument(

@@ -79,6 +79,22 @@ def format_entry(x: Fraction) -> int | str:
     return _format_ratio(x.numerator, x.denominator)
 
 
+def format_bound(x: Fraction, up: bool) -> int | str:
+    """``format_entry`` of a bound ``x``, rounded outward when it cannot be printed.
+
+    A bound whose numerator or denominator is too long to print becomes the
+    string ``"<m>e<k>"``, the value m * 10^k with about 20 significant digits,
+    rounded up (``up``) or down so that it still bounds the same side.
+    ``Fraction`` parses the string back.
+    """
+    if _printable(x):
+        return format_entry(x)
+    p, q = x.numerator, x.denominator
+    k = int((p.bit_length() - q.bit_length()) * 0.30103) - 20
+    p, q = (p, q * 10**k) if k >= 0 else (p * 10**-k, q)
+    return f"{-(-p // q) if up else p // q}e{k}"
+
+
 def _format_ratio(p: int, q: int) -> int | str:
     """``format_entry`` of ``p / q`` (q > 0) without building the Fraction."""
     g = gcd(p, q)

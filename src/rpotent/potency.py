@@ -164,20 +164,22 @@ class PotencyReport:
         return self.a.rank() if self.potent is None else self.potent.rank
 
     @cached_property
-    def trace_of_projection(self) -> Fraction:
-        return (self.a.pow(self.r - 1) if self.potent is None else self.potent.projection).trace()
+    def trace_of_projection(self) -> Fraction | None:
+        """trace(A^(r-1)) when A^r = A; None otherwise, where A^(r-1) is no projection."""
+        return None if self.potent is None else self.potent.projection.trace()
 
     @property
     def rank_trace_ok(self) -> bool:
         return not self.is_r_potent or self.trace_of_projection == self.rank
 
     def to_dict(self) -> dict:
+        trace = self.trace_of_projection
         return {
             "is_r_potent": self.is_r_potent,
             "r": self.r,
             "minimal_r": self.minimal_r,
             "rank": self.rank,
-            "trace_of_projection": format_entry(self.trace_of_projection),
+            "trace_of_projection": None if trace is None else format_entry(trace),
             "rank_trace_ok": self.rank_trace_ok,
         }
 

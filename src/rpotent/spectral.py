@@ -1,40 +1,32 @@
-"""Period, primitivity, and Perron value estimates for nonnegative matrices.
+"""Period, primitivity, and the exact Perron value of nonnegative matrices.
 
-Everything structural (period, primitivity, positivity of the power at the
-n^2 - 2n + 2 exponent) is exact.  The only floating point in the package is
-the power iteration that estimates the spectral radius; its tolerance and
-iteration cap are explicit arguments.  When that iteration gives no finite
-estimate, the spectral report withholds the value and says why.
+Everything here is exact.  The spectral radius of a nonzero r-potent matrix
+is 1 and that of a nilpotent one is 0; for any other matrix it is bracketed
+exactly by Collatz-Wielandt bounds: for A >= 0 and any x > 0,
+min_i (Ax)_i / x_i <= rho(A) <= max_i (Ax)_i / x_i (Horn & Johnson,
+*Matrix Analysis*, 8.1).  A few float steps choose x; the quotients are
+then evaluated in integers, so a poor x can loosen the bracket but never
+make it wrong.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
+from operator import mul
 
 from .decomposition import BlockTriangularization, Digraph, is_decomposable
-from .matrix import RMatrix
+from .matrix import RMatrix, format_bound
 from .potency import Potent
 
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITER = 10_000
 WIELANDT_REPORT_DIM_LIMIT = 16
-
-
-class PowerIterationError(RuntimeError):
-    """Raised when power iteration gives no finite estimate.
-
-    Either it did not converge within the iteration cap (``last_estimate`` is
-    the last one), or the spectral radius lies beyond the float range
-    (``last_estimate`` is None).
-    """
-
-    def __init__(self, message: str, last_estimate: float | None):
-        super().__init__(message)
-        self.last_estimate = last_estimate
+# The float steps that choose the Collatz-Wielandt vector of one block: power
+# steps for a start, then at most PERRON_SHIFT_STEPS shifted inverse steps,
+# which stop once the float quotients agree to PERRON_FLOAT_TOL (relative).
+PERRON_POWER_STEPS = 8
+PERRON_SHIFT_STEPS = 32
+PERRON_FLOAT_TOL = 2.0**-45
 
 
 def period(a: RMatrix) -> int:
@@ -79,89 +71,120 @@ def wielandt_check(a: RMatrix | BlockTriangularization) -> bool:
     return a.pattern().pow(wielandt_exponent(a.n)).is_full()
 
 
-def _composite_period(t: BlockTriangularization) -> int:
-    """Lcm of the periods of the nonzero diagonal blocks of the triangularization.
-
-    Raising the matrix to this exponent turns every peripheral eigenvalue
-    into the spectral radius itself, which is what lets power iteration
-    converge on input whose plain iterates would oscillate.
-    """
-    return math.lcm(*[h for h in t.periods if h is not None])
-
-
 def perron_value(
-    t: BlockTriangularization, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> float:
-    """Spectral radius estimate of A by power iteration on a floating-point copy.
+    t: BlockTriangularization, potent: Potent | None = None
+) -> tuple[Fraction, Fraction]:
+    """Exact bounds ``(lower, upper)`` on the spectral radius of A = ``t.source``.
 
     ``t`` is the maximal block triangularization of A (``block_triangularize``).
-
-    Iterates on B = A^h, where h is the lcm of the diagonal-block periods,
-    and reports the h-th root of B's estimate: every peripheral eigenvalue of
-    B equals rho(A)^h, so the quotient sequence converges even when plain
-    iteration on A would cycle.
-
-    The float copy is A / 2^e, where 2^e is within a factor two of the largest
-    entry, read exactly from the integer grid.  Scaling by a power of two is
-    exact in binary floating point, so wherever the unscaled iteration stays
-    finite the iterates, the stopping step (``tol`` is scaled alike) and the
-    estimate are bit for bit the unscaled ones; entries far beyond the float
-    range (1e200 and up) still convert, and the estimate is 2^e * rho(A / 2^e).
-    Non-convergence within ``max_iter``, or an estimate beyond the float
-    range, raises ``PowerIterationError``.
+    With ``potent``, a checked A^r = A, the radius of a nonzero A is exactly 1
+    and nothing is computed.  Otherwise rho(A) is the largest radius of a
+    diagonal block, and each block is bracketed by ``block_bracket``; a
+    matrix whose blocks are all 1 x 1 zeros (a nilpotent one) gets (0, 0).
     """
-    a = t.source
-    if a.is_zero():
-        raise ValueError("spectral radius estimation needs a nonzero matrix")
-    h = _composite_period(t)
-    e = max(map(max, a.num)).bit_length() - a.den.bit_length()
-    if e >= 0:
-        den, up = a.den << e, 0
-    else:
-        den, up = a.den, -e
-    af = np.array([[(x << up) / den for x in row] for row in a.num], dtype=float)
-    try:
-        tol = math.ldexp(tol, -e * h)
-    except OverflowError:
-        # rho(A) is so far below tol that any two estimates agree within it
-        tol = math.inf
-    bf = np.linalg.matrix_power(af, h)
-    x = np.ones(a.n) / math.sqrt(a.n)
-    prev: float | None = None
-    for _ in range(max_iter):
-        y = bf @ x
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            # B^k annihilated a positive start vector, so B is nilpotent.
-            return 0.0
-        est = float(x @ y)
-        x = y / norm
-        if prev is not None and abs(est - prev) <= tol:
-            return _unscaled_root(est, e, h)
-        prev = est
-    last = None if prev is None else (_unscaled_root(prev, e, h) if prev > 0 else prev)
-    raise PowerIterationError(
-        f"power iteration did not converge within {max_iter} iterations", last
-    )
+    if potent is not None and not t.source.is_zero():
+        return Fraction(1), Fraction(1)
+    brackets = [block_bracket(b) for b in t.diagonal_blocks]
+    return max(lo for lo, _ in brackets), max(hi for _, hi in brackets)
 
 
-def _is_normal_after_scaling(x: float, e: int) -> bool:
-    """Whether ``x * 2^e`` is a normal float (neither overflows nor underflows)."""
-    return sys.float_info.min_exp <= math.frexp(x)[1] + e <= sys.float_info.max_exp
+def block_bracket(b: RMatrix) -> tuple[Fraction, Fraction]:
+    """Collatz-Wielandt bounds on rho(B) for a diagonal block B.
 
-
-def _unscaled_root(est: float, e: int, h: int) -> float:
-    """rho(A) = 2^e * est^(1/h) from the estimate ``est`` of rho((A / 2^e)^h).
-
-    Where 2^(e*h) * est is a normal float this is computed as
-    (2^(e*h) * est)^(1/h), the rounding of the unscaled iteration.
+    The bounds for x = 1, the least and greatest row sums, are intersected
+    with those for the x of ``perron_vector``; when the row sums are all
+    equal, as in every 1 x 1 block, they are rho(B) itself and no float step
+    is taken.
     """
-    if est == 0.0 or _is_normal_after_scaling(est, e * h):
-        return math.ldexp(est, e * h) ** (1.0 / h)
-    root = est ** (1.0 / h)
-    if not _is_normal_after_scaling(root, e):
-        raise PowerIterationError("perron value outside the float range", None)
-    return math.ldexp(root, e)
+    sums = [sum(row) for row in b.num]
+    lo, hi = Fraction(min(sums), b.den), Fraction(max(sums), b.den)
+    if lo == hi:
+        return lo, hi
+    x = perron_vector(b.num)
+    quotients = [Fraction(sum(map(mul, row, x)), xi * b.den) for row, xi in zip(b.num, x)]
+    return max(lo, min(quotients)), min(hi, max(quotients))
+
+
+def perron_vector(num: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Positive integers close to the Perron vector of a strongly connected block.
+
+    Floats on the grid ``num`` divided by a power of two at least its largest
+    entry, so every float is at most 1 whatever the entries' size.  A few
+    power steps give a start; shifted inverse steps (Noda, 1971) then solve
+    (s I - B) y = x with s the largest float quotient (Bx)_i / x_i, which
+    converge quadratically even where the other eigenvalues lie close to the
+    circle of radius rho(B), as in a periodic block.  They stop once the
+    quotients agree to PERRON_FLOAT_TOL, or keep the previous iterate once
+    rounding stops their spread from shrinking.  An iterate with a zero,
+    infinite or NaN entry is dropped and the last positive one kept.  Every
+    float operation is correctly rounded (``fsum``, not ``sum``, whose
+    rounding changed in Python 3.12), so x and the bracket are the same
+    everywhere.
+    """
+    scale = 1 << max(map(max, num)).bit_length()
+    rows = [[v / scale for v in row] for row in num]
+    x = [1.0] * len(rows)
+    for _ in range(PERRON_POWER_STEPS):
+        y = _normalized([math.fsum(map(mul, row, x)) for row in rows])
+        if y is None:
+            break
+        x = y
+    best, width = x, math.inf
+    for _ in range(PERRON_SHIFT_STEPS):
+        quotients = [math.fsum(map(mul, row, x)) / xi for row, xi in zip(rows, x)]
+        lo, hi = min(quotients), max(quotients)
+        if hi - lo >= width:
+            break  # rounding has stalled the steps: keep the previous iterate
+        best, width = x, hi - lo
+        if width <= hi * PERRON_FLOAT_TOL:
+            break
+        y = _shifted_solve(rows, hi, x)
+        if y is None:
+            break
+        x = y
+    # the iterate read exactly, as integers over the common power-of-two denominator
+    ratios = [v.as_integer_ratio() for v in best]
+    den = max(q for _, q in ratios)
+    return [p * (den // q) for p, q in ratios]
+
+
+def _normalized(y: list[float]) -> list[float] | None:
+    """``y`` divided by its largest entry; None unless every entry stays positive and finite."""
+    top = max(y)
+    if not 0 < top < math.inf:
+        return None
+    y = [v / top for v in y]
+    return y if all(v > 0 for v in y) else None
+
+
+def _shifted_solve(rows: list[list[float]], s: float, x: list[float]) -> list[float] | None:
+    """Solve (s I - B) y = x for B = ``rows`` by elimination without pivoting.
+
+    For s > rho(B), s I - B is an M-matrix: its pivots are positive and, for
+    x > 0, every update adds terms of one sign, so y > 0.  A pivot that is
+    not positive shows that s fell to rho(B) by rounding; then None.
+    """
+    n = len(rows)
+    a = [[-v for v in row] for row in rows]
+    for i in range(n):
+        a[i][i] += s
+    y = list(x)
+    for k in range(n):
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        if not pivot > 0:
+            return None
+        tail = pivot_row[k + 1 :]
+        for i in range(k + 1, n):
+            row = a[i]
+            if row[k]:
+                f = row[k] / pivot
+                row[k + 1 :] = [u - f * v for u, v in zip(row[k + 1 :], tail)]
+                y[i] -= f * y[k]
+    for k in reversed(range(n)):
+        row = a[k]
+        y[k] = (y[k] - math.fsum(map(mul, row[k + 1 :], y[k + 1 :]))) / row[k]
+    return _normalized(y)
 
 
 def trace_zero_check(p: Potent) -> bool:
@@ -187,59 +210,54 @@ class SpectralReport:
     Period, primitivity, and the peripheral eigenvalue count are defined for
     nonzero indecomposable input only.  ``wielandt_positive`` is evaluated
     for primitive matrices up to ``WIELANDT_REPORT_DIM_LIMIT`` (the exponent
-    grows quadratically with the dimension).  ``perron_value`` is None when
-    power iteration gave no finite estimate, and ``perron_withheld`` then
-    says why.
+    grows quadratically with the dimension).  ``perron_bracket`` holds exact
+    bounds on the spectral radius (``perron_value``); ``perron_value`` is the
+    float nearest their midpoint, None when that is beyond the float range.
     """
 
     period: int | None
     is_primitive: bool | None
-    perron_value: float | None
+    perron_bracket: tuple[Fraction, Fraction]
     wielandt_positive: bool | None
     expected_peripheral_count: int | None
     trace_zero_applicable: bool
     trace_is_zero: bool | None
-    perron_withheld: str | None = None
+
+    @property
+    def perron_value(self) -> float | None:
+        lower, upper = self.perron_bracket
+        try:
+            return float((lower + upper) / 2)
+        except OverflowError:
+            return None
 
     def to_dict(self) -> dict:
-        out = {
+        lower, upper = self.perron_bracket
+        return {
             "period": self.period,
             "is_primitive": self.is_primitive,
             "perron_value": self.perron_value,
+            "perron_bracket": [format_bound(lower, up=False), format_bound(upper, up=True)],
             "wielandt_positive": self.wielandt_positive,
             "expected_peripheral_count": self.expected_peripheral_count,
             "trace_zero_applicable": self.trace_zero_applicable,
             "trace_is_zero": self.trace_is_zero,
         }
-        if self.perron_withheld is not None:
-            out["perron_withheld"] = self.perron_withheld
-        return out
 
 
-def spectral_report(
-    t: BlockTriangularization,
-    potent: Potent | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SpectralReport:
-    """Spectral facts of A = ``t.source``; the zero-trace identity needs ``potent``."""
+def spectral_report(t: BlockTriangularization, potent: Potent | None = None) -> SpectralReport:
+    """Spectral facts of A = ``t.source``; the exact unit radius and the
+    zero-trace identity need ``potent``."""
     a = t.source
     nonzero_indecomposable = not a.is_zero() and t.is_trivial
     h: int | None = None
     primitive: bool | None = None
     wielandt: bool | None = None
     if nonzero_indecomposable:
-        h = _composite_period(t)
+        h = t.periods[0]
         primitive = h == 1
         if primitive and a.n <= WIELANDT_REPORT_DIM_LIMIT:
             wielandt = wielandt_check(t)
-    perron: float | None = 0.0
-    withheld: str | None = None
-    if not a.is_zero():
-        try:
-            perron = perron_value(t, tol=tol, max_iter=max_iter)
-        except PowerIterationError as exc:
-            perron, withheld = None, str(exc)
     applicable = (
         nonzero_indecomposable
         and potent is not None
@@ -249,10 +267,9 @@ def spectral_report(
     return SpectralReport(
         period=h,
         is_primitive=primitive,
-        perron_value=perron,
+        perron_bracket=perron_value(t, potent),
         wielandt_positive=wielandt,
         expected_peripheral_count=h,
         trace_zero_applicable=applicable,
         trace_is_zero=(a.trace() == 0) if applicable else None,
-        perron_withheld=withheld,
     )

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -165,18 +166,21 @@ def test_wielandt_power_positive_for_primitive_patterns():
 
 
 def test_perron_value_one_and_zero_trace(high_rank_family, singular_family):
-    """Unit spectral radius for every generated potent; zero trace at rank r-1."""
+    """Unit spectral radius for every generated potent, in an exact bracket at
+    most 1e-9 wide (every sound bracket holds 1); zero trace at rank r-1."""
     mixed = itertools.chain(
         high_rank_family[0], singular_family, rank_trace_cases(100, SEED + 9)
     )
     for i, case_seed, r, m in mixed:
-        value = perron_value(block_triangularize(m))
-        assert abs(value - 1.0) <= 1e-9, f"perron={value}\n{_dump(m, case_seed)}"
+        lower, upper = perron_value(block_triangularize(m))
+        tight = upper - lower <= Fraction(1, 10**9)
+        assert lower <= 1 <= upper and tight, f"perron in [{lower}, {upper}]\n{_dump(m, case_seed)}"
     for r in (3, 4, 5, 6):
         for offset in range(5):
             rng = random.Random(SEED + 10 * r + offset)
             m = cycle_matrix(r - 1).conjugate(Permutation.random(r - 1, rng))
-            assert abs(perron_value(block_triangularize(m)) - 1.0) <= 1e-9
+            lower, upper = perron_value(block_triangularize(m))
+            assert lower <= 1 <= upper and upper - lower <= Fraction(1, 10**9)
             assert trace_zero_check(as_potent(m, r)), _dump(m, SEED + 10 * r + offset)
             assert m.trace() == 0
 

@@ -155,5 +155,21 @@ def test_certified_input_skips_the_power_past_the_cap(tmp_path, monkeypatch, cap
     bundle = json.loads(capsys.readouterr().out)
     assert not bundle["potency"]["is_r_potent"]
     assert bundle["nonpotency"] == {"power": 1, "invariant": "trace_bound"}
-    # A^99 is still taken for the reported projection trace; A^100 is not
-    assert products["pow100"] == 0 and products["pow99"] == 1
+    # neither A^100 nor A^99: A is not 100-potent, so no projection trace is reported
+    assert products["pow100"] == 0 and products["pow99"] == 0
+    assert bundle["potency"]["trace_of_projection"] is None
+
+
+def test_non_potent_input_at_a_given_exponent_takes_no_power(tmp_path, monkeypatch, capsys):
+    # A^59 of the 101-digit 10^100 has 5901 digits, past the int-to-string
+    # limit; it is no projection anyway, since A^60 != A
+    path = tmp_path / "a.json"
+    path.write_text('{"n": 1, "entries": [[1' + "0" * 100 + "]]}")
+    products = _walk_products(monkeypatch)
+    assert cli.main(["analyze", str(path), "--r", "60", "--json"]) == 0
+    bundle = json.loads(capsys.readouterr().out)
+    assert not bundle["potency"]["is_r_potent"]
+    assert bundle["potency"]["trace_of_projection"] is None
+    assert products["pow59"] == 0 and products["walk"] + products["other"] == 0
+    assert cli.main(["analyze", str(path), "--r", "60"]) == 0
+    assert "projection trace" not in capsys.readouterr().out

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
@@ -100,18 +101,56 @@ class TestAnalyze:
     def test_perron_value_of_huge_entries(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         for exponent, expected in ((200, 2e200), (400, None)):
-            big = str(10**exponent)
-            path.write_text(json.dumps({"n": 2, "entries": [[big, big], [big, big]]}))
+            big = 10**exponent
+            path.write_text(json.dumps({"n": 2, "entries": [[str(big)] * 2] * 2}))
             assert main(["analyze", str(path), "--json"]) == 0
             bundle = json.loads(capsys.readouterr().out)
             jsonschema.validate(bundle, _load_schema())
-            if expected is None:
-                assert bundle["spectral"]["perron_value"] is None
-                assert "float range" in bundle["spectral"]["perron_withheld"]
-            else:
-                assert bundle["spectral"]["perron_value"] == pytest.approx(expected, rel=1e-12)
+            # equal row sums: the bracket is the radius itself, exactly
+            assert bundle["spectral"]["perron_bracket"] == [2 * big, 2 * big]
+            assert bundle["spectral"]["perron_value"] == expected
         assert main(["analyze", str(path)]) == 0
-        assert "perron value withheld (perron value outside the float range)" in capsys.readouterr().out
+        assert "perron value above the float range" in capsys.readouterr().out
+
+    def test_perron_vector_entry_below_the_float_range(self, tmp_path, capsys):
+        # scaled to floats, the last row is 2^-1074, the least subnormal: a
+        # power step that rounds it to 0 must not reach a Collatz-Wielandt quotient
+        big, small = str(2**1100 - 1), str(2**26)
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps({"n": 3, "entries": [[big] * 3, [big] * 3, [small, 0, 0]]}))
+        assert main(["analyze", str(path), "--json"]) == 0
+        bundle = json.loads(capsys.readouterr().out)
+        jsonschema.validate(bundle, _load_schema())
+        low, high = (Fraction(x) for x in bundle["spectral"]["perron_bracket"])
+        # rho exceeds 2 big, the radius of the leading 2 x 2 block
+        assert 0 < low <= high and 2 * (2**1100 - 1) <= high
+        assert main(["analyze", str(path)]) == 0
+
+    def test_unprintable_perron_bracket_is_rounded_outward(self, tmp_path, capsys):
+        # 1/p and 1/q with p, q of limit digits: the exact bracket ends have
+        # denominators beyond the int-to-string limit
+        limit = sys.get_int_max_str_digits()
+        p, q = 10 ** (limit - 1) + 1, 3 * 10 ** (limit - 1) + 7
+        path = tmp_path / "pq.json"
+        path.write_text(json.dumps({"n": 2, "entries": [[0, f"1/{p}"], [f"1/{q}", 0]]}))
+        assert main(["analyze", str(path), "--json"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        bundle = json.loads(captured.out)
+        jsonschema.validate(bundle, _load_schema())
+        low, high = (Fraction(x) for x in bundle["spectral"]["perron_bracket"])
+        # rho^2 = 1 / (p q), and the rounded ends still bound it
+        assert low < high and low**2 <= Fraction(1, p * q) <= high**2
+        assert main(["analyze", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "spectral: period 2" in captured.out and "Traceback" not in captured.err
+
+    def test_tolerance_options_are_gone(self, tmp_path):
+        path = _write_cycle(tmp_path)
+        for option in (["--tol", "1e-9"], ["--max-iter", "10"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze", path, *option])
+            assert exc.value.code == 2
 
     def test_human_perron_value_of_huge_entries_is_bounded(self, tmp_path, capsys):
         path = tmp_path / "big.json"
@@ -334,6 +373,14 @@ class TestSubprocessEntryPoint:
         )
         assert proc.returncode == 0
         assert "indecomposable" in proc.stdout
+
+    def test_cli_import_loads_no_numpy(self):
+        import rpotent
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rpotent.__file__)))
+        code = "import sys, rpotent.cli; assert 'numpy' not in sys.modules, 'numpy imported'"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
 
 
 def _oversized_csv_field(tmp_path):

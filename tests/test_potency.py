@@ -211,7 +211,9 @@ class TestPotencyReport:
         assert not rep.is_r_potent and rep.potent is None
         assert rep.minimal_r == 4
         assert rep.rank == 3
-        assert rep.trace_of_projection == QUAD.pow(2).trace()
+        # A^2 is no projection when A^3 != A, so no trace is reported
+        assert rep.trace_of_projection is None
+        assert rep.to_dict()["trace_of_projection"] is None and rep.rank_trace_ok
 
     def test_exponent_beyond_the_cap(self):
         # cycles of lengths 3, 5 and 7: minimal exponent lcm + 1 = 106 > 64

@@ -1,10 +1,16 @@
-"""Period, primitivity, positive powers, Perron estimates, zero traces."""
+"""Period, primitivity, positive powers, exact Perron brackets, zero traces."""
 
+import itertools
 import random
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rpotent import spectral
 from rpotent.generators import (
     block_diagonal,
     cycle_matrix,
@@ -13,9 +19,8 @@ from rpotent.generators import (
 )
 from rpotent.decomposition import block_triangularize
 from rpotent.matrix import Permutation, RMatrix
-from rpotent.potency import as_potent
+from rpotent.potency import as_potent, minimal_potency
 from rpotent.spectral import (
-    PowerIterationError,
     is_primitive,
     period,
     perron_value,
@@ -25,7 +30,7 @@ from rpotent.spectral import (
     wielandt_exponent,
 )
 
-from oracles import period_by_diagonal_hits, random_small_matrix, unscaled_perron
+from oracles import period_by_diagonal_hits, random_small_matrix
 
 
 class TestPeriod:
@@ -116,77 +121,184 @@ class TestWielandt:
             assert wielandt_check(m)
 
 
+def _numpy_radius(m: RMatrix) -> float:
+    """Spectral radius from numpy's eigenvalues: a float oracle, used in tests only."""
+    dense = np.array([[float(x) for x in row] for row in m.entries])
+    return float(max(abs(np.linalg.eigvals(dense))))
+
+
+def _assert_sound(m: RMatrix, bracket) -> None:
+    """``bracket`` contains numpy's radius of ``m``, with 1e-9 slack on the float side."""
+    lower, upper = bracket
+    rho = _numpy_radius(m)
+    slack = 1e-9 * max(1.0, rho)
+    assert lower <= upper
+    assert float(lower) <= rho + slack and rho - slack <= float(upper), (lower, rho, upper)
+
+
+def _fraction_block_bracket(b: RMatrix, x: list[int]) -> tuple[Fraction, Fraction]:
+    """Collatz-Wielandt bounds of B at x, intersected with its row sums, from Fraction entries."""
+    rows = b.entries
+    quotients = [sum((e * xj for e, xj in zip(row, x)), Fraction(0)) / xi for row, xi in zip(rows, x)]
+    sums = [sum(row, Fraction(0)) for row in rows]
+    return max(min(sums), min(quotients)), min(max(sums), max(quotients))
+
+
+_ENTRIES = st.sampled_from([0, 0, 0, 1, 2, 3, Fraction(1, 2), Fraction(1, 3), Fraction(5, 7)])
+
+
+@st.composite
+def _nonnegative(draw):
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n))
+    return RMatrix.from_rows(rows)
+
+
 class TestPerronValue:
     def test_identity(self):
-        assert perron_value(block_triangularize(RMatrix.identity(4))) == pytest.approx(1.0, abs=1e-12)
+        assert perron_value(block_triangularize(RMatrix.identity(4))) == (1, 1)
 
     def test_cycle(self):
-        assert perron_value(block_triangularize(cycle_matrix(3))) == pytest.approx(1.0, abs=1e-9)
+        assert perron_value(block_triangularize(cycle_matrix(3))) == (1, 1)
 
     def test_positive_idempotent(self):
-        assert perron_value(block_triangularize(uniform_idempotent(2))) == pytest.approx(1.0, abs=1e-9)
+        assert perron_value(block_triangularize(uniform_idempotent(2))) == (1, 1)
 
     def test_oscillating_decomposable_potent(self):
-        # swap plus a fixed point: plain iteration cycles, the period trick must not
+        # swap plus a fixed point: every block has equal row sums
         m = block_diagonal([cycle_matrix(2), RMatrix.from_rows([[1]])])
-        assert perron_value(block_triangularize(m)) == pytest.approx(1.0, abs=1e-9)
+        assert perron_value(block_triangularize(m)) == (1, 1)
 
     def test_nilpotent_reports_zero(self):
-        assert perron_value(block_triangularize(RMatrix.from_rows([[0, 1], [0, 0]]))) == 0.0
+        assert perron_value(block_triangularize(RMatrix.from_rows([[0, 1], [0, 0]]))) == (0, 0)
 
-    def test_rejects_zero_matrix(self):
-        with pytest.raises(ValueError):
-            perron_value(block_triangularize(RMatrix.zeros(2)))
+    def test_zero_matrix_reports_zero(self):
+        zero = RMatrix.zeros(2)
+        assert perron_value(block_triangularize(zero)) == (0, 0)
+        assert perron_value(block_triangularize(zero), as_potent(zero, 2)) == (0, 0)
 
-    def test_non_convergence_carries_estimate(self):
-        m = RMatrix.from_rows([[1, 1], [1, 0]])
-        with pytest.raises(PowerIterationError) as exc:
-            perron_value(block_triangularize(m), tol=0.0, max_iter=3)
-        assert exc.value.last_estimate is not None
+    def test_checked_potent_is_exactly_one_without_arithmetic(self, monkeypatch):
+        m = RMatrix.from_rows([[0, 2], ["1/2", 0]])
+        p = as_potent(m, 3)
+        monkeypatch.setattr(spectral, "block_bracket", None)
+        assert perron_value(block_triangularize(m), p) == (1, 1)
 
-    def test_matches_numpy_spectrum_on_random_input(self):
+    def test_bracket_contains_numpy_spectral_radius_on_random_input(self):
         rng = random.Random(6)
-        for _ in range(25):
-            n = rng.randint(2, 6)
-            m = random_small_matrix(rng, n, density=rng.uniform(0.3, 0.9))
-            if m.is_zero():
-                continue
-            dense = np.array([[float(x) for x in row] for row in m.entries])
-            rho = max(abs(np.linalg.eigvals(dense)))
-            assert perron_value(block_triangularize(m)) == pytest.approx(float(rho), abs=1e-6)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            m = random_small_matrix(rng, n, density=rng.uniform(0.2, 0.9))
+            _assert_sound(m, perron_value(block_triangularize(m)))
 
-    def test_scaled_iteration_is_bit_identical_to_unscaled(self):
-        # entries up to 3 and down to 1/3 make the power-of-two scale nonzero
-        rng = random.Random(8)
-        checked = 0
-        while checked < 40:
-            n = rng.randint(1, 6)
-            m = random_small_matrix(rng, n, density=rng.uniform(0.3, 1.0))
-            if m.is_zero():
-                continue
-            checked += 1
-            assert perron_value(block_triangularize(m)) == unscaled_perron(m)
+    def test_positive_input_gets_a_tight_bracket(self):
+        rng = random.Random(9)
+        for _ in range(20):
+            m = random_small_matrix(rng, rng.randint(2, 8), density=1.0)
+            lower, upper = perron_value(block_triangularize(m))
+            assert upper - lower <= 1e-9 * upper
 
-    def test_entries_beyond_float_range_are_scaled_first(self):
+    def test_periodic_block_gets_a_tight_bracket(self):
+        # D C D^-1 for a cycle C: unit radius, unequal row sums, and plain
+        # power steps would cycle through h vectors without converging
+        for h, weights in ((2, (1, 4)), (3, (1, 5, Fraction(1, 3))), (7, (1, 2, 9, 1, 3, 5, 8))):
+            rows = [[0] * h for _ in range(h)]
+            for i in range(h):
+                rows[i][(i + 1) % h] = Fraction(weights[i]) / weights[(i + 1) % h]
+            lower, upper = perron_value(block_triangularize(RMatrix.from_rows(rows)))
+            assert lower <= 1 <= upper and upper - lower <= 1e-12
+
+    def test_sparse_primitive_input_gets_a_tight_bracket(self):
+        # a Hamiltonian cycle, one loop and a few chords: the other eigenvalues
+        # lie close to the circle of radius rho, where power steps barely converge
+        rng = random.Random(4)
+        for _ in range(20):
+            n = rng.randint(6, 24)
+            order = list(range(n))
+            rng.shuffle(order)
+            rows = [[0] * n for _ in range(n)]
+            for k in range(n):
+                rows[order[(k + 1) % n]][order[k]] = rng.randint(1, 3)
+            rows[order[0]][order[0]] = rng.randint(1, 3)
+            for _ in range(rng.randint(0, 4)):
+                rows[rng.randrange(n)][rng.randrange(n)] = rng.randint(1, 3)
+            m = RMatrix.from_rows(rows)
+            lower, upper = perron_value(block_triangularize(m))
+            assert upper - lower <= 1e-12 * upper
+            _assert_sound(m, (lower, upper))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_nonnegative())
+    def test_each_block_is_the_fraction_bracket_at_the_vector_used(self, m):
+        t = block_triangularize(m)
+        expected = []
+        for b in t.diagonal_blocks:
+            x = spectral.perron_vector(b.num) if len(set(map(sum, b.num))) > 1 else [1] * b.n
+            assert all(xi > 0 for xi in x)
+            expected.append(_fraction_block_bracket(b, x))
+        lower, upper = perron_value(t)
+        assert lower == max(lo for lo, _ in expected) and upper == max(hi for _, hi in expected)
+        _assert_sound(m, (lower, upper))
+
+    def test_entries_beyond_float_range(self):
         # the squares of 10^200 and of 10^-200 leave the float range
         big = 10**200
         m = RMatrix.from_rows([[big, big], [big, big]])
-        assert perron_value(block_triangularize(m)) == pytest.approx(2e200, rel=1e-12)
+        assert perron_value(block_triangularize(m)) == (2 * big, 2 * big)
         tiny = RMatrix.from_rows([[f"1/{big}", 0], [0, f"3/{big}"]])
-        assert perron_value(block_triangularize(tiny)) == pytest.approx(3e-200, rel=1e-12)
+        assert perron_value(block_triangularize(tiny)) == (Fraction(3, big), Fraction(3, big))
+        # each has rho^2 - rho = c; float products of their entries underflow
+        # to 0, and the power steps stop at the last positive iterate.  The
+        # Perron vector of the first two spans 200 and 300 decimal orders,
+        # beyond what one float scaled by a power of two can hold
+        cases = [([[0, k], [f"1/{k}", 1]], 1) for k in (big, 10**300)]
+        for rows, c in cases + [([[1, 2**2000], [1, 0]], 2**2000)]:
+            lower, upper = perron_value(block_triangularize(RMatrix.from_rows(rows)))
+            assert lower**2 - lower <= c <= upper**2 - upper
+            if c == 1:
+                assert upper <= 3  # the row sums are k and 1 + 1/k
 
-    def test_value_outside_float_range_raises(self):
-        huge = 10**400
-        with pytest.raises(PowerIterationError, match="float range"):
-            perron_value(block_triangularize(RMatrix.from_rows([[huge, huge], [huge, huge]])))
-        with pytest.raises(PowerIterationError, match="float range"):
-            perron_value(block_triangularize(RMatrix.from_rows([[f"1/{huge}"]])))
+    def test_float_iterate_that_underflows_after_scaling_is_dropped(self):
+        # scaled by 2^1100, the last row is 2^-1074 and the first power step
+        # gives [3, 3, 2^-1074]: dividing by 3 rounds its last entry to 0,
+        # and a zero x_i would end in a division by zero
+        big, small = 2**1100 - 1, 2**26
+        m = RMatrix.from_rows([[big, big, big], [big, big, big], [small, 0, 0]])
+        lower, upper = perron_value(block_triangularize(m))
+        # rank 2 with nonzero eigenvalues the roots of l^2 - 2 big l - big small,
+        # which is negative on [0, rho) and positive above rho
+        assert 0 < lower <= upper
+        assert lower**2 - 2 * big * lower <= big * small <= upper**2 - 2 * big * upper
 
     def test_every_generated_potent_has_unit_radius(self):
         for seed in range(60):
             r = (2, 3, 4, 5)[seed % 4]
             m = random_r_potent(r, 1 + seed % 5, seed, max_dim=14)
-            assert perron_value(block_triangularize(m)) == pytest.approx(1.0, abs=1e-9)
+            lower, upper = perron_value(block_triangularize(m))
+            assert lower <= 1 <= upper
+            assert perron_value(block_triangularize(m), as_potent(m, r)) == (1, 1)
+
+
+class TestEveryZeroOneMatrixUpToThree:
+    """All 530 0/1 matrices with n <= 3: 87 potent, the nilpotent ones, the rest."""
+
+    def test_brackets(self):
+        potent = nilpotent = 0
+        for n in (1, 2, 3):
+            for bits in itertools.product((0, 1), repeat=n * n):
+                m = RMatrix.from_rows([list(bits[i * n:(i + 1) * n]) for i in range(n)])
+                t = block_triangularize(m)
+                _assert_sound(m, perron_value(t))
+                p = minimal_potency(m)
+                if p is not None:
+                    potent += 1
+                    exact = (0, 0) if m.is_zero() else (1, 1)
+                    assert spectral_report(t, p).perron_bracket == exact
+                if m.pow(n).is_zero():
+                    nilpotent += 1
+                    assert perron_value(t) == (0, 0)
+                    assert spectral_report(t).to_dict()["perron_value"] == 0.0
+        assert potent == 87
+        assert nilpotent == 1 + 3 + 25  # acyclic supports
 
 
 class TestTraceZero:
@@ -224,18 +336,32 @@ class TestSpectralReport:
         e = RMatrix.identity(2)
         rep = spectral_report(block_triangularize(e), as_potent(e, 2))
         assert rep.period is None
-        assert rep.perron_value == pytest.approx(1.0, abs=1e-9)
+        assert rep.perron_value == 1.0 and rep.perron_bracket == (1, 1)
 
-    def test_withheld_perron_value_is_reported_with_reason(self):
+    def test_radius_beyond_the_float_range_keeps_its_exact_bracket(self):
         huge = 10**400
         rep = spectral_report(block_triangularize(RMatrix.from_rows([[huge, huge], [huge, huge]])))
         assert rep.perron_value is None
-        assert rep.to_dict()["perron_withheld"] == "perron value outside the float range"
-        # a Jordan block: the estimate approaches 1 too slowly to converge
-        rep = spectral_report(block_triangularize(RMatrix.from_rows([[1, 1], [0, 1]])), max_iter=50)
-        assert rep.perron_value is None
-        assert "did not converge" in rep.perron_withheld
-        assert "perron_withheld" not in spectral_report(block_triangularize(RMatrix.identity(2))).to_dict()
+        assert rep.to_dict()["perron_bracket"] == [2 * huge, 2 * huge]
+
+    def test_jordan_block_is_exact(self):
+        # [[1, 1], [0, 1]]: two 1 x 1 blocks, where power iteration never converged
+        rep = spectral_report(block_triangularize(RMatrix.from_rows([[1, 1], [0, 1]])))
+        assert rep.perron_bracket == (1, 1) and rep.perron_value == 1.0
+
+    def test_unprintable_bracket_ends_are_rounded_outward(self):
+        # 1/p and 1/q with p and q of limit digits: the quotients at the
+        # Collatz-Wielandt vector have denominators far beyond the limit
+        limit = sys.get_int_max_str_digits()
+        p, q = 10 ** (limit - 1) + 1, 3 * 10 ** (limit - 1) + 7
+        rep = spectral_report(block_triangularize(RMatrix.from_rows([[0, f"1/{p}"], [f"1/{q}", 0]])))
+        lower, upper = rep.perron_bracket
+        rho_squared = Fraction(1, p * q)
+        assert lower**2 <= rho_squared <= upper**2
+        low_text, high_text = rep.to_dict()["perron_bracket"]
+        assert "e-" in low_text and "e-" in high_text
+        assert Fraction(low_text) <= lower and upper <= Fraction(high_text)
+        assert Fraction(low_text) ** 2 <= rho_squared <= Fraction(high_text) ** 2
 
     def test_primitive_report_includes_positive_power(self):
         rep = spectral_report(block_triangularize(RMatrix.from_rows([[1, 1], [1, 0]])))
