@@ -151,8 +151,12 @@ def _print_bundle_human(bundle: dict, out) -> None:
     value = sp["perron_value"]
     if value is None:
         perron = "perron value above the float range"
+    elif value == 0 and sp["perron_bracket"][1] != 0:
+        perron = "perron value below the float range"
+    elif value == 0 or 1e-3 <= value < 1e12:
+        perron = f"perron value {value:.9f}"
     else:
-        perron = f"perron value {value:.9f}" if value < 1e12 else f"perron value {value:.9e}"
+        perron = f"perron value {value:.9e}"
     period = sp["period"]
     if period is not None:
         prim = "primitive" if sp["is_primitive"] else f"period {period}"

@@ -5,8 +5,9 @@ rank-one idempotents; ranks multiply under Kronecker products and add under
 direct sums, so a target rank is hit exactly by solving a tiny partition over
 divisors of r-1.  Coupled decomposable examples come from wrapping a known
 r-potent block B as [[B, B^(r-1) X], [0, 0]], which is r-potent for any
-nonnegative X and keeps the rank of B.  All randomness flows through
-``random.Random(seed)``, so a spec plus seed identifies one matrix.
+nonnegative X and keeps the rank of B; the coupled block is one exact
+product, diag(B^(r-1), 0) times [[B, X], [0, 0]].  All randomness flows
+through ``random.Random(seed)``, so a spec plus seed identifies one matrix.
 
 Entries are drawn from a small pool of rationals and idempotent factors are
 normalized exactly, which keeps entry bit-size bounded through repeated
@@ -37,11 +38,7 @@ def cycle_matrix(length: int) -> RMatrix:
     """
     if length < 1:
         raise ValueError("cycle length must be positive")
-    zero, one = Fraction(0), Fraction(1)
-    rows = [[zero] * length for _ in range(length)]
-    for j in range(length):
-        rows[(j + 1) % length][j] = one
-    return RMatrix(tuple(tuple(row) for row in rows))
+    return Permutation(tuple([(j + 1) % length for j in range(length)])).to_matrix()
 
 
 def rank_one_idempotent(u: Sequence[Entry], v: Sequence[Entry]) -> RMatrix:
@@ -70,15 +67,16 @@ def block_diagonal(blocks: Sequence[RMatrix]) -> RMatrix:
     if not blocks:
         raise ValueError("need at least one block")
     n = sum(b.n for b in blocks)
-    zero = Fraction(0)
-    rows = [[zero] * n for _ in range(n)]
+    den = math.lcm(*[b.den for b in blocks])
+    rows = []
     offset = 0
     for b in blocks:
-        for i in range(b.n):
-            for j in range(b.n):
-                rows[offset + i][offset + j] = b.entries[i][j]
+        scale = den // b.den
+        left, right = (0,) * offset, (0,) * (n - offset - b.n)
+        for row in b.num:
+            rows.append(tuple([*left, *[x * scale for x in row], *right]))
         offset += b.n
-    return RMatrix(tuple(tuple(row) for row in rows))
+    return RMatrix._normalized(den, tuple(rows))
 
 
 def triangular_family(p: Potent, x: Sequence[Sequence[Entry]] | RMatrix) -> RMatrix:
@@ -86,7 +84,8 @@ def triangular_family(p: Potent, x: Sequence[Sequence[Entry]] | RMatrix) -> RMat
 
     ``p`` is B checked at r.  B^(r-1) C = B^(2r-2) X = B^(r-1) X = C, so the
     r-th power reproduces the matrix.  The rank equals rank(B): the coupling
-    columns lie in the range of B.
+    columns lie in the range of B.  Built as one exact product
+    diag(B^(r-1), 0) [[B, X], [0, 0]], whose leading block is B^r = B.
     """
     b = p.a
     x_rows = x.entries if isinstance(x, RMatrix) else x
@@ -102,20 +101,9 @@ def triangular_family(p: Potent, x: Sequence[Sequence[Entry]] | RMatrix) -> RMat
             raise ValueError("coupling seed must be nonnegative")
     if m < 1:
         raise ValueError("coupling seed must have at least one column")
-    proj = p.projection
-    coupling = [
-        [sum((proj.entries[i][t] * xs[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
-        for i in range(k)
-    ]
-    zero = Fraction(0)
-    n = k + m
-    rows = [[zero] * n for _ in range(n)]
-    for i in range(k):
-        for j in range(k):
-            rows[i][j] = b.entries[i][j]
-        for j in range(m):
-            rows[i][k + j] = coupling[i][j]
-    return RMatrix(tuple(tuple(row) for row in rows))
+    zero_rows = [(Fraction(0),) * (k + m)] * m
+    w = RMatrix(tuple([(*b_row, *x_row) for b_row, x_row in zip(b.entries, xs)] + zero_rows))
+    return block_diagonal([p.projection, RMatrix.zeros(m)]) @ w
 
 
 def _random_idempotent(rng: random.Random, dim: int, su: range | set[int], sv: range | set[int]) -> RMatrix:
@@ -270,7 +258,7 @@ def random_singular_zero_diag(r: int, seed: int, max_dim: int = 24) -> RMatrix:
         m = block_diagonal([core, RMatrix.zeros(1)])
     m = m.conjugate(Permutation.random(m.n, rng))
     m = _verify_emission(m, r, target)
-    if m.rank() >= m.n:
+    if target >= m.n:
         raise RuntimeError("generator emitted a nonsingular matrix")
     return m
 

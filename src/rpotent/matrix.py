@@ -224,6 +224,11 @@ class PatternMatrix:
     def to_bools(self) -> list[list[bool]]:
         return [[self.get(i, j) for j in range(self.n)] for i in range(self.n)]
 
+    def to_matrix(self) -> RMatrix:
+        """The 0/1 matrix with this support."""
+        n = self.n
+        return RMatrix._make(1, tuple([tuple([mask >> j & 1 for j in range(n)]) for mask in self.rows]))
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -297,10 +302,10 @@ class Permutation:
         return tuple(sorted(lengths))
 
     def to_matrix(self) -> RMatrix:
-        rows = [[_ZERO] * self.n for _ in range(self.n)]
+        rows = [[0] * self.n for _ in range(self.n)]
         for j, img in enumerate(self.images):
-            rows[img][j] = _ONE
-        return RMatrix(tuple([tuple(row) for row in rows]))
+            rows[img][j] = 1
+        return RMatrix._make(1, tuple([tuple(row) for row in rows]))
 
 
 class RMatrix:
@@ -317,10 +322,12 @@ class RMatrix:
     matrix.  Squareness, entry types and nonnegativity are checked in
     ``__post_init__``, which every public constructor runs: ``RMatrix(entries)``
     with a grid of ``Fraction``, ``from_rows``, ``identity``, ``zeros``,
-    ``diagonal``, the JSON and CSV readers and ``Permutation.to_matrix``.
-    Results of operations on validated matrices (products, powers, Kronecker
-    products, relabellings, submatrices) are built by ``_make`` without those
-    checks: products and sums of nonnegative integers stay nonnegative.
+    ``diagonal`` and the JSON and CSV readers.  Results of operations on
+    validated matrices (products, powers, Kronecker products, relabellings,
+    submatrices) are built by ``_make`` without those checks: products and
+    sums of nonnegative integers stay nonnegative.  So are the 0/1 matrices
+    of ``Permutation.to_matrix`` and ``PatternMatrix.to_matrix``, whose
+    images and bitmasks their own constructors have validated.
 
     ``entries`` is a read-only ``Fraction`` view of the grid, built on first
     use and then kept.

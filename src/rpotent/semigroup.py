@@ -339,11 +339,7 @@ def semigroup_rank_floor_check(
             raise ValueError(f"every generator must be {r}-potent")
     closure = rational_closure(generators, cap)
     closure.require_complete()
-    union = closure.union_pattern()
-    union_matrix = RMatrix.from_rows(
-        [[1 if union.get(i, j) else 0 for j in range(union.n)] for i in range(union.n)]
-    )
-    t = block_triangularize(union_matrix)
+    t = block_triangularize(closure.union_pattern().to_matrix())
     records = []
     for comp in t.components:
         compressions = {m.submatrix(comp) for m in closure.members}

@@ -225,7 +225,7 @@ def run_wielandt(trials: int = 100, seed: int = DEFAULT_SEED, n: int | None = No
         while collected < trials and attempts < trials * 500:
             attempts += 1
             p = random_pattern(rng, dim, rng.uniform(0.2, 0.7))
-            m = RMatrix.from_rows([[1 if p.get(i, j) else 0 for j in range(dim)] for i in range(dim)])
+            m = p.to_matrix()
             if not is_primitive(m):
                 continue
             collected += 1

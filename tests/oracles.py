@@ -8,7 +8,9 @@ against the component decision, a closure that multiplies every new
 member with every member on both sides against the one that multiplies
 each member by the generators on the right, and a potency walk that takes
 every power up to its cap against the one that stops at a power no potent
-matrix has.
+matrix has.  The generator oracles place ``Fraction`` entries one by one
+and compute the coupling B^(r-1) X with a triple loop, against builders that
+pad integer rows and take one exact product.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections import deque
 from fractions import Fraction
 from math import gcd
 
-from rpotent.matrix import PatternMatrix, RMatrix
+from rpotent.matrix import PatternMatrix, RMatrix, coerce_entry
 from rpotent.potency import DEFAULT_POTENCY_CAP, Potent
 
 
@@ -40,6 +42,44 @@ def naive_power(a: RMatrix, k: int) -> RMatrix:
     for _ in range(k):
         result = naive_multiply(result, a)
     return result
+
+
+def fraction_cycle_matrix(length: int) -> RMatrix:
+    """Cycle 0 -> 1 -> ... -> length-1 -> 0, one ``Fraction`` entry at a time."""
+    rows = [[Fraction(0)] * length for _ in range(length)]
+    for j in range(length):
+        rows[(j + 1) % length][j] = Fraction(1)
+    return RMatrix(tuple(tuple(row) for row in rows))
+
+
+def fraction_block_diagonal(blocks: list[RMatrix]) -> RMatrix:
+    """Direct sum built by copying each block's ``Fraction`` entries."""
+    n = sum(b.n for b in blocks)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i in range(b.n):
+            for j in range(b.n):
+                rows[offset + i][offset + j] = b.entries[i][j]
+        offset += b.n
+    return RMatrix(tuple(tuple(row) for row in rows))
+
+
+def fraction_triangular_family(p: Potent, x) -> RMatrix:
+    """[[B, B^(r-1) X], [0, 0]] with the coupling summed entry by entry."""
+    b = p.a
+    xs = [[coerce_entry(c) for c in row] for row in (x.entries if isinstance(x, RMatrix) else x)]
+    k, m = b.n, len(xs[0])
+    proj = p.projection
+    coupling = [
+        [sum((proj.entries[i][t] * xs[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
+        for i in range(k)
+    ]
+    rows = [[Fraction(0)] * (k + m) for _ in range(k + m)]
+    for i in range(k):
+        rows[i][:k] = b.entries[i]
+        rows[i][k:] = coupling[i]
+    return RMatrix(tuple(tuple(row) for row in rows))
 
 
 def unscreened_minimal_potency(a: RMatrix, cap: int = DEFAULT_POTENCY_CAP) -> Potent | None:

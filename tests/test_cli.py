@@ -143,7 +143,9 @@ class TestAnalyze:
         assert low < high and low**2 <= Fraction(1, p * q) <= high**2
         assert main(["analyze", str(path)]) == 0
         captured = capsys.readouterr()
-        assert "spectral: period 2" in captured.out and "Traceback" not in captured.err
+        assert "Traceback" not in captured.err
+        # the float midpoint is 0.0 but the exact bracket is positive
+        assert "spectral: period 2, perron value below the float range" in captured.out
 
     def test_tolerance_options_are_gone(self, tmp_path):
         path = _write_cycle(tmp_path)
@@ -162,9 +164,14 @@ class TestAnalyze:
         assert max(len(line) for line in out.splitlines()) < 80
 
     def test_human_perron_value_keeps_fixed_point_below_1e12(self, tmp_path, capsys):
+        # fixed point from 1e-3 up to 1e12, and for the exact zero of a
+        # nilpotent input; a nonzero value outside that range in e-form
         path = tmp_path / "m.json"
         for value, expected in ((10**12 - 1, "perron value 999999999999.000000000"),
-                                (10**12, "perron value 1.000000000e+12")):
+                                (10**12, "perron value 1.000000000e+12"),
+                                ("1/1000", "perron value 0.001000000"),
+                                (f"1/{10**12}", "perron value 1.000000000e-12"),
+                                (0, "perron value 0.000000000")):
             path.write_text(json.dumps({"n": 1, "entries": [[value]]}))
             assert main(["analyze", str(path)]) == 0
             assert expected in capsys.readouterr().out

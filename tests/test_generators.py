@@ -1,6 +1,7 @@
 """Generator constructions: emission guarantees, determinism, rank targeting."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,13 @@ from rpotent.generators import (
 from rpotent.matrix import RMatrix, matrix_to_json
 from rpotent.potency import as_potent, is_r_potent, minimal_potency, zero_diagonal_powers
 
+from oracles import fraction_block_diagonal, fraction_cycle_matrix, fraction_triangular_family
+
+
+def _same(m: RMatrix, oracle: RMatrix) -> bool:
+    """Equal as values, and in the canonical ``(den, num)`` form that ``hash`` reads."""
+    return m == oracle and hash(m) == hash(oracle) and (m.den, m.num) == (oracle.den, oracle.num)
+
 
 class TestCycleMatrix:
     def test_length_one(self):
@@ -36,6 +44,10 @@ class TestCycleMatrix:
     def test_is_length_plus_one_potent(self):
         for length in (1, 2, 3, 4, 5):
             assert minimal_potency(cycle_matrix(length), 10).r == length + 1
+
+    def test_matches_fraction_oracle(self):
+        for length in range(1, 9):
+            assert _same(cycle_matrix(length), fraction_cycle_matrix(length))
 
 
 class TestRankOneIdempotent:
@@ -87,6 +99,21 @@ class TestBlockDiagonal:
         m = block_diagonal([cycle_matrix(2), cycle_matrix(3)])
         assert minimal_potency(m, 10).r == 7
 
+    def test_matches_fraction_oracle(self):
+        cases = [
+            # mixed denominators: 1/2, 1/3 and 1/5 grids beside an integer block
+            [uniform_idempotent(2), uniform_idempotent(3), cycle_matrix(2), uniform_idempotent(5)],
+            [RMatrix.from_rows([["2/3", "1/6"], [0, "5/4"]]), RMatrix.from_rows([["7/10"]])],
+            # zero blocks, alone, between others and as 1 x 1 blocks
+            [RMatrix.zeros(3)],
+            [RMatrix.zeros(1), uniform_idempotent(3), RMatrix.zeros(2), RMatrix.zeros(1)],
+            [RMatrix.from_rows([["1/2"]]), RMatrix.from_rows([[3]]), RMatrix.zeros(1)],
+        ]
+        for seed in range(40):
+            cases.append([random_rank_one_idempotent(1 + (seed + i) % 4, seed + i) for i in range(1 + seed % 4)])
+        for blocks in cases:
+            assert _same(block_diagonal(blocks), fraction_block_diagonal(blocks))
+
 
 class TestTriangularFamily:
     def test_rejects_non_potent_base(self):
@@ -96,10 +123,33 @@ class TestTriangularFamily:
 
     def test_coupling_is_projected(self):
         b = cycle_matrix(3)
-        m = triangular_family(as_potent(b, 4), [[1], [0], [2]])
-        assert is_r_potent(m, 4)
-        # coupling column equals B^3 X = X here since B^3 = I
-        assert [m.get(i, 3) for i in range(3)] == [1, 0, 2]
+        m = triangular_family(as_potent(b, 4), [[1, "1/2"], [0, 3], [2, 0]])
+        assert m.n == 5 and is_r_potent(m, 4) and m.rank() == 3
+        # coupling columns equal B^3 X = X here since B^3 = I
+        assert [[m.get(i, j) for j in (3, 4)] for i in range(3)] == [[1, Fraction(1, 2)], [0, 3], [2, 0]]
+        assert all(m.get(i, j) == 0 for i in (3, 4) for j in range(5))
+
+    def test_matches_fraction_oracle(self):
+        potents = [
+            as_potent(cycle_matrix(3), 4),
+            as_potent(uniform_idempotent(3), 2),
+            as_potent(RMatrix.identity(2), 2),
+            as_potent(block_diagonal([uniform_idempotent(2), RMatrix.zeros(1)]), 3),
+            as_potent(random_r_potent(3, 2, 5, max_dim=6), 3),
+            as_potent(RMatrix.from_rows([[1]]), 2),
+        ]
+        rng = random.Random(3)
+        pool = [0, 1, 2, "1/2", "2/3", "5/7"]
+        for p in potents:
+            k = p.a.n
+            seeds = [
+                [[rng.choice(pool) for _ in range(m)] for _ in range(k)] for m in (1, 2, 3)
+            ]
+            # X given as a k x k RMatrix, rational and all-zero
+            seeds.append(RMatrix.from_rows([[rng.choice(pool) for _ in range(k)] for _ in range(k)]))
+            seeds.append(RMatrix.zeros(k))
+            for x in seeds:
+                assert _same(triangular_family(p, x), fraction_triangular_family(p, x))
 
 
 class TestRandomRPotent:

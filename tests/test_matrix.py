@@ -136,11 +136,19 @@ class TestIntegerBackend:
         with pytest.raises(error):
             build()
 
-    def test_permutation_matrix_is_built_through_validation(self):
+    def test_trusted_0_1_matrices_match_validated_grids(self):
+        # Permutation.to_matrix and PatternMatrix.to_matrix skip validation;
+        # they must equal the validated build of the same 0/1 grid
         p = Permutation((2, 0, 1))
         m = p.to_matrix()
         assert m == RMatrix(tuple(tuple(Fraction(int(p(j) == i)) for j in range(3)) for i in range(3)))
         assert m.den == 1
+        for packed in range(1 << 9):
+            pattern = PatternMatrix.from_packed(3, packed)
+            m = pattern.to_matrix()
+            rebuilt = RMatrix.from_rows([[int(v) for v in row] for row in pattern.to_bools()])
+            assert (m.den, m.num) == (rebuilt.den, rebuilt.num) and hash(m) == hash(rebuilt)
+            assert m.entries == rebuilt.entries and m.pattern() == pattern
 
 
 class TestConstruction:
