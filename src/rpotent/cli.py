@@ -10,11 +10,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .decomposition import (
-    InvariantSubsetWitness,
     block_triangularize,
     brute_force_decomposable,
     main_decomposability_test,
@@ -36,18 +34,6 @@ from .verification import CHECKS, run_check
 ORACLE_DIM_LIMIT = 12
 
 
-def _closure_cap(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("RPOTENT_CLOSURE_CAP")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"RPOTENT_CLOSURE_CAP must be an integer, got {env!r}") from exc
-    return DEFAULT_CLOSURE_CAP
-
-
 def _analysis_bundle(a: RMatrix, r: int | None) -> dict:
     """Every report for one matrix, from one potency pass and one triangularization."""
     proof: list[NonPotency] = []
@@ -60,7 +46,7 @@ def _analysis_bundle(a: RMatrix, r: int | None) -> dict:
     oracle_agrees = None
     if oracle_checked:
         oracle_agrees = (oracle_witness is not None) == decomposable
-    prediction = None if potent is None else main_decomposability_test(potent)
+    prediction = None if potent is None else main_decomposability_test(potent, tri)
     structure = None if potent is None else analyze_structure(potent, tri)
     spectral = spectral_report(tri, potent)
     checks_ok = all(
@@ -72,19 +58,13 @@ def _analysis_bundle(a: RMatrix, r: int | None) -> dict:
             None if structure is None else (structure.blocks_ok and structure.rank_sum_ok),
         )
     )
-    witness = None
-    if decomposable:
-        w = InvariantSubsetWitness(frozenset(tri.components[0]), a.n)
-        if not w.verify(a):
-            raise RuntimeError("sink component failed to verify as invariant")
-        witness = w.sorted_indices()
     bundle = {
         "matrix": a.to_json_dict(),
         "r": None if potency is None else potency.r,
         "potency": None if potency is None else potency.to_dict(),
         "decomposability": {
             "decomposable": decomposable,
-            "witness": witness,
+            "witness": None if tri.witness is None else tri.witness.sorted_indices(),
             "oracle_checked": oracle_checked,
             "oracle_witness": None if oracle_witness is None else oracle_witness.sorted_indices(),
             "oracle_agrees": oracle_agrees,
@@ -237,6 +217,8 @@ def cmd_verify(args) -> int:
         known = ", ".join(sorted(CHECKS))
         print(f"unknown check id {args.theorem!r}; known ids: {known}", file=sys.stderr)
         return 2
+    if args.trials is not None and args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     result = run_check(args.theorem, trials=args.trials, seed=args.seed, n=args.n)
     status = "pass" if result.ok else "FAIL"
     print(f"check {result.check_id}: {result.passed}/{result.total} {status}")
@@ -250,12 +232,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_semigroup(args) -> int:
-    cap = _closure_cap(args.cap)
     matrices = [load_matrix(path) for path in args.files]
     dims = {m.n for m in matrices}
     if len(dims) > 1:
         raise ValueError(f"generators must share a dimension, got {sorted(dims)}")
-    closure = pattern_closure([m.pattern() for m in matrices], cap=cap)
+    closure = pattern_closure([m.pattern() for m in matrices], cap=args.cap)
     report: dict = {
         "generator_count": closure.generator_count,
         "closure_size": len(closure),
@@ -272,7 +253,7 @@ def cmd_semigroup(args) -> int:
             exit_code = 1
         if args.r is not None:
             try:
-                floor = semigroup_rank_floor_check(matrices, args.r, cap=cap)
+                floor = semigroup_rank_floor_check(matrices, args.r, cap=args.cap)
                 report["rank_floor"] = floor.to_dict()
                 if not floor.all_ok:
                     exit_code = 1
@@ -331,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sg = sub.add_parser("semigroup", help="close generators and report decomposability")
     p_sg.add_argument("files", nargs="+")
     p_sg.add_argument("--r", type=int, default=None, help="potency exponent for the rank floor")
-    p_sg.add_argument("--cap", type=int, default=None, help="closure member cap")
+    p_sg.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP, help="closure member cap")
     return parser
 
 

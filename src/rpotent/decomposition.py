@@ -200,21 +200,40 @@ def brute_force_decomposable(a: RMatrix) -> InvariantSubsetWitness | None:
 
 @dataclass(frozen=True)
 class BlockTriangularization:
-    """Permutation plus ordered diagonal blocks of a block upper triangular form.
+    """Ordered components of A = ``source`` that put A in block upper triangular form.
 
     ``components`` lists, per block, the original indices it contains.  Each
     block is one strongly connected component of the support digraph, hence
     indecomposable, which is what makes the triangularization maximal.  The
     order is a sink-first linear extension of the condensation, so conjugation
     by ``permutation`` leaves zeros strictly below the diagonal blocks.
+
+    This is the one place where the component facts of A are decided: A is
+    decomposable iff ``is_trivial`` is False, ``witness`` is the first (sink)
+    component as an invariant index set, and ``periods`` are the block
+    periods.  A semigroup's facts are those of the triangularization of its
+    union pattern.  Everything else is derived from the components when first
+    asked for, then kept.
     """
 
-    permutation: Permutation
-    block_sizes: tuple[int, ...]
-    diagonal_blocks: tuple[RMatrix, ...]
-    is_trivial: bool
     components: tuple[tuple[int, ...], ...]
     source: RMatrix
+
+    @property
+    def is_trivial(self) -> bool:
+        return len(self.components) == 1
+
+    @property
+    def block_sizes(self) -> tuple[int, ...]:
+        return tuple(len(c) for c in self.components)
+
+    @cached_property
+    def permutation(self) -> Permutation:
+        return Permutation(tuple(v for comp in self.components for v in comp))
+
+    @cached_property
+    def diagonal_blocks(self) -> tuple[RMatrix, ...]:
+        return tuple(self.source.submatrix(c) for c in self.components)
 
     @cached_property
     def periods(self) -> tuple[int | None, ...]:
@@ -226,6 +245,20 @@ class BlockTriangularization:
             None if blk.is_zero() else Digraph.from_matrix(blk).cycle_gcd()
             for blk in self.diagonal_blocks
         )
+
+    @cached_property
+    def witness(self) -> InvariantSubsetWitness | None:
+        """The sink component as an invariant index set, None when there is one block.
+
+        A sink of the condensation has no edge leaving it, so its columns have
+        support inside it; the witness is re-verified against A all the same.
+        """
+        if self.is_trivial:
+            return None
+        w = InvariantSubsetWitness(frozenset(self.components[0]), self.source.n)
+        if not w.verify(self.source):
+            raise RuntimeError("sink component failed to verify as invariant")
+        return w
 
     def conjugated(self) -> RMatrix:
         return self.source.conjugate(self.permutation)
@@ -246,8 +279,7 @@ class BlockTriangularization:
         """Rebuild with components permuted into the given order (indices into ``components``)."""
         if sorted(order) != list(range(len(self.components))):
             raise ValueError("order must permute the component indices")
-        comps = tuple(self.components[i] for i in order)
-        return _assemble(self.source, list(comps))
+        return BlockTriangularization(tuple(self.components[i] for i in order), self.source)
 
     def to_dict(self) -> dict:
         return {
@@ -256,18 +288,6 @@ class BlockTriangularization:
             "permutation": list(self.permutation.images),
             "components": [list(c) for c in self.components],
         }
-
-
-def _assemble(a: RMatrix, ordered: list[tuple[int, ...]]) -> BlockTriangularization:
-    images = tuple(v for comp in ordered for v in comp)
-    return BlockTriangularization(
-        permutation=Permutation(images),
-        block_sizes=tuple(len(c) for c in ordered),
-        diagonal_blocks=tuple(a.submatrix(c) for c in ordered),
-        is_trivial=len(ordered) == 1,
-        components=tuple(ordered),
-        source=a,
-    )
 
 
 def condensation_successors(
@@ -298,6 +318,8 @@ def _sink_first_order(components: list[tuple[int, ...]], graph: Digraph) -> list
     toward the component containing the smallest original index, making the
     output deterministic.
     """
+    if len(components) == 1:
+        return [0]
     succ = condensation_successors(tuple(components), graph)
     placed = [False] * len(components)
     order: list[int] = []
@@ -324,7 +346,7 @@ def block_triangularize(a: RMatrix) -> BlockTriangularization:
     graph = Digraph.from_matrix(a)
     comps = graph.strongly_connected_components()
     order = _sink_first_order(comps, graph)
-    return _assemble(a, [comps[ci] for ci in order])
+    return BlockTriangularization(tuple(comps[ci] for ci in order), a)
 
 
 def rank_one_idempotent_diag_test(a: RMatrix) -> bool:
@@ -379,10 +401,16 @@ class DecompositionPrediction:
         }
 
 
-def main_decomposability_test(p: Potent) -> DecompositionPrediction:
-    """Classify an r-potent matrix by the decomposability criteria and compare."""
+def main_decomposability_test(p: Potent, t: BlockTriangularization) -> DecompositionPrediction:
+    """Classify an r-potent matrix by the decomposability criteria and compare.
+
+    ``t`` is A's maximal block triangularization; A is actually decomposable
+    iff it has more than one block.
+    """
+    if t.source != p.a:
+        raise ValueError("t is the triangularization of another matrix")
     a, r, k = p.a, p.r, p.rank
-    actual = is_decomposable(a)
+    actual = not t.is_trivial
     if k > r - 1:
         case, predicted = "rank_above_threshold", True
     elif (

@@ -17,8 +17,12 @@ For a closed semigroup the union pattern U of all members is transitively
 closed (U_{ik} and U_{kj} nonzero in some members forces U_{ij} nonzero via
 their product), which ties three facts together: the union has a zero entry
 iff it has a zero entry off the diagonal iff its digraph is not strongly
-connected.  The routines here compute each side independently so the
-equivalence can be tested rather than assumed.
+connected.  Two facets are computed independently, from one union pattern:
+the invariant-subset witness (the sink component of the union's block
+triangularization) and the union's first zero entry in row-major order, so
+the equivalence is tested rather than assumed.  Whether the sum of all
+members has a zero is no third computation: the members are nonnegative, so
+the sum vanishes exactly where the union does.
 """
 
 from __future__ import annotations
@@ -32,9 +36,7 @@ from math import lcm
 
 from .decomposition import (
     DecompositionPrediction,
-    Digraph,
     InvariantSubsetWitness,
-    _sink_first_order,
     block_triangularize,
     main_decomposability_test,
 )
@@ -176,31 +178,24 @@ def semigroup_decomposable(s: PatternSemigroup) -> InvariantSubsetWitness | None
 
     Works on the union pattern: each member's support is contained in the
     union's, so a closed set for the union is invariant for every member
-    simultaneously.  The returned witness is the sink-most strongly
-    connected component, re-verified against the union before returning.
+    simultaneously.  The witness is the union's sink component, as
+    ``BlockTriangularization.witness`` finds and verifies it.
     """
     s.require_complete()
-    u = s.union_pattern()
-    graph = Digraph.from_pattern(u)
-    comps = graph.strongly_connected_components()
-    if len(comps) == 1:
-        return None
-    order = _sink_first_order(comps, graph)
-    witness = InvariantSubsetWitness(frozenset(comps[order[0]]), u.n)
-    if not witness.verify_pattern(u):
-        raise RuntimeError("sink component failed to verify as invariant")
-    return witness
+    return block_triangularize(s.union_pattern().to_matrix()).witness
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """The decomposability facets of one closed semigroup, each computed separately.
+    """The decomposability facets of one closed semigroup, from its union pattern.
 
-    When a common zero exists at (i, j), the nonzero functional M -> M_{ij}
-    vanishes on the semigroup and the selector pair (E_ii, E_jj) multiplies
-    every member to zero; ``selector_pair`` records those indices.  A witness
-    subset W yields off-diagonal common zeros at every (i, j) with i outside
-    W and j inside.
+    The witness and the zero entry are found separately; ``sum_has_zero`` is
+    whether a zero entry exists, as the sum of nonnegative members vanishes
+    exactly where their union does.  When a common zero exists at (i, j),
+    the nonzero functional M -> M_{ij} vanishes on the semigroup and the
+    selector pair (E_ii, E_jj) multiplies every member to zero;
+    ``selector_pair`` records those indices.  A witness subset W yields
+    off-diagonal common zeros at every (i, j) with i outside W and j inside.
     """
 
     decomposable: bool
@@ -228,14 +223,16 @@ class EquivalenceReport:
 
 
 def equivalence_report(s: PatternSemigroup) -> EquivalenceReport:
-    witness = semigroup_decomposable(s)
-    zero = common_zero_entry(s)
+    """Every facet of ``s``, read off one union pattern."""
+    s.require_complete()
+    u = s.union_pattern()
+    witness = block_triangularize(u.to_matrix()).witness
+    zero = u.first_zero()
     offdiag = None
     if witness is not None:
         inside = min(witness.subset)
         outside = min(i for i in range(s.n) if i not in witness.subset)
         offdiag = (outside, inside)
-        u = s.union_pattern()
         if u.get(*offdiag):
             raise RuntimeError("witness-derived zero position is not zero")
     return EquivalenceReport(
@@ -244,7 +241,7 @@ def equivalence_report(s: PatternSemigroup) -> EquivalenceReport:
         zero_entry=zero,
         offdiagonal_zero_entry=offdiag,
         selector_pair=zero,
-        sum_has_zero=sum_has_zero(s),
+        sum_has_zero=zero is not None,
     )
 
 
@@ -276,10 +273,10 @@ class CyclicSemigroupReport:
 
 def cyclic_semigroup_decomposable_check(p: Potent) -> CyclicSemigroupReport:
     """When A decomposes, its triangularizing permutation must fit every power."""
-    pred = main_decomposability_test(p)
-    if not pred.actual_decomposable:
-        return CyclicSemigroupReport(prediction=pred, applicable=False, powers_triangular=())
     t = block_triangularize(p.a)
+    pred = main_decomposability_test(p, t)
+    if t.is_trivial:
+        return CyclicSemigroupReport(prediction=pred, applicable=False, powers_triangular=())
     flags = p.per_exponent(t.is_respected_by)
     return CyclicSemigroupReport(prediction=pred, applicable=True, powers_triangular=flags)
 

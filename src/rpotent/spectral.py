@@ -29,19 +29,6 @@ PERRON_SHIFT_STEPS = 32
 PERRON_FLOAT_TOL = 2.0**-45
 
 
-def period(a: RMatrix) -> int:
-    """Gcd of all cycle lengths of an indecomposable nonzero matrix.
-
-    Computed from a BFS level assignment on the strongly connected support
-    digraph (``Digraph.cycle_gcd``).
-    """
-    if a.is_zero():
-        raise ValueError("period is undefined for the zero matrix")
-    if is_decomposable(a):
-        raise ValueError("period is defined only for indecomposable matrices")
-    return Digraph.from_matrix(a).cycle_gcd()
-
-
 def is_primitive(a: RMatrix) -> bool:
     """Indecomposable with period one; False (not an error) otherwise."""
     return not a.is_zero() and not is_decomposable(a) and Digraph.from_matrix(a).cycle_gcd() == 1
@@ -51,23 +38,19 @@ def wielandt_exponent(n: int) -> int:
     return n * n - 2 * n + 2
 
 
-def wielandt_check(a: RMatrix | BlockTriangularization) -> bool:
+def wielandt_check(t: BlockTriangularization) -> bool:
     """Positivity of A^(n^2 - 2n + 2), the guaranteed-positive power, read on the support.
 
-    ``a`` is A, or the maximal block triangularization of A, whose block
-    periods then tell without a new search whether A is primitive.  Rejects
-    non-primitive input: the exponent only promises positivity for primitive
-    matrices.  A >= 0, so no sum of products cancels and the support of A^k
-    is the k-th boolean power of the support of A: about 2 log2(n^2) pattern
-    products decide it, with no rational entry computed.
+    ``t`` is the maximal block triangularization of A, whose block periods
+    tell without a new search whether A is primitive: one block of period 1.
+    Rejects non-primitive input: the exponent only promises positivity for
+    primitive matrices.  A >= 0, so no sum of products cancels and the
+    support of A^k is the k-th boolean power of the support of A: about
+    2 log2(n^2) pattern products decide it, with no rational entry computed.
     """
-    if isinstance(a, BlockTriangularization):
-        primitive = a.periods == (1,)
-        a = a.source
-    else:
-        primitive = is_primitive(a)
-    if not primitive:
+    if t.periods != (1,):
         raise ValueError("positivity of the squared-index power needs a primitive matrix")
+    a = t.source
     return a.pattern().pow(wielandt_exponent(a.n)).is_full()
 
 

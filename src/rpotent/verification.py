@@ -8,6 +8,7 @@ runners back the command-line ``verify`` command and the acceptance tests.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,14 +30,11 @@ from .generators import (
 from .matrix import PatternMatrix, Permutation, RMatrix
 from .potency import as_potent, is_r_potent, rank_trace_check, zero_diagonal_powers
 from .semigroup import (
-    common_zero_entry,
     cyclic_semigroup,
     cyclic_semigroup_decomposable_check,
     equivalence_report,
     pattern_closure,
-    semigroup_decomposable,
     semigroup_rank_floor_check,
-    sum_has_zero,
     symmetric_group_analysis,
 )
 from .spectral import is_primitive, perron_value, trace_zero_check, wielandt_check
@@ -217,7 +215,7 @@ def random_pattern(rng: random.Random, n: int, density: float) -> PatternMatrix:
 def run_wielandt(trials: int = 100, seed: int = DEFAULT_SEED, n: int | None = None) -> CheckResult:
     """Primitive patterns raised to the n^2 - 2n + 2 power are strictly positive."""
     rec = _Recorder("2.4", "primitive patterns have a positive squared-index power")
-    dims = [n] if n else [2, 3, 4, 5, 6]
+    dims = [2, 3, 4, 5, 6] if n is None else [n]
     for dim in dims:
         rng = random.Random(seed + dim)
         collected = 0
@@ -229,13 +227,13 @@ def run_wielandt(trials: int = 100, seed: int = DEFAULT_SEED, n: int | None = No
             if not is_primitive(m):
                 continue
             collected += 1
-            rec.record(wielandt_check(m), collected, seed=seed + dim, matrix=m, detail=f"n={dim}")
+            rec.record(wielandt_check(block_triangularize(m)), collected, seed=seed + dim, matrix=m, detail=f"n={dim}")
         if collected < trials:
             rec.record(False, -1, seed=seed + dim, detail=f"could not sample {trials} primitive patterns at n={dim}")
     return rec.result()
 
 
-def run_zero_diagonal_chain(trials: int = 100, seed: int = DEFAULT_SEED, n: int | None = None) -> CheckResult:
+def run_zero_diagonal_chain(trials: int = 100, seed: int = DEFAULT_SEED) -> CheckResult:
     """A potent matrix whose every power has a zero diagonal entry is reducible and singular."""
     rec = _Recorder("2.5", "all-powers-zero-diagonal forces decomposability and a zero eigenvalue")
     for i, case_seed, r, m in singular_zero_diag_cases(trials, seed):
@@ -246,7 +244,7 @@ def run_zero_diagonal_chain(trials: int = 100, seed: int = DEFAULT_SEED, n: int 
     return rec.result()
 
 
-def run_rank_trace(trials: int = 500, seed: int = DEFAULT_SEED, n: int | None = None) -> CheckResult:
+def run_rank_trace(trials: int = 500, seed: int = DEFAULT_SEED) -> CheckResult:
     """rank(A) equals trace(A^(r-1)) exactly, for every generated r-potent."""
     rec = _Recorder("2.6", "rank equals projection trace")
     for i, case_seed, r, m in rank_trace_cases(trials, seed):
@@ -254,7 +252,7 @@ def run_rank_trace(trials: int = 500, seed: int = DEFAULT_SEED, n: int | None = 
     return rec.result()
 
 
-def run_rank_one_diagonal(trials: int = 100, seed: int = DEFAULT_SEED, n: int | None = None) -> CheckResult:
+def run_rank_one_diagonal(trials: int = 100, seed: int = DEFAULT_SEED) -> CheckResult:
     """Rank-one idempotents decompose exactly when a diagonal entry is zero."""
     rec = _Recorder("3.1", "rank-one idempotent zero-diagonal criterion")
     for i, case_seed, m in rank_one_cases(trials, seed):
@@ -276,11 +274,11 @@ def decomposable_cases(trials: int, seed: int) -> Iterator[tuple[int, int, int, 
         yield high + i, case_seed, r, m, "singular_zero_diagonal"
 
 
-def run_decomposability_criteria(trials: int = 300, seed: int = DEFAULT_SEED, n: int | None = None) -> CheckResult:
+def run_decomposability_criteria(trials: int = 300, seed: int = DEFAULT_SEED) -> CheckResult:
     """Both prediction branches (high rank; singular with zero-diagonal powers) decompose."""
     rec = _Recorder("3.2", "rank and diagonal criteria force decomposability")
     for i, case_seed, r, m, case in decomposable_cases(trials, seed):
-        pred = main_decomposability_test(as_potent(m, r))
+        pred = main_decomposability_test(as_potent(m, r), block_triangularize(m))
         ok = pred.case == case and pred.actual_decomposable
         rec.record(ok, i, seed=case_seed, matrix=m, detail=f"r={r} case={pred.case}")
     return rec.result()
@@ -307,7 +305,7 @@ def structure_case_ok(m: RMatrix, r: int) -> tuple[bool, str]:
     return True, ""
 
 
-def run_structure(trials: int = 300, seed: int = DEFAULT_SEED, n: int | None = None) -> CheckResult:
+def run_structure(trials: int = 300, seed: int = DEFAULT_SEED) -> CheckResult:
     """Block dichotomy, rank sums, and count bounds on the decomposable families."""
     rec = _Recorder("4.1", "maximal triangularization structure bounds")
     for i, case_seed, r, m, _ in decomposable_cases(trials, seed):
@@ -316,7 +314,7 @@ def run_structure(trials: int = 300, seed: int = DEFAULT_SEED, n: int | None = N
     return rec.result()
 
 
-def run_kron(trials: int = 100, seed: int = DEFAULT_SEED, n: int | None = None, idempotent_b: bool = False) -> CheckResult:
+def run_kron(trials: int = 100, seed: int = DEFAULT_SEED, idempotent_b: bool = False) -> CheckResult:
     """Kronecker products with a high-rank factor are decomposable r-potents of high rank."""
     check_id = "5.2" if idempotent_b else "5.1"
     rec = _Recorder(check_id, "Kronecker products inherit potency and decompose")
@@ -333,7 +331,7 @@ def run_kron(trials: int = 100, seed: int = DEFAULT_SEED, n: int | None = None, 
     return rec.result()
 
 
-def run_cyclic_semigroup(trials: int = 100, seed: int = DEFAULT_SEED, n: int | None = None) -> CheckResult:
+def run_cyclic_semigroup(trials: int = 100, seed: int = DEFAULT_SEED) -> CheckResult:
     """One permutation triangularizes every power of a decomposable r-potent."""
     rec = _Recorder("6.1", "power semigroup shares one triangularizing permutation")
     half = trials // 2
@@ -371,7 +369,7 @@ def _random_closure_trials(
         rec.record(False, -1, seed=seed, detail="could not collect enough complete closures")
 
 
-def run_equivalences(trials: int = 300, seed: int = DEFAULT_SEED, n: int | None = None) -> CheckResult:
+def run_equivalences(trials: int = 300, seed: int = DEFAULT_SEED) -> CheckResult:
     """Witness, common zero entry, and sum-with-zero agree on random closures."""
     rec = _Recorder("6.2", "decomposability facets agree on closed semigroups")
 
@@ -383,7 +381,7 @@ def run_equivalences(trials: int = 300, seed: int = DEFAULT_SEED, n: int | None 
     return rec.result()
 
 
-def run_semigroup_common_zero(trials: int = 100, seed: int = DEFAULT_SEED, n: int | None = None) -> CheckResult:
+def run_semigroup_common_zero(trials: int = 100, seed: int = DEFAULT_SEED) -> CheckResult:
     """Closures of rank-dominant families decompose with a common zero entry."""
     rec = _Recorder("6.3", "rank-dominant semigroups have a common zero entry")
     for i, case_seed, r, gens in semigroup_family_cases(trials, seed):
@@ -395,14 +393,14 @@ def run_semigroup_common_zero(trials: int = 100, seed: int = DEFAULT_SEED, n: in
         ok = (
             rep.consistent
             and rep.witness is not None
-            and common_zero_entry(s) is not None
-            and sum_has_zero(s)
+            and rep.zero_entry is not None
+            and rep.sum_has_zero
         )
         rec.record(ok, i, seed=case_seed, matrix=gens[0], detail=f"r={r} gens={len(gens)}")
     return rec.result()
 
 
-def run_rank_floor(trials: int = 50, seed: int = DEFAULT_SEED, n: int | None = None) -> CheckResult:
+def run_rank_floor(trials: int = 50, seed: int = DEFAULT_SEED) -> CheckResult:
     """Every nonzero diagonal block of a closed rank-dominant semigroup hits rank <= r-1."""
     rec = _Recorder("6.4", "triangularized semigroup blocks contain a low-rank element")
     for i, case_seed, r, gens in semigroup_family_cases(trials, seed):
@@ -411,12 +409,13 @@ def run_rank_floor(trials: int = 50, seed: int = DEFAULT_SEED, n: int | None = N
     return rec.result()
 
 
-def run_sum_zero(trials: int = 200, seed: int = DEFAULT_SEED, n: int | None = None) -> CheckResult:
+def run_sum_zero(trials: int = 200, seed: int = DEFAULT_SEED) -> CheckResult:
     """Decomposability of a closed semigroup matches its sum having a zero entry."""
     rec = _Recorder("7.1", "sum-with-zero matches decomposability on closures")
 
     def judge(s) -> tuple[bool, str]:
-        ok = (semigroup_decomposable(s) is not None) == sum_has_zero(s)
+        rep = equivalence_report(s)
+        ok = rep.decomposable == rep.sum_has_zero
         return ok, "" if ok else "sum facet disagrees with witness facet"
 
     _random_closure_trials(rec, trials, seed, judge)
@@ -426,7 +425,7 @@ def run_sum_zero(trials: int = 200, seed: int = DEFAULT_SEED, n: int | None = No
 def run_symmetric_group(trials: int = 0, seed: int = DEFAULT_SEED, n: int | None = None) -> CheckResult:
     """Permutation-matrix potency classification and group indecomposability."""
     rec = _Recorder("7.2", "permutation group classification and positivity of the sum")
-    dims = [n] if n else [2, 3, 4, 5, 6]
+    dims = [2, 3, 4, 5, 6] if n is None else [n]
     for dim in dims:
         report = symmetric_group_analysis(dim)
         counts = dict(report.potency_counts)
@@ -448,7 +447,7 @@ def is_unit_bracket(lower: Fraction, upper: Fraction) -> bool:
     return lower <= 1 <= upper and upper - lower <= Fraction(1, 10**9)
 
 
-def run_perron_trace(trials: int = 100, seed: int = DEFAULT_SEED, n: int | None = None) -> CheckResult:
+def run_perron_trace(trials: int = 100, seed: int = DEFAULT_SEED) -> CheckResult:
     """Spectral radius 1 for every nonzero potent matrix; zero trace at rank r-1."""
     rec = _Recorder("perron", "unit spectral radius and zero trace where applicable")
     for i, case_seed, r, m in high_rank_cases(trials // 2, seed):
@@ -486,7 +485,7 @@ CHECKS: dict[str, CheckSpec] = {
         CheckSpec("4.1", "block structure of maximal triangularizations", run_structure, 300),
         CheckSpec("5.1", "Kronecker product with a potent factor decomposes", run_kron, 100),
         CheckSpec("5.2", "Kronecker product with an idempotent factor decomposes",
-                  lambda trials=100, seed=DEFAULT_SEED, n=None: run_kron(trials, seed, n, idempotent_b=True), 100),
+                  functools.partial(run_kron, idempotent_b=True), 100),
         CheckSpec("6.1", "powers share one triangularizing permutation", run_cyclic_semigroup, 100),
         CheckSpec("6.2", "decomposability facets agree on closed semigroups", run_equivalences, 300),
         CheckSpec("6.3", "rank-dominant semigroups have a common zero entry", run_semigroup_common_zero, 100),
@@ -504,6 +503,11 @@ def run_check(
     seed: int | None = None,
     n: int | None = None,
 ) -> CheckResult:
+    """Run one check at its default trials and seed unless given.
+
+    ``n``, one dimension instead of the default range, is taken only by the
+    checks whose spec ``accepts_n``; elsewhere it is rejected, not ignored.
+    """
     if check_id not in CHECKS:
         raise KeyError(f"unknown check id {check_id!r}")
     spec = CHECKS[check_id]
@@ -511,5 +515,11 @@ def run_check(
         "trials": spec.default_trials if trials is None else trials,
         "seed": DEFAULT_SEED if seed is None else seed,
     }
-    kwargs["n"] = n
+    if n is not None:
+        if not spec.accepts_n:
+            takers = ", ".join(cid for cid, s in CHECKS.items() if s.accepts_n)
+            raise ValueError(f"--n applies to checks {takers} only, not to {check_id}")
+        if n < 1:
+            raise ValueError(f"--n must be at least 1, got {n}")
+        kwargs["n"] = n
     return spec.runner(**kwargs)

@@ -8,9 +8,12 @@ against the component decision, a closure that multiplies every new
 member with every member on both sides against the one that multiplies
 each member by the generators on the right, and a potency walk that takes
 every power up to its cap against the one that stops at a power no potent
-matrix has.  The generator oracles place ``Fraction`` entries one by one
-and compute the coupling B^(r-1) X with a triple loop, against builders that
-pad integer rows and take one exact product.
+matrix has.  The semigroup witness oracle searches the union pattern's
+digraph and picks its sink component directly, against the one that reads
+it off the union's block triangularization.  The generator oracles place
+``Fraction`` entries one by one and compute the coupling B^(r-1) X with a
+triple loop, against builders that pad integer rows and take one exact
+product.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ from collections import deque
 from fractions import Fraction
 from math import gcd
 
+from rpotent.decomposition import Digraph, InvariantSubsetWitness, condensation_successors
 from rpotent.matrix import PatternMatrix, RMatrix, coerce_entry
 from rpotent.potency import DEFAULT_POTENCY_CAP, Potent
+from rpotent.semigroup import PatternSemigroup
 
 
 def naive_multiply(a: RMatrix, b: RMatrix) -> RMatrix:
@@ -212,3 +217,22 @@ def two_sided_closure(gens: list, product, cap: int) -> tuple[list, bool]:
             if not admit(product(z, m)) or not admit(product(m, z)):
                 break
     return members, truncated
+
+
+def union_digraph_witness(s: PatternSemigroup) -> InvariantSubsetWitness | None:
+    """The semigroup's invariant index set from a component search of its union pattern.
+
+    Of the sink components (those no edge leaves) it takes the one holding
+    the smallest index: the first component a sink-first order places.
+    """
+    s.require_complete()
+    u = s.union_pattern()
+    graph = Digraph.from_pattern(u)
+    comps = graph.strongly_connected_components()
+    if len(comps) == 1:
+        return None
+    succ = condensation_successors(tuple(comps), graph)
+    sink = min((c for c, out in zip(comps, succ) if not out), key=lambda c: c[0])
+    witness = InvariantSubsetWitness(frozenset(sink), u.n)
+    assert witness.verify_pattern(u)
+    return witness

@@ -1,9 +1,10 @@
 """One potency pass and one triangularization per ``analyze`` run.
 
 Counts calls while ``analyze --json`` runs on each bundled example: the walk
-of ``minimal_potency`` runs once, A is triangularized once, its rank is taken
-at most once, and no report re-checks A^r = A.  On non-potent input the walk
-stops at the first power that certifies it, within a product budget.
+of ``minimal_potency`` runs once, A is triangularized once, its digraph is
+searched for components once, its rank is taken at most once, and no report
+re-checks A^r = A.  On non-potent input the walk stops at the first power
+that certifies it, within a product budget.
 """
 
 import json
@@ -55,6 +56,16 @@ def test_analyze_makes_one_pass(name, monkeypatch, capsys):
         counting("triangularize", decomposition.block_triangularize, True),
     )
     monkeypatch.setattr(RMatrix, "rank", counting("rank", RMatrix.rank, True))
+    scc = decomposition.Digraph.strongly_connected_components
+
+    def counting_scc(graph):
+        # a search on a digraph of A's size is a search of A: every block of
+        # a decomposable A is smaller
+        if graph.n == a.n:
+            counts["scc"] += 1
+        return scc(graph)
+
+    monkeypatch.setattr(decomposition.Digraph, "strongly_connected_components", counting_scc)
 
     assert cli.main(["analyze", path, "--json"]) == 0
     bundle = json.loads(capsys.readouterr().out)
@@ -62,6 +73,7 @@ def test_analyze_makes_one_pass(name, monkeypatch, capsys):
 
     assert counts["walk"] == 1
     assert counts["triangularize"] == 1
+    assert counts["scc"] == 1
     assert counts["rank"] <= 1
     assert counts["check"] == 0
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from rpotent.cli import main
 from rpotent.generators import block_diagonal, cycle_matrix, uniform_idempotent
 from rpotent.matrix import matrix_from_json, matrix_to_json
+from rpotent.verification import CHECKS
 
 
 def _write_tower(tmp_path, r=4):
@@ -270,6 +271,26 @@ class TestVerify:
     def test_enumeration_check_with_n(self, capsys):
         assert main(["verify", "--theorem", "7.2", "--n", "5"]) == 0
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--theorem", "3.2", "--n", "5"], "--n applies to checks 2.4, 7.2 only"),
+            (["--theorem", "7.2", "--n", "0"], "--n must be at least 1"),
+            (["--theorem", "2.4", "--n", "-1"], "--n must be at least 1"),
+            (["--theorem", "3.2", "--trials", "-3"], "--trials must be at least 1"),
+            (["--theorem", "7.2", "--trials", "0"], "--trials must be at least 1"),
+        ],
+    )
+    def test_bad_dimension_or_trial_count_exits_two(self, extra, message, capsys):
+        assert main(["verify", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_three_trials_are_accepted_by_every_check(self, capsys):
+        for check_id in CHECKS:
+            assert main(["verify", "--theorem", check_id, "--trials", "3"]) == 0
+
     def test_deterministic_output(self, capsys):
         args = ["verify", "--theorem", "3.2", "--trials", "15", "--seed", "5"]
         assert main(args) == 0
@@ -299,19 +320,6 @@ class TestSemigroupCommand:
         assert main(["semigroup", path, "--cap", "1"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["truncated"] is True
-
-    def test_env_var_overrides_cap(self, tmp_path, capsys, monkeypatch):
-        path = _write_cycle(tmp_path)
-        monkeypatch.setenv("RPOTENT_CLOSURE_CAP", "1")
-        assert main(["semigroup", path]) == 1
-        monkeypatch.setenv("RPOTENT_CLOSURE_CAP", "100")
-        capsys.readouterr()
-        assert main(["semigroup", path]) == 0
-
-    def test_non_integer_env_cap_exits_two(self, tmp_path, monkeypatch):
-        path = _write_cycle(tmp_path)
-        monkeypatch.setenv("RPOTENT_CLOSURE_CAP", "lots")
-        assert main(["semigroup", path]) == 2
 
     def test_two_block_diagonal_generators_decompose(self, tmp_path, capsys):
         c = cycle_matrix(3)

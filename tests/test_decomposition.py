@@ -177,6 +177,25 @@ class TestBlockTriangularize:
         assert t.block_sizes == (2, 1, 1)
         assert t.is_valid()
 
+    def test_witness_is_the_verified_sink_component(self):
+        rng = random.Random(32)
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            a = RMatrix.from_rows([[rng.choice([0, 0, 0, 1]) for _ in range(n)] for _ in range(n)])
+            t = block_triangularize(a)
+            if t.is_trivial:
+                assert t.witness is None
+                assert brute_force_decomposable(a) is None
+            else:
+                assert t.witness.subset == frozenset(t.components[0])
+                assert t.witness.verify(a)
+
+    def test_witness_of_a_non_sink_first_block_is_refused(self):
+        t = block_triangularize(RMatrix.from_rows([[0, 1], [0, 0]]))
+        assert t.witness.sorted_indices() == [0]
+        with pytest.raises(RuntimeError, match="failed to verify"):
+            t.with_component_order([1, 0]).witness
+
 
 class TestRankOneDiagTest:
     def test_positive_case(self):
@@ -205,17 +224,23 @@ class TestMainDecomposabilityTest:
         rank2 = block_diagonal([uniform_idempotent(1), uniform_idempotent(2)])
         m = cycle_matrix(3).kron(rank2)
         assert m.rank() == 6
-        pred = main_decomposability_test(as_potent(m, 4))
+        pred = main_decomposability_test(as_potent(m, 4), block_triangularize(m))
         assert pred.case == "rank_above_threshold"
         assert pred.predicted_decomposable and pred.actual_decomposable
         assert pred.agrees
 
     def test_cycle_gets_no_prediction(self):
         for r in (3, 4, 5):
-            pred = main_decomposability_test(as_potent(cycle_matrix(r - 1), r))
+            c = cycle_matrix(r - 1)
+            pred = main_decomposability_test(as_potent(c, r), block_triangularize(c))
             assert pred.case == "no_prediction"
             assert not pred.actual_decomposable
             assert pred.agrees
+
+    def test_rejects_the_triangularization_of_another_matrix(self):
+        c = cycle_matrix(3)
+        with pytest.raises(ValueError, match="another matrix"):
+            main_decomposability_test(as_potent(c, 4), block_triangularize(c @ c))
 
     def test_rejects_non_potent_input(self):
         # the test takes a checked value; non-potent input stops at the check
@@ -225,13 +250,13 @@ class TestMainDecomposabilityTest:
     def test_idempotent_rank_one_gets_no_prediction(self):
         # singular rank-one idempotent: the power window is empty for r = 2,
         # and the branch must not fire (the positive one is indecomposable)
-        pred = main_decomposability_test(as_potent(HALF, 2))
+        pred = main_decomposability_test(as_potent(HALF, 2), block_triangularize(HALF))
         assert pred.case == "no_prediction"
         assert pred.agrees
 
     def test_singular_zero_diag_case(self):
         m = block_diagonal([cycle_matrix(3), RMatrix.zeros(1)])
-        pred = main_decomposability_test(as_potent(m, 4))
+        pred = main_decomposability_test(as_potent(m, 4), block_triangularize(m))
         assert pred.case == "singular_zero_diagonal"
         assert pred.actual_decomposable
         assert pred.agrees

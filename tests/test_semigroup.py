@@ -15,10 +15,12 @@ from rpotent.generators import (
     rank_dominant_semigroup_generators,
     uniform_idempotent,
 )
+from rpotent.decomposition import Digraph
 from rpotent.matrix import PatternMatrix, Permutation, RMatrix
 from rpotent.potency import as_potent
 from rpotent.semigroup import (
     ClosureTruncated,
+    PatternSemigroup,
     common_zero_entry,
     cyclic_semigroup,
     cyclic_semigroup_decomposable_check,
@@ -31,7 +33,7 @@ from rpotent.semigroup import (
     symmetric_group_analysis,
 )
 
-from oracles import random_pattern_local, two_sided_closure
+from oracles import random_pattern_local, two_sided_closure, union_digraph_witness
 
 
 def _patterns(n):
@@ -250,6 +252,25 @@ class TestEquivalences:
             assert rep.consistent
             assert (rep.witness is not None) == rep.sum_has_zero
 
+    def test_one_union_per_report(self, monkeypatch):
+        calls = []
+        union = PatternSemigroup.union_pattern
+
+        def counting(s):
+            calls.append(s)
+            return union(s)
+
+        monkeypatch.setattr(PatternSemigroup, "union_pattern", counting)
+        rng = random.Random(9)
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            s = pattern_closure([random_pattern_local(rng, n, 0.4) for _ in range(2)], cap=2000)
+            if s.truncated:
+                continue
+            calls.clear()
+            equivalence_report(s)
+            assert calls == [s]
+
     def test_selector_pair_matches_zero_entry(self):
         s = pattern_closure([RMatrix.from_rows([[1, 0], [0, 0]]).pattern()])
         rep = equivalence_report(s)
@@ -257,6 +278,41 @@ class TestEquivalences:
         i, j = rep.selector_pair
         for member in s.members:
             assert not member.get(i, j)
+
+
+class TestSemigroupWitnessOracle:
+    """``semigroup_decomposable`` against a direct sink search of the union's digraph."""
+
+    @staticmethod
+    def _agree(s):
+        expected = union_digraph_witness(s)
+        assert semigroup_decomposable(s) == expected
+        assert equivalence_report(s).witness == expected
+
+    def test_closures_of_random_generator_sets(self):
+        rng = random.Random(17)
+        kinds = set()
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            gens = [random_pattern_local(rng, n, rng.uniform(0.1, 0.7)) for _ in range(rng.randint(1, 3))]
+            s = pattern_closure(gens, cap=rng.choice((5, 60, 2000)))
+            if s.truncated:
+                kinds.add("truncated")
+                with pytest.raises(ClosureTruncated):
+                    semigroup_decomposable(s)
+                with pytest.raises(ClosureTruncated):
+                    union_digraph_witness(s)
+                continue
+            kinds.add("decomposable" if semigroup_decomposable(s) else "indecomposable")
+            self._agree(s)
+        assert kinds == {"truncated", "decomposable", "indecomposable"}
+
+    def test_sets_that_are_not_closed(self):
+        rng = random.Random(18)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            members = tuple({random_pattern_local(rng, n, rng.uniform(0.05, 0.5)) for _ in range(rng.randint(1, 4))})
+            self._agree(PatternSemigroup(n, members, len(members), truncated=False))
 
 
 class TestCyclicSemigroup:
@@ -300,6 +356,22 @@ class TestCyclicSemigroupCheck:
         rep = cyclic_semigroup_decomposable_check(as_potent(cycle_matrix(3), 4))
         assert not rep.applicable
         assert rep.prediction.case == "no_prediction"
+
+    def test_one_component_search_of_a(self, monkeypatch):
+        scc = Digraph.strongly_connected_components
+        searched = []
+
+        def counting(graph):
+            searched.append(graph)
+            return scc(graph)
+
+        monkeypatch.setattr(Digraph, "strongly_connected_components", counting)
+        for seed in range(8):
+            r = (2, 3, 4)[seed % 3]
+            a = random_r_potent(r, 1 + seed % 4, seed, max_dim=10)
+            searched.clear()
+            cyclic_semigroup_decomposable_check(as_potent(a, r))
+            assert searched == [Digraph.from_matrix(a)]
 
     def test_block_diagonal_is_trivially_common(self):
         m = block_diagonal([uniform_idempotent(1), uniform_idempotent(2)])

@@ -22,7 +22,6 @@ from rpotent.matrix import Permutation, RMatrix
 from rpotent.potency import as_potent, minimal_potency
 from rpotent.spectral import (
     is_primitive,
-    period,
     perron_value,
     spectral_report,
     trace_zero_check,
@@ -31,6 +30,12 @@ from rpotent.spectral import (
 )
 
 from oracles import period_by_diagonal_hits, random_small_matrix
+
+
+def period(m: RMatrix) -> int:
+    """The period of an indecomposable matrix, its triangularization's one block period."""
+    (h,) = block_triangularize(m).periods
+    return h
 
 
 class TestPeriod:
@@ -44,11 +49,11 @@ class TestPeriod:
     def test_swap(self):
         assert period(RMatrix.from_rows([[0, 1], [1, 0]])) == 2
 
-    def test_rejects_zero_and_decomposable(self):
-        with pytest.raises(ValueError):
-            period(RMatrix.zeros(2))
-        with pytest.raises(ValueError):
-            period(RMatrix.from_rows([[1, 0], [0, 1]]))
+    def test_zero_and_decomposable_have_a_period_per_block(self):
+        # a zero block has no period; a decomposable matrix has one per block
+        assert block_triangularize(RMatrix.zeros(2)).periods == (None, None)
+        assert block_triangularize(RMatrix.from_rows([[1, 0], [0, 1]])).periods == (1, 1)
+        assert block_triangularize(block_diagonal([cycle_matrix(2), cycle_matrix(3)])).periods == (2, 3)
 
     def test_matches_diagonal_hit_oracle(self):
         rng = random.Random(8)
@@ -98,14 +103,14 @@ class TestWielandt:
     def test_fibonacci_two_by_two(self):
         m = RMatrix.from_rows([[1, 1], [1, 0]])
         assert wielandt_exponent(2) == 2
-        assert wielandt_check(m)
+        assert wielandt_check(block_triangularize(m))
 
     def test_positive_one_by_one(self):
-        assert wielandt_check(RMatrix.from_rows([[3]]))
+        assert wielandt_check(block_triangularize(RMatrix.from_rows([[3]])))
 
     def test_rejects_non_primitive(self):
         with pytest.raises(ValueError):
-            wielandt_check(cycle_matrix(3))
+            wielandt_check(block_triangularize(cycle_matrix(3)))
 
     def test_random_primitive_patterns(self):
         rng = random.Random(14)
@@ -118,7 +123,7 @@ class TestWielandt:
             if not is_primitive(m):
                 continue
             found += 1
-            assert wielandt_check(m)
+            assert wielandt_check(block_triangularize(m))
 
 
 def _numpy_radius(m: RMatrix) -> float:

@@ -48,3 +48,10 @@ def test_empty_result_is_not_ok():
 def test_symmetric_group_check_accepts_single_dimension():
     result = run_check("7.2", n=4)
     assert result.ok and result.total == 1
+
+
+def test_wielandt_check_accepts_single_dimension():
+    result = run_check("2.4", trials=4, n=3)
+    assert result.ok and result.total == 4
+    with pytest.raises(ValueError, match="--n applies to checks 2.4, 7.2 only"):
+        run_check("3.2", n=5)
