@@ -1,8 +1,9 @@
 """Command-line surface: analyze, generate, verify, semigroup.
 
 Exit codes are uniform across commands: 0 success / all properties hold,
-1 a checked property failed or a verdict was withheld (truncated closure),
-2 input could not be parsed or validated.
+1 a checked property failed, a verdict was withheld (truncated closure) or
+stdout was closed before the output was written, 2 input could not be parsed
+or validated.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .decomposition import (
@@ -323,7 +325,18 @@ def main(argv: list[str] | None = None) -> int:
     # them) is the one that runs
     command = globals()[f"cmd_{args.command}"]
     try:
-        return command(args)
+        code = command(args)
+        # flushed here, so that a closed stdout raises below, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away; the input was fine.  Point stdout at devnull
+        # so that the flush at exit stays quiet (the recipe of the Python
+        # ``signal`` docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

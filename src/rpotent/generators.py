@@ -23,10 +23,13 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .matrix import Entry, Permutation, RMatrix, coerce_entry
-from .potency import Potent, as_potent, is_r_potent
+from .potency import Potent, as_potent, potency_report
 
 _POOL = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3))
 _POOL_WITH_ZERO = _POOL + (Fraction(0),)
+# The pool on the integer grid, 6 x each entry, in the same order: a choice
+# from it is the same draw as a choice from ``_POOL``.
+_GRID_POOL = tuple([int(6 * x) for x in _POOL])
 DEFAULT_DIM_BUDGET = 36
 
 
@@ -107,11 +110,16 @@ def triangular_family(p: Potent, x: Sequence[Sequence[Entry]] | RMatrix) -> RMat
 
 
 def _random_idempotent(rng: random.Random, dim: int, su: range | set[int], sv: range | set[int]) -> RMatrix:
-    """Rank-one idempotent u v^T with pool entries on the supports ``su`` of u and ``sv`` of v."""
-    u = [rng.choice(_POOL) if i in su else Fraction(0) for i in range(dim)]
-    raw = [rng.choice(_POOL) if i in sv else Fraction(0) for i in range(dim)]
-    s = sum((a * b for a, b in zip(raw, u)), Fraction(0))
-    return rank_one_idempotent(u, [x / s for x in raw])
+    """Rank-one idempotent u v^T with pool entries on the supports ``su`` of u and ``sv`` of v.
+
+    With U and R the draws on the integer grid, u = U/6 and v = R / (U.R/6),
+    so entry (i, j) is U_i R_j / U.R: an integer grid over one denominator.
+    The supports share a point, so U.R > 0.
+    """
+    u = [rng.choice(_GRID_POOL) if i in su else 0 for i in range(dim)]
+    raw = [rng.choice(_GRID_POOL) if i in sv else 0 for i in range(dim)]
+    den = sum([a * b for a, b in zip(u, raw)])
+    return RMatrix._normalized(den, tuple([tuple([a * b for b in raw]) for a in u]))
 
 
 def random_rank_one_idempotent(dim: int, seed: int, padded: bool | None = None) -> RMatrix:
@@ -204,24 +212,31 @@ def _random_core(rng: random.Random, r: int, target_rank: int, max_dim: int) -> 
     return block_diagonal(parts)
 
 
-def _verify_emission(m: RMatrix, r: int, target_rank: int | None) -> RMatrix:
-    if not is_r_potent(m, r):
+def _verify_emission(m: RMatrix, r: int, target_rank: int | None) -> Potent:
+    """``m`` checked at ``r`` by one potency walk, its rank checked and kept on the result.
+
+    RuntimeError when the generator broke its contract: ``m`` is not
+    r-potent, or its rank is not ``target_rank`` (when one is given).
+    """
+    p = potency_report(m, r).potent
+    if p is None:
         raise RuntimeError("generator emitted a matrix that is not r-potent")
-    if target_rank is not None and m.rank() != target_rank:
+    if target_rank is not None and p.rank != target_rank:
         raise RuntimeError("generator missed the target rank")
-    return m
+    return p
 
 
 def random_r_potent(
     r: int, target_rank: int, seed: int, max_dim: int = DEFAULT_DIM_BUDGET
-) -> RMatrix:
-    """Seeded r-potent matrix of exact rank ``target_rank``.
+) -> Potent:
+    """Seeded r-potent matrix of exact rank ``target_rank``, as a checked ``Potent``.
 
     Assembled from Kronecker products of cycles (lengths dividing r-1) and
     positive rank-one idempotents, summed block diagonally, optionally
     wrapped with a coupled zero block, and finally conjugated by a seeded
-    permutation.  Raises ValueError when the target rank cannot fit the
-    dimension budget.
+    permutation.  The matrix is ``.a``; the emission check that proved it
+    r-potent also computed ``.rank``, so callers reuse both.  Raises
+    ValueError when the target rank cannot fit the dimension budget.
     """
     if r < 2:
         raise ValueError("potency exponent must be at least 2")
@@ -238,13 +253,15 @@ def random_r_potent(
     return _verify_emission(m, r, target_rank)
 
 
-def random_singular_zero_diag(r: int, seed: int, max_dim: int = 24) -> RMatrix:
+def random_singular_zero_diag(r: int, seed: int, max_dim: int = 24) -> Potent:
     """Seeded singular r-potent of rank <= r-1 whose powers all have a zero diagonal entry.
 
     Built by wrapping a rank <= r-1 core with one coupled zero row/column:
     the appended coordinate contributes a zero diagonal entry to every power,
     and the wrap keeps the rank of the core, so the matrix is singular.
-    Requires r >= 3 so that the power window {2, ..., r-1} is nonempty.
+    Returned as the checked ``Potent`` of the emission check, which carries
+    its powers and rank; the matrix is ``.a``.  Requires r >= 3 so that the
+    power window {2, ..., r-1} is nonempty.
     """
     if r < 3:
         raise ValueError("this family needs r >= 3")
@@ -257,10 +274,10 @@ def random_singular_zero_diag(r: int, seed: int, max_dim: int = 24) -> RMatrix:
     else:
         m = block_diagonal([core, RMatrix.zeros(1)])
     m = m.conjugate(Permutation.random(m.n, rng))
-    m = _verify_emission(m, r, target)
+    p = _verify_emission(m, r, target)
     if target >= m.n:
         raise RuntimeError("generator emitted a nonsingular matrix")
-    return m
+    return p
 
 
 def rank_dominant_semigroup_generators(
@@ -292,7 +309,7 @@ def rank_dominant_semigroup_generators(
     a = _random_core(rng, r, rank_a, 2 * rank_a)
     if count == 1 and rng.random() < 0.5:
         m = a.conjugate(Permutation.random(a.n, rng))
-        return [_verify_emission(m, r, None)]
+        return [_verify_emission(m, r, None).a]
     b = _random_core(rng, r, rng.randint(1, 2), 3)
     p = None
     gens = []
@@ -302,7 +319,7 @@ def rank_dominant_semigroup_generators(
         g = a.pow(s).kron(b.pow(t))
         if p is None:
             p = Permutation.random(g.n, rng)
-        gens.append(_verify_emission(g.conjugate(p), r, None))
+        gens.append(_verify_emission(g.conjugate(p), r, None).a)
     return gens
 
 
@@ -327,9 +344,9 @@ class GeneratorSpec:
             sizes = [int(s) for s in p["sizes"]]
             return block_diagonal([uniform_idempotent(k) for k in sizes])
         if self.kind == "kronecker":
-            return random_r_potent(int(p["r"]), int(p["rank"]), self.seed)
+            return random_r_potent(int(p["r"]), int(p["rank"]), self.seed).a
         if self.kind == "triangular_family":
-            return random_singular_zero_diag(int(p["r"]), self.seed)
+            return random_singular_zero_diag(int(p["r"]), self.seed).a
         if self.kind == "permutation":
             rng = random.Random(self.seed)
             return Permutation.random(int(p["n"]), rng).to_matrix()

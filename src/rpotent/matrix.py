@@ -478,18 +478,28 @@ class RMatrix:
         return RMatrix._normalized(self.den * other.den, tuple(rows))
 
     def pow(self, k: int) -> RMatrix:
-        """Exact k-th power by repeated squaring; ``pow(0)`` is the identity."""
+        """Exact k-th power by repeated squaring; ``pow(0)`` is the identity.
+
+        The result starts as the power at the lowest set bit of k, not as the
+        identity, so k >= 1 takes bit_length(k) - 1 squarings and
+        popcount(k) - 1 further products, and ``pow(1)`` is ``self``.
+        """
         if k < 0:
             raise ValueError("exponent must be nonnegative")
-        n = self.n
-        result = RMatrix._make(1, tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]))
+        if k == 0:
+            n = self.n
+            return RMatrix._make(1, tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]))
         base = self
+        while not k & 1:
+            base = base @ base
+            k >>= 1
+        result = base
+        k >>= 1
         while k:
+            base = base @ base
             if k & 1:
                 result = result @ base
             k >>= 1
-            if k:
-                base = base @ base
         return result
 
     def kron(self, other: RMatrix) -> RMatrix:

@@ -28,7 +28,7 @@ from .generators import (
     rank_dominant_semigroup_generators,
 )
 from .matrix import PatternMatrix, Permutation, RMatrix
-from .potency import as_potent, is_r_potent, rank_trace_check, zero_diagonal_powers
+from .potency import Potent, as_potent, is_r_potent, rank_trace_check, zero_diagonal_powers
 from .semigroup import (
     cyclic_semigroup,
     cyclic_semigroup_decomposable_check,
@@ -37,7 +37,7 @@ from .semigroup import (
     semigroup_rank_floor_check,
     symmetric_group_analysis,
 )
-from .spectral import is_primitive, perron_value, trace_zero_check, wielandt_check
+from .spectral import perron_value, trace_zero_check, wielandt_check
 from .structure import analyze_structure, count_adjacent_zero_pairs, reorder_to_avoid_consecutive_zeros
 
 DEFAULT_SEED = 12345
@@ -127,7 +127,7 @@ def _case_seed(seed: int, i: int) -> int:
 # seeded families
 
 
-def high_rank_cases(count: int, seed: int) -> Iterator[tuple[int, int, int, RMatrix]]:
+def high_rank_cases(count: int, seed: int) -> Iterator[tuple[int, int, int, Potent]]:
     """r-potent matrices of verified rank strictly above r-1."""
     for i in range(count):
         r = (2, 3, 4, 5)[i % 4]
@@ -137,7 +137,7 @@ def high_rank_cases(count: int, seed: int) -> Iterator[tuple[int, int, int, RMat
         yield i, case_seed, r, random_r_potent(r, target, case_seed, max_dim=max_dim)
 
 
-def singular_zero_diag_cases(count: int, seed: int) -> Iterator[tuple[int, int, int, RMatrix]]:
+def singular_zero_diag_cases(count: int, seed: int) -> Iterator[tuple[int, int, int, Potent]]:
     """Singular r-potents of rank <= r-1 whose powers all carry a zero diagonal entry."""
     for i in range(count):
         r = (3, 4, 5)[i % 3]
@@ -154,7 +154,7 @@ def rank_one_cases(count: int, seed: int) -> Iterator[tuple[int, int, RMatrix]]:
         yield i, case_seed, random_rank_one_idempotent(dim, case_seed, padded)
 
 
-def rank_trace_cases(count: int, seed: int) -> Iterator[tuple[int, int, int, RMatrix]]:
+def rank_trace_cases(count: int, seed: int) -> Iterator[tuple[int, int, int, Potent]]:
     """General r-potent mix across r in {2,3,4,5}, ranks 1..8, dimensions <= 30."""
     for i in range(count):
         r = (2, 3, 4, 5)[i % 4]
@@ -165,7 +165,7 @@ def rank_trace_cases(count: int, seed: int) -> Iterator[tuple[int, int, int, RMa
 
 def kron_cases(
     count: int, seed: int, idempotent_b: bool
-) -> Iterator[tuple[int, int, int, RMatrix, RMatrix]]:
+) -> Iterator[tuple[int, int, int, Potent, Potent]]:
     """Pairs (A, B): rank(A) > r-1 and B a nonzero r-potent (or idempotent)."""
     for i in range(count):
         r = (2, 3, 4)[i % 3]
@@ -224,10 +224,13 @@ def run_wielandt(trials: int = 100, seed: int = DEFAULT_SEED, n: int | None = No
             attempts += 1
             p = random_pattern(rng, dim, rng.uniform(0.2, 0.7))
             m = p.to_matrix()
-            if not is_primitive(m):
+            t = block_triangularize(m)
+            # primitive: one block, of period 1; is_trivial first, so that a
+            # rejected sample builds no diagonal block
+            if not (t.is_trivial and t.periods == (1,)):
                 continue
             collected += 1
-            rec.record(wielandt_check(block_triangularize(m)), collected, seed=seed + dim, matrix=m, detail=f"n={dim}")
+            rec.record(wielandt_check(t), collected, seed=seed + dim, matrix=m, detail=f"n={dim}")
         if collected < trials:
             rec.record(False, -1, seed=seed + dim, detail=f"could not sample {trials} primitive patterns at n={dim}")
     return rec.result()
@@ -236,8 +239,8 @@ def run_wielandt(trials: int = 100, seed: int = DEFAULT_SEED, n: int | None = No
 def run_zero_diagonal_chain(trials: int = 100, seed: int = DEFAULT_SEED) -> CheckResult:
     """A potent matrix whose every power has a zero diagonal entry is reducible and singular."""
     rec = _Recorder("2.5", "all-powers-zero-diagonal forces decomposability and a zero eigenvalue")
-    for i, case_seed, r, m in singular_zero_diag_cases(trials, seed):
-        p = as_potent(m, r)
+    for i, case_seed, r, p in singular_zero_diag_cases(trials, seed):
+        m = p.a
         hypothesis = zero_diagonal_powers(p) == set(range(1, r))
         ok = hypothesis and is_decomposable(m) and p.rank < m.n
         rec.record(ok, i, seed=case_seed, matrix=m, detail=f"r={r}")
@@ -247,8 +250,8 @@ def run_zero_diagonal_chain(trials: int = 100, seed: int = DEFAULT_SEED) -> Chec
 def run_rank_trace(trials: int = 500, seed: int = DEFAULT_SEED) -> CheckResult:
     """rank(A) equals trace(A^(r-1)) exactly, for every generated r-potent."""
     rec = _Recorder("2.6", "rank equals projection trace")
-    for i, case_seed, r, m in rank_trace_cases(trials, seed):
-        rec.record(rank_trace_check(as_potent(m, r)), i, seed=case_seed, matrix=m, detail=f"r={r}")
+    for i, case_seed, r, p in rank_trace_cases(trials, seed):
+        rec.record(rank_trace_check(p), i, seed=case_seed, matrix=p.a, detail=f"r={r}")
     return rec.result()
 
 
@@ -265,29 +268,29 @@ def run_rank_one_diagonal(trials: int = 100, seed: int = DEFAULT_SEED) -> CheckR
     return rec.result()
 
 
-def decomposable_cases(trials: int, seed: int) -> Iterator[tuple[int, int, int, RMatrix, str]]:
+def decomposable_cases(trials: int, seed: int) -> Iterator[tuple[int, int, int, Potent, str]]:
     """Two thirds high-rank cases, then singular zero-diagonal ones, with the case each predicts."""
     high = (2 * trials) // 3
-    for i, case_seed, r, m in high_rank_cases(high, seed):
-        yield i, case_seed, r, m, "rank_above_threshold"
-    for i, case_seed, r, m in singular_zero_diag_cases(trials - high, seed + 1):
-        yield high + i, case_seed, r, m, "singular_zero_diagonal"
+    for i, case_seed, r, p in high_rank_cases(high, seed):
+        yield i, case_seed, r, p, "rank_above_threshold"
+    for i, case_seed, r, p in singular_zero_diag_cases(trials - high, seed + 1):
+        yield high + i, case_seed, r, p, "singular_zero_diagonal"
 
 
 def run_decomposability_criteria(trials: int = 300, seed: int = DEFAULT_SEED) -> CheckResult:
     """Both prediction branches (high rank; singular with zero-diagonal powers) decompose."""
     rec = _Recorder("3.2", "rank and diagonal criteria force decomposability")
-    for i, case_seed, r, m, case in decomposable_cases(trials, seed):
-        pred = main_decomposability_test(as_potent(m, r), block_triangularize(m))
+    for i, case_seed, r, p, case in decomposable_cases(trials, seed):
+        pred = main_decomposability_test(p, block_triangularize(p.a))
         ok = pred.case == case and pred.actual_decomposable
-        rec.record(ok, i, seed=case_seed, matrix=m, detail=f"r={r} case={pred.case}")
+        rec.record(ok, i, seed=case_seed, matrix=p.a, detail=f"r={r} case={pred.case}")
     return rec.result()
 
 
-def structure_case_ok(m: RMatrix, r: int) -> tuple[bool, str]:
-    """Full block-structure contract for one decomposable r-potent matrix."""
-    t = block_triangularize(m)
-    report = analyze_structure(as_potent(m, r), t)
+def structure_case_ok(p: Potent) -> tuple[bool, str]:
+    """Full block-structure contract for one decomposable r-potent matrix, checked at ``p.r``."""
+    t = block_triangularize(p.a)
+    report = analyze_structure(p, t)
     if not report.applicable:
         return True, "indecomposable, nothing to check"
     if not report.blocks_ok:
@@ -308,9 +311,9 @@ def structure_case_ok(m: RMatrix, r: int) -> tuple[bool, str]:
 def run_structure(trials: int = 300, seed: int = DEFAULT_SEED) -> CheckResult:
     """Block dichotomy, rank sums, and count bounds on the decomposable families."""
     rec = _Recorder("4.1", "maximal triangularization structure bounds")
-    for i, case_seed, r, m, _ in decomposable_cases(trials, seed):
-        ok, detail = structure_case_ok(m, r)
-        rec.record(ok, i, seed=case_seed, matrix=m, detail=detail)
+    for i, case_seed, r, p, _ in decomposable_cases(trials, seed):
+        ok, detail = structure_case_ok(p)
+        rec.record(ok, i, seed=case_seed, matrix=p.a, detail=detail)
     return rec.result()
 
 
@@ -318,12 +321,12 @@ def run_kron(trials: int = 100, seed: int = DEFAULT_SEED, idempotent_b: bool = F
     """Kronecker products with a high-rank factor are decomposable r-potents of high rank."""
     check_id = "5.2" if idempotent_b else "5.1"
     rec = _Recorder(check_id, "Kronecker products inherit potency and decompose")
-    for i, case_seed, r, a, b in kron_cases(trials, seed, idempotent_b):
-        k = a.kron(b)
+    for i, case_seed, r, pa, pb in kron_cases(trials, seed, idempotent_b):
+        k = pa.a.kron(pb.a)
         rank = k.rank()
         ok = (
             is_r_potent(k, r)
-            and rank == a.rank() * b.rank()
+            and rank == pa.rank * pb.rank
             and rank > r - 1
             and is_decomposable(k)
         )
@@ -336,13 +339,12 @@ def run_cyclic_semigroup(trials: int = 100, seed: int = DEFAULT_SEED) -> CheckRe
     rec = _Recorder("6.1", "power semigroup shares one triangularizing permutation")
     half = trials // 2
     cases = list(high_rank_cases(half, seed)) + list(singular_zero_diag_cases(trials - half, seed + 1))
-    for i, (trial, case_seed, r, m) in enumerate(cases):
-        p = as_potent(m, r)
+    for i, (trial, case_seed, r, p) in enumerate(cases):
         s = cyclic_semigroup(p)
         closed = all(x @ y in set(s.members) for x in s.members for y in s.members)
         rep = cyclic_semigroup_decomposable_check(p)
         ok = closed and rep.prediction.agrees and (not rep.applicable or rep.all_triangular)
-        rec.record(ok, i, seed=case_seed, matrix=m, detail=f"r={r}")
+        rec.record(ok, i, seed=case_seed, matrix=p.a, detail=f"r={r}")
     return rec.result()
 
 
@@ -450,10 +452,10 @@ def is_unit_bracket(lower: Fraction, upper: Fraction) -> bool:
 def run_perron_trace(trials: int = 100, seed: int = DEFAULT_SEED) -> CheckResult:
     """Spectral radius 1 for every nonzero potent matrix; zero trace at rank r-1."""
     rec = _Recorder("perron", "unit spectral radius and zero trace where applicable")
-    for i, case_seed, r, m in high_rank_cases(trials // 2, seed):
-        lower, upper = perron_value(block_triangularize(m))
+    for i, case_seed, r, p in high_rank_cases(trials // 2, seed):
+        lower, upper = perron_value(block_triangularize(p.a))
         detail = f"perron in [{lower}, {upper}]"
-        rec.record(is_unit_bracket(lower, upper), i, seed=case_seed, matrix=m, detail=detail)
+        rec.record(is_unit_bracket(lower, upper), i, seed=case_seed, matrix=p.a, detail=detail)
     for i in range(trials - trials // 2):
         r = (3, 4, 5, 6)[i % 4]
         case_seed = _case_seed(seed, i)

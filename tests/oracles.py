@@ -13,7 +13,9 @@ digraph and picks its sink component directly, against the one that reads
 it off the union's block triangularization.  The generator oracles place
 ``Fraction`` entries one by one and compute the coupling B^(r-1) X with a
 triple loop, against builders that pad integer rows and take one exact
-product.
+product; the rank-one idempotent oracle draws ``Fraction`` factors and goes
+through the validating constructor, against the builder that forms
+U_i R_j / U.R on the integer grid.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from fractions import Fraction
 from math import gcd
 
 from rpotent.decomposition import Digraph, InvariantSubsetWitness, condensation_successors
+from rpotent.generators import rank_one_idempotent
 from rpotent.matrix import PatternMatrix, RMatrix, coerce_entry
 from rpotent.potency import DEFAULT_POTENCY_CAP, Potent
 from rpotent.semigroup import PatternSemigroup
@@ -85,6 +88,17 @@ def fraction_triangular_family(p: Potent, x) -> RMatrix:
         rows[i][:k] = b.entries[i]
         rows[i][k:] = coupling[i]
     return RMatrix(tuple(tuple(row) for row in rows))
+
+
+_FRACTION_POOL = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3))
+
+
+def fraction_random_idempotent(rng: random.Random, dim: int, su, sv) -> RMatrix:
+    """u v^T from ``Fraction`` pool draws on the supports ``su`` and ``sv``, v scaled so v.u = 1."""
+    u = [rng.choice(_FRACTION_POOL) if i in su else Fraction(0) for i in range(dim)]
+    raw = [rng.choice(_FRACTION_POOL) if i in sv else Fraction(0) for i in range(dim)]
+    s = sum((a * b for a, b in zip(raw, u)), Fraction(0))
+    return rank_one_idempotent(u, [x / s for x in raw])
 
 
 def unscreened_minimal_potency(a: RMatrix, cap: int = DEFAULT_POTENCY_CAP) -> Potent | None:

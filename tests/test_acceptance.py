@@ -103,7 +103,8 @@ def test_rank_above_threshold_always_decomposes(high_rank_family):
     family, generation_time = high_rank_family
     t0 = time.monotonic()
     assert len(family) == 200
-    for i, case_seed, r, m in family:
+    for i, case_seed, r, p in family:
+        m = p.a
         assert is_r_potent(m, r), _dump(m, case_seed)
         assert m.rank() > r - 1, _dump(m, case_seed)
         assert is_decomposable(m), _dump(m, case_seed)
@@ -114,11 +115,12 @@ def test_rank_above_threshold_always_decomposes(high_rank_family):
 def test_singular_zero_diagonal_always_decomposes(singular_family):
     """100 singular rank <= r-1 instances with zero-diagonal powers, all decomposable."""
     assert len(singular_family) == 100
-    for i, case_seed, r, m in singular_family:
+    for i, case_seed, r, p in singular_family:
+        m = p.a
         assert is_r_potent(m, r), _dump(m, case_seed)
         assert m.rank() <= r - 1, _dump(m, case_seed)
         assert m.rank() < m.n, _dump(m, case_seed)
-        assert set(range(2, r)) <= zero_diagonal_powers(as_potent(m, r)), _dump(m, case_seed)
+        assert set(range(2, r)) <= zero_diagonal_powers(p), _dump(m, case_seed)
         assert is_decomposable(m), _dump(m, case_seed)
 
 
@@ -134,12 +136,12 @@ def test_rank_one_idempotent_zero_diagonal_criterion():
 def test_triangular_structure_bounds(high_rank_family, singular_family):
     """Block dichotomy, rank sums, count bounds, and zero separation."""
     checked = 0
-    for i, case_seed, r, m in itertools.chain(high_rank_family[0], singular_family):
-        if not is_decomposable(m):
+    for i, case_seed, r, p in itertools.chain(high_rank_family[0], singular_family):
+        if not is_decomposable(p.a):
             continue
         checked += 1
-        ok, detail = structure_case_ok(m, r)
-        assert ok, f"{detail}\n{_dump(m, case_seed)}"
+        ok, detail = structure_case_ok(p)
+        assert ok, f"{detail}\n{_dump(p.a, case_seed)}"
     # every matrix from the two families decomposes, so all 300 are checked
     assert checked == 300
 
@@ -148,8 +150,9 @@ def test_kronecker_products_decompose():
     """100 trials per variant: potent product, rank > r-1, decomposable."""
     for idempotent_b in (False, True):
         count = 0
-        for i, case_seed, r, a, b in kron_cases(100, SEED + 3, idempotent_b):
+        for i, case_seed, r, pa, pb in kron_cases(100, SEED + 3, idempotent_b):
             count += 1
+            a, b = pa.a, pb.a
             k = a.kron(b)
             assert is_r_potent(k, r), _dump(k, case_seed)
             assert k.rank() == a.rank() * b.rank(), _dump(k, case_seed)
@@ -171,7 +174,8 @@ def test_perron_value_one_and_zero_trace(high_rank_family, singular_family):
     mixed = itertools.chain(
         high_rank_family[0], singular_family, rank_trace_cases(100, SEED + 9)
     )
-    for i, case_seed, r, m in mixed:
+    for i, case_seed, r, p in mixed:
+        m = p.a
         lower, upper = perron_value(block_triangularize(m))
         tight = upper - lower <= Fraction(1, 10**9)
         assert lower <= 1 <= upper and tight, f"perron in [{lower}, {upper}]\n{_dump(m, case_seed)}"

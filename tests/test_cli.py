@@ -389,6 +389,33 @@ class TestSubprocessEntryPoint:
         assert proc.returncode == 0
         assert "indecomposable" in proc.stdout
 
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_is_not_bad_input(self, unbuffered):
+        import rpotent
+
+        package = os.path.dirname(rpotent.__file__)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        data = os.path.join(package, "data", "uniform_block_tower_r4.json")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rpotent", "semigroup", data, "--r", "4"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "error:" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == ""
+
     def test_cli_import_loads_no_numpy(self):
         import rpotent
 

@@ -136,7 +136,7 @@ class TestBlockTriangularize:
     def test_every_block_is_indecomposable(self):
         for seed in range(40):
             r = (2, 3, 4, 5)[seed % 4]
-            a = random_r_potent(r, 1 + seed % 5, seed, max_dim=16)
+            a = random_r_potent(r, 1 + seed % 5, seed, max_dim=16).a
             t = block_triangularize(a)
             assert t.is_valid()
             for blk in t.diagonal_blocks:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from rpotent import generators
 from rpotent.decomposition import is_decomposable
 from rpotent.generators import (
     GeneratorSpec,
@@ -21,7 +22,12 @@ from rpotent.generators import (
 from rpotent.matrix import RMatrix, matrix_to_json
 from rpotent.potency import as_potent, is_r_potent, minimal_potency, zero_diagonal_powers
 
-from oracles import fraction_block_diagonal, fraction_cycle_matrix, fraction_triangular_family
+from oracles import (
+    fraction_block_diagonal,
+    fraction_cycle_matrix,
+    fraction_random_idempotent,
+    fraction_triangular_family,
+)
 
 
 def _same(m: RMatrix, oracle: RMatrix) -> bool:
@@ -135,7 +141,7 @@ class TestTriangularFamily:
             as_potent(uniform_idempotent(3), 2),
             as_potent(RMatrix.identity(2), 2),
             as_potent(block_diagonal([uniform_idempotent(2), RMatrix.zeros(1)]), 3),
-            as_potent(random_r_potent(3, 2, 5, max_dim=6), 3),
+            random_r_potent(3, 2, 5, max_dim=6),
             as_potent(RMatrix.from_rows([[1]]), 2),
         ]
         rng = random.Random(3)
@@ -157,7 +163,9 @@ class TestRandomRPotent:
         for seed in range(80):
             r = (2, 3, 4, 5)[seed % 4]
             target = 1 + seed % 6
-            m = random_r_potent(r, target, seed)
+            p = random_r_potent(r, target, seed)
+            m = p.a
+            assert p.r == r and p.rank == target
             assert is_r_potent(m, r)
             assert m.rank() == target
             assert m.n <= 36
@@ -170,13 +178,13 @@ class TestRandomRPotent:
 
     def test_deterministic_per_seed(self):
         for seed in (0, 7, 123):
-            a = random_r_potent(3, 4, seed)
-            b = random_r_potent(3, 4, seed)
+            a = random_r_potent(3, 4, seed).a
+            b = random_r_potent(3, 4, seed).a
             assert a == b
             assert matrix_to_json(a) == matrix_to_json(b)
 
     def test_distinct_seeds_vary(self):
-        outputs = {matrix_to_json(random_r_potent(3, 4, seed)) for seed in range(10)}
+        outputs = {matrix_to_json(random_r_potent(3, 4, seed).a) for seed in range(10)}
         assert len(outputs) > 1
 
 
@@ -184,11 +192,13 @@ class TestSingularZeroDiagFamily:
     def test_emission_contract(self):
         for seed in range(60):
             r = (3, 4, 5)[seed % 3]
-            m = random_singular_zero_diag(r, seed)
+            p = random_singular_zero_diag(r, seed)
+            m = p.a
+            assert p.r == r
             assert is_r_potent(m, r)
             assert m.rank() <= r - 1
             assert m.rank() < m.n
-            assert zero_diagonal_powers(as_potent(m, r)) == set(range(1, r))
+            assert zero_diagonal_powers(p) == set(range(1, r))
 
     def test_rejects_r_two(self):
         with pytest.raises(ValueError):
@@ -214,6 +224,55 @@ class TestSemigroupFamilies:
                 word = word @ rng.choice(gens)
                 assert is_r_potent(word, r)
                 assert word.rank() > r - 1
+
+
+SEEDS = range(400)
+
+
+def _r_potent(seed: int):
+    return random_r_potent((2, 3, 4, 5)[seed % 4], 1 + seed % 8, seed, max_dim=(14, 22, 30)[seed % 3])
+
+
+def _singular(seed: int):
+    return random_singular_zero_diag((3, 4, 5)[seed % 3], seed)
+
+
+# each builds the list of matrices a generator emits for one seed
+_EMITTED = {
+    "rank_one_padded": lambda seed: [random_rank_one_idempotent(1 + seed % 6, seed, True)],
+    "rank_one_unpadded": lambda seed: [random_rank_one_idempotent(1 + seed % 6, seed, False)],
+    "rank_one_default": lambda seed: [random_rank_one_idempotent(1 + seed % 6, seed)],
+    "r_potent": lambda seed: [_r_potent(seed).a],
+    "singular_zero_diag": lambda seed: [_singular(seed).a],
+    "rank_dominant_semigroup": lambda seed: rank_dominant_semigroup_generators((2, 3, 4)[seed % 3], 1 + seed % 3, seed),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_EMITTED))
+def test_integer_grid_idempotents_match_the_fraction_oracle(monkeypatch, family):
+    """Equal ``(den, num)`` with the ``Fraction`` idempotent oracle over seeds 0-399.
+
+    The oracle makes the same ``rng`` draws, so equal grids over a whole
+    family also show that no later draw moved.
+    """
+
+    def grids():
+        return [[(m.den, m.num) for m in _EMITTED[family](seed)] for seed in SEEDS]
+
+    on_grid = grids()
+    monkeypatch.setattr(generators, "_random_idempotent", fraction_random_idempotent)
+    assert on_grid == grids()
+
+
+class TestEmittedPotent:
+    """The ``Potent`` a generator returns holds on a path other than the walk that made it."""
+
+    @pytest.mark.parametrize("build", [_r_potent, _singular])
+    def test_power_and_rank(self, build):
+        for seed in SEEDS:
+            p = build(seed)
+            assert p.a.pow(p.r) == p.a, seed
+            assert p.rank == RMatrix.rank(p.a), seed
 
 
 class TestGeneratorSpec:

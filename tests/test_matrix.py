@@ -206,7 +206,25 @@ class TestPower:
         assert CYCLE3.pow(0) == RMatrix.identity(3)
 
     def test_power_one_is_self(self):
-        assert CYCLE3.pow(1) == CYCLE3
+        assert CYCLE3.pow(1) is CYCLE3
+
+    def test_product_count(self, monkeypatch):
+        # squarings up to the top bit, one product per further set bit; no
+        # product with the identity
+        products = []
+        matmul = RMatrix.__matmul__
+
+        def counted(x, y):
+            products.append(1)
+            return matmul(x, y)
+
+        unipotent = RMatrix.from_rows([[1, "1/2"], [0, 1]])
+        monkeypatch.setattr(RMatrix, "__matmul__", counted)
+        for k in range(1, 71):
+            products.clear()
+            power = unipotent.pow(k)
+            assert len(products) == k.bit_length() + bin(k).count("1") - 2, k
+            assert power == RMatrix.from_rows([[1, Fraction(k, 2)], [0, 1]]), k
 
     def test_cycle_power_three_is_identity(self):
         assert CYCLE3.pow(3) == RMatrix.identity(3)

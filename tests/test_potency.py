@@ -71,7 +71,7 @@ class TestMinimalPotency:
         rng = random.Random(17)
         for seed in range(15):
             r = (3, 4, 5)[seed % 3]
-            a = random_r_potent(r, 1 + seed % 4, seed, max_dim=12)
+            a = random_r_potent(r, 1 + seed % 4, seed, max_dim=12).a
             walk = minimal_potency(a, 64)
             assert walk is not None and walk.r <= r
             m = walk.r
@@ -106,7 +106,7 @@ class TestAsPotent:
     def test_powers_match_exact_powers(self):
         for seed in range(20):
             r = (2, 3, 4, 5)[seed % 4]
-            a = random_r_potent(r, 1 + seed % 5, seed, max_dim=12)
+            a = random_r_potent(r, 1 + seed % 5, seed, max_dim=12).a
             p = as_potent(a, r)
             powers = list(p.power_cycle())
             for j in range(1, r):
@@ -131,7 +131,7 @@ class TestIdempotentProjection:
     def test_projection_squares_to_itself_and_keeps_rank(self):
         for seed in range(100):
             r = (2, 3, 4, 5)[seed % 4]
-            a = random_r_potent(r, 1 + seed % 5, seed, max_dim=14)
+            a = random_r_potent(r, 1 + seed % 5, seed, max_dim=14).a
             e = as_potent(a, r).projection
             assert e == a.pow(r - 1)
             assert e @ e == e
@@ -186,7 +186,7 @@ class TestPotencyReport:
     def test_minimal_r_divides(self):
         for seed in range(20):
             r = (3, 4, 5)[seed % 3]
-            a = random_r_potent(r, 1 + seed % 3, seed)
+            a = random_r_potent(r, 1 + seed % 3, seed).a
             rep = potency_report(a, r)
             assert rep.is_r_potent
             assert rep.minimal_r is not None
@@ -196,7 +196,7 @@ class TestPotencyReport:
     def test_power_cycles_with_step_r_minus_one(self):
         for seed in range(12):
             r = (2, 3, 4, 5)[seed % 4]
-            a = random_r_potent(r, 1 + seed % 3, seed)
+            a = random_r_potent(r, 1 + seed % 3, seed).a
             for k in(1, 2, 3):
                 assert a.pow(k * (r - 1) + 1) == a
 

@@ -74,7 +74,7 @@ def _generated_potent(draw):
     rank = draw(st.integers(1, 5))
     seed = draw(st.integers(0, 10**6))
     try:
-        return random_r_potent(r, rank, seed, max_dim=6)
+        return random_r_potent(r, rank, seed, max_dim=6).a
     except ValueError:
         assume(False)
 

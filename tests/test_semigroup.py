@@ -329,8 +329,7 @@ class TestCyclicSemigroup:
     def test_closure_property_exhaustive(self):
         for seed in range(20):
             r = (3, 4, 5)[seed % 3]
-            a = random_r_potent(r, 1 + seed % 4, seed, max_dim=12)
-            s = cyclic_semigroup(as_potent(a, r))
+            s = cyclic_semigroup(random_r_potent(r, 1 + seed % 4, seed, max_dim=12))
             members = set(s.members)
             for x in members:
                 for y in members:
@@ -346,8 +345,7 @@ class TestCyclicSemigroupCheck:
     def test_high_rank_case_shares_a_permutation(self):
         for seed in range(20):
             r = (2, 3, 4)[seed % 3]
-            a = random_r_potent(r, r + seed % 2, seed, max_dim=12)
-            rep = cyclic_semigroup_decomposable_check(as_potent(a, r))
+            rep = cyclic_semigroup_decomposable_check(random_r_potent(r, r + seed % 2, seed, max_dim=12))
             assert rep.prediction.agrees
             assert rep.applicable
             assert rep.all_triangular
@@ -368,10 +366,10 @@ class TestCyclicSemigroupCheck:
         monkeypatch.setattr(Digraph, "strongly_connected_components", counting)
         for seed in range(8):
             r = (2, 3, 4)[seed % 3]
-            a = random_r_potent(r, 1 + seed % 4, seed, max_dim=10)
+            p = random_r_potent(r, 1 + seed % 4, seed, max_dim=10)
             searched.clear()
-            cyclic_semigroup_decomposable_check(as_potent(a, r))
-            assert searched == [Digraph.from_matrix(a)]
+            cyclic_semigroup_decomposable_check(p)
+            assert searched == [Digraph.from_matrix(p.a)]
 
     def test_block_diagonal_is_trivially_common(self):
         m = block_diagonal([uniform_idempotent(1), uniform_idempotent(2)])
@@ -410,7 +408,7 @@ class TestRankFloor:
     def test_single_high_rank_generator(self):
         for seed in range(10):
             r = (2, 3, 4)[seed % 3]
-            a = random_r_potent(r, r + seed % 2, seed, max_dim=12)
+            a = random_r_potent(r, r + seed % 2, seed, max_dim=12).a
             rep = semigroup_rank_floor_check([a], r)
             assert rep.all_ok
 

@@ -277,10 +277,10 @@ class TestPerronValue:
     def test_every_generated_potent_has_unit_radius(self):
         for seed in range(60):
             r = (2, 3, 4, 5)[seed % 4]
-            m = random_r_potent(r, 1 + seed % 5, seed, max_dim=14)
-            lower, upper = perron_value(block_triangularize(m))
+            p = random_r_potent(r, 1 + seed % 5, seed, max_dim=14)
+            lower, upper = perron_value(block_triangularize(p.a))
             assert lower <= 1 <= upper
-            assert perron_value(block_triangularize(m), as_potent(m, r)) == (1, 1)
+            assert perron_value(block_triangularize(p.a), p) == (1, 1)
 
 
 class TestEveryZeroOneMatrixUpToThree:

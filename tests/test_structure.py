@@ -60,8 +60,8 @@ class TestAnalyzeStructure:
     def test_generated_families_satisfy_all_block_facts(self):
         for seed in range(40):
             r = (2, 3, 4, 5)[seed % 4]
-            m = random_r_potent(r, r + seed % 2, seed, max_dim=16)
-            rep = analyze_structure(as_potent(m, r), block_triangularize(m))
+            p = random_r_potent(r, r + seed % 2, seed, max_dim=16)
+            rep = analyze_structure(p, block_triangularize(p.a))
             assert rep.blocks_ok
             assert rep.rank_sum_ok
             if rep.applicable:
@@ -102,7 +102,7 @@ class TestReorder:
     def test_wrapped_families_always_separate(self):
         for seed in range(30):
             r = (3, 4, 5)[seed % 3]
-            m = random_singular_zero_diag(r, seed)
+            m = random_singular_zero_diag(r, seed).a
             t = block_triangularize(m)
             best = reorder_to_avoid_consecutive_zeros(t)
             assert best.is_valid()
@@ -120,7 +120,7 @@ class TestReorder:
     def test_total_block_bound_after_separation(self):
         for seed in range(30):
             r = (2, 3, 4)[seed % 3]
-            m = random_r_potent(r, r + seed % 3, seed, max_dim=14)
+            m = random_r_potent(r, r + seed % 3, seed, max_dim=14).a
             k = m.rank()
             t = block_triangularize(m)
             best = reorder_to_avoid_consecutive_zeros(t)

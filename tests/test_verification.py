@@ -2,6 +2,7 @@
 
 import pytest
 
+from rpotent.matrix import RMatrix
 from rpotent.verification import CHECKS, CheckResult, run_check
 
 REDUCED_TRIALS = {
@@ -55,3 +56,19 @@ def test_wielandt_check_accepts_single_dimension():
     assert result.ok and result.total == 4
     with pytest.raises(ValueError, match="--n applies to checks 2.4, 7.2 only"):
         run_check("3.2", n=5)
+
+
+def test_rank_trace_check_ranks_each_matrix_once(monkeypatch):
+    # the generator's emission check computes the rank on the Potent it
+    # returns; the check reads it there instead of ranking the matrix again
+    calls = []
+    rank = RMatrix.rank
+
+    def counted(m):
+        calls.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(RMatrix, "rank", counted)
+    result = run_check("2.6", trials=20)
+    assert result.ok and result.total == 20
+    assert len(calls) == 20
