@@ -14,14 +14,10 @@ import json
 import os
 import sys
 
-from .decomposition import (
-    block_triangularize,
-    brute_force_decomposable,
-    main_decomposability_test,
-)
+from .decomposition import block_triangularize, brute_force_decomposable
 from .generators import GeneratorSpec
 from .matrix import RMatrix, load_matrix, matrix_to_json
-from .potency import NonPotency, potency_report
+from .potency import main_decomposability_test, potency_report
 from .semigroup import (
     ClosureTruncated,
     DEFAULT_CLOSURE_CAP,
@@ -37,33 +33,32 @@ ORACLE_DIM_LIMIT = 12
 
 
 def _analysis_bundle(a: RMatrix, r: int | None) -> dict:
-    """Every report for one matrix, from one potency pass and one triangularization."""
-    proof: list[NonPotency] = []
-    potency = potency_report(a, r, proof)
-    potent = None if potency is None else potency.potent
+    """Every report for one matrix, from one triangularization and the potency decision over it."""
     tri = block_triangularize(a)
+    potency = potency_report(tri, r)
+    potent = potency.potent
     decomposable = not tri.is_trivial
     oracle_checked = a.n <= ORACLE_DIM_LIMIT
     oracle_witness = brute_force_decomposable(a) if oracle_checked else None
     oracle_agrees = None
     if oracle_checked:
         oracle_agrees = (oracle_witness is not None) == decomposable
-    prediction = None if potent is None else main_decomposability_test(potent, tri)
-    structure = None if potent is None else analyze_structure(potent, tri)
+    prediction = None if potent is None else main_decomposability_test(potent)
+    structure = None if potent is None else analyze_structure(potent)
     spectral = spectral_report(tri, potent)
     checks_ok = all(
         flag is not False
         for flag in (
             oracle_agrees,
             None if prediction is None else prediction.agrees,
-            None if potency is None else potency.rank_trace_ok,
+            potency.rank_trace_ok,
             None if structure is None else (structure.blocks_ok and structure.rank_sum_ok),
         )
     )
     bundle = {
         "matrix": a.to_json_dict(),
-        "r": None if potency is None else potency.r,
-        "potency": None if potency is None else potency.to_dict(),
+        "r": potency.r,
+        "potency": None if potency.r is None else potency.to_dict(),
         "decomposability": {
             "decomposable": decomposable,
             "witness": None if tri.witness is None else tri.witness.sorted_indices(),
@@ -77,16 +72,9 @@ def _analysis_bundle(a: RMatrix, r: int | None) -> dict:
         "prediction": None if prediction is None else prediction.to_dict(),
         "ok": checks_ok,
     }
-    if proof:
-        bundle["nonpotency"] = proof[0].to_dict()
+    if potency.nonpotency is not None:
+        bundle["nonpotency"] = potency.nonpotency.to_dict()
     return bundle
-
-
-_BROKEN_INVARIANT_TEXT = {
-    "trace_integer": "has a trace that is not an integer",
-    "trace_bound": "has a trace above n",
-    "nonzero": "is zero while A is not",
-}
 
 
 def _print_bundle_human(bundle: dict, out) -> None:
@@ -94,7 +82,7 @@ def _print_bundle_human(bundle: dict, out) -> None:
     print(f"matrix: {n}x{n}", file=out)
     pot = bundle["potency"]
     if pot is None:
-        print("potency: no exponent r <= 64 with A^r = A", file=out)
+        print("potency: no exponent r with A^r = A", file=out)
     else:
         state = "holds" if pot["is_r_potent"] else "fails"
         line = f"potency: A^{pot['r']} = A {state}; minimal r = {pot['minimal_r']}; "
@@ -104,8 +92,8 @@ def _print_bundle_human(bundle: dict, out) -> None:
         print(line, file=out)
     proof = bundle.get("nonpotency")
     if proof is not None:
-        reason = _BROKEN_INVARIANT_TEXT[proof["invariant"]]
-        print(f"  not potent for any r: A^{proof['power']} {reason}", file=out)
+        big_l = proof["period_lcm"]
+        print(f"  not potent for any r: A^{big_l + 1} != A at L = {big_l}, the lcm of the block periods", file=out)
     dec = bundle["decomposability"]
     verdict = "decomposable" if dec["decomposable"] else "indecomposable"
     oracle = ""

@@ -16,12 +16,12 @@ indecomposable by definition.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from .matrix import PatternMatrix, Permutation, RMatrix
-from .potency import Potent, is_r_potent, zero_diagonal_powers
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -99,30 +99,32 @@ class Digraph:
                     comps.append(tuple(sorted(comp)))
         return comps
 
-    def cycle_gcd(self) -> int:
-        """Gcd of all cycle lengths; the digraph must be strongly connected.
+    def cycle_gcd(self, comp: Sequence[int]) -> int:
+        """Gcd of the lengths of the cycles inside ``comp``, a strongly connected vertex set.
 
-        Computed from a BFS level assignment: the gcd over all edges v -> w of
-        level(v) + 1 - level(w) equals the gcd of all cycle lengths.
+        0 when ``comp`` has no edge, as a lone vertex without a self-loop.
+        Computed from a BFS level assignment inside ``comp``: the gcd over
+        all its edges v -> w of level(v) + 1 - level(w) equals the gcd of all
+        cycle lengths.
         """
         out = self.out
-        level = [-1] * self.n
-        level[0] = 0
-        frontier = [0]
+        inside = sum(1 << v for v in comp)
+        level = {comp[0]: 0}
+        frontier = [comp[0]]
         while frontier:
             nxt = []
             for v in frontier:
-                m = out[v]
+                m = out[v] & inside
                 while m:
                     w = (m & -m).bit_length() - 1
                     m &= m - 1
-                    if level[w] < 0:
+                    if w not in level:
                         level[w] = level[v] + 1
                         nxt.append(w)
             frontier = nxt
         g = 0
-        for v in range(self.n):
-            m = out[v]
+        for v in comp:
+            m = out[v] & inside
             while m:
                 w = (m & -m).bit_length() - 1
                 m &= m - 1
@@ -203,10 +205,11 @@ class BlockTriangularization:
     """Ordered components of A = ``source`` that put A in block upper triangular form.
 
     ``components`` lists, per block, the original indices it contains.  Each
-    block is one strongly connected component of the support digraph, hence
-    indecomposable, which is what makes the triangularization maximal.  The
-    order is a sink-first linear extension of the condensation, so conjugation
-    by ``permutation`` leaves zeros strictly below the diagonal blocks.
+    block is one strongly connected component of ``graph``, the support
+    digraph of A, hence indecomposable, which is what makes the
+    triangularization maximal.  The order is a sink-first linear extension of
+    the condensation, so conjugation by ``permutation`` leaves zeros strictly
+    below the diagonal blocks.
 
     This is the one place where the component facts of A are decided: A is
     decomposable iff ``is_trivial`` is False, ``witness`` is the first (sink)
@@ -218,6 +221,7 @@ class BlockTriangularization:
 
     components: tuple[tuple[int, ...], ...]
     source: RMatrix
+    graph: Digraph
 
     @property
     def is_trivial(self) -> bool:
@@ -239,12 +243,15 @@ class BlockTriangularization:
     def periods(self) -> tuple[int | None, ...]:
         """Period of each diagonal block, None for a zero block; found once, then kept.
 
-        Each block is strongly connected, so no component search is needed.
+        Each block is strongly connected, so its period is the cycle gcd of
+        its component in ``graph``; no block is built.
         """
-        return tuple(
-            None if blk.is_zero() else Digraph.from_matrix(blk).cycle_gcd()
-            for blk in self.diagonal_blocks
-        )
+        return tuple(self.graph.cycle_gcd(c) or None for c in self.components)
+
+    @property
+    def period_lcm(self) -> int:
+        """The lcm of the periods of the nonzero blocks; 1 when every block is zero."""
+        return lcm(*filter(None, self.periods))
 
     @cached_property
     def witness(self) -> InvariantSubsetWitness | None:
@@ -263,23 +270,26 @@ class BlockTriangularization:
     def conjugated(self) -> RMatrix:
         return self.source.conjugate(self.permutation)
 
-    def is_respected_by(self, m: RMatrix) -> bool:
-        """Whether conjugating ``m`` by the same permutation is block upper triangular."""
+    def is_respected_by(self, m: PatternMatrix) -> bool:
+        """Whether a matrix of support ``m``, conjugated by the same permutation, is block upper triangular."""
         if m.n != self.source.n:
             return False
-        block = {v: ci for ci, comp in enumerate(self.components) for v in comp}
-        return not any(
-            x and block[i] > block[j] for i, row in enumerate(m.num) for j, x in enumerate(row)
-        )
+        # row i may have support only in the block of i and the blocks after it
+        allowed, later = [0] * m.n, 0
+        for comp in reversed(self.components):
+            later |= sum(1 << v for v in comp)
+            for v in comp:
+                allowed[v] = later
+        return not any(row & ~ok for row, ok in zip(m.rows, allowed))
 
     def is_valid(self) -> bool:
-        return self.is_respected_by(self.source)
+        return self.is_respected_by(self.source.pattern())
 
     def with_component_order(self, order: list[int]) -> BlockTriangularization:
         """Rebuild with components permuted into the given order (indices into ``components``)."""
         if sorted(order) != list(range(len(self.components))):
             raise ValueError("order must permute the component indices")
-        return BlockTriangularization(tuple(self.components[i] for i in order), self.source)
+        return BlockTriangularization(tuple(self.components[i] for i in order), self.source, self.graph)
 
     def to_dict(self) -> dict:
         return {
@@ -346,7 +356,7 @@ def block_triangularize(a: RMatrix) -> BlockTriangularization:
     graph = Digraph.from_matrix(a)
     comps = graph.strongly_connected_components()
     order = _sink_first_order(comps, graph)
-    return BlockTriangularization(tuple(comps[ci] for ci in order), a)
+    return BlockTriangularization(tuple(comps[ci] for ci in order), a, graph)
 
 
 def rank_one_idempotent_diag_test(a: RMatrix) -> bool:
@@ -356,76 +366,6 @@ def rank_one_idempotent_diag_test(a: RMatrix) -> bool:
     equivalent to being decomposable; callers assert that equivalence against
     ``is_decomposable``.
     """
-    if not is_r_potent(a, 2) or a.rank() != 1:
+    if a @ a != a or a.rank() != 1:
         raise ValueError("input must be a nonnegative idempotent of rank one")
-    return a.has_zero_diagonal_entry()
-
-
-@dataclass(frozen=True)
-class DecompositionPrediction:
-    """Outcome of the rank/diagonal decomposability criteria on one r-potent matrix.
-
-    ``case`` is one of:
-
-    * ``rank_above_threshold``   rank > r-1, decomposability predicted;
-    * ``singular_zero_diagonal`` rank <= r-1, singular, and A^2 .. A^(r-1)
-      each have a zero diagonal entry, decomposability predicted;
-    * ``no_prediction``          neither criterion fires.
-
-    The second case only fires for r >= 3 and n >= 2: for r = 2 the power
-    condition is vacuous and positive rank-one idempotents are singular yet
-    indecomposable, and the 1x1 zero matrix satisfies everything while having
-    no proper nonempty subset to decompose along.
-    """
-
-    case: str
-    predicted_decomposable: bool | None
-    actual_decomposable: bool
-    rank: int
-    r: int
-
-    @property
-    def agrees(self) -> bool:
-        return self.predicted_decomposable is None or (
-            self.predicted_decomposable == self.actual_decomposable
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "predicted_decomposable": self.predicted_decomposable,
-            "actual_decomposable": self.actual_decomposable,
-            "rank": self.rank,
-            "r": self.r,
-            "agrees": self.agrees,
-        }
-
-
-def main_decomposability_test(p: Potent, t: BlockTriangularization) -> DecompositionPrediction:
-    """Classify an r-potent matrix by the decomposability criteria and compare.
-
-    ``t`` is A's maximal block triangularization; A is actually decomposable
-    iff it has more than one block.
-    """
-    if t.source != p.a:
-        raise ValueError("t is the triangularization of another matrix")
-    a, r, k = p.a, p.r, p.rank
-    actual = not t.is_trivial
-    if k > r - 1:
-        case, predicted = "rank_above_threshold", True
-    elif (
-        r >= 3
-        and a.n >= 2
-        and k < a.n
-        and set(range(2, r)) <= zero_diagonal_powers(p)
-    ):
-        case, predicted = "singular_zero_diagonal", True
-    else:
-        case, predicted = "no_prediction", None
-    return DecompositionPrediction(
-        case=case,
-        predicted_decomposable=predicted,
-        actual_decomposable=actual,
-        rank=k,
-        r=r,
-    )
+    return a.pattern().has_zero_diagonal_entry()

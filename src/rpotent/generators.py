@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .matrix import Entry, Permutation, RMatrix, coerce_entry
-from .potency import Potent, as_potent, potency_report
+from .potency import Potent, as_potent
 
 _POOL = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3))
 _POOL_WITH_ZERO = _POOL + (Fraction(0),)
@@ -87,11 +87,13 @@ def triangular_family(p: Potent, x: Sequence[Sequence[Entry]] | RMatrix) -> RMat
 
     ``p`` is B checked at r.  B^(r-1) C = B^(2r-2) X = B^(r-1) X = C, so the
     r-th power reproduces the matrix.  The rank equals rank(B): the coupling
-    columns lie in the range of B.  Built as one exact product
-    diag(B^(r-1), 0) [[B, X], [0, 0]], whose leading block is B^r = B.
+    columns lie in the range of B.
     """
-    b = p.a
-    x_rows = x.entries if isinstance(x, RMatrix) else x
+    return _coupled(p.a, p.projection, x.entries if isinstance(x, RMatrix) else x)
+
+
+def _coupled(b: RMatrix, projection: RMatrix, x_rows: Sequence[Sequence[Entry]]) -> RMatrix:
+    """[[B, B^(r-1) X], [0, 0]] as diag(B^(r-1), 0) [[B, X], [0, 0]], for ``projection`` = B^(r-1) of an r-potent B."""
     k = b.n
     if len(x_rows) != k:
         raise ValueError(f"coupling seed must have {k} rows")
@@ -106,7 +108,7 @@ def triangular_family(p: Potent, x: Sequence[Sequence[Entry]] | RMatrix) -> RMat
         raise ValueError("coupling seed must have at least one column")
     zero_rows = [(Fraction(0),) * (k + m)] * m
     w = RMatrix(tuple([(*b_row, *x_row) for b_row, x_row in zip(b.entries, xs)] + zero_rows))
-    return block_diagonal([p.projection, RMatrix.zeros(m)]) @ w
+    return block_diagonal([projection, RMatrix.zeros(m)]) @ w
 
 
 def _random_idempotent(rng: random.Random, dim: int, su: range | set[int], sv: range | set[int]) -> RMatrix:
@@ -213,14 +215,15 @@ def _random_core(rng: random.Random, r: int, target_rank: int, max_dim: int) -> 
 
 
 def _verify_emission(m: RMatrix, r: int, target_rank: int | None) -> Potent:
-    """``m`` checked at ``r`` by one potency walk, its rank checked and kept on the result.
+    """``m`` checked at ``r`` by one exponent check, its rank checked and kept on the result.
 
     RuntimeError when the generator broke its contract: ``m`` is not
     r-potent, or its rank is not ``target_rank`` (when one is given).
     """
-    p = potency_report(m, r).potent
-    if p is None:
-        raise RuntimeError("generator emitted a matrix that is not r-potent")
+    try:
+        p = as_potent(m, r)
+    except ValueError:
+        raise RuntimeError("generator emitted a matrix that is not r-potent") from None
     if target_rank is not None and p.rank != target_rank:
         raise RuntimeError("generator missed the target rank")
     return p
@@ -248,7 +251,8 @@ def random_r_potent(
     m = _random_core(rng, r, target_rank, max_dim)
     if m.n < max_dim and rng.random() < 0.4:
         x = [[rng.choice(_POOL_WITH_ZERO)] for _ in range(m.n)]
-        m = triangular_family(as_potent(m, r), x)
+        # the core is r-potent by construction; the emission check below proves the wrap
+        m = _coupled(m, m.pow(r - 1), x)
     m = m.conjugate(Permutation.random(m.n, rng))
     return _verify_emission(m, r, target_rank)
 
@@ -260,7 +264,7 @@ def random_singular_zero_diag(r: int, seed: int, max_dim: int = 24) -> Potent:
     the appended coordinate contributes a zero diagonal entry to every power,
     and the wrap keeps the rank of the core, so the matrix is singular.
     Returned as the checked ``Potent`` of the emission check, which carries
-    its powers and rank; the matrix is ``.a``.  Requires r >= 3 so that the
+    its projection and rank; the matrix is ``.a``.  Requires r >= 3 so that the
     power window {2, ..., r-1} is nonempty.
     """
     if r < 3:
@@ -270,7 +274,7 @@ def random_singular_zero_diag(r: int, seed: int, max_dim: int = 24) -> Potent:
     core = _random_core(rng, r, target, max_dim - 1)
     if rng.random() < 0.5:
         x = [[rng.choice(_POOL_WITH_ZERO)] for _ in range(core.n)]
-        m = triangular_family(as_potent(core, r), x)
+        m = _coupled(core, core.pow(r - 1), x)
     else:
         m = block_diagonal([core, RMatrix.zeros(1)])
     m = m.conjugate(Permutation.random(m.n, rng))

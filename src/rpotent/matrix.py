@@ -212,6 +212,9 @@ class PatternMatrix:
     def count_nonzero(self) -> int:
         return sum(mask.bit_count() for mask in self.rows)
 
+    def has_zero_diagonal_entry(self) -> bool:
+        return any(not mask >> i & 1 for i, mask in enumerate(self.rows))
+
     def first_zero(self) -> tuple[int, int] | None:
         """First position (row-major) at which the pattern is zero, if any."""
         full = (1 << self.n) - 1
@@ -516,9 +519,6 @@ class RMatrix:
 
     def trace(self) -> Fraction:
         return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
-
-    def has_zero_diagonal_entry(self) -> bool:
-        return any(not row[i] for i, row in enumerate(self.num))
 
     def is_zero(self) -> bool:
         return not any(map(any, self.num))

@@ -4,23 +4,23 @@ A matrix with A^r = A for some r >= 2 is called r-potent (idempotent is the
 r = 2 case).  For such matrices A^(r-1) is an idempotent projection and the
 rank of A equals the trace of that projection, an identity this module checks
 with exact arithmetic only.  Reports take a ``Potent``, a matrix checked
-once, so none of them re-checks potency or recomputes a power.  The walk that
-finds the minimal exponent stops at the first power that no potent matrix can
-have and returns that power as a ``NonPotency`` certificate.
+once, so none of them re-checks potency or recomputes a power.  Whether any
+r exists is decided from the periods of the diagonal blocks of A's maximal
+triangularization, with no cap; when none does, the decision returns the
+``NonPotency`` certificate instead.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
 from typing import Callable, Iterator
 
-from .matrix import RMatrix, format_entry
-
-DEFAULT_POTENCY_CAP = 64
+from .decomposition import BlockTriangularization, block_triangularize
+from .matrix import PatternMatrix, RMatrix, format_entry
 
 
 def is_r_potent(a: RMatrix, r: int) -> bool:
@@ -34,105 +34,123 @@ def is_r_potent(a: RMatrix, r: int) -> bool:
 class Potent:
     """A matrix A with A^r = A, checked once.
 
-    ``powers`` is A, ..., A^d for the least d with A^(d+1) = A, kept by the
-    ``minimal_potency`` walk that found d; A^r = A exactly when d divides
-    r - 1.  Past the walk's cap d is unknown and ``powers`` is None.  Only
-    ``potency_report`` and ``minimal_potency`` build one: holding one proves A^r = A.
+    ``projection`` is A^(r-1), whose product with A was checked to be A.  It
+    is also A^L for the ``period`` L, the least d >= 1 with A^(d+1) = A, as
+    L divides r - 1.  The triangularization ``tri``, and with it L, comes on
+    first use, unless the decision that built the value already had it.
+    Only this module builds one: holding one proves A^r = A.
     """
 
     a: RMatrix
     r: int
-    powers: tuple[RMatrix, ...] | None
+    projection: RMatrix
+
+    @classmethod
+    def _decided(cls, t: BlockTriangularization, r: int, projection: RMatrix) -> Potent:
+        p = cls(t.source, r, projection)
+        vars(p)["tri"] = t  # the triangularization the cached property would build
+        return p
 
     @cached_property
-    def projection(self) -> RMatrix:
-        """A^(r-1), which squares to itself because A^r = A."""
-        return self.a.pow(self.r - 1) if self.powers is None else self.powers[-1]
+    def tri(self) -> BlockTriangularization:
+        return block_triangularize(self.a)
+
+    @property
+    def period(self) -> int:
+        """L, the lcm of the block periods: A^r = A exactly when L divides r - 1."""
+        return self.tri.period_lcm
 
     @cached_property
     def rank(self) -> int:
         return self.a.rank()
 
     def power_cycle(self) -> Iterator[RMatrix]:
-        """A, A^2, ... over one period (d, or else r - 1), so A^j is item (j - 1) mod its length."""
-        if self.powers is not None:
-            return iter(self.powers)
-        return accumulate(repeat(self.a, self.r - 2), operator.matmul, initial=self.a)
+        """A, A^2, ..., A^L, built on demand; A^j is item (j - 1) mod L."""
+        return accumulate(repeat(self.a, self.period - 1), operator.matmul, initial=self.a)
 
-    def per_exponent(self, test: Callable[[RMatrix], bool]) -> tuple[bool, ...]:
-        """``test`` of A^j for each j in 1, ..., r-1, run once per power in the cycle."""
-        flags = [test(m) for m in self.power_cycle()]
+    def per_exponent(self, test: Callable[[PatternMatrix], bool]) -> tuple[bool, ...]:
+        """``test`` of the support of A^j for each j in 1, ..., r-1, run once per power in one period.
+
+        A >= 0 cannot cancel, so the support of A^j is the j-th boolean power
+        of the support of A, and no rational power is taken.
+        """
+        s = self.a.pattern()
+        flags = [test(m) for m in accumulate(repeat(s, self.period - 1), operator.mul, initial=s)]
         return tuple(flags[j % len(flags)] for j in range(self.r - 1))
 
 
 @dataclass(frozen=True)
 class NonPotency:
-    """Proof that no r >= 2 has A^r = A: the power A^k breaks ``invariant``.
+    """Proof that no r >= 2 has A^r = A: A^(L+1) != A for L = ``period_lcm``.
 
-    Let A >= 0 with A^r = A.  Its minimal polynomial divides x^r - x, which
-    has distinct roots, so A is diagonalizable with eigenvalues 0 and
-    (r-1)-th roots of unity, rank(A) of them nonzero.  Hence every power A^k
-    has a trace that is a sum of rank(A) roots of unity: an algebraic integer
-    that is rational, so an integer, and it lies in [0, rank A] within
-    [0, n] (A^k >= 0 has a nonnegative diagonal).  And A^k != 0 when A != 0,
-    since A = A^(m(r-1)+1) for every m >= 1.  ``invariant`` names the broken
-    fact: ``trace_integer``, ``trace_bound`` or ``nonzero``.
+    L is the lcm of the periods of the nonzero diagonal blocks of A's
+    maximal triangularization; ``minimal_potency`` shows that A^(L+1) = A
+    for every potent A.
     """
 
-    power: int
-    invariant: str
+    period_lcm: int
 
     def to_dict(self) -> dict:
-        return {"power": self.power, "invariant": self.invariant}
+        return {"period_lcm": self.period_lcm}
 
 
-def _broken_invariant(p: RMatrix, n: int, a_is_zero: bool) -> str | None:
-    """The invariant of every power of a potent n x n matrix that ``p`` breaks, if any."""
-    trace = sum(map(operator.getitem, p.num, range(n)))
-    if trace % p.den:
-        return "trace_integer"
-    if trace > n * p.den:
-        return "trace_bound"
-    if trace == 0 and not a_is_zero and p.is_zero():
-        return "nonzero"
-    return None
+def minimal_potency(t: BlockTriangularization) -> Potent | NonPotency:
+    """A = ``t.source`` checked at its least r with A^r = A, or the proof that no r exists.
 
+    Let L be the lcm of the periods of the nonzero diagonal blocks of ``t``
+    (1 when every block is zero).  Then A^r = A for some r >= 2 iff
+    A^(L+1) = A, and the least such r is L + 1:
 
-def minimal_potency(
-    a: RMatrix, cap: int = DEFAULT_POTENCY_CAP, proof: list[NonPotency] | None = None
-) -> Potent | None:
-    """A checked at its smallest r in [2, cap] with A^r = A, or None if there is none.
+    1. Block potency.  If A^(d+1) = A, every diagonal block B has
+       B^(d+1) = B, because the diagonal blocks of A^k are the B^k.
+    2. Spectrum.  Then the minimal polynomial of B divides x^(d+1) - x,
+       which has distinct roots: B is diagonalizable with eigenvalues 0 and
+       d-th roots of unity.  A nonzero block is irreducible, of period p say,
+       and rho(B) > 0 is one of those eigenvalues, so rho(B) = 1 and every
+       nonzero eigenvalue is peripheral.  By Perron-Frobenius they are
+       exactly the p-th roots of unity, each simple (Horn & Johnson,
+       *Matrix Analysis*, 8.4; Minc, *Nonnegative Matrices*, ch. 3).
+    3. Minimal r.  A is diagonalizable by the same argument, and its nonzero
+       eigenvalues are those of its blocks.  So A^(e+1) = A iff every p
+       divides e, iff L divides e: the least r is L + 1, and A^r = A iff L
+       divides r - 1.  With every block zero, L = 1, and A^2 = A iff A = 0.
 
-    For a permutation matrix this r is the lcm of the cycle lengths plus one.
-    Absence is a value, not an error: matrices that are not potent within the
-    cap simply report None.  Before each product the walk screens the power
-    it holds; the first power that breaks an invariant of ``NonPotency``
-    proves that no r exists at all, so the walk stops there and appends that
-    certificate to ``proof`` when one is given.
+    A^L is taken by square-and-multiply.  Its entries can grow to about L
+    times their bit length, and L can far exceed n (a permutation of 40
+    points has L = 27720).  So when L > n each nonzero block is first
+    checked at its own period, B^(p+1) = B, which p <= n keeps cheap; a
+    block that fails proves A^(L+1) != A by step 1.  Once every block
+    passes, each block's powers cycle, and the entries of A^k grow only
+    polynomially in k.
     """
-    if cap < 2:
-        raise ValueError("cap must be at least 2")
-    n, a_is_zero = a.n, a.is_zero()
-    powers = [a]
-    for r in range(2, cap + 1):
-        broken = _broken_invariant(powers[-1], n, a_is_zero)
-        if broken is not None:
-            if proof is not None:
-                proof.append(NonPotency(r - 1, broken))
-            return None
-        p = powers[-1] @ a
-        if p == a:
-            return Potent(a, r, tuple(powers))
-        powers.append(p)
-    return None
+    a, big_l = t.source, t.period_lcm
+    if big_l > a.n:
+        for b, p in zip(t.diagonal_blocks, t.periods):
+            if p is not None and b.pow(p + 1) != b:
+                return NonPotency(big_l)
+    projection = a.pow(big_l)
+    if projection @ a != a:
+        return NonPotency(big_l)
+    return Potent._decided(t, big_l + 1, projection)
 
 
 def as_potent(a: RMatrix, r: int) -> Potent:
-    """``a`` checked at exponent ``r``; ValueError unless A^r = A."""
-    potent = potency_report(a, r).potent
-    if potent is None:
+    """``a`` checked at exponent ``r`` by one product, A^(r-1) A = A; ValueError unless it holds.
+
+    A^(r-1) is built by square-and-multiply from A^2, the first product of
+    any such power.  When A^2 = A, A is idempotent and A^(r-1) = A, so
+    nothing more is computed.
+    """
+    if r < 2:
+        raise ValueError("potency exponent must be at least 2")
+    square = a @ a
+    if square == a:
+        return Potent(a, r, a)
+    half, odd = divmod(r - 1, 2)
+    projection = square.pow(half) @ a if odd else square.pow(half)
+    if projection @ a != a:
         raise ValueError(f"matrix is not {r}-potent")
-    return potent
+    return Potent(a, r, projection)
 
 
 def rank_trace_check(p: Potent) -> bool:
@@ -142,18 +160,23 @@ def rank_trace_check(p: Potent) -> bool:
 
 def zero_diagonal_powers(p: Potent) -> set[int]:
     """Exponents j in {1, ..., r-1} for which A^j has a zero diagonal entry."""
-    flags = p.per_exponent(RMatrix.has_zero_diagonal_entry)
+    flags = p.per_exponent(PatternMatrix.has_zero_diagonal_entry)
     return {j for j, zero in enumerate(flags, start=1) if zero}
 
 
 @dataclass(frozen=True)
 class PotencyReport:
-    """Potency facts for one matrix at one exponent; ``potent`` is set iff A^r = A."""
+    """Potency facts for one matrix at one exponent; ``potent`` is set iff A^r = A.
+
+    ``nonpotency`` is set whenever A is not potent at any exponent, and
+    ``r`` is None only when no exponent was asked for and none exists.
+    """
 
     a: RMatrix
-    r: int
+    r: int | None
     minimal_r: int | None
     potent: Potent | None
+    nonpotency: NonPotency | None
 
     @property
     def is_r_potent(self) -> bool:
@@ -184,29 +207,84 @@ class PotencyReport:
         }
 
 
-def potency_report(
-    a: RMatrix, r: int | None = None, proof: list[NonPotency] | None = None
-) -> PotencyReport | None:
-    """Potency facts of ``a`` at ``r`` (default: the minimal exponent), from one walk.
-
-    None when ``r`` is not given and no exponent up to the cap has A^r = A.
-    Past the cap, one power A^r decides, where a walk could take r - 1
-    products, unless the walk found a ``NonPotency`` certificate; that
-    certificate is appended to ``proof`` when one is given.
-    """
+def potency_report(t: BlockTriangularization, r: int | None = None) -> PotencyReport:
+    """Potency facts of A = ``t.source`` at ``r`` (default: the least exponent), from one decision."""
     if r is not None and r < 2:
         raise ValueError("potency exponent must be at least 2")
-    found: list[NonPotency] = []
-    walk = minimal_potency(a, proof=found)
-    if proof is not None:
-        proof.extend(found)
-    if r is None:
-        if walk is None:
-            return None
-        r = walk.r
-    if walk is not None:
-        potent = None if (r - 1) % len(walk.powers) else replace(walk, r=r)
+    decision = minimal_potency(t)
+    if isinstance(decision, NonPotency):
+        return PotencyReport(t.source, r, None, None, decision)
+    if r is None or r == decision.r:
+        return PotencyReport(t.source, decision.r, decision.r, decision, None)
+    potent = None
+    if (r - 1) % decision.period == 0:
+        potent = Potent._decided(t, r, decision.projection)
+    return PotencyReport(t.source, r, decision.r, potent, None)
+
+
+@dataclass(frozen=True)
+class DecompositionPrediction:
+    """Outcome of the rank/diagonal decomposability criteria on one r-potent matrix.
+
+    ``case`` is one of:
+
+    * ``rank_above_threshold``   rank > r-1, decomposability predicted;
+    * ``singular_zero_diagonal`` rank <= r-1, singular, and A^2 .. A^(r-1)
+      each have a zero diagonal entry, decomposability predicted;
+    * ``no_prediction``          neither criterion fires.
+
+    The second case only fires for r >= 3 and n >= 2: for r = 2 the power
+    condition is vacuous and positive rank-one idempotents are singular yet
+    indecomposable, and the 1x1 zero matrix satisfies everything while having
+    no proper nonempty subset to decompose along.
+    """
+
+    case: str
+    predicted_decomposable: bool | None
+    actual_decomposable: bool
+    rank: int
+    r: int
+
+    @property
+    def agrees(self) -> bool:
+        return self.predicted_decomposable is None or (
+            self.predicted_decomposable == self.actual_decomposable
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "case": self.case,
+            "predicted_decomposable": self.predicted_decomposable,
+            "actual_decomposable": self.actual_decomposable,
+            "rank": self.rank,
+            "r": self.r,
+            "agrees": self.agrees,
+        }
+
+
+def main_decomposability_test(p: Potent) -> DecompositionPrediction:
+    """Classify an r-potent matrix by the decomposability criteria and compare.
+
+    A is actually decomposable iff ``p.tri`` has more than one block.  For
+    r >= 3, rank < n and a zero on the diagonal of each of A^2 .. A^(r-1)
+    hold iff some diagonal block is a 1x1 zero, read off ``p.tri.periods``:
+    such a block stays zero in every power and makes A singular, while a
+    nonzero block B of period p has B^(r-1) = B^p, a direct sum of primitive
+    idempotents, which are positive; so with no zero block the diagonal of
+    A^(r-1) is positive.
+    """
+    a, r, k = p.a, p.r, p.rank
+    actual = not p.tri.is_trivial
+    if k > r - 1:
+        case, predicted = "rank_above_threshold", True
+    elif r >= 3 and a.n >= 2 and None in p.tri.periods:
+        case, predicted = "singular_zero_diagonal", True
     else:
-        past_cap = r > DEFAULT_POTENCY_CAP and not found
-        potent = Potent(a, r, None) if past_cap and a.pow(r) == a else None
-    return PotencyReport(a, r, None if walk is None else walk.r, potent)
+        case, predicted = "no_prediction", None
+    return DecompositionPrediction(
+        case=case,
+        predicted_decomposable=predicted,
+        actual_decomposable=actual,
+        rank=k,
+        r=r,
+    )

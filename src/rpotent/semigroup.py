@@ -34,14 +34,9 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from math import lcm
 
-from .decomposition import (
-    DecompositionPrediction,
-    InvariantSubsetWitness,
-    block_triangularize,
-    main_decomposability_test,
-)
+from .decomposition import InvariantSubsetWitness, block_triangularize
 from .matrix import PatternMatrix, Permutation, RMatrix
-from .potency import Potent, is_r_potent, minimal_potency
+from .potency import DecompositionPrediction, Potent, is_r_potent, main_decomposability_test
 
 DEFAULT_CLOSURE_CAP = 10_000
 
@@ -273,8 +268,8 @@ class CyclicSemigroupReport:
 
 def cyclic_semigroup_decomposable_check(p: Potent) -> CyclicSemigroupReport:
     """When A decomposes, its triangularizing permutation must fit every power."""
-    t = block_triangularize(p.a)
-    pred = main_decomposability_test(p, t)
+    t = p.tri
+    pred = main_decomposability_test(p)
     if t.is_trivial:
         return CyclicSemigroupReport(prediction=pred, applicable=False, powers_triangular=())
     flags = p.per_exponent(t.is_respected_by)
@@ -404,14 +399,16 @@ def symmetric_group_analysis(n: int) -> SymmetricGroupReport:
     union_rows = [0] * n
     for images in itertools.permutations(range(n)):
         perm = Permutation(tuple(images))
-        matrix = perm.to_matrix()
+        pattern = perm.to_matrix().pattern()
         expected = lcm(*perm.cycle_lengths()) + 1
-        walk = minimal_potency(matrix, cap=max(2, expected))
-        got = None if walk is None else walk.r
-        if got != expected:
-            mismatches += 1
-        counts[got if got is not None else expected] += 1
-        for i, mask in enumerate(matrix.pattern().rows):
+        # a walk over the powers, independent of the cycle lengths and of
+        # the block periods: for a permutation matrix P, P^k is its own support
+        got, power = 2, pattern * pattern
+        while power != pattern:
+            got, power = got + 1, power * pattern
+        mismatches += got != expected
+        counts[got] += 1
+        for i, mask in enumerate(pattern.rows):
             union_rows[i] |= mask
     full = (1 << n) - 1
     return SymmetricGroupReport(

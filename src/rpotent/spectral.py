@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .decomposition import BlockTriangularization, Digraph, is_decomposable
+from .decomposition import BlockTriangularization, block_triangularize
 from .matrix import RMatrix, format_bound
 from .potency import Potent
 
@@ -31,7 +31,7 @@ PERRON_FLOAT_TOL = 2.0**-45
 
 def is_primitive(a: RMatrix) -> bool:
     """Indecomposable with period one; False (not an error) otherwise."""
-    return not a.is_zero() and not is_decomposable(a) and Digraph.from_matrix(a).cycle_gcd() == 1
+    return block_triangularize(a).periods == (1,)
 
 
 def wielandt_exponent(n: int) -> int:
@@ -179,7 +179,7 @@ def trace_zero_check(p: Potent) -> bool:
     """
     if p.r < 3:
         raise ValueError("the zero-trace identity needs r >= 3 (the r = 2 sum is 1)")
-    if is_decomposable(p.a):
+    if not p.tri.is_trivial:
         raise ValueError("zero-trace identity applies to indecomposable matrices only")
     if p.rank != p.r - 1:
         raise ValueError("zero-trace identity needs rank exactly r - 1")

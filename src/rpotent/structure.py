@@ -13,12 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import (
-    BlockTriangularization,
-    Digraph,
-    condensation_successors,
-    is_decomposable,
-)
+from .decomposition import BlockTriangularization, condensation_successors, is_decomposable
 from .potency import Potent, is_r_potent
 
 EXACT_REORDER_LIMIT = 16
@@ -95,11 +90,9 @@ def count_adjacent_zero_pairs(t: BlockTriangularization) -> int:
     return sum(1 for a, b in zip(flags, flags[1:]) if a and b)
 
 
-def analyze_structure(p: Potent, t: BlockTriangularization) -> StructureReport:
-    """Classify every diagonal block of ``t`` (A's triangularization) and evaluate the bounds."""
-    if t.source != p.a:
-        raise ValueError("t is the triangularization of another matrix")
-    r, k = p.r, p.rank
+def analyze_structure(p: Potent) -> StructureReport:
+    """Classify every diagonal block of A's triangularization ``p.tri`` and evaluate the bounds."""
+    t, r, k = p.tri, p.r, p.rank
     if t.is_trivial:
         # the one block is A itself, whose facts are known
         records = [BlockRecord(p.a.n, p.a.is_zero(), k, True, True)]
@@ -143,8 +136,7 @@ def reorder_to_avoid_consecutive_zeros(t: BlockTriangularization) -> BlockTriang
     m = len(t.components)
     if m <= 1:
         return t
-    graph = Digraph.from_matrix(t.source)
-    succ = condensation_successors(t.components, graph)
+    succ = condensation_successors(t.components, t.graph)
     succ_masks = [0] * m
     for ci, targets in enumerate(succ):
         for tj in targets:

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .decomposition import (
-    block_triangularize,
-    is_decomposable,
-    main_decomposability_test,
-    rank_one_idempotent_diag_test,
-)
+from .decomposition import block_triangularize, is_decomposable, rank_one_idempotent_diag_test
 from .generators import (
     cycle_matrix,
     random_r_potent,
@@ -28,7 +23,7 @@ from .generators import (
     rank_dominant_semigroup_generators,
 )
 from .matrix import PatternMatrix, Permutation, RMatrix
-from .potency import Potent, as_potent, is_r_potent, rank_trace_check, zero_diagonal_powers
+from .potency import Potent, as_potent, is_r_potent, main_decomposability_test, rank_trace_check, zero_diagonal_powers
 from .semigroup import (
     cyclic_semigroup,
     cyclic_semigroup_decomposable_check,
@@ -242,7 +237,7 @@ def run_zero_diagonal_chain(trials: int = 100, seed: int = DEFAULT_SEED) -> Chec
     for i, case_seed, r, p in singular_zero_diag_cases(trials, seed):
         m = p.a
         hypothesis = zero_diagonal_powers(p) == set(range(1, r))
-        ok = hypothesis and is_decomposable(m) and p.rank < m.n
+        ok = hypothesis and not p.tri.is_trivial and p.rank < m.n
         rec.record(ok, i, seed=case_seed, matrix=m, detail=f"r={r}")
     return rec.result()
 
@@ -281,16 +276,18 @@ def run_decomposability_criteria(trials: int = 300, seed: int = DEFAULT_SEED) ->
     """Both prediction branches (high rank; singular with zero-diagonal powers) decompose."""
     rec = _Recorder("3.2", "rank and diagonal criteria force decomposability")
     for i, case_seed, r, p, case in decomposable_cases(trials, seed):
-        pred = main_decomposability_test(p, block_triangularize(p.a))
+        pred = main_decomposability_test(p)
         ok = pred.case == case and pred.actual_decomposable
+        if case == "singular_zero_diagonal":  # the hypothesis itself, from the powers
+            ok = ok and p.rank < p.a.n and set(range(2, r)) <= zero_diagonal_powers(p)
         rec.record(ok, i, seed=case_seed, matrix=p.a, detail=f"r={r} case={pred.case}")
     return rec.result()
 
 
 def structure_case_ok(p: Potent) -> tuple[bool, str]:
     """Full block-structure contract for one decomposable r-potent matrix, checked at ``p.r``."""
-    t = block_triangularize(p.a)
-    report = analyze_structure(p, t)
+    t = p.tri
+    report = analyze_structure(p)
     if not report.applicable:
         return True, "indecomposable, nothing to check"
     if not report.blocks_ok:
@@ -453,17 +450,17 @@ def run_perron_trace(trials: int = 100, seed: int = DEFAULT_SEED) -> CheckResult
     """Spectral radius 1 for every nonzero potent matrix; zero trace at rank r-1."""
     rec = _Recorder("perron", "unit spectral radius and zero trace where applicable")
     for i, case_seed, r, p in high_rank_cases(trials // 2, seed):
-        lower, upper = perron_value(block_triangularize(p.a))
+        lower, upper = perron_value(p.tri)
         detail = f"perron in [{lower}, {upper}]"
         rec.record(is_unit_bracket(lower, upper), i, seed=case_seed, matrix=p.a, detail=detail)
     for i in range(trials - trials // 2):
         r = (3, 4, 5, 6)[i % 4]
         case_seed = _case_seed(seed, i)
         rng = random.Random(case_seed)
-        m = cycle_matrix(r - 1).conjugate(Permutation.random(r - 1, rng))
-        lower, upper = perron_value(block_triangularize(m))
-        ok = is_unit_bracket(lower, upper) and trace_zero_check(as_potent(m, r))
-        rec.record(ok, trials // 2 + i, seed=case_seed, matrix=m, detail=f"r={r}")
+        p = as_potent(cycle_matrix(r - 1).conjugate(Permutation.random(r - 1, rng)), r)
+        lower, upper = perron_value(p.tri)
+        ok = is_unit_bracket(lower, upper) and trace_zero_check(p)
+        rec.record(ok, trials // 2 + i, seed=case_seed, matrix=p.a, detail=f"r={r}")
     return rec.result()
 
 

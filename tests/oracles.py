@@ -7,8 +7,7 @@ boolean powers against the BFS-level period, exhaustive subset scans
 against the component decision, a closure that multiplies every new
 member with every member on both sides against the one that multiplies
 each member by the generators on the right, and a potency walk that takes
-every power up to its cap against the one that stops at a power no potent
-matrix has.  The semigroup witness oracle searches the union pattern's
+every power up to its cap against the decision from the block periods.  The semigroup witness oracle searches the union pattern's
 digraph and picks its sink component directly, against the one that reads
 it off the union's block triangularization.  The generator oracles place
 ``Fraction`` entries one by one and compute the coupling B^(r-1) X with a
@@ -29,7 +28,7 @@ from math import gcd
 from rpotent.decomposition import Digraph, InvariantSubsetWitness, condensation_successors
 from rpotent.generators import rank_one_idempotent
 from rpotent.matrix import PatternMatrix, RMatrix, coerce_entry
-from rpotent.potency import DEFAULT_POTENCY_CAP, Potent
+from rpotent.potency import Potent
 from rpotent.semigroup import PatternSemigroup
 
 
@@ -101,14 +100,16 @@ def fraction_random_idempotent(rng: random.Random, dim: int, su, sv) -> RMatrix:
     return rank_one_idempotent(u, [x / s for x in raw])
 
 
-def unscreened_minimal_potency(a: RMatrix, cap: int = DEFAULT_POTENCY_CAP) -> Potent | None:
-    """The potency walk without the non-potency screen: every power up to the cap."""
-    powers = [a]
+REFERENCE_POTENCY_CAP = 64
+
+
+def unscreened_minimal_potency(a: RMatrix, cap: int = REFERENCE_POTENCY_CAP) -> int | None:
+    """The least r in [2, cap] with A^r = A, by a walk that takes every power up to the cap."""
+    p = a
     for r in range(2, cap + 1):
-        p = powers[-1] @ a
+        p = p @ a
         if p == a:
-            return Potent(a, r, tuple(powers))
-        powers.append(p)
+            return r
     return None
 
 

@@ -70,7 +70,8 @@ class TestAnalyze:
         bundle = json.loads(capsys.readouterr().out)
         jsonschema.validate(bundle, _load_schema())
         assert bundle["potency"] is None
-        assert bundle["nonpotency"] == {"power": 2, "invariant": "nonzero"}
+        # every block is a 1 x 1 zero, so L = 1, and A^2 = 0 != A
+        assert bundle["nonpotency"] == {"period_lcm": 1}
 
     def test_human_report_names_the_nonpotency_certificate(self, tmp_path, capsys):
         path = tmp_path / "nilpotent.json"
@@ -78,8 +79,8 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1:3] == [
-            "potency: no exponent r <= 64 with A^r = A",
-            "  not potent for any r: A^2 is zero while A is not",
+            "potency: no exponent r with A^r = A",
+            "  not potent for any r: A^2 != A at L = 1, the lcm of the block periods",
         ]
 
     def test_malformed_file_exits_two(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Decomposability: component decision, triangularization, subset oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -11,18 +12,19 @@ from rpotent.decomposition import (
     brute_force_decomposable_pattern,
     is_decomposable,
     is_decomposable_pattern,
-    main_decomposability_test,
     rank_one_idempotent_diag_test,
 )
 from rpotent.generators import (
     block_diagonal,
     cycle_matrix,
     random_r_potent,
+    random_singular_zero_diag,
     rank_one_idempotent,
     uniform_idempotent,
 )
 from rpotent.matrix import PatternMatrix, RMatrix
-from rpotent.potency import as_potent
+from rpotent import potency
+from rpotent.potency import Potent, as_potent, main_decomposability_test, minimal_potency, zero_diagonal_powers
 
 from oracles import closed_subsets
 
@@ -224,7 +226,7 @@ class TestMainDecomposabilityTest:
         rank2 = block_diagonal([uniform_idempotent(1), uniform_idempotent(2)])
         m = cycle_matrix(3).kron(rank2)
         assert m.rank() == 6
-        pred = main_decomposability_test(as_potent(m, 4), block_triangularize(m))
+        pred = main_decomposability_test(as_potent(m, 4))
         assert pred.case == "rank_above_threshold"
         assert pred.predicted_decomposable and pred.actual_decomposable
         assert pred.agrees
@@ -232,15 +234,18 @@ class TestMainDecomposabilityTest:
     def test_cycle_gets_no_prediction(self):
         for r in (3, 4, 5):
             c = cycle_matrix(r - 1)
-            pred = main_decomposability_test(as_potent(c, r), block_triangularize(c))
+            pred = main_decomposability_test(as_potent(c, r))
             assert pred.case == "no_prediction"
             assert not pred.actual_decomposable
             assert pred.agrees
 
-    def test_rejects_the_triangularization_of_another_matrix(self):
-        c = cycle_matrix(3)
-        with pytest.raises(ValueError, match="another matrix"):
-            main_decomposability_test(as_potent(c, 4), block_triangularize(c @ c))
+    def test_reads_the_triangularization_of_the_decision(self, monkeypatch):
+        m = block_diagonal([cycle_matrix(3), RMatrix.zeros(1)])
+        t = block_triangularize(m)
+        p = minimal_potency(t)
+        # the value keeps the decision's triangularization and builds no other
+        monkeypatch.setattr(potency, "block_triangularize", None)
+        assert p.tri is t and main_decomposability_test(p).actual_decomposable
 
     def test_rejects_non_potent_input(self):
         # the test takes a checked value; non-potent input stops at the check
@@ -250,13 +255,41 @@ class TestMainDecomposabilityTest:
     def test_idempotent_rank_one_gets_no_prediction(self):
         # singular rank-one idempotent: the power window is empty for r = 2,
         # and the branch must not fire (the positive one is indecomposable)
-        pred = main_decomposability_test(as_potent(HALF, 2), block_triangularize(HALF))
+        pred = main_decomposability_test(as_potent(HALF, 2))
         assert pred.case == "no_prediction"
         assert pred.agrees
 
     def test_singular_zero_diag_case(self):
         m = block_diagonal([cycle_matrix(3), RMatrix.zeros(1)])
-        pred = main_decomposability_test(as_potent(m, 4), block_triangularize(m))
+        pred = main_decomposability_test(as_potent(m, 4))
         assert pred.case == "singular_zero_diagonal"
         assert pred.actual_decomposable
         assert pred.agrees
+
+    def test_zero_block_reading_agrees_with_the_powers(self):
+        # the singular branch reads a zero diagonal block off the periods; the
+        # criterion itself asks for rank < n and a zero on the diagonal of
+        # each of A^2 .. A^(r-1), taken here from the powers
+        cases = []
+        for n in (1, 2, 3):
+            for bits in itertools.product((0, 1), repeat=n * n):
+                a = RMatrix.from_rows([list(bits[i * n:(i + 1) * n]) for i in range(n)])
+                decision = minimal_potency(block_triangularize(a))
+                if isinstance(decision, Potent):
+                    cases += [as_potent(a, k * decision.period + 1) for k in (1, 2, 3)]
+        for seed in range(30):
+            r = 3 + seed % 5
+            cases.append(random_r_potent(r, 1 + seed % 4, seed, max_dim=8))
+            cases.append(random_singular_zero_diag(r, seed, max_dim=8))
+        fired = 0
+        for p in cases:
+            r, k, n = p.r, p.rank, p.a.n
+            if k > r - 1:
+                expected = "rank_above_threshold"
+            elif r >= 3 and n >= 2 and k < n and set(range(2, r)) <= zero_diagonal_powers(p):
+                expected = "singular_zero_diagonal"
+            else:
+                expected = "no_prediction"
+            assert main_decomposability_test(p).case == expected, p.a
+            fired += expected == "singular_zero_diagonal"
+        assert fired >= 40

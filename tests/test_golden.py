@@ -4,7 +4,8 @@
 ``rpotent analyze <input> --json``, where the input is the bundled example
 ``<name>.json`` from the package data or ``tests/golden/<name>.json``: a
 positive, a sparse and a nilpotent matrix that are not potent, whose
-outputs carry the ``nonpotency`` certificate.
+outputs carry the ``nonpotency`` certificate, and two permutation matrices
+whose least exponents, 85 and 316, lie past where a capped walk stopped.
 """
 
 from importlib import resources
@@ -21,7 +22,9 @@ EXPECTED = sorted(p.name.removesuffix(".analyze.json") for p in GOLDEN.glob("*.a
 
 def test_every_bundled_example_and_nonpotent_input_is_covered():
     bundled = {p.name.removesuffix(".json") for p in DATA.iterdir() if p.name.endswith(".json")}
-    assert set(EXPECTED) == bundled | {"positive_rational", "sparse_integer", "nilpotent"}
+    local = {"positive_rational", "sparse_integer", "nilpotent"}
+    local |= {"permutation_cycles_3_4_7", "permutation_cycles_5_7_9"}
+    assert set(EXPECTED) == bundled | local
 
 
 @pytest.mark.parametrize("name", EXPECTED)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from rpotent.decomposition import block_triangularize
 from rpotent.generators import (
     block_diagonal,
     cycle_matrix,
@@ -12,6 +13,7 @@ from rpotent.generators import (
 )
 from rpotent.matrix import Permutation, RMatrix
 from rpotent.potency import (
+    NonPotency,
     as_potent,
     is_r_potent,
     minimal_potency,
@@ -23,6 +25,14 @@ from rpotent.potency import (
 from oracles import naive_power
 
 QUAD = RMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+
+
+def _decide(a: RMatrix):
+    return minimal_potency(block_triangularize(a))
+
+
+def _report(a: RMatrix, r: int | None = None):
+    return potency_report(block_triangularize(a), r)
 
 
 class TestIsRPotent:
@@ -45,18 +55,18 @@ class TestIsRPotent:
 
 class TestMinimalPotency:
     def test_identity(self):
-        assert minimal_potency(RMatrix.identity(3), 10).r == 2
+        assert _decide(RMatrix.identity(3)).r == 2
 
     def test_row_swap_of_identity_four(self):
         swap = Permutation.transposition(4, 0, 1).to_matrix()
-        assert minimal_potency(swap, 10).r == 3
+        assert _decide(swap).r == 3
 
     def test_full_cycle_on_four(self):
-        assert minimal_potency(cycle_matrix(4), 10).r == 5
+        assert _decide(cycle_matrix(4)).r == 5
 
-    def test_absent_within_cap(self):
+    def test_nilpotent_is_certified(self):
         nilpotent = RMatrix.from_rows([[0, 1], [0, 0]])
-        assert minimal_potency(nilpotent, 20) is None
+        assert _decide(nilpotent) == NonPotency(1)
 
     def test_permutation_matrices_follow_cycle_lcm(self):
         rng = random.Random(99)
@@ -65,24 +75,25 @@ class TestMinimalPotency:
         for _ in range(30):
             p = Permutation.random(rng.randint(1, 6), rng)
             expected = lcm(*p.cycle_lengths()) + 1
-            assert minimal_potency(p.to_matrix(), 64).r == expected
+            assert _decide(p.to_matrix()).r == expected
 
     def test_divisibility_characterizes_potency(self):
         rng = random.Random(17)
         for seed in range(15):
             r = (3, 4, 5)[seed % 3]
             a = random_r_potent(r, 1 + seed % 4, seed, max_dim=12).a
-            walk = minimal_potency(a, 64)
-            assert walk is not None and walk.r <= r
-            m = walk.r
+            decision = _decide(a)
+            assert decision.r <= r
+            m = decision.r
             for r2 in range(2, 20):
                 assert is_r_potent(a, r2) == ((r2 - 1) % (m - 1) == 0)
-                assert potency_report(a, r2).is_r_potent == is_r_potent(a, r2)
+                assert _report(a, r2).is_r_potent == is_r_potent(a, r2)
 
-    def test_walk_keeps_the_distinct_powers(self):
-        walk = minimal_potency(QUAD)
-        assert walk.a is QUAD
-        assert walk.powers == (QUAD, naive_power(QUAD, 2), naive_power(QUAD, 3))
+    def test_decision_keeps_the_projection_and_builds_the_powers_on_demand(self):
+        decision = _decide(QUAD)
+        assert decision.a is QUAD and decision.period == 3
+        assert decision.projection == naive_power(QUAD, 3) == RMatrix.identity(3)
+        assert list(decision.power_cycle()) == [QUAD, naive_power(QUAD, 2), naive_power(QUAD, 3)]
 
 
 class TestAsPotent:
@@ -103,6 +114,19 @@ class TestAsPotent:
                 with pytest.raises(ValueError):
                     as_potent(QUAD, r)
 
+    def test_idempotent_and_generated_input_agree_with_is_r_potent(self):
+        # an idempotent stops at A^2 = A; the others take A^(r-1) from A^2
+        cases = [uniform_idempotent(3), RMatrix.zeros(2), RMatrix.from_rows([[1, 1], [0, 1]])]
+        cases.append(block_diagonal([cycle_matrix(2), uniform_idempotent(2)]))
+        cases += [random_r_potent((2, 3, 4, 5)[s % 4], 1 + s % 3, s, max_dim=8).a for s in range(12)]
+        for a in cases:
+            for r in range(2, 10):
+                if is_r_potent(a, r):
+                    assert as_potent(a, r).projection == a.pow(r - 1)
+                else:
+                    with pytest.raises(ValueError, match=f"not {r}-potent"):
+                        as_potent(a, r)
+
     def test_powers_match_exact_powers(self):
         for seed in range(20):
             r = (2, 3, 4, 5)[seed % 4]
@@ -111,7 +135,7 @@ class TestAsPotent:
             powers = list(p.power_cycle())
             for j in range(1, r):
                 assert powers[(j - 1) % len(powers)] == a.pow(j)
-            assert p.per_exponent(lambda m: m) == tuple(a.pow(j) for j in range(1, r))
+            assert p.per_exponent(lambda m: m) == tuple(a.pow(j).pattern() for j in range(1, r))
             assert p.rank == a.rank()
 
 
@@ -176,18 +200,19 @@ class TestZeroDiagonalPowers:
 
 class TestPotencyReport:
     def test_report_fields_for_quadripotent(self):
-        rep = potency_report(QUAD, 4)
+        rep = _report(QUAD, 4)
         assert rep.is_r_potent
         assert rep.minimal_r == 4
         assert rep.rank == 3
         assert rep.trace_of_projection == 3
         assert rep.rank_trace_ok
+        assert rep.nonpotency is None
 
     def test_minimal_r_divides(self):
         for seed in range(20):
             r = (3, 4, 5)[seed % 3]
             a = random_r_potent(r, 1 + seed % 3, seed).a
-            rep = potency_report(a, r)
+            rep = _report(a, r)
             assert rep.is_r_potent
             assert rep.minimal_r is not None
             assert rep.minimal_r <= rep.r
@@ -201,51 +226,55 @@ class TestPotencyReport:
                 assert a.pow(k * (r - 1) + 1) == a
 
     def test_default_exponent_is_the_minimal_one(self):
-        rep = potency_report(QUAD)
+        rep = _report(QUAD)
         assert rep.r == rep.minimal_r == 4
         assert rep.potent.r == 4
-        assert potency_report(RMatrix.from_rows([[0, 1], [0, 0]])) is None
+        rep = _report(RMatrix.from_rows([[0, 1], [0, 0]]))
+        assert rep.r is None and rep.potent is None and rep.nonpotency == NonPotency(1)
 
     def test_exponent_that_fails(self):
-        rep = potency_report(QUAD, 3)
+        rep = _report(QUAD, 3)
         assert not rep.is_r_potent and rep.potent is None
         assert rep.minimal_r == 4
         assert rep.rank == 3
         # A^2 is no projection when A^3 != A, so no trace is reported
         assert rep.trace_of_projection is None
         assert rep.to_dict()["trace_of_projection"] is None and rep.rank_trace_ok
+        # QUAD is potent, so there is no certificate
+        assert rep.nonpotency is None
 
-    def test_exponent_beyond_the_cap(self):
-        # cycles of lengths 3, 5 and 7: minimal exponent lcm + 1 = 106 > 64
+    def test_non_potent_input_at_an_exponent(self):
+        rep = _report(RMatrix.from_rows([[2]]), 5)
+        assert rep.r == 5 and not rep.is_r_potent and rep.minimal_r is None
+        assert rep.nonpotency == NonPotency(1)
+
+    def test_exponent_past_the_old_cap(self):
+        # cycles of lengths 3, 5 and 7: minimal exponent lcm + 1 = 106
         images = (1, 2, 0, 4, 5, 6, 7, 3, 9, 10, 11, 12, 13, 14, 8)
         a = Permutation(images).to_matrix()
-        rep = potency_report(a, 106)
-        assert rep.is_r_potent and rep.minimal_r is None
-        # checked by one power A^106, not by a walk that keeps 105 powers
-        assert rep.potent.r == 106 and rep.potent.powers is None
+        rep = _report(a, 106)
+        assert rep.is_r_potent and rep.minimal_r == 106
+        assert rep.potent.r == 106 and rep.potent.period == 105
         assert list(rep.potent.power_cycle()) == [a.pow(j) for j in range(1, 106)]
         assert rep.trace_of_projection == rep.rank == 15
-        assert not potency_report(a, 105).is_r_potent
-        assert potency_report(a) is None
+        assert not _report(a, 105).is_r_potent
+        assert _report(a).r == 106
+        assert _report(a, 211).potent.projection == rep.potent.projection
 
     def test_rejects_r_below_two(self):
         with pytest.raises(ValueError, match="at least 2"):
-            potency_report(QUAD, 1)
+            _report(QUAD, 1)
 
 
-class TestPastTheCap:
+class TestLargeOrder:
     # cycles of lengths 5, 7, 8, 9 and 11 on 40 points: A^r = A first at r = 27721
     LENGTHS = (5, 7, 8, 9, 11)
 
     @classmethod
     def matrix(cls):
-        images, start = [], 0
-        for n in cls.LENGTHS:
-            images += [start + (i + 1) % n for i in range(n)]
-            start += n
-        return Permutation(tuple(images)).to_matrix()
+        return block_diagonal([cycle_matrix(k) for k in cls.LENGTHS])
 
-    def test_large_order_costs_a_walk_to_the_cap_and_a_few_powers(self, monkeypatch):
+    def test_large_order_costs_a_few_powers(self, monkeypatch):
         a = self.matrix()
         products = []
         matmul = RMatrix.__matmul__
@@ -256,11 +285,12 @@ class TestPastTheCap:
 
         monkeypatch.setattr(RMatrix, "__matmul__", counting)
         p = as_potent(a, 27721)
-        rep = potency_report(a, 27721)
-        assert rep.is_r_potent and rep.minimal_r is None
-        assert p.powers is None and rep.rank_trace_ok
-        assert not potency_report(a, 27720).is_r_potent
+        rep = _report(a, 27721)
+        assert rep.is_r_potent and rep.minimal_r == 27721
+        assert p.period == 27720 and rep.rank_trace_ok
+        assert not _report(a, 27720).is_r_potent
         with pytest.raises(ValueError, match="not 27720-potent"):
             as_potent(a, 27720)
-        # each call: at most 63 walk products and two square-and-multiply powers
-        assert len(products) <= 4 * (63 + 2 * 2 * 15)
+        # per call: a square-and-multiply power (at most 2 * 15 products),
+        # one check product and, in a decision, B^(p+1) for each of the 5 blocks
+        assert len(products) <= 4 * (2 * 15 + 1 + 5 * 2 * 4)

@@ -1,0 +1,218 @@
+"""The potency decision from the block periods, and the boolean Wielandt power.
+
+``minimal_potency`` decides from L, the lcm of the periods of the nonzero
+diagonal blocks, with one power A^L.  It is checked against the reference
+walk ``unscreened_minimal_potency``, which takes every power up to its cap,
+on every 0/1 matrix with n <= 3 and on seeded rational matrices with n <= 5.
+Every ``NonPotency`` certificate is confirmed by an independent power
+A^(L+1) != A, and L by the diagonal-hit period oracle.  The pattern power of
+``wielandt_check`` is checked against the exact rational power.
+"""
+
+import itertools
+import random
+from collections import Counter
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from rpotent.decomposition import block_triangularize
+from rpotent.generators import block_diagonal, cycle_matrix, random_r_potent, uniform_idempotent
+from rpotent.matrix import Permutation, RMatrix
+from rpotent.potency import NonPotency, Potent, minimal_potency
+from rpotent.spectral import is_primitive, wielandt_check, wielandt_exponent
+
+from oracles import (
+    naive_power,
+    period_by_diagonal_hits,
+    random_small_matrix,
+    unscreened_minimal_potency,
+)
+
+
+def _decide(a: RMatrix):
+    return minimal_potency(block_triangularize(a))
+
+
+def _independent_period_lcm(a: RMatrix) -> int:
+    """L from the diagonal hits of each block's boolean powers, not from the BFS levels."""
+    t = block_triangularize(a)
+    periods = [period_by_diagonal_hits(b.pattern()) for b in t.diagonal_blocks]
+    return lcm(*[p for p in periods if p])
+
+
+def _agrees_with_the_walk(a: RMatrix) -> Potent | NonPotency:
+    decision = _decide(a)
+    reference = unscreened_minimal_potency(a)
+    if isinstance(decision, NonPotency):
+        assert reference is None
+        assert decision.period_lcm == _independent_period_lcm(a)
+        assert naive_power(a, decision.period_lcm + 1) != a
+    else:
+        assert decision.r == reference
+        assert decision.period == decision.r - 1 == _independent_period_lcm(a)
+        assert decision.projection == a.pow(decision.r - 1)
+    return decision
+
+
+def _weighted_cycle(rng: random.Random, k: int) -> list[list[Fraction]]:
+    w = rng.choice([Fraction(1), Fraction(1), Fraction(1), Fraction(2), Fraction(1, 2)])
+    return [[w if i == (j + 1) % k else Fraction(0) for j in range(k)] for i in range(k)]
+
+
+def _block_triangular(rng: random.Random, n: int) -> RMatrix:
+    """Random diagonal blocks (zero, weighted cycle, idempotent, random) and sparse coupling, relabelled.
+
+    Most such matrices have potent blocks, so both outcomes of the decision
+    are common; the tests past the old cap reach its per-block step.
+    """
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        k = rng.randint(1, n - start)
+        kind = rng.choice(["zero", "cycle", "cycle", "idempotent", "random"])
+        if kind == "zero":
+            k, block = 1, [[Fraction(0)]]
+        elif kind == "cycle":
+            block = _weighted_cycle(rng, k)
+        elif kind == "idempotent":
+            block = [list(row) for row in uniform_idempotent(k).entries]
+        else:
+            block = [list(row) for row in random_small_matrix(rng, k).entries]
+        for i in range(k):
+            rows[start + i][start:start + k] = block[i]
+            for j in range(start + k, n):
+                if rng.random() < 0.2:
+                    rows[start + i][j] = rng.choice([Fraction(1), Fraction(1, 2), Fraction(3)])
+        start += k
+    return RMatrix.from_rows(rows).conjugate(Permutation.random(n, rng))
+
+
+class TestDecisionAgainstTheWalk:
+    def test_every_zero_one_matrix_up_to_three(self):
+        outcomes = Counter()
+        for n in (1, 2, 3):
+            for bits in itertools.product((0, 1), repeat=n * n):
+                a = RMatrix.from_rows([list(bits[i * n:(i + 1) * n]) for i in range(n)])
+                decision = _agrees_with_the_walk(a)
+                outcomes["potent" if isinstance(decision, Potent) else "certified"] += 1
+        # 2 + 16 + 512 matrices, 2 + 9 + 76 of them potent; each of the 443
+        # others has a certificate, [[1, 1], [0, 1]] among them
+        assert outcomes == {"potent": 87, "certified": 443}
+
+    def test_seeded_rational_matrices_up_to_five(self):
+        rng = random.Random(2024)
+        outcomes = Counter()
+        for i in range(2000):
+            n = rng.randint(1, 5)
+            if i % 4 == 0:
+                a = random_small_matrix(rng, n, density=rng.uniform(0.1, 0.7))
+            elif i % 4 == 1:
+                try:
+                    a = random_r_potent(rng.randint(2, 7), rng.randint(1, n), rng.randrange(10**6), max_dim=5).a
+                except ValueError:
+                    continue
+            else:
+                a = _block_triangular(rng, n)
+            decision = _agrees_with_the_walk(a)
+            outcomes[type(decision).__name__] += 1
+        assert outcomes["Potent"] >= 400 and outcomes["NonPotency"] >= 400
+
+    def test_the_zero_matrix_is_idempotent(self):
+        decision = _decide(RMatrix.zeros(4))
+        assert isinstance(decision, Potent) and decision.r == 2
+
+    @pytest.mark.parametrize(
+        "rows, big_l",
+        [
+            ([[Fraction(1, 2)]], 1),
+            ([[2]], 1),
+            ([[0, 1], [0, 0]], 1),
+            ([[1, 1], [0, 1]], 1),
+            ([[0, 2, 0], [0, 0, 1], [1, 0, 0]], 3),
+            ([[0, 2], [2, 0]], 2),
+        ],
+    )
+    def test_certificates(self, rows, big_l):
+        a = RMatrix.from_rows(rows)
+        assert _agrees_with_the_walk(a) == NonPotency(big_l)
+
+
+class TestPastTheOldCap:
+    """Exponents that a walk capped at 64 products never reached."""
+
+    @pytest.mark.parametrize("lengths, r", [((3, 4, 7), 85), ((5, 7, 9), 316), ((67,), 68)])
+    def test_long_permutations_are_potent(self, lengths, r):
+        a = block_diagonal([cycle_matrix(k) for k in lengths])
+        decision = _decide(a)
+        assert isinstance(decision, Potent) and decision.r == r
+        assert decision.projection == RMatrix.identity(a.n)
+        assert a.pow(r) == a and a.pow(r - 1) != a
+
+    @pytest.mark.parametrize("weight", [1000, 10**10])
+    def test_weighted_permutation_is_certified_by_its_blocks(self, weight, monkeypatch):
+        # L = 27720: squaring the weighted A up to A^27721 would multiply the
+        # entry sizes by about 27720; each block fails at its own period first
+        products = Counter()
+        matmul = RMatrix.__matmul__
+
+        def counting(x, y):
+            products[x.n] += 1
+            return matmul(x, y)
+
+        cycles = block_diagonal([cycle_matrix(k) for k in (5, 7, 8, 9, 11)])
+        a = RMatrix.from_rows([[weight * x for x in row] for row in cycles.num])
+        monkeypatch.setattr(RMatrix, "__matmul__", counting)
+        decision = _decide(a)
+        monkeypatch.undo()
+        assert decision == NonPotency(27720)
+        # the first block, of period 5, takes B^6 = B^4 B^2: three 5 x 5 products
+        assert sum(products.values()) <= 5 and set(products) == {5}
+        assert a.submatrix(range(5)).pow(6) != a.submatrix(range(5))
+
+    def test_potent_blocks_with_a_coupling_that_breaks_potency(self):
+        # cycles of lengths 2 and 3 (L = 6 > n = 5) pass at their own periods,
+        # and the entry from the 3-cycle into the 2-cycle adds up in every power
+        rows = [list(row) for row in block_diagonal([cycle_matrix(2), cycle_matrix(3)]).entries]
+        rows[0][2] = Fraction(1)
+        a = RMatrix.from_rows(rows)
+        assert _agrees_with_the_walk(a) == NonPotency(6)
+
+
+def _random_primitive(rng: random.Random, n: int) -> RMatrix:
+    while True:
+        rows = [
+            [rng.choice([1, 2, Fraction(1, 3), Fraction(5, 2)]) if rng.random() < 0.3 else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        m = RMatrix.from_rows(rows)
+        if is_primitive(m):
+            return m
+
+
+class TestWielandtPatternPower:
+    def test_pattern_power_agrees_with_the_exact_power(self):
+        rng = random.Random(6)
+        for _ in range(40):
+            m = _random_primitive(rng, rng.randint(1, 8))
+            exact = m.pow(wielandt_exponent(m.n)).is_positive()
+            assert exact
+            assert wielandt_check(block_triangularize(m)) == exact
+
+    def test_pattern_power_is_the_support_of_the_exact_power(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            n = rng.randint(1, 8)
+            m = RMatrix.from_rows([[rng.choice([0, 0, 1, Fraction(2, 3)]) for _ in range(n)] for _ in range(n)])
+            for k in (0, 1, 2, 5, wielandt_exponent(n)):
+                assert m.pattern().pow(k) == m.pow(k).pattern()
+
+    @pytest.mark.parametrize(
+        "m",
+        [cycle_matrix(3), RMatrix.from_rows([[1, 0], [1, 1]]), RMatrix.zeros(1)],
+        ids=["periodic", "decomposable", "zero"],
+    )
+    def test_triangularization_of_non_primitive_input_is_rejected(self, m):
+        with pytest.raises(ValueError):
+            wielandt_check(block_triangularize(m))

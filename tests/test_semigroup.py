@@ -15,7 +15,7 @@ from rpotent.generators import (
     rank_dominant_semigroup_generators,
     uniform_idempotent,
 )
-from rpotent.decomposition import Digraph
+from rpotent.decomposition import BlockTriangularization, Digraph
 from rpotent.matrix import PatternMatrix, Permutation, RMatrix
 from rpotent.potency import as_potent
 from rpotent.semigroup import (
@@ -32,6 +32,7 @@ from rpotent.semigroup import (
     sum_has_zero,
     symmetric_group_analysis,
 )
+from rpotent.verification import run_check
 
 from oracles import random_pattern_local, two_sided_closure, union_digraph_witness
 
@@ -479,3 +480,13 @@ class TestSymmetricGroup:
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
             symmetric_group_analysis(9)
+
+    def test_check_does_not_read_the_block_periods(self, monkeypatch):
+        # check 7.2 tests "minimal r = lcm of the cycle lengths + 1"; the block
+        # periods of a permutation matrix are its cycle lengths, so a check
+        # that read them would hold by construction
+        def refuse(self):
+            raise AssertionError("check 7.2 read the block periods")
+
+        monkeypatch.setattr(BlockTriangularization, "periods", property(refuse))
+        assert run_check("7.2").ok

@@ -19,7 +19,7 @@ from rpotent.generators import (
 )
 from rpotent.decomposition import block_triangularize
 from rpotent.matrix import Permutation, RMatrix
-from rpotent.potency import as_potent, minimal_potency
+from rpotent.potency import Potent, as_potent, minimal_potency
 from rpotent.spectral import (
     is_primitive,
     perron_value,
@@ -54,6 +54,16 @@ class TestPeriod:
         assert block_triangularize(RMatrix.zeros(2)).periods == (None, None)
         assert block_triangularize(RMatrix.from_rows([[1, 0], [0, 1]])).periods == (1, 1)
         assert block_triangularize(block_diagonal([cycle_matrix(2), cycle_matrix(3)])).periods == (2, 3)
+
+    def test_block_periods_match_diagonal_hit_oracle(self):
+        # read off A's digraph per component, against the diagonal hits of each block alone
+        rng = random.Random(9)
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            m = random_small_matrix(rng, n, density=rng.uniform(0.1, 0.5))
+            t = block_triangularize(m)
+            expected = tuple(period_by_diagonal_hits(b.pattern()) or None for b in t.diagonal_blocks)
+            assert t.periods == expected
 
     def test_matches_diagonal_hit_oracle(self):
         rng = random.Random(8)
@@ -293,8 +303,8 @@ class TestEveryZeroOneMatrixUpToThree:
                 m = RMatrix.from_rows([list(bits[i * n:(i + 1) * n]) for i in range(n)])
                 t = block_triangularize(m)
                 _assert_sound(m, perron_value(t))
-                p = minimal_potency(m)
-                if p is not None:
+                p = minimal_potency(t)
+                if isinstance(p, Potent):
                     potent += 1
                     exact = (0, 0) if m.is_zero() else (1, 1)
                     assert spectral_report(t, p).perron_bracket == exact

@@ -2,6 +2,7 @@
 
 import pytest
 
+from rpotent import potency
 from rpotent.decomposition import block_triangularize
 from rpotent.generators import (
     block_diagonal,
@@ -12,7 +13,7 @@ from rpotent.generators import (
     uniform_idempotent,
 )
 from rpotent.matrix import RMatrix
-from rpotent.potency import as_potent
+from rpotent.potency import as_potent, minimal_potency
 from rpotent.structure import (
     analyze_structure,
     count_adjacent_zero_pairs,
@@ -24,7 +25,7 @@ class TestAnalyzeStructure:
     def test_uniform_tower(self):
         r = 4
         tower = block_diagonal([uniform_idempotent(k) for k in range(1, r)])
-        rep = analyze_structure(as_potent(tower, r), block_triangularize(tower))
+        rep = analyze_structure(as_potent(tower, r))
         assert rep.applicable
         assert rep.k == r - 1
         assert rep.nonzero_count == r - 1
@@ -35,7 +36,7 @@ class TestAnalyzeStructure:
 
     def test_kron_of_swaps(self):
         m = cycle_matrix(2).kron(cycle_matrix(2))
-        rep = analyze_structure(as_potent(m, 3), block_triangularize(m))
+        rep = analyze_structure(as_potent(m, 3))
         assert rep.applicable
         assert rep.k == 4
         assert all(b.block_rank <= 2 for b in rep.blocks)
@@ -44,7 +45,7 @@ class TestAnalyzeStructure:
         assert rep.bounds_ok
 
     def test_indecomposable_is_flagged_not_applicable(self):
-        rep = analyze_structure(as_potent(cycle_matrix(3), 4), block_triangularize(cycle_matrix(3)))
+        rep = analyze_structure(as_potent(cycle_matrix(3), 4))
         assert not rep.applicable
         assert rep.total_count == 1
 
@@ -53,15 +54,19 @@ class TestAnalyzeStructure:
         with pytest.raises(ValueError, match="not 2-potent"):
             as_potent(RMatrix.from_rows([[0, 1], [0, 0]]), 2)
 
-    def test_rejects_triangularization_of_another_matrix(self):
-        with pytest.raises(ValueError, match="triangularization"):
-            analyze_structure(as_potent(cycle_matrix(3), 4), block_triangularize(RMatrix.identity(3)))
+    def test_reads_the_triangularization_of_the_decision(self, monkeypatch):
+        tower = block_diagonal([uniform_idempotent(k) for k in (1, 2)])
+        t = block_triangularize(tower)
+        p = minimal_potency(t)
+        # the value keeps the decision's triangularization and builds no other
+        monkeypatch.setattr(potency, "block_triangularize", None)
+        assert p.tri is t and analyze_structure(p).total_count == 2
 
     def test_generated_families_satisfy_all_block_facts(self):
         for seed in range(40):
             r = (2, 3, 4, 5)[seed % 4]
             p = random_r_potent(r, r + seed % 2, seed, max_dim=16)
-            rep = analyze_structure(p, block_triangularize(p.a))
+            rep = analyze_structure(p)
             assert rep.blocks_ok
             assert rep.rank_sum_ok
             if rep.applicable:
