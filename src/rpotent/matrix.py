@@ -23,13 +23,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 Entry = Fraction | int | str
 
@@ -51,14 +52,46 @@ def coerce_entry(value: Entry) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            x = Fraction(value.strip())
+            x = _parse_fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse matrix entry {value!r}") from exc
-        if not _printable(x):
+        if x is None or not _printable(x):
             limit = sys.get_int_max_str_digits()
             raise ValueError(f"matrix entry {value!r} has more than {limit} digits")
         return x
     raise TypeError(f"unsupported matrix entry type {type(value).__name__}")
+
+
+# The exponent form of ``Fraction``'s string syntax, with the same groups.
+_EXPONENT_FORM = re.compile(r"[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)")
+
+
+def _parse_fraction(s: str) -> Fraction | None:
+    """``Fraction(s)``, or None when the result would have too many digits to print.
+
+    ``Fraction`` builds 10^|e| for an exponent e before anything can check
+    the result's length, which takes seconds to minutes once |e| reaches
+    millions.  So an exponent entry m * 10^k (m the mantissa's integer, k the
+    exponent less the fractional digits) is decided first: a nonzero m with
+    k >= limit has a numerator of more than limit digits, and with
+    -k >= limit + d, where m has at most d digits, a reduced denominator
+    10^-k / gcd(m, 10^-k) above 10^limit.  The mantissa and exponent are
+    converted with ``int`` as ``Fraction`` converts them, so an entry that
+    ``Fraction`` cannot parse still raises ``ValueError``.
+    """
+    limit = sys.get_int_max_str_digits()
+    form = _EXPONENT_FORM.fullmatch(s) if limit else None
+    if form is None:
+        return Fraction(s)
+    whole, decimal, exponent = form.groups()
+    decimal = (decimal or "").replace("_", "")
+    mantissa = int(whole or "0") * 10 ** len(decimal) + int(decimal or "0")
+    k = int(exponent) - len(decimal)
+    if not mantissa:
+        return Fraction(0)
+    if k >= limit or -k >= limit + len(whole) + len(decimal):
+        return None
+    return Fraction(s)
 
 
 def _printable(x: Fraction) -> bool:
@@ -69,7 +102,7 @@ def _printable(x: Fraction) -> bool:
     computed with but never printed.
     """
     limit = sys.get_int_max_str_digits()
-    big = max(x.numerator, x.denominator)
+    big = max(abs(x.numerator), x.denominator)
     # d digits need at least 3.32 (d - 1) bits: under 3 * limit bits, d <= limit
     return not limit or big.bit_length() <= 3 * limit or big < 10**limit
 
@@ -311,6 +344,38 @@ class Permutation:
         return RMatrix._make(1, tuple([tuple(row) for row in rows]))
 
 
+def _entry_ratio(x: object) -> tuple[int, int]:
+    """``coerce_entry(x)`` as a reduced pair ``(p, q)``, q > 0.
+
+    A plain ``int`` and a string of digits, or ``digits/digits``, are split
+    with ``int`` and no ``Fraction``; anything else, or a string ``int``
+    refuses (too many digits, digits that are not decimal), or a zero
+    denominator, goes through ``coerce_entry``, which accepts or rejects it
+    with its own message.
+    """
+    if type(x) is int:
+        return x, 1
+    if type(x) is str:
+        s = x.strip()
+        p, slash, q = s.partition("/")
+        if p.isdigit() and (q.isdigit() or not slash):
+            try:
+                p, q = int(p), int(q) if slash else 1
+            except ValueError:
+                pass
+            else:
+                if q:
+                    g = gcd(p, q)
+                    return p // g, q // g
+    f = coerce_entry(x)
+    return f.numerator, f.denominator
+
+
+def _fraction_ratio(x: object) -> tuple[int, int] | None:
+    """A ``Fraction`` entry as ``(p, q)``; None for any other type."""
+    return (x.numerator, x.denominator) if isinstance(x, Fraction) else None
+
+
 class RMatrix:
     """Square nonnegative matrix with exact rational entries.
 
@@ -323,17 +388,21 @@ class RMatrix:
 
     Instances are immutable and hashable; every operation returns a new
     matrix.  Squareness, entry types and nonnegativity are checked in
-    ``__post_init__``, which every public constructor runs: ``RMatrix(entries)``
-    with a grid of ``Fraction``, ``from_rows``, ``identity``, ``zeros``,
-    ``diagonal`` and the JSON and CSV readers.  Results of operations on
+    ``__post_init__``, the one validating loop that every public constructor
+    runs.  ``RMatrix(entries)`` takes a grid of ``Fraction``, as ``identity``,
+    ``zeros`` and ``diagonal`` do.  ``from_rows``, and with it the JSON and
+    CSV readers, reads each entry as ``coerce_entry`` would, but builds no
+    ``Fraction`` for a plain int or a string of digits or ``digits/digits``:
+    it splits them into integer pairs.  Results of operations on
     validated matrices (products, powers, Kronecker products, relabellings,
     submatrices) are built by ``_make`` without those checks: products and
     sums of nonnegative integers stay nonnegative.  So are the 0/1 matrices
     of ``Permutation.to_matrix`` and ``PatternMatrix.to_matrix``, whose
     images and bitmasks their own constructors have validated.
 
-    ``entries`` is a read-only ``Fraction`` view of the grid, built on first
-    use and then kept.
+    ``entries`` is a read-only ``Fraction`` view of the grid.  It is the
+    grid given to ``RMatrix(entries)``; for every other matrix it is built on
+    first use and then kept.
 
     Tuples are built from lists, ``tuple([...])``, never from generators or
     ``map``: CPython sizes a tuple built from an iterator by reallocating it,
@@ -348,33 +417,44 @@ class RMatrix:
     num: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries: Sequence[Sequence[Fraction]]) -> None:
-        object.__setattr__(self, "_entries", entries)
-        self.__post_init__()
+        self.__post_init__(entries, _fraction_ratio)
+        object.__setattr__(self, "_entries", tuple([tuple(row) for row in entries]))
 
-    def __post_init__(self) -> None:
+    def __post_init__(
+        self, rows: Sequence[Sequence[object]], ratio: Callable[[object], tuple[int, int] | None]
+    ) -> None:
+        """The one validating loop of ``RMatrix(entries)`` and ``from_rows``.
+
+        ``ratio`` turns each entry into a reduced pair ``(p, q)``, q > 0, or
+        None for an entry of a type the constructor does not take.  Parse and
+        type errors come first, in row-major order; then the dimension, and
+        row by row squareness and negative entries.
+        """
         # Kept under its dataclass name: bench/tracer.py counts validated
         # constructions by wrapping RMatrix.__post_init__.
-        grid = self._entries
-        n = len(grid)
+        pairs = [[ratio(x) for x in row] for row in rows]
+        for i, row in enumerate(pairs):
+            if None in row:
+                raise TypeError(f"entry ({i}, {row.index(None)}) is not a Fraction")
+        n = len(pairs)
         if n < 1:
             raise ValueError("matrix dimension must be positive")
-        for i, row in enumerate(grid):
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            for j, x in enumerate(row):
-                if not isinstance(x, Fraction):
-                    raise TypeError(f"entry ({i}, {j}) is not a Fraction")
-                if x.numerator < 0:
-                    raise ValueError(f"negative entry {x} at ({i}, {j})")
-        den = lcm(*[x.denominator for row in grid for x in row])
+        den = lcm(*[q for row in pairs for _, q in row])
         if den == 1:
-            num = tuple([tuple([x.numerator for x in row]) for row in grid])
+            num = tuple([tuple([p for p, _ in row]) for row in pairs])
         else:
-            num = tuple([tuple([x.numerator * (den // x.denominator) for x in row]) for row in grid])
+            num = tuple([tuple([p * (den // q) for p, q in row]) for row in pairs])
+        if any(len(row) != n for row in num) or min(map(min, num)) < 0:
+            for i, row in enumerate(pairs):
+                if len(row) != n:
+                    raise ValueError("matrix must be square")
+                for j, (p, q) in enumerate(row):
+                    if p < 0:
+                        raise ValueError(f"negative entry {Fraction(p, q)} at ({i}, {j})")
         setattr_ = object.__setattr__
         setattr_(self, "den", den)
         setattr_(self, "num", num)
-        setattr_(self, "_entries", tuple([tuple(row) for row in grid]))
+        setattr_(self, "_entries", None)
         setattr_(self, "_hash", None)
 
     @classmethod
@@ -432,7 +512,10 @@ class RMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Entry]]) -> RMatrix:
-        return cls(tuple([tuple([coerce_entry(x) for x in row]) for row in rows]))
+        """The matrix of ``coerce_entry`` of every entry, read onto the integer grid directly."""
+        m = object.__new__(cls)
+        m.__post_init__(rows, _entry_ratio)
+        return m
 
     @classmethod
     def identity(cls, n: int) -> RMatrix:

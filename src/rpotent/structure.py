@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decomposition import BlockTriangularization, condensation_successors, is_decomposable
-from .potency import Potent, is_r_potent
+from .potency import Potent
 
 EXACT_REORDER_LIMIT = 16
 
@@ -91,21 +91,27 @@ def count_adjacent_zero_pairs(t: BlockTriangularization) -> int:
 
 
 def analyze_structure(p: Potent) -> StructureReport:
-    """Classify every diagonal block of A's triangularization ``p.tri`` and evaluate the bounds."""
+    """Classify every diagonal block of A's triangularization ``p.tri`` and evaluate the bounds.
+
+    A block B on a component C is r-potent iff B ``p.projection``[C, C] = B:
+    every walk between two vertices of one strongly connected component
+    stays inside it, so A^(r-1)[C, C] = B^(r-1), and the test is B^r = B.
+    """
     t, r, k = p.tri, p.r, p.rank
     if t.is_trivial:
         # the one block is A itself, whose facts are known
         records = [BlockRecord(p.a.n, p.a.is_zero(), k, True, True)]
     else:
+        projection = p.projection
         records = [
             BlockRecord(
                 size=blk.n,
                 is_zero=blk.is_zero(),
                 block_rank=blk.rank(),
-                block_is_r_potent=is_r_potent(blk, r),
+                block_is_r_potent=blk @ projection.submatrix(comp) == blk,
                 block_is_indecomposable=not is_decomposable(blk),
             )
-            for blk in t.diagonal_blocks
+            for comp, blk in zip(t.components, t.diagonal_blocks)
         ]
     nonzero_count = sum(1 for rec in records if not rec.is_zero)
     total = len(records)

@@ -14,7 +14,10 @@ it off the union's block triangularization.  The generator oracles place
 triple loop, against builders that pad integer rows and take one exact
 product; the rank-one idempotent oracle draws ``Fraction`` factors and goes
 through the validating constructor, against the builder that forms
-U_i R_j / U.R on the integer grid.
+U_i R_j / U.R on the integer grid.  The matrix reader's reference builds a
+``Fraction`` for every entry with ``coerce_entry`` and checks that grid,
+against the reader that splits plain integers and ``p/q`` strings with
+``int`` onto the integer grid.
 """
 
 from __future__ import annotations
@@ -23,13 +26,33 @@ import itertools
 import random
 from collections import deque
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from rpotent.decomposition import Digraph, InvariantSubsetWitness, condensation_successors
 from rpotent.generators import rank_one_idempotent
 from rpotent.matrix import PatternMatrix, RMatrix, coerce_entry
 from rpotent.potency import Potent
 from rpotent.semigroup import PatternSemigroup
+
+
+def fraction_grid(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(den, num)`` of the matrix read from ``rows`` through one ``Fraction`` per entry.
+
+    Every entry goes through ``coerce_entry`` first, so parse and type errors
+    come before the dimension, squareness and negativity checks.
+    """
+    grid = [[coerce_entry(x) for x in row] for row in rows]
+    n = len(grid)
+    if n < 1:
+        raise ValueError("matrix dimension must be positive")
+    for i, row in enumerate(grid):
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+        for j, x in enumerate(row):
+            if x.numerator < 0:
+                raise ValueError(f"negative entry {x} at ({i}, {j})")
+    den = lcm(*[x.denominator for row in grid for x in row])
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in grid)
 
 
 def naive_multiply(a: RMatrix, b: RMatrix) -> RMatrix:

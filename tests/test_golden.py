@@ -2,10 +2,11 @@
 
 ``tests/golden/<name>.analyze.json`` is the expected output of
 ``rpotent analyze <input> --json``, where the input is the bundled example
-``<name>.json`` from the package data or ``tests/golden/<name>.json``: a
-positive, a sparse and a nilpotent matrix that are not potent, whose
-outputs carry the ``nonpotency`` certificate, and two permutation matrices
-whose least exponents, 85 and 316, lie past where a capped walk stopped.
+``<name>.json`` from the package data or ``tests/golden/<name>.json`` or
+``.csv``: a positive, a sparse and a nilpotent matrix that are not potent,
+whose outputs carry the ``nonpotency`` certificate, two permutation
+matrices whose least exponents, 85 and 316, lie past where a capped walk
+stopped, and a CSV file with ``p/q`` cells, padded cells and a zero row.
 """
 
 from importlib import resources
@@ -23,13 +24,13 @@ EXPECTED = sorted(p.name.removesuffix(".analyze.json") for p in GOLDEN.glob("*.a
 def test_every_bundled_example_and_nonpotent_input_is_covered():
     bundled = {p.name.removesuffix(".json") for p in DATA.iterdir() if p.name.endswith(".json")}
     local = {"positive_rational", "sparse_integer", "nilpotent"}
-    local |= {"permutation_cycles_3_4_7", "permutation_cycles_5_7_9"}
+    local |= {"permutation_cycles_3_4_7", "permutation_cycles_5_7_9", "padded_rational"}
     assert set(EXPECTED) == bundled | local
 
 
 @pytest.mark.parametrize("name", EXPECTED)
 def test_analyze_json_matches_golden_bytes(name, capsys):
-    local = GOLDEN / f"{name}.json"
-    source = str(local) if local.exists() else str(DATA.joinpath(f"{name}.json"))
+    local = [GOLDEN / f"{name}{suffix}" for suffix in (".json", ".csv")]
+    source = next((str(p) for p in local if p.exists()), str(DATA.joinpath(f"{name}.json")))
     assert main(["analyze", source, "--json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.analyze.json").read_text()

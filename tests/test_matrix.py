@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -23,6 +24,7 @@ from rpotent.matrix import (
 
 from oracles import (
     bool_product,
+    fraction_grid,
     gauss_rank,
     kron_entry,
     naive_multiply,
@@ -159,6 +161,12 @@ class TestConstruction:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             RMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+
+    def test_fraction_grid_errors_name_the_entry(self):
+        with pytest.raises(TypeError, match=r"entry \(1, 0\) is not a Fraction"):
+            RMatrix(((Fraction(-1), Fraction(0)), (0.5, Fraction(0))))
+        with pytest.raises(ValueError, match=r"negative entry -1/2 at \(0, 1\)"):
+            RMatrix(((Fraction(1), Fraction(-1, 2)), (Fraction(0), Fraction(0))))
 
     def test_rejects_bad_entry_string(self):
         with pytest.raises(ValueError, match="parse"):
@@ -459,6 +467,19 @@ class TestSerialization:
         for text in (f"1e{limit}", f"1e-{limit}", f"2.5e{limit + 5}"):
             with pytest.raises(ValueError, match=f"more than {limit} digits"):
                 matrix_from_csv(text)
+        # zero mantissas are 0 at any exponent; 1000e-4301 is 1/10^4298,
+        # 100e-4302 is 1/10^4300, one digit too many
+        for text in ("0e5000", "0.0e-9000", "-0e100000000"):
+            assert matrix_from_csv(text).is_zero()
+        assert matrix_from_csv(f"1000e-{limit + 1}").den == 10 ** (limit - 2)
+        with pytest.raises(ValueError, match=f"more than {limit} digits"):
+            matrix_from_csv(f"100e-{limit + 2}")
+        # decided from the exponent, with no power of ten built
+        for text in ("1e10000000", "1e30000000", "1e100000000", "-1e100000000", "7.5e-100000000", f"1e{10**limit - 1}"):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"more than {limit} digits"):
+                matrix_from_csv(text)
+            assert time.perf_counter() - start < 1.0
         with pytest.raises(ValueError, match="invalid matrix JSON"):
             matrix_from_json('{"n": 1, "entries": [[1%s]]}' % ("0" * limit))
 
@@ -474,3 +495,78 @@ class TestSerialization:
         text = str(HALF)
         assert text.splitlines() == ["1/2  1/2", "1/2  1/2"]
         assert repr(HALF) == "RMatrix(n=2)"
+
+
+# Entries of every kind the readers meet: JSON ints (negative ones too),
+# booleans, floats and None, the strings that take the integer fast path or
+# fall back to ``coerce_entry``, short strings over the ``Fraction`` syntax,
+# and ``Fraction`` values.  Each grid draws from one pool, so that whole
+# grids read, fail on a negative entry or fail on a bad one.
+_READER_STRINGS = [" 7 ", "+3", "-0", "07", "3/0", "0/5", "1.5", "2e3", "\u0663", "\u00b2", "1/\u0663", "2/4", "-1/2", "x", "", "1_0", "1.e3", "7/", "/7"]
+_readable_entry = st.one_of(
+    st.integers(0, 10**6),
+    st.sampled_from(["0", "1", " 7 ", "+3", "-0", "07", "0/5", "1.5", "2e3", "\u0663", "2/4", "12/18", "1_0"]),
+    st.fractions(min_value=0, max_value=3, max_denominator=50),
+)
+_signed_entry = st.one_of(_readable_entry, st.integers(-5, -1), st.sampled_from(["-1/2", "-3", "-2e-1"]))
+_any_entry = st.one_of(
+    _signed_entry,
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    st.sampled_from(_READER_STRINGS),
+    st.text(alphabet="0123456789/+-._eE \u0663", max_size=6),
+)
+# Cells of CSV rows: no separators, quotes or line breaks; padded or not.
+_readable_cell = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.sampled_from(["0", " 1", "2/4 ", " 12/18 ", "07", "+3", "1.5", "2e3", "\u0663", "0/5"]),
+)
+_signed_cell = st.one_of(_readable_cell, st.integers(-5, -1).map(str), st.just("-1/2"))
+_any_cell = st.one_of(
+    _signed_cell,
+    st.sampled_from([c for c in _READER_STRINGS if c]),
+    st.text(alphabet="0123456789/+-. ", max_size=5),
+)
+
+
+def _grid(entry):
+    """Rows of n entries for n = 0..4, about one in five of them ragged."""
+
+    def rows(n):
+        square = st.lists(entry, min_size=n, max_size=n)
+        ragged = st.lists(entry, min_size=max(n - 1, 0), max_size=n + 1)
+        return st.lists(st.one_of(square, square, square, square, ragged), min_size=n, max_size=n)
+
+    return st.integers(0, 4).flatmap(rows)
+
+
+def _outcome(read, arg):
+    """``(den, num)`` of the matrix ``read(arg)`` builds, or the type and message it raises."""
+    try:
+        m = read(arg)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return m if isinstance(m, tuple) else (m.den, m.num)
+
+
+class TestReaderAgainstFractionOracle:
+    """The integer-grid reader against one ``Fraction`` per entry (``oracles.fraction_grid``)."""
+
+    @pytest.mark.parametrize("entry", [*_READER_STRINGS, 0, 5, -2, True, False, 1.5, None, Fraction(3, 6), [1]])
+    def test_each_listed_entry(self, entry):
+        rows = [[entry, 1], [0, "1/2"]]
+        assert _outcome(RMatrix.from_rows, rows) == _outcome(fraction_grid, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([_readable_entry, _signed_entry, _any_entry]).flatmap(_grid))
+    def test_rows(self, rows):
+        assert _outcome(RMatrix.from_rows, rows) == _outcome(fraction_grid, rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([_readable_cell, _signed_cell, _any_cell]).flatmap(_grid).filter(bool))
+    def test_csv_rows(self, rows):
+        # every row keeps a nonblank cell: the reader skips blank lines
+        rows = [row if any(c.strip() for c in row) else ["0", *row[1:]] for row in rows]
+        text = "\n".join(",".join(row) for row in rows) + "\n"
+        assert _outcome(matrix_from_csv, text) == _outcome(fraction_grid, rows)

@@ -1,5 +1,9 @@
 """Block structure reports and zero-separating reorders."""
 
+import json
+from importlib import resources
+from pathlib import Path
+
 import pytest
 
 from rpotent import potency
@@ -12,13 +16,18 @@ from rpotent.generators import (
     triangular_family,
     uniform_idempotent,
 )
-from rpotent.matrix import RMatrix
-from rpotent.potency import as_potent, minimal_potency
+from rpotent.cli import main
+from rpotent.matrix import RMatrix, load_matrix
+from rpotent.potency import as_potent, is_r_potent, minimal_potency
 from rpotent.structure import (
     analyze_structure,
     count_adjacent_zero_pairs,
     reorder_to_avoid_consecutive_zeros,
 )
+from rpotent.verification import DEFAULT_SEED, decomposable_cases
+
+GOLDEN = Path(__file__).parent / "golden"
+DATA = resources.files("rpotent").joinpath("data")
 
 
 class TestAnalyzeStructure:
@@ -72,6 +81,36 @@ class TestAnalyzeStructure:
             if rep.applicable:
                 lower = -(-rep.k // (r - 1))
                 assert lower <= rep.nonzero_count <= rep.k
+
+
+class TestBlockPotencyAgainstThePower:
+    """``block_is_r_potent``, read off the projection, against the r-th power of each block."""
+
+    def test_structure_check_families(self):
+        for _, _, r, p, _ in decomposable_cases(60, DEFAULT_SEED):
+            flags = [b.block_is_r_potent for b in analyze_structure(p).blocks]
+            assert flags == [is_r_potent(blk, r) for blk in p.tri.diagonal_blocks]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            DATA.joinpath("decomposable_rank_one.json"),
+            DATA.joinpath("uniform_block_tower_r4.json"),
+            GOLDEN / "permutation_cycles_3_4_7.json",
+            GOLDEN / "padded_rational.csv",
+        ],
+    )
+    def test_analyze_at_minimal_r_plus_period(self, source, capsys):
+        path = str(source)
+        assert main(["analyze", path, "--json"]) == 0
+        minimal = json.loads(capsys.readouterr().out)["potency"]["minimal_r"]
+        r = minimal + (minimal - 1)  # the least r plus L = least r - 1
+        assert main(["analyze", path, "--json", "--r", str(r)]) == 0
+        bundle = json.loads(capsys.readouterr().out)
+        assert bundle["potency"]["is_r_potent"] and bundle["structure"]["applicable"]
+        blocks = block_triangularize(load_matrix(path)).diagonal_blocks
+        flags = [b["block_is_r_potent"] for b in bundle["structure"]["blocks"]]
+        assert flags == [is_r_potent(blk, r) for blk in blocks]
 
 
 class TestReorder:
