@@ -15,7 +15,7 @@ import os
 import sys
 
 from .decomposition import block_triangularize, brute_force_decomposable
-from .generators import GeneratorSpec
+from .generators import GENERATOR_KINDS, GeneratorSpec
 from .matrix import RMatrix, load_matrix, matrix_to_json
 from .potency import main_decomposability_test, potency_report
 from .semigroup import (
@@ -155,39 +155,28 @@ def cmd_analyze(args) -> int:
     return 0 if bundle["ok"] else 1
 
 
+def _int_list(text: str) -> list[int]:
+    """``1,2,3`` as [1, 2, 3]."""
+    return [int(s) for s in text.split(",")]
+
+
 def _generator_spec_from_args(args) -> GeneratorSpec:
-    params: dict[str, object] = {}
-    kind = "kronecker" if args.kind == "kron" else args.kind
-    if kind in ("cycle", "conjugated"):
-        if args.length is None:
-            raise ValueError("--length is required for this kind")
-        params["length"] = args.length
-    elif kind == "rank_one_idempotent":
-        if args.dim is None:
-            raise ValueError("--dim is required for this kind")
-        params["dim"] = args.dim
-        if args.padded:
-            params["padded"] = True
-    elif kind == "block_diagonal":
-        if not args.sizes:
-            raise ValueError("--sizes is required for this kind")
-        params["sizes"] = [int(s) for s in args.sizes.split(",")]
-    elif kind == "kronecker":
-        if args.r is None or args.rank is None:
-            raise ValueError("--r and --rank are required for this kind")
-        params["r"] = args.r
-        params["rank"] = args.rank
-    elif kind == "triangular_family":
-        if args.r is None:
-            raise ValueError("--r is required for this kind")
-        params["r"] = args.r
-    elif kind == "permutation":
-        if args.n is None:
-            raise ValueError("--n is required for this kind")
-        params["n"] = args.n
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    return GeneratorSpec(kind=kind, seed=args.seed, params=params)
+    """The spec of ``generate``: the kind's parameters from the flags of the same name, no others."""
+    name = "kronecker" if args.kind == "kron" else args.kind
+    kind = GENERATOR_KINDS[name]
+    given = {
+        p: value
+        for k in GENERATOR_KINDS.values()
+        for p in k.required + k.optional
+        if (value := getattr(args, p)) is not None and value is not False
+    }
+    foreign = [p for p in given if p not in kind.required + kind.optional]
+    if foreign:
+        raise ValueError(f"kind {name} takes no {', '.join(f'--{p}' for p in foreign)}")
+    if any(p not in given for p in kind.required):
+        flags = " and ".join(f"--{p}" for p in kind.required)
+        raise ValueError(f"{flags} {'is' if len(kind.required) == 1 else 'are'} required for this kind")
+    return GeneratorSpec(kind=name, seed=args.seed, params=given)
 
 
 def cmd_generate(args) -> int:
@@ -272,21 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--kind",
         required=True,
-        choices=[
-            "cycle",
-            "rank_one_idempotent",
-            "block_diagonal",
-            "kronecker",
-            "kron",
-            "triangular_family",
-            "permutation",
-            "conjugated",
-        ],
+        choices=[*GENERATOR_KINDS, "kron"],
     )
     p_gen.add_argument("--length", "--len", type=int, default=None, help="cycle length")
     p_gen.add_argument("--dim", type=int, default=None, help="idempotent dimension")
     p_gen.add_argument("--padded", action="store_true", help="zero-pad the idempotent factors")
-    p_gen.add_argument("--sizes", type=str, default=None, help="comma-separated block sizes")
+    p_gen.add_argument("--sizes", type=_int_list, default=None, help="comma-separated block sizes")
     p_gen.add_argument("--r", type=int, default=None, help="potency exponent")
     p_gen.add_argument("--rank", type=int, default=None, help="target rank")
     p_gen.add_argument("--n", type=int, default=None, help="permutation size")

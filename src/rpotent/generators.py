@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .matrix import Entry, Permutation, RMatrix, coerce_entry
 from .potency import Potent, as_potent
@@ -327,6 +327,39 @@ def rank_dominant_semigroup_generators(
     return gens
 
 
+def _conjugated_cycle(seed: int, length: int) -> RMatrix:
+    base = cycle_matrix(int(length))
+    return base.conjugate(Permutation.random(base.n, random.Random(seed)))
+
+
+@dataclass(frozen=True)
+class GeneratorKind:
+    """The parameters of one generator kind and its builder, ``build(seed, **params)``."""
+
+    required: tuple[str, ...]
+    build: Callable[..., RMatrix]
+    optional: tuple[str, ...] = ()
+
+
+GENERATOR_KINDS: dict[str, GeneratorKind] = {
+    "cycle": GeneratorKind(("length",), lambda seed, length: cycle_matrix(int(length))),
+    "rank_one_idempotent": GeneratorKind(
+        ("dim",),
+        lambda seed, dim, padded=None: random_rank_one_idempotent(
+            int(dim), seed, None if padded is None else bool(padded)
+        ),
+        optional=("padded",),
+    ),
+    "block_diagonal": GeneratorKind(
+        ("sizes",), lambda seed, sizes: block_diagonal([uniform_idempotent(int(k)) for k in sizes])
+    ),
+    "kronecker": GeneratorKind(("r", "rank"), lambda seed, r, rank: random_r_potent(int(r), int(rank), seed).a),
+    "triangular_family": GeneratorKind(("r",), lambda seed, r: random_singular_zero_diag(int(r), seed).a),
+    "permutation": GeneratorKind(("n",), lambda seed, n: Permutation.random(int(n), random.Random(seed)).to_matrix()),
+    "conjugated": GeneratorKind(("length",), _conjugated_cycle),
+}
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Named construction plus parameters plus seed; a full recipe for one matrix."""
@@ -336,29 +369,9 @@ class GeneratorSpec:
     params: Mapping[str, object] = field(default_factory=dict)
 
     def build(self) -> RMatrix:
-        p = dict(self.params)
-        if self.kind == "cycle":
-            return cycle_matrix(int(p["length"]))
-        if self.kind == "rank_one_idempotent":
-            padded = p.get("padded")
-            return random_rank_one_idempotent(
-                int(p["dim"]), self.seed, None if padded is None else bool(padded)
-            )
-        if self.kind == "block_diagonal":
-            sizes = [int(s) for s in p["sizes"]]
-            return block_diagonal([uniform_idempotent(k) for k in sizes])
-        if self.kind == "kronecker":
-            return random_r_potent(int(p["r"]), int(p["rank"]), self.seed).a
-        if self.kind == "triangular_family":
-            return random_singular_zero_diag(int(p["r"]), self.seed).a
-        if self.kind == "permutation":
-            rng = random.Random(self.seed)
-            return Permutation.random(int(p["n"]), rng).to_matrix()
-        if self.kind == "conjugated":
-            rng = random.Random(self.seed)
-            base = cycle_matrix(int(p["length"]))
-            return base.conjugate(Permutation.random(base.n, rng))
-        raise ValueError(f"unknown generator kind {self.kind!r}")
+        if self.kind not in GENERATOR_KINDS:
+            raise ValueError(f"unknown generator kind {self.kind!r}")
+        return GENERATOR_KINDS[self.kind].build(self.seed, **self.params)
 
     def provenance(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "params": dict(self.params)}

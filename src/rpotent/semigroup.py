@@ -153,37 +153,12 @@ def rational_closure(
     return RationalSemigroup(members=tuple(members), truncated=truncated)
 
 
-def common_zero_entry(s: PatternSemigroup) -> tuple[int, int] | None:
-    """A position at which every member vanishes (first in row-major order)."""
-    s.require_complete()
-    return s.union_pattern().first_zero()
-
-
-def sum_has_zero(s: PatternSemigroup) -> bool:
-    """Whether the entrywise sum of all members has a zero entry.
-
-    For nonnegative members the sum vanishes exactly where all members do,
-    so this is a zero of the union pattern.
-    """
-    return common_zero_entry(s) is not None
-
-
-def semigroup_decomposable(s: PatternSemigroup) -> InvariantSubsetWitness | None:
-    """Witness index set invariant under every member, or None.
-
-    Works on the union pattern: each member's support is contained in the
-    union's, so a closed set for the union is invariant for every member
-    simultaneously.  The witness is the union's sink component, as
-    ``BlockTriangularization.witness`` finds and verifies it.
-    """
-    s.require_complete()
-    return block_triangularize(s.union_pattern().to_matrix()).witness
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     """The decomposability facets of one closed semigroup, from its union pattern.
 
+    Each member's support lies in the union's, so the union's sink component
+    is an index set invariant under every member at once: the witness.
     The witness and the zero entry are found separately; ``sum_has_zero`` is
     whether a zero entry exists, as the sum of nonnegative members vanishes
     exactly where their union does.  When a common zero exists at (i, j),

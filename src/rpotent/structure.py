@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import BlockTriangularization, condensation_successors, is_decomposable
+from .decomposition import BlockTriangularization, condensation_successors
 from .potency import Potent
 
 EXACT_REORDER_LIMIT = 16
@@ -109,7 +109,7 @@ def analyze_structure(p: Potent) -> StructureReport:
                 is_zero=blk.is_zero(),
                 block_rank=blk.rank(),
                 block_is_r_potent=blk @ projection.submatrix(comp) == blk,
-                block_is_indecomposable=not is_decomposable(blk),
+                block_is_indecomposable=True,  # a strongly connected component, by construction
             )
             for comp, blk in zip(t.components, t.diagonal_blocks)
         ]

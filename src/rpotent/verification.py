@@ -1,9 +1,11 @@
 """Named property suites over seeded families of generated matrices.
 
-Each check id maps to a runner that generates its family deterministically
-from a seed, evaluates the property on every instance, and reports pass/fail
-counts with the first counterexample serialized for reproduction.  The same
-runners back the command-line ``verify`` command and the acceptance tests.
+``CHECKS`` declares each check once: its id, the description ``verify``
+prints, its runner and its default trials.  A runner generates its family
+deterministically from a seed and yields one verdict per trial;
+``run_check`` tallies the verdicts into a ``CheckResult`` with the first
+counterexamples serialized for reproduction.  The same checks back the
+command-line ``verify`` command and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -70,48 +72,6 @@ class CheckResult:
             "ok": self.ok,
             "failures": [f.to_dict() for f in self.failures[:3]],
         }
-
-
-class _Recorder:
-    """Tallies trials and keeps the first few counterexamples."""
-
-    def __init__(self, check_id: str, description: str, keep: int = 3):
-        self.check_id = check_id
-        self.description = description
-        self.total = 0
-        self.passed = 0
-        self.failures: list[Failure] = []
-        self.keep = keep
-
-    def record(
-        self,
-        ok: bool,
-        trial: int,
-        seed: int | None = None,
-        detail: str = "",
-        matrix: RMatrix | None = None,
-    ) -> None:
-        self.total += 1
-        if ok:
-            self.passed += 1
-        elif len(self.failures) < self.keep:
-            self.failures.append(
-                Failure(
-                    trial=trial,
-                    seed=seed,
-                    detail=detail,
-                    matrix=None if matrix is None else matrix.to_json_dict(),
-                )
-            )
-
-    def result(self) -> CheckResult:
-        return CheckResult(
-            check_id=self.check_id,
-            description=self.description,
-            total=self.total,
-            passed=self.passed,
-            failures=tuple(self.failures),
-        )
 
 
 def _case_seed(seed: int, i: int) -> int:
@@ -204,12 +164,13 @@ def random_pattern(rng: random.Random, n: int, density: float) -> PatternMatrix:
 
 
 # ---------------------------------------------------------------------------
-# runners
+# runners: each yields one verdict (ok, trial, seed, detail, matrix) per trial
+
+Verdict = tuple[bool, int, int | None, str, RMatrix | None]
 
 
-def run_wielandt(trials: int = 100, seed: int = DEFAULT_SEED, n: int | None = None) -> CheckResult:
+def run_wielandt(trials: int, seed: int, n: int | None) -> Iterator[Verdict]:
     """Primitive patterns raised to the n^2 - 2n + 2 power are strictly positive."""
-    rec = _Recorder("2.4", "primitive patterns have a positive squared-index power")
     dims = [2, 3, 4, 5, 6] if n is None else [n]
     for dim in dims:
         rng = random.Random(seed + dim)
@@ -225,42 +186,29 @@ def run_wielandt(trials: int = 100, seed: int = DEFAULT_SEED, n: int | None = No
             if not (t.is_trivial and t.periods == (1,)):
                 continue
             collected += 1
-            rec.record(wielandt_check(t), collected, seed=seed + dim, matrix=m, detail=f"n={dim}")
+            yield wielandt_check(t), collected, seed + dim, f"n={dim}", m
         if collected < trials:
-            rec.record(False, -1, seed=seed + dim, detail=f"could not sample {trials} primitive patterns at n={dim}")
-    return rec.result()
+            yield False, -1, seed + dim, f"could not sample {trials} primitive patterns at n={dim}", None
 
 
-def run_zero_diagonal_chain(trials: int = 100, seed: int = DEFAULT_SEED) -> CheckResult:
+def run_zero_diagonal_chain(trials: int, seed: int) -> Iterator[Verdict]:
     """A potent matrix whose every power has a zero diagonal entry is reducible and singular."""
-    rec = _Recorder("2.5", "all-powers-zero-diagonal forces decomposability and a zero eigenvalue")
     for i, case_seed, r, p in singular_zero_diag_cases(trials, seed):
         m = p.a
         hypothesis = zero_diagonal_powers(p) == set(range(1, r))
-        ok = hypothesis and not p.tri.is_trivial and p.rank < m.n
-        rec.record(ok, i, seed=case_seed, matrix=m, detail=f"r={r}")
-    return rec.result()
+        yield hypothesis and not p.tri.is_trivial and p.rank < m.n, i, case_seed, f"r={r}", m
 
 
-def run_rank_trace(trials: int = 500, seed: int = DEFAULT_SEED) -> CheckResult:
+def run_rank_trace(trials: int, seed: int) -> Iterator[Verdict]:
     """rank(A) equals trace(A^(r-1)) exactly, for every generated r-potent."""
-    rec = _Recorder("2.6", "rank equals projection trace")
     for i, case_seed, r, p in rank_trace_cases(trials, seed):
-        rec.record(rank_trace_check(p), i, seed=case_seed, matrix=p.a, detail=f"r={r}")
-    return rec.result()
+        yield rank_trace_check(p), i, case_seed, f"r={r}", p.a
 
 
-def run_rank_one_diagonal(trials: int = 100, seed: int = DEFAULT_SEED) -> CheckResult:
+def run_rank_one_diagonal(trials: int, seed: int) -> Iterator[Verdict]:
     """Rank-one idempotents decompose exactly when a diagonal entry is zero."""
-    rec = _Recorder("3.1", "rank-one idempotent zero-diagonal criterion")
     for i, case_seed, m in rank_one_cases(trials, seed):
-        rec.record(
-            rank_one_idempotent_diag_test(m) == is_decomposable(m),
-            i,
-            seed=case_seed,
-            matrix=m,
-        )
-    return rec.result()
+        yield rank_one_idempotent_diag_test(m) == is_decomposable(m), i, case_seed, "", m
 
 
 def decomposable_cases(trials: int, seed: int) -> Iterator[tuple[int, int, int, Potent, str]]:
@@ -272,16 +220,14 @@ def decomposable_cases(trials: int, seed: int) -> Iterator[tuple[int, int, int, 
         yield high + i, case_seed, r, p, "singular_zero_diagonal"
 
 
-def run_decomposability_criteria(trials: int = 300, seed: int = DEFAULT_SEED) -> CheckResult:
+def run_decomposability_criteria(trials: int, seed: int) -> Iterator[Verdict]:
     """Both prediction branches (high rank; singular with zero-diagonal powers) decompose."""
-    rec = _Recorder("3.2", "rank and diagonal criteria force decomposability")
     for i, case_seed, r, p, case in decomposable_cases(trials, seed):
         pred = main_decomposability_test(p)
         ok = pred.case == case and pred.actual_decomposable
         if case == "singular_zero_diagonal":  # the hypothesis itself, from the powers
             ok = ok and p.rank < p.a.n and set(range(2, r)) <= zero_diagonal_powers(p)
-        rec.record(ok, i, seed=case_seed, matrix=p.a, detail=f"r={r} case={pred.case}")
-    return rec.result()
+        yield ok, i, case_seed, f"r={r} case={pred.case}", p.a
 
 
 def structure_case_ok(p: Potent) -> tuple[bool, str]:
@@ -305,19 +251,15 @@ def structure_case_ok(p: Potent) -> tuple[bool, str]:
     return True, ""
 
 
-def run_structure(trials: int = 300, seed: int = DEFAULT_SEED) -> CheckResult:
+def run_structure(trials: int, seed: int) -> Iterator[Verdict]:
     """Block dichotomy, rank sums, and count bounds on the decomposable families."""
-    rec = _Recorder("4.1", "maximal triangularization structure bounds")
     for i, case_seed, r, p, _ in decomposable_cases(trials, seed):
         ok, detail = structure_case_ok(p)
-        rec.record(ok, i, seed=case_seed, matrix=p.a, detail=detail)
-    return rec.result()
+        yield ok, i, case_seed, detail, p.a
 
 
-def run_kron(trials: int = 100, seed: int = DEFAULT_SEED, idempotent_b: bool = False) -> CheckResult:
+def run_kron(trials: int, seed: int, idempotent_b: bool) -> Iterator[Verdict]:
     """Kronecker products with a high-rank factor are decomposable r-potents of high rank."""
-    check_id = "5.2" if idempotent_b else "5.1"
-    rec = _Recorder(check_id, "Kronecker products inherit potency and decompose")
     for i, case_seed, r, pa, pb in kron_cases(trials, seed, idempotent_b):
         k = pa.a.kron(pb.a)
         rank = k.rank()
@@ -327,13 +269,11 @@ def run_kron(trials: int = 100, seed: int = DEFAULT_SEED, idempotent_b: bool = F
             and rank > r - 1
             and is_decomposable(k)
         )
-        rec.record(ok, i, seed=case_seed, matrix=k, detail=f"r={r}")
-    return rec.result()
+        yield ok, i, case_seed, f"r={r}", k
 
 
-def run_cyclic_semigroup(trials: int = 100, seed: int = DEFAULT_SEED) -> CheckResult:
+def run_cyclic_semigroup(trials: int, seed: int) -> Iterator[Verdict]:
     """One permutation triangularizes every power of a decomposable r-potent."""
-    rec = _Recorder("6.1", "power semigroup shares one triangularizing permutation")
     half = trials // 2
     cases = list(high_rank_cases(half, seed)) + list(singular_zero_diag_cases(trials - half, seed + 1))
     for i, (trial, case_seed, r, p) in enumerate(cases):
@@ -341,16 +281,14 @@ def run_cyclic_semigroup(trials: int = 100, seed: int = DEFAULT_SEED) -> CheckRe
         closed = all(x @ y in set(s.members) for x in s.members for y in s.members)
         rep = cyclic_semigroup_decomposable_check(p)
         ok = closed and rep.prediction.agrees and (not rep.applicable or rep.all_triangular)
-        rec.record(ok, i, seed=case_seed, matrix=p.a, detail=f"r={r}")
-    return rec.result()
+        yield ok, i, case_seed, f"r={r}", p.a
 
 
 def _random_closure_trials(
-    rec: _Recorder,
     trials: int,
     seed: int,
     judge: Callable[[object], tuple[bool, str]],
-) -> None:
+) -> Iterator[Verdict]:
     rng = random.Random(seed)
     collected = 0
     attempts = 0
@@ -363,30 +301,27 @@ def _random_closure_trials(
             continue
         collected += 1
         ok, detail = judge(s)
-        rec.record(ok, collected, seed=seed, detail=detail)
+        yield ok, collected, seed, detail, None
     if collected < trials:
-        rec.record(False, -1, seed=seed, detail="could not collect enough complete closures")
+        yield False, -1, seed, "could not collect enough complete closures", None
 
 
-def run_equivalences(trials: int = 300, seed: int = DEFAULT_SEED) -> CheckResult:
+def run_equivalences(trials: int, seed: int) -> Iterator[Verdict]:
     """Witness, common zero entry, and sum-with-zero agree on random closures."""
-    rec = _Recorder("6.2", "decomposability facets agree on closed semigroups")
 
     def judge(s) -> tuple[bool, str]:
         rep = equivalence_report(s)
         return rep.consistent, "" if rep.consistent else "facets disagree"
 
-    _random_closure_trials(rec, trials, seed, judge)
-    return rec.result()
+    return _random_closure_trials(trials, seed, judge)
 
 
-def run_semigroup_common_zero(trials: int = 100, seed: int = DEFAULT_SEED) -> CheckResult:
+def run_semigroup_common_zero(trials: int, seed: int) -> Iterator[Verdict]:
     """Closures of rank-dominant families decompose with a common zero entry."""
-    rec = _Recorder("6.3", "rank-dominant semigroups have a common zero entry")
     for i, case_seed, r, gens in semigroup_family_cases(trials, seed):
         s = pattern_closure([g.pattern() for g in gens])
         if s.truncated:
-            rec.record(False, i, seed=case_seed, detail="closure truncated")
+            yield False, i, case_seed, "closure truncated", None
             continue
         rep = equivalence_report(s)
         ok = (
@@ -395,35 +330,28 @@ def run_semigroup_common_zero(trials: int = 100, seed: int = DEFAULT_SEED) -> Ch
             and rep.zero_entry is not None
             and rep.sum_has_zero
         )
-        rec.record(ok, i, seed=case_seed, matrix=gens[0], detail=f"r={r} gens={len(gens)}")
-    return rec.result()
+        yield ok, i, case_seed, f"r={r} gens={len(gens)}", gens[0]
 
 
-def run_rank_floor(trials: int = 50, seed: int = DEFAULT_SEED) -> CheckResult:
+def run_rank_floor(trials: int, seed: int) -> Iterator[Verdict]:
     """Every nonzero diagonal block of a closed rank-dominant semigroup hits rank <= r-1."""
-    rec = _Recorder("6.4", "triangularized semigroup blocks contain a low-rank element")
     for i, case_seed, r, gens in semigroup_family_cases(trials, seed):
-        report = semigroup_rank_floor_check(gens, r)
-        rec.record(report.all_ok, i, seed=case_seed, matrix=gens[0], detail=f"r={r}")
-    return rec.result()
+        yield semigroup_rank_floor_check(gens, r).all_ok, i, case_seed, f"r={r}", gens[0]
 
 
-def run_sum_zero(trials: int = 200, seed: int = DEFAULT_SEED) -> CheckResult:
+def run_sum_zero(trials: int, seed: int) -> Iterator[Verdict]:
     """Decomposability of a closed semigroup matches its sum having a zero entry."""
-    rec = _Recorder("7.1", "sum-with-zero matches decomposability on closures")
 
     def judge(s) -> tuple[bool, str]:
         rep = equivalence_report(s)
         ok = rep.decomposable == rep.sum_has_zero
         return ok, "" if ok else "sum facet disagrees with witness facet"
 
-    _random_closure_trials(rec, trials, seed, judge)
-    return rec.result()
+    return _random_closure_trials(trials, seed, judge)
 
 
-def run_symmetric_group(trials: int = 0, seed: int = DEFAULT_SEED, n: int | None = None) -> CheckResult:
-    """Permutation-matrix potency classification and group indecomposability."""
-    rec = _Recorder("7.2", "permutation group classification and positivity of the sum")
+def run_symmetric_group(trials: int, seed: int, n: int | None) -> Iterator[Verdict]:
+    """Potency classes of S2..S6 (or of S_n alone), enumerated: ``trials`` and ``seed`` are unused."""
     dims = [2, 3, 4, 5, 6] if n is None else [n]
     for dim in dims:
         report = symmetric_group_analysis(dim)
@@ -433,8 +361,7 @@ def run_symmetric_group(trials: int = 0, seed: int = DEFAULT_SEED, n: int | None
             and report.formula_mismatches == 0
             and counts.get(dim + 1, 0) > 0
         )
-        rec.record(ok, dim, seed=None, detail=f"n={dim} counts={report.potency_counts}")
-    return rec.result()
+        yield ok, dim, None, f"n={dim} counts={report.potency_counts}", None
 
 
 def is_unit_bracket(lower: Fraction, upper: Fraction) -> bool:
@@ -446,13 +373,11 @@ def is_unit_bracket(lower: Fraction, upper: Fraction) -> bool:
     return lower <= 1 <= upper and upper - lower <= Fraction(1, 10**9)
 
 
-def run_perron_trace(trials: int = 100, seed: int = DEFAULT_SEED) -> CheckResult:
+def run_perron_trace(trials: int, seed: int) -> Iterator[Verdict]:
     """Spectral radius 1 for every nonzero potent matrix; zero trace at rank r-1."""
-    rec = _Recorder("perron", "unit spectral radius and zero trace where applicable")
     for i, case_seed, r, p in high_rank_cases(trials // 2, seed):
         lower, upper = perron_value(p.tri)
-        detail = f"perron in [{lower}, {upper}]"
-        rec.record(is_unit_bracket(lower, upper), i, seed=case_seed, matrix=p.a, detail=detail)
+        yield is_unit_bracket(lower, upper), i, case_seed, f"perron in [{lower}, {upper}]", p.a
     for i in range(trials - trials // 2):
         r = (3, 4, 5, 6)[i % 4]
         case_seed = _case_seed(seed, i)
@@ -460,15 +385,20 @@ def run_perron_trace(trials: int = 100, seed: int = DEFAULT_SEED) -> CheckResult
         p = as_potent(cycle_matrix(r - 1).conjugate(Permutation.random(r - 1, rng)), r)
         lower, upper = perron_value(p.tri)
         ok = is_unit_bracket(lower, upper) and trace_zero_check(p)
-        rec.record(ok, trials // 2 + i, seed=case_seed, matrix=p.a, detail=f"r={r}")
-    return rec.result()
+        yield ok, trials // 2 + i, case_seed, f"r={r}", p.a
 
 
 @dataclass(frozen=True)
 class CheckSpec:
+    """One check: the description ``verify`` prints, its runner and its default trials.
+
+    ``accepts_n`` marks the enumeration checks, whose runner takes one
+    dimension ``n`` (None for the default range) after the trials and seed.
+    """
+
     check_id: str
     description: str
-    runner: Callable[..., CheckResult]
+    runner: Callable[..., Iterator[Verdict]]
     default_trials: int
     accepts_n: bool = False
 
@@ -476,22 +406,24 @@ class CheckSpec:
 CHECKS: dict[str, CheckSpec] = {
     spec.check_id: spec
     for spec in [
-        CheckSpec("2.4", "primitive patterns have a positive power at exponent n^2-2n+2", run_wielandt, 100, accepts_n=True),
-        CheckSpec("2.5", "all-powers-zero-diagonal implies decomposable with zero eigenvalue", run_zero_diagonal_chain, 100),
-        CheckSpec("2.6", "rank equals trace of the idempotent projection", run_rank_trace, 500),
-        CheckSpec("3.1", "rank-one idempotents: decomposable iff zero diagonal entry", run_rank_one_diagonal, 100),
-        CheckSpec("3.2", "rank/diagonal criteria force decomposability", run_decomposability_criteria, 300),
-        CheckSpec("4.1", "block structure of maximal triangularizations", run_structure, 300),
-        CheckSpec("5.1", "Kronecker product with a potent factor decomposes", run_kron, 100),
-        CheckSpec("5.2", "Kronecker product with an idempotent factor decomposes",
+        CheckSpec("2.4", "primitive patterns have a positive squared-index power", run_wielandt, 100, accepts_n=True),
+        CheckSpec("2.5", "all-powers-zero-diagonal forces decomposability and a zero eigenvalue", run_zero_diagonal_chain, 100),
+        CheckSpec("2.6", "rank equals projection trace", run_rank_trace, 500),
+        CheckSpec("3.1", "rank-one idempotent zero-diagonal criterion", run_rank_one_diagonal, 100),
+        CheckSpec("3.2", "rank and diagonal criteria force decomposability", run_decomposability_criteria, 300),
+        CheckSpec("4.1", "maximal triangularization structure bounds", run_structure, 300),
+        CheckSpec("5.1", "Kronecker products inherit potency and decompose",
+                  functools.partial(run_kron, idempotent_b=False), 100),
+        CheckSpec("5.2", "Kronecker products inherit potency and decompose",
                   functools.partial(run_kron, idempotent_b=True), 100),
-        CheckSpec("6.1", "powers share one triangularizing permutation", run_cyclic_semigroup, 100),
+        CheckSpec("6.1", "power semigroup shares one triangularizing permutation", run_cyclic_semigroup, 100),
         CheckSpec("6.2", "decomposability facets agree on closed semigroups", run_equivalences, 300),
         CheckSpec("6.3", "rank-dominant semigroups have a common zero entry", run_semigroup_common_zero, 100),
-        CheckSpec("6.4", "semigroup blocks contain an element of rank at most r-1", run_rank_floor, 50),
-        CheckSpec("7.1", "sum-with-zero matches decomposability", run_sum_zero, 200),
-        CheckSpec("7.2", "permutation group potency classes and indecomposability", run_symmetric_group, 0, accepts_n=True),
-        CheckSpec("perron", "unit spectral radius and exact zero trace", run_perron_trace, 100),
+        CheckSpec("6.4", "triangularized semigroup blocks contain a low-rank element", run_rank_floor, 50),
+        CheckSpec("7.1", "sum-with-zero matches decomposability on closures", run_sum_zero, 200),
+        CheckSpec("7.2", "permutation group classification and positivity of the sum", run_symmetric_group, 0,
+                  accepts_n=True),
+        CheckSpec("perron", "unit spectral radius and zero trace where applicable", run_perron_trace, 100),
     ]
 }
 
@@ -502,23 +434,32 @@ def run_check(
     seed: int | None = None,
     n: int | None = None,
 ) -> CheckResult:
-    """Run one check at its default trials and seed unless given.
+    """Run one check at its default trials and seed unless given, and tally its verdicts.
 
     ``n``, one dimension instead of the default range, is taken only by the
     checks whose spec ``accepts_n``; elsewhere it is rejected, not ignored.
+    The result keeps the first three failures.
     """
     if check_id not in CHECKS:
         raise KeyError(f"unknown check id {check_id!r}")
     spec = CHECKS[check_id]
-    kwargs: dict = {
-        "trials": spec.default_trials if trials is None else trials,
-        "seed": DEFAULT_SEED if seed is None else seed,
-    }
     if n is not None:
         if not spec.accepts_n:
             takers = ", ".join(cid for cid, s in CHECKS.items() if s.accepts_n)
             raise ValueError(f"--n applies to checks {takers} only, not to {check_id}")
         if n < 1:
             raise ValueError(f"--n must be at least 1, got {n}")
-        kwargs["n"] = n
-    return spec.runner(**kwargs)
+    verdicts = spec.runner(
+        spec.default_trials if trials is None else trials,
+        DEFAULT_SEED if seed is None else seed,
+        *((n,) if spec.accepts_n else ()),
+    )
+    total = passed = 0
+    failures: list[Failure] = []
+    for ok, trial, case_seed, detail, matrix in verdicts:
+        total += 1
+        if ok:
+            passed += 1
+        elif len(failures) < 3:
+            failures.append(Failure(trial, case_seed, detail, None if matrix is None else matrix.to_json_dict()))
+    return CheckResult(check_id, spec.description, total, passed, tuple(failures))

@@ -27,10 +27,8 @@ from rpotent.generators import cycle_matrix
 from rpotent.matrix import PatternMatrix, Permutation, matrix_to_json
 from rpotent.potency import as_potent, is_r_potent, zero_diagonal_powers
 from rpotent.semigroup import (
-    common_zero_entry,
     equivalence_report,
     pattern_closure,
-    sum_has_zero,
     symmetric_group_analysis,
 )
 from rpotent.spectral import perron_value, trace_zero_check
@@ -198,8 +196,8 @@ def test_semigroup_closures_have_common_zero():
         assert not s.truncated, f"seed={case_seed}"
         rep = equivalence_report(s)
         assert rep.witness is not None, f"seed={case_seed} r={r}"
-        assert common_zero_entry(s) is not None, f"seed={case_seed}"
-        assert sum_has_zero(s), f"seed={case_seed}"
+        assert rep.zero_entry is not None, f"seed={case_seed}"
+        assert rep.sum_has_zero, f"seed={case_seed}"
         assert rep.consistent, f"seed={case_seed}"
     assert count == 100
 

@@ -252,6 +252,46 @@ class TestGenerate:
             assert main(["analyze", str(out_path)]) == 0
             capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "extra, foreign",
+        [
+            (["--kind", "cycle", "--length", "3", "--r", "5"], "--r"),
+            (["--kind", "cycle", "--length", "2", "--r", "5", "--padded", "--dim", "7"], "--dim, --padded, --r"),
+            (["--kind", "conjugated", "--len", "3", "--n", "3"], "--n"),
+            (["--kind", "kron", "--r", "3", "--rank", "2", "--sizes", "1,2"], "--sizes"),
+            (["--kind", "block_diagonal", "--sizes", "1,2", "--padded"], "--padded"),
+            (["--kind", "permutation", "--n", "4", "--length", "0"], "--length"),
+            (["--kind", "triangular_family", "--r", "3", "--rank", "1"], "--rank"),
+            (["--kind", "rank_one_idempotent", "--dim", "3", "--n", "3"], "--n"),
+        ],
+    )
+    def test_foreign_parameter_exits_two_and_is_named(self, extra, foreign, capsys):
+        assert main(["generate", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"takes no {foreign}\n" in captured.err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--kind", "cycle", "--length", "3"],
+            ["--kind", "conjugated", "--length", "3"],
+            ["--kind", "rank_one_idempotent", "--dim", "3"],
+            ["--kind", "block_diagonal", "--sizes", "1,2"],
+            ["--kind", "kronecker", "--r", "3", "--rank", "2"],
+            ["--kind", "triangular_family", "--r", "3"],
+            ["--kind", "permutation", "--n", "3"],
+        ],
+    )
+    def test_seed_is_accepted_and_recorded_for_every_kind(self, extra, capsys):
+        assert main(["generate", *extra, "--seed", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["provenance"]["seed"] == 4
+
+    def test_zero_parameter_counts_as_given(self, capsys):
+        # a zero value reaches the builder, which rejects it, rather than being read as absent
+        assert main(["generate", "--kind", "cycle", "--length", "0"]) == 2
+        assert "cycle length must be positive" in capsys.readouterr().err
+
     def test_missing_kind_parameters_exit_two(self):
         assert main(["generate", "--kind", "rank_one_idempotent"]) == 2
         assert main(["generate", "--kind", "block_diagonal"]) == 2

@@ -136,13 +136,22 @@ class TestBlockTriangularize:
         assert t.is_valid()
 
     def test_every_block_is_indecomposable(self):
+        # the subset oracle, not a second component search: structure reports
+        # every diagonal block indecomposable without testing it
+        patterns = [
+            PatternMatrix(n, rows)
+            for n in (1, 2, 3)
+            for rows in itertools.product(range(1 << n), repeat=n)
+        ]
+        potents = []
         for seed in range(40):
             r = (2, 3, 4, 5)[seed % 4]
-            a = random_r_potent(r, 1 + seed % 5, seed, max_dim=16).a
+            potents.append(random_r_potent(r, 1 + seed % 5, seed, max_dim=16).a)
+        for a in [p.to_matrix() for p in patterns] + potents:
             t = block_triangularize(a)
             assert t.is_valid()
             for blk in t.diagonal_blocks:
-                assert not is_decomposable(blk)
+                assert brute_force_decomposable(blk) is None, a
 
     def test_conjugated_form_is_block_upper_triangular(self):
         rng = random.Random(31)

@@ -8,6 +8,7 @@ import pytest
 from rpotent import generators
 from rpotent.decomposition import block_triangularize, is_decomposable
 from rpotent.generators import (
+    GENERATOR_KINDS,
     GeneratorSpec,
     block_diagonal,
     cycle_matrix,
@@ -295,3 +296,8 @@ class TestGeneratorSpec:
     def test_permutation_kind(self):
         m = GeneratorSpec("permutation", seed=3, params={"n": 5}).build()
         assert m.pattern().count_nonzero() == 5
+
+    @pytest.mark.parametrize("kind", sorted(GENERATOR_KINDS))
+    def test_every_kind_rejects_a_foreign_parameter(self, kind):
+        with pytest.raises(TypeError, match="'foreign'"):
+            GeneratorSpec(kind, params={"foreign": 1}).build()

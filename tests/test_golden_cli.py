@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from rpotent.cli import main
+from rpotent.verification import CHECKS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,8 +35,6 @@ CASES = [(f"verify_{cid}_trials3", ["verify", "--theorem", cid, "--trials", "3"]
 
 
 def test_every_check_is_pinned():
-    from rpotent.verification import CHECKS
-
     assert set(CHECK_IDS) == set(CHECKS)
 
 

@@ -21,15 +21,12 @@ from rpotent.potency import as_potent
 from rpotent.semigroup import (
     ClosureTruncated,
     PatternSemigroup,
-    common_zero_entry,
     cyclic_semigroup,
     cyclic_semigroup_decomposable_check,
     equivalence_report,
     pattern_closure,
     rational_closure,
-    semigroup_decomposable,
     semigroup_rank_floor_check,
-    sum_has_zero,
     symmetric_group_analysis,
 )
 from rpotent.verification import run_check
@@ -123,9 +120,7 @@ class TestPatternClosure:
         s = pattern_closure(gens, cap=2)
         assert s.truncated
         with pytest.raises(ClosureTruncated):
-            common_zero_entry(s)
-        with pytest.raises(ClosureTruncated):
-            semigroup_decomposable(s)
+            equivalence_report(s)
 
 
 class TestGeneratorProductClosure:
@@ -168,7 +163,7 @@ class TestGeneratorProductClosure:
     def test_symmetric_group_six(self):
         s = pattern_closure(_permutation_patterns((1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)))
         assert len(s) == 720 and not s.truncated
-        assert common_zero_entry(s) is None
+        assert equivalence_report(s).zero_entry is None
 
     def test_truncated_closure_holds_exactly_cap_members(self):
         gens = _permutation_patterns((1, 0, 2, 3), (1, 2, 3, 0))
@@ -210,27 +205,29 @@ class TestGeneratorProductClosure:
 class TestCommonZeroAndSum:
     def test_unit_projector_closure(self):
         s = pattern_closure([RMatrix.from_rows([[1, 0], [0, 0]]).pattern()])
-        assert common_zero_entry(s) == (0, 1)
-        assert sum_has_zero(s)
+        rep = equivalence_report(s)
+        assert rep.zero_entry == (0, 1)
+        assert rep.sum_has_zero
 
     def test_symmetric_group_has_no_common_zero(self):
         perms = [Permutation(p).to_matrix().pattern() for p in [(1, 0, 2), (1, 2, 0)]]
         s = pattern_closure(perms)
-        assert common_zero_entry(s) is None
-        assert not sum_has_zero(s)
-        assert semigroup_decomposable(s) is None
+        rep = equivalence_report(s)
+        assert rep.zero_entry is None
+        assert not rep.sum_has_zero
+        assert rep.witness is None
 
     def test_singleton_zero_matrix_sum_has_zero(self):
         s = pattern_closure([RMatrix.zeros(1).pattern()])
-        assert sum_has_zero(s)
-        assert common_zero_entry(s) == (0, 0)
+        rep = equivalence_report(s)
+        assert rep.sum_has_zero
+        assert rep.zero_entry == (0, 0)
 
     def test_block_tower_closure_has_off_block_zero(self):
         tower = block_diagonal([uniform_idempotent(k) for k in (1, 2, 3)])
         s = pattern_closure([tower.pattern()])
-        zero = common_zero_entry(s)
-        assert zero is not None
         rep = equivalence_report(s)
+        assert rep.zero_entry is not None
         assert rep.consistent and rep.decomposable
         assert rep.offdiagonal_zero_entry is not None
         i, j = rep.offdiagonal_zero_entry
@@ -282,13 +279,7 @@ class TestEquivalences:
 
 
 class TestSemigroupWitnessOracle:
-    """``semigroup_decomposable`` against a direct sink search of the union's digraph."""
-
-    @staticmethod
-    def _agree(s):
-        expected = union_digraph_witness(s)
-        assert semigroup_decomposable(s) == expected
-        assert equivalence_report(s).witness == expected
+    """The witness of ``equivalence_report`` against a direct sink search of the union's digraph."""
 
     def test_closures_of_random_generator_sets(self):
         rng = random.Random(17)
@@ -300,12 +291,13 @@ class TestSemigroupWitnessOracle:
             if s.truncated:
                 kinds.add("truncated")
                 with pytest.raises(ClosureTruncated):
-                    semigroup_decomposable(s)
+                    equivalence_report(s)
                 with pytest.raises(ClosureTruncated):
                     union_digraph_witness(s)
                 continue
-            kinds.add("decomposable" if semigroup_decomposable(s) else "indecomposable")
-            self._agree(s)
+            witness = equivalence_report(s).witness
+            kinds.add("decomposable" if witness else "indecomposable")
+            assert witness == union_digraph_witness(s)
         assert kinds == {"truncated", "decomposable", "indecomposable"}
 
     def test_sets_that_are_not_closed(self):
@@ -313,7 +305,8 @@ class TestSemigroupWitnessOracle:
         for _ in range(300):
             n = rng.randint(1, 6)
             members = tuple({random_pattern_local(rng, n, rng.uniform(0.05, 0.5)) for _ in range(rng.randint(1, 4))})
-            self._agree(PatternSemigroup(n, members, len(members), truncated=False))
+            s = PatternSemigroup(n, members, len(members), truncated=False)
+            assert equivalence_report(s).witness == union_digraph_witness(s)
 
 
 class TestCyclicSemigroup:
@@ -445,7 +438,7 @@ class TestRankFloor:
         assert len(closure) == 4 and not closure.truncated
         assert all(as_potent(m, 3).rank == 4 for m in closure.members)
         assert closure.union_pattern().is_full()
-        assert semigroup_decomposable(pattern_closure([g.pattern() for g in gens])) is None
+        assert equivalence_report(pattern_closure([g.pattern() for g in gens])).witness is None
         rep = semigroup_rank_floor_check(gens, 3)
         assert not rep.all_ok
         assert not rep.decomposable
