@@ -196,7 +196,8 @@ def run_zero_diagonal_chain(trials: int, seed: int) -> Iterator[Verdict]:
     for i, case_seed, r, p in singular_zero_diag_cases(trials, seed):
         m = p.a
         hypothesis = zero_diagonal_powers(p) == set(range(1, r))
-        yield hypothesis and not p.tri.is_trivial and p.rank < m.n, i, case_seed, f"r={r}", m
+        ok = hypothesis and not p.tri.is_trivial and p.rank < m.n
+        yield ok, i, case_seed, f"r={r}", m
 
 
 def run_rank_trace(trials: int, seed: int) -> Iterator[Verdict]:
@@ -208,7 +209,8 @@ def run_rank_trace(trials: int, seed: int) -> Iterator[Verdict]:
 def run_rank_one_diagonal(trials: int, seed: int) -> Iterator[Verdict]:
     """Rank-one idempotents decompose exactly when a diagonal entry is zero."""
     for i, case_seed, m in rank_one_cases(trials, seed):
-        yield rank_one_idempotent_diag_test(m) == is_decomposable(m), i, case_seed, "", m
+        ok = rank_one_idempotent_diag_test(m) == is_decomposable(m)
+        yield ok, i, case_seed, "", m
 
 
 def decomposable_cases(trials: int, seed: int) -> Iterator[tuple[int, int, int, Potent, str]]:
@@ -336,7 +338,8 @@ def run_semigroup_common_zero(trials: int, seed: int) -> Iterator[Verdict]:
 def run_rank_floor(trials: int, seed: int) -> Iterator[Verdict]:
     """Every nonzero diagonal block of a closed rank-dominant semigroup hits rank <= r-1."""
     for i, case_seed, r, gens in semigroup_family_cases(trials, seed):
-        yield semigroup_rank_floor_check(gens, r).all_ok, i, case_seed, f"r={r}", gens[0]
+        report = semigroup_rank_floor_check(gens, r)
+        yield report.all_ok, i, case_seed, f"r={r}", gens[0]
 
 
 def run_sum_zero(trials: int, seed: int) -> Iterator[Verdict]:
@@ -377,7 +380,8 @@ def run_perron_trace(trials: int, seed: int) -> Iterator[Verdict]:
     """Spectral radius 1 for every nonzero potent matrix; zero trace at rank r-1."""
     for i, case_seed, r, p in high_rank_cases(trials // 2, seed):
         lower, upper = perron_value(p.tri)
-        yield is_unit_bracket(lower, upper), i, case_seed, f"perron in [{lower}, {upper}]", p.a
+        detail = f"perron in [{lower}, {upper}]"
+        yield is_unit_bracket(lower, upper), i, case_seed, detail, p.a
     for i in range(trials - trials // 2):
         r = (3, 4, 5, 6)[i % 4]
         case_seed = _case_seed(seed, i)
