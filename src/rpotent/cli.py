@@ -29,8 +29,6 @@ from .spectral import spectral_report
 from .structure import analyze_structure
 from .verification import CHECKS, run_check
 
-ORACLE_DIM_LIMIT = 12
-
 
 def _analysis_bundle(a: RMatrix, r: int | None) -> dict:
     """Every report for one matrix, from one triangularization and the potency decision over it."""
@@ -38,22 +36,15 @@ def _analysis_bundle(a: RMatrix, r: int | None) -> dict:
     potency = potency_report(tri, r)
     potent = potency.potent
     decomposable = not tri.is_trivial
-    oracle_checked = a.n <= ORACLE_DIM_LIMIT
-    oracle_witness = brute_force_decomposable(a) if oracle_checked else None
-    oracle_agrees = None
-    if oracle_checked:
-        oracle_agrees = (oracle_witness is not None) == decomposable
+    oracle_witness = brute_force_decomposable(a)
+    oracle_agrees = (oracle_witness is not None) == decomposable
     prediction = None if potent is None else main_decomposability_test(potent)
     structure = None if potent is None else analyze_structure(potent)
     spectral = spectral_report(tri, potent)
-    checks_ok = all(
-        flag is not False
-        for flag in (
-            oracle_agrees,
-            None if prediction is None else prediction.agrees,
-            potency.rank_trace_ok,
-            None if structure is None else (structure.blocks_ok and structure.rank_sum_ok),
-        )
+    checks_ok = (
+        oracle_agrees
+        and potency.rank_trace_ok
+        and (potent is None or (prediction.agrees and structure.blocks_ok and structure.rank_sum_ok))
     )
     bundle = {
         "matrix": a.to_json_dict(),
@@ -62,7 +53,7 @@ def _analysis_bundle(a: RMatrix, r: int | None) -> dict:
         "decomposability": {
             "decomposable": decomposable,
             "witness": None if tri.witness is None else tri.witness.sorted_indices(),
-            "oracle_checked": oracle_checked,
+            "oracle_checked": True,
             "oracle_witness": None if oracle_witness is None else oracle_witness.sorted_indices(),
             "oracle_agrees": oracle_agrees,
         },
@@ -96,9 +87,7 @@ def _print_bundle_human(bundle: dict, out) -> None:
         print(f"  not potent for any r: A^{big_l + 1} != A at L = {big_l}, the lcm of the block periods", file=out)
     dec = bundle["decomposability"]
     verdict = "decomposable" if dec["decomposable"] else "indecomposable"
-    oracle = ""
-    if dec["oracle_checked"]:
-        oracle = " (oracle agrees)" if dec["oracle_agrees"] else " (ORACLE DISAGREES)"
+    oracle = " (oracle agrees)" if dec["oracle_agrees"] else " (ORACLE DISAGREES)"
     print(f"decomposability: {verdict}{oracle}", file=out)
     if dec["witness"] is not None:
         print(f"  invariant index set: {dec['witness']}", file=out)

@@ -5,9 +5,10 @@ of a matrix has an edge j -> i exactly when entry (i, j) is nonzero.  Column
 j is the image of basis vector j, so a vertex set closed under out-edges is
 precisely a coordinate subspace invariant under the matrix.  A matrix is
 *decomposable* iff such a proper nonempty closed set exists, iff the digraph
-is not strongly connected.  Both the component-based decision and the
-exhaustive subset oracle below rely on this single convention, so they cannot
-drift apart by a transposition.
+is not strongly connected.  Both the component-based decision (Tarjan) and
+the column-closure oracle below, which finds the invariant set of least
+bitmask at any dimension with at most n reachability searches, rely on this
+single convention, so they cannot drift apart by a transposition.
 
 A lone vertex without a self-loop (a 1x1 zero matrix) counts as strongly
 connected: no proper nonempty subset of a singleton exists, so it is
@@ -22,8 +23,6 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .matrix import PatternMatrix, Permutation, RMatrix
-
-BRUTE_FORCE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -170,29 +169,37 @@ def is_decomposable(a: RMatrix) -> bool:
     return is_decomposable_pattern(a.pattern())
 
 
+# Both oracle names are kept: bench/tracer.py times them as decomposition.oracle.
 def brute_force_decomposable_pattern(p: PatternMatrix) -> InvariantSubsetWitness | None:
-    """Exhaustive oracle: scan all proper nonempty index subsets.
+    """Oracle: the invariant index set of least bitmask, or None, from column closures.
 
-    Returns the witness with the smallest bitmask, or None.  Deliberately
-    independent of the component-based decision so the two can cross-check
-    each other.
+    An index set is invariant when each of its columns has support inside
+    it.  Invariant sets are closed under intersection, and C(m), the indices
+    reachable from m along column supports, is the least one holding m.  Let
+    S be the proper nonempty invariant set of least bitmask and M its largest
+    index.  C(M) lies inside S and has largest index M, so its bitmask is at
+    most that of S: C(M) = S.  For m < M, C(m) reaches an index above m, or it
+    would be a proper invariant set below 2^(m+1) <= 2^M, under S.  So S is
+    the first proper C(m), m = 0, 1, ..., that reaches no index above m:
+    at most n searches, each dropped at its first index above m.  No
+    component search is used, so this checks the component decision
+    independently, at every dimension.
     """
     n = p.n
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"exhaustive subset search limited to n <= {BRUTE_FORCE_LIMIT}")
     cols = p.column_masks()
-    for subset in range(1, (1 << n) - 1):
-        s = subset
-        closed = True
-        while s:
-            j = (s & -s).bit_length() - 1
-            s &= s - 1
-            if cols[j] & ~subset:
-                closed = False
-                break
-        if closed:
-            members = frozenset(i for i in range(n) if subset >> i & 1)
-            return InvariantSubsetWitness(members, n)
+    full = (1 << n) - 1
+    for m in range(n):
+        limit = 2 << m
+        seen = frontier = 1 << m
+        while frontier and seen < limit:
+            reach = 0
+            while frontier:
+                reach |= cols[(frontier & -frontier).bit_length() - 1]
+                frontier &= frontier - 1
+            frontier = reach & ~seen
+            seen |= frontier
+        if seen < limit and seen != full:
+            return InvariantSubsetWitness(frozenset(i for i in range(m + 1) if seen >> i & 1), n)
     return None
 
 

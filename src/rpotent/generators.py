@@ -148,10 +148,6 @@ def random_rank_one_idempotent(dim: int, seed: int, padded: bool | None = None) 
     return _random_idempotent(rng, dim, su, sv)
 
 
-def _divisor_cycle_lengths(r: int) -> list[int]:
-    return [d for d in range(2, r) if (r - 1) % d == 0]
-
-
 def _random_part(
     rng: random.Random, r: int, max_rank: int, dim_headroom: int
 ) -> tuple[RMatrix, int]:
@@ -161,16 +157,14 @@ def _random_part(
     idempotent) or a cycle length dividing r-1.  Its minimal dimension equals
     its rank (cycles have dim = rank, idempotents can be 1 x 1), so any
     factorization with rank <= ``max_rank`` fits; ``dim_headroom`` is spent
-    growing idempotent factors beyond 1 x 1.
+    growing idempotent factors beyond 1 x 1.  Only cycle lengths up to
+    ``max_rank`` can enter one, so no divisor of r-1 above it is sought.
     """
+    cycles = [d for d in range(2, max_rank + 1) if (r - 1) % d == 0]
     choices: list[tuple[int, ...]] = [(1,), (1, 1)]
-    for d in _divisor_cycle_lengths(r):
-        if d <= max_rank:
-            choices.append((d,))
-        for d2 in _divisor_cycle_lengths(r) + [1]:
-            if d * d2 <= max_rank:
-                choices.append((d, d2))
-    choices = [fac for fac in choices if math.prod(fac) <= max_rank]
+    for d in cycles:
+        choices.append((d,))
+        choices += [(d, d2) for d2 in cycles + [1] if d * d2 <= max_rank]
     factors = list(choices[rng.randrange(len(choices))])
     rng.shuffle(factors)
     part_rank = math.prod(factors)

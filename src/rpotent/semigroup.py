@@ -36,7 +36,7 @@ from math import lcm
 
 from .decomposition import InvariantSubsetWitness, block_triangularize
 from .matrix import PatternMatrix, Permutation, RMatrix
-from .potency import DecompositionPrediction, Potent, is_r_potent, main_decomposability_test
+from .potency import DecompositionPrediction, Potent, is_r_potent, main_decomposability_test, potency_report
 
 DEFAULT_CLOSURE_CAP = 10_000
 
@@ -232,14 +232,6 @@ class CyclicSemigroupReport:
     def all_triangular(self) -> bool:
         return all(self.powers_triangular)
 
-    def to_dict(self) -> dict:
-        return {
-            "prediction": self.prediction.to_dict(),
-            "applicable": self.applicable,
-            "powers_triangular": list(self.powers_triangular),
-            "all_triangular": self.all_triangular,
-        }
-
 
 def cyclic_semigroup_decomposable_check(p: Potent) -> CyclicSemigroupReport:
     """When A decomposes, its triangularizing permutation must fit every power."""
@@ -301,9 +293,9 @@ def semigroup_rank_floor_check(
     """
     if not generators:
         raise ValueError("need at least one generator")
-    for g in generators:
-        if not is_r_potent(g, r):
-            raise ValueError(f"every generator must be {r}-potent")
+    # from the block periods, not the r-th power, whose entries can grow to r bits
+    if not all(potency_report(block_triangularize(g), r).is_r_potent for g in generators):
+        raise ValueError(f"every generator must be {r}-potent")
     closure = rational_closure(generators, cap)
     closure.require_complete()
     t = block_triangularize(closure.union_pattern().to_matrix())
@@ -345,24 +337,11 @@ class SymmetricGroupReport:
     potency_counts: tuple[tuple[int, int], ...]
     formula_mismatches: int
     max_potency: int
-    full_cycle_potency: int
     sum_positive: bool
 
     @property
     def indecomposable(self) -> bool:
         return self.sum_positive
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "order": self.order,
-            "potency_counts": [list(pair) for pair in self.potency_counts],
-            "formula_mismatches": self.formula_mismatches,
-            "max_potency": self.max_potency,
-            "full_cycle_potency": self.full_cycle_potency,
-            "sum_positive": self.sum_positive,
-            "indecomposable": self.indecomposable,
-        }
 
 
 def symmetric_group_analysis(n: int) -> SymmetricGroupReport:
@@ -392,6 +371,5 @@ def symmetric_group_analysis(n: int) -> SymmetricGroupReport:
         potency_counts=tuple(sorted(counts.items())),
         formula_mismatches=mismatches,
         max_potency=max(counts),
-        full_cycle_potency=n + 1,
         sum_positive=all(mask == full for mask in union_rows),
     )

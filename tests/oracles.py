@@ -3,10 +3,10 @@
 Each oracle takes a deliberately different route than the implementation it
 checks: naive cubic multiplication against the sparse-aware product, plain
 fraction Gaussian elimination against fraction-free Bareiss, diagonal hits of
-boolean powers against the BFS-level period, exhaustive subset scans
-against the component decision, a closure that multiplies every new
-member with every member on both sides against the one that multiplies
-each member by the generators on the right, and a potency walk that takes
+boolean powers against the BFS-level period, the enumeration of every
+invariant index set against the column-closure witness, a closure that
+multiplies every new member with every member on both sides against the
+one that multiplies each member by the generators on the right, and a potency walk that takes
 every power up to its cap against the decision from the block periods.  The semigroup witness oracle searches the union pattern's
 digraph and picks its sink component directly, against the one that reads
 it off the union's block triangularization.  The generator oracles place

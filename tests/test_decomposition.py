@@ -1,4 +1,4 @@
-"""Decomposability: component decision, triangularization, subset oracle."""
+"""Decomposability: component decision, triangularization, column-closure oracle."""
 
 import itertools
 import random
@@ -87,9 +87,12 @@ class TestBruteForceOracle:
     def test_positive_matrix_has_no_witness(self):
         assert brute_force_decomposable(HALF) is None
 
-    def test_rejects_large_dimension(self):
-        with pytest.raises(ValueError, match="n <= 20"):
-            brute_force_decomposable(RMatrix.zeros(21))
+    def test_zero_matrix_above_the_old_scan_limit(self):
+        w = brute_force_decomposable(RMatrix.zeros(21))
+        assert w is not None and w.subset == {0}
+
+    def test_forty_cycle_has_no_witness(self):
+        assert brute_force_decomposable(cycle_matrix(40)) is None
 
     def test_agrees_with_components_on_all_three_by_three_patterns(self):
         for packed in range(512):
@@ -100,15 +103,24 @@ class TestBruteForceOracle:
                 assert witness.verify_pattern(p)
 
     def test_witness_matches_full_subset_enumeration(self):
+        # the witness is the least-bitmask invariant set, None when there is none
+        patterns = [
+            PatternMatrix(n, rows)
+            for n in (1, 2, 3)
+            for rows in itertools.product(range(1 << n), repeat=n)
+        ]
         rng = random.Random(4)
-        for _ in range(50):
-            n = rng.randint(2, 5)
-            p = PatternMatrix(n, tuple(rng.randrange(1 << n) for _ in range(n)))
+        for _ in range(300):
+            n = rng.randint(4, 10)
+            density = rng.random()
+            patterns.append(
+                PatternMatrix(n, tuple(sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)))
+            )
+        for p in patterns:
             subsets = closed_subsets(p)
+            least = min(subsets, key=lambda s: sum(1 << i for i in s), default=None)
             witness = brute_force_decomposable_pattern(p)
-            assert (witness is not None) == bool(subsets)
-            if witness is not None:
-                assert witness.subset in subsets
+            assert (None if witness is None else witness.subset) == least, p
 
 
 class TestBlockTriangularize:

@@ -188,6 +188,14 @@ class TestRandomRPotent:
         outputs = {matrix_to_json(random_r_potent(3, 4, seed).a) for seed in range(10)}
         assert len(outputs) > 1
 
+    def test_huge_exponent(self):
+        # only the divisors of r - 1 up to the target rank are sought, so a
+        # 13-digit r is as quick as a small one
+        r = 10**12 + 1
+        p = random_r_potent(r, 2, 0)
+        assert p.r == r and p.rank == 2
+        assert as_potent(p.a, r).rank == 2
+
 
 class TestSingularZeroDiagFamily:
     def test_emission_contract(self):

@@ -422,6 +422,13 @@ class TestRankFloor:
     def test_rejects_non_potent_generators(self):
         with pytest.raises(ValueError):
             semigroup_rank_floor_check([RMatrix.from_rows([[0, 1], [0, 0]])], 3)
+        # potent for no r, and its 10^10-th power would have 10^10-bit entries
+        with pytest.raises(ValueError, match="every generator must be 10000000000-potent"):
+            semigroup_rank_floor_check([RMatrix.from_rows([[2]])], 10**10)
+
+    def test_generator_potent_at_a_large_multiple_of_its_period(self):
+        # 3 divides 10^10 - 1, so the 3-cycle is 10^10-potent
+        assert semigroup_rank_floor_check([cycle_matrix(3)], 10**10).all_ok
 
     def test_truncation_raises(self):
         with pytest.raises(ClosureTruncated):
