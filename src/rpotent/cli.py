@@ -44,7 +44,10 @@ def _analysis_bundle(a: RMatrix, r: int | None) -> dict:
     checks_ok = (
         oracle_agrees
         and potency.rank_trace_ok
-        and (potent is None or (prediction.agrees and structure.blocks_ok and structure.rank_sum_ok))
+        and (
+            potent is None
+            or (prediction.agrees and structure.blocks_ok and structure.rank_sum_ok and structure.bounds_ok)
+        )
     )
     bundle = {
         "matrix": a.to_json_dict(),

@@ -292,12 +292,6 @@ class BlockTriangularization:
     def is_valid(self) -> bool:
         return self.is_respected_by(self.source.pattern())
 
-    def with_component_order(self, order: list[int]) -> BlockTriangularization:
-        """Rebuild with components permuted into the given order (indices into ``components``)."""
-        if sorted(order) != list(range(len(self.components))):
-            raise ValueError("order must permute the component indices")
-        return BlockTriangularization(tuple(self.components[i] for i in order), self.source, self.graph)
-
     def to_dict(self) -> dict:
         return {
             "is_trivial": self.is_trivial,

@@ -256,7 +256,8 @@ def random_singular_zero_diag(r: int, seed: int, max_dim: int = 24) -> Potent:
 
     Built by wrapping a rank <= r-1 core with one coupled zero row/column:
     the appended coordinate contributes a zero diagonal entry to every power,
-    and the wrap keeps the rank of the core, so the matrix is singular.
+    and the wrap keeps the rank of the core, so the matrix is singular.  The
+    core's rank is drawn at most max_dim - 1, so that it fits its budget.
     Returned as the checked ``Potent`` of the emission check, which carries
     its projection and rank; the matrix is ``.a``.  Requires r >= 3 so that the
     power window {2, ..., r-1} is nonempty.
@@ -264,7 +265,7 @@ def random_singular_zero_diag(r: int, seed: int, max_dim: int = 24) -> Potent:
     if r < 3:
         raise ValueError("this family needs r >= 3")
     rng = random.Random(seed)
-    target = rng.randint(1, r - 1)
+    target = rng.randint(1, min(r - 1, max_dim - 1))
     core = _random_core(rng, r, target, max_dim - 1)
     if rng.random() < 0.5:
         x = [[rng.choice(_POOL_WITH_ZERO)] for _ in range(core.n)]

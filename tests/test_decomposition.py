@@ -6,6 +6,7 @@ import random
 import pytest
 
 from rpotent.decomposition import (
+    BlockTriangularization,
     Digraph,
     block_triangularize,
     brute_force_decomposable,
@@ -217,7 +218,7 @@ class TestBlockTriangularize:
         t = block_triangularize(RMatrix.from_rows([[0, 1], [0, 0]]))
         assert t.witness.sorted_indices() == [0]
         with pytest.raises(RuntimeError, match="failed to verify"):
-            t.with_component_order([1, 0]).witness
+            BlockTriangularization(t.components[::-1], t.source, t.graph).witness
 
 
 class TestRankOneDiagTest:

@@ -213,6 +213,13 @@ class TestSingularZeroDiagFamily:
         with pytest.raises(ValueError):
             random_singular_zero_diag(2, 1)
 
+    def test_exponent_beyond_the_dimension_budget(self):
+        # the target rank is drawn at most max_dim - 1 = 23, so every seed is reachable at r = 30
+        for seed in range(8):
+            p = random_singular_zero_diag(30, seed)
+            assert p.r == 30
+            assert 1 <= p.rank < p.a.n <= 24
+
 
 class TestSemigroupFamilies:
     def test_generators_satisfy_the_rank_hypothesis(self):

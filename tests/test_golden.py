@@ -6,7 +6,9 @@
 ``.csv``: a positive, a sparse and a nilpotent matrix that are not potent,
 whose outputs carry the ``nonpotency`` certificate, two permutation
 matrices whose least exponents, 85 and 316, lie past where a capped walk
-stopped, and a CSV file with ``p/q`` cells, padded cells and a zero row.
+stopped, a CSV file with ``p/q`` cells, padded cells and a zero row, and the
+3x3 zero matrix and diag(0, 0, 0, 0, 1, 1), whose adjacent zero components
+count as one zero block each.
 """
 
 from importlib import resources
@@ -25,6 +27,7 @@ def test_every_bundled_example_and_nonpotent_input_is_covered():
     bundled = {p.name.removesuffix(".json") for p in DATA.iterdir() if p.name.endswith(".json")}
     local = {"positive_rational", "sparse_integer", "nilpotent"}
     local |= {"permutation_cycles_3_4_7", "permutation_cycles_5_7_9", "padded_rational"}
+    local |= {"zero_3x3", "diag_0_0_0_0_1_1"}
     assert set(EXPECTED) == bundled | local
 
 

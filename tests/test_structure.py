@@ -1,5 +1,6 @@
-"""Block structure reports and zero-separating reorders."""
+"""Block structure reports and the merge of adjacent zero components."""
 
+import itertools
 import json
 from importlib import resources
 from pathlib import Path
@@ -18,13 +19,9 @@ from rpotent.generators import (
 )
 from rpotent.cli import main
 from rpotent.matrix import RMatrix, load_matrix
-from rpotent.potency import as_potent, is_r_potent, minimal_potency
-from rpotent.structure import (
-    analyze_structure,
-    count_adjacent_zero_pairs,
-    reorder_to_avoid_consecutive_zeros,
-)
-from rpotent.verification import DEFAULT_SEED, decomposable_cases
+from rpotent.potency import Potent, as_potent, is_r_potent, minimal_potency
+from rpotent.structure import analyze_structure
+from rpotent.verification import DEFAULT_SEED, decomposable_cases, structure_case_ok
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = resources.files("rpotent").joinpath("data")
@@ -113,63 +110,89 @@ class TestBlockPotencyAgainstThePower:
         assert flags == [is_r_potent(blk, r) for blk in blocks]
 
 
-class TestReorder:
+class TestZeroRunMerge:
+    """Each run of consecutive zero components of the sink-first order is one zero block."""
+
     def test_single_block_unchanged(self):
-        t = block_triangularize(RMatrix.zeros(1))
-        assert reorder_to_avoid_consecutive_zeros(t) is t
+        rep = analyze_structure(as_potent(RMatrix.zeros(1), 2))
+        assert not rep.applicable
+        assert [(b.indices, b.is_zero, b.block_is_indecomposable) for b in rep.blocks] == [((0,), True, True)]
 
-    def test_two_incomparable_zeros_and_one_nonzero(self):
+    def test_two_adjacent_zeros_and_one_nonzero(self):
+        # diag(0, 0, 1): the two zero components are adjacent, so they make one 2x2 zero block
         m = block_diagonal([RMatrix.zeros(1), RMatrix.zeros(1), RMatrix.from_rows([[1]])])
-        t = block_triangularize(m)
-        assert count_adjacent_zero_pairs(t) == 1
-        best = reorder_to_avoid_consecutive_zeros(t)
-        assert count_adjacent_zero_pairs(best) == 0
-        assert best.is_valid()
-        flags = [blk.is_zero() for blk in best.diagonal_blocks]
-        assert flags == [True, False, True]
+        p = as_potent(m, 2)
+        assert p.tri.block_sizes == (1, 1, 1)
+        rep = analyze_structure(p)
+        assert [(b.size, b.is_zero) for b in rep.blocks] == [(2, True), (1, False)]
+        assert rep.total_count == 2 and rep.nonzero_count == 1
+        assert rep.bounds_ok and rep.blocks_ok and rep.rank_sum_ok
 
-    def test_already_alternating_stays_clean(self):
+    def test_merged_block_is_indecomposable_only_at_size_one(self):
+        for zeros in range(1, 6):
+            m = block_diagonal([RMatrix.zeros(1)] * zeros + [RMatrix.from_rows([[1]])])
+            zero_block = analyze_structure(as_potent(m, 2)).blocks[0]
+            assert zero_block.is_zero and zero_block.size == zeros
+            assert zero_block.block_is_indecomposable == (zeros == 1)
+
+    def test_already_alternating_is_unchanged(self):
         m = block_diagonal([RMatrix.zeros(1), uniform_idempotent(2)])
-        t = block_triangularize(m)
-        best = reorder_to_avoid_consecutive_zeros(t)
-        assert count_adjacent_zero_pairs(best) == 0
+        p = as_potent(m, 2)
+        rep = analyze_structure(p)
+        assert [b.indices for b in rep.blocks] == list(p.tri.components)
+        assert all(b.block_is_indecomposable for b in rep.blocks)
 
-    def test_chain_constraint_is_respected(self):
-        # strictly upper 2x2: the two zero blocks are comparable, so the single
-        # adjacent pair cannot be removed by any linear extension
-        n = RMatrix.from_rows([[0, 1], [0, 0]])
-        t = block_triangularize(n)
-        best = reorder_to_avoid_consecutive_zeros(t)
-        assert best.is_valid()
-        assert count_adjacent_zero_pairs(best) == 1
+    def test_zeros_split_by_a_nonzero_block_stay_apart(self):
+        # the rank-one idempotent (1,1,0)^T (0,1,1): zero, nonzero, zero, so 3 = 2k + 1 blocks
+        p = as_potent(RMatrix.from_rows([[0, 1, 1], [0, 1, 1], [0, 0, 0]]), 2)
+        rep = analyze_structure(p)
+        assert [b.is_zero for b in rep.blocks] == [True, False, True]
+        assert rep.total_count == 2 * rep.k + 1
+        assert rep.bounds_ok
 
-    def test_wrapped_families_always_separate(self):
+    def test_eighteen_components(self):
+        blocks = [RMatrix.from_rows([[1]]) for _ in range(16)] + [RMatrix.zeros(1), RMatrix.zeros(1)]
+        p = as_potent(block_diagonal(blocks), 2)
+        assert len(p.tri.components) == 18
+        rep = analyze_structure(p)
+        assert rep.total_count == 17 and rep.nonzero_count == 16
+        assert [b.size for b in rep.blocks if b.is_zero] == [2]
+        assert rep.bounds_ok
+
+    def test_wrapped_families_merge_into_zero_submatrices(self):
         for seed in range(30):
             r = (3, 4, 5)[seed % 3]
-            m = random_singular_zero_diag(r, seed).a
-            t = block_triangularize(m)
-            best = reorder_to_avoid_consecutive_zeros(t)
-            assert best.is_valid()
-            assert count_adjacent_zero_pairs(best) == 0
-
-    def test_greedy_path_beyond_the_exact_limit(self):
-        # 18 components forces the greedy search; one zero block still separates
-        blocks = [RMatrix.from_rows([[1]]) for _ in range(17)] + [RMatrix.zeros(1)]
-        t = block_triangularize(block_diagonal(blocks))
-        assert len(t.components) == 18
-        best = reorder_to_avoid_consecutive_zeros(t)
-        assert best.is_valid()
-        assert count_adjacent_zero_pairs(best) == 0
+            p = random_singular_zero_diag(r, seed)
+            rep = analyze_structure(p)
+            assert rep.bounds_ok
+            assert all(p.a.submatrix(b.indices).is_zero() for b in rep.blocks if b.is_zero)
+            assert sorted(i for b in rep.blocks for i in b.indices) == list(range(p.a.n))
 
     def test_total_block_bound_after_separation(self):
         for seed in range(30):
             r = (2, 3, 4)[seed % 3]
-            m = random_r_potent(r, r + seed % 3, seed, max_dim=14).a
-            k = m.rank()
-            t = block_triangularize(m)
-            best = reorder_to_avoid_consecutive_zeros(t)
-            if count_adjacent_zero_pairs(best) == 0:
-                assert len(best.block_sizes) <= 2 * k + 1
+            p = random_r_potent(r, r + seed % 3, seed, max_dim=14)
+            assert analyze_structure(p).total_count <= 2 * p.rank + 1
+
+
+class TestEveryZeroOneMatrixUpToThree:
+    """All 87 potent 0/1 matrices with n <= 3 meet the bounds and check 4.1's contract."""
+
+    def test_bounds_and_structure_contract(self, tmp_path, capsys):
+        potent = 0
+        for n in (1, 2, 3):
+            for bits in itertools.product((0, 1), repeat=n * n):
+                rows = [list(bits[i * n:(i + 1) * n]) for i in range(n)]
+                p = minimal_potency(block_triangularize(RMatrix.from_rows(rows)))
+                if not isinstance(p, Potent):
+                    continue
+                potent += 1
+                path = tmp_path / "m.json"
+                path.write_text(json.dumps({"n": n, "entries": rows}))
+                assert main(["analyze", str(path), "--json"]) == 0, rows
+                assert json.loads(capsys.readouterr().out)["structure"]["bounds_ok"], rows
+                assert structure_case_ok(p)[0], rows
+        assert potent == 87
 
 
 class TestTriangularFamilyShapes:
