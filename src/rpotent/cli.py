@@ -1,9 +1,10 @@
 """Command-line surface: analyze, generate, verify, semigroup.
 
 Exit codes are uniform across commands: 0 success / all properties hold,
-1 a checked property failed, a verdict was withheld (truncated closure) or
-stdout was closed before the output was written, 2 input could not be parsed
-or validated.
+1 a checked property failed, the rank floor was withheld (its exact closure
+hit the member cap) or stdout was closed before the output was written, 2
+input could not be parsed or validated.  A truncated pattern closure
+withholds nothing: the semigroup's verdict comes from its generators.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from .decomposition import block_triangularize, brute_force_decomposable
 from .generators import GENERATOR_KINDS, GeneratorSpec
 from .matrix import RMatrix, load_matrix, matrix_to_json
 from .potency import main_decomposability_test, potency_report
-from .semigroup import (
-    ClosureTruncated,
-    DEFAULT_CLOSURE_CAP,
-    equivalence_report,
-    pattern_closure,
-    semigroup_rank_floor_check,
-)
+from .semigroup import DEFAULT_CLOSURE_CAP, equivalence_report, pattern_closure, semigroup_rank_floor_check
 from .spectral import spectral_report
 from .structure import analyze_structure
 from .verification import CHECKS, run_check
@@ -207,30 +202,21 @@ def cmd_semigroup(args) -> int:
     dims = {m.n for m in matrices}
     if len(dims) > 1:
         raise ValueError(f"generators must share a dimension, got {sorted(dims)}")
-    closure = pattern_closure([m.pattern() for m in matrices], cap=args.cap)
+    patterns = [m.pattern() for m in matrices]
+    closure = pattern_closure(patterns, cap=args.cap)
+    eq = equivalence_report(patterns)
     report: dict = {
         "generator_count": closure.generator_count,
         "closure_size": len(closure),
         "truncated": closure.truncated,
+        "equivalences": eq.to_dict(),
     }
-    exit_code = 0
-    if closure.truncated:
-        report["verdict"] = "withheld (closure truncated)"
-        exit_code = 1
-    else:
-        eq = equivalence_report(closure)
-        report["equivalences"] = eq.to_dict()
-        if not eq.consistent:
+    exit_code = 0 if eq.consistent else 1
+    if args.r is not None:
+        floor = semigroup_rank_floor_check(matrices, args.r, cap=args.cap)
+        report["rank_floor"] = floor.to_dict()
+        if not floor.all_ok:
             exit_code = 1
-        if args.r is not None:
-            try:
-                floor = semigroup_rank_floor_check(matrices, args.r, cap=args.cap)
-                report["rank_floor"] = floor.to_dict()
-                if not floor.all_ok:
-                    exit_code = 1
-            except ClosureTruncated:
-                report["rank_floor"] = {"verdict": "withheld (closure truncated)"}
-                exit_code = 1
     print(json.dumps(report, indent=2, sort_keys=True))
     return exit_code
 
@@ -300,9 +286,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ClosureTruncated as exc:
-        print(f"verdict withheld: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -1,32 +1,32 @@
 """Finite semigroup machinery: pattern closures, common zeros, rank floors.
 
 For semigroups of nonnegative matrices, decomposability is a property of
-zero patterns alone, and products of nonnegative matrices have the boolean
-product of the factors' patterns.  Closures are therefore computed over
-boolean pattern matrices, which are finite (at most 2^(n^2) of them), with a
-member cap and an explicit truncation flag; a truncated closure refuses
-every verdict rather than reporting one from an incomplete set.
+zero patterns alone, and no product cancels: (AB)_ij = sum_k A_ik B_kj is
+positive exactly when A_ik > 0 and B_kj > 0 for some k.  By induction,
+(g1 g2 ... gk)_ij > 0 exactly when the union digraph G of the generators'
+patterns has a walk i -> ... -> j of k edges whose t-th edge is an edge of
+g_t.  So every member's pattern lies in G+, the pairs joined by a walk of
+length at least 1, and each such walk, read edge by edge from generators
+holding its edges, spells a member positive at its ends: the union pattern
+of the semigroup is G+, however large the semigroup (``generator_reach``).
 
-Pattern and exact closures share one routine.  Every member of the
-semigroup generated by G is a word in G, so the closure multiplies each
-member on the right by each generator only: |S|·|G| products for |S|
-members, instead of multiplying every new member against every member on
-both sides.
+G+ is transitively closed, so for n >= 2 it has a zero entry iff it has one
+off the diagonal iff its digraph is not strongly connected.  Two facets are
+computed independently from G+, the invariant-subset witness (the sink
+component of its block triangularization) and its first zero entry in
+row-major order, so the equivalence is tested rather than assumed.  The sum
+of all members has a zero exactly where their union does.
 
-For a closed semigroup the union pattern U of all members is transitively
-closed (U_{ik} and U_{kj} nonzero in some members forces U_{ij} nonzero via
-their product), which ties three facts together: the union has a zero entry
-iff it has a zero entry off the diagonal iff its digraph is not strongly
-connected.  Two facets are computed independently, from one union pattern:
-the invariant-subset witness (the sink component of the union's block
-triangularization) and the union's first zero entry in row-major order, so
-the equivalence is tested rather than assumed.  Whether the sum of all
-members has a zero is no third computation: the members are nonnegative, so
-the sum vanishes exactly where the union does.
+Only the rank floor needs the members.  Pattern and exact closures share
+one routine, which multiplies each member on the right by each generator
+only (every member is a word in them): |S|·|G| products for |S| members.
+A closure stops at a member cap with a truncation flag, and a truncated
+exact closure withholds the rank floor as data.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections import Counter
@@ -41,19 +41,11 @@ from .potency import DecompositionPrediction, Potent, is_r_potent, main_decompos
 DEFAULT_CLOSURE_CAP = 10_000
 
 
-class ClosureTruncated(RuntimeError):
-    """A closure hit its member cap; verdicts on it are withheld."""
-
-
 class _Closure:
     """What the two closure types share; both have ``members`` and ``truncated``."""
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def require_complete(self) -> None:
-        if self.truncated:
-            raise ClosureTruncated("closure was truncated at the member cap")
 
 
 @dataclass(frozen=True)
@@ -153,32 +145,51 @@ def rational_closure(
     return RationalSemigroup(members=tuple(members), truncated=truncated)
 
 
+def generator_reach(generators: list[PatternMatrix]) -> PatternMatrix:
+    """G+, the union pattern of the semigroup the generator patterns generate.
+
+    Repeats U <- U | U*U from the generators' union until U is fixed.  After
+    k squarings U holds every walk of 1 to 2^k edges, and G+ needs walks of
+    at most n edges, so this takes at most ceil(log2 n) + 1 boolean products.
+    """
+    if not generators:
+        raise ValueError("need at least one generator")
+    u = functools.reduce(operator.or_, generators)
+    while (wider := u | u * u) != u:
+        u = wider
+    return u
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """The decomposability facets of one closed semigroup, from its union pattern.
+    """The decomposability facets of a semigroup, from its union pattern G+.
 
-    Each member's support lies in the union's, so the union's sink component
-    is an index set invariant under every member at once: the witness.
-    The witness and the zero entry are found separately; ``sum_has_zero`` is
+    Each member's support lies in G+, so the sink component of G+ is an
+    index set invariant under every member at once: the witness.  The
+    witness and the zero entry are found separately; ``sum_has_zero`` is
     whether a zero entry exists, as the sum of nonnegative members vanishes
-    exactly where their union does.  When a common zero exists at (i, j),
-    the nonzero functional M -> M_{ij} vanishes on the semigroup and the
-    selector pair (E_ii, E_jj) multiplies every member to zero;
-    ``selector_pair`` records those indices.  A witness subset W yields
-    off-diagonal common zeros at every (i, j) with i outside W and j inside.
+    exactly where their union does.  A common zero at (i, j) is a nonzero
+    functional M -> M_ij that vanishes on the semigroup.  A witness subset W
+    yields off-diagonal common zeros at every (i, j) with i outside W and j
+    inside.
+
+    "A common zero exists iff a proper invariant index set exists" needs
+    n >= 2: at n = 1 no proper nonempty index set exists, and the zero 1x1
+    semigroup has a common zero without a witness.  So ``consistent`` holds
+    at n = 1, and the zero entry and the sum facet are still reported.
     """
 
+    n: int
     decomposable: bool
     witness: InvariantSubsetWitness | None
     zero_entry: tuple[int, int] | None
     offdiagonal_zero_entry: tuple[int, int] | None
-    selector_pair: tuple[int, int] | None
     sum_has_zero: bool
 
     @property
     def consistent(self) -> bool:
         facets = (self.witness is not None, self.zero_entry is not None, self.sum_has_zero)
-        return all(facets) or not any(facets)
+        return self.n == 1 or all(facets) or not any(facets)
 
     def to_dict(self) -> dict:
         return {
@@ -186,31 +197,29 @@ class EquivalenceReport:
             "witness": None if self.witness is None else self.witness.sorted_indices(),
             "zero_entry": self.zero_entry,
             "offdiagonal_zero_entry": self.offdiagonal_zero_entry,
-            "selector_pair": self.selector_pair,
             "sum_has_zero": self.sum_has_zero,
             "consistent": self.consistent,
         }
 
 
-def equivalence_report(s: PatternSemigroup) -> EquivalenceReport:
-    """Every facet of ``s``, read off one union pattern."""
-    s.require_complete()
-    u = s.union_pattern()
+def equivalence_report(generators: list[PatternMatrix]) -> EquivalenceReport:
+    """Every facet of the semigroup the generator patterns generate, read off G+."""
+    u = generator_reach(generators)
     witness = block_triangularize(u.to_matrix()).witness
     zero = u.first_zero()
     offdiag = None
     if witness is not None:
         inside = min(witness.subset)
-        outside = min(i for i in range(s.n) if i not in witness.subset)
+        outside = min(i for i in range(u.n) if i not in witness.subset)
         offdiag = (outside, inside)
         if u.get(*offdiag):
             raise RuntimeError("witness-derived zero position is not zero")
     return EquivalenceReport(
+        n=u.n,
         decomposable=witness is not None,
         witness=witness,
         zero_entry=zero,
         offdiagonal_zero_entry=offdiag,
-        selector_pair=zero,
         sum_has_zero=zero is not None,
     )
 
@@ -263,14 +272,20 @@ class BlockFloorRecord:
 
 @dataclass(frozen=True)
 class RankFloorReport:
+    """The rank floor of each diagonal block of the jointly triangularized closure.
+
+    It needs the exact members, so a ``truncated`` closure withholds it: no
+    blocks, ``decomposable`` None and ``all_ok`` false.
+    """
+
     closure_size: int
     truncated: bool
-    decomposable: bool
+    decomposable: bool | None
     blocks: tuple[BlockFloorRecord, ...]
 
     @property
     def all_ok(self) -> bool:
-        return all(b.floor_ok and b.all_compressions_r_potent for b in self.blocks)
+        return not self.truncated and all(b.floor_ok and b.all_compressions_r_potent for b in self.blocks)
 
     def to_dict(self) -> dict:
         return {
@@ -289,15 +304,15 @@ def semigroup_rank_floor_check(
 
     Every nonzero diagonal block of the common triangularization is itself a
     closed set of r-potent compressions and must contain an element of rank
-    at most r-1.  Raises ``ClosureTruncated`` when the closure hits the cap.
+    at most r-1.  A closure that hits the cap withholds the floor: the
+    report is ``truncated`` and holds no blocks.
     """
-    if not generators:
-        raise ValueError("need at least one generator")
     # from the block periods, not the r-th power, whose entries can grow to r bits
     if not all(potency_report(block_triangularize(g), r).is_r_potent for g in generators):
         raise ValueError(f"every generator must be {r}-potent")
     closure = rational_closure(generators, cap)
-    closure.require_complete()
+    if closure.truncated:
+        return RankFloorReport(closure_size=len(closure), truncated=True, decomposable=None, blocks=())
     t = block_triangularize(closure.union_pattern().to_matrix())
     records = []
     for comp in t.components:
@@ -315,7 +330,7 @@ def semigroup_rank_floor_check(
         )
     return RankFloorReport(
         closure_size=len(closure),
-        truncated=closure.truncated,
+        truncated=False,
         decomposable=len(t.components) > 1,
         blocks=tuple(records),
     )
@@ -350,7 +365,7 @@ def symmetric_group_analysis(n: int) -> SymmetricGroupReport:
         raise ValueError("enumeration supported for 1 <= n <= 8")
     counts: Counter[int] = Counter()
     mismatches = 0
-    union_rows = [0] * n
+    union = PatternMatrix(n, (0,) * n)
     for images in itertools.permutations(range(n)):
         perm = Permutation(tuple(images))
         pattern = perm.to_matrix().pattern()
@@ -362,14 +377,12 @@ def symmetric_group_analysis(n: int) -> SymmetricGroupReport:
             got, power = got + 1, power * pattern
         mismatches += got != expected
         counts[got] += 1
-        for i, mask in enumerate(pattern.rows):
-            union_rows[i] |= mask
-    full = (1 << n) - 1
+        union |= pattern
     return SymmetricGroupReport(
         n=n,
         order=sum(counts.values()),
         potency_counts=tuple(sorted(counts.items())),
         formula_mismatches=mismatches,
         max_potency=max(counts),
-        sum_positive=all(mask == full for mask in union_rows),
+        sum_positive=union.is_full(),
     )

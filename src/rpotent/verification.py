@@ -27,9 +27,11 @@ from .generators import (
 from .matrix import PatternMatrix, Permutation, RMatrix
 from .potency import Potent, as_potent, is_r_potent, main_decomposability_test, rank_trace_check, zero_diagonal_powers
 from .semigroup import (
+    PatternSemigroup,
     cyclic_semigroup,
     cyclic_semigroup_decomposable_check,
     equivalence_report,
+    generator_reach,
     pattern_closure,
     semigroup_rank_floor_check,
     symmetric_group_analysis,
@@ -285,8 +287,9 @@ def run_cyclic_semigroup(trials: int, seed: int) -> Iterator[Verdict]:
 def _random_closure_trials(
     trials: int,
     seed: int,
-    judge: Callable[[object], tuple[bool, str]],
+    judge: Callable[[list[PatternMatrix], PatternSemigroup], tuple[bool, str]],
 ) -> Iterator[Verdict]:
+    """Judge random generator sets together with their complete closures."""
     rng = random.Random(seed)
     collected = 0
     attempts = 0
@@ -298,30 +301,29 @@ def _random_closure_trials(
         if s.truncated:
             continue
         collected += 1
-        ok, detail = judge(s)
+        ok, detail = judge(gens, s)
         yield ok, collected, seed, detail, None
     if collected < trials:
         yield False, -1, seed, "could not collect enough complete closures", None
 
 
 def run_equivalences(trials: int, seed: int) -> Iterator[Verdict]:
-    """Witness, common zero entry, and sum-with-zero agree on random closures."""
+    """Witness, common zero entry, and sum-with-zero agree, and G+ is the enumerated union."""
 
-    def judge(s) -> tuple[bool, str]:
-        rep = equivalence_report(s)
-        return rep.consistent, "" if rep.consistent else "facets disagree"
+    def judge(gens, s) -> tuple[bool, str]:
+        if not equivalence_report(gens).consistent:
+            return False, "facets disagree"
+        if generator_reach(gens) != s.union_pattern():
+            return False, "generator reach differs from the closure's union pattern"
+        return True, ""
 
     return _random_closure_trials(trials, seed, judge)
 
 
 def run_semigroup_common_zero(trials: int, seed: int) -> Iterator[Verdict]:
-    """Closures of rank-dominant families decompose with a common zero entry."""
+    """Semigroups of rank-dominant families decompose with a common zero entry."""
     for i, case_seed, r, gens in semigroup_family_cases(trials, seed):
-        s = pattern_closure([g.pattern() for g in gens])
-        if s.truncated:
-            yield False, i, case_seed, "closure truncated", None
-            continue
-        rep = equivalence_report(s)
+        rep = equivalence_report([g.pattern() for g in gens])
         ok = (
             rep.consistent
             and rep.witness is not None
@@ -335,14 +337,15 @@ def run_rank_floor(trials: int, seed: int) -> Iterator[Verdict]:
     """Every nonzero diagonal block of a closed rank-dominant semigroup hits rank <= r-1."""
     for i, case_seed, r, gens in semigroup_family_cases(trials, seed):
         report = semigroup_rank_floor_check(gens, r)
-        yield report.all_ok, i, case_seed, f"r={r}", gens[0]
+        detail = "closure truncated" if report.truncated else f"r={r}"
+        yield report.all_ok, i, case_seed, detail, gens[0]
 
 
 def run_sum_zero(trials: int, seed: int) -> Iterator[Verdict]:
     """Decomposability of a closed semigroup matches its sum having a zero entry."""
 
-    def judge(s) -> tuple[bool, str]:
-        rep = equivalence_report(s)
+    def judge(gens, s) -> tuple[bool, str]:
+        rep = equivalence_report(gens)
         ok = rep.decomposable == rep.sum_has_zero
         return ok, "" if ok else "sum facet disagrees with witness facet"
 

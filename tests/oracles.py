@@ -6,10 +6,12 @@ fraction Gaussian elimination against fraction-free Bareiss, diagonal hits of
 boolean powers against the BFS-level period, the enumeration of every
 invariant index set against the column-closure witness, a closure that
 multiplies every new member with every member on both sides against the
-one that multiplies each member by the generators on the right, and a potency walk that takes
-every power up to its cap against the decision from the block periods.  The semigroup witness oracle searches the union pattern's
-digraph and picks its sink component directly, against the one that reads
-it off the union's block triangularization.  The generator oracles place
+one that multiplies each member by the generators on the right, and a
+potency walk that takes every power up to its cap against the decision from
+the block periods.  The semigroup witness oracle searches the digraph of the
+enumerated closure's union pattern and picks its sink component directly,
+against the report that reads it off the block triangularization of the
+generators' reach, computed without the members.  The generator oracles place
 ``Fraction`` entries one by one and compute the coupling B^(r-1) X with a
 triple loop, against builders that pad integer rows and take one exact
 product; the rank-one idempotent oracle draws ``Fraction`` factors and goes
@@ -263,7 +265,8 @@ def union_digraph_witness(s: PatternSemigroup) -> InvariantSubsetWitness | None:
     Of the sink components (those no edge leaves) it takes the one holding
     the smallest index: the first component a sink-first order places.
     """
-    s.require_complete()
+    if s.truncated:
+        raise ValueError("a truncated closure's union need not be the semigroup's")
     u = s.union_pattern()
     graph = Digraph.from_pattern(u)
     comps = graph.strongly_connected_components()

@@ -192,9 +192,9 @@ def test_semigroup_closures_have_common_zero():
     count = 0
     for i, case_seed, r, gens in semigroup_family_cases(100, SEED + 5):
         count += 1
-        s = pattern_closure([g.pattern() for g in gens])
-        assert not s.truncated, f"seed={case_seed}"
-        rep = equivalence_report(s)
+        patterns = [g.pattern() for g in gens]
+        assert not pattern_closure(patterns).truncated, f"seed={case_seed}"
+        rep = equivalence_report(patterns)
         assert rep.witness is not None, f"seed={case_seed} r={r}"
         assert rep.zero_entry is not None, f"seed={case_seed}"
         assert rep.sum_has_zero, f"seed={case_seed}"

@@ -21,6 +21,8 @@ from rpotent.generators import block_diagonal, cycle_matrix, uniform_idempotent
 from rpotent.matrix import matrix_from_json, matrix_to_json
 from rpotent.verification import CHECKS
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
 
 def _write_tower(tmp_path, r=4):
     tower = block_diagonal([uniform_idempotent(k) for k in range(1, r)])
@@ -356,11 +358,37 @@ class TestSemigroupCommand:
         assert report["equivalences"]["decomposable"] is True
         assert report["equivalences"]["witness"]
 
-    def test_truncation_exits_one(self, tmp_path, capsys):
+    def test_truncation_keeps_the_verdict_and_withholds_the_rank_floor(self, tmp_path, capsys):
         path = _write_cycle(tmp_path)
-        assert main(["semigroup", path, "--cap", "1"]) == 1
+        assert main(["semigroup", path, "--cap", "1"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["truncated"] is True
+        assert report["truncated"] is True and report["closure_size"] == 1
+        assert report["equivalences"]["decomposable"] is False
+        assert report["equivalences"]["consistent"] is True
+        assert "rank_floor" not in report
+        assert main(["semigroup", path, "--r", "4", "--cap", "1"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["equivalences"]["decomposable"] is False
+        assert report["rank_floor"] == {
+            "closure_size": 1, "truncated": True, "decomposable": None, "blocks": [], "all_ok": False,
+        }
+
+    def test_symmetric_group_eight_past_the_cap(self, capsys):
+        gens = [os.path.join(GOLDEN, f"{name}.json") for name in ("transposition_8", "cycle_8")]
+        assert main(["semigroup", *gens]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["truncated"] is True and report["closure_size"] == 10_000
+        assert report["equivalences"]["decomposable"] is False
+        # 840 is the lcm of the element orders of S8, so both generators are 841-potent
+        assert main(["semigroup", *gens, "--r", "841"]) == 1
+        floor = json.loads(capsys.readouterr().out)["rank_floor"]
+        assert floor["truncated"] is True and floor["all_ok"] is False
+
+    def test_one_by_one_zero_matrix_is_consistent(self, capsys):
+        assert main(["semigroup", os.path.join(GOLDEN, "zero_1x1.json")]) == 0
+        eq = json.loads(capsys.readouterr().out)["equivalences"]
+        assert eq["consistent"] is True and eq["decomposable"] is False
+        assert eq["zero_entry"] == [0, 0] and eq["sum_has_zero"] is True
 
     def test_two_block_diagonal_generators_decompose(self, tmp_path, capsys):
         c = cycle_matrix(3)
@@ -392,7 +420,7 @@ class TestParserReuse:
         cycle = _write_cycle(tmp_path)
         assert main(["analyze", cycle, "--r", "3", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["r"] == 3
-        assert main(["semigroup", cycle, "--cap", "1"]) == 1
+        assert main(["semigroup", cycle, "--cap", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["truncated"] is True
         # no --r, --json or --cap carried over from the calls above
         assert main(["analyze", cycle]) == 0

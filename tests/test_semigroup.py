@@ -18,12 +18,13 @@ from rpotent.generators import (
 from rpotent.decomposition import BlockTriangularization, Digraph
 from rpotent.matrix import PatternMatrix, Permutation, RMatrix
 from rpotent.potency import as_potent
+import rpotent.semigroup
 from rpotent.semigroup import (
-    ClosureTruncated,
     PatternSemigroup,
     cyclic_semigroup,
     cyclic_semigroup_decomposable_check,
     equivalence_report,
+    generator_reach,
     pattern_closure,
     rational_closure,
     semigroup_rank_floor_check,
@@ -39,8 +40,8 @@ def _patterns(n):
     return st.lists(row, min_size=n, max_size=n).map(lambda rows: PatternMatrix(n, tuple(rows)))
 
 
-def _pattern_generator_sets():
-    return st.integers(1, 4).flatmap(lambda n: st.lists(_patterns(n), min_size=1, max_size=3))
+def _pattern_generator_sets(max_n=4):
+    return st.integers(1, max_n).flatmap(lambda n: st.lists(_patterns(n), min_size=1, max_size=3))
 
 
 def _exact_generator_sets():
@@ -114,13 +115,15 @@ class TestPatternClosure:
                 for y in members:
                     assert x * y in members
 
-    def test_truncation_flag(self):
+    def test_truncated_closure_lies_inside_the_generator_reach(self):
         rng = random.Random(1)
         gens = [random_pattern_local(rng, 4, 0.5) for _ in range(2)]
         s = pattern_closure(gens, cap=2)
         assert s.truncated
-        with pytest.raises(ClosureTruncated):
-            equivalence_report(s)
+        reach = generator_reach(gens)
+        assert s.union_pattern() | reach == reach
+        complete = pattern_closure(gens)
+        assert not complete.truncated and complete.union_pattern() == reach
 
 
 class TestGeneratorProductClosure:
@@ -161,9 +164,10 @@ class TestGeneratorProductClosure:
         assert calls == 120 * 2
 
     def test_symmetric_group_six(self):
-        s = pattern_closure(_permutation_patterns((1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)))
+        gens = _permutation_patterns((1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0))
+        s = pattern_closure(gens)
         assert len(s) == 720 and not s.truncated
-        assert equivalence_report(s).zero_entry is None
+        assert equivalence_report(gens).zero_entry is None
 
     def test_truncated_closure_holds_exactly_cap_members(self):
         gens = _permutation_patterns((1, 0, 2, 3), (1, 2, 3, 0))
@@ -204,29 +208,33 @@ class TestGeneratorProductClosure:
 
 class TestCommonZeroAndSum:
     def test_unit_projector_closure(self):
-        s = pattern_closure([RMatrix.from_rows([[1, 0], [0, 0]]).pattern()])
-        rep = equivalence_report(s)
+        rep = equivalence_report([RMatrix.from_rows([[1, 0], [0, 0]]).pattern()])
         assert rep.zero_entry == (0, 1)
         assert rep.sum_has_zero
 
     def test_symmetric_group_has_no_common_zero(self):
         perms = [Permutation(p).to_matrix().pattern() for p in [(1, 0, 2), (1, 2, 0)]]
-        s = pattern_closure(perms)
-        rep = equivalence_report(s)
+        rep = equivalence_report(perms)
         assert rep.zero_entry is None
         assert not rep.sum_has_zero
         assert rep.witness is None
 
     def test_singleton_zero_matrix_sum_has_zero(self):
-        s = pattern_closure([RMatrix.zeros(1).pattern()])
-        rep = equivalence_report(s)
+        rep = equivalence_report([RMatrix.zeros(1).pattern()])
         assert rep.sum_has_zero
         assert rep.zero_entry == (0, 0)
 
+    def test_one_by_one_semigroups_are_consistent(self):
+        # no proper nonempty index set exists at n = 1, so a common zero
+        # comes without a witness and the equivalence does not apply
+        for entry in (0, 1):
+            rep = equivalence_report([PatternMatrix(1, (entry,))])
+            assert rep.consistent and not rep.decomposable and rep.witness is None
+            assert rep.sum_has_zero == (entry == 0)
+
     def test_block_tower_closure_has_off_block_zero(self):
         tower = block_diagonal([uniform_idempotent(k) for k in (1, 2, 3)])
-        s = pattern_closure([tower.pattern()])
-        rep = equivalence_report(s)
+        rep = equivalence_report([tower.pattern()])
         assert rep.zero_entry is not None
         assert rep.consistent and rep.decomposable
         assert rep.offdiagonal_zero_entry is not None
@@ -246,36 +254,71 @@ class TestEquivalences:
             if s.truncated:
                 continue
             complete += 1
-            rep = equivalence_report(s)
+            rep = equivalence_report(gens)
             assert rep.consistent
             assert (rep.witness is not None) == rep.sum_has_zero
 
-    def test_one_union_per_report(self, monkeypatch):
-        calls = []
-        union = PatternSemigroup.union_pattern
+    def test_report_takes_log_many_products_and_no_closure(self, monkeypatch):
+        products = 0
+        product = PatternMatrix.__mul__
 
-        def counting(s):
-            calls.append(s)
-            return union(s)
+        def counting(self, other):
+            nonlocal products
+            products += 1
+            return product(self, other)
 
-        monkeypatch.setattr(PatternSemigroup, "union_pattern", counting)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the report enumerated the semigroup")
+
+        monkeypatch.setattr(PatternMatrix, "__mul__", counting)
+        monkeypatch.setattr(rpotent.semigroup, "_close", refuse)  # behind both closures
         rng = random.Random(9)
-        for _ in range(40):
-            n = rng.randint(2, 5)
-            s = pattern_closure([random_pattern_local(rng, n, 0.4) for _ in range(2)], cap=2000)
-            if s.truncated:
-                continue
-            calls.clear()
-            equivalence_report(s)
-            assert calls == [s]
+        for n in range(1, 9):
+            bound = (n - 1).bit_length() + 1  # ceil(log2 n) + 1
+            for _ in range(20):
+                gens = [random_pattern_local(rng, n, rng.uniform(0.05, 0.5)) for _ in range(rng.randint(1, 3))]
+                products = 0
+                equivalence_report(gens)
+                assert products <= bound
+            # the n-cycle needs walks of all n lengths, so it takes the whole bound
+            products = 0
+            assert not equivalence_report([cycle_matrix(n).pattern()]).decomposable
+            assert products == bound
 
-    def test_selector_pair_matches_zero_entry(self):
-        s = pattern_closure([RMatrix.from_rows([[1, 0], [0, 0]]).pattern()])
-        rep = equivalence_report(s)
-        assert rep.selector_pair == rep.zero_entry
-        i, j = rep.selector_pair
-        for member in s.members:
-            assert not member.get(i, j)
+    def test_zero_entries_vanish_on_every_member(self):
+        rng = random.Random(10)
+        checked = 0
+        while checked < 100:
+            n = rng.randint(2, 4)
+            gens = [random_pattern_local(rng, n, rng.uniform(0.1, 0.6)) for _ in range(rng.randint(1, 2))]
+            s = pattern_closure(gens, cap=3000)
+            rep = equivalence_report(gens)
+            if s.truncated or rep.zero_entry is None:
+                continue
+            checked += 1
+            for member in s.members:
+                assert not member.get(*rep.zero_entry)
+                assert not member.get(*rep.offdiagonal_zero_entry)
+
+
+class TestGeneratorReach:
+    """G+ against the union pattern of the enumerated closure."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_pattern_generator_sets(max_n=5), st.integers(1, 2000))
+    def test_matches_the_enumerated_union(self, gens, cap):
+        reach = generator_reach(gens)
+        s = pattern_closure(gens, cap=cap)
+        if s.truncated:
+            assert s.union_pattern() | reach == reach
+        else:
+            assert reach == s.union_pattern()
+
+    def test_argument_checks(self):
+        with pytest.raises(ValueError, match="at least one generator"):
+            generator_reach([])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            generator_reach([PatternMatrix.identity(2), PatternMatrix.identity(3)])
 
 
 class TestSemigroupWitnessOracle:
@@ -288,15 +331,15 @@ class TestSemigroupWitnessOracle:
             n = rng.randint(1, 6)
             gens = [random_pattern_local(rng, n, rng.uniform(0.1, 0.7)) for _ in range(rng.randint(1, 3))]
             s = pattern_closure(gens, cap=rng.choice((5, 60, 2000)))
+            witness = equivalence_report(gens).witness
             if s.truncated:
                 kinds.add("truncated")
-                with pytest.raises(ClosureTruncated):
-                    equivalence_report(s)
-                with pytest.raises(ClosureTruncated):
+                with pytest.raises(ValueError, match="truncated"):
                     union_digraph_witness(s)
-                continue
-            witness = equivalence_report(s).witness
-            kinds.add("decomposable" if witness else "indecomposable")
+                s = pattern_closure(gens)
+                assert not s.truncated
+            else:
+                kinds.add("decomposable" if witness else "indecomposable")
             assert witness == union_digraph_witness(s)
         assert kinds == {"truncated", "decomposable", "indecomposable"}
 
@@ -306,7 +349,7 @@ class TestSemigroupWitnessOracle:
             n = rng.randint(1, 6)
             members = tuple({random_pattern_local(rng, n, rng.uniform(0.05, 0.5)) for _ in range(rng.randint(1, 4))})
             s = PatternSemigroup(n, members, len(members), truncated=False)
-            assert equivalence_report(s).witness == union_digraph_witness(s)
+            assert equivalence_report(list(members)).witness == union_digraph_witness(s)
 
 
 class TestCyclicSemigroup:
@@ -430,9 +473,12 @@ class TestRankFloor:
         # 3 divides 10^10 - 1, so the 3-cycle is 10^10-potent
         assert semigroup_rank_floor_check([cycle_matrix(3)], 10**10).all_ok
 
-    def test_truncation_raises(self):
-        with pytest.raises(ClosureTruncated):
-            semigroup_rank_floor_check([cycle_matrix(3)], 4, cap=2)
+    def test_truncation_is_reported_as_data(self):
+        rep = semigroup_rank_floor_check([cycle_matrix(3)], 4, cap=2)
+        assert rep.truncated and not rep.all_ok
+        assert rep.to_dict() == {
+            "closure_size": 2, "truncated": True, "decomposable": None, "blocks": [], "all_ok": False,
+        }
 
     def test_klein_four_group_refutes_both_readings(self):
         # (12)(34) and (13)(24) generate the regular representation of Z2 x Z2:
@@ -445,7 +491,7 @@ class TestRankFloor:
         assert len(closure) == 4 and not closure.truncated
         assert all(as_potent(m, 3).rank == 4 for m in closure.members)
         assert closure.union_pattern().is_full()
-        assert equivalence_report(pattern_closure([g.pattern() for g in gens])).witness is None
+        assert equivalence_report([g.pattern() for g in gens]).witness is None
         rep = semigroup_rank_floor_check(gens, 3)
         assert not rep.all_ok
         assert not rep.decomposable
