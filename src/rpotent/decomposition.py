@@ -5,7 +5,8 @@ of a matrix has an edge j -> i exactly when entry (i, j) is nonzero.  Column
 j is the image of basis vector j, so a vertex set closed under out-edges is
 precisely a coordinate subspace invariant under the matrix.  A matrix is
 *decomposable* iff such a proper nonempty closed set exists, iff the digraph
-is not strongly connected.  Both the component-based decision (Tarjan) and
+is not strongly connected.  Both the component decision, which finds each
+component and the block order with two bitmask reachability searches, and
 the column-closure oracle below, which finds the invariant set of least
 bitmask at any dimension with at most n reachability searches, rely on this
 single convention, so they cannot drift apart by a transposition.
@@ -25,6 +26,19 @@ from math import gcd, lcm
 from .matrix import PatternMatrix, Permutation, RMatrix
 
 
+def _reach(masks: Sequence[int], start: int, within: int) -> int:
+    """The vertices of ``within`` that ``start`` reaches along ``masks``, ``start`` included."""
+    seen = frontier = start
+    while frontier:
+        step = 0
+        while frontier:
+            step |= masks[(frontier & -frontier).bit_length() - 1]
+            frontier &= frontier - 1
+        frontier = step & within & ~seen
+        seen |= frontier
+    return seen
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Support digraph with per-vertex out-neighbor bitmasks."""
@@ -42,61 +56,49 @@ class Digraph:
         return cls.from_pattern(a.pattern())
 
     def strongly_connected_components(self) -> list[tuple[int, ...]]:
-        """Tarjan's algorithm; components sorted internally by vertex index.
+        """The strongly connected components, each sorted, in block order.
 
-        Emission order places a component after every component it can reach,
-        which is already a valid block order; the deterministic tie-broken
-        order used for triangularization is computed separately.  The depth
-        first search keeps its own stack of ``[vertex, unvisited out-mask]``
-        frames instead of recursing, so a long path or cycle cannot hit the
-        interpreter's recursion limit; it visits neighbours in increasing
-        index order, as the recursive form does, and emits the same sequence.
+        Block order is sink first: each component comes after every component
+        it has an edge into, and of the components whose successors are all
+        placed, the one holding the least index comes next.  The components
+        are found one at a time.  Let v be the least vertex of no component
+        found yet; F is what v reaches through such vertices, and v's
+        component is what in F reaches v through F.  Both searches see the
+        whole component: every vertex below v lies in a component already
+        found, components are found whole, and a walk between two vertices of
+        one component stays inside it.  So v is the least index of its
+        component, and the components are found in order of least index.
+        Each is kept with the mask of the vertices outside it that it has an
+        edge into; the order then takes, again and again, the first one found
+        whose successors are all placed.  Nothing recurses.
         """
-        n = self.n
-        out = self.out
-        index = [-1] * n
-        low = [0] * n
-        on_stack = [False] * n
-        stack: list[int] = []
-        comps: list[tuple[int, ...]] = []
-        counter = 0
-        for root in range(n):
-            if index[root] >= 0:
-                continue
-            index[root] = low[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack[root] = True
-            frames = [[root, out[root]]]
-            while frames:
-                frame = frames[-1]
-                v, m = frame
-                if m:
-                    w = (m & -m).bit_length() - 1
-                    frame[1] = m & (m - 1)
-                    if index[w] < 0:
-                        index[w] = low[w] = counter
-                        counter += 1
-                        stack.append(w)
-                        on_stack[w] = True
-                        frames.append([w, out[w]])
-                    elif on_stack[w]:
-                        low[v] = min(low[v], index[w])
-                    continue
-                frames.pop()
-                if frames:
-                    u = frames[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(tuple(sorted(comp)))
-        return comps
+        n, out = self.n, self.out
+        into = [0] * n
+        for v in range(n):
+            m = out[v]
+            while m:
+                w = (m & -m).bit_length() - 1
+                m &= m - 1
+                into[w] |= 1 << v
+        found: list[tuple[int, int]] = []
+        left = (1 << n) - 1
+        while left:
+            start = left & -left
+            comp = _reach(into, start, _reach(out, start, left))
+            left &= ~comp
+            succ, m = 0, comp
+            while m:
+                succ |= out[(m & -m).bit_length() - 1]
+                m &= m - 1
+            found.append((comp, succ & ~comp))
+        order: list[tuple[int, ...]] = []
+        placed = 0
+        while found:
+            i = next(i for i, (_, succ) in enumerate(found) if not succ & ~placed)
+            comp = found.pop(i)[0]
+            placed |= comp
+            order.append(tuple(v for v in range(n) if comp >> v & 1))
+        return order
 
     def cycle_gcd(self, comp: Sequence[int]) -> int:
         """Gcd of the lengths of the cycles inside ``comp``, a strongly connected vertex set.
@@ -181,9 +183,10 @@ def brute_force_decomposable_pattern(p: PatternMatrix) -> InvariantSubsetWitness
     most that of S: C(M) = S.  For m < M, C(m) reaches an index above m, or it
     would be a proper invariant set below 2^(m+1) <= 2^M, under S.  So S is
     the first proper C(m), m = 0, 1, ..., that reaches no index above m:
-    at most n searches, each dropped at its first index above m.  No
-    component search is used, so this checks the component decision
-    independently, at every dimension.
+    at most n searches, each dropped at its first index above m.  The
+    component decision searches along column supports too, but it also
+    searches backward, finds every component and orders them; this oracle
+    does none of that, so it checks the decision at every dimension.
     """
     n = p.n
     cols = p.column_masks()
@@ -214,8 +217,9 @@ class BlockTriangularization:
     ``components`` lists, per block, the original indices it contains.  Each
     block is one strongly connected component of ``graph``, the support
     digraph of A, hence indecomposable, which is what makes the
-    triangularization maximal.  The order is a sink-first linear extension of
-    the condensation, so conjugation by ``permutation`` leaves zeros strictly
+    triangularization maximal.  The order is the block order of
+    ``Digraph.strongly_connected_components``: sink first, ties toward the
+    least index, so conjugation by ``permutation`` leaves zeros strictly
     below the diagonal blocks.
 
     This is the one place where the component facts of A are decided: A is
@@ -301,53 +305,6 @@ class BlockTriangularization:
         }
 
 
-def condensation_successors(
-    components: tuple[tuple[int, ...], ...], graph: Digraph
-) -> list[set[int]]:
-    """Per component, the set of other components reachable by a single edge."""
-    comp_of = [0] * graph.n
-    for ci, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = ci
-    succ: list[set[int]] = [set() for _ in components]
-    for v in range(graph.n):
-        m = graph.out[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            if comp_of[w] != comp_of[v]:
-                succ[comp_of[v]].add(comp_of[w])
-    return succ
-
-
-def _sink_first_order(components: list[tuple[int, ...]], graph: Digraph) -> list[int]:
-    """Kahn's algorithm on the condensation, sinks first.
-
-    A component becomes available once all condensation successors are
-    placed; edges then point from later blocks into earlier ones, which is
-    exactly block upper triangular under the chosen orientation.  Ties break
-    toward the component containing the smallest original index, making the
-    output deterministic.
-    """
-    if len(components) == 1:
-        return [0]
-    succ = condensation_successors(tuple(components), graph)
-    placed = [False] * len(components)
-    order: list[int] = []
-    for _ in components:
-        best = None
-        for ci in range(len(components)):
-            if placed[ci]:
-                continue
-            if all(placed[t] for t in succ[ci]):
-                if best is None or components[ci][0] < components[best][0]:
-                    best = ci
-        assert best is not None, "condensation of a DAG always has a sink"
-        order.append(best)
-        placed[best] = True
-    return order
-
-
 def block_triangularize(a: RMatrix) -> BlockTriangularization:
     """Maximal standard block triangularization via strongly connected components.
 
@@ -355,9 +312,7 @@ def block_triangularize(a: RMatrix) -> BlockTriangularization:
     ``is_trivial``.
     """
     graph = Digraph.from_matrix(a)
-    comps = graph.strongly_connected_components()
-    order = _sink_first_order(comps, graph)
-    return BlockTriangularization(tuple(comps[ci] for ci in order), a, graph)
+    return BlockTriangularization(tuple(graph.strongly_connected_components()), a, graph)
 
 
 def rank_one_idempotent_diag_test(a: RMatrix) -> bool:

@@ -8,10 +8,13 @@ invariant index set against the column-closure witness, a closure that
 multiplies every new member with every member on both sides against the
 one that multiplies each member by the generators on the right, and a
 potency walk that takes every power up to its cap against the decision from
-the block periods.  The semigroup witness oracle searches the digraph of the
-enumerated closure's union pattern and picks its sink component directly,
-against the report that reads it off the block triangularization of the
-generators' reach, computed without the members.  The generator oracles place
+the block periods.  The block-order reference reads the components off a
+transitive closure built by boolean squaring and places the sink of least
+index again and again, against the two bitmask searches per component and
+the order kept from them.  The semigroup witness oracle takes that
+reference's first block of the enumerated closure's union pattern, against
+the report that reads it off the block triangularization of the generators'
+reach, computed without the members.  The generator oracles place
 ``Fraction`` entries one by one and compute the coupling B^(r-1) X with a
 triple loop, against builders that pad integer rows and take one exact
 product; the rank-one idempotent oracle draws ``Fraction`` factors and goes
@@ -30,7 +33,7 @@ from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
 
-from rpotent.decomposition import Digraph, InvariantSubsetWitness, condensation_successors
+from rpotent.decomposition import InvariantSubsetWitness
 from rpotent.generators import rank_one_idempotent
 from rpotent.matrix import PatternMatrix, RMatrix, coerce_entry
 from rpotent.potency import Potent
@@ -259,21 +262,48 @@ def two_sided_closure(gens: list, product, cap: int) -> tuple[list, bool]:
     return members, truncated
 
 
-def union_digraph_witness(s: PatternSemigroup) -> InvariantSubsetWitness | None:
-    """The semigroup's invariant index set from a component search of its union pattern.
+def closure_block_order(p: PatternMatrix) -> list[tuple[int, ...]]:
+    """The components of ``p``'s digraph in block order, read off its transitive closure.
 
-    Of the sink components (those no edge leaves) it takes the one holding
-    the smallest index: the first component a sink-first order places.
+    A nonzero entry (i, j) is the edge j -> i, so entry (i, j) of the closure
+    (I + P)^(2^k), squared until it is stable, says that j reaches i.  The
+    components are the classes of mutual reachability.  The blocks are placed
+    one by one: each time the component of least index that reaches no
+    unplaced vertex outside itself.
+    """
+    n = p.n
+    reach = PatternMatrix.from_bools([[i == j or p.get(i, j) for j in range(n)] for i in range(n)])
+    while (squared := bool_product(reach, reach)) != reach:
+        reach = squared
+    comps: list[tuple[int, ...]] = []
+    for v in range(n):
+        if not any(v in c for c in comps):
+            comps.append(tuple(u for u in range(n) if reach.get(u, v) and reach.get(v, u)))
+    order: list[tuple[int, ...]] = []
+    placed: set[int] = set()
+    while comps:
+        sink = next(
+            c for c in comps
+            if all(w in c or w in placed for w in range(n) if reach.get(w, c[0]))
+        )
+        comps.remove(sink)
+        order.append(sink)
+        placed.update(sink)
+    return order
+
+
+def union_digraph_witness(s: PatternSemigroup) -> InvariantSubsetWitness | None:
+    """The semigroup's invariant index set: the first block of its union pattern.
+
+    The first block in ``closure_block_order`` is the sink component holding
+    the smallest index.
     """
     if s.truncated:
         raise ValueError("a truncated closure's union need not be the semigroup's")
     u = s.union_pattern()
-    graph = Digraph.from_pattern(u)
-    comps = graph.strongly_connected_components()
-    if len(comps) == 1:
+    blocks = closure_block_order(u)
+    if len(blocks) == 1:
         return None
-    succ = condensation_successors(tuple(comps), graph)
-    sink = min((c for c, out in zip(comps, succ) if not out), key=lambda c: c[0])
-    witness = InvariantSubsetWitness(frozenset(sink), u.n)
+    witness = InvariantSubsetWitness(frozenset(blocks[0]), u.n)
     assert witness.verify_pattern(u)
     return witness

@@ -27,7 +27,7 @@ from rpotent.matrix import PatternMatrix, RMatrix
 from rpotent import potency
 from rpotent.potency import Potent, as_potent, main_decomposability_test, minimal_potency, zero_diagonal_powers
 
-from oracles import closed_subsets
+from oracles import closed_subsets, closure_block_order, random_pattern_local
 
 HALF = RMatrix.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
 DIAG10 = RMatrix.from_rows([[1, 0], [0, 0]])
@@ -55,9 +55,25 @@ class TestDigraph:
         n = 1500
         cycle = Digraph(n, tuple(1 << ((v + 1) % n) for v in range(n)))
         assert cycle.strongly_connected_components() == [tuple(range(n))]
-        # a path v -> v + 1 emits its sink first, like the recursive Tarjan
+        # a path v -> v + 1 puts its sink, the last vertex, first
         path = Digraph(n, tuple(1 << (v + 1) if v + 1 < n else 0 for v in range(n)))
         assert path.strongly_connected_components() == [(v,) for v in reversed(range(n))]
+        back = Digraph(n, tuple(1 << (v - 1) if v else 0 for v in range(n)))
+        assert back.strongly_connected_components() == [(v,) for v in range(n)]
+
+    def test_block_order_matches_the_transitive_closure_reference(self):
+        patterns = [
+            PatternMatrix(n, rows)
+            for n in (1, 2, 3)
+            for rows in itertools.product(range(1 << n), repeat=n)
+        ]
+        rng = random.Random(19)
+        for n in range(1, 41):
+            # from mostly lone vertices to one large component, by the expected out-degree
+            for degree in (0.5, 1, 1.5, 3):
+                patterns.append(random_pattern_local(rng, n, min(1.0, degree / n)))
+        for p in patterns:
+            assert Digraph.from_pattern(p).strongly_connected_components() == closure_block_order(p), p
 
 
 class TestIsDecomposable:
@@ -182,6 +198,9 @@ class TestBlockTriangularize:
         # two isolated vertices and no edges: smallest index first
         t = block_triangularize(RMatrix.zeros(2))
         assert t.components == ((0,), (1,))
+        # sinks 0 and 1, and 2 -> 0: the sink 1 comes before 2, which must follow 0
+        t = block_triangularize(RMatrix.from_rows([[1, 0, 0], [0, 1, 0], [1, 0, 0]]))
+        assert t.components == ((1,), (2,), (0,))
 
     def test_golden_order_for_mixed_condensation(self):
         # components {0,3} (a 2-cycle), {1} (zero), {2} (a fixed point);
