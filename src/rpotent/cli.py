@@ -51,7 +51,6 @@ def _analysis_bundle(a: RMatrix, r: int | None) -> dict:
         "decomposability": {
             "decomposable": decomposable,
             "witness": None if tri.witness is None else tri.witness.sorted_indices(),
-            "oracle_checked": True,
             "oracle_witness": None if oracle_witness is None else oracle_witness.sorted_indices(),
             "oracle_agrees": oracle_agrees,
         },

@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from operator import mul
 
 from .decomposition import BlockTriangularization, block_triangularize
-from .matrix import RMatrix, format_bound
+from .matrix import PatternMatrix, RMatrix, format_bound
 from .potency import Potent
 
-WIELANDT_REPORT_DIM_LIMIT = 16
 # The float steps that choose the Collatz-Wielandt vector of one block: power
 # steps for a start, then at most PERRON_SHIFT_STEPS shifted inverse steps,
 # which stop once the float quotients agree to PERRON_FLOAT_TOL (relative).
@@ -45,13 +45,30 @@ def wielandt_check(t: BlockTriangularization) -> bool:
     tell without a new search whether A is primitive: one block of period 1.
     Rejects non-primitive input: the exponent only promises positivity for
     primitive matrices.  A >= 0, so no sum of products cancels and the
-    support of A^k is the k-th boolean power of the support of A: about
-    2 log2(n^2) pattern products decide it, with no rational entry computed.
+    support of A^k is the k-th boolean power of the support of A
+    (``_support_power_is_full``); no rational entry is computed.
     """
     if t.periods != (1,):
         raise ValueError("positivity of the squared-index power needs a primitive matrix")
     a = t.source
-    return a.pattern().pow(wielandt_exponent(a.n)).is_full()
+    return _support_power_is_full(a.pattern(), wielandt_exponent(a.n))
+
+
+def _support_power_is_full(s: PatternMatrix, k: int) -> bool:
+    """Whether the boolean power S^k, k >= 1, is full, squaring S until a square fills.
+
+    The first full square S^(2^i) with 2^i <= k decides it, for every
+    pattern: if S^m is full for some m >= 1, then S has no zero column,
+    since S^m = S^(m-1) S would inherit it; so S^(m+1) = S^m S is full, and
+    by induction so is every higher power.  When no such square fills, the
+    squares already made are multiplied at the set bits of k, so no
+    squaring is done twice and no more products are made than ``S.pow(k)``.
+    """
+    squares = [s]
+    while not squares[-1].is_full() and 1 << len(squares) <= k:
+        squares.append(squares[-1] * squares[-1])
+    at_bits = (square for i, square in enumerate(squares) if k >> i & 1)
+    return squares[-1].is_full() or reduce(mul, at_bits).is_full()
 
 
 def perron_value(
@@ -190,10 +207,10 @@ def trace_zero_check(p: Potent) -> bool:
 class SpectralReport:
     """Spectral facts for one matrix; fields are None where undefined.
 
-    Period, primitivity, and the peripheral eigenvalue count are defined for
-    nonzero indecomposable input only.  ``wielandt_positive`` is evaluated
-    for primitive matrices up to ``WIELANDT_REPORT_DIM_LIMIT`` (the exponent
-    grows quadratically with the dimension).  ``perron_bracket`` holds exact
+    Period and primitivity are defined for nonzero indecomposable input
+    only; the period is also the number of peripheral eigenvalues.
+    ``wielandt_positive`` is decided for every primitive matrix, at every
+    dimension (``wielandt_check``).  ``perron_bracket`` holds exact
     bounds on the spectral radius (``perron_value``); ``perron_value`` is the
     float nearest their midpoint, None when that is beyond the float range.
     """
@@ -202,7 +219,6 @@ class SpectralReport:
     is_primitive: bool | None
     perron_bracket: tuple[Fraction, Fraction]
     wielandt_positive: bool | None
-    expected_peripheral_count: int | None
     trace_zero_applicable: bool
     trace_is_zero: bool | None
 
@@ -222,7 +238,6 @@ class SpectralReport:
             "perron_value": self.perron_value,
             "perron_bracket": [format_bound(lower, up=False), format_bound(upper, up=True)],
             "wielandt_positive": self.wielandt_positive,
-            "expected_peripheral_count": self.expected_peripheral_count,
             "trace_zero_applicable": self.trace_zero_applicable,
             "trace_is_zero": self.trace_is_zero,
         }
@@ -233,14 +248,8 @@ def spectral_report(t: BlockTriangularization, potent: Potent | None = None) -> 
     zero-trace identity need ``potent``."""
     a = t.source
     nonzero_indecomposable = not a.is_zero() and t.is_trivial
-    h: int | None = None
-    primitive: bool | None = None
-    wielandt: bool | None = None
-    if nonzero_indecomposable:
-        h = t.periods[0]
-        primitive = h == 1
-        if primitive and a.n <= WIELANDT_REPORT_DIM_LIMIT:
-            wielandt = wielandt_check(t)
+    h = t.periods[0] if nonzero_indecomposable else None
+    primitive = None if h is None else h == 1
     applicable = (
         nonzero_indecomposable
         and potent is not None
@@ -251,8 +260,7 @@ def spectral_report(t: BlockTriangularization, potent: Potent | None = None) -> 
         period=h,
         is_primitive=primitive,
         perron_bracket=perron_value(t, potent),
-        wielandt_positive=wielandt,
-        expected_peripheral_count=h,
+        wielandt_positive=wielandt_check(t) if primitive else None,
         trace_zero_applicable=applicable,
         trace_is_zero=(a.trace() == 0) if applicable else None,
     )

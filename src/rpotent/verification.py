@@ -277,8 +277,9 @@ def run_cyclic_semigroup(trials: int, seed: int) -> Iterator[Verdict]:
     half = trials // 2
     cases = list(high_rank_cases(half, seed)) + list(singular_zero_diag_cases(trials - half, seed + 1))
     for i, (trial, case_seed, r, p) in enumerate(cases):
-        s = cyclic_semigroup(p)
-        closed = all(x @ y in set(s.members) for x in s.members for y in s.members)
+        members = cyclic_semigroup(p).members
+        member_set = set(members)
+        closed = all(x @ y in member_set for x in members for y in members)
         rep = cyclic_semigroup_decomposable_check(p)
         ok = closed and rep.prediction.agrees and (not rep.applicable or rep.all_triangular)
         yield ok, i, case_seed, f"r={r}", p.a

@@ -10,7 +10,9 @@ stopped, a CSV file with ``p/q`` cells, padded cells and a zero row, and the
 3x3 zero matrix and diag(0, 0, 0, 0, 1, 1), whose adjacent zero components
 count as one zero block each, and the idempotent [[1,0,0],[0,1,0],[1,0,0]],
 whose block order (1), (2), (0) differs from the order in which a depth-first
-component search finishes the components, (2), (0), (1).
+component search finishes the components, (2), (0), (1), and an integer
+matrix on Wielandt's extremal 20 x 20 pattern, whose squared-index power is
+positive past the dimension where the report used to stop.
 """
 
 from importlib import resources
@@ -29,7 +31,7 @@ def test_every_bundled_example_and_nonpotent_input_is_covered():
     bundled = {p.name.removesuffix(".json") for p in DATA.iterdir() if p.name.endswith(".json")}
     local = {"positive_rational", "sparse_integer", "nilpotent"}
     local |= {"permutation_cycles_3_4_7", "permutation_cycles_5_7_9", "padded_rational"}
-    local |= {"zero_3x3", "diag_0_0_0_0_1_1", "block_order_tiebreak"}
+    local |= {"zero_3x3", "diag_0_0_0_0_1_1", "block_order_tiebreak", "wielandt_extremal_20"}
     assert set(EXPECTED) == bundled | local
 
 

@@ -6,7 +6,9 @@ walk ``unscreened_minimal_potency``, which takes every power up to its cap,
 on every 0/1 matrix with n <= 3 and on seeded rational matrices with n <= 5.
 Every ``NonPotency`` certificate is confirmed by an independent power
 A^(L+1) != A, and L by the diagonal-hit period oracle.  The pattern power of
-``wielandt_check`` is checked against the exact rational power.
+``wielandt_check`` is checked against the exact rational power, and its
+squaring test, which stops at the first full square, against
+``PatternMatrix.pow`` on patterns whose powers do and do not fill.
 """
 
 import itertools
@@ -19,9 +21,9 @@ import pytest
 
 from rpotent.decomposition import block_triangularize
 from rpotent.generators import block_diagonal, cycle_matrix, random_r_potent, uniform_idempotent
-from rpotent.matrix import Permutation, RMatrix
+from rpotent.matrix import PatternMatrix, Permutation, RMatrix
 from rpotent.potency import NonPotency, Potent, minimal_potency
-from rpotent.spectral import is_primitive, wielandt_check, wielandt_exponent
+from rpotent.spectral import _support_power_is_full, is_primitive, wielandt_check, wielandt_exponent
 
 from oracles import (
     naive_power,
@@ -191,7 +193,60 @@ def _random_primitive(rng: random.Random, n: int) -> RMatrix:
             return m
 
 
+def _wielandt_extremal(n: int) -> PatternMatrix:
+    """The n-cycle 1 -> 2 -> ... -> n -> 1 plus the chord n-1 -> 1: a primitive
+    pattern whose least full power is exactly the Wielandt exponent."""
+    rows = [1 << (i + 1) % n for i in range(n)]
+    rows[n - 2] |= 1
+    return PatternMatrix(n, tuple(rows))
+
+
 class TestWielandtPatternPower:
+    def test_squaring_agrees_with_pow_on_every_pattern_up_to_three(self):
+        for n in (1, 2, 3):
+            e = wielandt_exponent(n)
+            for packed in range(1 << (n * n)):
+                p = PatternMatrix.from_packed(n, packed)
+                for k in range(1, e + 4):
+                    assert _support_power_is_full(p, k) == p.pow(k).is_full(), (n, packed, k)
+
+    def test_squaring_agrees_with_pow_on_random_patterns(self):
+        rng = random.Random(20)
+        verdicts = Counter()
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            density = rng.uniform(0.05, 0.5)
+            p = PatternMatrix.from_bools([[rng.random() < density for _ in range(n)] for _ in range(n)])
+            e = wielandt_exponent(n)
+            for k in {1, rng.randint(1, e + 3), e - 1 or 1, e}:
+                full = p.pow(k).is_full()
+                assert _support_power_is_full(p, k) == full, (p, k)
+                verdicts[full] += 1
+        assert verdicts[True] and verdicts[False]
+
+    @pytest.mark.parametrize("n", range(3, 31))
+    def test_extremal_pattern_fills_exactly_at_the_exponent(self, n):
+        s, e = _wielandt_extremal(n), wielandt_exponent(n)
+        assert s.pow(e).is_full() and not s.pow(e - 1).is_full()
+        assert _support_power_is_full(s, e)
+        assert not _support_power_is_full(s, e - 1)
+
+    def test_squaring_makes_no_more_products_than_pow(self, monkeypatch):
+        s, e = _wielandt_extremal(30), wielandt_exponent(30)
+        calls = Counter()
+        product = PatternMatrix.__mul__
+
+        def counted(self, other):
+            calls[mode] += 1
+            return product(self, other)
+
+        monkeypatch.setattr(PatternMatrix, "__mul__", counted)
+        mode = "pow"
+        s.pow(e)
+        mode = "squaring"
+        _support_power_is_full(s, e)
+        assert 0 < calls["squaring"] <= calls["pow"]
+
     def test_pattern_power_agrees_with_the_exact_power(self):
         rng = random.Random(6)
         for _ in range(40):

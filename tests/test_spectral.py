@@ -344,7 +344,7 @@ class TestSpectralReport:
         rep = spectral_report(block_triangularize(c), as_potent(c, 4))
         assert rep.period == 3
         assert rep.is_primitive is False
-        assert rep.expected_peripheral_count == 3
+        assert rep.wielandt_positive is None  # decided for primitive matrices only
         assert rep.trace_zero_applicable and rep.trace_is_zero
 
     def test_decomposable_report_has_no_period(self):
