@@ -293,9 +293,6 @@ class BlockTriangularization:
                 allowed[v] = later
         return not any(row & ~ok for row, ok in zip(m.rows, allowed))
 
-    def is_valid(self) -> bool:
-        return self.is_respected_by(self.source.pattern())
-
     def to_dict(self) -> dict:
         return {
             "is_trivial": self.is_trivial,

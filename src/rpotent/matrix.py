@@ -10,7 +10,10 @@ is built from three immutable value types:
 
 Arithmetic in this module is exact; no floating point enters.  A product of
 two matrices is an integer matrix product plus one gcd normalisation, instead
-of a ``Fraction`` gcd on every multiply and add.  Input is validated where it
+of a ``Fraction`` gcd on every multiply and add; each row of the integer
+product is one sum of packed integers, a fixed-width slot per entry, so the
+interpreter loops over rows, not entries (``RMatrix``).  Rank is fraction-free
+Bareiss elimination, one row update per step.  Input is validated where it
 enters: ``coerce_entry`` and the public ``RMatrix`` constructors reject
 booleans, unparsable strings, non-square grids and negative entries, and
 operations on validated matrices build their results without re-checking.
@@ -25,6 +28,7 @@ import io
 import json
 import re
 import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
@@ -36,6 +40,9 @@ Entry = Fraction | int | str
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# (array type code, bytes) of the unsigned slots a packed row may use, narrowest first
+_SLOTS = tuple((code, array(code).itemsize) for code in "IQ")
 
 
 def coerce_entry(value: Entry) -> Fraction:
@@ -160,26 +167,6 @@ class PatternMatrix:
                 raise ValueError("row bitmask wider than dimension")
 
     @classmethod
-    def from_bools(cls, grid: Sequence[Sequence[bool]]) -> PatternMatrix:
-        n = len(grid)
-        rows = []
-        for row in grid:
-            if len(row) != n:
-                raise ValueError("pattern must be square")
-            mask = 0
-            for j, v in enumerate(row):
-                if v:
-                    mask |= 1 << j
-            rows.append(mask)
-        return cls(n, tuple(rows))
-
-    @classmethod
-    def from_packed(cls, n: int, packed: int) -> PatternMatrix:
-        """Unpack row-major bits: bit ``i*n + j`` of ``packed`` is entry (i, j)."""
-        full = (1 << n) - 1
-        return cls(n, tuple((packed >> (i * n)) & full for i in range(n)))
-
-    @classmethod
     def identity(cls, n: int) -> PatternMatrix:
         return cls(n, tuple(1 << i for i in range(n)))
 
@@ -242,9 +229,6 @@ class PatternMatrix:
         full = (1 << self.n) - 1
         return all(mask == full for mask in self.rows)
 
-    def count_nonzero(self) -> int:
-        return sum(mask.bit_count() for mask in self.rows)
-
     def has_zero_diagonal_entry(self) -> bool:
         return any(not mask >> i & 1 for i, mask in enumerate(self.rows))
 
@@ -256,9 +240,6 @@ class PatternMatrix:
             if missing:
                 return i, (missing & -missing).bit_length() - 1
         return None
-
-    def to_bools(self) -> list[list[bool]]:
-        return [[self.get(i, j) for j in range(self.n)] for i in range(self.n)]
 
     def to_matrix(self) -> RMatrix:
         """The 0/1 matrix with this support."""
@@ -385,6 +366,15 @@ class RMatrix:
     matrix has ``den == 1``, and two matrices are equal iff their ``(den,
     num)`` pairs are.  Products are integer matrix products followed by one
     gcd normalisation.
+
+    Every numerator is a nonnegative integer, so a row of B packs into one
+    integer, entry j in slot j of w bits: packed_k = Σ_j b_kj 2^(wj), with w
+    = 32 or 64 (array type codes ``I`` and ``Q``).  Row i of A·B is then the
+    one integer Σ_k a_ik packed_k, whose bytes read as an array of w-bit
+    unsigned slots are the product row.  No slot carries into the next: the
+    entry in slot j is Σ_k a_ik b_kj <= (Σ_k a_ik) max B, and w is the
+    narrower of the two widths with max_i (Σ_k a_ik) max B < 2^w.  No term
+    is negative, so no slot borrows either.
 
     Instances are immutable and hashable; every operation returns a new
     matrix.  Squareness, entry types and nonnegativity are checked in
@@ -535,6 +525,16 @@ class RMatrix:
         return Fraction(self.num[i][j], self.den)
 
     def __matmul__(self, other: RMatrix) -> RMatrix:
+        """Exact product: the integer product of the grids, then one gcd normalisation.
+
+        A row of A summing to 0 or 1 is a zero row or a single entry 1, so
+        its product row is the zero row or a row of B, reused as it is.
+        Every other row is Σ_k a_ik packed_k over B's packed rows (class
+        docstring), unpacked from its bytes.  B is packed when the first such
+        row comes, so a permutation product packs nothing.  When the bound
+        needs slots wider than 64 bits, each product row adds up the rows of
+        B that the row of A selects.
+        """
         if not isinstance(other, RMatrix):
             return NotImplemented
         n = len(self.num)
@@ -542,25 +542,30 @@ class RMatrix:
             raise ValueError(f"dimension mismatch: {n} vs {other.n}")
         b = other.num
         zero_row = (0,) * n
-        cols = None
+        code = packed = None
+        sums = [*map(sum, self.num)]
         rows = []
-        for row in self.num:
-            support = [k for k, f in enumerate(row) if f]
-            if 2 * len(support) < n:
-                # Sparse row: add up the rows of b it selects, n operations
-                # per nonzero instead of n per column.
-                acc = zero_row
-                for k in support:
-                    f = row[k]
-                    if f == 1 and acc is zero_row:
-                        acc = b[k]
-                    else:
-                        acc = tuple([*map(add, acc, b[k] if f == 1 else map(mul, b[k], repeat(f)))])
-                rows.append(acc)
+        for row, s in zip(self.num, sums):
+            if s < 2:
+                rows.append(b[row.index(1)] if s else zero_row)
+                continue
+            if code is None:
+                # The first row with s >= 2 makes the bound at least max B,
+                # so B's own entries fit the slots too; code "" means that
+                # no slot is wide enough.
+                bound = max(sums) * max(map(max, b))
+                code, size = next(((c, n * w) for c, w in _SLOTS if not bound >> 8 * w), ("", 0))
+                if code:
+                    packed = [int.from_bytes(array(code, r), sys.byteorder) for r in b]
+            if code:
+                acc = sum(map(mul, row, packed))
+                rows.append(tuple(array(code, acc.to_bytes(size, sys.byteorder))))
             else:
-                if cols is None:
-                    cols = tuple(zip(*b))
-                rows.append(tuple([sum(map(mul, row, col)) for col in cols]))
+                acc = zero_row
+                for f, b_row in zip(row, b):
+                    if f:
+                        acc = tuple([*map(add, acc, map(mul, b_row, repeat(f)))])
+                rows.append(acc)
         return RMatrix._normalized(self.den * other.den, tuple(rows))
 
     def pow(self, k: int) -> RMatrix:
@@ -606,39 +611,47 @@ class RMatrix:
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
 
-    def is_positive(self) -> bool:
-        return all(map(all, self.num))
-
     def rank(self) -> int:
         """Exact rank over the rationals.
 
         Fraction-free Bareiss elimination on the integer grid ``num`` (scaling
-        by the common denominator does not change rank).  Every division in
-        the Bareiss update is exact; this is asserted rather than assumed so
-        that a bug cannot silently floor-divide its way to a wrong rank.
+        by the common denominator does not change rank).  Each step updates
+        every remaining row at once, t = p row - lead pivot_row, and divides t
+        by the previous pivot, skipping the division when that pivot is 1; a
+        row whose lead is 0 is only scaled.  Rows that become zero are
+        dropped: they hold no pivot, and no other row's update reads them.
+
+        Every division is exact; this is asserted rather than assumed, so that
+        a bug cannot floor-divide its way to a wrong rank.  The assertion
+        costs O(n) per row: with q = t // prev, each remainder x - prev (x //
+        prev) is 0 or has the sign of prev, so sum(t) == prev sum(q) holds
+        only when every remainder is 0.
         """
-        m = [list(row) for row in self.num]
-        n = self.n
+        rows = [row for row in self.num if any(row)]
         r = 0
         prev = 1
-        for c in range(n):
-            piv = next((i for i in range(r, n) if m[i][c]), None)
-            if piv is None:
+        for c in range(self.n):
+            pivot = next((row for row in rows if row[c]), None)
+            if pivot is None:
                 continue
-            m[r], m[piv] = m[piv], m[r]
-            for i in range(r + 1, n):
-                row_i = m[i]
-                row_r = m[r]
-                lead = row_i[c]
-                for j in range(c + 1, n):
-                    q, rem = divmod(row_r[c] * row_i[j] - lead * row_r[j], prev)
-                    assert rem == 0, "Bareiss division not exact"
-                    row_i[j] = q
-                row_i[c] = 0
-            prev = m[r][c]
+            rows.remove(pivot)
+            p = pivot[c]
+            out = []
+            for row in rows:
+                lead = row[c]
+                if lead:
+                    t = [p * x - lead * y for x, y in zip(row, pivot)]
+                else:
+                    t = [p * x for x in row]
+                if prev != 1:
+                    q = [x // prev for x in t]
+                    assert sum(t) == prev * sum(q), "Bareiss division not exact"
+                    t = q
+                if any(t):
+                    out.append(t)
+            rows = out
+            prev = p
             r += 1
-            if r == n:
-                break
         return r
 
     def pattern(self) -> PatternMatrix:

@@ -1,7 +1,7 @@
 """Independent oracle implementations used to cross-check the package.
 
 Each oracle takes a deliberately different route than the implementation it
-checks: naive cubic multiplication against the sparse-aware product, plain
+checks: naive cubic multiplication against the packed-row product, plain
 fraction Gaussian elimination against fraction-free Bareiss, diagonal hits of
 boolean powers against the BFS-level period, the enumeration of every
 invariant index set against the column-closure witness, a closure that
@@ -23,6 +23,11 @@ U_i R_j / U.R on the integer grid.  The matrix reader's reference builds a
 ``Fraction`` for every entry with ``coerce_entry`` and checks that grid,
 against the reader that splits plain integers and ``p/q`` strings with
 ``int`` onto the integer grid.
+
+The pattern and predicate helpers at the end (boolean grids, row-major bit
+packing, nonzero counts, positivity, and the validity of a block
+triangularization) build or inspect test inputs; the package itself needs
+none of them.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
 
-from rpotent.decomposition import InvariantSubsetWitness
+from rpotent.decomposition import BlockTriangularization, InvariantSubsetWitness
 from rpotent.generators import rank_one_idempotent
 from rpotent.matrix import PatternMatrix, RMatrix, coerce_entry
 from rpotent.potency import Potent
@@ -174,7 +179,7 @@ def bool_product(p: PatternMatrix, q: PatternMatrix) -> PatternMatrix:
         [any(p.get(i, k) and q.get(k, j) for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
-    return PatternMatrix.from_bools(grid)
+    return pattern_from_bools(grid)
 
 
 def period_by_diagonal_hits(p: PatternMatrix) -> int:
@@ -272,7 +277,7 @@ def closure_block_order(p: PatternMatrix) -> list[tuple[int, ...]]:
     unplaced vertex outside itself.
     """
     n = p.n
-    reach = PatternMatrix.from_bools([[i == j or p.get(i, j) for j in range(n)] for i in range(n)])
+    reach = pattern_from_bools([[i == j or p.get(i, j) for j in range(n)] for i in range(n)])
     while (squared := bool_product(reach, reach)) != reach:
         reach = squared
     comps: list[tuple[int, ...]] = []
@@ -307,3 +312,34 @@ def union_digraph_witness(s: PatternSemigroup) -> InvariantSubsetWitness | None:
     witness = InvariantSubsetWitness(frozenset(blocks[0]), u.n)
     assert witness.verify_pattern(u)
     return witness
+
+
+def pattern_from_bools(grid) -> PatternMatrix:
+    """The pattern whose entry (i, j) is set iff ``grid[i][j]`` is true."""
+    n = len(grid)
+    if any(len(row) != n for row in grid):
+        raise ValueError("pattern must be square")
+    return PatternMatrix(n, tuple(sum(1 << j for j, v in enumerate(row) if v) for row in grid))
+
+
+def pattern_from_packed(n: int, packed: int) -> PatternMatrix:
+    """Unpack row-major bits: bit ``i*n + j`` of ``packed`` is entry (i, j)."""
+    full = (1 << n) - 1
+    return PatternMatrix(n, tuple((packed >> (i * n)) & full for i in range(n)))
+
+
+def pattern_to_bools(p: PatternMatrix) -> list[list[bool]]:
+    return [[p.get(i, j) for j in range(p.n)] for i in range(p.n)]
+
+
+def count_nonzero(p: PatternMatrix) -> int:
+    return sum(mask.bit_count() for mask in p.rows)
+
+
+def is_positive(a: RMatrix) -> bool:
+    return all(map(all, a.num))
+
+
+def triangularization_is_valid(t: BlockTriangularization) -> bool:
+    """Whether A itself, conjugated by the triangularization's permutation, is block upper triangular."""
+    return t.is_respected_by(t.source.pattern())

@@ -44,6 +44,8 @@ from rpotent.verification import (
 )
 from rpotent.cli import main
 
+from oracles import pattern_from_packed
+
 SEED = 20250810
 
 
@@ -68,11 +70,11 @@ def test_oracle_equivalence_exhaustive_and_random():
     t0 = time.monotonic()
     disagreements = 0
     for packed in range(512):
-        p = PatternMatrix.from_packed(3, packed)
+        p = pattern_from_packed(3, packed)
         if (brute_force_decomposable_pattern(p) is not None) != is_decomposable_pattern(p):
             disagreements += 1
     for packed in range(1 << 16):
-        p = PatternMatrix.from_packed(4, packed)
+        p = pattern_from_packed(4, packed)
         if (brute_force_decomposable_pattern(p) is not None) != is_decomposable_pattern(p):
             disagreements += 1
     for n in (5, 6, 7, 8):

@@ -24,10 +24,12 @@ from rpotent.matrix import RMatrix, matrix_to_json
 from rpotent.potency import as_potent, is_r_potent, minimal_potency, zero_diagonal_powers
 
 from oracles import (
+    count_nonzero,
     fraction_block_diagonal,
     fraction_cycle_matrix,
     fraction_random_idempotent,
     fraction_triangular_family,
+    is_positive,
 )
 
 
@@ -88,7 +90,7 @@ class TestRankOneIdempotent:
     def test_unpadded_is_positive(self):
         for seed in range(20):
             m = random_rank_one_idempotent(3, seed, padded=False)
-            assert m.is_positive()
+            assert is_positive(m)
 
 
 class TestBlockDiagonal:
@@ -310,7 +312,7 @@ class TestGeneratorSpec:
 
     def test_permutation_kind(self):
         m = GeneratorSpec("permutation", seed=3, params={"n": 5}).build()
-        assert m.pattern().count_nonzero() == 5
+        assert count_nonzero(m.pattern()) == 5
 
     @pytest.mark.parametrize("kind", sorted(GENERATOR_KINDS))
     def test_every_kind_rejects_a_foreign_parameter(self, kind):

@@ -29,6 +29,9 @@ from oracles import (
     kron_entry,
     naive_multiply,
     naive_power,
+    pattern_from_bools,
+    pattern_from_packed,
+    pattern_to_bools,
     random_small_matrix,
 )
 
@@ -146,9 +149,9 @@ class TestIntegerBackend:
         assert m == RMatrix(tuple(tuple(Fraction(int(p(j) == i)) for j in range(3)) for i in range(3)))
         assert m.den == 1
         for packed in range(1 << 9):
-            pattern = PatternMatrix.from_packed(3, packed)
+            pattern = pattern_from_packed(3, packed)
             m = pattern.to_matrix()
-            rebuilt = RMatrix.from_rows([[int(v) for v in row] for row in pattern.to_bools()])
+            rebuilt = RMatrix.from_rows([[int(v) for v in row] for row in pattern_to_bools(pattern)])
             assert (m.den, m.num) == (rebuilt.den, rebuilt.num) and hash(m) == hash(rebuilt)
             assert m.entries == rebuilt.entries and m.pattern() == pattern
 
@@ -207,6 +210,94 @@ class TestMultiply:
             a = random_small_matrix(rng, 4)
             b = random_small_matrix(rng, 4)
             assert all(x >= 0 for row in (a @ b).entries for x in row)
+
+
+# Product bounds at the edges of the 32- and 64-bit slots, one past each,
+# and one well past both, each with divisors for the row sum of A.
+_SLOT_EDGES = {
+    2**32 - 1: (3, 255, 65537),
+    2**32: (2, 4, 2**16),
+    2**64 - 1: (3, 641, 2**32 + 1),
+    2**64: (2, 4, 2**32),
+    2**70 + 2: (2, 3, 2**35 + 1),
+}
+
+
+@st.composite
+def _slot_edge_pair(draw):
+    """A, B whose product bound max_i (Σ_k a_ik) max B is a slot edge, reached by one entry.
+
+    One row of A sums to d and selects rows of B that all hold m = T / d in one
+    column, so that entry of A·B is T.  The other rows of A are zero, a single
+    1 (a reused row of B) or sum to at most d; B's other entries are at most m.
+    Each factor is divided by a small denominator, which may cancel.
+    """
+    t = draw(st.sampled_from(sorted(_SLOT_EDGES)))
+    d = draw(st.sampled_from(_SLOT_EDGES[t]))
+    m = t // d
+    n = draw(st.integers(1, 6))
+    support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, d), unique=True))
+    cuts = draw(st.lists(st.integers(1, d - 1), min_size=len(support) - 1, max_size=len(support) - 1, unique=True))
+    bounds = [0, *sorted(cuts), d]
+    tight = [0] * n
+    for k, lo, hi in zip(support, bounds, bounds[1:]):
+        tight[k] = hi - lo
+    a = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("zero", "unit", "loose")))
+        if kind == "zero":
+            a.append([0] * n)
+        elif kind == "unit":
+            k = draw(st.integers(0, n - 1))
+            a.append([int(j == k) for j in range(n)])
+        else:
+            a.append(draw(st.lists(st.integers(0, d // n), min_size=n, max_size=n)))
+    a[draw(st.integers(0, n - 1))] = tight
+    column = draw(st.integers(0, n - 1))
+    b = [draw(st.lists(st.sampled_from((0, 1, m // 2, m)), min_size=n, max_size=n)) for _ in range(n)]
+    for k in support:
+        b[k][column] = m
+    qa, qb = draw(st.sampled_from((1, 2, 3, 7))), draw(st.sampled_from((1, 2, 3, 7)))
+    return (
+        RMatrix.from_rows([[Fraction(x, qa) for x in row] for row in a]),
+        RMatrix.from_rows([[Fraction(x, qb) for x in row] for row in b]),
+    )
+
+
+class TestPackedProduct:
+    """The packed-row product against the entry-by-entry ``Fraction`` product."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_slot_edge_pair())
+    def test_matches_fraction_oracle_at_slot_edges(self, pair):
+        a, b = pair
+        product = a @ b
+        assert product == naive_multiply(a, b)
+        assert _is_canonical(product)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [(3, (2**32 - 1) // 3), (2, 2**31), (3, (2**64 - 1) // 3), (2, 2**63)],
+    )
+    def test_one_by_one_at_slot_edges(self, x, y):
+        assert (RMatrix.from_rows([[x]]) @ RMatrix.from_rows([[y]])).num == ((x * y,),)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("big", [2**32, 2**64, 2**64 + 1, 2**200])
+    def test_zero_factor_against_huge_entries(self, n, big):
+        zero = RMatrix.zeros(n)
+        huge = RMatrix.from_rows([[big + i * n + j for j in range(n)] for i in range(n)])
+        for a, b in ((zero, huge), (huge, zero)):
+            product = a @ b
+            assert product == naive_multiply(a, b)
+            assert product.is_zero() and product.den == 1
+
+    def test_unit_rows_reuse_the_rows_of_b(self):
+        b = RMatrix.from_rows([[2**70, 1, 0], [0, 5, "1/3"], [1, 1, 1]])
+        perm = Permutation((2, 0, 1)).to_matrix()
+        product = perm @ b
+        assert product == naive_multiply(perm, b)
+        assert all(any(row is b_row for b_row in b.num) for row in product.num)
 
 
 class TestPower:
@@ -319,6 +410,16 @@ class TestRank:
         a = RMatrix.from_rows(rows)
         assert a.rank() == gauss_rank(a)
 
+    def test_rank_through_negative_pivots(self):
+        """Bareiss divides by negative pivots here, so the sum form of the exactness check meets signs.
+
+        The pivots are 1, -1, -1, and then the last row is divided by -1.
+        """
+        a = RMatrix.from_rows([[1, 2, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
+        assert a.rank() == gauss_rank(a) == 4
+        b = RMatrix.from_rows([[1, 2, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 2, 0]])
+        assert b.rank() == gauss_rank(b) == 3
+
     def test_rank_on_dependent_rows_with_column_skips(self):
         a = RMatrix.from_rows(
             [
@@ -361,8 +462,8 @@ class TestPattern:
 
 class TestPatternMatrix:
     def test_from_packed_round_trip(self):
-        p = PatternMatrix.from_packed(3, 0b101010101)
-        assert p.to_bools() == [[True, False, True], [False, True, False], [True, False, True]]
+        p = pattern_from_packed(3, 0b101010101)
+        assert pattern_to_bools(p) == [[True, False, True], [False, True, False], [True, False, True]]
 
     def test_union(self):
         a = PatternMatrix(2, (0b01, 0b00))
@@ -374,7 +475,7 @@ class TestPatternMatrix:
         assert PatternMatrix(2, (0b11, 0b01)).first_zero() == (1, 1)
 
     def test_column_masks(self):
-        p = PatternMatrix.from_bools([[True, False], [True, True]])
+        p = pattern_from_bools([[True, False], [True, True]])
         assert p.column_masks() == (0b11, 0b10)
 
 
