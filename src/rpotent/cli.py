@@ -212,7 +212,11 @@ def cmd_semigroup(args) -> int:
     }
     exit_code = 0 if eq.consistent else 1
     if args.r is not None:
-        floor = semigroup_rank_floor_check(matrices, args.r, cap=args.cap)
+        # decided once, from the block periods: a large --r takes no r-th power
+        potents = [potency_report(block_triangularize(m), args.r).potent for m in matrices]
+        if None in potents:
+            raise ValueError(f"every generator must be {args.r}-potent")
+        floor = semigroup_rank_floor_check(potents, cap=args.cap)
         report["rank_floor"] = floor.to_dict()
         if not floor.all_ok:
             exit_code = 1

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .matrix import Entry, Permutation, RMatrix, coerce_entry
+from .matrix import Entry, Permutation, RMatrix, _entry_ratio, coerce_entry
 from .potency import Potent, as_potent
 
 _POOL = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3))
@@ -98,16 +98,21 @@ def _coupled(b: RMatrix, projection: RMatrix, x_rows: Sequence[Sequence[Entry]])
     if len(x_rows) != k:
         raise ValueError(f"coupling seed must have {k} rows")
     m = len(x_rows[0])
-    xs = [[coerce_entry(c) for c in row] for row in x_rows]
+    xs = [[_entry_ratio(c) for c in row] for row in x_rows]
     for row in xs:
         if len(row) != m:
             raise ValueError("coupling seed rows must have equal length")
-        if any(c < 0 for c in row):
+        if any(p < 0 for p, _ in row):
             raise ValueError("coupling seed must be nonnegative")
     if m < 1:
         raise ValueError("coupling seed must have at least one column")
-    zero_rows = [(Fraction(0),) * (k + m)] * m
-    w = RMatrix(tuple([(*b_row, *x_row) for b_row, x_row in zip(b.entries, xs)] + zero_rows))
+    # [[B, X], [0, 0]] on B's integer grid: only X, caller input, is validated
+    den = math.lcm(b.den, *[q for row in xs for _, q in row])
+    rows = [
+        (*[y * (den // b.den) for y in b_row], *[p * (den // q) for p, q in x_row])
+        for b_row, x_row in zip(b.num, xs)
+    ]
+    w = RMatrix._normalized(den, tuple(rows + [(0,) * (k + m)] * m))
     return block_diagonal([projection, RMatrix.zeros(m)]) @ w
 
 
@@ -279,16 +284,16 @@ def random_singular_zero_diag(r: int, seed: int, max_dim: int = 24) -> Potent:
     return p
 
 
-def rank_dominant_semigroup_generators(
-    r: int, count: int, seed: int
-) -> list[RMatrix]:
+def rank_dominant_semigroup_generators(r: int, count: int, seed: int) -> list[Potent]:
     """Generators whose whole multiplicative closure has rank > r-1 r-potent members.
 
     Independent random r-potents will not do: their products need not stay
     r-potent.  Instead A (rank > r-1) and B (nonzero) are fixed and the
     generators are powers A^(a_i) (x) B^(b_i) under one shared conjugation.
     Every word then equals a conjugated A^s (x) B^t with s, t >= 1, which is
-    r-potent of rank rank(A) * rank(B) > r-1.
+    r-potent of rank rank(A) * rank(B) > r-1.  Each comes as the ``Potent`` of
+    its emission check (the matrix is ``.a``), which check 6.4's rank floor
+    takes as it is: no generator's potency is decided twice.
 
     The closure is decomposable because A is (an r-potent of rank > r-1 is
     decomposable, and an invariant index set of A gives one shared by every
@@ -308,7 +313,7 @@ def rank_dominant_semigroup_generators(
     a = _random_core(rng, r, rank_a, 2 * rank_a)
     if count == 1 and rng.random() < 0.5:
         m = a.conjugate(Permutation.random(a.n, rng))
-        return [_verify_emission(m, r, None).a]
+        return [_verify_emission(m, r, None)]
     b = _random_core(rng, r, rng.randint(1, 2), 3)
     p = None
     gens = []
@@ -318,7 +323,7 @@ def rank_dominant_semigroup_generators(
         g = a.pow(s).kron(b.pow(t))
         if p is None:
             p = Permutation.random(g.n, rng)
-        gens.append(_verify_emission(g.conjugate(p), r, None).a)
+        gens.append(_verify_emission(g.conjugate(p), r, None))
     return gens
 
 

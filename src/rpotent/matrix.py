@@ -58,8 +58,11 @@ def coerce_entry(value: Entry) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        s = value.strip()
         try:
-            x = _parse_fraction(value.strip())
+            if not s.isascii():  # ``Fraction`` and ``int`` read "٣" (Arabic-Indic three) as 3
+                raise ValueError("matrix entries are written in ASCII digits")
+            x = _parse_fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse matrix entry {value!r}") from exc
         if x is None or not _printable(x):
@@ -274,12 +277,6 @@ class Permutation:
         return cls(tuple(range(n)))
 
     @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> Permutation:
-        images = list(range(n))
-        images[i], images[j] = images[j], images[i]
-        return cls(tuple(images))
-
-    @classmethod
     def random(cls, n: int, rng) -> Permutation:
         """Fisher-Yates shuffle driven by ``rng.randrange`` (reproducible)."""
         images = list(range(n))
@@ -290,18 +287,6 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         return self.images[i]
-
-    def compose(self, other: Permutation) -> Permutation:
-        """(self . other)(i) = self(other(i))."""
-        if other.n != self.n:
-            raise ValueError("size mismatch")
-        return Permutation(tuple(self.images[other.images[i]] for i in range(self.n)))
-
-    def inverse(self) -> Permutation:
-        inv = [0] * self.n
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return Permutation(tuple(inv))
 
     def cycle_lengths(self) -> tuple[int, ...]:
         seen = [False] * self.n
@@ -328,18 +313,17 @@ class Permutation:
 def _entry_ratio(x: object) -> tuple[int, int]:
     """``coerce_entry(x)`` as a reduced pair ``(p, q)``, q > 0.
 
-    A plain ``int`` and a string of digits, or ``digits/digits``, are split
-    with ``int`` and no ``Fraction``; anything else, or a string ``int``
-    refuses (too many digits, digits that are not decimal), or a zero
-    denominator, goes through ``coerce_entry``, which accepts or rejects it
-    with its own message.
+    A plain ``int`` and a string of ASCII digits, or ``digits/digits``, are
+    split with ``int`` and no ``Fraction``; anything else, or a string ``int``
+    refuses (too many digits), or a zero denominator, goes through
+    ``coerce_entry``, which accepts or rejects it with its own message.
     """
     if type(x) is int:
         return x, 1
     if type(x) is str:
         s = x.strip()
         p, slash, q = s.partition("/")
-        if p.isdigit() and (q.isdigit() or not slash):
+        if s.isascii() and p.isdigit() and (q.isdigit() or not slash):
             try:
                 p, q = int(p), int(q) if slash else 1
             except ValueError:

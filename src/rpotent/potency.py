@@ -193,7 +193,7 @@ class PotencyReport:
 
     @property
     def rank_trace_ok(self) -> bool:
-        return not self.is_r_potent or self.trace_of_projection == self.rank
+        return self.potent is None or rank_trace_check(self.potent)
 
     def to_dict(self) -> dict:
         trace = self.trace_of_projection

@@ -17,11 +17,12 @@ component of its block triangularization) and its first zero entry in
 row-major order, so the equivalence is tested rather than assumed.  The sum
 of all members has a zero exactly where their union does.
 
-Only the rank floor needs the members.  Pattern and exact closures share
-one routine, which multiplies each member on the right by each generator
-only (every member is a word in them): |S|·|G| products for |S| members.
-A closure stops at a member cap with a truncation flag, and a truncated
-exact closure withholds the rank floor as data.
+Only the rank floor needs the members, for their ranks; its blocks are
+those of G+, and its generators come checked (``Potent``).  Pattern and
+exact closures share one routine, which multiplies each member on the right
+by each generator only (every member is a word in them): |S|·|G| products
+for |S| members.  A closure stops at a member cap with a truncation flag,
+and a truncated exact closure withholds the rank floor as data.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from math import lcm
 
 from .decomposition import InvariantSubsetWitness, block_triangularize
 from .matrix import PatternMatrix, Permutation, RMatrix
-from .potency import DecompositionPrediction, Potent, is_r_potent, main_decomposability_test, potency_report
+from .potency import DecompositionPrediction, Potent, is_r_potent, main_decomposability_test
 
 DEFAULT_CLOSURE_CAP = 10_000
 
@@ -297,23 +298,25 @@ class RankFloorReport:
         }
 
 
-def semigroup_rank_floor_check(
-    generators: list[RMatrix], r: int, cap: int = DEFAULT_CLOSURE_CAP
-) -> RankFloorReport:
-    """Close the semigroup, triangularize it jointly, check each block's rank floor.
+def semigroup_rank_floor_check(generators: list[Potent], *, cap: int = DEFAULT_CLOSURE_CAP) -> RankFloorReport:
+    """Close the semigroup of checked r-potents (``Potent``, one r), check each block's rank floor.
 
     Every nonzero diagonal block of the common triangularization is itself a
     closed set of r-potent compressions and must contain an element of rank
-    at most r-1.  A closure that hits the cap withholds the floor: the
+    at most r-1.  The blocks are those of G+ (module docstring), so
+    ``decomposable`` is the verdict of ``equivalence_report`` whenever the
+    floor is given.  A closure that hits the cap withholds the floor: the
     report is ``truncated`` and holds no blocks.
     """
-    # from the block periods, not the r-th power, whose entries can grow to r bits
-    if not all(potency_report(block_triangularize(g), r).is_r_potent for g in generators):
-        raise ValueError(f"every generator must be {r}-potent")
-    closure = rational_closure(generators, cap)
+    exponents = {p.r for p in generators}
+    if len(exponents) != 1:
+        raise ValueError(f"need generators checked at one exponent, got {sorted(exponents)}")
+    (r,) = exponents
+    matrices = [p.a for p in generators]
+    closure = rational_closure(matrices, cap)
     if closure.truncated:
         return RankFloorReport(closure_size=len(closure), truncated=True, decomposable=None, blocks=())
-    t = block_triangularize(closure.union_pattern().to_matrix())
+    t = block_triangularize(generator_reach([m.pattern() for m in matrices]).to_matrix())
     records = []
     for comp in t.components:
         compressions = {m.submatrix(comp) for m in closure.members}

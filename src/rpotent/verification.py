@@ -135,10 +135,8 @@ def kron_cases(
         yield i, case_seed, r, a, b
 
 
-def semigroup_family_cases(
-    count: int, seed: int
-) -> Iterator[tuple[int, int, int, list[RMatrix]]]:
-    """Generator families whose full closures stay r-potent of rank > r-1.
+def semigroup_family_cases(count: int, seed: int) -> Iterator[tuple[int, int, int, list[Potent]]]:
+    """Generator families, checked at r, whose full closures stay r-potent of rank > r-1.
 
     Check 6.3 passes on them because they are decomposable by construction
     (``rank_dominant_semigroup_generators``), not because of the rank of
@@ -324,22 +322,22 @@ def run_equivalences(trials: int, seed: int) -> Iterator[Verdict]:
 def run_semigroup_common_zero(trials: int, seed: int) -> Iterator[Verdict]:
     """Semigroups of rank-dominant families decompose with a common zero entry."""
     for i, case_seed, r, gens in semigroup_family_cases(trials, seed):
-        rep = equivalence_report([g.pattern() for g in gens])
+        rep = equivalence_report([g.a.pattern() for g in gens])
         ok = (
             rep.consistent
             and rep.witness is not None
             and rep.zero_entry is not None
             and rep.sum_has_zero
         )
-        yield ok, i, case_seed, f"r={r} gens={len(gens)}", gens[0]
+        yield ok, i, case_seed, f"r={r} gens={len(gens)}", gens[0].a
 
 
 def run_rank_floor(trials: int, seed: int) -> Iterator[Verdict]:
     """Every nonzero diagonal block of a closed rank-dominant semigroup hits rank <= r-1."""
     for i, case_seed, r, gens in semigroup_family_cases(trials, seed):
-        report = semigroup_rank_floor_check(gens, r)
+        report = semigroup_rank_floor_check(gens)
         detail = "closure truncated" if report.truncated else f"r={r}"
-        yield report.all_ok, i, case_seed, detail, gens[0]
+        yield report.all_ok, i, case_seed, detail, gens[0].a
 
 
 def run_sum_zero(trials: int, seed: int) -> Iterator[Verdict]:

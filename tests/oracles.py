@@ -14,7 +14,9 @@ index again and again, against the two bitmask searches per component and
 the order kept from them.  The semigroup witness oracle takes that
 reference's first block of the enumerated closure's union pattern, against
 the report that reads it off the block triangularization of the generators'
-reach, computed without the members.  The generator oracles place
+reach, computed without the members; the rank floor's blocks, read off that
+reach too, are checked against the blocks of the union of every exact
+member's own pattern.  The generator oracles place
 ``Fraction`` entries one by one and compute the coupling B^(r-1) X with a
 triple loop, against builders that pad integer rows and take one exact
 product; the rank-one idempotent oracle draws ``Fraction`` factors and goes
@@ -24,10 +26,10 @@ U_i R_j / U.R on the integer grid.  The matrix reader's reference builds a
 against the reader that splits plain integers and ``p/q`` strings with
 ``int`` onto the integer grid.
 
-The pattern and predicate helpers at the end (boolean grids, row-major bit
-packing, nonzero counts, positivity, and the validity of a block
-triangularization) build or inspect test inputs; the package itself needs
-none of them.
+The pattern, permutation and predicate helpers at the end (boolean grids,
+row-major bit packing, nonzero counts, positivity, transpositions, composed
+and inverse permutations, and the validity of a block triangularization)
+build or inspect test inputs; the package itself needs none of them.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
 
-from rpotent.decomposition import BlockTriangularization, InvariantSubsetWitness
+from rpotent.decomposition import BlockTriangularization, InvariantSubsetWitness, block_triangularize
 from rpotent.generators import rank_one_idempotent
-from rpotent.matrix import PatternMatrix, RMatrix, coerce_entry
+from rpotent.matrix import PatternMatrix, Permutation, RMatrix, coerce_entry
 from rpotent.potency import Potent
 from rpotent.semigroup import PatternSemigroup
 
@@ -314,6 +316,24 @@ def union_digraph_witness(s: PatternSemigroup) -> InvariantSubsetWitness | None:
     return witness
 
 
+def member_union_rank_floor(members: list[RMatrix]) -> list[tuple[tuple[int, ...], int | None]]:
+    """Each block of the members' union pattern with its least nonzero-block rank (None for a zero block).
+
+    The blocks are those of the triangularization of the union of every
+    member's own ``pattern()``, as the rank floor read them before it took
+    them from the generators' reach.
+    """
+    union = PatternMatrix(members[0].n, (0,) * members[0].n)
+    for m in members:
+        union |= m.pattern()
+    floor = []
+    for comp in block_triangularize(union.to_matrix()).components:
+        compressions = [m.submatrix(comp) for m in members]
+        nonzero = any(not c.is_zero() for c in compressions)
+        floor.append((comp, min(c.rank() for c in compressions) if nonzero else None))
+    return floor
+
+
 def pattern_from_bools(grid) -> PatternMatrix:
     """The pattern whose entry (i, j) is set iff ``grid[i][j]`` is true."""
     n = len(grid)
@@ -338,6 +358,24 @@ def count_nonzero(p: PatternMatrix) -> int:
 
 def is_positive(a: RMatrix) -> bool:
     return all(map(all, a.num))
+
+
+def transposition(n: int, i: int, j: int) -> Permutation:
+    images = list(range(n))
+    images[i], images[j] = images[j], images[i]
+    return Permutation(tuple(images))
+
+
+def permutation_compose(p: Permutation, q: Permutation) -> Permutation:
+    """p . q, the permutation i -> p(q(i))."""
+    return Permutation(tuple(p(q(i)) for i in range(p.n)))
+
+
+def permutation_inverse(p: Permutation) -> Permutation:
+    inv = [0] * p.n
+    for i, img in enumerate(p.images):
+        inv[img] = i
+    return Permutation(tuple(inv))
 
 
 def triangularization_is_valid(t: BlockTriangularization) -> bool:

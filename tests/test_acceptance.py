@@ -194,7 +194,7 @@ def test_semigroup_closures_have_common_zero():
     count = 0
     for i, case_seed, r, gens in semigroup_family_cases(100, SEED + 5):
         count += 1
-        patterns = [g.pattern() for g in gens]
+        patterns = [g.a.pattern() for g in gens]
         assert not pattern_closure(patterns).truncated, f"seed={case_seed}"
         rep = equivalence_report(patterns)
         assert rep.witness is not None, f"seed={case_seed} r={r}"

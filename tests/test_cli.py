@@ -95,6 +95,13 @@ class TestAnalyze:
         bad.write_text(json.dumps({"n": 1, "entries": [[-1]]}))
         assert main(["analyze", str(bad)]) == 2
 
+    @pytest.mark.parametrize("entry", ["\u0663", "\uff11", "3.\u0665", "\u0661e\u0662"])
+    def test_entry_in_non_ascii_digits_exits_two(self, tmp_path, capsys, entry):
+        bad = tmp_path / "digits.json"
+        bad.write_text(json.dumps({"n": 1, "entries": [[entry]]}))
+        assert main(["analyze", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: cannot parse matrix entry {entry!r}\n"
+
     def test_boolean_entry_exits_two(self, tmp_path):
         bad = tmp_path / "bool.json"
         bad.write_text(json.dumps({"n": 2, "entries": [[True, False], [False, False]]}))
@@ -403,6 +410,17 @@ class TestSemigroupCommand:
         assert report["equivalences"]["decomposable"] is True
         assert report["equivalences"]["witness"]
         assert report["rank_floor"]["all_ok"] is True
+
+    @pytest.mark.parametrize("entries, r", [([[0, 1], [0, 0]], "3"), ([[2]], "10000000000")])
+    def test_generator_that_is_not_r_potent_exits_two(self, tmp_path, capsys, entries, r):
+        # decided from the block periods: [[2]] is potent for no r, and its
+        # 10^10-th power would have 10^10-bit entries
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": len(entries), "entries": entries}))
+        start = time.perf_counter()
+        assert main(["semigroup", str(path), "--r", r]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == f"error: every generator must be {r}-potent\n"
 
     def test_dimension_mismatch_exits_two(self, tmp_path):
         p1 = _write_cycle(tmp_path, 3)

@@ -229,14 +229,15 @@ class TestSemigroupFamilies:
             r = (2, 3, 4)[seed % 3]
             gens = rank_dominant_semigroup_generators(r, 1 + seed % 3, seed)
             for g in gens:
-                assert is_r_potent(g, r)
-                assert g.rank() > r - 1
+                assert g.r == r
+                assert is_r_potent(g.a, r)
+                assert g.rank == RMatrix.rank(g.a) > r - 1
 
     def test_products_of_generators_stay_in_hypothesis(self):
         rng = random.Random(5)
         for seed in range(10):
             r = (2, 3, 4)[seed % 3]
-            gens = rank_dominant_semigroup_generators(r, 2 + seed % 2, seed)
+            gens = [g.a for g in rank_dominant_semigroup_generators(r, 2 + seed % 2, seed)]
             word = gens[0]
             for _ in range(3):
                 word = word @ rng.choice(gens)
@@ -262,7 +263,9 @@ _EMITTED = {
     "rank_one_default": lambda seed: [random_rank_one_idempotent(1 + seed % 6, seed)],
     "r_potent": lambda seed: [_r_potent(seed).a],
     "singular_zero_diag": lambda seed: [_singular(seed).a],
-    "rank_dominant_semigroup": lambda seed: rank_dominant_semigroup_generators((2, 3, 4)[seed % 3], 1 + seed % 3, seed),
+    "rank_dominant_semigroup": lambda seed: [
+        g.a for g in rank_dominant_semigroup_generators((2, 3, 4)[seed % 3], 1 + seed % 3, seed)
+    ],
 }
 
 

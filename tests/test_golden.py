@@ -13,6 +13,13 @@ whose block order (1), (2), (0) differs from the order in which a depth-first
 component search finishes the components, (2), (0), (1), and an integer
 matrix on Wielandt's extremal 20 x 20 pattern, whose squared-index power is
 positive past the dimension where the report used to stop.
+
+``tests/golden/<name>.semigroup.json`` is the expected output of
+``rpotent semigroup <inputs> --r 4``, where the inputs are the bundled
+example ``<name>.json`` or the generators ``tests/golden/<name>.g*.json``:
+the block tower and the 3-cycle, one generator each, and a two-generator
+family of check 6.4 (``rank_dominant_semigroup_generators(4, 2, 11)``) with
+three blocks.
 """
 
 from importlib import resources
@@ -25,6 +32,7 @@ from rpotent.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 DATA = resources.files("rpotent").joinpath("data")
 EXPECTED = sorted(p.name.removesuffix(".analyze.json") for p in GOLDEN.glob("*.analyze.json"))
+SEMIGROUPS = sorted(p.name.removesuffix(".semigroup.json") for p in GOLDEN.glob("*.semigroup.json"))
 
 
 def test_every_bundled_example_and_nonpotent_input_is_covered():
@@ -41,3 +49,16 @@ def test_analyze_json_matches_golden_bytes(name, capsys):
     source = next((str(p) for p in local if p.exists()), str(DATA.joinpath(f"{name}.json")))
     assert main(["analyze", source, "--json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.analyze.json").read_text()
+
+
+def test_semigroup_goldens_are_present():
+    assert SEMIGROUPS == ["quadripotent_cycle3", "rank_dominant_r4_seed11", "uniform_block_tower_r4"]
+
+
+@pytest.mark.parametrize("name", SEMIGROUPS)
+def test_semigroup_json_matches_golden_bytes(name, capsys):
+    bundled = DATA.joinpath(f"{name}.json")
+    inputs = [str(bundled)] if bundled.is_file() else [str(p) for p in sorted(GOLDEN.glob(f"{name}.g*.json"))]
+    assert inputs
+    assert main(["semigroup", *inputs, "--r", "4"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.semigroup.json").read_text()

@@ -22,7 +22,7 @@ from rpotent.potency import (
     zero_diagonal_powers,
 )
 
-from oracles import naive_power
+from oracles import naive_power, transposition
 
 QUAD = RMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
@@ -58,7 +58,7 @@ class TestMinimalPotency:
         assert _decide(RMatrix.identity(3)).r == 2
 
     def test_row_swap_of_identity_four(self):
-        swap = Permutation.transposition(4, 0, 1).to_matrix()
+        swap = transposition(4, 0, 1).to_matrix()
         assert _decide(swap).r == 3
 
     def test_full_cycle_on_four(self):

@@ -15,9 +15,10 @@ from rpotent.generators import (
     rank_dominant_semigroup_generators,
     uniform_idempotent,
 )
-from rpotent.decomposition import BlockTriangularization, Digraph
+from rpotent.decomposition import BlockTriangularization, Digraph, block_triangularize
 from rpotent.matrix import PatternMatrix, Permutation, RMatrix
-from rpotent.potency import as_potent
+from rpotent.potency import as_potent, potency_report
+import rpotent.potency
 import rpotent.semigroup
 from rpotent.semigroup import (
     PatternSemigroup,
@@ -32,7 +33,7 @@ from rpotent.semigroup import (
 )
 from rpotent.verification import run_check
 
-from oracles import random_pattern_local, two_sided_closure, union_digraph_witness
+from oracles import member_union_rank_floor, random_pattern_local, two_sided_closure, union_digraph_witness
 
 
 def _patterns(n):
@@ -199,7 +200,7 @@ class TestGeneratorProductClosure:
     def test_union_pattern_agrees_between_pattern_and_exact_closures(self):
         for seed in range(6):
             r = (2, 3, 4)[seed % 3]
-            gens = rank_dominant_semigroup_generators(r, 2, seed)
+            gens = [g.a for g in rank_dominant_semigroup_generators(r, 2, seed)]
             exact = rational_closure(gens)
             boolean = pattern_closure([g.pattern() for g in gens])
             assert {m.pattern() for m in exact.members} == set(boolean.members)
@@ -419,7 +420,7 @@ class TestRationalClosure:
         rng = random.Random(11)
         for seed in range(10):
             r = (2, 3, 4)[seed % 3]
-            gens = rank_dominant_semigroup_generators(r, 2, seed)
+            gens = [g.a for g in rank_dominant_semigroup_generators(r, 2, seed)]
             pats = [g.pattern() for g in gens]
             for _ in range(10):
                 word = [rng.randrange(len(gens)) for _ in range(rng.randint(1, 4))]
@@ -441,40 +442,61 @@ class TestRationalClosure:
         assert set(s.members) == {RMatrix.from_rows([[2**k]]) for k in range(1, 6)}
 
 
+def _klein_pair():
+    """(12)(34) and (13)(24), 3-potent of rank 4, which generate Z2 x Z2."""
+    return [Permutation((1, 0, 3, 2)).to_matrix(), Permutation((2, 3, 0, 1)).to_matrix()]
+
+
 class TestRankFloor:
     def test_single_high_rank_generator(self):
         for seed in range(10):
             r = (2, 3, 4)[seed % 3]
-            a = random_r_potent(r, r + seed % 2, seed, max_dim=12).a
-            rep = semigroup_rank_floor_check([a], r)
+            rep = semigroup_rank_floor_check([random_r_potent(r, r + seed % 2, seed, max_dim=12)])
             assert rep.all_ok
 
     def test_family_generators(self):
         for seed in range(10):
             r = (2, 3, 4)[seed % 3]
-            gens = rank_dominant_semigroup_generators(r, 1 + seed % 3, seed)
-            rep = semigroup_rank_floor_check(gens, r)
+            rep = semigroup_rank_floor_check(rank_dominant_semigroup_generators(r, 1 + seed % 3, seed))
             assert rep.all_ok
             assert rep.decomposable
 
     def test_all_zero_generator_is_vacuous(self):
-        rep = semigroup_rank_floor_check([RMatrix.zeros(2)], 3)
+        rep = semigroup_rank_floor_check([as_potent(RMatrix.zeros(2), 3)])
         assert rep.all_ok
         assert all(not b.is_nonzero for b in rep.blocks)
 
-    def test_rejects_non_potent_generators(self):
-        with pytest.raises(ValueError):
-            semigroup_rank_floor_check([RMatrix.from_rows([[0, 1], [0, 0]])], 3)
-        # potent for no r, and its 10^10-th power would have 10^10-bit entries
-        with pytest.raises(ValueError, match="every generator must be 10000000000-potent"):
-            semigroup_rank_floor_check([RMatrix.from_rows([[2]])], 10**10)
+    def test_generators_checked_at_different_exponents_are_refused(self):
+        c3 = cycle_matrix(3)
+        with pytest.raises(ValueError, match=r"one exponent, got \[4, 7\]"):
+            semigroup_rank_floor_check([as_potent(c3, 4), as_potent(c3, 7)])
+        with pytest.raises(ValueError, match=r"one exponent, got \[\]"):
+            semigroup_rank_floor_check([])
+
+    def test_cap_is_keyword_only(self):
+        # an old call f(gens, r) must not read r as the cap
+        with pytest.raises(TypeError):
+            semigroup_rank_floor_check([as_potent(cycle_matrix(3), 4)], 4)
+
+    def test_decides_no_generator_potency(self, monkeypatch):
+        gens = rank_dominant_semigroup_generators(3, 2, 4)
+        expected = semigroup_rank_floor_check(gens)
+
+        def refuse(*args):
+            raise AssertionError("the rank floor decided a generator's potency")
+
+        monkeypatch.setattr(rpotent.potency, "minimal_potency", refuse)
+        monkeypatch.setattr(rpotent.potency, "as_potent", refuse)
+        assert semigroup_rank_floor_check(gens) == expected
+        assert expected.all_ok and expected.decomposable
 
     def test_generator_potent_at_a_large_multiple_of_its_period(self):
         # 3 divides 10^10 - 1, so the 3-cycle is 10^10-potent
-        assert semigroup_rank_floor_check([cycle_matrix(3)], 10**10).all_ok
+        p = potency_report(block_triangularize(cycle_matrix(3)), 10**10).potent
+        assert semigroup_rank_floor_check([p]).all_ok
 
     def test_truncation_is_reported_as_data(self):
-        rep = semigroup_rank_floor_check([cycle_matrix(3)], 4, cap=2)
+        rep = semigroup_rank_floor_check([as_potent(cycle_matrix(3), 4)], cap=2)
         assert rep.truncated and not rep.all_ok
         assert rep.to_dict() == {
             "closure_size": 2, "truncated": True, "decomposable": None, "blocks": [], "all_ok": False,
@@ -486,16 +508,36 @@ class TestRankFloor:
         # all ones.  So a semigroup of r-potents of rank > r - 1 need not be
         # decomposable (the reading behind check 6.3), and a block of its
         # triangularization need not hold a member of rank <= r - 1 (check 6.4).
-        gens = [Permutation((1, 0, 3, 2)).to_matrix(), Permutation((2, 3, 0, 1)).to_matrix()]
+        gens = _klein_pair()
         closure = rational_closure(gens, 100)
         assert len(closure) == 4 and not closure.truncated
         assert all(as_potent(m, 3).rank == 4 for m in closure.members)
         assert closure.union_pattern().is_full()
         assert equivalence_report([g.pattern() for g in gens]).witness is None
-        rep = semigroup_rank_floor_check(gens, 3)
+        rep = semigroup_rank_floor_check([as_potent(g, 3) for g in gens])
         assert not rep.all_ok
         assert not rep.decomposable
         assert [(b.min_rank, b.floor_ok) for b in rep.blocks] == [(4, False)]
+
+
+class TestRankFloorBlocksFromTheReach:
+    """The floor's blocks, read off G+, against those of the union of every member's pattern."""
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_check_6_4_families(self, seed):
+        gens = rank_dominant_semigroup_generators((2, 3, 4)[seed % 3], 1 + seed % 3, seed)
+        self._assert_matches_member_union(gens)
+
+    def test_klein_pair(self):
+        self._assert_matches_member_union([as_potent(g, 3) for g in _klein_pair()])
+
+    @staticmethod
+    def _assert_matches_member_union(gens):
+        rep = semigroup_rank_floor_check(gens)
+        assert not rep.truncated
+        members = list(rational_closure([p.a for p in gens]).members)
+        assert [(b.indices, b.min_rank) for b in rep.blocks] == member_union_rank_floor(members)
+        assert rep.decomposable == equivalence_report([p.a.pattern() for p in gens]).decomposable
 
 
 class TestSymmetricGroup:

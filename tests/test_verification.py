@@ -72,3 +72,37 @@ def test_rank_trace_check_ranks_each_matrix_once(monkeypatch):
     result = run_check("2.6", trials=20)
     assert result.ok and result.total == 20
     assert len(calls) == 20
+
+
+def test_rank_floor_check_decides_each_generator_once(monkeypatch):
+    # the emission check proves each generator r-potent and hands the Potent
+    # on; the rank floor takes it and decides no generator's potency again
+    import rpotent.generators
+    import rpotent.potency
+    import rpotent.verification
+
+    emitted, decisions = [], []
+
+    def record(name, module):
+        original = getattr(module, name)
+
+        def wrapped(*args):
+            decisions.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    record("as_potent", rpotent.generators)
+    record("minimal_potency", rpotent.potency)
+    families = rpotent.verification.rank_dominant_semigroup_generators
+
+    def counted_families(*args):
+        gens = families(*args)
+        emitted.extend(gens)
+        return gens
+
+    monkeypatch.setattr(rpotent.verification, "rank_dominant_semigroup_generators", counted_families)
+    result = run_check("6.4")
+    assert result.ok and result.total == 50
+    assert len(emitted) >= 50
+    assert decisions == ["as_potent"] * len(emitted)
