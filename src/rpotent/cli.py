@@ -2,9 +2,12 @@
 
 Exit codes are uniform across commands: 0 success / all properties hold,
 1 a checked property failed, the rank floor was withheld (its exact closure
-hit the member cap) or stdout was closed before the output was written, 2
-input could not be parsed or validated.  A truncated pattern closure
-withholds nothing: the semigroup's verdict comes from its generators.
+hit the member cap, or holds a member that is not r-potent) or stdout was
+closed before the output was written, 2 input (a file or an option) could
+not be parsed or validated.  A truncated pattern closure withholds
+nothing: the semigroup's verdict comes from its generators.  ``semigroup
+--r`` decides the generators before it builds any closure, so a generator
+that is not r-potent exits 2 at once.
 """
 
 from __future__ import annotations
@@ -141,9 +144,24 @@ def cmd_analyze(args) -> int:
     return 0 if bundle["ok"] else 1
 
 
+def _ascii_int(text: str) -> int:
+    """The argparse ``type`` of every integer option: ``int(text)``, refused unless ``text`` is ASCII.
+
+    ``int`` also reads "٣" (Arabic-Indic three) as 3; an option is written in
+    ASCII digits, as a matrix entry is (``coerce_entry``).  Other text gets
+    argparse's message for ``type=int``.
+    """
+    if not text.isascii():
+        raise argparse.ArgumentTypeError(f"integers are written in ASCII digits, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _int_list(text: str) -> list[int]:
     """``1,2,3`` as [1, 2, 3]."""
-    return [int(s) for s in text.split(",")]
+    return [_ascii_int(s) for s in text.split(",")]
 
 
 def _generator_spec_from_args(args) -> GeneratorSpec:
@@ -201,6 +219,12 @@ def cmd_semigroup(args) -> int:
     dims = {m.n for m in matrices}
     if len(dims) > 1:
         raise ValueError(f"generators must share a dimension, got {sorted(dims)}")
+    if args.r is not None:
+        # decided once, from the block periods, before any closure is built:
+        # a large --r takes no r-th power, and a refused set makes no product
+        potents = [potency_report(block_triangularize(m), args.r).potent for m in matrices]
+        if None in potents:
+            raise ValueError(f"every generator must be {args.r}-potent")
     patterns = [m.pattern() for m in matrices]
     closure = pattern_closure(patterns, cap=args.cap)
     eq = equivalence_report(patterns)
@@ -212,10 +236,6 @@ def cmd_semigroup(args) -> int:
     }
     exit_code = 0 if eq.consistent else 1
     if args.r is not None:
-        # decided once, from the block periods: a large --r takes no r-th power
-        potents = [potency_report(block_triangularize(m), args.r).potent for m in matrices]
-        if None in potents:
-            raise ValueError(f"every generator must be {args.r}-potent")
         floor = semigroup_rank_floor_check(potents, cap=args.cap)
         report["rank_floor"] = floor.to_dict()
         if not floor.all_ok:
@@ -235,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="full report for one matrix file (JSON or CSV)")
     p_an.add_argument("file")
-    p_an.add_argument("--r", type=int, default=None, help="potency exponent (default: inferred)")
+    p_an.add_argument("--r", type=_ascii_int, default=None, help="potency exponent (default: inferred)")
     p_an.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_gen = sub.add_parser("generate", help="emit a seeded matrix as JSON with provenance")
@@ -244,26 +264,26 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=[*GENERATOR_KINDS, "kron"],
     )
-    p_gen.add_argument("--length", "--len", type=int, default=None, help="cycle length")
-    p_gen.add_argument("--dim", type=int, default=None, help="idempotent dimension")
+    p_gen.add_argument("--length", "--len", type=_ascii_int, default=None, help="cycle length")
+    p_gen.add_argument("--dim", type=_ascii_int, default=None, help="idempotent dimension")
     p_gen.add_argument("--padded", action="store_true", help="zero-pad the idempotent factors")
     p_gen.add_argument("--sizes", type=_int_list, default=None, help="comma-separated block sizes")
-    p_gen.add_argument("--r", type=int, default=None, help="potency exponent")
-    p_gen.add_argument("--rank", type=int, default=None, help="target rank")
-    p_gen.add_argument("--n", type=int, default=None, help="permutation size")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--r", type=_ascii_int, default=None, help="potency exponent")
+    p_gen.add_argument("--rank", type=_ascii_int, default=None, help="target rank")
+    p_gen.add_argument("--n", type=_ascii_int, default=None, help="permutation size")
+    p_gen.add_argument("--seed", type=_ascii_int, default=0)
     p_gen.add_argument("-o", "--output", type=str, default=None)
 
     p_ver = sub.add_parser("verify", help="run one named property suite")
     p_ver.add_argument("--theorem", required=True, help="check id, e.g. 3.2 (see README)")
-    p_ver.add_argument("--trials", type=int, default=None)
-    p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--n", type=int, default=None, help="dimension for enumeration checks")
+    p_ver.add_argument("--trials", type=_ascii_int, default=None)
+    p_ver.add_argument("--seed", type=_ascii_int, default=None)
+    p_ver.add_argument("--n", type=_ascii_int, default=None, help="dimension for enumeration checks")
 
     p_sg = sub.add_parser("semigroup", help="close generators and report decomposability")
     p_sg.add_argument("files", nargs="+")
-    p_sg.add_argument("--r", type=int, default=None, help="potency exponent for the rank floor")
-    p_sg.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP, help="closure member cap")
+    p_sg.add_argument("--r", type=_ascii_int, default=None, help="potency exponent for the rank floor")
+    p_sg.add_argument("--cap", type=_ascii_int, default=DEFAULT_CLOSURE_CAP, help="closure member cap")
     return parser
 
 

@@ -17,12 +17,16 @@ component of its block triangularization) and its first zero entry in
 row-major order, so the equivalence is tested rather than assumed.  The sum
 of all members has a zero exactly where their union does.
 
-Only the rank floor needs the members, for their ranks; its blocks are
-those of G+, and its generators come checked (``Potent``).  Pattern and
-exact closures share one routine, which multiplies each member on the right
-by each generator only (every member is a word in them): |S|·|G| products
-for |S| members.  A closure stops at a member cap with a truncation flag,
-and a truncated exact closure withholds the rank floor as data.
+Only the rank floor needs the members: it decides each one's r-potency as
+the member is admitted, and reads its block ranks off that decision's
+projection; its blocks are those of G+, and its generators come checked
+(``Potent``).  Pattern and exact closures share one routine, which yields
+the members one at a time and multiplies each member on the right by each
+generator only (every member is a word in them): |S|·|G| products for |S|
+members.  A closure stops at a member cap with a truncation flag.  The rank
+floor stops at its first member that is not r-potent, and reports it;
+once every member is r-potent the semigroup is finite (McNaughton &
+Zalcstein, 1975), and the cap only bounds the work.
 """
 
 from __future__ import annotations
@@ -31,13 +35,13 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from math import lcm
 
 from .decomposition import InvariantSubsetWitness, block_triangularize
 from .matrix import PatternMatrix, Permutation, RMatrix
-from .potency import DecompositionPrediction, Potent, is_r_potent, main_decomposability_test
+from .potency import DecompositionPrediction, Potent, main_decomposability_test, potency_report
 
 DEFAULT_CLOSURE_CAP = 10_000
 
@@ -83,29 +87,27 @@ def _union_pattern(n: int, patterns: Iterable[PatternMatrix]) -> PatternMatrix:
     return PatternMatrix(n, tuple(rows))
 
 
-def _close(generators: list, product: Callable, cap: int) -> tuple[list, bool]:
-    """Members of the semigroup the generators generate, and whether it exceeds ``cap``.
+def _close(generators: list, product: Callable) -> Iterator:
+    """The members of the semigroup the generators generate, one at a time, with no cap.
 
     Every member is a word g1 g2 ... gk in the generators, so one pass over
     the member list that admits x * g for each member x and generator g
-    reaches all of them (Froidure & Pin, 1997) in |S|·|G| products.  When
-    the semigroup has more than ``cap`` members, exactly ``cap`` of them are
-    returned with the flag set.
+    reaches all of them (Froidure & Pin, 1997) in |S|·|G| products.  The
+    distinct generators come first, then each product as it is admitted, so
+    a caller that stops after cap + 1 members has made exactly the products
+    that decide whether the semigroup has more than ``cap``.
     """
     gens = list(dict.fromkeys(generators))
-    if len(gens) > cap:
-        return gens[:cap], True
+    yield from gens
     members = list(gens)
     seen = set(gens)
     for x in members:  # also visits the members appended on the way
         for g in gens:
             p = product(x, g)
             if p not in seen:
-                if len(members) == cap:
-                    return members, True
                 seen.add(p)
                 members.append(p)
-    return members, False
+                yield p
 
 
 def _check_generators(generators: list, cap: int) -> int:
@@ -128,12 +130,12 @@ def pattern_closure(
     generators; deduplicated and cap-bounded (see ``_close``).
     """
     n = _check_generators(generators, cap)
-    members, truncated = _close(generators, operator.mul, cap)
+    members = tuple(itertools.islice(_close(generators, operator.mul), cap + 1))
     return PatternSemigroup(
         n=n,
-        members=tuple(members),
+        members=members[:cap],
         generator_count=len(set(generators)),
-        truncated=truncated,
+        truncated=len(members) > cap,
     )
 
 
@@ -142,8 +144,8 @@ def rational_closure(
 ) -> RationalSemigroup:
     """Exact-arithmetic closure under matrix product, built like ``pattern_closure``."""
     _check_generators(generators, cap)
-    members, truncated = _close(generators, operator.matmul, cap)
-    return RationalSemigroup(members=tuple(members), truncated=truncated)
+    members = tuple(itertools.islice(_close(generators, operator.matmul), cap + 1))
+    return RationalSemigroup(members=members[:cap], truncated=len(members) > cap)
 
 
 def generator_reach(generators: list[PatternMatrix]) -> PatternMatrix:
@@ -258,7 +260,6 @@ class BlockFloorRecord:
     indices: tuple[int, ...]
     is_nonzero: bool
     min_rank: int | None
-    all_compressions_r_potent: bool
     floor_ok: bool
 
     def to_dict(self) -> dict:
@@ -266,7 +267,6 @@ class BlockFloorRecord:
             "indices": list(self.indices),
             "is_nonzero": self.is_nonzero,
             "min_rank": self.min_rank,
-            "all_compressions_r_potent": self.all_compressions_r_potent,
             "floor_ok": self.floor_ok,
         }
 
@@ -275,25 +275,31 @@ class BlockFloorRecord:
 class RankFloorReport:
     """The rank floor of each diagonal block of the jointly triangularized closure.
 
-    It needs the exact members, so a ``truncated`` closure withholds it: no
-    blocks, ``decomposable`` None and ``all_ok`` false.
+    It needs every exact member, each r-potent, so it is withheld (no
+    blocks and ``decomposable`` None, the defaults, and ``all_ok`` false)
+    when the closure is ``truncated`` at the cap, or when a member is not
+    r-potent: then ``non_potent_member`` is the first such member and
+    ``closure_size`` counts the members admitted before it.
     """
 
     closure_size: int
     truncated: bool
-    decomposable: bool | None
-    blocks: tuple[BlockFloorRecord, ...]
+    decomposable: bool | None = None
+    blocks: tuple[BlockFloorRecord, ...] = ()
+    non_potent_member: RMatrix | None = None
 
     @property
     def all_ok(self) -> bool:
-        return not self.truncated and all(b.floor_ok and b.all_compressions_r_potent for b in self.blocks)
+        return not self.truncated and self.non_potent_member is None and all(b.floor_ok for b in self.blocks)
 
     def to_dict(self) -> dict:
+        member = self.non_potent_member
         return {
             "closure_size": self.closure_size,
             "truncated": self.truncated,
             "decomposable": self.decomposable,
             "blocks": [b.to_dict() for b in self.blocks],
+            "non_potent_member": None if member is None else member.to_json_dict(),
             "all_ok": self.all_ok,
         }
 
@@ -305,38 +311,51 @@ def semigroup_rank_floor_check(generators: list[Potent], *, cap: int = DEFAULT_C
     closed set of r-potent compressions and must contain an element of rank
     at most r-1.  The blocks are those of G+ (module docstring), so
     ``decomposable`` is the verdict of ``equivalence_report`` whenever the
-    floor is given.  A closure that hits the cap withholds the floor: the
-    report is ``truncated`` and holds no blocks.
+    floor is given.
+
+    The statement assumes every member r-potent, so each member is decided
+    once as it is admitted: the generators by the ``Potent`` they come with,
+    every other member as ``cmd_semigroup`` decides generators, from its
+    block periods.  The first member that fails ends the closure and is
+    reported.  Once every member is r-potent, every element is periodic, and
+    a finitely generated semigroup of matrices whose elements are all
+    periodic is finite (McNaughton & Zalcstein, J. Algebra 34, 1975); so the
+    cap only bounds the work, and a closure past it withholds the floor.
+
+    A block's rank in a member M is trace(P[C, C]) for the projection
+    P = M^(r-1), with no rank computed.  M's pattern lies in G+, so M is
+    block triangular in the order of G+'s blocks, and compressing to a
+    diagonal block C is multiplicative: (MN)[C, C] = M[C, C] N[C, C].  So
+    B = M[C, C] has B^r = M^r[C, C] = B, and P[C, C] = B^(r-1) is an
+    idempotent with B = P[C, C] B and P[C, C] = B^(r-2) B (P[C, C] = B at
+    r = 2): rank B = rank P[C, C] = trace P[C, C], an integer, as asserted.
     """
     exponents = {p.r for p in generators}
     if len(exponents) != 1:
         raise ValueError(f"need generators checked at one exponent, got {sorted(exponents)}")
     (r,) = exponents
-    matrices = [p.a for p in generators]
-    closure = rational_closure(matrices, cap)
-    if closure.truncated:
-        return RankFloorReport(closure_size=len(closure), truncated=True, decomposable=None, blocks=())
+    decided = list({p.a: p for p in generators}.values())  # _close yields them first, in this order
+    matrices = [p.a for p in decided]
+    _check_generators(matrices, cap)
     t = block_triangularize(generator_reach([m.pattern() for m in matrices]).to_matrix())
-    records = []
-    for comp in t.components:
-        compressions = {m.submatrix(comp) for m in closure.members}
-        nonzero = any(not c.is_zero() for c in compressions)
-        min_rank = min(c.rank() for c in compressions) if nonzero else None
-        records.append(
-            BlockFloorRecord(
-                indices=comp,
-                is_nonzero=nonzero,
-                min_rank=min_rank,
-                all_compressions_r_potent=not nonzero or all(is_r_potent(c, r) for c in compressions),
-                floor_ok=not nonzero or min_rank <= r - 1,
-            )
-        )
-    return RankFloorReport(
-        closure_size=len(closure),
-        truncated=False,
-        decomposable=len(t.components) > 1,
-        blocks=tuple(records),
+    ranks = [set() for _ in t.components]
+    for admitted, m in enumerate(_close(matrices, operator.matmul)):
+        if admitted == cap:
+            return RankFloorReport(closure_size=cap, truncated=True)
+        p = decided[admitted] if admitted < len(decided) else potency_report(block_triangularize(m), r).potent
+        if p is None:
+            return RankFloorReport(closure_size=admitted, truncated=False, non_potent_member=m)
+        den, num = p.projection.den, p.projection.num
+        for comp, block_ranks in zip(t.components, ranks):
+            rank, rest = divmod(sum(num[i][i] for i in comp), den)
+            assert not rest, "trace of a block projection is not an integer"
+            block_ranks.add(rank)
+    lows = [min(block_ranks) if max(block_ranks) else None for block_ranks in ranks]
+    blocks = tuple(
+        BlockFloorRecord(comp, low is not None, low, low is None or low <= r - 1)
+        for comp, low in zip(t.components, lows)
     )
+    return RankFloorReport(admitted + 1, truncated=False, decomposable=len(t.components) > 1, blocks=blocks)
 
 
 @dataclass(frozen=True)

@@ -337,6 +337,8 @@ def run_rank_floor(trials: int, seed: int) -> Iterator[Verdict]:
     for i, case_seed, r, gens in semigroup_family_cases(trials, seed):
         report = semigroup_rank_floor_check(gens)
         detail = "closure truncated" if report.truncated else f"r={r}"
+        if report.non_potent_member is not None:
+            detail += f": a member is not {r}-potent"
         yield report.all_ok, i, case_seed, detail, gens[0].a
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from rpotent.cli import main
 from rpotent.generators import block_diagonal, cycle_matrix, uniform_idempotent
-from rpotent.matrix import matrix_from_json, matrix_to_json
+from rpotent.matrix import PatternMatrix, matrix_from_json, matrix_to_json
 from rpotent.verification import CHECKS
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -377,7 +377,8 @@ class TestSemigroupCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["equivalences"]["decomposable"] is False
         assert report["rank_floor"] == {
-            "closure_size": 1, "truncated": True, "decomposable": None, "blocks": [], "all_ok": False,
+            "closure_size": 1, "truncated": True, "decomposable": None, "blocks": [],
+            "non_potent_member": None, "all_ok": False,
         }
 
     def test_symmetric_group_eight_past_the_cap(self, capsys):
@@ -421,6 +422,54 @@ class TestSemigroupCommand:
         assert main(["semigroup", str(path), "--r", r]) == 2
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err == f"error: every generator must be {r}-potent\n"
+
+    def test_generators_are_decided_before_the_pattern_closure(self, capsys, monkeypatch):
+        # (12) and an 8-cycle are not 3-potent; S8 would fill the member cap
+        gens = [os.path.join(GOLDEN, f"{name}.json") for name in ("transposition_8", "cycle_8")]
+        products = 0
+        product = PatternMatrix.__mul__
+
+        def counted(x, y):
+            nonlocal products
+            products += 1
+            return product(x, y)
+
+        monkeypatch.setattr(PatternMatrix, "__mul__", counted)
+        assert main(["semigroup", *gens, "--r", "3"]) == 2
+        assert capsys.readouterr().err == "error: every generator must be 3-potent\n"
+        assert products == 0
+
+    @pytest.mark.parametrize(
+        "gens, r, admitted",
+        [
+            ([[[1, 1], [0, 0]], [[0, 0], [0, 1]]], 2, 2),
+            (["decomposable_rank_one", "indecomposable_rank_one"], 4, 2),
+            ([[[1, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 1], [1, 0, 1], [1, 0, 0]]], 3, 5),
+        ],
+    )
+    def test_member_that_is_not_r_potent_exits_one(self, tmp_path, capsys, gens, r, admitted):
+        # the first member that is not r-potent ends the closure; the members
+        # admitted before it are counted, and no cap is reached
+        paths = []
+        for i, g in enumerate(gens):
+            if isinstance(g, str):
+                paths.append(str(resources.files("rpotent") / "data" / f"{g}.json"))
+            else:
+                paths.append(str(tmp_path / f"g{i}.json"))
+                (tmp_path / f"g{i}.json").write_text(json.dumps({"n": len(g), "entries": g}))
+        start = time.perf_counter()
+        assert main(["semigroup", *paths, "--r", str(r)]) == 1
+        assert time.perf_counter() - start < 1
+        floor = json.loads(capsys.readouterr().out)["rank_floor"]
+        member = floor.pop("non_potent_member")
+        assert floor == {
+            "closure_size": admitted, "truncated": False, "decomposable": None, "blocks": [], "all_ok": False,
+        }
+        # the member is a matrix file that analyze re-checks
+        path = tmp_path / "member.json"
+        path.write_text(json.dumps(member))
+        assert main(["analyze", str(path), "--r", str(r), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["potency"]["is_r_potent"] is False
 
     def test_dimension_mismatch_exits_two(self, tmp_path):
         p1 = _write_cycle(tmp_path, 3)
@@ -559,6 +608,36 @@ class TestParseBoundary:
             err = capsys.readouterr().err
             assert err.startswith("error: matrix entry '1e")
             assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--kind", "cycle", "--length", "٣"],
+            ["semigroup", "src/rpotent/data/quadripotent_cycle3.json", "--r", "٤"],
+            ["analyze", "src/rpotent/data/quadripotent_cycle3.json", "--r", "٤"],
+            ["generate", "--kind", "rank_one_idempotent", "--dim", "３"],
+            ["generate", "--kind", "block_diagonal", "--sizes", "1,٢"],
+            ["generate", "--kind", "kronecker", "--r", "٣", "--rank", "2"],
+            ["generate", "--kind", "kronecker", "--r", "3", "--rank", "٢"],
+            ["generate", "--kind", "permutation", "--n", "٣"],
+            ["generate", "--kind", "cycle", "--length", "3", "--seed", "٣"],
+            ["verify", "--theorem", "7.2", "--n", "٣"],
+            ["verify", "--theorem", "3.2", "--trials", "٣"],
+            ["verify", "--theorem", "3.2", "--seed", "٣"],
+            ["semigroup", "src/rpotent/data/quadripotent_cycle3.json", "--cap", "٣"],
+        ],
+    )
+    def test_integer_options_are_read_in_ascii_digits(self, capsys, argv):
+        # int reads "٣" (Arabic-Indic three) and "３" (fullwidth three) as 3;
+        # the options, like the matrix entries, take ASCII digits only
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        argv = [os.path.join(root, a) if a.startswith("src/") else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "integers are written in ASCII digits" in captured.err
 
 
 # Input text for the contract test below: arbitrary text, JSON documents of

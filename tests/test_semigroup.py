@@ -1,8 +1,11 @@
 """Pattern closures, zero-entry equivalences, rank floors, permutation groups."""
 
+import functools
+import itertools
 import operator
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from rpotent.generators import (
     uniform_idempotent,
 )
 from rpotent.decomposition import BlockTriangularization, Digraph, block_triangularize
-from rpotent.matrix import PatternMatrix, Permutation, RMatrix
+from rpotent.matrix import PatternMatrix, Permutation, RMatrix, load_matrix
 from rpotent.potency import as_potent, potency_report
 import rpotent.potency
 import rpotent.semigroup
@@ -33,7 +36,14 @@ from rpotent.semigroup import (
 )
 from rpotent.verification import run_check
 
-from oracles import member_union_rank_floor, random_pattern_local, two_sided_closure, union_digraph_witness
+from oracles import (
+    member_union_rank_floor,
+    naive_multiply,
+    naive_power,
+    random_pattern_local,
+    two_sided_closure,
+    union_digraph_witness,
+)
 
 
 def _patterns(n):
@@ -479,16 +489,24 @@ class TestRankFloor:
             semigroup_rank_floor_check([as_potent(cycle_matrix(3), 4)], 4)
 
     def test_decides_no_generator_potency(self, monkeypatch):
+        # the generators' Potents are reused; every other member is decided
+        # once, as it is admitted, and no potency is decided any other way
         gens = rank_dominant_semigroup_generators(3, 2, 4)
-        expected = semigroup_rank_floor_check(gens)
+        decided = []
+        minimal_potency = rpotent.potency.minimal_potency
 
-        def refuse(*args):
-            raise AssertionError("the rank floor decided a generator's potency")
+        def recorded(t):
+            decided.append(t.source)
+            return minimal_potency(t)
 
-        monkeypatch.setattr(rpotent.potency, "minimal_potency", refuse)
-        monkeypatch.setattr(rpotent.potency, "as_potent", refuse)
-        assert semigroup_rank_floor_check(gens) == expected
-        assert expected.all_ok and expected.decomposable
+        monkeypatch.setattr(rpotent.potency, "minimal_potency", recorded)
+        rep = semigroup_rank_floor_check(gens)
+        matrices = list(dict.fromkeys(p.a for p in gens))
+        members = rational_closure(matrices).members
+        assert len(members) > len(matrices)
+        assert decided == list(members[len(matrices):])
+        assert not set(decided) & set(matrices)
+        assert rep.all_ok and rep.decomposable and rep.closure_size == len(members)
 
     def test_generator_potent_at_a_large_multiple_of_its_period(self):
         # 3 divides 10^10 - 1, so the 3-cycle is 10^10-potent
@@ -499,7 +517,8 @@ class TestRankFloor:
         rep = semigroup_rank_floor_check([as_potent(cycle_matrix(3), 4)], cap=2)
         assert rep.truncated and not rep.all_ok
         assert rep.to_dict() == {
-            "closure_size": 2, "truncated": True, "decomposable": None, "blocks": [], "all_ok": False,
+            "closure_size": 2, "truncated": True, "decomposable": None, "blocks": [],
+            "non_potent_member": None, "all_ok": False,
         }
 
     def test_klein_four_group_refutes_both_readings(self):
@@ -520,8 +539,76 @@ class TestRankFloor:
         assert [(b.min_rank, b.floor_ok) for b in rep.blocks] == [(4, False)]
 
 
+def _bundled(name):
+    return load_matrix(str(resources.files("rpotent") / "data" / f"{name}.json"))
+
+
+def _word_length(gens, member, r, longest):
+    """Re-check a reported member with the ``Fraction`` oracle: not r-potent, a product of the generators.
+
+    Returns the length of the shortest word in ``gens`` whose product is ``member``.
+    """
+    assert naive_power(member, r) != member
+    for length in range(1, longest + 1):
+        for word in itertools.product(gens, repeat=length):
+            if functools.reduce(naive_multiply, word) == member:
+                return length
+    raise AssertionError("the reported member is no product of the generators")
+
+
+class TestRankFloorDecidesEveryMember:
+    """A member that is not r-potent ends the closure and is reported; the floor is withheld."""
+
+    @staticmethod
+    def _refuted(gens, r):
+        rep = semigroup_rank_floor_check([as_potent(g, r) for g in gens])
+        assert not rep.truncated and not rep.all_ok
+        assert rep.blocks == () and rep.decomposable is None
+        assert rep.non_potent_member is not None
+        assert rep.to_dict()["non_potent_member"] == rep.non_potent_member.to_json_dict()
+        return rep
+
+    def test_idempotent_pair_with_a_nilpotent_product(self):
+        # every compression to a block of G+ is 0 or 1, so a test of the
+        # blocks alone passes; the product itself is nilpotent
+        a, b = RMatrix.from_rows([[1, 1], [0, 0]]), RMatrix.from_rows([[0, 0], [0, 1]])
+        rep = self._refuted([a, b], 2)
+        assert rep.non_potent_member == RMatrix.from_rows([[0, 1], [0, 0]])
+        assert rep.closure_size == 2
+        assert _word_length([a, b], rep.non_potent_member, 2, 2) == 2
+
+    def test_infinite_semigroup_is_decided_in_a_few_products(self, monkeypatch):
+        # two idempotents whose products carry powers of 1/2: the closure is
+        # infinite, and its first product that is not 4-potent settles it
+        gens = [_bundled("decomposable_rank_one"), _bundled("indecomposable_rank_one")]
+        potents = [as_potent(g, 4) for g in gens]
+        products = 0
+        matmul = RMatrix.__matmul__
+
+        def counted(x, y):
+            nonlocal products
+            products += 1
+            return matmul(x, y)
+
+        monkeypatch.setattr(RMatrix, "__matmul__", counted)
+        rep = semigroup_rank_floor_check(potents)
+        assert products <= 10
+        monkeypatch.undo()
+        assert not rep.truncated and rep.non_potent_member is not None
+        assert _word_length(gens, rep.non_potent_member, 4, 2) == 2
+
+    def test_first_failure_is_a_product_of_three(self):
+        a = RMatrix.from_rows([[1, 1, 0], [0, 0, 0], [0, 0, 0]])
+        b = RMatrix.from_rows([[0, 0, 1], [1, 0, 1], [1, 0, 0]])
+        for word in itertools.product([a, b], repeat=2):
+            product = naive_multiply(*word)
+            assert naive_power(product, 3) == product
+        rep = self._refuted([a, b], 3)
+        assert _word_length([a, b], rep.non_potent_member, 3, 3) == 3
+
+
 class TestRankFloorBlocksFromTheReach:
-    """The floor's blocks, read off G+, against those of the union of every member's pattern."""
+    """The floor's blocks, read off G+, and their trace ranks, against the union of every member's pattern and Bareiss ranks."""
 
     @pytest.mark.parametrize("seed", range(50))
     def test_check_6_4_families(self, seed):

@@ -3,6 +3,7 @@
 import pytest
 
 from rpotent.matrix import RMatrix
+from rpotent.semigroup import rational_closure
 from rpotent.verification import CHECKS, CheckResult, run_check
 
 REDUCED_TRIALS = {
@@ -76,33 +77,39 @@ def test_rank_trace_check_ranks_each_matrix_once(monkeypatch):
 
 def test_rank_floor_check_decides_each_generator_once(monkeypatch):
     # the emission check proves each generator r-potent and hands the Potent
-    # on; the rank floor takes it and decides no generator's potency again
+    # on; the rank floor reuses it, and decides every other member of each
+    # closure once, from its block periods
     import rpotent.generators
     import rpotent.potency
     import rpotent.verification
 
-    emitted, decisions = [], []
+    families, checked, decided = [], [], []
+    as_potent = rpotent.generators.as_potent
+    minimal_potency = rpotent.potency.minimal_potency
+    build = rpotent.verification.rank_dominant_semigroup_generators
 
-    def record(name, module):
-        original = getattr(module, name)
+    def checked_as_potent(a, r):
+        checked.append(a)
+        return as_potent(a, r)
 
-        def wrapped(*args):
-            decisions.append(name)
-            return original(*args)
+    def decided_minimal_potency(t):
+        decided.append(t.source)
+        return minimal_potency(t)
 
-        monkeypatch.setattr(module, name, wrapped)
-
-    record("as_potent", rpotent.generators)
-    record("minimal_potency", rpotent.potency)
-    families = rpotent.verification.rank_dominant_semigroup_generators
-
-    def counted_families(*args):
-        gens = families(*args)
-        emitted.extend(gens)
+    def built(*args):
+        gens = build(*args)
+        families.append(gens)
         return gens
 
-    monkeypatch.setattr(rpotent.verification, "rank_dominant_semigroup_generators", counted_families)
+    monkeypatch.setattr(rpotent.generators, "as_potent", checked_as_potent)
+    monkeypatch.setattr(rpotent.potency, "minimal_potency", decided_minimal_potency)
+    monkeypatch.setattr(rpotent.verification, "rank_dominant_semigroup_generators", built)
     result = run_check("6.4")
     assert result.ok and result.total == 50
-    assert len(emitted) >= 50
-    assert decisions == ["as_potent"] * len(emitted)
+    assert len(families) >= 50
+    assert checked == [p.a for gens in families for p in gens]
+    others = []
+    for gens in families:
+        matrices = list(dict.fromkeys(p.a for p in gens))
+        others.extend(rational_closure(matrices).members[len(matrices):])
+    assert others and decided == others
