@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .decomposition import block_triangularize, brute_force_decomposable
+from .decomposition import block_triangularize, brute_force_decomposable_pattern
 from .generators import GENERATOR_KINDS, GeneratorSpec
 from .matrix import RMatrix, load_matrix, matrix_to_json
 from .potency import main_decomposability_test, potency_report
@@ -34,7 +34,7 @@ def _analysis_bundle(a: RMatrix, r: int | None) -> dict:
     potency = potency_report(tri, r)
     potent = potency.potent
     decomposable = not tri.is_trivial
-    oracle_witness = brute_force_decomposable(a)
+    oracle_witness = brute_force_decomposable_pattern(tri.graph.pattern)
     oracle_agrees = (oracle_witness is not None) == decomposable
     prediction = None if potent is None else main_decomposability_test(potent)
     structure = None if potent is None else analyze_structure(potent)

@@ -1,15 +1,17 @@
 """Reducibility of nonnegative matrices via the support digraph.
 
-Orientation convention, used consistently by every routine here: the digraph
-of a matrix has an edge j -> i exactly when entry (i, j) is nonzero.  Column
-j is the image of basis vector j, so a vertex set closed under out-edges is
-precisely a coordinate subspace invariant under the matrix.  A matrix is
-*decomposable* iff such a proper nonempty closed set exists, iff the digraph
-is not strongly connected.  Both the component decision, which finds each
-component and the block order with two bitmask reachability searches, and
-the column-closure oracle below, which finds the invariant set of least
-bitmask at any dimension with at most n reachability searches, rely on this
-single convention, so they cannot drift apart by a transposition.
+Decomposability depends on the zero pattern alone, and ``Digraph`` is that
+pattern read as a graph.  Orientation convention, used consistently by every
+routine here: the digraph of a matrix has an edge j -> i exactly when entry
+(i, j) is nonzero, so out-neighbors are a column and in-neighbors a row.
+Column j is the image of basis vector j, so a vertex set closed under
+out-edges is precisely a coordinate subspace invariant under the matrix.  A
+matrix is *decomposable* iff such a proper nonempty closed set exists, iff
+the digraph is not strongly connected.  Both the component decision, which
+finds each component and the block order with two bitmask reachability
+searches, and the column-closure oracle below, which finds the invariant set
+of least bitmask at any dimension with at most n reachability searches, rely
+on this single convention, so they cannot drift apart by a transposition.
 
 A lone vertex without a self-loop (a 1x1 zero matrix) counts as strongly
 connected: no proper nonempty subset of a singleton exists, so it is
@@ -41,19 +43,22 @@ def _reach(masks: Sequence[int], start: int, within: int) -> int:
 
 @dataclass(frozen=True)
 class Digraph:
-    """Support digraph with per-vertex out-neighbor bitmasks."""
+    """The support digraph of a matrix: its pattern read as a graph.
 
-    n: int
-    out: tuple[int, ...]
+    Edge j -> i exactly when entry (i, j) is nonzero, so the out-neighbors of
+    v are the support of column v, the mask ``out[v]``, and its in-neighbors
+    the support of row v, ``pattern.rows[v]``.
+    """
 
-    @classmethod
-    def from_pattern(cls, p: PatternMatrix) -> Digraph:
-        # out-neighbors of v = support of column v
-        return cls(p.n, p.column_masks())
+    pattern: PatternMatrix
 
-    @classmethod
-    def from_matrix(cls, a: RMatrix) -> Digraph:
-        return cls.from_pattern(a.pattern())
+    @property
+    def n(self) -> int:
+        return self.pattern.n
+
+    @cached_property
+    def out(self) -> tuple[int, ...]:
+        return self.pattern.column_masks()
 
     def strongly_connected_components(self) -> list[tuple[int, ...]]:
         """The strongly connected components, each sorted, in block order.
@@ -72,14 +77,7 @@ class Digraph:
         edge into; the order then takes, again and again, the first one found
         whose successors are all placed.  Nothing recurses.
         """
-        n, out = self.n, self.out
-        into = [0] * n
-        for v in range(n):
-            m = out[v]
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                into[w] |= 1 << v
+        n, out, into = self.n, self.out, self.pattern.rows
         found: list[tuple[int, int]] = []
         left = (1 << n) - 1
         while left:
@@ -147,23 +145,18 @@ class InvariantSubsetWitness:
             raise ValueError("witness index out of range")
 
     def verify_pattern(self, p: PatternMatrix) -> bool:
+        """Whether every column of the subset has support inside it: no row outside it meets it."""
         if p.n != self.n:
             return False
-        mask = 0
-        for i in self.subset:
-            mask |= 1 << i
-        cols = p.column_masks()
-        return all(not (cols[j] & ~mask) for j in self.subset)
-
-    def verify(self, a: RMatrix) -> bool:
-        return self.verify_pattern(a.pattern())
+        mask = sum(1 << i for i in self.subset)
+        return not any(row & mask for i, row in enumerate(p.rows) if not mask >> i & 1)
 
     def sorted_indices(self) -> list[int]:
         return sorted(self.subset)
 
 
 def is_decomposable_pattern(p: PatternMatrix) -> bool:
-    return len(Digraph.from_pattern(p).strongly_connected_components()) > 1
+    return len(Digraph(p).strongly_connected_components()) > 1
 
 
 def is_decomposable(a: RMatrix) -> bool:
@@ -227,7 +220,8 @@ class BlockTriangularization:
     component as an invariant index set, and ``periods`` are the block
     periods.  A semigroup's facts are those of the triangularization of its
     union pattern.  Everything else is derived from the components when first
-    asked for, then kept.
+    asked for, then kept.  A's pattern is read once, into ``graph``; every
+    later reader of A's support takes ``graph.pattern``.
     """
 
     components: tuple[tuple[int, ...], ...]
@@ -274,7 +268,7 @@ class BlockTriangularization:
         if self.is_trivial:
             return None
         w = InvariantSubsetWitness(frozenset(self.components[0]), self.source.n)
-        if not w.verify(self.source):
+        if not w.verify_pattern(self.graph.pattern):
             raise RuntimeError("sink component failed to verify as invariant")
         return w
 
@@ -308,7 +302,7 @@ def block_triangularize(a: RMatrix) -> BlockTriangularization:
     Indecomposable input yields the trivial single-block result, flagged
     ``is_trivial``.
     """
-    graph = Digraph.from_matrix(a)
+    graph = Digraph(a.pattern())
     return BlockTriangularization(tuple(graph.strongly_connected_components()), a, graph)
 
 

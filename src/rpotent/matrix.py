@@ -699,13 +699,13 @@ class RMatrix:
         return f"RMatrix(n={self.n})"
 
 
-def matrix_to_json(a: RMatrix, provenance: dict | None = None, indent: int = 2) -> str:
+def matrix_to_json(a: RMatrix, provenance: dict | None = None) -> str:
     """Serialize a matrix (optionally with a provenance header) to stable JSON."""
     doc: dict = {}
     if provenance is not None:
         doc["provenance"] = provenance
     doc.update(a.to_json_dict())
-    return json.dumps(doc, indent=indent, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def matrix_from_json(text: str) -> RMatrix:

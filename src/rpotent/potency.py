@@ -74,7 +74,7 @@ class Potent:
         A >= 0 cannot cancel, so the support of A^j is the j-th boolean power
         of the support of A, and no rational power is taken.
         """
-        s = self.a.pattern()
+        s = self.tri.graph.pattern
         flags = [test(m) for m in accumulate(repeat(s, self.period - 1), operator.mul, initial=s)]
         return tuple(flags[j % len(flags)] for j in range(self.r - 1))
 

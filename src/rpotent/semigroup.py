@@ -390,7 +390,10 @@ def symmetric_group_analysis(n: int) -> SymmetricGroupReport:
     union = PatternMatrix(n, (0,) * n)
     for images in itertools.permutations(range(n)):
         perm = Permutation(tuple(images))
-        pattern = perm.to_matrix().pattern()
+        rows = [0] * n
+        for j, i in enumerate(images):
+            rows[i] = 1 << j  # column j has its one entry in row images[j]
+        pattern = PatternMatrix(n, tuple(rows))
         expected = lcm(*perm.cycle_lengths()) + 1
         # a walk over the powers, independent of the cycle lengths and of
         # the block periods: for a permutation matrix P, P^k is its own support

@@ -50,8 +50,7 @@ def wielandt_check(t: BlockTriangularization) -> bool:
     """
     if t.periods != (1,):
         raise ValueError("positivity of the squared-index power needs a primitive matrix")
-    a = t.source
-    return _support_power_is_full(a.pattern(), wielandt_exponent(a.n))
+    return _support_power_is_full(t.graph.pattern, wielandt_exponent(t.source.n))
 
 
 def _support_power_is_full(s: PatternMatrix, k: int) -> bool:
@@ -262,5 +261,5 @@ def spectral_report(t: BlockTriangularization, potent: Potent | None = None) -> 
         perron_bracket=perron_value(t, potent),
         wielandt_positive=wielandt_check(t) if primitive else None,
         trace_zero_applicable=applicable,
-        trace_is_zero=(a.trace() == 0) if applicable else None,
+        trace_is_zero=trace_zero_check(potent) if applicable else None,
     )

@@ -1,10 +1,11 @@
 """One potency decision and one triangularization per ``analyze`` run.
 
 Counts calls while ``analyze --json`` runs on each bundled example: the
-decision of ``minimal_potency`` runs once, A is triangularized once, its
-digraph is searched for components once, its rank is taken at most once, and
-no report re-checks A^r = A.  Non-potent input is certified within a product
-budget that does not grow with the lcm of the block periods.
+decision of ``minimal_potency`` runs once, A's pattern is read once, A is
+triangularized once, its digraph is searched for components once, its rank
+is taken at most once, and no report re-checks A^r = A.  Non-potent input is
+certified within a product budget that does not grow with the lcm of the
+block periods.
 """
 
 import json
@@ -57,6 +58,7 @@ def test_analyze_makes_one_pass(name, monkeypatch, capsys):
         counting("triangularize", decomposition.block_triangularize, True),
     )
     monkeypatch.setattr(RMatrix, "rank", counting("rank", RMatrix.rank, True))
+    monkeypatch.setattr(RMatrix, "pattern", counting("pattern", RMatrix.pattern, True))
     scc = decomposition.Digraph.strongly_connected_components
 
     def counting_scc(graph):
@@ -73,6 +75,8 @@ def test_analyze_makes_one_pass(name, monkeypatch, capsys):
     assert bundle["potency"]["is_r_potent"]
 
     assert counts["decision"] == 1
+    # the triangularization reads it; the oracle, the witness and the Wielandt test take it from there
+    assert counts["pattern"] == 1
     assert counts["triangularize"] == 1
     assert counts["scc"] == 1
     assert counts["rank"] <= 1

@@ -41,30 +41,31 @@ DIAG10 = RMatrix.from_rows([[1, 0], [0, 0]])
 
 class TestDigraph:
     def test_zero_matrix_is_edgeless(self):
-        g = Digraph.from_matrix(RMatrix.zeros(3))
+        g = Digraph(RMatrix.zeros(3).pattern())
         assert g.out == (0, 0, 0)
 
     def test_cycle_is_a_directed_cycle(self):
-        g = Digraph.from_matrix(cycle_matrix(3))
+        g = Digraph(cycle_matrix(3).pattern())
         # column j supports row j+1, so vertex j points at j+1
         assert g.out == (0b010, 0b100, 0b001)
 
     def test_positive_matrix_is_complete_with_loops(self):
-        g = Digraph.from_matrix(HALF)
+        g = Digraph(HALF.pattern())
         assert g.out == (0b11, 0b11)
 
     def test_component_count(self):
-        assert len(Digraph.from_matrix(cycle_matrix(4)).strongly_connected_components()) == 1
-        assert len(Digraph.from_matrix(RMatrix.zeros(3)).strongly_connected_components()) == 3
+        assert len(Digraph(cycle_matrix(4).pattern()).strongly_connected_components()) == 1
+        assert len(Digraph(RMatrix.zeros(3).pattern()).strongly_connected_components()) == 3
 
     def test_long_cycle_and_path_do_not_recurse(self):
         n = 1500
-        cycle = Digraph(n, tuple(1 << ((v + 1) % n) for v in range(n)))
+        # an edge v -> w is entry (w, v): row w holds bit v
+        cycle = Digraph(PatternMatrix(n, tuple(1 << ((w - 1) % n) for w in range(n))))
         assert cycle.strongly_connected_components() == [tuple(range(n))]
         # a path v -> v + 1 puts its sink, the last vertex, first
-        path = Digraph(n, tuple(1 << (v + 1) if v + 1 < n else 0 for v in range(n)))
+        path = Digraph(PatternMatrix(n, tuple(1 << (w - 1) if w else 0 for w in range(n))))
         assert path.strongly_connected_components() == [(v,) for v in reversed(range(n))]
-        back = Digraph(n, tuple(1 << (v - 1) if v else 0 for v in range(n)))
+        back = Digraph(PatternMatrix(n, tuple(1 << (w + 1) if w + 1 < n else 0 for w in range(n))))
         assert back.strongly_connected_components() == [(v,) for v in range(n)]
 
     def test_block_order_matches_the_transitive_closure_reference(self):
@@ -79,7 +80,7 @@ class TestDigraph:
             for degree in (0.5, 1, 1.5, 3):
                 patterns.append(random_pattern_local(rng, n, min(1.0, degree / n)))
         for p in patterns:
-            assert Digraph.from_pattern(p).strongly_connected_components() == closure_block_order(p), p
+            assert Digraph(p).strongly_connected_components() == closure_block_order(p), p
 
 
 class TestIsDecomposable:
@@ -105,7 +106,7 @@ class TestBruteForceOracle:
         w = brute_force_decomposable(DIAG10)
         assert w is not None
         assert w.subset in ({0}, {1})
-        assert w.verify(DIAG10)
+        assert w.verify_pattern(DIAG10.pattern())
 
     def test_positive_matrix_has_no_witness(self):
         assert brute_force_decomposable(HALF) is None
@@ -237,7 +238,7 @@ class TestBlockTriangularize:
                 assert brute_force_decomposable(a) is None
             else:
                 assert t.witness.subset == frozenset(t.components[0])
-                assert t.witness.verify(a)
+                assert t.witness.verify_pattern(a.pattern())
 
     def test_witness_of_a_non_sink_first_block_is_refused(self):
         t = block_triangularize(RMatrix.from_rows([[0, 1], [0, 0]]))

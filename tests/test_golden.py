@@ -14,6 +14,9 @@ component search finishes the components, (2), (0), (1), and an integer
 matrix on Wielandt's extremal 20 x 20 pattern, whose squared-index power is
 positive past the dimension where the report used to stop.
 
+``tests/golden/<name>.analyze.txt`` is the expected output of
+``rpotent analyze <input>``, the human report, on the same inputs.
+
 ``tests/golden/<name>.semigroup.json`` is the expected output of
 ``rpotent semigroup <inputs> --r 4``, where the inputs are the bundled
 example ``<name>.json`` or the generators ``tests/golden/<name>.g*.json``:
@@ -43,12 +46,25 @@ def test_every_bundled_example_and_nonpotent_input_is_covered():
     assert set(EXPECTED) == bundled | local
 
 
+def _analyze_input(name: str) -> str:
+    local = [GOLDEN / f"{name}{suffix}" for suffix in (".json", ".csv")]
+    return next((str(p) for p in local if p.exists()), str(DATA.joinpath(f"{name}.json")))
+
+
+def test_every_analyze_golden_has_a_human_report():
+    assert sorted(p.name.removesuffix(".analyze.txt") for p in GOLDEN.glob("*.analyze.txt")) == EXPECTED
+
+
 @pytest.mark.parametrize("name", EXPECTED)
 def test_analyze_json_matches_golden_bytes(name, capsys):
-    local = [GOLDEN / f"{name}{suffix}" for suffix in (".json", ".csv")]
-    source = next((str(p) for p in local if p.exists()), str(DATA.joinpath(f"{name}.json")))
-    assert main(["analyze", source, "--json"]) == 0
+    assert main(["analyze", _analyze_input(name), "--json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.analyze.json").read_text()
+
+
+@pytest.mark.parametrize("name", EXPECTED)
+def test_analyze_human_report_matches_golden_bytes(name, capsys):
+    assert main(["analyze", _analyze_input(name)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.analyze.txt").read_text()
 
 
 def test_semigroup_goldens_are_present():

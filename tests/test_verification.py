@@ -2,8 +2,8 @@
 
 import pytest
 
-from rpotent.matrix import RMatrix
-from rpotent.semigroup import rational_closure
+from rpotent.matrix import PatternMatrix, RMatrix
+from rpotent.semigroup import PatternSemigroup, rational_closure
 from rpotent.verification import CHECKS, CheckResult, run_check
 
 REDUCED_TRIALS = {
@@ -57,6 +57,15 @@ def test_wielandt_check_accepts_single_dimension():
     assert result.ok and result.total == 4
     with pytest.raises(ValueError, match="--n applies to checks 2.4, 7.2 only"):
         run_check("3.2", n=5)
+
+
+def test_sum_check_reads_the_closure_it_builds(monkeypatch):
+    # with each closure's sum replaced by the full pattern, check 7.1 must
+    # fail on the decomposable closures: it judges the closure, not G+ again
+    assert run_check("7.1").ok
+    monkeypatch.setattr(PatternSemigroup, "union_pattern", lambda s: PatternMatrix.full(s.n))
+    result = run_check("7.1")
+    assert not result.ok and result.passed < result.total
 
 
 def test_rank_trace_check_ranks_each_matrix_once(monkeypatch):
