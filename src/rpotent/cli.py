@@ -225,7 +225,9 @@ def cmd_semigroup(args) -> int:
         potents = [potency_report(block_triangularize(m), args.r).potent for m in matrices]
         if None in potents:
             raise ValueError(f"every generator must be {args.r}-potent")
-    patterns = [m.pattern() for m in matrices]
+        patterns = [p.pattern for p in potents]  # read by the decision's triangularization
+    else:
+        patterns = [m.pattern() for m in matrices]
     closure = pattern_closure(patterns, cap=args.cap)
     eq = equivalence_report(patterns)
     report: dict = {

@@ -155,6 +155,20 @@ class InvariantSubsetWitness:
         return sorted(self.subset)
 
 
+def sink_witness(p: PatternMatrix, components: Sequence[tuple[int, ...]]) -> InvariantSubsetWitness | None:
+    """The sink, ``components[0]`` in block order, as an invariant index set; None for one component.
+
+    A sink of the condensation has no edge leaving it, so its columns have
+    support inside it; the witness is re-verified against ``p`` all the same.
+    """
+    if len(components) == 1:
+        return None
+    w = InvariantSubsetWitness(frozenset(components[0]), p.n)
+    if not w.verify_pattern(p):
+        raise RuntimeError("sink component failed to verify as invariant")
+    return w
+
+
 def is_decomposable_pattern(p: PatternMatrix) -> bool:
     return len(Digraph(p).strongly_connected_components()) > 1
 
@@ -218,10 +232,11 @@ class BlockTriangularization:
     This is the one place where the component facts of A are decided: A is
     decomposable iff ``is_trivial`` is False, ``witness`` is the first (sink)
     component as an invariant index set, and ``periods`` are the block
-    periods.  A semigroup's facts are those of the triangularization of its
-    union pattern.  Everything else is derived from the components when first
-    asked for, then kept.  A's pattern is read once, into ``graph``; every
-    later reader of A's support takes ``graph.pattern``.
+    periods.  A semigroup's union pattern has no matrix: its components come
+    from ``Digraph`` and its witness from ``sink_witness``, as here.
+    Everything else is derived from the components when first asked for,
+    then kept.  A's pattern is read once, into ``graph``; every later reader
+    of A's support takes ``graph.pattern``.
     """
 
     components: tuple[tuple[int, ...], ...]
@@ -260,17 +275,8 @@ class BlockTriangularization:
 
     @cached_property
     def witness(self) -> InvariantSubsetWitness | None:
-        """The sink component as an invariant index set, None when there is one block.
-
-        A sink of the condensation has no edge leaving it, so its columns have
-        support inside it; the witness is re-verified against A all the same.
-        """
-        if self.is_trivial:
-            return None
-        w = InvariantSubsetWitness(frozenset(self.components[0]), self.source.n)
-        if not w.verify_pattern(self.graph.pattern):
-            raise RuntimeError("sink component failed to verify as invariant")
-        return w
+        """The sink component as an invariant index set, None when there is one block (``sink_witness``)."""
+        return sink_witness(self.graph.pattern, self.components)
 
     def conjugated(self) -> RMatrix:
         return self.source.conjugate(self.permutation)

@@ -170,6 +170,15 @@ class PatternMatrix:
                 raise ValueError("row bitmask wider than dimension")
 
     @classmethod
+    def _make(cls, n: int, rows: tuple[int, ...]) -> PatternMatrix:
+        """Trusted constructor: ``rows`` must already be n masks below 2^n."""
+        p = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(p, "n", n)
+        setattr_(p, "rows", rows)
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> PatternMatrix:
         return cls(n, tuple(1 << i for i in range(n)))
 

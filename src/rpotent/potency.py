@@ -56,6 +56,12 @@ class Potent:
         return block_triangularize(self.a)
 
     @property
+    def pattern(self) -> PatternMatrix:
+        """A's support, taken from ``tri`` when the value holds one; else read off A, building no ``tri``."""
+        t = vars(self).get("tri")
+        return self.a.pattern() if t is None else t.graph.pattern
+
+    @property
     def period(self) -> int:
         """L, the lcm of the block periods: A^r = A exactly when L divides r - 1."""
         return self.tri.period_lcm

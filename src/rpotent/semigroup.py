@@ -13,7 +13,7 @@ of the semigroup is G+, however large the semigroup (``generator_reach``).
 G+ is transitively closed, so for n >= 2 it has a zero entry iff it has one
 off the diagonal iff its digraph is not strongly connected.  Two facets are
 computed independently from G+, the invariant-subset witness (the sink
-component of its block triangularization) and its first zero entry in
+component of its digraph, in block order) and its first zero entry in
 row-major order, so the equivalence is tested rather than assumed.  The sum
 of all members has a zero exactly where their union does.
 
@@ -23,10 +23,13 @@ projection; its blocks are those of G+, and its generators come checked
 (``Potent``).  Pattern and exact closures share one routine, which yields
 the members one at a time and multiplies each member on the right by each
 generator only (every member is a word in them): |S|·|G| products for |S|
-members.  A closure stops at a member cap with a truncation flag.  The rank
-floor stops at its first member that is not r-potent, and reports it;
-once every member is r-potent the semigroup is finite (McNaughton &
-Zalcstein, 1975), and the cap only bounds the work.
+members.  The pattern closure runs it on bare row tuples, hashed and
+compared as tuples, and takes x·g from tables built once per generator g:
+one list of at most 256 entries per 8 rows of g, so a product row costs one
+lookup per 8 columns.  A closure stops at a member cap with a truncation
+flag.  The rank floor stops at its first member that is not r-potent, and
+reports it; once every member is r-potent the semigroup is finite
+(McNaughton & Zalcstein, 1975), and the cap only bounds the work.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from math import lcm
 
-from .decomposition import InvariantSubsetWitness, block_triangularize
+from .decomposition import Digraph, InvariantSubsetWitness, block_triangularize, sink_witness
 from .matrix import PatternMatrix, Permutation, RMatrix
 from .potency import DecompositionPrediction, Potent, main_decomposability_test, potency_report
 
@@ -121,20 +124,55 @@ def _check_generators(generators: list, cap: int) -> int:
     return n
 
 
+def _row_tables(rows: tuple[int, ...]) -> list[list[int]]:
+    """For each 8-row chunk of a pattern, the OR of its rows at every set of bits.
+
+    Entry b of chunk c is the OR of rows 8c + k over the set bits k of b: at
+    most 256 entries per chunk, fewer for a last partial chunk.
+    """
+    tables = []
+    for base in range(0, len(rows), 8):
+        table = [0]
+        for row in rows[base : base + 8]:
+            table += [t | row for t in table]  # the entries whose next bit is set
+        tables.append(table)
+    return tables
+
+
+def _row_product(x: tuple[int, ...], tables: list[list[int]]) -> tuple[int, ...]:
+    """The rows of x·g, from g's ``_row_tables``: one lookup per 8 columns of each row of x."""
+    if len(tables) == 1:
+        (table,) = tables
+        return tuple([table[r] for r in x])
+    out = []
+    for r in x:
+        acc = 0
+        for table in tables:
+            acc |= table[r & 255]
+            r >>= 8
+        out.append(acc)
+    return tuple(out)
+
+
 def pattern_closure(
     generators: list[PatternMatrix], cap: int = DEFAULT_CLOSURE_CAP
 ) -> PatternSemigroup:
     """Closure under boolean product by right multiplication with the generators.
 
     Costs |S|·|G| boolean products for |S| members and |G| distinct
-    generators; deduplicated and cap-bounded (see ``_close``).
+    generators; deduplicated and cap-bounded (see ``_close``).  The closure
+    runs on row tuples, and each product row is one lookup per 8 columns in
+    the ``_row_tables`` of its generator, built once per distinct generator
+    (at most 256 entries per 8-row chunk).  The members become patterns
+    once, at the end.
     """
     n = _check_generators(generators, cap)
-    members = tuple(itertools.islice(_close(generators, operator.mul), cap + 1))
+    tables = {g.rows: _row_tables(g.rows) for g in generators}
+    members = tuple(itertools.islice(_close(list(tables), lambda x, g: _row_product(x, tables[g])), cap + 1))
     return PatternSemigroup(
         n=n,
-        members=members[:cap],
-        generator_count=len(set(generators)),
+        members=tuple([PatternMatrix._make(n, rows) for rows in members[:cap]]),
+        generator_count=len(tables),
         truncated=len(members) > cap,
     )
 
@@ -208,7 +246,7 @@ class EquivalenceReport:
 def equivalence_report(generators: list[PatternMatrix]) -> EquivalenceReport:
     """Every facet of the semigroup the generator patterns generate, read off G+."""
     u = generator_reach(generators)
-    witness = block_triangularize(u.to_matrix()).witness
+    witness = sink_witness(u, Digraph(u).strongly_connected_components())
     zero = u.first_zero()
     offdiag = None
     if witness is not None:
@@ -337,8 +375,8 @@ def semigroup_rank_floor_check(generators: list[Potent], *, cap: int = DEFAULT_C
     decided = list({p.a: p for p in generators}.values())  # _close yields them first, in this order
     matrices = [p.a for p in decided]
     _check_generators(matrices, cap)
-    t = block_triangularize(generator_reach([m.pattern() for m in matrices]).to_matrix())
-    ranks = [set() for _ in t.components]
+    components = Digraph(generator_reach([p.pattern for p in decided])).strongly_connected_components()
+    ranks = [set() for _ in components]
     for admitted, m in enumerate(_close(matrices, operator.matmul)):
         if admitted == cap:
             return RankFloorReport(closure_size=cap, truncated=True)
@@ -346,16 +384,16 @@ def semigroup_rank_floor_check(generators: list[Potent], *, cap: int = DEFAULT_C
         if p is None:
             return RankFloorReport(closure_size=admitted, truncated=False, non_potent_member=m)
         den, num = p.projection.den, p.projection.num
-        for comp, block_ranks in zip(t.components, ranks):
+        for comp, block_ranks in zip(components, ranks):
             rank, rest = divmod(sum(num[i][i] for i in comp), den)
             assert not rest, "trace of a block projection is not an integer"
             block_ranks.add(rank)
     lows = [min(block_ranks) if max(block_ranks) else None for block_ranks in ranks]
     blocks = tuple(
         BlockFloorRecord(comp, low is not None, low, low is None or low <= r - 1)
-        for comp, low in zip(t.components, lows)
+        for comp, low in zip(components, lows)
     )
-    return RankFloorReport(admitted + 1, truncated=False, decomposable=len(t.components) > 1, blocks=blocks)
+    return RankFloorReport(admitted + 1, truncated=False, decomposable=len(components) > 1, blocks=blocks)
 
 
 @dataclass(frozen=True)

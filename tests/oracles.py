@@ -16,7 +16,10 @@ reference's first block of the enumerated closure's union pattern, against
 the report that reads it off the block triangularization of the generators'
 reach, computed without the members; the rank floor's blocks, read off that
 reach too, are checked against the blocks of the union of every exact
-member's own pattern.  The generator oracles place
+member's own pattern.  The right-product closure reference admits
+members in the package's order but multiplies with the bit loop of
+``PatternMatrix.__mul__``, against the closure that runs on row tuples and
+looks each product row up in per-generator tables.  The generator oracles place
 ``Fraction`` entries one by one and compute the coupling B^(r-1) X with a
 triple loop, against builders that pad integer rows and take one exact
 product; the rank-one idempotent oracle draws ``Fraction`` factors and goes
@@ -267,6 +270,28 @@ def two_sided_closure(gens: list, product, cap: int) -> tuple[list, bool]:
             if not admit(product(z, m)) or not admit(product(m, z)):
                 break
     return members, truncated
+
+
+def right_product_closure(gens: list[PatternMatrix], cap: int) -> tuple[list[PatternMatrix], bool, int]:
+    """The first ``cap`` members in admission order, whether there are more, and the distinct generator count.
+
+    The distinct generators in first-seen order, then each member times each
+    distinct generator on the right, admitted when new: the order
+    ``pattern_closure`` promises, built from ``PatternMatrix.__mul__`` (the
+    bit loop over the set bits of each row) alone.
+    """
+    distinct = list(dict.fromkeys(gens))
+    members = list(distinct)
+    seen = set(distinct)
+    for x in members:  # also visits the members appended on the way
+        if len(members) > cap:
+            break
+        for g in distinct:
+            p = x * g
+            if p not in seen:
+                seen.add(p)
+                members.append(p)
+    return members[:cap], len(members) > cap, len(distinct)
 
 
 def closure_block_order(p: PatternMatrix) -> list[tuple[int, ...]]:

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from rpotent.cli import main
 from rpotent.generators import block_diagonal, cycle_matrix, uniform_idempotent
-from rpotent.matrix import PatternMatrix, matrix_from_json, matrix_to_json
+from rpotent.matrix import PatternMatrix, RMatrix, load_matrix, matrix_from_json, matrix_to_json
+import rpotent.semigroup
 from rpotent.verification import CHECKS
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -434,10 +435,31 @@ class TestSemigroupCommand:
             products += 1
             return product(x, y)
 
+        def no_closure(generators, product):
+            raise AssertionError("a closure was started")
+
         monkeypatch.setattr(PatternMatrix, "__mul__", counted)
+        monkeypatch.setattr(rpotent.semigroup, "_close", no_closure)
         assert main(["semigroup", *gens, "--r", "3"]) == 2
         assert capsys.readouterr().err == "error: every generator must be 3-potent\n"
         assert products == 0
+
+    def test_each_generator_pattern_is_read_once_with_r(self, capsys, monkeypatch):
+        # the potency decision's triangularization reads each generator's
+        # pattern; the closure, the equivalences and the rank floor reuse it
+        paths = [os.path.join(GOLDEN, f"rank_dominant_r4_seed11.g{i}.json") for i in (0, 1)]
+        gens = [load_matrix(path) for path in paths]
+        read = []
+        pattern = RMatrix.pattern
+
+        def counted(m):
+            read.append(m)
+            return pattern(m)
+
+        monkeypatch.setattr(RMatrix, "pattern", counted)
+        assert main(["semigroup", *paths, "--r", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["rank_floor"]["all_ok"] is True
+        assert [sum(m == g for m in read) for g in gens] == [1, 1]
 
     @pytest.mark.parametrize(
         "gens, r, admitted",

@@ -41,6 +41,7 @@ from oracles import (
     naive_multiply,
     naive_power,
     random_pattern_local,
+    right_product_closure,
     two_sided_closure,
     union_digraph_witness,
 )
@@ -161,18 +162,51 @@ class TestGeneratorProductClosure:
             _assert_matches_two_sided(gens, operator.mul, pattern_closure(gens, cap=cap), cap)
 
     def test_symmetric_group_five_takes_one_product_per_member_and_generator(self, monkeypatch):
+        # counts the products the closure routine makes, whatever computes them
         calls = 0
-        original = PatternMatrix.__mul__
+        original = rpotent.semigroup._close
 
-        def counting(self, other):
-            nonlocal calls
-            calls += 1
-            return original(self, other)
+        def counting_close(generators, product):
+            def counted(x, g):
+                nonlocal calls
+                calls += 1
+                return product(x, g)
 
-        monkeypatch.setattr(PatternMatrix, "__mul__", counting)
+            return original(generators, counted)
+
+        monkeypatch.setattr(rpotent.semigroup, "_close", counting_close)
         s = pattern_closure(_permutation_patterns((1, 0, 2, 3, 4), (1, 2, 3, 4, 0)))
         assert len(s) == 120 and not s.truncated
         assert calls == 120 * 2
+
+    @staticmethod
+    def _assert_matches_the_bit_loop(gens, limit=1000):
+        """At caps 1, 2 and around the closure's size, the members in order as the bit-loop reference admits them."""
+        size = len(right_product_closure(gens, limit)[0])
+        for cap in sorted({1, 2, size - 1, size, size + 1} - {0}):
+            members, truncated, distinct = right_product_closure(gens, cap)
+            s = pattern_closure(gens, cap=cap)
+            assert s.members == tuple(members), (gens, cap)
+            assert (s.truncated, s.generator_count) == (truncated, distinct), (gens, cap)
+
+    def test_every_single_generator_up_to_three_matches_the_bit_loop(self):
+        for n in (1, 2, 3):
+            for rows in itertools.product(range(1 << n), repeat=n):
+                self._assert_matches_the_bit_loop([PatternMatrix(n, rows)])
+
+    def test_seeded_generator_sets_across_row_chunks_match_the_bit_loop(self):
+        # 1-3 generators, each after the first an equal copy of an earlier one a
+        # third of the time, at every n up to 20 and again at 7, 8, 9, 16 and 17,
+        # on either side of an 8-column chunk
+        rng = random.Random(25)
+        for n in [*range(1, 21), 7, 8, 9, 16, 17]:
+            for _ in range(3):
+                density = rng.choice([0.05, 0.1, 0.15, 0.3, 0.6])
+                gens = [random_pattern_local(rng, n, density)]
+                for _ in range(rng.randint(0, 2)):
+                    copy = rng.random() < 1 / 3
+                    gens.append(PatternMatrix(n, rng.choice(gens).rows) if copy else random_pattern_local(rng, n, density))
+                self._assert_matches_the_bit_loop(gens)
 
     def test_symmetric_group_six(self):
         gens = _permutation_patterns((1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0))
@@ -507,6 +541,23 @@ class TestRankFloor:
         assert decided == list(members[len(matrices):])
         assert not set(decided) & set(matrices)
         assert rep.all_ok and rep.decomposable and rep.closure_size == len(members)
+
+    def test_triangularizes_no_generator(self, monkeypatch):
+        # G+ is read off the generators' patterns, so a generator checked by
+        # one product (as_potent, no triangularization held) gets none
+        gens = rank_dominant_semigroup_generators(3, 2, 4)
+        assert not any("tri" in vars(p) for p in gens)
+        triangularized = []
+        original = rpotent.semigroup.block_triangularize
+
+        def recorded(a):
+            triangularized.append(a)
+            return original(a)
+
+        monkeypatch.setattr(rpotent.semigroup, "block_triangularize", recorded)
+        assert semigroup_rank_floor_check(gens).all_ok
+        assert triangularized and not set(triangularized) & {p.a for p in gens}
+        assert not any("tri" in vars(p) for p in gens)
 
     def test_generator_potent_at_a_large_multiple_of_its_period(self):
         # 3 divides 10^10 - 1, so the 3-cycle is 10^10-potent
