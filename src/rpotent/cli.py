@@ -76,7 +76,8 @@ def _print_bundle_human(bundle: dict, out) -> None:
         print("potency: no exponent r with A^r = A", file=out)
     else:
         state = "holds" if pot["is_r_potent"] else "fails"
-        line = f"potency: A^{pot['r']} = A {state}; minimal r = {pot['minimal_r']}; "
+        minimal = "no r has A^r = A" if pot["minimal_r"] is None else f"minimal r = {pot['minimal_r']}"
+        line = f"potency: A^{pot['r']} = A {state}; {minimal}; "
         line += f"rank = {pot['rank']}"
         if pot["trace_of_projection"] is not None:
             line += f"; projection trace = {pot['trace_of_projection']}"

@@ -12,6 +12,9 @@ finds each component and the block order with two bitmask reachability
 searches, and the column-closure oracle below, which finds the invariant set
 of least bitmask at any dimension with at most n reachability searches, rely
 on this single convention, so they cannot drift apart by a transposition.
+Each step of the component search and of ``Digraph.cycle_gcd`` is one
+``matrix.mask_step`` over the columns (out-neighbors) or rows (in-neighbors);
+the oracle walks the set bits itself, to stay independent of what it checks.
 
 A lone vertex without a self-loop (a 1x1 zero matrix) counts as strongly
 connected: no proper nonempty subset of a singleton exists, so it is
@@ -25,18 +28,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 
-from .matrix import PatternMatrix, Permutation, RMatrix
+from .matrix import PatternMatrix, Permutation, RMatrix, mask_step
 
 
 def _reach(masks: Sequence[int], start: int, within: int) -> int:
     """The vertices of ``within`` that ``start`` reaches along ``masks``, ``start`` included."""
     seen = frontier = start
     while frontier:
-        step = 0
-        while frontier:
-            step |= masks[(frontier & -frontier).bit_length() - 1]
-            frontier &= frontier - 1
-        frontier = step & within & ~seen
+        frontier = mask_step(masks, frontier) & within & ~seen
         seen |= frontier
     return seen
 
@@ -84,11 +83,7 @@ class Digraph:
             start = left & -left
             comp = _reach(into, start, _reach(out, start, left))
             left &= ~comp
-            succ, m = 0, comp
-            while m:
-                succ |= out[(m & -m).bit_length() - 1]
-                m &= m - 1
-            found.append((comp, succ & ~comp))
+            found.append((comp, mask_step(out, comp) & ~comp))
         order: list[tuple[int, ...]] = []
         placed = 0
         while found:
@@ -102,32 +97,25 @@ class Digraph:
         """Gcd of the lengths of the cycles inside ``comp``, a strongly connected vertex set.
 
         0 when ``comp`` has no edge, as a lone vertex without a self-loop.
-        Computed from a BFS level assignment inside ``comp``: the gcd over
-        all its edges v -> w of level(v) + 1 - level(w) equals the gcd of all
-        cycle lengths.
+        One ``mask_step`` takes BFS level k (from ``comp[0]``, inside ``comp``)
+        to level k + 1 and shows which levels j <= k its edges enter, so g is
+        the gcd of level(v) + 1 - level(w) over the edges v -> w (an edge into
+        level k + 1 adds 0).  Over any closed walk these terms add up to its
+        length, so g divides every cycle length.  Each term is the difference
+        of two closed-walk lengths through the root (down the levels to v, the
+        edge, a path back; down the levels to w, the same path back), so the
+        period divides g, and g is the period.
         """
         out = self.out
-        inside = sum(1 << v for v in comp)
-        level = {comp[0]: 0}
-        frontier = [comp[0]]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                m = out[v] & inside
-                while m:
-                    w = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if w not in level:
-                        level[w] = level[v] + 1
-                        nxt.append(w)
-            frontier = nxt
+        levels: list[int] = []
         g = 0
-        for v in comp:
-            m = out[v] & inside
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                g = gcd(g, abs(level[v] + 1 - level[w]))
+        left, frontier = sum(1 << v for v in comp), 1 << comp[0]
+        while frontier:
+            left ^= frontier
+            levels.append(frontier)
+            step = mask_step(out, frontier)
+            g = gcd(g, *(len(levels) - j for j, level in enumerate(levels) if step & level))
+            frontier = step & left
         return g
 
 

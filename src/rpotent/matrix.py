@@ -8,6 +8,9 @@ is built from three immutable value types:
 * ``PatternMatrix`` boolean support of such a matrix, stored as row bitmasks
 * ``Permutation``   bijection of ``{0, ..., n-1}`` for simultaneous relabeling
 
+``mask_step``, the OR of masks over the set bits of one mask, is the one
+step along a support: a row of a pattern product, or a digraph search step.
+
 Arithmetic in this module is exact; no floating point enters.  A product of
 two matrices is an integer matrix product plus one gcd normalisation, instead
 of a ``Fraction`` gcd on every multiply and add; each row of the integer
@@ -146,6 +149,20 @@ def _format_ratio(p: int, q: int) -> int | str:
     return f"{p // g}/{q // g}"
 
 
+def mask_step(masks: Sequence[int], m: int) -> int:
+    """The OR of ``masks[k]`` over the set bits k of ``m``: one step along a support.
+
+    Over the rows of B it takes a row of A to that row of A·B; over a
+    digraph's out-neighbor masks, a vertex set to its out-neighbors.
+    """
+    acc = 0
+    while m:
+        low = m & -m
+        acc |= masks[low.bit_length() - 1]
+        m ^= low
+    return acc
+
+
 @dataclass(frozen=True)
 class PatternMatrix:
     """Zero/nonzero support of a nonnegative matrix.
@@ -194,16 +211,7 @@ class PatternMatrix:
             return NotImplemented
         if other.n != self.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        out = []
-        for mask in self.rows:
-            acc = 0
-            m = mask
-            while m:
-                k = (m & -m).bit_length() - 1
-                acc |= other.rows[k]
-                m &= m - 1
-            out.append(acc)
-        return PatternMatrix(self.n, tuple(out))
+        return PatternMatrix(self.n, tuple([mask_step(other.rows, mask) for mask in self.rows]))
 
     def pow(self, k: int) -> PatternMatrix:
         """k-th boolean power by repeated squaring; ``pow(0)`` is the identity."""

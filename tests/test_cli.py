@@ -86,6 +86,13 @@ class TestAnalyze:
             "  not potent for any r: A^2 != A at L = 1, the lcm of the block periods",
         ]
 
+    @pytest.mark.parametrize("name", ["nilpotent.json", "positive_rational.json"])
+    def test_human_report_at_r_says_no_exponent_exists(self, name, capsys):
+        assert main(["analyze", os.path.join(GOLDEN, name), "--r", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[1] == "potency: A^3 = A fails; no r has A^r = A; rank = 3"
+        assert "None" not in out
+
     def test_malformed_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")

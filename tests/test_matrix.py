@@ -455,12 +455,14 @@ class TestPattern:
         assert HALF.pattern().is_full()
 
     def test_pattern_of_product_is_boolean_product(self):
+        # rows wider than 8 bits from n = 9 on
         rng = random.Random(23)
-        for _ in range(100):
-            a = random_small_matrix(rng, 5, density=0.4)
-            b = random_small_matrix(rng, 5, density=0.4)
-            assert (a @ b).pattern() == a.pattern() * b.pattern()
-            assert a.pattern() * b.pattern() == bool_product(a.pattern(), b.pattern())
+        for n in range(1, 13):
+            for _ in range(100):
+                a = random_small_matrix(rng, n, density=0.4)
+                b = random_small_matrix(rng, n, density=0.4)
+                assert (a @ b).pattern() == a.pattern() * b.pattern()
+                assert a.pattern() * b.pattern() == bool_product(a.pattern(), b.pattern())
 
 
 class TestPatternMatrix:

@@ -18,7 +18,7 @@ from rpotent.generators import (
     uniform_idempotent,
 )
 from rpotent.decomposition import block_triangularize
-from rpotent.matrix import Permutation, RMatrix
+from rpotent.matrix import PatternMatrix, Permutation, RMatrix
 from rpotent.potency import Potent, as_potent, minimal_potency
 from rpotent.spectral import (
     is_primitive,
@@ -29,7 +29,7 @@ from rpotent.spectral import (
     wielandt_exponent,
 )
 
-from oracles import period_by_diagonal_hits, random_small_matrix
+from oracles import pattern_from_packed, period_by_diagonal_hits, random_small_matrix
 
 
 def period(m: RMatrix) -> int:
@@ -58,12 +58,23 @@ class TestPeriod:
     def test_block_periods_match_diagonal_hit_oracle(self):
         # read off A's digraph per component, against the diagonal hits of each block alone
         rng = random.Random(9)
+        inputs = []
         for _ in range(60):
             n = rng.randint(1, 7)
-            m = random_small_matrix(rng, n, density=rng.uniform(0.1, 0.5))
+            inputs.append(random_small_matrix(rng, n, density=rng.uniform(0.1, 0.5)))
+        # every 0/1 pattern with n <= 3: 2 + 16 + 512 = 530
+        inputs += [pattern_from_packed(n, packed).to_matrix() for n in (1, 2, 3) for packed in range(1 << n * n)]
+        # the n-cycle plus each chord out of row 0, which is every chord up to rotation;
+        # from n = 9 on a row spans two bytes
+        for n in range(2, 17):
+            rows = cycle_matrix(n).pattern().rows
+            for j in range(n):
+                if not rows[0] >> j & 1:
+                    inputs.append(PatternMatrix(n, (rows[0] | 1 << j, *rows[1:])).to_matrix())
+        for m in inputs:
             t = block_triangularize(m)
             expected = tuple(period_by_diagonal_hits(b.pattern()) or None for b in t.diagonal_blocks)
-            assert t.periods == expected
+            assert t.periods == expected, m
 
     def test_matches_diagonal_hit_oracle(self):
         rng = random.Random(8)
