@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
 from .decomposition import block_triangularize, brute_force_decomposable_pattern
 from .generators import GENERATOR_KINDS, GeneratorSpec
-from .matrix import RMatrix, load_matrix, matrix_to_json
+from .matrix import RMatrix, json_text, load_matrix, matrix_to_json
 from .potency import main_decomposability_test, potency_report
 from .semigroup import DEFAULT_CLOSURE_CAP, equivalence_report, pattern_closure, semigroup_rank_floor_check
 from .spectral import spectral_report
@@ -48,7 +47,7 @@ def _analysis_bundle(a: RMatrix, r: int | None) -> dict:
         )
     )
     bundle = {
-        "matrix": a.to_json_dict(),
+        "matrix": a,
         "r": potency.r,
         "potency": None if potency.r is None else potency.to_dict(),
         "decomposability": {
@@ -69,7 +68,7 @@ def _analysis_bundle(a: RMatrix, r: int | None) -> dict:
 
 
 def _print_bundle_human(bundle: dict, out) -> None:
-    n = bundle["matrix"]["n"]
+    n = bundle["matrix"].n
     print(f"matrix: {n}x{n}", file=out)
     pot = bundle["potency"]
     if pot is None:
@@ -139,7 +138,7 @@ def cmd_analyze(args) -> int:
     a = load_matrix(args.file)
     bundle = _analysis_bundle(a, args.r)
     if args.json:
-        print(json.dumps(bundle, indent=2, sort_keys=True))
+        print(json_text(bundle))
     else:
         _print_bundle_human(bundle, sys.stdout)
     return 0 if bundle["ok"] else 1
@@ -211,7 +210,7 @@ def cmd_verify(args) -> int:
         first = result.failures[0]
         print(f"  first counterexample (trial {first.trial}, seed {first.seed}): {first.detail}")
         if first.matrix is not None:
-            print(json.dumps(first.matrix, indent=2, sort_keys=True))
+            print(json_text(first.matrix))
     return 0 if result.ok else 1
 
 
@@ -243,7 +242,7 @@ def cmd_semigroup(args) -> int:
         report["rank_floor"] = floor.to_dict()
         if not floor.all_ok:
             exit_code = 1
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json_text(report))
     return exit_code
 
 

@@ -20,8 +20,14 @@ Bareiss elimination, one row update per step.  Input is validated where it
 enters: ``coerce_entry`` and the public ``RMatrix`` constructors reject
 booleans, unparsable strings, non-square grids and negative entries, and
 operations on validated matrices build their results without re-checking.
-Storage is dense: the target dimensions are at most a few dozen, where dense
-layout is the simplest thing that works.
+The readers take a plain int with no call and parse each distinct entry
+string once per matrix (``RMatrix.from_rows``).  Storage is dense: the
+target dimensions are at most a few dozen, where dense layout is the
+simplest thing that works.
+
+``json_text`` is the one JSON writer of the command line.  Its output is
+exactly ``json.dumps(doc, indent=2, sort_keys=True)``, the oracle of its
+tests, and it writes an ``RMatrix`` value straight from its integer grid.
 """
 
 from __future__ import annotations
@@ -35,14 +41,16 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from operator import add, mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 Entry = Fraction | int | str
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_INF = float("inf")
 
 # (array type code, bytes) of the unsigned slots a packed row may use, narrowest first
 _SLOTS = tuple((code, array(code).itemsize) for code in "IQ")
@@ -171,6 +179,8 @@ class PatternMatrix:
     nonnegative products cannot cancel, supports compose multiplicatively:
     the support of ``A @ B`` equals the boolean product of the supports.
     That makes patterns a faithful carrier for closure computations.
+    Products and unions of validated patterns are built by ``_make``: rows
+    made from rows below 2^n stay below it.
     """
 
     n: int
@@ -211,7 +221,7 @@ class PatternMatrix:
             return NotImplemented
         if other.n != self.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        return PatternMatrix(self.n, tuple([mask_step(other.rows, mask) for mask in self.rows]))
+        return PatternMatrix._make(self.n, tuple([mask_step(other.rows, mask) for mask in self.rows]))
 
     def pow(self, k: int) -> PatternMatrix:
         """k-th boolean power by repeated squaring; ``pow(0)`` is the identity."""
@@ -232,7 +242,7 @@ class PatternMatrix:
             return NotImplemented
         if other.n != self.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        return PatternMatrix(self.n, tuple(a | b for a, b in zip(self.rows, other.rows)))
+        return PatternMatrix._make(self.n, tuple([a | b for a, b in zip(self.rows, other.rows)]))
 
     def column_masks(self) -> tuple[int, ...]:
         """Bitmask per column: bit ``i`` of result[j] iff entry (i, j) is set."""
@@ -408,22 +418,20 @@ class RMatrix:
     num: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries: Sequence[Sequence[Fraction]]) -> None:
-        self.__post_init__(entries, _fraction_ratio)
+        self.__post_init__([[_fraction_ratio(x) for x in row] for row in entries])
         object.__setattr__(self, "_entries", tuple([tuple(row) for row in entries]))
 
-    def __post_init__(
-        self, rows: Sequence[Sequence[object]], ratio: Callable[[object], tuple[int, int] | None]
-    ) -> None:
+    def __post_init__(self, pairs: list[list[tuple[int, int] | None]]) -> None:
         """The one validating loop of ``RMatrix(entries)`` and ``from_rows``.
 
-        ``ratio`` turns each entry into a reduced pair ``(p, q)``, q > 0, or
-        None for an entry of a type the constructor does not take.  Parse and
-        type errors come first, in row-major order; then the dimension, and
-        row by row squareness and negative entries.
+        ``pairs`` holds each entry as a reduced pair ``(p, q)``, q > 0, or
+        None for an entry of a type the constructor does not take.  Parse
+        errors were raised while the pairs were read, in row-major order;
+        then come type errors, the dimension, and row by row squareness and
+        negative entries.
         """
         # Kept under its dataclass name: bench/tracer.py counts validated
         # constructions by wrapping RMatrix.__post_init__.
-        pairs = [[ratio(x) for x in row] for row in rows]
         for i, row in enumerate(pairs):
             if None in row:
                 raise TypeError(f"entry ({i}, {row.index(None)}) is not a Fraction")
@@ -503,9 +511,24 @@ class RMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Entry]]) -> RMatrix:
-        """The matrix of ``coerce_entry`` of every entry, read onto the integer grid directly."""
+        """The matrix of ``coerce_entry`` of every entry, read onto the integer grid directly.
+
+        A plain ``int`` becomes ``(x, 1)`` with no call, and each distinct
+        string is parsed once per matrix; every other entry goes through
+        ``_entry_ratio``.
+        """
+        parsed: dict[str, tuple[int, int]] = {}
+
+        def ratio(x: object) -> tuple[int, int]:
+            if type(x) is not str:
+                return _entry_ratio(x)
+            pair = parsed.get(x)
+            if pair is None:
+                pair = parsed[x] = _entry_ratio(x)
+            return pair
+
         m = object.__new__(cls)
-        m.__post_init__(rows, _entry_ratio)
+        m.__post_init__([[(x, 1) if type(x) is int else ratio(x) for x in row] for row in rows])
         return m
 
     @classmethod
@@ -684,13 +707,6 @@ class RMatrix:
         num = self.num
         return RMatrix._normalized(self.den, tuple([tuple([num[i][j] for j in idx]) for i in idx]))
 
-    def to_json_dict(self) -> dict:
-        den = self.den
-        return {
-            "n": self.n,
-            "entries": [[_format_ratio(x, den) for x in row] for row in self.num],
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> RMatrix:
         if not isinstance(data, dict) or "n" not in data or "entries" not in data:
@@ -716,13 +732,78 @@ class RMatrix:
         return f"RMatrix(n={self.n})"
 
 
+def json_text(doc: object) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, with each ``RMatrix`` as its JSON object.
+
+    The one writer of the command line's JSON.  It takes the values the
+    command line emits: dicts with str keys, lists, tuples, str, int, bool,
+    None and float (NaN and the infinities included).  It raises where
+    ``json.dumps`` raises: ``TypeError`` for a value it cannot serialize (and
+    for a key that is not a str), ``ValueError`` for an int too long to
+    print.  A matrix is written as ``{"entries": ..., "n": ...}`` straight
+    from ``(den, num)`` (``_matrix_text``).
+    """
+    return _text(doc, "\n")
+
+
+def _text(x: object, nl: str) -> str:
+    """The JSON text of ``x`` starting on a line whose break and indent are ``nl``."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x in (_INF, -_INF):
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
+    inner = nl + "  "
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_text(v, inner) for v in x]) + nl + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = [_quote(k) + ": " + _text(v, inner) for k, v in sorted(x.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(x, RMatrix):
+        return _matrix_text(x, nl)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _matrix_text(a: RMatrix, nl: str) -> str:
+    """``_text`` of the object ``{"entries": rows, "n": n}`` of a matrix, read off its integer grid.
+
+    Each distinct numerator is formatted once, as ``format_entry`` formats
+    its entry (a bare int, or a reduced ``"p/q"``), and each row is one join.
+    """
+    i1, i2, i3 = nl + "  ", nl + "    ", nl + "      "
+    den = a.den
+    values = set(chain.from_iterable(a.num))
+    if den == 1:
+        cell = {x: int.__repr__(x) for x in values}
+    else:
+        cell = {x: _text(_format_ratio(x, den), "") for x in values}
+    sep = "," + i3
+    rows = ("," + i2).join(["[" + i3 + sep.join(map(cell.__getitem__, row)) + i2 + "]" for row in a.num])
+    return "{" + i1 + '"entries": [' + i2 + rows + i1 + "]," + i1 + f'"n": {len(a.num)}' + nl + "}"
+
+
 def matrix_to_json(a: RMatrix, provenance: dict | None = None) -> str:
     """Serialize a matrix (optionally with a provenance header) to stable JSON."""
-    doc: dict = {}
+    text = json_text(a)
     if provenance is not None:
-        doc["provenance"] = provenance
-    doc.update(a.to_json_dict())
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        # "provenance" sorts after "entries" and "n": it goes before the closing brace
+        text = text[:-2] + ',\n  "provenance": ' + _text(provenance, "\n  ") + "\n}"
+    return text + "\n"
 
 
 def matrix_from_json(text: str) -> RMatrix:

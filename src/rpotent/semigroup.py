@@ -49,43 +49,51 @@ from .potency import DecompositionPrediction, Potent, main_decomposability_test,
 DEFAULT_CLOSURE_CAP = 10_000
 
 
-class _Closure:
-    """What the two closure types share; both have ``members`` and ``truncated``."""
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 @dataclass(frozen=True)
-class PatternSemigroup(_Closure):
-    """Multiplicatively closed set of patterns (unless ``truncated``)."""
+class PatternSemigroup:
+    """Multiplicatively closed set of patterns (unless ``truncated``).
+
+    The closure holds its members as row tuples, ``member_rows``; the
+    ``PatternMatrix`` members are built on first read of ``members``.
+    """
 
     n: int
-    members: tuple[PatternMatrix, ...]
+    member_rows: tuple[tuple[int, ...], ...]
     generator_count: int
     truncated: bool
 
+    def __len__(self) -> int:
+        return len(self.member_rows)
+
+    @functools.cached_property
+    def members(self) -> tuple[PatternMatrix, ...]:
+        n = self.n
+        return tuple([PatternMatrix._make(n, rows) for rows in self.member_rows])
+
     def union_pattern(self) -> PatternMatrix:
-        return _union_pattern(self.n, self.members)
+        return _union_pattern(self.n, self.member_rows)
 
 
 @dataclass(frozen=True)
-class RationalSemigroup(_Closure):
+class RationalSemigroup:
     """Multiplicatively closed set of exact matrices (unless ``truncated``)."""
 
     members: tuple[RMatrix, ...]
     truncated: bool
 
+    def __len__(self) -> int:
+        return len(self.members)
+
     def union_pattern(self) -> PatternMatrix:
         n = self.members[0].n
-        return _union_pattern(n, (m.pattern() for m in self.members))
+        return _union_pattern(n, (m.pattern().rows for m in self.members))
 
 
-def _union_pattern(n: int, patterns: Iterable[PatternMatrix]) -> PatternMatrix:
-    """The n x n pattern nonzero wherever one of the given patterns is."""
+def _union_pattern(n: int, member_rows: Iterable[tuple[int, ...]]) -> PatternMatrix:
+    """The n x n pattern nonzero wherever one of the given row tuples is."""
     rows = [0] * n
-    for p in patterns:
-        for i, mask in enumerate(p.rows):
+    for member in member_rows:
+        for i, mask in enumerate(member):
             rows[i] |= mask
     return PatternMatrix(n, tuple(rows))
 
@@ -163,15 +171,15 @@ def pattern_closure(
     generators; deduplicated and cap-bounded (see ``_close``).  The closure
     runs on row tuples, and each product row is one lookup per 8 columns in
     the ``_row_tables`` of its generator, built once per distinct generator
-    (at most 256 entries per 8-row chunk).  The members become patterns
-    once, at the end.
+    (at most 256 entries per 8-row chunk).  The members stay row tuples
+    until ``members`` is read.
     """
     n = _check_generators(generators, cap)
     tables = {g.rows: _row_tables(g.rows) for g in generators}
     members = tuple(itertools.islice(_close(list(tables), lambda x, g: _row_product(x, tables[g])), cap + 1))
     return PatternSemigroup(
         n=n,
-        members=tuple([PatternMatrix._make(n, rows) for rows in members[:cap]]),
+        member_rows=members[:cap],
         generator_count=len(tables),
         truncated=len(members) > cap,
     )
@@ -331,13 +339,12 @@ class RankFloorReport:
         return not self.truncated and self.non_potent_member is None and all(b.floor_ok for b in self.blocks)
 
     def to_dict(self) -> dict:
-        member = self.non_potent_member
         return {
             "closure_size": self.closure_size,
             "truncated": self.truncated,
             "decomposable": self.decomposable,
             "blocks": [b.to_dict() for b in self.blocks],
-            "non_potent_member": None if member is None else member.to_json_dict(),
+            "non_potent_member": self.non_potent_member,
             "all_ok": self.all_ok,
         }
 

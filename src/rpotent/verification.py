@@ -4,7 +4,7 @@
 prints, its runner and its default trials.  A runner generates its family
 deterministically from a seed and yields one verdict per trial;
 ``run_check`` tallies the verdicts into a ``CheckResult`` with the first
-counterexamples serialized for reproduction.  The same checks back the
+counterexamples kept for reproduction.  The same checks back the
 command-line ``verify`` command and the acceptance tests.
 """
 
@@ -47,7 +47,7 @@ class Failure:
     trial: int
     seed: int | None
     detail: str
-    matrix: dict | None = None
+    matrix: RMatrix | None = None
 
     def to_dict(self) -> dict:
         return {"trial": self.trial, "seed": self.seed, "detail": self.detail, "matrix": self.matrix}
@@ -465,5 +465,5 @@ def run_check(
         if ok:
             passed += 1
         elif len(failures) < 3:
-            failures.append(Failure(trial, case_seed, detail, None if matrix is None else matrix.to_json_dict()))
+            failures.append(Failure(trial, case_seed, detail, matrix))
     return CheckResult(check_id, spec.description, total, passed, tuple(failures))

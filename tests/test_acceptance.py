@@ -6,7 +6,6 @@ reproduced directly.
 """
 
 import itertools
-import json
 import random
 import subprocess
 import sys
@@ -24,7 +23,7 @@ from rpotent.decomposition import (
     rank_one_idempotent_diag_test,
 )
 from rpotent.generators import cycle_matrix
-from rpotent.matrix import PatternMatrix, Permutation, matrix_to_json
+from rpotent.matrix import PatternMatrix, Permutation, json_text, matrix_to_json
 from rpotent.potency import as_potent, is_r_potent, zero_diagonal_powers
 from rpotent.semigroup import (
     equivalence_report,
@@ -95,7 +94,7 @@ def test_rank_equals_projection_trace_on_500_potents():
     """Exact rank/trace identity across r in {2,3,4,5}, dimensions <= 36."""
     result = run_check("2.6", trials=500, seed=SEED)
     assert result.total == 500
-    assert result.ok, json.dumps(result.to_dict(), indent=2)
+    assert result.ok, json_text(result.to_dict())
 
 
 def test_rank_above_threshold_always_decomposes(high_rank_family):
@@ -165,7 +164,7 @@ def test_wielandt_power_positive_for_primitive_patterns():
     """100 random primitive patterns per n in {2..6}: positive power, exactly."""
     result = run_check("2.4", trials=100, seed=SEED + 4)
     assert result.total == 500
-    assert result.ok, json.dumps(result.to_dict(), indent=2)
+    assert result.ok, json_text(result.to_dict())
 
 
 def test_perron_value_one_and_zero_trace(high_rank_family, singular_family):

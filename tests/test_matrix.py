@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rpotent.matrix as matrix_module
+
 from rpotent.matrix import (
     PatternMatrix,
     Permutation,
     RMatrix,
+    json_text,
     load_matrix,
     matrix_from_csv,
     matrix_from_json,
@@ -34,6 +37,7 @@ from oracles import (
     pattern_to_bools,
     permutation_compose,
     permutation_inverse,
+    random_pattern_local,
     random_small_matrix,
     transposition,
 )
@@ -100,7 +104,7 @@ class TestIntegerBackend:
             assert _is_canonical(m)
             assert m == rebuilt and hash(m) == hash(rebuilt)
             assert (m.den, m.num) == (rebuilt.den, rebuilt.num)
-            assert m.to_json_dict() == rebuilt.to_json_dict()
+            assert json_text(m) == json_text(rebuilt)
         zero = a @ RMatrix.zeros(a.n)
         assert zero.den == 1 and zero.is_zero()
 
@@ -483,6 +487,20 @@ class TestPatternMatrix:
         p = pattern_from_bools([[True, False], [True, True]])
         assert p.column_masks() == (0b11, 0b10)
 
+    def test_products_and_unions_are_built_without_validation(self, monkeypatch):
+        rng = random.Random(5)
+        pairs = [tuple(random_pattern_local(rng, n, 0.4) for _ in range(2)) for n in range(1, 11) for _ in range(5)]
+        validated = []
+        monkeypatch.setattr(PatternMatrix, "__post_init__", lambda self: validated.append(self))
+        results = [(a, b, a * b, a | b) for a, b in pairs]
+        assert validated == []
+        monkeypatch.undo()
+        for a, b, product, union in results:
+            # the trusted results still pass the public constructor, and agree with the oracle
+            assert PatternMatrix(a.n, product.rows) == product == bool_product(a, b)
+            assert PatternMatrix(a.n, union.rows) == union
+            assert union.rows == tuple(x | y for x, y in zip(a.rows, b.rows))
+
 
 class TestConjugate:
     def test_identity_permutation(self):
@@ -677,6 +695,35 @@ class TestReaderAgainstFractionOracle:
     @given(st.sampled_from([_readable_entry, _signed_entry, _any_entry]).flatmap(_grid))
     def test_rows(self, rows):
         assert _outcome(RMatrix.from_rows, rows) == _outcome(fraction_grid, rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [["1/2", " 1/2", 1], ["1/2", "2/4 ", 0], [3, "1/2", " 1/2 "]],
+            [["1/3", "1/3", 2], ["1/3", "x", "1/3"], [0, 0, 0]],  # a bad string after a good repeated one
+            [["1/3", "1/3"], ["1/3", True]],  # a bad type after a good repeated string
+            [["2/4", 1], ["2/4", "-1/2"]],  # a negative entry after repeats
+            [[" 7 ", 7, "7"], [" 7 ", 1.5, "7"], ["7", 7, " 7 "]],
+            [["1/2", "1/2"], ["1/2"]],  # ragged after repeats
+            [["1/2", "1/0"], ["1/0", "1/2"]],  # the same bad string twice
+            [[5, 5], [5, -5]],
+        ],
+    )
+    def test_repeated_strings_padded_strings_and_ints(self, rows):
+        assert _outcome(RMatrix.from_rows, rows) == _outcome(fraction_grid, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_grid(st.sampled_from(["1/2", " 1/2", "2/4 ", "1/3", "7", " 7 ", "x", "-1/2", 0, 1, 7, -1, True])))
+    def test_rows_that_repeat_entries(self, rows):
+        assert _outcome(RMatrix.from_rows, rows) == _outcome(fraction_grid, rows)
+
+    def test_each_distinct_string_is_parsed_once(self, monkeypatch):
+        parsed = []
+        real = matrix_module._entry_ratio
+        monkeypatch.setattr(matrix_module, "_entry_ratio", lambda x: parsed.append(x) or real(x))
+        rows = [["1/2", 3, " 1/2"], [0, "1/2", "1/3"], ["1/3", " 1/2", 5]]
+        assert _outcome(RMatrix.from_rows, rows) == _outcome(fraction_grid, rows)
+        assert sorted(parsed) == [" 1/2", "1/2", "1/3"]
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from([_readable_cell, _signed_cell, _any_cell]).flatmap(_grid).filter(bool))

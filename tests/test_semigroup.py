@@ -6,6 +6,7 @@ import operator
 import random
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from rpotent.generators import (
 from rpotent.decomposition import BlockTriangularization, Digraph, block_triangularize
 from rpotent.matrix import PatternMatrix, Permutation, RMatrix, load_matrix
 from rpotent.potency import as_potent, potency_report
+from rpotent import cli
 import rpotent.potency
 import rpotent.semigroup
 from rpotent.semigroup import (
@@ -45,6 +47,8 @@ from oracles import (
     two_sided_closure,
     union_digraph_witness,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _patterns(n):
@@ -126,6 +130,36 @@ class TestPatternClosure:
             for x in members:
                 for y in members:
                     assert x * y in members
+
+    def test_members_are_built_on_first_read(self):
+        gens = _permutation_patterns((1, 0, 2, 3), (1, 2, 3, 0))
+        s = pattern_closure(gens)
+        assert "members" not in vars(s) and len(s) == 24
+        assert s.members == tuple(PatternMatrix(4, rows) for rows in s.member_rows)
+        assert s.members is s.members
+
+    def test_bare_semigroup_command_builds_no_member_pattern(self, monkeypatch, capsys):
+        closures, made = [], []
+
+        def closing(*args, **kwargs):
+            closures.append(pattern_closure(*args, **kwargs))
+            return closures[-1]
+
+        make = PatternMatrix._make.__func__
+
+        def making(cls, n, rows):
+            made.append(rows)
+            return make(cls, n, rows)
+
+        monkeypatch.setattr(cli, "pattern_closure", closing)
+        monkeypatch.setattr(PatternMatrix, "_make", classmethod(making))
+        s8 = [str(GOLDEN / "transposition_8.json"), str(GOLDEN / "cycle_8.json")]
+        assert cli.main(["semigroup", *s8]) == 0
+        (closure,) = closures
+        assert len(closure) == 10_000 and closure.truncated
+        # only the products of the generator reach are patterns, not one per member
+        assert "members" not in vars(closure) and len(made) < 20
+        assert '"closure_size": 10000' in capsys.readouterr().out
 
     def test_truncated_closure_lies_inside_the_generator_reach(self):
         rng = random.Random(1)
@@ -393,7 +427,7 @@ class TestSemigroupWitnessOracle:
         for _ in range(300):
             n = rng.randint(1, 6)
             members = tuple({random_pattern_local(rng, n, rng.uniform(0.05, 0.5)) for _ in range(rng.randint(1, 4))})
-            s = PatternSemigroup(n, members, len(members), truncated=False)
+            s = PatternSemigroup(n, tuple(m.rows for m in members), len(members), truncated=False)
             assert equivalence_report(list(members)).witness == union_digraph_witness(s)
 
 
@@ -616,7 +650,7 @@ class TestRankFloorDecidesEveryMember:
         assert not rep.truncated and not rep.all_ok
         assert rep.blocks == () and rep.decomposable is None
         assert rep.non_potent_member is not None
-        assert rep.to_dict()["non_potent_member"] == rep.non_potent_member.to_json_dict()
+        assert rep.to_dict()["non_potent_member"] is rep.non_potent_member
         return rep
 
     def test_idempotent_pair_with_a_nilpotent_product(self):
