@@ -20,10 +20,9 @@ Bareiss elimination, one row update per step.  Input is validated where it
 enters: ``coerce_entry`` and the public ``RMatrix`` constructors reject
 booleans, unparsable strings, non-square grids and negative entries, and
 operations on validated matrices build their results without re-checking.
-The readers take a plain int with no call and parse each distinct entry
-string once per matrix (``RMatrix.from_rows``).  Storage is dense: the
-target dimensions are at most a few dozen, where dense layout is the
-simplest thing that works.
+The readers take a plain int with no call (``RMatrix.from_rows``).
+Storage is dense: the target dimensions are at most a few dozen, where
+dense layout is the simplest thing that works.
 
 ``json_text`` is the one JSON writer of the command line.  Its output is
 exactly ``json.dumps(doc, indent=2, sort_keys=True)``, the oracle of its
@@ -513,22 +512,11 @@ class RMatrix:
     def from_rows(cls, rows: Sequence[Sequence[Entry]]) -> RMatrix:
         """The matrix of ``coerce_entry`` of every entry, read onto the integer grid directly.
 
-        A plain ``int`` becomes ``(x, 1)`` with no call, and each distinct
-        string is parsed once per matrix; every other entry goes through
-        ``_entry_ratio``.
+        A plain ``int`` becomes ``(x, 1)`` with no call; every other entry
+        goes through ``_entry_ratio``.
         """
-        parsed: dict[str, tuple[int, int]] = {}
-
-        def ratio(x: object) -> tuple[int, int]:
-            if type(x) is not str:
-                return _entry_ratio(x)
-            pair = parsed.get(x)
-            if pair is None:
-                pair = parsed[x] = _entry_ratio(x)
-            return pair
-
         m = object.__new__(cls)
-        m.__post_init__([[(x, 1) if type(x) is int else ratio(x) for x in row] for row in rows])
+        m.__post_init__([[(x, 1) if type(x) is int else _entry_ratio(x) for x in row] for row in rows])
         return m
 
     @classmethod
@@ -741,7 +729,11 @@ def json_text(doc: object) -> str:
     ``json.dumps`` raises: ``TypeError`` for a value it cannot serialize (and
     for a key that is not a str), ``ValueError`` for an int too long to
     print.  A matrix is written as ``{"entries": ..., "n": ...}`` straight
-    from ``(den, num)`` (``_matrix_text``).
+    from ``(den, num)`` (``_matrix_text``).  The report dicts that hold a
+    matrix (the ``analyze`` bundle, ``Failure.to_dict``,
+    ``CheckResult.to_dict``, ``RankFloorReport.to_dict``) hold the
+    ``RMatrix`` itself: they are written by this function, and
+    ``json.dumps`` raises ``TypeError`` on them.
     """
     return _text(doc, "\n")
 
@@ -779,8 +771,8 @@ def _text(x: object, nl: str) -> str:
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _matrix_text(a: RMatrix, nl: str) -> str:
-    """``_text`` of the object ``{"entries": rows, "n": n}`` of a matrix, read off its integer grid.
+def _matrix_text(a: RMatrix, nl: str, extra: dict | None = None) -> str:
+    """``_text`` of the object ``{"entries": rows, "n": n, **extra}`` of a matrix, read off its integer grid.
 
     Each distinct numerator is formatted once, as ``format_entry`` formats
     its entry (a bare int, or a reduced ``"p/q"``), and each row is one join.
@@ -794,16 +786,15 @@ def _matrix_text(a: RMatrix, nl: str) -> str:
         cell = {x: _text(_format_ratio(x, den), "") for x in values}
     sep = "," + i3
     rows = ("," + i2).join(["[" + i3 + sep.join(map(cell.__getitem__, row)) + i2 + "]" for row in a.num])
-    return "{" + i1 + '"entries": [' + i2 + rows + i1 + "]," + i1 + f'"n": {len(a.num)}' + nl + "}"
+    items = {"entries": "[" + i2 + rows + i1 + "]", "n": int.__repr__(len(a.num))}
+    if extra:
+        items.update({k: _text(v, i1) for k, v in extra.items()})
+    return "{" + i1 + ("," + i1).join([_quote(k) + ": " + v for k, v in sorted(items.items())]) + nl + "}"
 
 
 def matrix_to_json(a: RMatrix, provenance: dict | None = None) -> str:
     """Serialize a matrix (optionally with a provenance header) to stable JSON."""
-    text = json_text(a)
-    if provenance is not None:
-        # "provenance" sorts after "entries" and "n": it goes before the closing brace
-        text = text[:-2] + ',\n  "provenance": ' + _text(provenance, "\n  ") + "\n}"
-    return text + "\n"
+    return _matrix_text(a, "\n", None if provenance is None else {"provenance": provenance}) + "\n"
 
 
 def matrix_from_json(text: str) -> RMatrix:

@@ -339,6 +339,7 @@ class RankFloorReport:
         return not self.truncated and self.non_potent_member is None and all(b.floor_ok for b in self.blocks)
 
     def to_dict(self) -> dict:
+        """The report as a dict; ``"non_potent_member"`` is an ``RMatrix`` or None, written by ``json_text``."""
         return {
             "closure_size": self.closure_size,
             "truncated": self.truncated,

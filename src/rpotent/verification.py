@@ -50,6 +50,7 @@ class Failure:
     matrix: RMatrix | None = None
 
     def to_dict(self) -> dict:
+        """The failure as a report dict; ``"matrix"`` is the ``RMatrix`` itself, written by ``json_text``."""
         return {"trial": self.trial, "seed": self.seed, "detail": self.detail, "matrix": self.matrix}
 
 
@@ -66,6 +67,7 @@ class CheckResult:
         return self.total > 0 and self.passed == self.total
 
     def to_dict(self) -> dict:
+        """The result as a report dict; a failure's ``"matrix"`` is an ``RMatrix``, written by ``json_text``."""
         return {
             "check": self.check_id,
             "description": self.description,

@@ -12,8 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rpotent.matrix as matrix_module
-
 from rpotent.matrix import (
     PatternMatrix,
     Permutation,
@@ -716,14 +714,6 @@ class TestReaderAgainstFractionOracle:
     @given(_grid(st.sampled_from(["1/2", " 1/2", "2/4 ", "1/3", "7", " 7 ", "x", "-1/2", 0, 1, 7, -1, True])))
     def test_rows_that_repeat_entries(self, rows):
         assert _outcome(RMatrix.from_rows, rows) == _outcome(fraction_grid, rows)
-
-    def test_each_distinct_string_is_parsed_once(self, monkeypatch):
-        parsed = []
-        real = matrix_module._entry_ratio
-        monkeypatch.setattr(matrix_module, "_entry_ratio", lambda x: parsed.append(x) or real(x))
-        rows = [["1/2", 3, " 1/2"], [0, "1/2", "1/3"], ["1/3", " 1/2", 5]]
-        assert _outcome(RMatrix.from_rows, rows) == _outcome(fraction_grid, rows)
-        assert sorted(parsed) == [" 1/2", "1/2", "1/3"]
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from([_readable_cell, _signed_cell, _any_cell]).flatmap(_grid).filter(bool))
