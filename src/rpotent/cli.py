@@ -20,7 +20,7 @@ import sys
 from .decomposition import block_triangularize, brute_force_decomposable_pattern
 from .generators import GENERATOR_KINDS, GeneratorSpec
 from .matrix import RMatrix, json_text, load_matrix, matrix_to_json
-from .potency import main_decomposability_test, potency_report
+from .potency import main_decomposability_test, potency_report, potent_at
 from .semigroup import DEFAULT_CLOSURE_CAP, equivalence_report, pattern_closure, semigroup_rank_floor_check
 from .spectral import spectral_report
 from .structure import analyze_structure
@@ -220,12 +220,13 @@ def cmd_semigroup(args) -> int:
     if len(dims) > 1:
         raise ValueError(f"generators must share a dimension, got {sorted(dims)}")
     if args.r is not None:
-        # decided once, from the block periods, before any closure is built:
-        # a large --r takes no r-th power, and a refused set makes no product
-        potents = [potency_report(block_triangularize(m), args.r).potent for m in matrices]
+        # decided once, before any closure is built: by A's own powers when
+        # r - 1 <= n, else from the block periods, so a large --r takes no
+        # r-th power, and a refused set starts no closure
+        potents = [potent_at(m, args.r) for m in matrices]
         if None in potents:
             raise ValueError(f"every generator must be {args.r}-potent")
-        patterns = [p.pattern for p in potents]  # read by the decision's triangularization
+        patterns = [p.pattern for p in potents]  # read once, and reused by the rank floor
     else:
         patterns = [m.pattern() for m in matrices]
     closure = pattern_closure(patterns, cap=args.cap)

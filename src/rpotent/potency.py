@@ -7,7 +7,9 @@ with exact arithmetic only.  Reports take a ``Potent``, a matrix checked
 once, so none of them re-checks potency or recomputes a power.  Whether any
 r exists is decided from the periods of the diagonal blocks of A's maximal
 triangularization, with no cap; when none does, the decision returns the
-``NonPotency`` certificate instead.
+``NonPotency`` certificate instead.  Whether A^r = A at one given r is
+decided by ``potent_at``: from A's own powers when r - 1 <= n, else from
+the same block periods.
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ class Potent:
     def tri(self) -> BlockTriangularization:
         return block_triangularize(self.a)
 
-    @property
+    @cached_property
     def pattern(self) -> PatternMatrix:
-        """A's support, taken from ``tri`` when the value holds one; else read off A, building no ``tri``."""
+        """A's support, taken from ``tri`` when the value holds one; else read off A once, building no ``tri``."""
         t = vars(self).get("tri")
         return self.a.pattern() if t is None else t.graph.pattern
 
@@ -140,23 +142,49 @@ def minimal_potency(t: BlockTriangularization) -> Potent | NonPotency:
     return Potent._decided(t, big_l + 1, projection)
 
 
-def as_potent(a: RMatrix, r: int) -> Potent:
-    """``a`` checked at exponent ``r`` by one product, A^(r-1) A = A; ValueError unless it holds.
+def potent_at(a: RMatrix, r: int) -> Potent | None:
+    """``a`` checked at exponent ``r``: its ``Potent`` when A^r = A, else None.
 
-    A^(r-1) is built by square-and-multiply from A^2, the first product of
-    any such power.  When A^2 = A, A is idempotent and A^(r-1) = A, so
-    nothing more is computed.
+    Two routes, split at r - 1 <= n:
+
+    * r - 1 <= n: A's own powers.  A^2 is taken first; when A^2 = A, A is
+      idempotent and A^(r-1) = A, so nothing more is computed.  Otherwise
+      A^(r-1) is built by square-and-multiply from A^2 and checked by one
+      product, A^(r-1) A = A.  No triangularization is built.
+    * r - 1 > n: the period route of ``potency_report``, so a large r takes
+      no r-th power: A^r = A iff the lcm L of the block periods divides
+      r - 1, and the projection is A^L.
+
+    Both give the same projection, since A^(r-1) = A^L when L divides r - 1.
+    The split bounds the direct route to at most 2 floor(log2 n) + 1
+    products, with entry bit lengths that grow at most n-fold, the bound the
+    period route's block pre-check already takes (B^(p+1), p + 1 <= n + 1).
     """
     if r < 2:
         raise ValueError("potency exponent must be at least 2")
+    if r - 1 > a.n:
+        return potency_report(block_triangularize(a), r).potent
     square = a @ a
     if square == a:
         return Potent(a, r, a)
+    if r == 2:
+        return None  # A^(r-1) A is A^2, already compared
     half, odd = divmod(r - 1, 2)
     projection = square.pow(half) @ a if odd else square.pow(half)
-    if projection @ a != a:
+    return Potent(a, r, projection) if projection @ a == a else None
+
+
+def as_potent(a: RMatrix, r: int) -> Potent:
+    """``a`` checked at exponent ``r`` by ``potent_at``; ValueError unless A^r = A.
+
+    For r - 1 <= n that is A's own powers, A^(r-1) A = A, in at most
+    2 floor(log2 n) + 1 products; past n it is the block periods, so a large
+    r takes no r-th power.
+    """
+    p = potent_at(a, r)
+    if p is None:
         raise ValueError(f"matrix is not {r}-potent")
-    return Potent(a, r, projection)
+    return p
 
 
 def rank_trace_check(p: Potent) -> bool:

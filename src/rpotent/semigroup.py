@@ -42,9 +42,9 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from math import lcm
 
-from .decomposition import Digraph, InvariantSubsetWitness, block_triangularize, sink_witness
+from .decomposition import Digraph, InvariantSubsetWitness, sink_witness
 from .matrix import PatternMatrix, Permutation, RMatrix
-from .potency import DecompositionPrediction, Potent, main_decomposability_test, potency_report
+from .potency import DecompositionPrediction, Potent, main_decomposability_test, potent_at
 
 DEFAULT_CLOSURE_CAP = 10_000
 
@@ -361,10 +361,14 @@ def semigroup_rank_floor_check(generators: list[Potent], *, cap: int = DEFAULT_C
 
     The statement assumes every member r-potent, so each member is decided
     once as it is admitted: the generators by the ``Potent`` they come with,
-    every other member as ``cmd_semigroup`` decides generators, from its
-    block periods.  The first member that fails ends the closure and is
-    reported.  Once every member is r-potent, every element is periodic, and
-    a finitely generated semigroup of matrices whose elements are all
+    every other member by ``potent_at``, as ``cmd_semigroup`` decides
+    generators: for r - 1 <= n by its own powers, M^(r-1) M = M with no
+    triangularization, and past n by its block periods, so a large r takes
+    no r-th power.  The split keeps the direct route within 2 floor(log2 n)
+    + 1 products, the bound the period route's block pre-check already
+    takes.  The first member that fails ends the closure and is reported.
+    Once every member is r-potent, every element is periodic, and a
+    finitely generated semigroup of matrices whose elements are all
     periodic is finite (McNaughton & Zalcstein, J. Algebra 34, 1975); so the
     cap only bounds the work, and a closure past it withholds the floor.
 
@@ -388,7 +392,7 @@ def semigroup_rank_floor_check(generators: list[Potent], *, cap: int = DEFAULT_C
     for admitted, m in enumerate(_close(matrices, operator.matmul)):
         if admitted == cap:
             return RankFloorReport(closure_size=cap, truncated=True)
-        p = decided[admitted] if admitted < len(decided) else potency_report(block_triangularize(m), r).potent
+        p = decided[admitted] if admitted < len(decided) else potent_at(m, r)
         if p is None:
             return RankFloorReport(closure_size=admitted, truncated=False, non_potent_member=m)
         den, num = p.projection.den, p.projection.num

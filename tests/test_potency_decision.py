@@ -1,11 +1,16 @@
-"""The potency decision from the block periods, and the boolean Wielandt power.
+"""The potency decision from the block periods, the decision at one r, and the boolean Wielandt power.
 
 ``minimal_potency`` decides from L, the lcm of the periods of the nonzero
 diagonal blocks, with one power A^L.  It is checked against the reference
 walk ``unscreened_minimal_potency``, which takes every power up to its cap,
 on every 0/1 matrix with n <= 3 and on seeded rational matrices with n <= 5.
 Every ``NonPotency`` certificate is confirmed by an independent power
-A^(L+1) != A, and L by the diagonal-hit period oracle.  The pattern power of
+A^(L+1) != A, and L by the diagonal-hit period oracle.  ``potent_at``, which
+decides one r from A's own powers when r - 1 <= n, is checked against the
+period route and the ``Fraction`` power on every 0/1 matrix with n <= 3 at
+r = 2..6, on seeded rational potents, perturbed copies of them and their
+doubles, and on the semigroup goldens' generators and members: the same
+verdict and the same projection, exactly.  The pattern power of
 ``wielandt_check`` is checked against the exact rational power, and its
 squaring test, which stops at the first full square, against
 ``PatternMatrix.pow`` on patterns whose powers do and do not fill.
@@ -15,14 +20,17 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from importlib import resources
 from math import lcm
+from pathlib import Path
 
 import pytest
 
 from rpotent.decomposition import block_triangularize
 from rpotent.generators import block_diagonal, cycle_matrix, random_r_potent, uniform_idempotent
-from rpotent.matrix import PatternMatrix, Permutation, RMatrix
-from rpotent.potency import NonPotency, Potent, minimal_potency
+from rpotent.matrix import PatternMatrix, Permutation, RMatrix, load_matrix
+from rpotent.potency import NonPotency, Potent, minimal_potency, potency_report, potent_at
+from rpotent.semigroup import rational_closure
 from rpotent.spectral import _support_power_is_full, is_primitive, wielandt_check, wielandt_exponent
 
 from oracles import (
@@ -34,6 +42,9 @@ from oracles import (
     random_small_matrix,
     unscreened_minimal_potency,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
+DATA = resources.files("rpotent").joinpath("data")
 
 
 def _decide(a: RMatrix):
@@ -183,6 +194,90 @@ class TestPastTheOldCap:
         rows[0][2] = Fraction(1)
         a = RMatrix.from_rows(rows)
         assert _agrees_with_the_walk(a) == NonPotency(6)
+
+
+def _potent_at_agrees(a: RMatrix, r: int) -> tuple[str, bool]:
+    """``potent_at`` against the period route and the ``Fraction`` oracle: one verdict, one projection.
+
+    Returns the route ``potent_at`` took, read off whether its ``Potent``
+    holds a triangularization, and the verdict.
+    """
+    got = potent_at(a, r)
+    reference = potency_report(block_triangularize(a), r).potent
+    potent = naive_power(a, r) == a
+    assert (got is not None) == (reference is not None) == potent
+    route = "direct" if r - 1 <= a.n else "periods"
+    if got is not None:
+        assert got.a is a and got.r == r
+        projection = naive_power(a, r - 1)
+        assert (got.projection.den, got.projection.num) == (reference.projection.den, reference.projection.num)
+        assert got.projection == projection
+        assert ("tri" in vars(got)) == (route == "periods")
+    return route, potent
+
+
+def _perturbed(rng: random.Random, a: RMatrix) -> RMatrix:
+    rows = [list(row) for row in a.entries]
+    i, j = rng.randrange(a.n), rng.randrange(a.n)
+    rows[i][j] += rng.choice([Fraction(1), Fraction(1, 2), Fraction(2, 3)])
+    return RMatrix.from_rows(rows)
+
+
+def _golden_generators() -> list[RMatrix]:
+    gens = []
+    for golden in sorted(GOLDEN.glob("*.semigroup.json")):
+        name = golden.name.removesuffix(".semigroup.json")
+        bundled = DATA / f"{name}.json"
+        paths = [bundled] if bundled.is_file() else sorted(GOLDEN.glob(f"{name}.g*.json"))
+        gens.append([load_matrix(str(path)) for path in paths])
+    return gens
+
+
+class TestPotentAtAgainstThePeriodRoute:
+    """``potent_at`` takes A's own powers for r - 1 <= n and the block periods past it; both must agree with the period route and the oracle."""
+
+    def test_every_zero_one_matrix_up_to_three(self):
+        # r = 2..6 puts r - 1 below, at and above n for every n <= 3
+        outcomes = Counter()
+        for n in (1, 2, 3):
+            for bits in itertools.product((0, 1), repeat=n * n):
+                a = RMatrix.from_rows([list(bits[i * n:(i + 1) * n]) for i in range(n)])
+                for r in range(2, 7):
+                    outcomes[_potent_at_agrees(a, r)] += 1
+        assert set(outcomes) == {(route, potent) for route in ("direct", "periods") for potent in (True, False)}
+        assert sum(outcomes.values()) == 530 * 5
+
+    def test_seeded_rational_potents_and_perturbed_copies(self):
+        rng = random.Random(28)
+        outcomes = Counter()
+        for i in range(80):
+            n = rng.randint(1, 5)
+            if i % 2:
+                a = _block_triangular(rng, n)
+            else:
+                try:
+                    a = random_r_potent(rng.randint(2, 7), rng.randint(1, n), rng.randrange(10**6), max_dim=5).a
+                except ValueError:
+                    continue
+            decision = _decide(a)
+            exponents = set(range(2, a.n + 4))
+            if isinstance(decision, Potent):
+                exponents |= {decision.r, 2 * decision.r - 1}
+            for m in (a, _perturbed(rng, a), RMatrix.from_rows([[2 * x for x in row] for row in a.entries])):
+                for r in sorted(exponents):
+                    outcomes[_potent_at_agrees(m, r)] += 1
+        assert min(outcomes.values()) >= 100 and len(outcomes) == 4
+
+    def test_semigroup_goldens_and_their_members(self):
+        outcomes = Counter()
+        for gens in _golden_generators():
+            members = rational_closure(gens, 30).members
+            for r in range(2, 8):
+                for m in gens:
+                    outcomes[_potent_at_agrees(m, r)] += 1
+            for m in members:
+                outcomes[_potent_at_agrees(m, 4)] += 1
+        assert outcomes[("direct", True)] and outcomes[("direct", False)] and outcomes[("periods", True)]
 
 
 def _random_primitive(rng: random.Random, n: int) -> RMatrix:

@@ -558,40 +558,58 @@ class TestRankFloor:
 
     def test_decides_no_generator_potency(self, monkeypatch):
         # the generators' Potents are reused; every other member is decided
-        # once, as it is admitted, and no potency is decided any other way
+        # once by potent_at, as it is admitted, and at r - 1 <= n by its own
+        # powers: no potency is decided from block periods
         gens = rank_dominant_semigroup_generators(3, 2, 4)
-        decided = []
+        assert all(3 - 1 <= p.a.n for p in gens)
+        decided, by_periods = [], []
+        potent_at = rpotent.semigroup.potent_at
         minimal_potency = rpotent.potency.minimal_potency
 
-        def recorded(t):
-            decided.append(t.source)
+        def recorded(m, r):
+            decided.append(m)
+            return potent_at(m, r)
+
+        def recorded_periods(t):
+            by_periods.append(t.source)
             return minimal_potency(t)
 
-        monkeypatch.setattr(rpotent.potency, "minimal_potency", recorded)
+        monkeypatch.setattr(rpotent.semigroup, "potent_at", recorded)
+        monkeypatch.setattr(rpotent.potency, "minimal_potency", recorded_periods)
         rep = semigroup_rank_floor_check(gens)
         matrices = list(dict.fromkeys(p.a for p in gens))
         members = rational_closure(matrices).members
         assert len(members) > len(matrices)
         assert decided == list(members[len(matrices):])
         assert not set(decided) & set(matrices)
+        assert by_periods == []
         assert rep.all_ok and rep.decomposable and rep.closure_size == len(members)
 
     def test_triangularizes_no_generator(self, monkeypatch):
         # G+ is read off the generators' patterns, so a generator checked by
-        # one product (as_potent, no triangularization held) gets none
-        gens = rank_dominant_semigroup_generators(3, 2, 4)
-        assert not any("tri" in vars(p) for p in gens)
+        # one product (as_potent, no triangularization held) gets none; at
+        # r - 1 <= n no member gets one either, and past it (the Klein pair
+        # at r = 7 > 4 + 1) each other member gets one, from the period route
         triangularized = []
-        original = rpotent.semigroup.block_triangularize
+        original = rpotent.potency.block_triangularize
 
         def recorded(a):
             triangularized.append(a)
             return original(a)
 
-        monkeypatch.setattr(rpotent.semigroup, "block_triangularize", recorded)
-        assert semigroup_rank_floor_check(gens).all_ok
-        assert triangularized and not set(triangularized) & {p.a for p in gens}
+        gens = rank_dominant_semigroup_generators(3, 2, 4)
         assert not any("tri" in vars(p) for p in gens)
+        monkeypatch.setattr(rpotent.potency, "block_triangularize", recorded)
+        assert semigroup_rank_floor_check(gens).all_ok
+        assert triangularized == []
+        assert not any("tri" in vars(p) for p in gens)
+
+        klein = _klein_pair()
+        potents = [as_potent(g, 7) for g in klein]
+        assert triangularized == klein
+        triangularized.clear()
+        assert semigroup_rank_floor_check(potents).closure_size == 4
+        assert triangularized == list(rational_closure(klein).members[2:])
 
     def test_generator_potent_at_a_large_multiple_of_its_period(self):
         # 3 divides 10^10 - 1, so the 3-cycle is 10^10-potent

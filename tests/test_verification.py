@@ -87,23 +87,23 @@ def test_rank_trace_check_ranks_each_matrix_once(monkeypatch):
 def test_rank_floor_check_decides_each_generator_once(monkeypatch):
     # the emission check proves each generator r-potent and hands the Potent
     # on; the rank floor reuses it, and decides every other member of each
-    # closure once, from its block periods
+    # closure once, by potent_at
     import rpotent.generators
-    import rpotent.potency
+    import rpotent.semigroup
     import rpotent.verification
 
     families, checked, decided = [], [], []
     as_potent = rpotent.generators.as_potent
-    minimal_potency = rpotent.potency.minimal_potency
+    potent_at = rpotent.semigroup.potent_at
     build = rpotent.verification.rank_dominant_semigroup_generators
 
     def checked_as_potent(a, r):
         checked.append(a)
         return as_potent(a, r)
 
-    def decided_minimal_potency(t):
-        decided.append(t.source)
-        return minimal_potency(t)
+    def decided_potent_at(m, r):
+        decided.append(m)
+        return potent_at(m, r)
 
     def built(*args):
         gens = build(*args)
@@ -111,7 +111,7 @@ def test_rank_floor_check_decides_each_generator_once(monkeypatch):
         return gens
 
     monkeypatch.setattr(rpotent.generators, "as_potent", checked_as_potent)
-    monkeypatch.setattr(rpotent.potency, "minimal_potency", decided_minimal_potency)
+    monkeypatch.setattr(rpotent.semigroup, "potent_at", decided_potent_at)
     monkeypatch.setattr(rpotent.verification, "rank_dominant_semigroup_generators", built)
     result = run_check("6.4")
     assert result.ok and result.total == 50
