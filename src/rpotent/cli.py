@@ -145,13 +145,13 @@ def cmd_analyze(args) -> int:
 
 
 def _ascii_int(text: str) -> int:
-    """The argparse ``type`` of every integer option: ``int(text)``, refused unless ``text`` is ASCII.
+    """The argparse ``type`` of every integer option: ``int(text)``, refused unless ``text`` is ASCII without ``_``.
 
-    ``int`` also reads "٣" (Arabic-Indic three) as 3; an option is written in
-    ASCII digits, as a matrix entry is (``coerce_entry``).  Other text gets
-    argparse's message for ``type=int``.
+    ``int`` also reads "٣" (Arabic-Indic three) as 3 and "1_0" as 10; an
+    option is written in ASCII digits, as a matrix entry is (``coerce_entry``).
+    Other text gets argparse's message for ``type=int``.
     """
-    if not text.isascii():
+    if not text.isascii() or "_" in text:
         raise argparse.ArgumentTypeError(f"integers are written in ASCII digits, got {text!r}")
     try:
         return int(text)

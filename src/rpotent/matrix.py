@@ -17,10 +17,11 @@ of a ``Fraction`` gcd on every multiply and add; each row of the integer
 product is one sum of packed integers, a fixed-width slot per entry, so the
 interpreter loops over rows, not entries (``RMatrix``).  Rank is fraction-free
 Bareiss elimination, one row update per step.  Input is validated where it
-enters: ``coerce_entry`` and the public ``RMatrix`` constructors reject
+enters: ``RMatrix(rows)``, the one validating constructor, which every
+reader calls, reads each entry as ``coerce_entry`` does and rejects
 booleans, unparsable strings, non-square grids and negative entries, and
 operations on validated matrices build their results without re-checking.
-The readers take a plain int with no call (``RMatrix.from_rows``).
+It takes a plain int with no call.
 Storage is dense: the target dimensions are at most a few dozen, where
 dense layout is the simplest thing that works.
 
@@ -48,7 +49,6 @@ from typing import Sequence
 Entry = Fraction | int | str
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _INF = float("inf")
 
 # (array type code, bytes) of the unsigned slots a packed row may use, narrowest first
@@ -70,8 +70,10 @@ def coerce_entry(value: Entry) -> Fraction:
     if isinstance(value, str):
         s = value.strip()
         try:
-            if not s.isascii():  # ``Fraction`` and ``int`` read "٣" (Arabic-Indic three) as 3
-                raise ValueError("matrix entries are written in ASCII digits")
+            # ``Fraction`` and ``int`` read "٣" (Arabic-Indic three) as 3, and
+            # ``Fraction`` reads "1_000" as 1000 from Python 3.11 on only
+            if not s.isascii() or "_" in s:
+                raise ValueError("matrix entries are written in ASCII digits, without underscores")
             x = _parse_fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse matrix entry {value!r}") from exc
@@ -82,8 +84,8 @@ def coerce_entry(value: Entry) -> Fraction:
     raise TypeError(f"unsupported matrix entry type {type(value).__name__}")
 
 
-# The exponent form of ``Fraction``'s string syntax, with the same groups.
-_EXPONENT_FORM = re.compile(r"[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)")
+# The exponent form of ``Fraction``'s string syntax, with the same groups, less underscores.
+_EXPONENT_FORM = re.compile(r"[-+]?(?=\d|\.\d)(\d*)(?:\.(\d*))?[eE]([-+]?\d+)")
 
 
 def _parse_fraction(s: str) -> Fraction | None:
@@ -104,7 +106,7 @@ def _parse_fraction(s: str) -> Fraction | None:
     if form is None:
         return Fraction(s)
     whole, decimal, exponent = form.groups()
-    decimal = (decimal or "").replace("_", "")
+    decimal = decimal or ""
     mantissa = int(whole or "0") * 10 ** len(decimal) + int(decimal or "0")
     k = int(exponent) - len(decimal)
     if not mantissa:
@@ -362,11 +364,6 @@ def _entry_ratio(x: object) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
-def _fraction_ratio(x: object) -> tuple[int, int] | None:
-    """A ``Fraction`` entry as ``(p, q)``; None for any other type."""
-    return (x.numerator, x.denominator) if isinstance(x, Fraction) else None
-
-
 class RMatrix:
     """Square nonnegative matrix with exact rational entries.
 
@@ -387,22 +384,21 @@ class RMatrix:
     is negative, so no slot borrows either.
 
     Instances are immutable and hashable; every operation returns a new
-    matrix.  Squareness, entry types and nonnegativity are checked in
-    ``__post_init__``, the one validating loop that every public constructor
-    runs.  ``RMatrix(entries)`` takes a grid of ``Fraction``, as ``identity``,
-    ``zeros`` and ``diagonal`` do.  ``from_rows``, and with it the JSON and
-    CSV readers, reads each entry as ``coerce_entry`` would, but builds no
-    ``Fraction`` for a plain int or a string of digits or ``digits/digits``:
-    it splits them into integer pairs.  Results of operations on
-    validated matrices (products, powers, Kronecker products, relabellings,
-    submatrices) are built by ``_make`` without those checks: products and
-    sums of nonnegative integers stay nonnegative.  So are the 0/1 matrices
-    of ``Permutation.to_matrix`` and ``PatternMatrix.to_matrix``, whose
-    images and bitmasks their own constructors have validated.
+    matrix.  ``RMatrix(rows)`` is the one validating constructor: the JSON
+    and CSV readers, ``identity``, ``zeros`` and ``diagonal`` all call it.
+    It reads each entry as ``coerce_entry`` would (an int, a ``Fraction`` or
+    a string), but builds no ``Fraction`` for a plain int or a string of
+    digits or ``digits/digits``: it splits them into integer pairs.  Then
+    ``__post_init__`` checks the dimension, squareness and nonnegativity.
+    Results of operations on validated matrices (products, powers, Kronecker
+    products, relabellings, submatrices) are built by ``_make`` without
+    those checks: products and sums of nonnegative integers stay
+    nonnegative.  So are the 0/1 matrices of ``Permutation.to_matrix`` and
+    ``PatternMatrix.to_matrix``, whose images and bitmasks their own
+    constructors have validated.
 
-    ``entries`` is a read-only ``Fraction`` view of the grid.  It is the
-    grid given to ``RMatrix(entries)``; for every other matrix it is built on
-    first use and then kept.
+    ``entries`` is a read-only ``Fraction`` view of the grid, built on first
+    use and then kept.
 
     Tuples are built from lists, ``tuple([...])``, never from generators or
     ``map``: CPython sizes a tuple built from an iterator by reallocating it,
@@ -416,24 +412,24 @@ class RMatrix:
     den: int
     num: tuple[tuple[int, ...], ...]
 
-    def __init__(self, entries: Sequence[Sequence[Fraction]]) -> None:
-        self.__post_init__([[_fraction_ratio(x) for x in row] for row in entries])
-        object.__setattr__(self, "_entries", tuple([tuple(row) for row in entries]))
+    def __init__(self, rows: Sequence[Sequence[Entry]]) -> None:
+        """The matrix of ``coerce_entry`` of every entry, read onto the integer grid directly.
 
-    def __post_init__(self, pairs: list[list[tuple[int, int] | None]]) -> None:
-        """The one validating loop of ``RMatrix(entries)`` and ``from_rows``.
+        A plain ``int`` becomes ``(x, 1)`` with no call; every other entry
+        goes through ``_entry_ratio``.
+        """
+        self.__post_init__([[(x, 1) if type(x) is int else _entry_ratio(x) for x in row] for row in rows])
 
-        ``pairs`` holds each entry as a reduced pair ``(p, q)``, q > 0, or
-        None for an entry of a type the constructor does not take.  Parse
-        errors were raised while the pairs were read, in row-major order;
-        then come type errors, the dimension, and row by row squareness and
+    def __post_init__(self, pairs: list[list[tuple[int, int]]]) -> None:
+        """The validating loop of ``RMatrix(rows)``.
+
+        ``pairs`` holds each entry as a reduced pair ``(p, q)``, q > 0.  Parse
+        and type errors were raised while the pairs were read, in row-major
+        order; then come the dimension, and row by row squareness and
         negative entries.
         """
         # Kept under its dataclass name: bench/tracer.py counts validated
         # constructions by wrapping RMatrix.__post_init__.
-        for i, row in enumerate(pairs):
-            if None in row:
-                raise TypeError(f"entry ({i}, {row.index(None)}) is not a Fraction")
         n = len(pairs)
         if n < 1:
             raise ValueError("matrix dimension must be positive")
@@ -509,29 +505,17 @@ class RMatrix:
         return grid
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Entry]]) -> RMatrix:
-        """The matrix of ``coerce_entry`` of every entry, read onto the integer grid directly.
-
-        A plain ``int`` becomes ``(x, 1)`` with no call; every other entry
-        goes through ``_entry_ratio``.
-        """
-        m = object.__new__(cls)
-        m.__post_init__([[(x, 1) if type(x) is int else _entry_ratio(x) for x in row] for row in rows])
-        return m
-
-    @classmethod
     def identity(cls, n: int) -> RMatrix:
-        return cls(tuple([tuple([_ONE if i == j else _ZERO for j in range(n)]) for i in range(n)]))
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, n: int) -> RMatrix:
-        return cls(((_ZERO,) * n,) * n)
+        return cls([[0] * n] * n)
 
     @classmethod
     def diagonal(cls, values: Sequence[Entry]) -> RMatrix:
-        vals = [coerce_entry(v) for v in values]
-        n = len(vals)
-        return cls(tuple([tuple([vals[i] if i == j else _ZERO for j in range(n)]) for i in range(n)]))
+        n = len(values)
+        return cls([[v if i == j else 0 for j in range(n)] for i, v in enumerate(values)])
 
     def get(self, i: int, j: int) -> Fraction:
         return Fraction(self.num[i][j], self.den)
@@ -590,8 +574,7 @@ class RMatrix:
         if k < 0:
             raise ValueError("exponent must be nonnegative")
         if k == 0:
-            n = self.n
-            return RMatrix._make(1, tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]))
+            return RMatrix.identity(self.n)
         base = self
         while not k & 1:
             base = base @ base
@@ -674,7 +657,7 @@ class RMatrix:
                 if x:
                     mask |= 1 << j
             rows.append(mask)
-        return PatternMatrix(self.n, tuple(rows))
+        return PatternMatrix._make(self.n, tuple(rows))
 
     def conjugate(self, p: Permutation) -> RMatrix:
         """Simultaneous row/column relabeling: entry (i, j) becomes entry (p(i), p(j)).
@@ -694,21 +677,6 @@ class RMatrix:
             raise ValueError("submatrix needs at least one index")
         num = self.num
         return RMatrix._normalized(self.den, tuple([tuple([num[i][j] for j in idx]) for i in idx]))
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> RMatrix:
-        if not isinstance(data, dict) or "n" not in data or "entries" not in data:
-            raise ValueError("matrix JSON must contain 'n' and 'entries'")
-        n = data["n"]
-        entries = data["entries"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError("'n' must be a positive integer")
-        if not isinstance(entries, list) or len(entries) != n:
-            raise ValueError(f"'entries' must be a list of {n} rows")
-        for row in entries:
-            if not isinstance(row, list) or len(row) != n:
-                raise ValueError(f"every row must have length {n}")
-        return cls.from_rows(entries)
 
     def __str__(self) -> str:
         den = self.den
@@ -805,7 +773,18 @@ def matrix_from_json(text: str) -> RMatrix:
         # converts from text; RecursionError: nesting deeper than the decoder's
         # recursion limit
         raise ValueError(f"invalid matrix JSON: {exc}") from exc
-    return RMatrix.from_json_dict(data)
+    if not isinstance(data, dict) or "n" not in data or "entries" not in data:
+        raise ValueError("matrix JSON must contain 'n' and 'entries'")
+    n = data["n"]
+    entries = data["entries"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError("'n' must be a positive integer")
+    if not isinstance(entries, list) or len(entries) != n:
+        raise ValueError(f"'entries' must be a list of {n} rows")
+    for row in entries:
+        if not isinstance(row, list) or len(row) != n:
+            raise ValueError(f"every row must have length {n}")
+    return RMatrix(entries)
 
 
 def matrix_from_csv(text: str) -> RMatrix:
@@ -816,7 +795,7 @@ def matrix_from_csv(text: str) -> RMatrix:
         raise ValueError(f"invalid CSV matrix: {exc}") from exc
     if not rows:
         raise ValueError("empty CSV matrix")
-    return RMatrix.from_rows([[cell for cell in row] for row in rows])
+    return RMatrix(rows)
 
 
 def load_matrix(path: str) -> RMatrix:

@@ -90,12 +90,15 @@ class RationalSemigroup:
 
 
 def _union_pattern(n: int, member_rows: Iterable[tuple[int, ...]]) -> PatternMatrix:
-    """The n x n pattern nonzero wherever one of the given row tuples is."""
+    """The n x n pattern nonzero wherever one of the given row tuples is.
+
+    The rows are those of validated members, so their ORs stay below 2^n.
+    """
     rows = [0] * n
     for member in member_rows:
         for i, mask in enumerate(member):
             rows[i] |= mask
-    return PatternMatrix(n, tuple(rows))
+    return PatternMatrix._make(n, tuple(rows))
 
 
 def _close(generators: list, product: Callable) -> Iterator:

@@ -224,7 +224,7 @@ def random_small_matrix(rng: random.Random, n: int, density: float = 0.6) -> RMa
         [rng.choice(pool) if rng.random() < density else Fraction(0) for _ in range(n)]
         for _ in range(n)
     ]
-    return RMatrix.from_rows(rows)
+    return RMatrix(rows)
 
 
 def random_pattern_local(rng: random.Random, n: int, density: float) -> PatternMatrix:

@@ -110,6 +110,16 @@ class TestAnalyze:
         assert main(["analyze", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: cannot parse matrix entry {entry!r}\n"
 
+    @pytest.mark.parametrize("entry", ["1_000", "1_0/3", "1_0e5", "1.0_0", "1e1_0", "2/1_0"])
+    def test_entry_with_underscores_exits_two(self, tmp_path, capsys, entry):
+        # ``Fraction`` reads "1_000" as 1000 from Python 3.11 on only, so the
+        # reader refuses it on every interpreter, in JSON and in CSV
+        for name, text in (("u.json", json.dumps({"n": 1, "entries": [[entry]]})), ("u.csv", entry + "\n")):
+            bad = tmp_path / name
+            bad.write_text(text)
+            assert main(["analyze", str(bad)]) == 2
+            assert capsys.readouterr().err == f"error: cannot parse matrix entry {entry!r}\n"
+
     def test_boolean_entry_exits_two(self, tmp_path):
         bad = tmp_path / "bool.json"
         bad.write_text(json.dumps({"n": 2, "entries": [[True, False], [False, False]]}))
@@ -654,11 +664,14 @@ class TestParseBoundary:
             ["verify", "--theorem", "3.2", "--trials", "٣"],
             ["verify", "--theorem", "3.2", "--seed", "٣"],
             ["semigroup", "src/rpotent/data/quadripotent_cycle3.json", "--cap", "٣"],
+            ["analyze", "src/rpotent/data/quadripotent_cycle3.json", "--r", "1_0"],
+            ["generate", "--kind", "cycle", "--length", "1_0"],
         ],
     )
     def test_integer_options_are_read_in_ascii_digits(self, capsys, argv):
-        # int reads "٣" (Arabic-Indic three) and "３" (fullwidth three) as 3;
-        # the options, like the matrix entries, take ASCII digits only
+        # int reads "٣" (Arabic-Indic three) and "３" (fullwidth three) as 3,
+        # and "1_0" as 10; the options, like the matrix entries, take ASCII
+        # digits only
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         argv = [os.path.join(root, a) if a.startswith("src/") else a for a in argv]
         with pytest.raises(SystemExit) as exc:

@@ -35,8 +35,8 @@ from oracles import (
     triangularization_is_valid,
 )
 
-HALF = RMatrix.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
-DIAG10 = RMatrix.from_rows([[1, 0], [0, 0]])
+HALF = RMatrix([["1/2", "1/2"], ["1/2", "1/2"]])
+DIAG10 = RMatrix([[1, 0], [0, 0]])
 
 
 class TestDigraph:
@@ -164,7 +164,7 @@ class TestBlockTriangularize:
         assert t.block_sizes == (3,)
 
     def test_strictly_upper_nilpotent(self):
-        n = RMatrix.from_rows([[0, 1], [0, 0]])
+        n = RMatrix([[0, 1], [0, 0]])
         t = block_triangularize(n)
         assert t.block_sizes == (1, 1)
         assert t.permutation.images == (0, 1)
@@ -196,7 +196,7 @@ class TestBlockTriangularize:
             rows = [
                 [rng.choice([0, 0, 0, 1, 2]) for _ in range(n)] for _ in range(n)
             ]
-            a = RMatrix.from_rows(rows)
+            a = RMatrix(rows)
             t = block_triangularize(a)
             assert triangularization_is_valid(t)
             assert sum(t.block_sizes) == n
@@ -206,14 +206,14 @@ class TestBlockTriangularize:
         t = block_triangularize(RMatrix.zeros(2))
         assert t.components == ((0,), (1,))
         # sinks 0 and 1, and 2 -> 0: the sink 1 comes before 2, which must follow 0
-        t = block_triangularize(RMatrix.from_rows([[1, 0, 0], [0, 1, 0], [1, 0, 0]]))
+        t = block_triangularize(RMatrix([[1, 0, 0], [0, 1, 0], [1, 0, 0]]))
         assert t.components == ((1,), (2,), (0,))
 
     def test_golden_order_for_mixed_condensation(self):
         # components {0,3} (a 2-cycle), {1} (zero), {2} (a fixed point);
         # vertices 1 and 2 both point into the cycle, so the cycle is the
         # unique sink and the remaining tie breaks by smallest index
-        a = RMatrix.from_rows(
+        a = RMatrix(
             [
                 [0, 1, 0, 1],
                 [0, 0, 0, 0],
@@ -231,7 +231,7 @@ class TestBlockTriangularize:
         rng = random.Random(32)
         for _ in range(60):
             n = rng.randint(1, 7)
-            a = RMatrix.from_rows([[rng.choice([0, 0, 0, 1]) for _ in range(n)] for _ in range(n)])
+            a = RMatrix([[rng.choice([0, 0, 0, 1]) for _ in range(n)] for _ in range(n)])
             t = block_triangularize(a)
             if t.is_trivial:
                 assert t.witness is None
@@ -241,7 +241,7 @@ class TestBlockTriangularize:
                 assert t.witness.verify_pattern(a.pattern())
 
     def test_witness_of_a_non_sink_first_block_is_refused(self):
-        t = block_triangularize(RMatrix.from_rows([[0, 1], [0, 0]]))
+        t = block_triangularize(RMatrix([[0, 1], [0, 0]]))
         assert t.witness.sorted_indices() == [0]
         with pytest.raises(RuntimeError, match="failed to verify"):
             BlockTriangularization(t.components[::-1], t.source, t.graph).witness
@@ -298,7 +298,7 @@ class TestMainDecomposabilityTest:
     def test_rejects_non_potent_input(self):
         # the test takes a checked value; non-potent input stops at the check
         with pytest.raises(ValueError, match="not 3-potent"):
-            as_potent(RMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), 3)
+            as_potent(RMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), 3)
 
     def test_idempotent_rank_one_gets_no_prediction(self):
         # singular rank-one idempotent: the power window is empty for r = 2,
@@ -321,7 +321,7 @@ class TestMainDecomposabilityTest:
         cases = []
         for n in (1, 2, 3):
             for bits in itertools.product((0, 1), repeat=n * n):
-                a = RMatrix.from_rows([list(bits[i * n:(i + 1) * n]) for i in range(n)])
+                a = RMatrix([list(bits[i * n:(i + 1) * n]) for i in range(n)])
                 decision = minimal_potency(block_triangularize(a))
                 if isinstance(decision, Potent):
                     cases += [as_potent(a, k * decision.period + 1) for k in (1, 2, 3)]

@@ -40,10 +40,10 @@ def _same(m: RMatrix, oracle: RMatrix) -> bool:
 
 class TestCycleMatrix:
     def test_length_one(self):
-        assert cycle_matrix(1) == RMatrix.from_rows([[1]])
+        assert cycle_matrix(1) == RMatrix([[1]])
 
     def test_length_three_matches_hand_value(self):
-        assert cycle_matrix(3) == RMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        assert cycle_matrix(3) == RMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 
     def test_potency_for_divisor_lengths(self):
         assert is_r_potent(cycle_matrix(2), 5)
@@ -62,10 +62,10 @@ class TestCycleMatrix:
 class TestRankOneIdempotent:
     def test_uniform_half_matrix(self):
         m = rank_one_idempotent([1, 1], ["1/2", "1/2"])
-        assert m == RMatrix.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
+        assert m == RMatrix([["1/2", "1/2"], ["1/2", "1/2"]])
 
     def test_unit_projector(self):
-        assert rank_one_idempotent([1, 0], [1, 0]) == RMatrix.from_rows([[1, 0], [0, 0]])
+        assert rank_one_idempotent([1, 0], [1, 0]) == RMatrix([[1, 0], [0, 0]])
 
     def test_skew_weights(self):
         m = rank_one_idempotent([1, 2], ["1/3", "1/3"])
@@ -112,11 +112,11 @@ class TestBlockDiagonal:
         cases = [
             # mixed denominators: 1/2, 1/3 and 1/5 grids beside an integer block
             [uniform_idempotent(2), uniform_idempotent(3), cycle_matrix(2), uniform_idempotent(5)],
-            [RMatrix.from_rows([["2/3", "1/6"], [0, "5/4"]]), RMatrix.from_rows([["7/10"]])],
+            [RMatrix([["2/3", "1/6"], [0, "5/4"]]), RMatrix([["7/10"]])],
             # zero blocks, alone, between others and as 1 x 1 blocks
             [RMatrix.zeros(3)],
             [RMatrix.zeros(1), uniform_idempotent(3), RMatrix.zeros(2), RMatrix.zeros(1)],
-            [RMatrix.from_rows([["1/2"]]), RMatrix.from_rows([[3]]), RMatrix.zeros(1)],
+            [RMatrix([["1/2"]]), RMatrix([[3]]), RMatrix.zeros(1)],
         ]
         for seed in range(40):
             cases.append([random_rank_one_idempotent(1 + (seed + i) % 4, seed + i) for i in range(1 + seed % 4)])
@@ -128,7 +128,7 @@ class TestTriangularFamily:
     def test_rejects_non_potent_base(self):
         # the family takes a checked base block; a non-potent one stops at the check
         with pytest.raises(ValueError, match="not 2-potent"):
-            as_potent(RMatrix.from_rows([[2]]), 2)
+            as_potent(RMatrix([[2]]), 2)
 
     def test_coupling_is_projected(self):
         b = cycle_matrix(3)
@@ -145,7 +145,7 @@ class TestTriangularFamily:
             as_potent(RMatrix.identity(2), 2),
             as_potent(block_diagonal([uniform_idempotent(2), RMatrix.zeros(1)]), 3),
             random_r_potent(3, 2, 5, max_dim=6),
-            as_potent(RMatrix.from_rows([[1]]), 2),
+            as_potent(RMatrix([[1]]), 2),
         ]
         rng = random.Random(3)
         pool = [0, 1, 2, "1/2", "2/3", "5/7"]
@@ -155,7 +155,7 @@ class TestTriangularFamily:
                 [[rng.choice(pool) for _ in range(m)] for _ in range(k)] for m in (1, 2, 3)
             ]
             # X given as a k x k RMatrix, rational and all-zero
-            seeds.append(RMatrix.from_rows([[rng.choice(pool) for _ in range(k)] for _ in range(k)]))
+            seeds.append(RMatrix([[rng.choice(pool) for _ in range(k)] for _ in range(k)]))
             seeds.append(RMatrix.zeros(k))
             for x in seeds:
                 assert _same(triangular_family(p, x), fraction_triangular_family(p, x))

@@ -116,14 +116,14 @@ def test_verify_counterexample(monkeypatch):
 
 
 MATRICES = [
-    RMatrix.from_rows([[0, 1, 2], [3, 0, 0], [1, 1, 1]]),  # den 1
-    RMatrix.from_rows([["1/2", 0, "2/3"], [1, "3/4", 0], [0, 0, 5]]),  # den > 1, int and p/q cells
-    RMatrix.from_rows([["1/6", "5/6"], ["1/3", "1/2"]]),  # every cell a fraction
+    RMatrix([[0, 1, 2], [3, 0, 0], [1, 1, 1]]),  # den 1
+    RMatrix([["1/2", 0, "2/3"], [1, "3/4", 0], [0, 0, 5]]),  # den > 1, int and p/q cells
+    RMatrix([["1/6", "5/6"], ["1/3", "1/2"]]),  # every cell a fraction
     RMatrix.zeros(4),
-    RMatrix.from_rows([[0]]),
-    RMatrix.from_rows([[7]]),
-    RMatrix.from_rows([["1/9"]]),
-    RMatrix.from_rows([[10**40, "1/" + "3" * 30], [0, 0]]),
+    RMatrix([[0]]),
+    RMatrix([[7]]),
+    RMatrix([["1/9"]]),
+    RMatrix([[10**40, "1/" + "3" * 30], [0, 0]]),
 ]
 
 
@@ -212,7 +212,7 @@ def _raised(write, doc):
     [
         [10**5000],
         {"a": -(10**4300)},
-        RMatrix.from_rows([[10**4300]]),
+        RMatrix([[10**4300]]),
         RMatrix._make(10**4301, ((1,),)),
         object(),
         {"a": {1, 2}},

@@ -24,7 +24,7 @@ from rpotent.potency import (
 
 from oracles import naive_power, transposition
 
-QUAD = RMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+QUAD = RMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
 
 def _decide(a: RMatrix):
@@ -65,7 +65,7 @@ class TestMinimalPotency:
         assert _decide(cycle_matrix(4)).r == 5
 
     def test_nilpotent_is_certified(self):
-        nilpotent = RMatrix.from_rows([[0, 1], [0, 0]])
+        nilpotent = RMatrix([[0, 1], [0, 0]])
         assert _decide(nilpotent) == NonPotency(1)
 
     def test_permutation_matrices_follow_cycle_lcm(self):
@@ -116,7 +116,7 @@ class TestAsPotent:
 
     def test_idempotent_and_generated_input_agree_with_is_r_potent(self):
         # an idempotent stops at A^2 = A; the others take A^(r-1) from A^2
-        cases = [uniform_idempotent(3), RMatrix.zeros(2), RMatrix.from_rows([[1, 1], [0, 1]])]
+        cases = [uniform_idempotent(3), RMatrix.zeros(2), RMatrix([[1, 1], [0, 1]])]
         cases.append(block_diagonal([cycle_matrix(2), uniform_idempotent(2)]))
         cases += [random_r_potent((2, 3, 4, 5)[s % 4], 1 + s % 3, s, max_dim=8).a for s in range(12)]
         for a in cases:
@@ -150,7 +150,7 @@ class TestIdempotentProjection:
     def test_rejects_non_potent_input(self):
         # the projection is read from a checked value; non-potent input stops at the check
         with pytest.raises(ValueError, match="not 3-potent"):
-            as_potent(RMatrix.from_rows([[0, 1], [0, 0]]), 3)
+            as_potent(RMatrix([[0, 1], [0, 0]]), 3)
 
     def test_projection_squares_to_itself_and_keeps_rank(self):
         for seed in range(100):
@@ -179,7 +179,7 @@ class TestRankTraceIdentity:
     def test_rejects_non_potent(self):
         # the check takes a checked value; non-potent input stops at the check
         with pytest.raises(ValueError, match="not 3-potent"):
-            as_potent(RMatrix.from_rows([[2]]), 3)
+            as_potent(RMatrix([[2]]), 3)
 
 
 class TestZeroDiagonalPowers:
@@ -229,7 +229,7 @@ class TestPotencyReport:
         rep = _report(QUAD)
         assert rep.r == rep.minimal_r == 4
         assert rep.potent.r == 4
-        rep = _report(RMatrix.from_rows([[0, 1], [0, 0]]))
+        rep = _report(RMatrix([[0, 1], [0, 0]]))
         assert rep.r is None and rep.potent is None and rep.nonpotency == NonPotency(1)
 
     def test_exponent_that_fails(self):
@@ -244,7 +244,7 @@ class TestPotencyReport:
         assert rep.nonpotency is None
 
     def test_non_potent_input_at_an_exponent(self):
-        rep = _report(RMatrix.from_rows([[2]]), 5)
+        rep = _report(RMatrix([[2]]), 5)
         assert rep.r == 5 and not rep.is_r_potent and rep.minimal_r is None
         assert rep.nonpotency == NonPotency(1)
 

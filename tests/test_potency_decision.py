@@ -102,7 +102,7 @@ def _block_triangular(rng: random.Random, n: int) -> RMatrix:
                 if rng.random() < 0.2:
                     rows[start + i][j] = rng.choice([Fraction(1), Fraction(1, 2), Fraction(3)])
         start += k
-    return RMatrix.from_rows(rows).conjugate(Permutation.random(n, rng))
+    return RMatrix(rows).conjugate(Permutation.random(n, rng))
 
 
 class TestDecisionAgainstTheWalk:
@@ -110,7 +110,7 @@ class TestDecisionAgainstTheWalk:
         outcomes = Counter()
         for n in (1, 2, 3):
             for bits in itertools.product((0, 1), repeat=n * n):
-                a = RMatrix.from_rows([list(bits[i * n:(i + 1) * n]) for i in range(n)])
+                a = RMatrix([list(bits[i * n:(i + 1) * n]) for i in range(n)])
                 decision = _agrees_with_the_walk(a)
                 outcomes["potent" if isinstance(decision, Potent) else "certified"] += 1
         # 2 + 16 + 512 matrices, 2 + 9 + 76 of them potent; each of the 443
@@ -151,7 +151,7 @@ class TestDecisionAgainstTheWalk:
         ],
     )
     def test_certificates(self, rows, big_l):
-        a = RMatrix.from_rows(rows)
+        a = RMatrix(rows)
         assert _agrees_with_the_walk(a) == NonPotency(big_l)
 
 
@@ -178,7 +178,7 @@ class TestPastTheOldCap:
             return matmul(x, y)
 
         cycles = block_diagonal([cycle_matrix(k) for k in (5, 7, 8, 9, 11)])
-        a = RMatrix.from_rows([[weight * x for x in row] for row in cycles.num])
+        a = RMatrix([[weight * x for x in row] for row in cycles.num])
         monkeypatch.setattr(RMatrix, "__matmul__", counting)
         decision = _decide(a)
         monkeypatch.undo()
@@ -192,7 +192,7 @@ class TestPastTheOldCap:
         # and the entry from the 3-cycle into the 2-cycle adds up in every power
         rows = [list(row) for row in block_diagonal([cycle_matrix(2), cycle_matrix(3)]).entries]
         rows[0][2] = Fraction(1)
-        a = RMatrix.from_rows(rows)
+        a = RMatrix(rows)
         assert _agrees_with_the_walk(a) == NonPotency(6)
 
 
@@ -220,7 +220,7 @@ def _perturbed(rng: random.Random, a: RMatrix) -> RMatrix:
     rows = [list(row) for row in a.entries]
     i, j = rng.randrange(a.n), rng.randrange(a.n)
     rows[i][j] += rng.choice([Fraction(1), Fraction(1, 2), Fraction(2, 3)])
-    return RMatrix.from_rows(rows)
+    return RMatrix(rows)
 
 
 def _golden_generators() -> list[RMatrix]:
@@ -241,7 +241,7 @@ class TestPotentAtAgainstThePeriodRoute:
         outcomes = Counter()
         for n in (1, 2, 3):
             for bits in itertools.product((0, 1), repeat=n * n):
-                a = RMatrix.from_rows([list(bits[i * n:(i + 1) * n]) for i in range(n)])
+                a = RMatrix([list(bits[i * n:(i + 1) * n]) for i in range(n)])
                 for r in range(2, 7):
                     outcomes[_potent_at_agrees(a, r)] += 1
         assert set(outcomes) == {(route, potent) for route in ("direct", "periods") for potent in (True, False)}
@@ -263,7 +263,7 @@ class TestPotentAtAgainstThePeriodRoute:
             exponents = set(range(2, a.n + 4))
             if isinstance(decision, Potent):
                 exponents |= {decision.r, 2 * decision.r - 1}
-            for m in (a, _perturbed(rng, a), RMatrix.from_rows([[2 * x for x in row] for row in a.entries])):
+            for m in (a, _perturbed(rng, a), RMatrix([[2 * x for x in row] for row in a.entries])):
                 for r in sorted(exponents):
                     outcomes[_potent_at_agrees(m, r)] += 1
         assert min(outcomes.values()) >= 100 and len(outcomes) == 4
@@ -286,7 +286,7 @@ def _random_primitive(rng: random.Random, n: int) -> RMatrix:
             [rng.choice([1, 2, Fraction(1, 3), Fraction(5, 2)]) if rng.random() < 0.3 else 0 for _ in range(n)]
             for _ in range(n)
         ]
-        m = RMatrix.from_rows(rows)
+        m = RMatrix(rows)
         if is_primitive(m):
             return m
 
@@ -357,13 +357,13 @@ class TestWielandtPatternPower:
         rng = random.Random(7)
         for _ in range(30):
             n = rng.randint(1, 8)
-            m = RMatrix.from_rows([[rng.choice([0, 0, 1, Fraction(2, 3)]) for _ in range(n)] for _ in range(n)])
+            m = RMatrix([[rng.choice([0, 0, 1, Fraction(2, 3)]) for _ in range(n)] for _ in range(n)])
             for k in (0, 1, 2, 5, wielandt_exponent(n)):
                 assert m.pattern().pow(k) == m.pow(k).pattern()
 
     @pytest.mark.parametrize(
         "m",
-        [cycle_matrix(3), RMatrix.from_rows([[1, 0], [1, 1]]), RMatrix.zeros(1)],
+        [cycle_matrix(3), RMatrix([[1, 0], [1, 1]]), RMatrix.zeros(1)],
         ids=["periodic", "decomposable", "zero"],
     )
     def test_triangularization_of_non_primitive_input_is_rejected(self, m):

@@ -75,7 +75,7 @@ def _exact_generator_sets():
 
         def build(d, images):
             return [
-                RMatrix.from_rows(
+                RMatrix(
                     [[d[i] / d[j] if j == c else 0 for j in range(n)] for i, c in enumerate(cols)]
                 )
                 for cols in images
@@ -287,7 +287,7 @@ class TestGeneratorProductClosure:
 
 class TestCommonZeroAndSum:
     def test_unit_projector_closure(self):
-        rep = equivalence_report([RMatrix.from_rows([[1, 0], [0, 0]]).pattern()])
+        rep = equivalence_report([RMatrix([[1, 0], [0, 0]]).pattern()])
         assert rep.zero_entry == (0, 1)
         assert rep.sum_has_zero
 
@@ -454,7 +454,7 @@ class TestCyclicSemigroup:
     def test_rejects_non_potent(self):
         # the semigroup is built from a checked value; non-potent input stops at the check
         with pytest.raises(ValueError, match="not 3-potent"):
-            as_potent(RMatrix.from_rows([[0, 1], [0, 0]]), 3)
+            as_potent(RMatrix([[0, 1], [0, 0]]), 3)
 
 
 class TestCyclicSemigroupCheck:
@@ -515,9 +515,9 @@ class TestRationalClosure:
         assert s.truncated
 
     def test_infinite_semigroup_truncates_at_cap(self):
-        s = rational_closure([RMatrix.from_rows([[2]])], cap=5)
+        s = rational_closure([RMatrix([[2]])], cap=5)
         assert s.truncated
-        assert set(s.members) == {RMatrix.from_rows([[2**k]]) for k in range(1, 6)}
+        assert set(s.members) == {RMatrix([[2**k]]) for k in range(1, 6)}
 
 
 def _klein_pair():
@@ -674,9 +674,9 @@ class TestRankFloorDecidesEveryMember:
     def test_idempotent_pair_with_a_nilpotent_product(self):
         # every compression to a block of G+ is 0 or 1, so a test of the
         # blocks alone passes; the product itself is nilpotent
-        a, b = RMatrix.from_rows([[1, 1], [0, 0]]), RMatrix.from_rows([[0, 0], [0, 1]])
+        a, b = RMatrix([[1, 1], [0, 0]]), RMatrix([[0, 0], [0, 1]])
         rep = self._refuted([a, b], 2)
-        assert rep.non_potent_member == RMatrix.from_rows([[0, 1], [0, 0]])
+        assert rep.non_potent_member == RMatrix([[0, 1], [0, 0]])
         assert rep.closure_size == 2
         assert _word_length([a, b], rep.non_potent_member, 2, 2) == 2
 
@@ -701,8 +701,8 @@ class TestRankFloorDecidesEveryMember:
         assert _word_length(gens, rep.non_potent_member, 4, 2) == 2
 
     def test_first_failure_is_a_product_of_three(self):
-        a = RMatrix.from_rows([[1, 1, 0], [0, 0, 0], [0, 0, 0]])
-        b = RMatrix.from_rows([[0, 0, 1], [1, 0, 1], [1, 0, 0]])
+        a = RMatrix([[1, 1, 0], [0, 0, 0], [0, 0, 0]])
+        b = RMatrix([[0, 0, 1], [1, 0, 1], [1, 0, 0]])
         for word in itertools.product([a, b], repeat=2):
             product = naive_multiply(*word)
             assert naive_power(product, 3) == product

@@ -47,12 +47,12 @@ class TestPeriod:
         assert period(uniform_idempotent(2)) == 1
 
     def test_swap(self):
-        assert period(RMatrix.from_rows([[0, 1], [1, 0]])) == 2
+        assert period(RMatrix([[0, 1], [1, 0]])) == 2
 
     def test_zero_and_decomposable_have_a_period_per_block(self):
         # a zero block has no period; a decomposable matrix has one per block
         assert block_triangularize(RMatrix.zeros(2)).periods == (None, None)
-        assert block_triangularize(RMatrix.from_rows([[1, 0], [0, 1]])).periods == (1, 1)
+        assert block_triangularize(RMatrix([[1, 0], [0, 1]])).periods == (1, 1)
         assert block_triangularize(block_diagonal([cycle_matrix(2), cycle_matrix(3)])).periods == (2, 3)
 
     def test_block_periods_match_diagonal_hit_oracle(self):
@@ -108,13 +108,13 @@ class TestPeriod:
 
 class TestPrimitivity:
     def test_fibonacci_pattern_is_primitive(self):
-        assert is_primitive(RMatrix.from_rows([[1, 1], [1, 0]]))
+        assert is_primitive(RMatrix([[1, 1], [1, 0]]))
 
     def test_cycle_is_not(self):
         assert not is_primitive(cycle_matrix(3))
 
     def test_decomposable_is_not(self):
-        assert not is_primitive(RMatrix.from_rows([[1, 0], [0, 0]]))
+        assert not is_primitive(RMatrix([[1, 0], [0, 0]]))
 
     def test_zero_is_not(self):
         assert not is_primitive(RMatrix.zeros(1))
@@ -122,12 +122,12 @@ class TestPrimitivity:
 
 class TestWielandt:
     def test_fibonacci_two_by_two(self):
-        m = RMatrix.from_rows([[1, 1], [1, 0]])
+        m = RMatrix([[1, 1], [1, 0]])
         assert wielandt_exponent(2) == 2
         assert wielandt_check(block_triangularize(m))
 
     def test_positive_one_by_one(self):
-        assert wielandt_check(block_triangularize(RMatrix.from_rows([[3]])))
+        assert wielandt_check(block_triangularize(RMatrix([[3]])))
 
     def test_rejects_non_primitive(self):
         with pytest.raises(ValueError):
@@ -138,7 +138,7 @@ class TestWielandt:
         found = 0
         while found < 60:
             n = rng.randint(2, 5)
-            m = RMatrix.from_rows(
+            m = RMatrix(
                 [[1 if rng.random() < 0.45 else 0 for _ in range(n)] for _ in range(n)]
             )
             if not is_primitive(m):
@@ -177,7 +177,7 @@ _ENTRIES = st.sampled_from([0, 0, 0, 1, 2, 3, Fraction(1, 2), Fraction(1, 3), Fr
 def _nonnegative(draw):
     n = draw(st.integers(1, 6))
     rows = draw(st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n))
-    return RMatrix.from_rows(rows)
+    return RMatrix(rows)
 
 
 class TestPerronValue:
@@ -192,11 +192,11 @@ class TestPerronValue:
 
     def test_oscillating_decomposable_potent(self):
         # swap plus a fixed point: every block has equal row sums
-        m = block_diagonal([cycle_matrix(2), RMatrix.from_rows([[1]])])
+        m = block_diagonal([cycle_matrix(2), RMatrix([[1]])])
         assert perron_value(block_triangularize(m)) == (1, 1)
 
     def test_nilpotent_reports_zero(self):
-        assert perron_value(block_triangularize(RMatrix.from_rows([[0, 1], [0, 0]]))) == (0, 0)
+        assert perron_value(block_triangularize(RMatrix([[0, 1], [0, 0]]))) == (0, 0)
 
     def test_zero_matrix_reports_zero(self):
         zero = RMatrix.zeros(2)
@@ -204,7 +204,7 @@ class TestPerronValue:
         assert perron_value(block_triangularize(zero), as_potent(zero, 2)) == (0, 0)
 
     def test_checked_potent_is_exactly_one_without_arithmetic(self, monkeypatch):
-        m = RMatrix.from_rows([[0, 2], ["1/2", 0]])
+        m = RMatrix([[0, 2], ["1/2", 0]])
         p = as_potent(m, 3)
         monkeypatch.setattr(spectral, "block_bracket", None)
         assert perron_value(block_triangularize(m), p) == (1, 1)
@@ -230,7 +230,7 @@ class TestPerronValue:
             rows = [[0] * h for _ in range(h)]
             for i in range(h):
                 rows[i][(i + 1) % h] = Fraction(weights[i]) / weights[(i + 1) % h]
-            lower, upper = perron_value(block_triangularize(RMatrix.from_rows(rows)))
+            lower, upper = perron_value(block_triangularize(RMatrix(rows)))
             assert lower <= 1 <= upper and upper - lower <= 1e-12
 
     def test_sparse_primitive_input_gets_a_tight_bracket(self):
@@ -247,7 +247,7 @@ class TestPerronValue:
             rows[order[0]][order[0]] = rng.randint(1, 3)
             for _ in range(rng.randint(0, 4)):
                 rows[rng.randrange(n)][rng.randrange(n)] = rng.randint(1, 3)
-            m = RMatrix.from_rows(rows)
+            m = RMatrix(rows)
             lower, upper = perron_value(block_triangularize(m))
             assert upper - lower <= 1e-12 * upper
             _assert_sound(m, (lower, upper))
@@ -268,9 +268,9 @@ class TestPerronValue:
     def test_entries_beyond_float_range(self):
         # the squares of 10^200 and of 10^-200 leave the float range
         big = 10**200
-        m = RMatrix.from_rows([[big, big], [big, big]])
+        m = RMatrix([[big, big], [big, big]])
         assert perron_value(block_triangularize(m)) == (2 * big, 2 * big)
-        tiny = RMatrix.from_rows([[f"1/{big}", 0], [0, f"3/{big}"]])
+        tiny = RMatrix([[f"1/{big}", 0], [0, f"3/{big}"]])
         assert perron_value(block_triangularize(tiny)) == (Fraction(3, big), Fraction(3, big))
         # each has rho^2 - rho = c; float products of their entries underflow
         # to 0, and the power steps stop at the last positive iterate.  The
@@ -278,7 +278,7 @@ class TestPerronValue:
         # beyond what one float scaled by a power of two can hold
         cases = [([[0, k], [f"1/{k}", 1]], 1) for k in (big, 10**300)]
         for rows, c in cases + [([[1, 2**2000], [1, 0]], 2**2000)]:
-            lower, upper = perron_value(block_triangularize(RMatrix.from_rows(rows)))
+            lower, upper = perron_value(block_triangularize(RMatrix(rows)))
             assert lower**2 - lower <= c <= upper**2 - upper
             if c == 1:
                 assert upper <= 3  # the row sums are k and 1 + 1/k
@@ -288,7 +288,7 @@ class TestPerronValue:
         # gives [3, 3, 2^-1074]: dividing by 3 rounds its last entry to 0,
         # and a zero x_i would end in a division by zero
         big, small = 2**1100 - 1, 2**26
-        m = RMatrix.from_rows([[big, big, big], [big, big, big], [small, 0, 0]])
+        m = RMatrix([[big, big, big], [big, big, big], [small, 0, 0]])
         lower, upper = perron_value(block_triangularize(m))
         # rank 2 with nonzero eigenvalues the roots of l^2 - 2 big l - big small,
         # which is negative on [0, rho) and positive above rho
@@ -311,7 +311,7 @@ class TestEveryZeroOneMatrixUpToThree:
         potent = nilpotent = 0
         for n in (1, 2, 3):
             for bits in itertools.product((0, 1), repeat=n * n):
-                m = RMatrix.from_rows([list(bits[i * n:(i + 1) * n]) for i in range(n)])
+                m = RMatrix([list(bits[i * n:(i + 1) * n]) for i in range(n)])
                 t = block_triangularize(m)
                 _assert_sound(m, perron_value(t))
                 p = minimal_potency(t)
@@ -366,13 +366,13 @@ class TestSpectralReport:
 
     def test_radius_beyond_the_float_range_keeps_its_exact_bracket(self):
         huge = 10**400
-        rep = spectral_report(block_triangularize(RMatrix.from_rows([[huge, huge], [huge, huge]])))
+        rep = spectral_report(block_triangularize(RMatrix([[huge, huge], [huge, huge]])))
         assert rep.perron_value is None
         assert rep.to_dict()["perron_bracket"] == [2 * huge, 2 * huge]
 
     def test_jordan_block_is_exact(self):
         # [[1, 1], [0, 1]]: two 1 x 1 blocks, where power iteration never converged
-        rep = spectral_report(block_triangularize(RMatrix.from_rows([[1, 1], [0, 1]])))
+        rep = spectral_report(block_triangularize(RMatrix([[1, 1], [0, 1]])))
         assert rep.perron_bracket == (1, 1) and rep.perron_value == 1.0
 
     def test_unprintable_bracket_ends_are_rounded_outward(self):
@@ -380,7 +380,7 @@ class TestSpectralReport:
         # Collatz-Wielandt vector have denominators far beyond the limit
         limit = sys.get_int_max_str_digits()
         p, q = 10 ** (limit - 1) + 1, 3 * 10 ** (limit - 1) + 7
-        rep = spectral_report(block_triangularize(RMatrix.from_rows([[0, f"1/{p}"], [f"1/{q}", 0]])))
+        rep = spectral_report(block_triangularize(RMatrix([[0, f"1/{p}"], [f"1/{q}", 0]])))
         lower, upper = rep.perron_bracket
         rho_squared = Fraction(1, p * q)
         assert lower**2 <= rho_squared <= upper**2
@@ -390,6 +390,6 @@ class TestSpectralReport:
         assert Fraction(low_text) ** 2 <= rho_squared <= Fraction(high_text) ** 2
 
     def test_primitive_report_includes_positive_power(self):
-        rep = spectral_report(block_triangularize(RMatrix.from_rows([[1, 1], [1, 0]])))
+        rep = spectral_report(block_triangularize(RMatrix([[1, 1], [1, 0]])))
         assert rep.is_primitive
         assert rep.wielandt_positive

@@ -58,7 +58,7 @@ class TestAnalyzeStructure:
     def test_rejects_non_potent(self):
         # the report takes a checked value; non-potent input stops at the check
         with pytest.raises(ValueError, match="not 2-potent"):
-            as_potent(RMatrix.from_rows([[0, 1], [0, 0]]), 2)
+            as_potent(RMatrix([[0, 1], [0, 0]]), 2)
 
     def test_reads_the_triangularization_of_the_decision(self, monkeypatch):
         tower = block_diagonal([uniform_idempotent(k) for k in (1, 2)])
@@ -120,7 +120,7 @@ class TestZeroRunMerge:
 
     def test_two_adjacent_zeros_and_one_nonzero(self):
         # diag(0, 0, 1): the two zero components are adjacent, so they make one 2x2 zero block
-        m = block_diagonal([RMatrix.zeros(1), RMatrix.zeros(1), RMatrix.from_rows([[1]])])
+        m = block_diagonal([RMatrix.zeros(1), RMatrix.zeros(1), RMatrix([[1]])])
         p = as_potent(m, 2)
         assert p.tri.block_sizes == (1, 1, 1)
         rep = analyze_structure(p)
@@ -130,7 +130,7 @@ class TestZeroRunMerge:
 
     def test_merged_block_is_indecomposable_only_at_size_one(self):
         for zeros in range(1, 6):
-            m = block_diagonal([RMatrix.zeros(1)] * zeros + [RMatrix.from_rows([[1]])])
+            m = block_diagonal([RMatrix.zeros(1)] * zeros + [RMatrix([[1]])])
             zero_block = analyze_structure(as_potent(m, 2)).blocks[0]
             assert zero_block.is_zero and zero_block.size == zeros
             assert zero_block.block_is_indecomposable == (zeros == 1)
@@ -144,14 +144,14 @@ class TestZeroRunMerge:
 
     def test_zeros_split_by_a_nonzero_block_stay_apart(self):
         # the rank-one idempotent (1,1,0)^T (0,1,1): zero, nonzero, zero, so 3 = 2k + 1 blocks
-        p = as_potent(RMatrix.from_rows([[0, 1, 1], [0, 1, 1], [0, 0, 0]]), 2)
+        p = as_potent(RMatrix([[0, 1, 1], [0, 1, 1], [0, 0, 0]]), 2)
         rep = analyze_structure(p)
         assert [b.is_zero for b in rep.blocks] == [True, False, True]
         assert rep.total_count == 2 * rep.k + 1
         assert rep.bounds_ok
 
     def test_eighteen_components(self):
-        blocks = [RMatrix.from_rows([[1]]) for _ in range(16)] + [RMatrix.zeros(1), RMatrix.zeros(1)]
+        blocks = [RMatrix([[1]]) for _ in range(16)] + [RMatrix.zeros(1), RMatrix.zeros(1)]
         p = as_potent(block_diagonal(blocks), 2)
         assert len(p.tri.components) == 18
         rep = analyze_structure(p)
@@ -183,7 +183,7 @@ class TestEveryZeroOneMatrixUpToThree:
         for n in (1, 2, 3):
             for bits in itertools.product((0, 1), repeat=n * n):
                 rows = [list(bits[i * n:(i + 1) * n]) for i in range(n)]
-                p = minimal_potency(block_triangularize(RMatrix.from_rows(rows)))
+                p = minimal_potency(block_triangularize(RMatrix(rows)))
                 if not isinstance(p, Potent):
                     continue
                 potent += 1
@@ -204,8 +204,8 @@ class TestTriangularFamilyShapes:
         assert m.rank() == 3
 
     def test_idempotent_wrap_from_unit(self):
-        m = triangular_family(as_potent(RMatrix.from_rows([[1]]), 2), [[1]])
-        assert m == RMatrix.from_rows([[1, 1], [0, 0]])
+        m = triangular_family(as_potent(RMatrix([[1]]), 2), [[1]])
+        assert m == RMatrix([[1, 1], [0, 0]])
         assert m.pow(2) == m
 
     def test_zero_coupling_gives_block_diagonal(self):
