@@ -12,11 +12,13 @@ is built from three immutable value types:
 step along a support: a row of a pattern product, or a digraph search step.
 
 Arithmetic in this module is exact; no floating point enters.  A product of
-two matrices is an integer matrix product plus one gcd normalisation, instead
-of a ``Fraction`` gcd on every multiply and add; each row of the integer
-product is one sum of packed integers, a fixed-width slot per entry, so the
-interpreter loops over rows, not entries (``RMatrix``).  Rank is fraction-free
-Bareiss elimination, one row update per step.  Input is validated where it
+two matrices is an integer matrix product plus one gcd normalisation of the
+whole grid, instead of a ``Fraction`` gcd on every multiply and add; each row
+of the integer product is one sum of packed integers over the nonzero entries
+of a row, a fixed-width slot per entry, so the interpreter loops over rows,
+not entries (``RMatrix``).  Rank is fraction-free elimination on primitive
+rows: an updated row is divided by the gcd of its entries, and a row with a
+zero in the pivot column is left as it is.  Input is validated where it
 enters: ``RMatrix(rows)``, the one validating constructor, which every
 reader calls, reads each entry as ``coerce_entry`` does and rejects
 booleans, unparsable strings, non-square grids and negative entries, and
@@ -40,7 +42,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from operator import add, mul
@@ -372,16 +374,21 @@ class RMatrix:
     The form is canonical: ``gcd(den, every numerator) == 1``, so the zero
     matrix has ``den == 1``, and two matrices are equal iff their ``(den,
     num)`` pairs are.  Products are integer matrix products followed by one
-    gcd normalisation.
+    gcd normalisation of the whole grid.
 
     Every numerator is a nonnegative integer, so a row of B packs into one
     integer, entry j in slot j of w bits: packed_k = Σ_j b_kj 2^(wj), with w
     = 32 or 64 (array type codes ``I`` and ``Q``).  Row i of A·B is then the
-    one integer Σ_k a_ik packed_k, whose bytes read as an array of w-bit
-    unsigned slots are the product row.  No slot carries into the next: the
-    entry in slot j is Σ_k a_ik b_kj <= (Σ_k a_ik) max B, and w is the
-    narrower of the two widths with max_i (Σ_k a_ik) max B < 2^w.  No term
-    is negative, so no slot borrows either.
+    one integer Σ_k a_ik packed_k, summed over the k with a_ik ≠ 0 only,
+    whose bytes read as an array of w-bit unsigned slots are the product
+    row.  No slot carries into the next: the entry in slot j is Σ_k a_ik
+    b_kj <= (Σ_k a_ik) max B, and w is the narrower of the two widths with
+    max_i (Σ_k a_ik) max B < 2^w.  No term is negative, so no slot borrows
+    either.  The bytes of all n product rows are joined and read as one
+    array, the n² numerators in row-major order.  One gcd of the
+    denominator den_A den_B and that flat list, and when it is not 1 one
+    division pass over the list, normalise the product before its rows are
+    cut from the list.
 
     Instances are immutable and hashable; every operation returns a new
     matrix.  ``RMatrix(rows)`` is the one validating constructor: the JSON
@@ -416,8 +423,12 @@ class RMatrix:
         """The matrix of ``coerce_entry`` of every entry, read onto the integer grid directly.
 
         A plain ``int`` becomes ``(x, 1)`` with no call; every other entry
-        goes through ``_entry_ratio``.
+        goes through ``_entry_ratio``.  A grid or a row that is a ``str`` or
+        ``bytes`` is refused before any entry is read: iterated, it would
+        give its characters as entries.
         """
+        if isinstance(rows, (str, bytes)) or any(isinstance(row, (str, bytes)) for row in rows):
+            raise ValueError("matrix rows must be sequences of entries, not strings")
         self.__post_init__([[(x, 1) if type(x) is int else _entry_ratio(x) for x in row] for row in rows])
 
     def __post_init__(self, pairs: list[list[tuple[int, int]]]) -> None:
@@ -523,46 +534,50 @@ class RMatrix:
     def __matmul__(self, other: RMatrix) -> RMatrix:
         """Exact product: the integer product of the grids, then one gcd normalisation.
 
-        A row of A summing to 0 or 1 is a zero row or a single entry 1, so
-        its product row is the zero row or a row of B, reused as it is.
-        Every other row is Σ_k a_ik packed_k over B's packed rows (class
-        docstring), unpacked from its bytes.  B is packed when the first such
-        row comes, so a permutation product packs nothing.  When the bound
-        needs slots wider than 64 bits, each product row adds up the rows of
-        B that the row of A selects.
+        When every row of A sums to 0 or 1, each row is a zero row or a
+        single entry 1, so each product row is the zero row or a row of B,
+        reused as it is (a permutation product packs nothing).  Otherwise
+        every row is Σ_k a_ik packed_k over B's packed rows and the nonzero
+        a_ik (class docstring), and the rows are read off one array of their
+        joined bytes.  When the bound needs slots wider than 64 bits, each
+        product row adds up the rows of B that the row of A selects.
         """
         if not isinstance(other, RMatrix):
             return NotImplemented
-        n = len(self.num)
+        a = self.num
+        n = len(a)
         if len(other.num) != n:
             raise ValueError(f"dimension mismatch: {n} vs {other.n}")
         b = other.num
-        zero_row = (0,) * n
-        code = packed = None
-        sums = [*map(sum, self.num)]
-        rows = []
-        for row, s in zip(self.num, sums):
-            if s < 2:
-                rows.append(b[row.index(1)] if s else zero_row)
-                continue
-            if code is None:
-                # The first row with s >= 2 makes the bound at least max B,
-                # so B's own entries fit the slots too; code "" means that
-                # no slot is wide enough.
-                bound = max(sums) * max(map(max, b))
-                code, size = next(((c, n * w) for c, w in _SLOTS if not bound >> 8 * w), ("", 0))
-                if code:
-                    packed = [int.from_bytes(array(code, r), sys.byteorder) for r in b]
-            if code:
-                acc = sum(map(mul, row, packed))
-                rows.append(tuple(array(code, acc.to_bytes(size, sys.byteorder))))
-            else:
-                acc = zero_row
+        den = self.den * other.den
+        sums = [*map(sum, a)]
+        top = max(sums)
+        if top < 2:
+            zero_row = (0,) * n
+            return RMatrix._normalized(den, tuple([b[row.index(1)] if s else zero_row for row, s in zip(a, sums)]))
+        # top >= 2 makes the bound at least max B, so B's own entries fit the
+        # slots too; code "" means that no slot is wide enough
+        bound = top * max(map(max, b))
+        code, size = next(((c, n * w) for c, w in _SLOTS if not bound >> 8 * w), ("", 0))
+        if code:
+            order = sys.byteorder
+            packed = [int.from_bytes(array(code, r), order) for r in b]
+            data = b"".join([sum(map(mul, compress(row, row), compress(packed, row))).to_bytes(size, order) for row in a])
+            flat = array(code, data).tolist()
+        else:
+            flat = []
+            for row in a:
+                acc = [0] * n
                 for f, b_row in zip(row, b):
                     if f:
-                        acc = tuple([*map(add, acc, map(mul, b_row, repeat(f)))])
-                rows.append(acc)
-        return RMatrix._normalized(self.den * other.den, tuple(rows))
+                        acc = [*map(add, acc, map(mul, b_row, repeat(f)))]
+                flat += acc
+        if den != 1:
+            g = gcd(den, *flat)
+            if g != 1:
+                den //= g
+                flat = [x // g for x in flat]
+        return RMatrix._make(den, tuple([*zip(*[iter(flat)] * n)]))
 
     def pow(self, k: int) -> RMatrix:
         """Exact k-th power by repeated squaring; ``pow(0)`` is the identity.
@@ -609,55 +624,61 @@ class RMatrix:
     def rank(self) -> int:
         """Exact rank over the rationals.
 
-        Fraction-free Bareiss elimination on the integer grid ``num`` (scaling
-        by the common denominator does not change rank).  Each step updates
-        every remaining row at once, t = p row - lead pivot_row, and divides t
-        by the previous pivot, skipping the division when that pivot is 1; a
-        row whose lead is 0 is only scaled.  Rows that become zero are
-        dropped: they hold no pivot, and no other row's update reads them.
+        Fraction-free elimination on primitive rows of the integer grid
+        ``num`` (scaling by the common denominator does not change rank).
+        At each pivot p = pivot_row[c], a remaining row whose entry in column
+        c is 0 stays as it is; every other row becomes t = p row - lead
+        pivot_row, divided by its content gcd(t).  A row whose content is 0
+        is zero: it is dropped, as it holds no pivot and no other row's
+        update reads it.
 
-        Every division is exact; this is asserted rather than assumed, so that
-        a bug cannot floor-divide its way to a wrong rank.  The assertion
-        costs O(n) per row: with q = t // prev, each remainder x - prev (x //
-        prev) is 0 or has the sign of prev, so sum(t) == prev sum(q) holds
-        only when every remainder is 0.
+        The division needs no exactness check, and no entry grows past
+        Bareiss's.  After k pivots, take a remaining row and the span of its
+        input row and the input rows of the k pivots.  The pivot rows are
+        independent on the k pivot columns, so the vectors of that span that
+        are zero there form one line, or only 0 when the row is dropped.  An
+        updated row is the primitive integer vector of that line, up to sign;
+        a row never updated is its input row, zero on every pivot column, so
+        on that line too.  Bareiss's row is a nonzero integer vector on the
+        same line, and an integer multiple of this row: of a primitive vector
+        because it is an integer vector, and of an untouched input row
+        because each of its entries, a (k + 1)-minor of the grid, expands to
+        ± det(pivot block) times that row's entry.  So both pick the same
+        pivots and drop the same rows, and Bareiss's intermediate (before its
+        division) is the product of the two rows' integer factors times this
+        intermediate p x - lead y, which is therefore no larger.
         """
         rows = [row for row in self.num if any(row)]
         r = 0
-        prev = 1
-        for c in range(self.n):
+        for c in range(len(self.num)):
             pivot = next((row for row in rows if row[c]), None)
             if pivot is None:
                 continue
             rows.remove(pivot)
+            r += 1
+            if not rows:
+                break
             p = pivot[c]
             out = []
             for row in rows:
                 lead = row[c]
-                if lead:
-                    t = [p * x - lead * y for x, y in zip(row, pivot)]
-                else:
-                    t = [p * x for x in row]
-                if prev != 1:
-                    q = [x // prev for x in t]
-                    assert sum(t) == prev * sum(q), "Bareiss division not exact"
-                    t = q
-                if any(t):
+                if not lead:
+                    out.append(row)
+                    continue
+                t = [p * x - lead * y for x, y in zip(row, pivot)]
+                g = gcd(*t)
+                if g == 1:
                     out.append(t)
+                elif g:
+                    out.append([x // g for x in t])
             rows = out
-            prev = p
-            r += 1
         return r
 
     def pattern(self) -> PatternMatrix:
-        rows = []
-        for row in self.num:
-            mask = 0
-            for j, x in enumerate(row):
-                if x:
-                    mask |= 1 << j
-            rows.append(mask)
-        return PatternMatrix._make(self.n, tuple(rows))
+        """The support: bit j of row i is set iff entry (i, j) is nonzero."""
+        n = len(self.num)
+        bits = [1 << j for j in range(n)]
+        return PatternMatrix._make(n, tuple([sum(compress(bits, row)) for row in self.num]))
 
     def conjugate(self, p: Permutation) -> RMatrix:
         """Simultaneous row/column relabeling: entry (i, j) becomes entry (p(i), p(j)).

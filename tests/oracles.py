@@ -2,7 +2,9 @@
 
 Each oracle takes a deliberately different route than the implementation it
 checks: naive cubic multiplication against the packed-row product, plain
-fraction Gaussian elimination against fraction-free Bareiss, diagonal hits of
+fraction Gaussian elimination and fraction-free Bareiss elimination, which
+divides each row by the previous pivot, against elimination on primitive
+rows, which divides each updated row by the gcd of its entries, diagonal hits of
 boolean powers against the BFS-level period, the enumeration of every
 invariant index set against the column-closure witness, a closure that
 multiplies every new member with every member on both sides against the
@@ -169,6 +171,45 @@ def gauss_rank(a: RMatrix) -> int:
                 m[i][j] -= factor * m[rank][j]
         rank += 1
     return rank
+
+
+def bareiss_rank(a: RMatrix, updates: list | None = None) -> int:
+    """Rank by fraction-free Bareiss elimination on the integer grid.
+
+    Each step updates every remaining row, t = p row - lead pivot_row, and
+    divides t by the previous pivot (exactly: asserted); a row whose lead is
+    0 is only scaled.  Rows that become zero are dropped.  Each t of a row
+    whose lead is not 0 is appended to ``updates``, when given, before its
+    division, in the order the rows are updated.
+    """
+    rows = [row for row in a.num if any(row)]
+    r = 0
+    prev = 1
+    for c in range(a.n):
+        pivot = next((row for row in rows if row[c]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        p = pivot[c]
+        out = []
+        for row in rows:
+            lead = row[c]
+            if lead:
+                t = [p * x - lead * y for x, y in zip(row, pivot)]
+                if updates is not None:
+                    updates.append(tuple(t))
+            else:
+                t = [p * x for x in row]
+            if prev != 1:
+                q = [x // prev for x in t]
+                assert [x * prev for x in q] == t, "Bareiss division not exact"
+                t = q
+            if any(t):
+                out.append(t)
+        rows = out
+        prev = p
+        r += 1
+    return r
 
 
 def kron_entry(a: RMatrix, b: RMatrix, i: int, j: int) -> Fraction:

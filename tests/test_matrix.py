@@ -7,11 +7,13 @@ import time
 from fractions import Fraction
 from itertools import chain
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rpotent.matrix as matrix_module
 from rpotent.matrix import (
     PatternMatrix,
     Permutation,
@@ -24,7 +26,9 @@ from rpotent.matrix import (
 )
 
 from oracles import (
+    bareiss_rank,
     bool_product,
+    fraction_block_diagonal,
     fraction_grid,
     gauss_rank,
     kron_entry,
@@ -91,7 +95,7 @@ class TestIntegerBackend:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6).flatmap(_wide_square))
     def test_rank_matches_fraction_oracle(self, a):
-        assert a.rank() == gauss_rank(a)
+        _check_rank_against_oracles(a)
 
     @settings(max_examples=30, deadline=None)
     @given(_wide_pair)
@@ -197,6 +201,13 @@ class TestConstruction:
             RMatrix(((Fraction(-1), Fraction(0)), (0.5, Fraction(0))))
         with pytest.raises(ValueError, match=r"negative entry -1/2 at \(0, 1\)"):
             RMatrix(((Fraction(1), Fraction(-1, 2)), (Fraction(0), Fraction(0))))
+
+    @pytest.mark.parametrize("rows", ["7", ["12", "34"], b"7", [b"12", b"34"], [[1, 2], "34"], [[1.5, 2], "34"]])
+    def test_rejects_rows_given_as_strings(self, rows):
+        # a string would be read character by character, "7" as [[7]];
+        # refused before any entry is read, the float of the last grid included
+        with pytest.raises(ValueError, match="not strings"):
+            RMatrix(rows)
 
     def test_rejects_bad_entry_string(self):
         with pytest.raises(ValueError, match="parse"):
@@ -319,6 +330,29 @@ class TestPackedProduct:
             assert product == naive_multiply(a, b)
             assert product.is_zero() and product.den == 1
 
+    @pytest.mark.parametrize("edge", [2**32 - 1, 2**32, 2**64 - 1, 2**64])
+    @pytest.mark.parametrize("den", ["1", "g = 1", "g > 1"])
+    def test_slot_edges_with_zero_unit_and_general_rows(self, edge, den):
+        """The bound max_i (Σ_k a_ik) max B is exactly ``edge``, reached by entry (0, 0).
+
+        A holds a zero row and two single-1 rows among general rows, so no
+        product row is a reused row of B.  The product's denominator
+        den_A is 1; or 7, which no product numerator shares (g = 1), or q,
+        which divides every numerator (g = q > 1).
+        """
+        d, q = (5, 3) if edge % 2 else (2, 2)
+        m = edge // d
+        c = q if den == "g > 1" else 1
+        a_int = [[d - 1, 1, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 1, 0, 1, 0], [1, 0, 0, 0, 0]]
+        b = RMatrix([[m, c, 0, 0, 0], [m, 0, 2 * c, 0, c], [0, m, c, 0, 0], [c, 0, 0, m, 0], [0] * 5])
+        a = RMatrix([[Fraction(x, {"1": 1, "g = 1": 7, "g > 1": q}[den]) for x in row] for row in a_int])
+        assert max(map(sum, a.num)) * max(map(max, b.num)) == edge
+        product = a @ b
+        assert product == naive_multiply(a, b)
+        assert _is_canonical(product)
+        assert (product.den, product.num[0][0]) == {"1": (1, edge), "g = 1": (7, edge), "g > 1": (1, edge // q)}[den]
+        assert not any(row is b_row for row in product.num for b_row in b.num)
+
     def test_unit_rows_reuse_the_rows_of_b(self):
         b = RMatrix([[2**70, 1, 0], [0, 5, "1/3"], [1, 1, 1]])
         perm = Permutation((2, 0, 1)).to_matrix()
@@ -434,18 +468,14 @@ class TestRank:
         )
     )
     def test_rank_with_wide_denominators(self, rows):
-        a = RMatrix(rows)
-        assert a.rank() == gauss_rank(a)
+        _check_rank_against_oracles(RMatrix(rows))
 
     def test_rank_through_negative_pivots(self):
-        """Bareiss divides by negative pivots here, so the sum form of the exactness check meets signs.
-
-        The pivots are 1, -1, -1, and then the last row is divided by -1.
-        """
+        """The pivots are 1, -1, -1: updated rows hold negative entries, and their content is positive."""
         a = RMatrix([[1, 2, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
-        assert a.rank() == gauss_rank(a) == 4
+        assert _check_rank_against_oracles(a) == 4
         b = RMatrix([[1, 2, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 2, 0]])
-        assert b.rank() == gauss_rank(b) == 3
+        assert _check_rank_against_oracles(b) == 3
 
     def test_rank_on_dependent_rows_with_column_skips(self):
         a = RMatrix(
@@ -456,8 +486,70 @@ class TestRank:
                 [0, 0, 0, "5/7"],
             ]
         )
-        assert a.rank() == 2
-        assert gauss_rank(a) == 2
+        assert _check_rank_against_oracles(a) == 2
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rank_of_relabelled_direct_sums(self, seed):
+        """Most rows have a zero lead at each pivot: only the rows of the pivot's block are updated."""
+        rng = random.Random(seed)
+        blocks = [random_small_matrix(rng, rng.randint(1, 5), rng.uniform(0.3, 1.0)) for _ in range(rng.randint(2, 5))]
+        a = fraction_block_diagonal(blocks)
+        a = a.conjugate(Permutation.random(a.n, rng))
+        assert _check_rank_against_oracles(a) == sum(gauss_rank(b) for b in blocks)
+
+    @pytest.mark.parametrize(
+        "rows, rank",
+        [
+            ([[2, 4, 6], [3, 5, 7], [1, 1, 2]], 3),  # the first pivot row has content 2
+            ([[0, 6, 9, 3], [4, 6, 2, 0], [2, 3, 1, 5], [6, 0, 12, 18]], 4),  # rows of content 3, 2 and 6
+            ([[10, 0, 15], [0, 6, 4], [5, 3, 9]], 3),  # pivot rows of content 5 and 2
+            ([[4, 8, 4], [6, 12, 6], [2, 4, 2]], 1),  # every row a multiple of the primitive row (1, 2, 1)
+        ],
+    )
+    def test_rank_with_pivot_rows_of_content_above_one(self, rows, rank):
+        assert _check_rank_against_oracles(RMatrix(rows)) == rank
+
+    @pytest.mark.parametrize(
+        "rows, rank",
+        [
+            ([[1, 2, 3], [2, 4, 6], [1, 3, 4]], 2),  # the second row is zero after the first pivot
+            ([[1, 1, 0, 0], [1, 2, 1, 0], [2, 3, 1, 0], [0, 0, 0, 1]], 3),  # the third row, after the second
+            ([[1, 0, 1, 2, 0], [0, 1, 1, 1, 0], [1, 1, 2, 3, 0], [2, 1, 3, 5, 0], [0, 0, 0, 1, 1]], 3),  # two rows, then a skip
+            ([["1/2", "1/3", 0], ["3/2", 1, 0], [0, 0, "1/5"]], 2),
+        ],
+    )
+    def test_rank_with_rows_that_vanish_partway(self, rows, rank):
+        assert _check_rank_against_oracles(RMatrix(rows)) == rank
+
+
+def _primitive_updates(a):
+    """``a.rank()`` and each update t = p row - lead pivot_row it makes, in order, read off its content gcd."""
+    updates = []
+
+    def content(*t):
+        updates.append(t)
+        return gcd(*t)
+
+    with mock.patch.object(matrix_module, "gcd", content):
+        rank = a.rank()
+    return rank, updates
+
+
+def _check_rank_against_oracles(a):
+    """Check ``a.rank()`` against both oracles and every update of its elimination against Bareiss's; return it.
+
+    Each update is one of Bareiss's, before its division, divided by an
+    integer, so no entry is larger (``RMatrix.rank``).
+    """
+    rank, updates = _primitive_updates(a)
+    bareiss_updates = []
+    assert rank == gauss_rank(a) == bareiss_rank(a, bareiss_updates)
+    assert len(updates) == len(bareiss_updates)
+    for t, u in zip(updates, bareiss_updates):
+        assert all(abs(x) <= abs(y) for x, y in zip(t, u))
+        k = next((y // x for x, y in zip(t, u) if x), 0)
+        assert [k * x for x in t] == list(u)
+    return rank
 
 
 class TestTrace:
@@ -490,6 +582,15 @@ class TestPattern:
 
 
 class TestPatternMatrix:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65])
+    def test_pattern_matches_boolean_grid(self, n):
+        rng = random.Random(n)
+        rows = [[rng.choice((1, 2**70, Fraction(1, 3))) if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(n)]
+        rows[0] = [0] * n
+        rows[-1] = [1] * n
+        m = RMatrix(rows)
+        assert m.pattern() == pattern_from_bools([[x != 0 for x in row] for row in rows])
+
     def test_from_packed_round_trip(self):
         p = pattern_from_packed(3, 0b101010101)
         assert pattern_to_bools(p) == [[True, False, True], [False, True, False], [True, False, True]]

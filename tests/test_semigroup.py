@@ -711,7 +711,7 @@ class TestRankFloorDecidesEveryMember:
 
 
 class TestRankFloorBlocksFromTheReach:
-    """The floor's blocks, read off G+, and their trace ranks, against the union of every member's pattern and Bareiss ranks."""
+    """The floor's blocks, read off G+, and their trace ranks, against the union of every member's pattern and exact ranks."""
 
     @pytest.mark.parametrize("seed", range(50))
     def test_check_6_4_families(self, seed):
