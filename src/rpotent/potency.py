@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .decomposition import BlockTriangularization, block_triangularize
 from .matrix import PatternMatrix, RMatrix, format_entry
@@ -71,6 +71,26 @@ class Potent:
     @cached_property
     def rank(self) -> int:
         return self.a.rank()
+
+    def block_ranks(self, components: Iterable[Sequence[int]]) -> list[int]:
+        """rank A[C, C] for each C of ``components``, read as trace E[C, C] off E = ``projection``.
+
+        Each C must be a diagonal block of a block triangular form that A
+        respects: its own components ``tri.components``, or those of a
+        pattern that contains A's.  A walk from C back to C then stays in C,
+        so compressing to C is multiplicative, and B = A[C, C] has
+        B^r = A^r[C, C] = B.  So E[C, C] = B^(r-1) is an idempotent, with
+        B = E[C, C] B and E[C, C] = B^(r-2) B (E[C, C] = B at r = 2):
+        rank B = rank E[C, C] = trace E[C, C], an integer, as asserted.  No
+        block is built and no rank is computed.
+        """
+        den, num = self.projection.den, self.projection.num
+        ranks = []
+        for comp in components:
+            rank, rest = divmod(sum(num[i][i] for i in comp), den)
+            assert not rest, "trace of a block projection is not an integer"
+            ranks.append(rank)
+        return ranks
 
     def power_cycle(self) -> Iterator[RMatrix]:
         """A, A^2, ..., A^L, built on demand; A^j is item (j - 1) mod L."""

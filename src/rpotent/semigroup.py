@@ -375,13 +375,10 @@ def semigroup_rank_floor_check(generators: list[Potent], *, cap: int = DEFAULT_C
     periodic is finite (McNaughton & Zalcstein, J. Algebra 34, 1975); so the
     cap only bounds the work, and a closure past it withholds the floor.
 
-    A block's rank in a member M is trace(P[C, C]) for the projection
-    P = M^(r-1), with no rank computed.  M's pattern lies in G+, so M is
-    block triangular in the order of G+'s blocks, and compressing to a
-    diagonal block C is multiplicative: (MN)[C, C] = M[C, C] N[C, C].  So
-    B = M[C, C] has B^r = M^r[C, C] = B, and P[C, C] = B^(r-1) is an
-    idempotent with B = P[C, C] B and P[C, C] = B^(r-2) B (P[C, C] = B at
-    r = 2): rank B = rank P[C, C] = trace P[C, C], an integer, as asserted.
+    A block's rank in a member M is read off M's projection by
+    ``Potent.block_ranks``, with no rank computed: M's pattern lies in G+, so
+    M is block triangular in the order of G+'s blocks, the form that routine
+    asks for.
     """
     exponents = {p.r for p in generators}
     if len(exponents) != 1:
@@ -398,11 +395,8 @@ def semigroup_rank_floor_check(generators: list[Potent], *, cap: int = DEFAULT_C
         p = decided[admitted] if admitted < len(decided) else potent_at(m, r)
         if p is None:
             return RankFloorReport(closure_size=admitted, truncated=False, non_potent_member=m)
-        den, num = p.projection.den, p.projection.num
-        for comp, block_ranks in zip(components, ranks):
-            rank, rest = divmod(sum(num[i][i] for i in comp), den)
-            assert not rest, "trace of a block projection is not an integer"
-            block_ranks.add(rank)
+        for seen, rank in zip(ranks, p.block_ranks(components)):
+            seen.add(rank)
     lows = [min(block_ranks) if max(block_ranks) else None for block_ranks in ranks]
     blocks = tuple(
         BlockFloorRecord(comp, low is not None, low, low is None or low <= r - 1)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import mul
 
-from .decomposition import BlockTriangularization, block_triangularize
+from .decomposition import BlockTriangularization
 from .matrix import PatternMatrix, RMatrix, format_bound
 from .potency import Potent
 
@@ -27,11 +27,6 @@ from .potency import Potent
 PERRON_POWER_STEPS = 8
 PERRON_SHIFT_STEPS = 32
 PERRON_FLOAT_TOL = 2.0**-45
-
-
-def is_primitive(a: RMatrix) -> bool:
-    """Indecomposable with period one; False (not an error) otherwise."""
-    return block_triangularize(a).periods == (1,)
 
 
 def wielandt_exponent(n: int) -> int:
@@ -76,13 +71,14 @@ def perron_value(
     """Exact bounds ``(lower, upper)`` on the spectral radius of A = ``t.source``.
 
     ``t`` is the maximal block triangularization of A (``block_triangularize``).
-    With ``potent``, a checked A^r = A, the radius of a nonzero A is exactly 1
-    and nothing is computed.  Otherwise rho(A) is the largest radius of a
-    diagonal block, and each block is bracketed by ``block_bracket``; a
+    With ``potent``, a checked A^r = A, the radius is exactly 1, or 0 for
+    A = 0, and nothing is computed.  Otherwise rho(A) is the largest radius
+    of a diagonal block, and each block is bracketed by ``block_bracket``; a
     matrix whose blocks are all 1 x 1 zeros (a nilpotent one) gets (0, 0).
     """
-    if potent is not None and not t.source.is_zero():
-        return Fraction(1), Fraction(1)
+    if potent is not None:
+        radius = Fraction(0 if t.source.is_zero() else 1)
+        return radius, radius
     brackets = [block_bracket(b) for b in t.diagonal_blocks]
     return max(lo for lo, _ in brackets), max(hi for _, hi in brackets)
 

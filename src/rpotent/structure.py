@@ -7,6 +7,12 @@ of nonzero blocks lies between ceil(k/(r-1)) and k.  Once each run of
 consecutive zero components is read as one zero block, no two zero blocks
 are adjacent and the total block count is at most 2k+1.  This module
 computes those facts over the sink-first order of the triangularization.
+
+Every block fact is read off the checked ``Potent`` (``analyze_structure``),
+with no block built and no rank or product taken; only k, the rank of A, is
+computed, the independent side of the rank-trace identity.  So
+``block_is_r_potent`` is always True, and ``block_is_indecomposable`` is
+False only on a merged run of two or more zero components.
 """
 
 from __future__ import annotations
@@ -68,6 +74,7 @@ class StructureReport:
 
     @property
     def rank_sum_ok(self) -> bool:
+        """The block ranks, traces of the projection's diagonal blocks, sum to k = rank A."""
         return sum(b.block_rank for b in self.blocks) == self.k
 
     def to_dict(self) -> dict:
@@ -87,29 +94,30 @@ class StructureReport:
 def analyze_structure(p: Potent) -> StructureReport:
     """Classify every diagonal block of A's triangularization ``p.tri`` and evaluate the bounds.
 
-    A block B on a component C is r-potent iff B ``p.projection``[C, C] = B:
-    every walk between two vertices of one strongly connected component
-    stays inside it, so A^(r-1)[C, C] = B^(r-1), and the test is B^r = B.
+    Each fact of a block B = A[C, C] on a component C is read off ``p``:
+
+    * B is zero iff its period in ``p.tri.periods`` is None: a component
+      with no cycle is a lone index with no loop, and any other has an edge.
+    * rank B is trace E[C, C] for E = ``p.projection`` = A^(r-1)
+      (``Potent.block_ranks``), so the block ranks sum to trace E.
+    * B is r-potent, by the C x C block of E A = A, which the decision that
+      built ``p`` checked exactly.  A nonzero term E[i, w] A[w, j] with i, j
+      in C is a walk from i through w to j, and j reaches i, so w lies in C:
+      a walk from C back to C stays in C.  So E[C, C] = B^(r-1) and
+      (E A)[C, C] = E[C, C] B = B^r, and (E A)[C, C] = A[C, C] gives B^r = B.
+      As E = A^L for the period L, which divides r - 1, this is also
+      B^(L+1) = B.
+    * B is indecomposable, as a strongly connected component.
+
     Each run of consecutive zero components then counts as one zero block.
     """
     t, r, k = p.tri, p.r, p.rank
-    if t.is_trivial:
-        # the one block is A itself, whose facts are known
-        records = [BlockRecord(t.components[0], p.a.is_zero(), k, True, True)]
-    else:
-        projection = p.projection
-        records = reorder_to_avoid_consecutive_zeros(
-            [
-                BlockRecord(
-                    indices=comp,
-                    is_zero=blk.is_zero(),
-                    block_rank=blk.rank(),
-                    block_is_r_potent=blk @ projection.submatrix(comp) == blk,
-                    block_is_indecomposable=True,  # a strongly connected component, by construction
-                )
-                for comp, blk in zip(t.components, t.diagonal_blocks)
-            ]
-        )
+    records = reorder_to_avoid_consecutive_zeros(
+        [
+            BlockRecord(comp, period is None, rank, True, True)
+            for comp, period, rank in zip(t.components, t.periods, p.block_ranks(t.components))
+        ]
+    )
     nonzero_count = sum(1 for rec in records if not rec.is_zero)
     total = len(records)
     lower = -(-k // (r - 1))  # ceil(k / (r-1))

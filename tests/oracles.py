@@ -426,6 +426,15 @@ def is_positive(a: RMatrix) -> bool:
     return all(map(all, a.num))
 
 
+def is_primitive(a: RMatrix) -> bool:
+    """Indecomposable with period one; False (not an error) otherwise.
+
+    A filter for drawing primitive test inputs; the package reads
+    primitivity off the periods of the triangularization it already holds.
+    """
+    return block_triangularize(a).periods == (1,)
+
+
 def transposition(n: int, i: int, j: int) -> Permutation:
     images = list(range(n))
     images[i], images[j] = images[j], images[i]

@@ -31,10 +31,11 @@ from rpotent.generators import block_diagonal, cycle_matrix, random_r_potent, un
 from rpotent.matrix import PatternMatrix, Permutation, RMatrix, load_matrix
 from rpotent.potency import NonPotency, Potent, minimal_potency, potency_report, potent_at
 from rpotent.semigroup import rational_closure
-from rpotent.spectral import _support_power_is_full, is_primitive, wielandt_check, wielandt_exponent
+from rpotent.spectral import _support_power_is_full, wielandt_check, wielandt_exponent
 
 from oracles import (
     is_positive,
+    is_primitive,
     naive_power,
     pattern_from_bools,
     pattern_from_packed,

@@ -21,7 +21,6 @@ from rpotent.decomposition import block_triangularize
 from rpotent.matrix import PatternMatrix, Permutation, RMatrix
 from rpotent.potency import Potent, as_potent, minimal_potency
 from rpotent.spectral import (
-    is_primitive,
     perron_value,
     spectral_report,
     trace_zero_check,
@@ -29,7 +28,7 @@ from rpotent.spectral import (
     wielandt_exponent,
 )
 
-from oracles import pattern_from_packed, period_by_diagonal_hits, random_small_matrix
+from oracles import is_primitive, pattern_from_packed, period_by_diagonal_hits, random_small_matrix
 
 
 def period(m: RMatrix) -> int:

@@ -18,13 +18,34 @@ from rpotent.generators import (
     uniform_idempotent,
 )
 from rpotent.cli import main
+from rpotent.decomposition import BlockTriangularization
 from rpotent.matrix import RMatrix, load_matrix
-from rpotent.potency import Potent, as_potent, is_r_potent, minimal_potency
+from rpotent.potency import Potent, as_potent, is_r_potent, minimal_potency, potency_report
 from rpotent.structure import analyze_structure
 from rpotent.verification import DEFAULT_SEED, decomposable_cases, structure_case_ok
 
+from oracles import bareiss_rank
+
 GOLDEN = Path(__file__).parent / "golden"
 DATA = resources.files("rpotent").joinpath("data")
+
+
+def _potents_at_r_and_r_plus_period(a: RMatrix) -> list[Potent]:
+    """``a`` checked at its least r and at r + L; empty when ``a`` is not potent."""
+    t = block_triangularize(a)
+    p = minimal_potency(t)
+    if not isinstance(p, Potent):
+        return []
+    return [p, potency_report(t, p.r + p.period).potent]
+
+
+def _assert_blocks_match_the_old_path(p: Potent) -> None:
+    """Each record of ``analyze_structure(p)`` against its diagonal block, built and checked exactly."""
+    for rec in analyze_structure(p).blocks:
+        blk = p.a.submatrix(rec.indices)
+        assert rec.is_zero == blk.is_zero(), rec  # so every merged zero run is a zero submatrix
+        assert rec.block_rank == bareiss_rank(blk), rec
+        assert rec.block_is_r_potent == is_r_potent(blk, p.r), rec
 
 
 class TestAnalyzeStructure:
@@ -81,12 +102,36 @@ class TestAnalyzeStructure:
 
 
 class TestBlockPotencyAgainstThePower:
-    """``block_is_r_potent``, read off the projection, against the r-th power of each block."""
+    """Every block fact, read off the checked ``Potent``, against the diagonal block itself.
+
+    The old path, which built each block, is the oracle: its rank by
+    Bareiss elimination, its r-th power, and whether it is zero.
+    """
+
+    def test_every_zero_one_potent_up_to_three_at_r_and_r_plus_period(self):
+        checked = 0
+        for n in (1, 2, 3):
+            for bits in itertools.product((0, 1), repeat=n * n):
+                for p in _potents_at_r_and_r_plus_period(RMatrix([list(bits[i * n:(i + 1) * n]) for i in range(n)])):
+                    _assert_blocks_match_the_old_path(p)
+                    checked += 1
+        assert checked == 2 * 87
+
+    def test_every_potent_golden_and_bundled_input(self):
+        sources = [*GOLDEN.glob("*.json"), *GOLDEN.glob("*.csv"), *DATA.iterdir()]
+        reports = (".analyze.json", ".semigroup.json")
+        inputs = [f for f in sources if f.name.endswith((".json", ".csv")) and not f.name.endswith(reports)]
+        potent = 0
+        for f in inputs:
+            for p in _potents_at_r_and_r_plus_period(load_matrix(str(f))):
+                _assert_blocks_match_the_old_path(p)
+                potent += 1
+        assert potent == 2 * 15
 
     def test_structure_check_families(self):
-        for _, _, r, p, _ in decomposable_cases(60, DEFAULT_SEED):
-            flags = [b.block_is_r_potent for b in analyze_structure(p).blocks]
-            assert flags == [is_r_potent(blk, r) for blk in p.tri.diagonal_blocks]
+        # check 4.1's default family
+        for _, _, _, p, _ in decomposable_cases(300, DEFAULT_SEED):
+            _assert_blocks_match_the_old_path(p)
 
     @pytest.mark.parametrize(
         "source",
@@ -108,6 +153,34 @@ class TestBlockPotencyAgainstThePower:
         blocks = block_triangularize(load_matrix(path)).diagonal_blocks
         flags = [b["block_is_r_potent"] for b in bundle["structure"]["blocks"]]
         assert flags == [is_r_potent(blk, r) for blk in blocks]
+
+
+class TestAnalyzeBuildsNoBlock:
+    """``analyze`` on a potent input computes one rank, that of A, and builds no diagonal block.
+
+    Each input has L <= n: above n the potency decision checks every block
+    at its own period first, and that builds the blocks.
+    """
+
+    @pytest.mark.parametrize(
+        "name", ["padded_rational.csv", "diag_0_0_0_0_1_1.json", "block_order_tiebreak.json", "zero_3x3.json"]
+    )
+    def test_one_rank_and_no_block_at_r_and_r_plus_period(self, name, monkeypatch, capsys):
+        path = str(GOLDEN / name)
+        ranks, blocks = [], []
+        rank = RMatrix.rank
+        build_blocks = BlockTriangularization.__dict__["diagonal_blocks"].func
+        monkeypatch.setattr(RMatrix, "rank", lambda a: ranks.append(a) or rank(a))
+        monkeypatch.setattr(BlockTriangularization, "diagonal_blocks", property(lambda t: blocks.append(t) or build_blocks(t)))
+        assert main(["analyze", path, "--json"]) == 0
+        bundle = json.loads(capsys.readouterr().out)
+        assert bundle["structure"]["applicable"] and bundle["ok"]
+        assert (len(ranks), len(blocks)) == (1, 0)
+        minimal = bundle["potency"]["minimal_r"]
+        ranks.clear()
+        assert main(["analyze", path, "--json", "--r", str(2 * minimal - 1)]) == 0
+        assert json.loads(capsys.readouterr().out)["potency"]["is_r_potent"]
+        assert (len(ranks), len(blocks)) == (1, 0)
 
 
 class TestZeroRunMerge:
