@@ -19,8 +19,8 @@ import sys
 
 from .decomposition import block_triangularize, brute_force_decomposable_pattern
 from .generators import GENERATOR_KINDS, GeneratorSpec
-from .matrix import RMatrix, json_text, load_matrix, matrix_to_json
-from .potency import main_decomposability_test, potency_report, potent_at
+from .matrix import RMatrix, format_entry, json_text, load_matrix, matrix_to_json
+from .potency import NonPotency, main_decomposability_test, minimal_potency, potent_at, require_exponent
 from .semigroup import DEFAULT_CLOSURE_CAP, equivalence_report, pattern_closure, semigroup_rank_floor_check
 from .spectral import spectral_report
 from .structure import analyze_structure
@@ -28,19 +28,42 @@ from .verification import CHECKS, run_check
 
 
 def _analysis_bundle(a: RMatrix, r: int | None) -> dict:
-    """Every report for one matrix, from one triangularization and the potency decision over it."""
+    """Every report for one matrix, from one triangularization and the potency decision over it.
+
+    With no ``r`` the decision's least exponent is reported.  ``potency``
+    is None only when no ``r`` is given and no exponent exists; the
+    ``nonpotency`` certificate is added whenever none exists.
+    """
+    if r is not None:
+        require_exponent(r)
     tri = block_triangularize(a)
-    potency = potency_report(tri, r)
-    potent = potency.potent
+    decision = minimal_potency(tri)
+    minimal_r = None if isinstance(decision, NonPotency) else decision.r
+    if r is None:
+        r = minimal_r
+    potent = None if minimal_r is None else decision.at(r)
     decomposable = not tri.is_trivial
     oracle_witness = brute_force_decomposable_pattern(tri.graph.pattern)
     oracle_agrees = (oracle_witness is not None) == decomposable
     prediction = None if potent is None else main_decomposability_test(potent)
     structure = None if potent is None else analyze_structure(potent)
     spectral = spectral_report(tri, potent)
+    potency = None
+    if r is not None:
+        rank = a.rank() if potent is None else potent.rank
+        # A^(r-1) is a projection only when A^r = A; its trace is then rank A
+        trace = None if potent is None else potent.projection.trace()
+        potency = {
+            "is_r_potent": potent is not None,
+            "r": r,
+            "minimal_r": minimal_r,
+            "rank": rank,
+            "trace_of_projection": None if trace is None else format_entry(trace),
+            "rank_trace_ok": trace is None or trace == rank,
+        }
     checks_ok = (
         oracle_agrees
-        and potency.rank_trace_ok
+        and (potency is None or potency["rank_trace_ok"])
         and (
             potent is None
             or (prediction.agrees and structure.blocks_ok and structure.rank_sum_ok and structure.bounds_ok)
@@ -48,8 +71,8 @@ def _analysis_bundle(a: RMatrix, r: int | None) -> dict:
     )
     bundle = {
         "matrix": a,
-        "r": potency.r,
-        "potency": None if potency.r is None else potency.to_dict(),
+        "r": r,
+        "potency": potency,
         "decomposability": {
             "decomposable": decomposable,
             "witness": None if tri.witness is None else tri.witness.sorted_indices(),
@@ -62,8 +85,8 @@ def _analysis_bundle(a: RMatrix, r: int | None) -> dict:
         "prediction": None if prediction is None else prediction.to_dict(),
         "ok": checks_ok,
     }
-    if potency.nonpotency is not None:
-        bundle["nonpotency"] = potency.nonpotency.to_dict()
+    if minimal_r is None:
+        bundle["nonpotency"] = decision.to_dict()
     return bundle
 
 

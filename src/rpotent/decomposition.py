@@ -157,15 +157,6 @@ def sink_witness(p: PatternMatrix, components: Sequence[tuple[int, ...]]) -> Inv
     return w
 
 
-def is_decomposable_pattern(p: PatternMatrix) -> bool:
-    return len(Digraph(p).strongly_connected_components()) > 1
-
-
-def is_decomposable(a: RMatrix) -> bool:
-    """True iff the support digraph is not strongly connected."""
-    return is_decomposable_pattern(a.pattern())
-
-
 # Both oracle names are kept: bench/tracer.py times them as decomposition.oracle.
 def brute_force_decomposable_pattern(p: PatternMatrix) -> InvariantSubsetWitness | None:
     """Oracle: the invariant index set of least bitmask, or None, from column closures.
@@ -298,15 +289,3 @@ def block_triangularize(a: RMatrix) -> BlockTriangularization:
     """
     graph = Digraph(a.pattern())
     return BlockTriangularization(tuple(graph.strongly_connected_components()), a, graph)
-
-
-def rank_one_idempotent_diag_test(a: RMatrix) -> bool:
-    """Zero-diagonal test for rank-one idempotents.
-
-    For a nonnegative idempotent of rank one, having a zero diagonal entry is
-    equivalent to being decomposable; callers assert that equivalence against
-    ``is_decomposable``.
-    """
-    if a @ a != a or a.rank() != 1:
-        raise ValueError("input must be a nonnegative idempotent of rank one")
-    return a.pattern().has_zero_diagonal_entry()

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .matrix import Entry, Permutation, RMatrix, _entry_ratio, coerce_entry
-from .potency import Potent, as_potent
+from .potency import Potent, potent_at, require_exponent
 
 _POOL = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3))
 _POOL_WITH_ZERO = _POOL + (Fraction(0),)
@@ -219,10 +219,9 @@ def _verify_emission(m: RMatrix, r: int, target_rank: int | None) -> Potent:
     RuntimeError when the generator broke its contract: ``m`` is not
     r-potent, or its rank is not ``target_rank`` (when one is given).
     """
-    try:
-        p = as_potent(m, r)
-    except ValueError:
-        raise RuntimeError("generator emitted a matrix that is not r-potent") from None
+    p = potent_at(m, r)
+    if p is None:
+        raise RuntimeError("generator emitted a matrix that is not r-potent")
     if target_rank is not None and p.rank != target_rank:
         raise RuntimeError("generator missed the target rank")
     return p
@@ -240,8 +239,7 @@ def random_r_potent(
     r-potent also computed ``.rank``, so callers reuse both.  Raises
     ValueError when the target rank cannot fit the dimension budget.
     """
-    if r < 2:
-        raise ValueError("potency exponent must be at least 2")
+    require_exponent(r)
     if target_rank < 1 or target_rank > max_dim:
         raise ValueError(
             f"target rank {target_rank} is unreachable within dimension budget {max_dim}"
@@ -306,6 +304,7 @@ def rank_dominant_semigroup_generators(r: int, count: int, seed: int) -> list[Po
     product of those blocks as Z2 x Z2, and the rank floor of check 6.4
     fails on that block.
     """
+    require_exponent(r)
     if count < 1:
         raise ValueError("need at least one generator")
     rng = random.Random(seed)

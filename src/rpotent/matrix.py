@@ -820,11 +820,14 @@ def matrix_from_csv(text: str) -> RMatrix:
 
 
 def load_matrix(path: str) -> RMatrix:
-    """Load a matrix from a JSON or CSV file (sniffed by suffix, then content)."""
+    """Load a matrix from a JSON or CSV file.
+
+    A ``.json`` file is read as JSON and a ``.csv`` file as CSV, whatever
+    their text; a file with any other name is read as JSON when its text
+    starts with ``{``, else as CSV.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if path.endswith(".csv"):
-        return matrix_from_csv(text)
-    if text.lstrip().startswith("{"):
+    if path.endswith(".json") or (not path.endswith(".csv") and text.lstrip().startswith("{")):
         return matrix_from_json(text)
     return matrix_from_csv(text)

@@ -4,31 +4,38 @@ A matrix with A^r = A for some r >= 2 is called r-potent (idempotent is the
 r = 2 case).  For such matrices A^(r-1) is an idempotent projection and the
 rank of A equals the trace of that projection, an identity this module checks
 with exact arithmetic only.  Reports take a ``Potent``, a matrix checked
-once, so none of them re-checks potency or recomputes a power.  Whether any
-r exists is decided from the periods of the diagonal blocks of A's maximal
-triangularization, with no cap; when none does, the decision returns the
-``NonPotency`` certificate instead.  Whether A^r = A at one given r is
-decided by ``potent_at``: from A's own powers when r - 1 <= n, else from
-the same block periods.
+once, so none of them re-checks potency or recomputes a power.
+
+The decision has two entry points.  ``minimal_potency`` decides whether any
+r exists, from the periods of the diagonal blocks of A's maximal
+triangularization, with no cap: it returns A checked at its least r, or
+the ``NonPotency`` certificate when none exists.  ``Potent.at`` moves that
+checked value to another exponent without a new power.  ``potent_at``
+decides one given r: from A's own powers when r - 1 <= n, else by
+``minimal_potency`` and ``Potent.at``.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .decomposition import BlockTriangularization, block_triangularize
-from .matrix import PatternMatrix, RMatrix, format_entry
+from .matrix import PatternMatrix, RMatrix
+
+
+def require_exponent(r: int) -> None:
+    """ValueError unless ``r`` is a potency exponent, r >= 2."""
+    if r < 2:
+        raise ValueError("potency exponent must be at least 2")
 
 
 def is_r_potent(a: RMatrix, r: int) -> bool:
     """True iff the exact r-th power of ``a`` equals ``a``."""
-    if r < 2:
-        raise ValueError("potency exponent must be at least 2")
+    require_exponent(r)
     return a.pow(r) == a
 
 
@@ -106,6 +113,17 @@ class Potent:
         flags = [test(m) for m in accumulate(repeat(s, self.period - 1), operator.mul, initial=s)]
         return tuple(flags[j % len(flags)] for j in range(self.r - 1))
 
+    def at(self, r: int) -> Potent | None:
+        """A checked at exponent ``r``, or None when A^r != A; no power is taken.
+
+        A^r = A iff the period L divides r - 1 (``minimal_potency``), and
+        then A^(r-1) = A^L is this value's projection.
+        """
+        require_exponent(r)
+        if r == self.r:
+            return self
+        return Potent._decided(self.tri, r, self.projection) if (r - 1) % self.period == 0 else None
+
 
 @dataclass(frozen=True)
 class NonPotency:
@@ -171,19 +189,19 @@ def potent_at(a: RMatrix, r: int) -> Potent | None:
       idempotent and A^(r-1) = A, so nothing more is computed.  Otherwise
       A^(r-1) is built by square-and-multiply from A^2 and checked by one
       product, A^(r-1) A = A.  No triangularization is built.
-    * r - 1 > n: the period route of ``potency_report``, so a large r takes
-      no r-th power: A^r = A iff the lcm L of the block periods divides
-      r - 1, and the projection is A^L.
+    * r - 1 > n: the period route, ``minimal_potency`` then ``Potent.at``,
+      so a large r takes no r-th power: A^r = A iff the lcm L of the block
+      periods divides r - 1, and the projection is A^L.
 
     Both give the same projection, since A^(r-1) = A^L when L divides r - 1.
     The split bounds the direct route to at most 2 floor(log2 n) + 1
     products, with entry bit lengths that grow at most n-fold, the bound the
     period route's block pre-check already takes (B^(p+1), p + 1 <= n + 1).
     """
-    if r < 2:
-        raise ValueError("potency exponent must be at least 2")
+    require_exponent(r)
     if r - 1 > a.n:
-        return potency_report(block_triangularize(a), r).potent
+        decision = minimal_potency(block_triangularize(a))
+        return None if isinstance(decision, NonPotency) else decision.at(r)
     square = a @ a
     if square == a:
         return Potent(a, r, a)
@@ -192,19 +210,6 @@ def potent_at(a: RMatrix, r: int) -> Potent | None:
     half, odd = divmod(r - 1, 2)
     projection = square.pow(half) @ a if odd else square.pow(half)
     return Potent(a, r, projection) if projection @ a == a else None
-
-
-def as_potent(a: RMatrix, r: int) -> Potent:
-    """``a`` checked at exponent ``r`` by ``potent_at``; ValueError unless A^r = A.
-
-    For r - 1 <= n that is A's own powers, A^(r-1) A = A, in at most
-    2 floor(log2 n) + 1 products; past n it is the block periods, so a large
-    r takes no r-th power.
-    """
-    p = potent_at(a, r)
-    if p is None:
-        raise ValueError(f"matrix is not {r}-potent")
-    return p
 
 
 def rank_trace_check(p: Potent) -> bool:
@@ -216,64 +221,6 @@ def zero_diagonal_powers(p: Potent) -> set[int]:
     """Exponents j in {1, ..., r-1} for which A^j has a zero diagonal entry."""
     flags = p.per_exponent(PatternMatrix.has_zero_diagonal_entry)
     return {j for j, zero in enumerate(flags, start=1) if zero}
-
-
-@dataclass(frozen=True)
-class PotencyReport:
-    """Potency facts for one matrix at one exponent; ``potent`` is set iff A^r = A.
-
-    ``nonpotency`` is set whenever A is not potent at any exponent, and
-    ``r`` is None only when no exponent was asked for and none exists.
-    """
-
-    a: RMatrix
-    r: int | None
-    minimal_r: int | None
-    potent: Potent | None
-    nonpotency: NonPotency | None
-
-    @property
-    def is_r_potent(self) -> bool:
-        return self.potent is not None
-
-    @cached_property
-    def rank(self) -> int:
-        return self.a.rank() if self.potent is None else self.potent.rank
-
-    @cached_property
-    def trace_of_projection(self) -> Fraction | None:
-        """trace(A^(r-1)) when A^r = A; None otherwise, where A^(r-1) is no projection."""
-        return None if self.potent is None else self.potent.projection.trace()
-
-    @property
-    def rank_trace_ok(self) -> bool:
-        return self.potent is None or rank_trace_check(self.potent)
-
-    def to_dict(self) -> dict:
-        trace = self.trace_of_projection
-        return {
-            "is_r_potent": self.is_r_potent,
-            "r": self.r,
-            "minimal_r": self.minimal_r,
-            "rank": self.rank,
-            "trace_of_projection": None if trace is None else format_entry(trace),
-            "rank_trace_ok": self.rank_trace_ok,
-        }
-
-
-def potency_report(t: BlockTriangularization, r: int | None = None) -> PotencyReport:
-    """Potency facts of A = ``t.source`` at ``r`` (default: the least exponent), from one decision."""
-    if r is not None and r < 2:
-        raise ValueError("potency exponent must be at least 2")
-    decision = minimal_potency(t)
-    if isinstance(decision, NonPotency):
-        return PotencyReport(t.source, r, None, None, decision)
-    if r is None or r == decision.r:
-        return PotencyReport(t.source, decision.r, decision.r, decision, None)
-    potent = None
-    if (r - 1) % decision.period == 0:
-        potent = Potent._decided(t, r, decision.projection)
-    return PotencyReport(t.source, r, decision.r, potent, None)
 
 
 @dataclass(frozen=True)

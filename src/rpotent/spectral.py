@@ -29,10 +29,6 @@ PERRON_SHIFT_STEPS = 32
 PERRON_FLOAT_TOL = 2.0**-45
 
 
-def wielandt_exponent(n: int) -> int:
-    return n * n - 2 * n + 2
-
-
 def wielandt_check(t: BlockTriangularization) -> bool:
     """Positivity of A^(n^2 - 2n + 2), the guaranteed-positive power, read on the support.
 
@@ -45,7 +41,8 @@ def wielandt_check(t: BlockTriangularization) -> bool:
     """
     if t.periods != (1,):
         raise ValueError("positivity of the squared-index power needs a primitive matrix")
-    return _support_power_is_full(t.graph.pattern, wielandt_exponent(t.source.n))
+    n = t.source.n
+    return _support_power_is_full(t.graph.pattern, n * n - 2 * n + 2)
 
 
 def _support_power_is_full(s: PatternMatrix, k: int) -> bool:

@@ -34,7 +34,11 @@ against the reader that splits plain integers and ``p/q`` strings with
 The pattern, permutation and predicate helpers at the end (boolean grids,
 row-major bit packing, nonzero counts, positivity, transpositions, composed
 and inverse permutations, and the validity of a block triangularization)
-build or inspect test inputs; the package itself needs none of them.
+build or inspect test inputs; the package itself needs none of them.  So
+do the short forms after them: ``as_potent`` (``potent_at`` that raises
+unless A^r = A), the decomposability predicates on a matrix and on a
+pattern, the zero-diagonal test of a rank-one idempotent and Wielandt's
+exponent n^2 - 2n + 2.
 """
 
 from __future__ import annotations
@@ -45,10 +49,10 @@ from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
 
-from rpotent.decomposition import BlockTriangularization, InvariantSubsetWitness, block_triangularize
+from rpotent.decomposition import BlockTriangularization, Digraph, InvariantSubsetWitness, block_triangularize
 from rpotent.generators import rank_one_idempotent
 from rpotent.matrix import PatternMatrix, Permutation, RMatrix, coerce_entry
-from rpotent.potency import Potent
+from rpotent.potency import Potent, potent_at
 from rpotent.semigroup import PatternSemigroup
 
 
@@ -456,3 +460,35 @@ def permutation_inverse(p: Permutation) -> Permutation:
 def triangularization_is_valid(t: BlockTriangularization) -> bool:
     """Whether A itself, conjugated by the triangularization's permutation, is block upper triangular."""
     return t.is_respected_by(t.source.pattern())
+
+
+def as_potent(a: RMatrix, r: int) -> Potent:
+    """``a`` checked at exponent ``r`` by ``potent_at``; ValueError unless A^r = A."""
+    p = potent_at(a, r)
+    if p is None:
+        raise ValueError(f"matrix is not {r}-potent")
+    return p
+
+
+def is_decomposable_pattern(p: PatternMatrix) -> bool:
+    return len(Digraph(p).strongly_connected_components()) > 1
+
+
+def is_decomposable(a: RMatrix) -> bool:
+    """True iff the support digraph is not strongly connected."""
+    return is_decomposable_pattern(a.pattern())
+
+
+def rank_one_idempotent_diag_test(a: RMatrix) -> bool:
+    """Whether a nonnegative rank-one idempotent has a zero diagonal entry; ValueError for other input.
+
+    For such a matrix that is equivalent to being decomposable.
+    """
+    if a @ a != a or a.rank() != 1:
+        raise ValueError("input must be a nonnegative idempotent of rank one")
+    return a.pattern().has_zero_diagonal_entry()
+
+
+def wielandt_exponent(n: int) -> int:
+    """n^2 - 2n + 2, the power at which every primitive n x n matrix is positive."""
+    return n * n - 2 * n + 2

@@ -18,13 +18,10 @@ import pytest
 from rpotent.decomposition import (
     block_triangularize,
     brute_force_decomposable_pattern,
-    is_decomposable,
-    is_decomposable_pattern,
-    rank_one_idempotent_diag_test,
 )
 from rpotent.generators import cycle_matrix
 from rpotent.matrix import PatternMatrix, Permutation, json_text, matrix_to_json
-from rpotent.potency import as_potent, is_r_potent, zero_diagonal_powers
+from rpotent.potency import is_r_potent, zero_diagonal_powers
 from rpotent.semigroup import (
     equivalence_report,
     pattern_closure,
@@ -43,7 +40,7 @@ from rpotent.verification import (
 )
 from rpotent.cli import main
 
-from oracles import pattern_from_packed
+from oracles import as_potent, is_decomposable, is_decomposable_pattern, pattern_from_packed, rank_one_idempotent_diag_test
 
 SEED = 20250810
 

@@ -11,9 +11,6 @@ from rpotent.decomposition import (
     block_triangularize,
     brute_force_decomposable,
     brute_force_decomposable_pattern,
-    is_decomposable,
-    is_decomposable_pattern,
-    rank_one_idempotent_diag_test,
 )
 from rpotent.generators import (
     block_diagonal,
@@ -25,13 +22,17 @@ from rpotent.generators import (
 )
 from rpotent.matrix import PatternMatrix, RMatrix
 from rpotent import potency
-from rpotent.potency import Potent, as_potent, main_decomposability_test, minimal_potency, zero_diagonal_powers
+from rpotent.potency import Potent, main_decomposability_test, minimal_potency, zero_diagonal_powers
 
 from oracles import (
+    as_potent,
     closed_subsets,
     closure_block_order,
+    is_decomposable,
+    is_decomposable_pattern,
     pattern_from_packed,
     random_pattern_local,
+    rank_one_idempotent_diag_test,
     triangularization_is_valid,
 )
 

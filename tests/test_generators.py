@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rpotent import generators
-from rpotent.decomposition import block_triangularize, is_decomposable
+from rpotent.decomposition import block_triangularize
 from rpotent.generators import (
     GENERATOR_KINDS,
     GeneratorSpec,
@@ -21,14 +21,16 @@ from rpotent.generators import (
     uniform_idempotent,
 )
 from rpotent.matrix import RMatrix, matrix_to_json
-from rpotent.potency import as_potent, is_r_potent, minimal_potency, zero_diagonal_powers
+from rpotent.potency import is_r_potent, minimal_potency, zero_diagonal_powers
 
 from oracles import (
+    as_potent,
     count_nonzero,
     fraction_block_diagonal,
     fraction_cycle_matrix,
     fraction_random_idempotent,
     fraction_triangular_family,
+    is_decomposable,
     is_positive,
 )
 
@@ -232,6 +234,17 @@ class TestSemigroupFamilies:
                 assert g.r == r
                 assert is_r_potent(g.a, r)
                 assert g.rank == RMatrix.rank(g.a) > r - 1
+
+    def test_rejects_r_below_two_up_front(self):
+        # a caller's error, not a broken emission contract (RuntimeError)
+        for r in (1, 0, -2):
+            with pytest.raises(ValueError, match="^potency exponent must be at least 2$"):
+                rank_dominant_semigroup_generators(r, 2, 3)
+
+    def test_emission_check_reports_a_broken_contract(self, monkeypatch):
+        monkeypatch.setattr(generators, "potent_at", lambda m, r: None)
+        with pytest.raises(RuntimeError, match="generator emitted a matrix that is not r-potent"):
+            rank_dominant_semigroup_generators(3, 2, 3)
 
     def test_products_of_generators_stay_in_hypothesis(self):
         rng = random.Random(5)

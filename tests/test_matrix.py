@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -735,6 +736,23 @@ class TestSerialization:
         cpath.write_text("1/2,1/2\n1/2,1/2\n")
         assert load_matrix(str(jpath)) == HALF
         assert load_matrix(str(cpath)) == HALF
+
+    def test_load_matrix_reads_a_json_file_as_json_whatever_its_text(self, tmp_path):
+        cases = {
+            "array.json": ("[[1,0],[0,1]]", "matrix JSON must contain 'n' and 'entries'"),
+            "bom.json": ('\ufeff{"n": 1, "entries": [[1]]}', "invalid matrix JSON: Unexpected UTF-8 BOM"),
+            "csv.json": ("1/2,1/2\n1/2,1/2\n", "invalid matrix JSON"),
+        }
+        for name, (text, message) in cases.items():
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load_matrix(str(path))
+        # the same CSV text is read under a .csv name or with no extension
+        for name in ("matrix.csv", "matrix"):
+            path = tmp_path / name
+            path.write_text(cases["csv.json"][0])
+            assert load_matrix(str(path)) == HALF
 
     def test_str_renders_aligned_rationals(self):
         text = str(HALF)

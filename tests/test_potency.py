@@ -1,9 +1,14 @@
-"""Potency detection, the checked potent value, projections, rank/trace identity."""
+"""Potency detection, the checked potent value, projections, rank/trace identity.
+
+The analyze ``potency`` object is read off ``cli._analysis_bundle``, which
+writes it from the one decision of ``minimal_potency`` and ``Potent.at``.
+"""
 
 import random
 
 import pytest
 
+from rpotent.cli import _analysis_bundle
 from rpotent.decomposition import block_triangularize
 from rpotent.generators import (
     block_diagonal,
@@ -14,15 +19,13 @@ from rpotent.generators import (
 from rpotent.matrix import Permutation, RMatrix
 from rpotent.potency import (
     NonPotency,
-    as_potent,
     is_r_potent,
     minimal_potency,
-    potency_report,
     rank_trace_check,
     zero_diagonal_powers,
 )
 
-from oracles import naive_power, transposition
+from oracles import as_potent, naive_power, transposition
 
 QUAD = RMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
@@ -31,8 +34,10 @@ def _decide(a: RMatrix):
     return minimal_potency(block_triangularize(a))
 
 
-def _report(a: RMatrix, r: int | None = None):
-    return potency_report(block_triangularize(a), r)
+def _at(a: RMatrix, r: int):
+    """``a`` at ``r`` by the decision and ``Potent.at``; None unless A^r = A."""
+    decision = _decide(a)
+    return None if isinstance(decision, NonPotency) else decision.at(r)
 
 
 class TestIsRPotent:
@@ -87,7 +92,7 @@ class TestMinimalPotency:
             m = decision.r
             for r2 in range(2, 20):
                 assert is_r_potent(a, r2) == ((r2 - 1) % (m - 1) == 0)
-                assert _report(a, r2).is_r_potent == is_r_potent(a, r2)
+                assert (_at(a, r2) is not None) == is_r_potent(a, r2)
 
     def test_decision_keeps_the_projection_and_builds_the_powers_on_demand(self):
         decision = _decide(QUAD)
@@ -198,72 +203,76 @@ class TestZeroDiagonalPowers:
         assert zero_diagonal_powers(as_potent(tower, 4)) == set()
 
 
-class TestPotencyReport:
+class TestAnalyzePotencyObject:
     def test_report_fields_for_quadripotent(self):
-        rep = _report(QUAD, 4)
-        assert rep.is_r_potent
-        assert rep.minimal_r == 4
-        assert rep.rank == 3
-        assert rep.trace_of_projection == 3
-        assert rep.rank_trace_ok
-        assert rep.nonpotency is None
+        bundle = _analysis_bundle(QUAD, 4)
+        rep = bundle["potency"]
+        assert rep["is_r_potent"]
+        assert rep["minimal_r"] == 4
+        assert rep["rank"] == 3
+        assert rep["trace_of_projection"] == 3
+        assert rep["rank_trace_ok"]
+        assert "nonpotency" not in bundle
 
     def test_minimal_r_divides(self):
         for seed in range(20):
             r = (3, 4, 5)[seed % 3]
             a = random_r_potent(r, 1 + seed % 3, seed).a
-            rep = _report(a, r)
-            assert rep.is_r_potent
-            assert rep.minimal_r is not None
-            assert rep.minimal_r <= rep.r
-            assert (rep.r - 1) % (rep.minimal_r - 1) == 0
+            decision = _decide(a)
+            assert decision.at(r) is not None
+            assert decision.r <= r
+            assert (r - 1) % (decision.r - 1) == 0
 
     def test_power_cycles_with_step_r_minus_one(self):
         for seed in range(12):
             r = (2, 3, 4, 5)[seed % 4]
             a = random_r_potent(r, 1 + seed % 3, seed).a
-            for k in(1, 2, 3):
+            for k in (1, 2, 3):
                 assert a.pow(k * (r - 1) + 1) == a
 
     def test_default_exponent_is_the_minimal_one(self):
-        rep = _report(QUAD)
-        assert rep.r == rep.minimal_r == 4
-        assert rep.potent.r == 4
-        rep = _report(RMatrix([[0, 1], [0, 0]]))
-        assert rep.r is None and rep.potent is None and rep.nonpotency == NonPotency(1)
+        bundle = _analysis_bundle(QUAD, None)
+        assert bundle["r"] == bundle["potency"]["r"] == bundle["potency"]["minimal_r"] == 4
+        assert _decide(QUAD).at(4).r == 4
+        bundle = _analysis_bundle(RMatrix([[0, 1], [0, 0]]), None)
+        assert bundle["r"] is None and bundle["potency"] is None and bundle["nonpotency"] == {"period_lcm": 1}
 
     def test_exponent_that_fails(self):
-        rep = _report(QUAD, 3)
-        assert not rep.is_r_potent and rep.potent is None
-        assert rep.minimal_r == 4
-        assert rep.rank == 3
+        bundle = _analysis_bundle(QUAD, 3)
+        rep = bundle["potency"]
+        assert not rep["is_r_potent"] and _decide(QUAD).at(3) is None
+        assert rep["minimal_r"] == 4
+        assert rep["rank"] == 3
         # A^2 is no projection when A^3 != A, so no trace is reported
-        assert rep.trace_of_projection is None
-        assert rep.to_dict()["trace_of_projection"] is None and rep.rank_trace_ok
+        assert rep["trace_of_projection"] is None and rep["rank_trace_ok"]
         # QUAD is potent, so there is no certificate
-        assert rep.nonpotency is None
+        assert "nonpotency" not in bundle
 
     def test_non_potent_input_at_an_exponent(self):
-        rep = _report(RMatrix([[2]]), 5)
-        assert rep.r == 5 and not rep.is_r_potent and rep.minimal_r is None
-        assert rep.nonpotency == NonPotency(1)
+        bundle = _analysis_bundle(RMatrix([[2]]), 5)
+        rep = bundle["potency"]
+        assert rep["r"] == 5 and not rep["is_r_potent"] and rep["minimal_r"] is None
+        assert bundle["nonpotency"] == NonPotency(1).to_dict()
 
     def test_exponent_past_the_old_cap(self):
         # cycles of lengths 3, 5 and 7: minimal exponent lcm + 1 = 106
         images = (1, 2, 0, 4, 5, 6, 7, 3, 9, 10, 11, 12, 13, 14, 8)
         a = Permutation(images).to_matrix()
-        rep = _report(a, 106)
-        assert rep.is_r_potent and rep.minimal_r == 106
-        assert rep.potent.r == 106 and rep.potent.period == 105
-        assert list(rep.potent.power_cycle()) == [a.pow(j) for j in range(1, 106)]
-        assert rep.trace_of_projection == rep.rank == 15
-        assert not _report(a, 105).is_r_potent
-        assert _report(a).r == 106
-        assert _report(a, 211).potent.projection == rep.potent.projection
+        rep = _analysis_bundle(a, 106)["potency"]
+        assert rep["is_r_potent"] and rep["minimal_r"] == 106
+        p = _decide(a).at(106)
+        assert p.r == 106 and p.period == 105
+        assert list(p.power_cycle()) == [a.pow(j) for j in range(1, 106)]
+        assert rep["trace_of_projection"] == 15 and rep["rank"] == 15
+        assert _at(a, 105) is None
+        assert _analysis_bundle(a, None)["r"] == 106
+        assert _at(a, 211).projection == p.projection
 
     def test_rejects_r_below_two(self):
         with pytest.raises(ValueError, match="at least 2"):
-            _report(QUAD, 1)
+            _analysis_bundle(QUAD, 1)
+        with pytest.raises(ValueError, match="at least 2"):
+            _decide(QUAD).at(1)
 
 
 class TestLargeOrder:
@@ -285,10 +294,10 @@ class TestLargeOrder:
 
         monkeypatch.setattr(RMatrix, "__matmul__", counting)
         p = as_potent(a, 27721)
-        rep = _report(a, 27721)
-        assert rep.is_r_potent and rep.minimal_r == 27721
-        assert p.period == 27720 and rep.rank_trace_ok
-        assert not _report(a, 27720).is_r_potent
+        decision = _decide(a)
+        assert decision.at(27721) is not None and decision.r == 27721
+        assert p.period == 27720 and rank_trace_check(p)
+        assert decision.at(27720) is None
         with pytest.raises(ValueError, match="not 27720-potent"):
             as_potent(a, 27720)
         # per call: a square-and-multiply power (at most 2 * 15 products),

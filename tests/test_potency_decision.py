@@ -29,9 +29,9 @@ import pytest
 from rpotent.decomposition import block_triangularize
 from rpotent.generators import block_diagonal, cycle_matrix, random_r_potent, uniform_idempotent
 from rpotent.matrix import PatternMatrix, Permutation, RMatrix, load_matrix
-from rpotent.potency import NonPotency, Potent, minimal_potency, potency_report, potent_at
+from rpotent.potency import NonPotency, Potent, minimal_potency, potent_at
 from rpotent.semigroup import rational_closure
-from rpotent.spectral import _support_power_is_full, wielandt_check, wielandt_exponent
+from rpotent.spectral import _support_power_is_full, wielandt_check
 
 from oracles import (
     is_positive,
@@ -42,6 +42,7 @@ from oracles import (
     period_by_diagonal_hits,
     random_small_matrix,
     unscreened_minimal_potency,
+    wielandt_exponent,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -204,7 +205,8 @@ def _potent_at_agrees(a: RMatrix, r: int) -> tuple[str, bool]:
     holds a triangularization, and the verdict.
     """
     got = potent_at(a, r)
-    reference = potency_report(block_triangularize(a), r).potent
+    decision = _decide(a)
+    reference = None if isinstance(decision, NonPotency) else decision.at(r)
     potent = naive_power(a, r) == a
     assert (got is not None) == (reference is not None) == potent
     route = "direct" if r - 1 <= a.n else "periods"

@@ -19,16 +19,23 @@ from rpotent.generators import (
 )
 from rpotent.decomposition import block_triangularize
 from rpotent.matrix import PatternMatrix, Permutation, RMatrix
-from rpotent.potency import Potent, as_potent, minimal_potency
+from rpotent.potency import Potent, minimal_potency
 from rpotent.spectral import (
     perron_value,
     spectral_report,
     trace_zero_check,
     wielandt_check,
-    wielandt_exponent,
 )
 
-from oracles import is_primitive, pattern_from_packed, period_by_diagonal_hits, random_small_matrix
+from oracles import (
+    as_potent,
+    is_decomposable,
+    is_primitive,
+    pattern_from_packed,
+    period_by_diagonal_hits,
+    random_small_matrix,
+    wielandt_exponent,
+)
 
 
 def period(m: RMatrix) -> int:
@@ -81,7 +88,6 @@ class TestPeriod:
         while found < 40:
             n = rng.randint(2, 6)
             m = random_small_matrix(rng, n, density=rng.uniform(0.2, 0.6))
-            from rpotent.decomposition import is_decomposable
 
             if m.is_zero() or is_decomposable(m):
                 continue
@@ -99,7 +105,6 @@ class TestPeriod:
         # single cycles and coprime cycle products stay indecomposable
         assert period(cycle_matrix(4)) == cycle_matrix(4).rank() == 4
         m = cycle_matrix(2).kron(cycle_matrix(3))
-        from rpotent.decomposition import is_decomposable
 
         assert not is_decomposable(m)
         assert period(m) == m.rank() == 6
@@ -333,7 +338,6 @@ class TestTraceZero:
 
     def test_indecomposable_kron_with_idempotent(self):
         m = cycle_matrix(2).kron(uniform_idempotent(2))
-        from rpotent.decomposition import is_decomposable
 
         assert not is_decomposable(m)
         assert m.rank() == 2

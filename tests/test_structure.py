@@ -20,11 +20,11 @@ from rpotent.generators import (
 from rpotent.cli import main
 from rpotent.decomposition import BlockTriangularization
 from rpotent.matrix import RMatrix, load_matrix
-from rpotent.potency import Potent, as_potent, is_r_potent, minimal_potency, potency_report
+from rpotent.potency import Potent, is_r_potent, minimal_potency
 from rpotent.structure import analyze_structure
 from rpotent.verification import DEFAULT_SEED, decomposable_cases, structure_case_ok
 
-from oracles import bareiss_rank
+from oracles import as_potent, bareiss_rank
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = resources.files("rpotent").joinpath("data")
@@ -36,7 +36,7 @@ def _potents_at_r_and_r_plus_period(a: RMatrix) -> list[Potent]:
     p = minimal_potency(t)
     if not isinstance(p, Potent):
         return []
-    return [p, potency_report(t, p.r + p.period).potent]
+    return [p, p.at(p.r + p.period)]
 
 
 def _assert_blocks_match_the_old_path(p: Potent) -> None:

@@ -93,13 +93,13 @@ def test_rank_floor_check_decides_each_generator_once(monkeypatch):
     import rpotent.verification
 
     families, checked, decided = [], [], []
-    as_potent = rpotent.generators.as_potent
+    checked_potent_at = rpotent.generators.potent_at
     potent_at = rpotent.semigroup.potent_at
     build = rpotent.verification.rank_dominant_semigroup_generators
 
-    def checked_as_potent(a, r):
+    def checking_potent_at(a, r):
         checked.append(a)
-        return as_potent(a, r)
+        return checked_potent_at(a, r)
 
     def decided_potent_at(m, r):
         decided.append(m)
@@ -110,7 +110,7 @@ def test_rank_floor_check_decides_each_generator_once(monkeypatch):
         families.append(gens)
         return gens
 
-    monkeypatch.setattr(rpotent.generators, "as_potent", checked_as_potent)
+    monkeypatch.setattr(rpotent.generators, "potent_at", checking_potent_at)
     monkeypatch.setattr(rpotent.semigroup, "potent_at", decided_potent_at)
     monkeypatch.setattr(rpotent.verification, "rank_dominant_semigroup_generators", built)
     result = run_check("6.4")
