@@ -257,9 +257,6 @@ class BlockTriangularization:
         """The sink component as an invariant index set, None when there is one block (``sink_witness``)."""
         return sink_witness(self.graph.pattern, self.components)
 
-    def conjugated(self) -> RMatrix:
-        return self.source.conjugate(self.permutation)
-
     def is_respected_by(self, m: PatternMatrix) -> bool:
         """Whether a matrix of support ``m``, conjugated by the same permutation, is block upper triangular."""
         if m.n != self.source.n:

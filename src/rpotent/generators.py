@@ -4,9 +4,9 @@ The atoms are cycle matrices (r-potent when the length divides r-1) and
 rank-one idempotents; ranks multiply under Kronecker products and add under
 direct sums, so a target rank is hit exactly by solving a tiny partition over
 divisors of r-1.  Coupled decomposable examples come from wrapping a known
-r-potent block B as [[B, B^(r-1) X], [0, 0]], which is r-potent for any
-nonnegative X and keeps the rank of B; the coupled block is one exact
-product, diag(B^(r-1), 0) times [[B, X], [0, 0]].  All randomness flows
+r-potent block B as [[B, B^(r-1) x], [0, 0]], which is r-potent for any
+nonnegative column x and keeps the rank of B; the coupled block is one exact
+product, diag(B^(r-1), 0) times [[B, x], [0, 0]].  All randomness flows
 through ``random.Random(seed)``, so a spec plus seed identifies one matrix.
 
 Entries are drawn from a small pool of rationals and idempotent factors are
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .matrix import Entry, Permutation, RMatrix, _entry_ratio, coerce_entry
+from .matrix import Entry, Permutation, RMatrix, coerce_entry
 from .potency import Potent, potent_at, require_exponent
 
 _POOL = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3))
@@ -31,6 +31,9 @@ _POOL_WITH_ZERO = _POOL + (Fraction(0),)
 # from it is the same draw as a choice from ``_POOL``.
 _GRID_POOL = tuple([int(6 * x) for x in _POOL])
 DEFAULT_DIM_BUDGET = 36
+# The largest dimension a spec's size parameter (``length``, ``n``, ``dim``,
+# the sum of ``sizes``) may ask for: 10^6 entries, about 0.1-1.1 s per kind
+MAX_SPEC_DIM = 1000
 
 
 def cycle_matrix(length: int) -> RMatrix:
@@ -82,38 +85,18 @@ def block_diagonal(blocks: Sequence[RMatrix]) -> RMatrix:
     return RMatrix._normalized(den, tuple(rows))
 
 
-def triangular_family(p: Potent, x: Sequence[Sequence[Entry]] | RMatrix) -> RMatrix:
-    """[[B, C], [0, 0]] with C = B^(r-1) X, r-potent for any nonnegative k x m X.
+def _coupled(b: RMatrix, projection: RMatrix, x: Sequence[Fraction]) -> RMatrix:
+    """[[B, B^(r-1) x], [0, 0]] as diag(B^(r-1), 0) [[B, x], [0, 0]], for ``projection`` = B^(r-1) of an r-potent B.
 
-    ``p`` is B checked at r.  B^(r-1) C = B^(2r-2) X = B^(r-1) X = C, so the
-    r-th power reproduces the matrix.  The rank equals rank(B): the coupling
-    columns lie in the range of B.
+    ``x`` is one column of k pool fractions.  B^(r-1) C = B^(2r-2) x = C for
+    C = B^(r-1) x, so the r-th power reproduces the matrix, and its rank is
+    rank(B): C lies in the range of B.
     """
-    return _coupled(p.a, p.projection, x.entries if isinstance(x, RMatrix) else x)
-
-
-def _coupled(b: RMatrix, projection: RMatrix, x_rows: Sequence[Sequence[Entry]]) -> RMatrix:
-    """[[B, B^(r-1) X], [0, 0]] as diag(B^(r-1), 0) [[B, X], [0, 0]], for ``projection`` = B^(r-1) of an r-potent B."""
     k = b.n
-    if len(x_rows) != k:
-        raise ValueError(f"coupling seed must have {k} rows")
-    m = len(x_rows[0])
-    xs = [[_entry_ratio(c) for c in row] for row in x_rows]
-    for row in xs:
-        if len(row) != m:
-            raise ValueError("coupling seed rows must have equal length")
-        if any(p < 0 for p, _ in row):
-            raise ValueError("coupling seed must be nonnegative")
-    if m < 1:
-        raise ValueError("coupling seed must have at least one column")
-    # [[B, X], [0, 0]] on B's integer grid: only X, caller input, is validated
-    den = math.lcm(b.den, *[q for row in xs for _, q in row])
-    rows = [
-        (*[y * (den // b.den) for y in b_row], *[p * (den // q) for p, q in x_row])
-        for b_row, x_row in zip(b.num, xs)
-    ]
-    w = RMatrix._normalized(den, tuple(rows + [(0,) * (k + m)] * m))
-    return block_diagonal([projection, RMatrix.zeros(m)]) @ w
+    den = math.lcm(b.den, *[c.denominator for c in x])
+    rows = [(*[y * (den // b.den) for y in b_row], c.numerator * (den // c.denominator)) for b_row, c in zip(b.num, x)]
+    w = RMatrix._normalized(den, tuple(rows + [(0,) * (k + 1)]))
+    return block_diagonal([projection, RMatrix.zeros(1)]) @ w
 
 
 def _random_idempotent(rng: random.Random, dim: int, su: range | set[int], sv: range | set[int]) -> RMatrix:
@@ -247,7 +230,7 @@ def random_r_potent(
     rng = random.Random(seed)
     m = _random_core(rng, r, target_rank, max_dim)
     if m.n < max_dim and rng.random() < 0.4:
-        x = [[rng.choice(_POOL_WITH_ZERO)] for _ in range(m.n)]
+        x = [rng.choice(_POOL_WITH_ZERO) for _ in range(m.n)]
         # the core is r-potent by construction; the emission check below proves the wrap
         m = _coupled(m, m.pow(r - 1), x)
     m = m.conjugate(Permutation.random(m.n, rng))
@@ -271,7 +254,7 @@ def random_singular_zero_diag(r: int, seed: int, max_dim: int = 24) -> Potent:
     target = rng.randint(1, min(r - 1, max_dim - 1))
     core = _random_core(rng, r, target, max_dim - 1)
     if rng.random() < 0.5:
-        x = [[rng.choice(_POOL_WITH_ZERO)] for _ in range(core.n)]
+        x = [rng.choice(_POOL_WITH_ZERO) for _ in range(core.n)]
         m = _coupled(core, core.pow(r - 1), x)
     else:
         m = block_diagonal([core, RMatrix.zeros(1)])
@@ -370,6 +353,12 @@ class GeneratorSpec:
     def build(self) -> RMatrix:
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        params = self.params
+        sizes = params["sizes"] if "sizes" in params else [params[p] for p in ("length", "n", "dim") if p in params]
+        # a size below 1 is refused by its builder, but only after the sizes before it are built
+        dim = sum([max(int(k), 0) for k in sizes])
+        if dim > MAX_SPEC_DIM:
+            raise ValueError(f"dimension {dim} is above the limit of {MAX_SPEC_DIM} for a generated matrix")
         return GENERATOR_KINDS[self.kind].build(self.seed, **self.params)
 
     def provenance(self) -> dict:

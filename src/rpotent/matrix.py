@@ -208,14 +208,6 @@ class PatternMatrix:
         setattr_(p, "rows", rows)
         return p
 
-    @classmethod
-    def identity(cls, n: int) -> PatternMatrix:
-        return cls(n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def full(cls, n: int) -> PatternMatrix:
-        return cls(n, ((1 << n) - 1,) * n)
-
     def get(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
 
@@ -225,20 +217,6 @@ class PatternMatrix:
         if other.n != self.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
         return PatternMatrix._make(self.n, tuple([mask_step(other.rows, mask) for mask in self.rows]))
-
-    def pow(self, k: int) -> PatternMatrix:
-        """k-th boolean power by repeated squaring; ``pow(0)`` is the identity."""
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = PatternMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
 
     def __or__(self, other: PatternMatrix) -> PatternMatrix:
         if not isinstance(other, PatternMatrix):
@@ -303,20 +281,11 @@ class Permutation:
         return len(self.images)
 
     @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(n)))
-
-    @classmethod
     def random(cls, n: int, rng) -> Permutation:
-        """Fisher-Yates shuffle driven by ``rng.randrange`` (reproducible)."""
+        """``rng.shuffle`` of ``range(n)``: a Fisher-Yates shuffle, reproducible from ``rng``'s state."""
         images = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = rng.randrange(i + 1)
-            images[i], images[j] = images[j], images[i]
+        rng.shuffle(images)
         return cls(tuple(images))
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
 
     def cycle_lengths(self) -> tuple[int, ...]:
         seen = [False] * self.n
@@ -392,7 +361,7 @@ class RMatrix:
 
     Instances are immutable and hashable; every operation returns a new
     matrix.  ``RMatrix(rows)`` is the one validating constructor: the JSON
-    and CSV readers, ``identity``, ``zeros`` and ``diagonal`` all call it.
+    and CSV readers, ``identity`` and ``zeros`` all call it.
     It reads each entry as ``coerce_entry`` would (an int, a ``Fraction`` or
     a string), but builds no ``Fraction`` for a plain int or a string of
     digits or ``digits/digits``: it splits them into integer pairs.  Then
@@ -522,14 +491,6 @@ class RMatrix:
     @classmethod
     def zeros(cls, n: int) -> RMatrix:
         return cls([[0] * n] * n)
-
-    @classmethod
-    def diagonal(cls, values: Sequence[Entry]) -> RMatrix:
-        n = len(values)
-        return cls([[v if i == j else 0 for j in range(n)] for i, v in enumerate(values)])
-
-    def get(self, i: int, j: int) -> Fraction:
-        return Fraction(self.num[i][j], self.den)
 
     def __matmul__(self, other: RMatrix) -> RMatrix:
         """Exact product: the integer product of the grids, then one gcd normalisation.
@@ -698,12 +659,6 @@ class RMatrix:
             raise ValueError("submatrix needs at least one index")
         num = self.num
         return RMatrix._normalized(self.den, tuple([tuple([num[i][j] for j in idx]) for i in idx]))
-
-    def __str__(self) -> str:
-        den = self.den
-        cells = [[str(_format_ratio(x, den)) for x in row] for row in self.num]
-        width = max(len(c) for row in cells for c in row)
-        return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
 
     def __repr__(self) -> str:
         return f"RMatrix(n={self.n})"

@@ -423,10 +423,6 @@ class SymmetricGroupReport:
     max_potency: int
     sum_positive: bool
 
-    @property
-    def indecomposable(self) -> bool:
-        return self.sum_positive
-
 
 def symmetric_group_analysis(n: int) -> SymmetricGroupReport:
     """Enumerate all n! permutation matrices and classify their potencies."""

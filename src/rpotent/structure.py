@@ -10,9 +10,10 @@ computes those facts over the sink-first order of the triangularization.
 
 Every block fact is read off the checked ``Potent`` (``analyze_structure``),
 with no block built and no rank or product taken; only k, the rank of A, is
-computed, the independent side of the rank-trace identity.  So
-``block_is_r_potent`` is always True, and ``block_is_indecomposable`` is
-False only on a merged run of two or more zero components.
+computed, the independent side of the rank-trace identity.  A record stores
+its indices, whether it is zero and its rank; its two flags are written, not
+stored: ``block_is_r_potent`` is always true, and ``block_is_indecomposable``
+is false only on a merged run of two or more zero components.
 """
 
 from __future__ import annotations
@@ -27,25 +28,18 @@ class BlockRecord:
     indices: tuple[int, ...]
     is_zero: bool
     block_rank: int
-    block_is_r_potent: bool
-    block_is_indecomposable: bool
 
     @property
     def size(self) -> int:
         return len(self.indices)
-
-    @property
-    def satisfies_dichotomy(self) -> bool:
-        """Zero, or an indecomposable r-potent block (rank bound checked by caller)."""
-        return self.is_zero or (self.block_is_r_potent and self.block_is_indecomposable)
 
     def to_dict(self) -> dict:
         return {
             "size": self.size,
             "is_zero": self.is_zero,
             "block_rank": self.block_rank,
-            "block_is_r_potent": self.block_is_r_potent,
-            "block_is_indecomposable": self.block_is_indecomposable,
+            "block_is_r_potent": True,
+            "block_is_indecomposable": not self.is_zero or self.size == 1,
         }
 
 
@@ -67,10 +61,8 @@ class StructureReport:
 
     @property
     def blocks_ok(self) -> bool:
-        return all(
-            b.satisfies_dichotomy and (b.is_zero or b.block_rank <= self.r - 1)
-            for b in self.blocks
-        )
+        """Every nonzero block has rank at most r - 1."""
+        return all(b.is_zero or b.block_rank <= self.r - 1 for b in self.blocks)
 
     @property
     def rank_sum_ok(self) -> bool:
@@ -114,7 +106,7 @@ def analyze_structure(p: Potent) -> StructureReport:
     t, r, k = p.tri, p.r, p.rank
     records = reorder_to_avoid_consecutive_zeros(
         [
-            BlockRecord(comp, period is None, rank, True, True)
+            BlockRecord(comp, period is None, rank)
             for comp, period, rank in zip(t.components, t.periods, p.block_ranks(t.components))
         ]
     )
@@ -153,7 +145,7 @@ def reorder_to_avoid_consecutive_zeros(records: list[BlockRecord]) -> list[Block
     merged: list[BlockRecord] = []
     for rec in records:
         if rec.is_zero and merged and merged[-1].is_zero:
-            merged[-1] = BlockRecord(merged[-1].indices + rec.indices, True, 0, True, False)
+            merged[-1] = BlockRecord(merged[-1].indices + rec.indices, True, 0)
         else:
             merged.append(rec)
     return merged

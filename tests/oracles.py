@@ -31,6 +31,11 @@ U_i R_j / U.R on the integer grid.  The matrix reader's reference builds a
 against the reader that splits plain integers and ``p/q`` strings with
 ``int`` onto the integer grid.
 
+The boolean power of a pattern by repeated squaring from the identity is the
+reference of the Wielandt squaring, and the hand-written Fisher-Yates loop,
+which calls ``rng.randrange(i + 1)`` for i = n - 1 down to 1, that of
+``Permutation.random``, which calls ``rng.shuffle``.
+
 The pattern, permutation and predicate helpers at the end (boolean grids,
 row-major bit packing, nonzero counts, positivity, transpositions, composed
 and inverse permutations, and the validity of a block triangularization)
@@ -119,7 +124,7 @@ def fraction_block_diagonal(blocks: list[RMatrix]) -> RMatrix:
 def fraction_triangular_family(p: Potent, x) -> RMatrix:
     """[[B, B^(r-1) X], [0, 0]] with the coupling summed entry by entry."""
     b = p.a
-    xs = [[coerce_entry(c) for c in row] for row in (x.entries if isinstance(x, RMatrix) else x)]
+    xs = [[coerce_entry(c) for c in row] for row in x]
     k, m = b.n, len(xs[0])
     proj = p.projection
     coupling = [
@@ -439,6 +444,34 @@ def is_primitive(a: RMatrix) -> bool:
     return block_triangularize(a).periods == (1,)
 
 
+def pattern_identity(n: int) -> PatternMatrix:
+    return PatternMatrix(n, tuple(1 << i for i in range(n)))
+
+
+def pattern_power(p: PatternMatrix, k: int) -> PatternMatrix:
+    """k-th boolean power by repeated squaring from the identity; k = 0 gives the identity."""
+    if k < 0:
+        raise ValueError("exponent must be nonnegative")
+    result = pattern_identity(p.n)
+    base = p
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
+def fisher_yates_permutation(n: int, rng: random.Random) -> Permutation:
+    """The hand-written Fisher-Yates loop: swap position i with ``rng.randrange(i + 1)``, i = n - 1 ... 1."""
+    images = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        images[i], images[j] = images[j], images[i]
+    return Permutation(tuple(images))
+
+
 def transposition(n: int, i: int, j: int) -> Permutation:
     images = list(range(n))
     images[i], images[j] = images[j], images[i]
@@ -447,7 +480,7 @@ def transposition(n: int, i: int, j: int) -> Permutation:
 
 def permutation_compose(p: Permutation, q: Permutation) -> Permutation:
     """p . q, the permutation i -> p(q(i))."""
-    return Permutation(tuple(p(q(i)) for i in range(p.n)))
+    return Permutation(tuple(p.images[q.images[i]] for i in range(p.n)))
 
 
 def permutation_inverse(p: Permutation) -> Permutation:

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rpotent import generators
 from rpotent.cli import main
-from rpotent.generators import block_diagonal, cycle_matrix, uniform_idempotent
+from rpotent.generators import MAX_SPEC_DIM, block_diagonal, cycle_matrix, uniform_idempotent
 from rpotent.matrix import PatternMatrix, RMatrix, load_matrix, matrix_from_json, matrix_to_json
 import rpotent.semigroup
 from rpotent.verification import CHECKS
@@ -318,6 +319,36 @@ class TestGenerate:
         # a zero value reaches the builder, which rejects it, rather than being read as absent
         assert main(["generate", "--kind", "cycle", "--length", "0"]) == 2
         assert "cycle length must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, flag, value",
+        [
+            ("cycle", "--length", str(MAX_SPEC_DIM)),
+            ("conjugated", "--length", str(MAX_SPEC_DIM)),
+            ("permutation", "--n", str(MAX_SPEC_DIM)),
+            ("rank_one_idempotent", "--dim", str(MAX_SPEC_DIM)),
+            ("block_diagonal", "--sizes", f"1,{MAX_SPEC_DIM - 2},1"),
+        ],
+    )
+    def test_dimension_above_the_bound_exits_two_before_building(self, kind, flag, value, monkeypatch, capsys):
+        # the builder is a stub that records its call, so no large matrix is ever made
+        built = []
+        old = generators.GENERATOR_KINDS[kind]
+        stub = generators.GeneratorKind(old.required, lambda seed, **params: built.append(params) or RMatrix([[1]]), old.optional)
+        monkeypatch.setitem(generators.GENERATOR_KINDS, kind, stub)
+        assert main(["generate", "--kind", kind, flag, value]) == 0
+        assert len(built) == 1
+        capsys.readouterr()
+        over = f"{value},1" if kind == "block_diagonal" else str(MAX_SPEC_DIM + 1)
+        assert main(["generate", "--kind", kind, flag, over]) == 2
+        captured = capsys.readouterr()
+        assert len(built) == 1 and captured.out == ""
+        assert captured.err == f"error: dimension {MAX_SPEC_DIM + 1} is above the limit of {MAX_SPEC_DIM} for a generated matrix\n"
+
+    def test_a_negative_size_does_not_pay_for_an_oversized_one(self, capsys):
+        # the oversized block comes first, so it would be built before the negative size is refused
+        assert main(["generate", "--kind", "block_diagonal", "--sizes", f"{MAX_SPEC_DIM + 1},-{MAX_SPEC_DIM}"]) == 2
+        assert f"dimension {MAX_SPEC_DIM + 1} is above the limit" in capsys.readouterr().err
 
     def test_missing_kind_parameters_exit_two(self):
         assert main(["generate", "--kind", "rank_one_idempotent"]) == 2

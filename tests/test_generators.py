@@ -17,7 +17,6 @@ from rpotent.generators import (
     random_singular_zero_diag,
     rank_dominant_semigroup_generators,
     rank_one_idempotent,
-    triangular_family,
     uniform_idempotent,
 )
 from rpotent.matrix import RMatrix, matrix_to_json
@@ -127,40 +126,35 @@ class TestBlockDiagonal:
 
 
 class TestTriangularFamily:
+    """The wrap [[B, B^(r-1) x], [0, 0]] that ``random_r_potent`` and the ``triangular_family`` kind make.
+
+    ``_coupled(B, B^(r-1), x)`` on one column of pool fractions, against the entry-by-entry oracle.
+    """
+
     def test_rejects_non_potent_base(self):
-        # the family takes a checked base block; a non-potent one stops at the check
+        # the wrap takes a checked base block; a non-potent one stops at the check
         with pytest.raises(ValueError, match="not 2-potent"):
             as_potent(RMatrix([[2]]), 2)
 
-    def test_coupling_is_projected(self):
-        b = cycle_matrix(3)
-        m = triangular_family(as_potent(b, 4), [[1, "1/2"], [0, 3], [2, 0]])
-        assert m.n == 5 and is_r_potent(m, 4) and m.rank() == 3
-        # coupling columns equal B^3 X = X here since B^3 = I
-        assert [[m.get(i, j) for j in (3, 4)] for i in range(3)] == [[1, Fraction(1, 2)], [0, 3], [2, 0]]
-        assert all(m.get(i, j) == 0 for i in (3, 4) for j in range(5))
-
-    def test_matches_fraction_oracle(self):
-        potents = [
-            as_potent(cycle_matrix(3), 4),
-            as_potent(uniform_idempotent(3), 2),
-            as_potent(RMatrix.identity(2), 2),
-            as_potent(block_diagonal([uniform_idempotent(2), RMatrix.zeros(1)]), 3),
-            random_r_potent(3, 2, 5, max_dim=6),
-            as_potent(RMatrix([[1]]), 2),
-        ]
-        rng = random.Random(3)
-        pool = [0, 1, 2, "1/2", "2/3", "5/7"]
-        for p in potents:
-            k = p.a.n
-            seeds = [
-                [[rng.choice(pool) for _ in range(m)] for _ in range(k)] for m in (1, 2, 3)
-            ]
-            # X given as a k x k RMatrix, rational and all-zero
-            seeds.append(RMatrix([[rng.choice(pool) for _ in range(k)] for _ in range(k)]))
-            seeds.append(RMatrix.zeros(k))
-            for x in seeds:
-                assert _same(triangular_family(p, x), fraction_triangular_family(p, x))
+    def test_seeded_cores_match_fraction_oracle(self):
+        pool = generators._POOL_WITH_ZERO
+        for r in (2, 3, 4, 5):
+            for seed in range(12):
+                rng = random.Random(seed)
+                # the core of random_r_potent(r, target, seed, 12), drawn as it draws it
+                core = generators._random_core(rng, r, 1 + seed % 4, 12)
+                p = as_potent(core, r)
+                k = core.n
+                columns = [
+                    [Fraction(0)] * k,
+                    [Fraction(1 + i % 3, 2) for i in range(k)],
+                    [Fraction(i % 4, 3) for i in range(k)],
+                    [rng.choice(pool) for _ in range(k)],
+                ]
+                for x in columns:
+                    m = generators._coupled(core, core.pow(r - 1), x)
+                    assert _same(m, fraction_triangular_family(p, [[c] for c in x])), (r, seed, x)
+                    assert is_r_potent(m, r) and m.rank() == p.rank, (r, seed)
 
 
 class TestRandomRPotent:

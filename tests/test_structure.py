@@ -7,14 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from rpotent import potency
+from rpotent import generators, potency
 from rpotent.decomposition import block_triangularize
 from rpotent.generators import (
     block_diagonal,
     cycle_matrix,
     random_r_potent,
     random_singular_zero_diag,
-    triangular_family,
     uniform_idempotent,
 )
 from rpotent.cli import main
@@ -45,7 +44,9 @@ def _assert_blocks_match_the_old_path(p: Potent) -> None:
         blk = p.a.submatrix(rec.indices)
         assert rec.is_zero == blk.is_zero(), rec  # so every merged zero run is a zero submatrix
         assert rec.block_rank == bareiss_rank(blk), rec
-        assert rec.block_is_r_potent == is_r_potent(blk, p.r), rec
+        flags = rec.to_dict()
+        assert flags["block_is_r_potent"] == is_r_potent(blk, p.r), rec
+        assert flags["block_is_indecomposable"] == block_triangularize(blk).is_trivial, rec
 
 
 class TestAnalyzeStructure:
@@ -57,7 +58,7 @@ class TestAnalyzeStructure:
         assert rep.k == r - 1
         assert rep.nonzero_count == r - 1
         assert all(not b.is_zero and b.block_rank == 1 for b in rep.blocks)
-        assert all(b.block_is_indecomposable for b in rep.blocks)
+        assert all(b.to_dict()["block_is_indecomposable"] for b in rep.blocks)
         assert rep.bounds_ok
         assert rep.rank_sum_ok
 
@@ -189,7 +190,7 @@ class TestZeroRunMerge:
     def test_single_block_unchanged(self):
         rep = analyze_structure(as_potent(RMatrix.zeros(1), 2))
         assert not rep.applicable
-        assert [(b.indices, b.is_zero, b.block_is_indecomposable) for b in rep.blocks] == [((0,), True, True)]
+        assert [(b.indices, b.is_zero, b.to_dict()["block_is_indecomposable"]) for b in rep.blocks] == [((0,), True, True)]
 
     def test_two_adjacent_zeros_and_one_nonzero(self):
         # diag(0, 0, 1): the two zero components are adjacent, so they make one 2x2 zero block
@@ -206,14 +207,14 @@ class TestZeroRunMerge:
             m = block_diagonal([RMatrix.zeros(1)] * zeros + [RMatrix([[1]])])
             zero_block = analyze_structure(as_potent(m, 2)).blocks[0]
             assert zero_block.is_zero and zero_block.size == zeros
-            assert zero_block.block_is_indecomposable == (zeros == 1)
+            assert zero_block.to_dict()["block_is_indecomposable"] == (zeros == 1)
 
     def test_already_alternating_is_unchanged(self):
         m = block_diagonal([RMatrix.zeros(1), uniform_idempotent(2)])
         p = as_potent(m, 2)
         rep = analyze_structure(p)
         assert [b.indices for b in rep.blocks] == list(p.tri.components)
-        assert all(b.block_is_indecomposable for b in rep.blocks)
+        assert all(b.to_dict()["block_is_indecomposable"] for b in rep.blocks)
 
     def test_zeros_split_by_a_nonzero_block_stay_apart(self):
         # the rank-one idempotent (1,1,0)^T (0,1,1): zero, nonzero, zero, so 3 = 2k + 1 blocks
@@ -268,20 +269,25 @@ class TestEveryZeroOneMatrixUpToThree:
         assert potent == 87
 
 
+def _wrap(p: Potent, column: list) -> RMatrix:
+    """[[B, B^(r-1) x], [0, 0]] for B = ``p.a`` checked at r and one column x."""
+    return generators._coupled(p.a, p.projection, column)
+
+
 class TestTriangularFamilyShapes:
     def test_coupled_wrap_keeps_rank_and_potency(self):
         b = cycle_matrix(3)
-        m = triangular_family(as_potent(b, 4), [[1], [1], [1]])
+        m = _wrap(as_potent(b, 4), [1, 1, 1])
         assert m.n == 4
         assert m.pow(4) == m
         assert m.rank() == 3
 
     def test_idempotent_wrap_from_unit(self):
-        m = triangular_family(as_potent(RMatrix([[1]]), 2), [[1]])
+        m = _wrap(as_potent(RMatrix([[1]]), 2), [1])
         assert m == RMatrix([[1, 1], [0, 0]])
         assert m.pow(2) == m
 
     def test_zero_coupling_gives_block_diagonal(self):
         b = cycle_matrix(2)
-        m = triangular_family(as_potent(b, 3), [[0], [0]])
+        m = _wrap(as_potent(b, 3), [0, 0])
         assert m == block_diagonal([b, RMatrix.zeros(1)])

@@ -63,7 +63,7 @@ def test_sum_check_reads_the_closure_it_builds(monkeypatch):
     # with each closure's sum replaced by the full pattern, check 7.1 must
     # fail on the decomposable closures: it judges the closure, not G+ again
     assert run_check("7.1").ok
-    monkeypatch.setattr(PatternSemigroup, "union_pattern", lambda s: PatternMatrix.full(s.n))
+    monkeypatch.setattr(PatternSemigroup, "union_pattern", lambda s: PatternMatrix(s.n, ((1 << s.n) - 1,) * s.n))
     result = run_check("7.1")
     assert not result.ok and result.passed < result.total
 
