@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .matrix import Entry, Permutation, RMatrix, coerce_entry
+from .matrix import Permutation, RMatrix
 from .potency import Potent, potent_at, require_exponent
 
 _POOL = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3))
@@ -47,25 +47,11 @@ def cycle_matrix(length: int) -> RMatrix:
     return Permutation(tuple([(j + 1) % length for j in range(length)])).to_matrix()
 
 
-def rank_one_idempotent(u: Sequence[Entry], v: Sequence[Entry]) -> RMatrix:
-    """Outer product u v^T, idempotent because the inner product v.u is 1."""
-    uu = [coerce_entry(x) for x in u]
-    vv = [coerce_entry(x) for x in v]
-    if len(uu) != len(vv):
-        raise ValueError("u and v must have the same length")
-    if any(x < 0 for x in uu) or any(x < 0 for x in vv):
-        raise ValueError("u and v must be nonnegative")
-    dot = sum((a * b for a, b in zip(vv, uu)), Fraction(0))
-    if dot != 1:
-        raise ValueError(f"inner product v.u must be exactly 1, got {dot}")
-    return RMatrix(tuple(tuple(a * b for b in vv) for a in uu))
-
-
 def uniform_idempotent(k: int) -> RMatrix:
     """The k x k matrix with every entry 1/k: a positive rank-one idempotent."""
     if k < 1:
         raise ValueError("dimension must be positive")
-    return rank_one_idempotent([Fraction(1)] * k, [Fraction(1, k)] * k)
+    return RMatrix._make(k, ((1,) * k,) * k)  # canonical: gcd(k, 1) = 1
 
 
 def block_diagonal(blocks: Sequence[RMatrix]) -> RMatrix:
@@ -309,8 +295,9 @@ def rank_dominant_semigroup_generators(r: int, count: int, seed: int) -> list[Po
     return gens
 
 
-def _conjugated_cycle(seed: int, length: int) -> RMatrix:
-    base = cycle_matrix(int(length))
+def conjugated_cycle(seed: int, length: int) -> RMatrix:
+    """The cycle matrix of ``length`` relabelled by ``Permutation.random(length, random.Random(seed))``."""
+    base = cycle_matrix(length)
     return base.conjugate(Permutation.random(base.n, random.Random(seed)))
 
 
@@ -324,21 +311,17 @@ class GeneratorKind:
 
 
 GENERATOR_KINDS: dict[str, GeneratorKind] = {
-    "cycle": GeneratorKind(("length",), lambda seed, length: cycle_matrix(int(length))),
+    "cycle": GeneratorKind(("length",), lambda seed, length: cycle_matrix(length)),
     "rank_one_idempotent": GeneratorKind(
-        ("dim",),
-        lambda seed, dim, padded=None: random_rank_one_idempotent(
-            int(dim), seed, None if padded is None else bool(padded)
-        ),
-        optional=("padded",),
+        ("dim",), lambda seed, dim, padded=None: random_rank_one_idempotent(dim, seed, padded), optional=("padded",)
     ),
     "block_diagonal": GeneratorKind(
-        ("sizes",), lambda seed, sizes: block_diagonal([uniform_idempotent(int(k)) for k in sizes])
+        ("sizes",), lambda seed, sizes: block_diagonal([uniform_idempotent(k) for k in sizes])
     ),
-    "kronecker": GeneratorKind(("r", "rank"), lambda seed, r, rank: random_r_potent(int(r), int(rank), seed).a),
-    "triangular_family": GeneratorKind(("r",), lambda seed, r: random_singular_zero_diag(int(r), seed).a),
-    "permutation": GeneratorKind(("n",), lambda seed, n: Permutation.random(int(n), random.Random(seed)).to_matrix()),
-    "conjugated": GeneratorKind(("length",), _conjugated_cycle),
+    "kronecker": GeneratorKind(("r", "rank"), lambda seed, r, rank: random_r_potent(r, rank, seed).a),
+    "triangular_family": GeneratorKind(("r",), lambda seed, r: random_singular_zero_diag(r, seed).a),
+    "permutation": GeneratorKind(("n",), lambda seed, n: Permutation.random(n, random.Random(seed)).to_matrix()),
+    "conjugated": GeneratorKind(("length",), conjugated_cycle),
 }
 
 
@@ -356,7 +339,7 @@ class GeneratorSpec:
         params = self.params
         sizes = params["sizes"] if "sizes" in params else [params[p] for p in ("length", "n", "dim") if p in params]
         # a size below 1 is refused by its builder, but only after the sizes before it are built
-        dim = sum([max(int(k), 0) for k in sizes])
+        dim = sum([max(k, 0) for k in sizes])
         if dim > MAX_SPEC_DIM:
             raise ValueError(f"dimension {dim} is above the limit of {MAX_SPEC_DIM} for a generated matrix")
         return GENERATOR_KINDS[self.kind].build(self.seed, **self.params)

@@ -312,13 +312,12 @@ class Permutation:
 def _entry_ratio(x: object) -> tuple[int, int]:
     """``coerce_entry(x)`` as a reduced pair ``(p, q)``, q > 0.
 
-    A plain ``int`` and a string of ASCII digits, or ``digits/digits``, are
-    split with ``int`` and no ``Fraction``; anything else, or a string ``int``
-    refuses (too many digits), or a zero denominator, goes through
-    ``coerce_entry``, which accepts or rejects it with its own message.
+    A string of ASCII digits, or ``digits/digits``, is split with ``int``
+    and no ``Fraction``; anything else, or a string ``int`` refuses (too
+    many digits), or a zero denominator, goes through ``coerce_entry``,
+    which accepts or rejects it with its own message.  ``RMatrix.__init__``,
+    the one caller, reads a plain ``int`` itself.
     """
-    if type(x) is int:
-        return x, 1
     if type(x) is str:
         s = x.strip()
         p, slash, q = s.partition("/")

@@ -6,13 +6,14 @@ rank of A equals the trace of that projection, an identity this module checks
 with exact arithmetic only.  Reports take a ``Potent``, a matrix checked
 once, so none of them re-checks potency or recomputes a power.
 
-The decision has two entry points.  ``minimal_potency`` decides whether any
-r exists, from the periods of the diagonal blocks of A's maximal
-triangularization, with no cap: it returns A checked at its least r, or
-the ``NonPotency`` certificate when none exists.  ``Potent.at`` moves that
-checked value to another exponent without a new power.  ``potent_at``
-decides one given r: from A's own powers when r - 1 <= n, else by
-``minimal_potency`` and ``Potent.at``.
+The decision has two entry points, which check a power by one routine,
+``_checked_power``: A^k, kept only once one product shows A^k A = A.
+``minimal_potency`` decides whether any r exists, from the periods of the
+diagonal blocks of A's maximal triangularization, with no cap: it returns A
+checked at its least r, or the ``NonPotency`` certificate when none exists.
+``Potent.at`` moves that value to another exponent without a new power.
+``potent_at`` decides one given r: from A's own powers when r - 1 <= n,
+else by ``minimal_potency`` and ``Potent.at``.
 """
 
 from __future__ import annotations
@@ -174,10 +175,28 @@ def minimal_potency(t: BlockTriangularization) -> Potent | NonPotency:
         for b, p in zip(t.diagonal_blocks, t.periods):
             if p is not None and b.pow(p + 1) != b:
                 return NonPotency(big_l)
-    projection = a.pow(big_l)
-    if projection @ a != a:
+    projection = _checked_power(a, big_l)
+    if projection is None:
         return NonPotency(big_l)
     return Potent._decided(t, big_l + 1, projection)
+
+
+def _checked_power(a: RMatrix, k: int) -> RMatrix | None:
+    """A^k when A^(k+1) = A, else None: the one place a power of A is checked.
+
+    A^2 comes first: when A^2 = A, A^k = A and nothing more is computed;
+    otherwise k = 1 fails.  For k >= 2, A^k is built by square-and-multiply
+    from A^2 and checked by one product, A^k A = A.  Either way this makes
+    as many products as ``a.pow(k)`` and its check.
+    """
+    square = a @ a
+    if square == a:
+        return a
+    if k == 1:
+        return None
+    half, odd = divmod(k, 2)
+    power = square.pow(half) @ a if odd else square.pow(half)
+    return power if power @ a == a else None
 
 
 def potent_at(a: RMatrix, r: int) -> Potent | None:
@@ -185,10 +204,8 @@ def potent_at(a: RMatrix, r: int) -> Potent | None:
 
     Two routes, split at r - 1 <= n:
 
-    * r - 1 <= n: A's own powers.  A^2 is taken first; when A^2 = A, A is
-      idempotent and A^(r-1) = A, so nothing more is computed.  Otherwise
-      A^(r-1) is built by square-and-multiply from A^2 and checked by one
-      product, A^(r-1) A = A.  No triangularization is built.
+    * r - 1 <= n: A's own powers, A^(r-1) checked by ``_checked_power``.
+      No triangularization is built.
     * r - 1 > n: the period route, ``minimal_potency`` then ``Potent.at``,
       so a large r takes no r-th power: A^r = A iff the lcm L of the block
       periods divides r - 1, and the projection is A^L.
@@ -202,14 +219,8 @@ def potent_at(a: RMatrix, r: int) -> Potent | None:
     if r - 1 > a.n:
         decision = minimal_potency(block_triangularize(a))
         return None if isinstance(decision, NonPotency) else decision.at(r)
-    square = a @ a
-    if square == a:
-        return Potent(a, r, a)
-    if r == 2:
-        return None  # A^(r-1) A is A^2, already compared
-    half, odd = divmod(r - 1, 2)
-    projection = square.pow(half) @ a if odd else square.pow(half)
-    return Potent(a, r, projection) if projection @ a == a else None
+    projection = _checked_power(a, r - 1)
+    return None if projection is None else Potent(a, r, projection)
 
 
 def rank_trace_check(p: Potent) -> bool:

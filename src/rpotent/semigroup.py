@@ -44,7 +44,7 @@ from math import lcm
 
 from .decomposition import Digraph, InvariantSubsetWitness, sink_witness
 from .matrix import PatternMatrix, Permutation, RMatrix
-from .potency import DecompositionPrediction, Potent, main_decomposability_test, potent_at
+from .potency import Potent, potent_at
 
 DEFAULT_CLOSURE_CAP = 10_000
 
@@ -274,34 +274,6 @@ def equivalence_report(generators: list[PatternMatrix]) -> EquivalenceReport:
         offdiagonal_zero_entry=offdiag,
         sum_has_zero=zero is not None,
     )
-
-
-def cyclic_semigroup(p: Potent) -> RationalSemigroup:
-    """The distinct powers A, A^2, ..., A^(r-1); closed because A^r = A."""
-    return RationalSemigroup(members=tuple(dict.fromkeys(p.power_cycle())), truncated=False)
-
-
-@dataclass(frozen=True)
-class CyclicSemigroupReport:
-    """Single-generator semigroup check: one permutation triangularizes every power."""
-
-    prediction: DecompositionPrediction
-    applicable: bool
-    powers_triangular: tuple[bool, ...]
-
-    @property
-    def all_triangular(self) -> bool:
-        return all(self.powers_triangular)
-
-
-def cyclic_semigroup_decomposable_check(p: Potent) -> CyclicSemigroupReport:
-    """When A decomposes, its triangularizing permutation must fit every power."""
-    t = p.tri
-    pred = main_decomposability_test(p)
-    if t.is_trivial:
-        return CyclicSemigroupReport(prediction=pred, applicable=False, powers_triangular=())
-    flags = p.per_exponent(t.is_respected_by)
-    return CyclicSemigroupReport(prediction=pred, applicable=True, powers_triangular=flags)
 
 
 @dataclass(frozen=True)

@@ -179,19 +179,16 @@ def _shifted_solve(rows: list[list[float]], s: float, x: list[float]) -> list[fl
     return _normalized(y)
 
 
-def trace_zero_check(p: Potent) -> bool:
-    """Exact zero-trace test for indecomposable r-potent matrices of rank r-1.
+def trace_zero_check(p: Potent) -> bool | None:
+    """Exact zero-trace test for indecomposable r-potent matrices of rank r-1, else None.
 
     The nonzero eigenvalues of such a matrix are all the (r-1)-th roots of
     unity, each simple, and those sum to zero whenever r >= 3.  For r = 2 the
-    sum degenerates to 1, so that case is rejected rather than tested.
+    sum degenerates to 1.  So r < 3, a decomposable A or a rank other than
+    r - 1 gives None; where it applies, rank A = r - 1 >= 2, so A != 0.
     """
-    if p.r < 3:
-        raise ValueError("the zero-trace identity needs r >= 3 (the r = 2 sum is 1)")
-    if not p.tri.is_trivial:
-        raise ValueError("zero-trace identity applies to indecomposable matrices only")
-    if p.rank != p.r - 1:
-        raise ValueError("zero-trace identity needs rank exactly r - 1")
+    if p.r < 3 or not p.tri.is_trivial or p.rank != p.r - 1:
+        return None
     return p.a.trace() == 0
 
 
@@ -237,22 +234,17 @@ class SpectralReport:
 
 def spectral_report(t: BlockTriangularization, potent: Potent | None = None) -> SpectralReport:
     """Spectral facts of A = ``t.source``; the exact unit radius and the
-    zero-trace identity need ``potent``."""
-    a = t.source
-    nonzero_indecomposable = not a.is_zero() and t.is_trivial
+    zero-trace identity need ``potent``.  The identity applies exactly
+    where ``trace_zero_check`` tests it rather than returning None."""
+    nonzero_indecomposable = not t.source.is_zero() and t.is_trivial
     h = t.periods[0] if nonzero_indecomposable else None
     primitive = None if h is None else h == 1
-    applicable = (
-        nonzero_indecomposable
-        and potent is not None
-        and potent.r >= 3
-        and potent.rank == potent.r - 1
-    )
+    trace_is_zero = None if potent is None else trace_zero_check(potent)
     return SpectralReport(
         period=h,
         is_primitive=primitive,
         perron_bracket=perron_value(t, potent),
         wielandt_positive=wielandt_check(t) if primitive else None,
-        trace_zero_applicable=applicable,
-        trace_is_zero=trace_zero_check(potent) if applicable else None,
+        trace_zero_applicable=trace_is_zero is not None,
+        trace_is_zero=trace_is_zero,
     )

@@ -11,6 +11,7 @@ command-line ``verify`` command and the acceptance tests.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,18 +19,17 @@ from typing import Callable, Iterator
 
 from .decomposition import block_triangularize
 from .generators import (
-    cycle_matrix,
+    MAX_SPEC_DIM,
+    conjugated_cycle,
     random_r_potent,
     random_rank_one_idempotent,
     random_singular_zero_diag,
     rank_dominant_semigroup_generators,
 )
-from .matrix import PatternMatrix, Permutation, RMatrix
+from .matrix import PatternMatrix, RMatrix
 from .potency import Potent, is_r_potent, main_decomposability_test, potent_at, rank_trace_check, zero_diagonal_powers
 from .semigroup import (
     PatternSemigroup,
-    cyclic_semigroup,
-    cyclic_semigroup_decomposable_check,
     equivalence_report,
     generator_reach,
     pattern_closure,
@@ -274,16 +274,18 @@ def run_kron(trials: int, seed: int, idempotent_b: bool) -> Iterator[Verdict]:
         yield ok, i, case_seed, f"r={r}", k
 
 
-def run_cyclic_semigroup(trials: int, seed: int) -> Iterator[Verdict]:
-    """One permutation triangularizes every power of a decomposable r-potent."""
+def run_power_semigroup(trials: int, seed: int) -> Iterator[Verdict]:
+    """One permutation triangularizes every power of a decomposable r-potent.
+
+    Read off the checked value: its powers, closed as A^r = A, their supports, and the prediction.
+    """
     half = trials // 2
-    cases = list(high_rank_cases(half, seed)) + list(singular_zero_diag_cases(trials - half, seed + 1))
+    cases = itertools.chain(high_rank_cases(half, seed), singular_zero_diag_cases(trials - half, seed + 1))
     for i, (trial, case_seed, r, p) in enumerate(cases):
-        members = cyclic_semigroup(p).members
-        member_set = set(members)
-        closed = all(x @ y in member_set for x in members for y in members)
-        rep = cyclic_semigroup_decomposable_check(p)
-        ok = closed and rep.prediction.agrees and (not rep.applicable or rep.all_triangular)
+        members = set(p.power_cycle())
+        closed = all(x @ y in members for x in members for y in members)
+        triangular = p.tri.is_trivial or all(p.per_exponent(p.tri.is_respected_by))
+        ok = closed and main_decomposability_test(p).agrees and triangular
         yield ok, i, case_seed, f"r={r}", p.a
 
 
@@ -389,9 +391,9 @@ def run_perron_trace(trials: int, seed: int) -> Iterator[Verdict]:
     for i in range(trials - trials // 2):
         r = (3, 4, 5, 6)[i % 4]
         case_seed = _case_seed(seed, i)
-        rng = random.Random(case_seed)
-        m = cycle_matrix(r - 1).conjugate(Permutation.random(r - 1, rng))
+        m = conjugated_cycle(case_seed, r - 1)
         p = potent_at(m, r)
+        # a cycle of length r - 1 is indecomposable of rank r - 1, so the identity applies: None fails
         ok = p is not None and is_unit_bracket(*perron_value(p.tri)) and trace_zero_check(p)
         yield ok, trials // 2 + i, case_seed, f"r={r}", m
 
@@ -424,7 +426,7 @@ CHECKS: dict[str, CheckSpec] = {
                   functools.partial(run_kron, idempotent_b=False), 100),
         CheckSpec("5.2", "Kronecker products inherit potency and decompose",
                   functools.partial(run_kron, idempotent_b=True), 100),
-        CheckSpec("6.1", "power semigroup shares one triangularizing permutation", run_cyclic_semigroup, 100),
+        CheckSpec("6.1", "power semigroup shares one triangularizing permutation", run_power_semigroup, 100),
         CheckSpec("6.2", "decomposability facets agree on closed semigroups", run_equivalences, 300),
         CheckSpec("6.3", "rank-dominant semigroups have a common zero entry", run_semigroup_common_zero, 100),
         CheckSpec("6.4", "triangularized semigroup blocks contain a low-rank element", run_rank_floor, 50),
@@ -446,6 +448,7 @@ def run_check(
 
     ``n``, one dimension instead of the default range, is taken only by the
     checks whose spec ``accepts_n``; elsewhere it is rejected, not ignored.
+    It is at most ``MAX_SPEC_DIM``, as a generated dimension, before anything is drawn.
     The result keeps the first three failures.
     """
     if check_id not in CHECKS:
@@ -457,6 +460,8 @@ def run_check(
             raise ValueError(f"--n applies to checks {takers} only, not to {check_id}")
         if n < 1:
             raise ValueError(f"--n must be at least 1, got {n}")
+        if n > MAX_SPEC_DIM:
+            raise ValueError(f"--n must be at most {MAX_SPEC_DIM}, got {n}")
     verdicts = spec.runner(
         spec.default_trials if trials is None else trials,
         DEFAULT_SEED if seed is None else seed,

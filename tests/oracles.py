@@ -42,8 +42,11 @@ and inverse permutations, and the validity of a block triangularization)
 build or inspect test inputs; the package itself needs none of them.  So
 do the short forms after them: ``as_potent`` (``potent_at`` that raises
 unless A^r = A), the decomposability predicates on a matrix and on a
-pattern, the zero-diagonal test of a rank-one idempotent and Wielandt's
-exponent n^2 - 2n + 2.
+pattern, the zero-diagonal test of a rank-one idempotent, the zero-trace
+identity's four-part applicability rule and Wielandt's exponent
+n^2 - 2n + 2.  ``rank_one_idempotent`` builds u v^T from checked ``Fraction``
+factors through the validating constructor; the package builds its
+rank-one idempotents on the integer grid.
 """
 
 from __future__ import annotations
@@ -55,8 +58,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from rpotent.decomposition import BlockTriangularization, Digraph, InvariantSubsetWitness, block_triangularize
-from rpotent.generators import rank_one_idempotent
-from rpotent.matrix import PatternMatrix, Permutation, RMatrix, coerce_entry
+from rpotent.matrix import Entry, PatternMatrix, Permutation, RMatrix, coerce_entry
 from rpotent.potency import Potent, potent_at
 from rpotent.semigroup import PatternSemigroup
 
@@ -136,6 +138,20 @@ def fraction_triangular_family(p: Potent, x) -> RMatrix:
         rows[i][:k] = b.entries[i]
         rows[i][k:] = coupling[i]
     return RMatrix(tuple(tuple(row) for row in rows))
+
+
+def rank_one_idempotent(u: list[Entry], v: list[Entry]) -> RMatrix:
+    """Outer product u v^T, idempotent because the inner product v.u is 1."""
+    uu = [coerce_entry(x) for x in u]
+    vv = [coerce_entry(x) for x in v]
+    if len(uu) != len(vv):
+        raise ValueError("u and v must have the same length")
+    if any(x < 0 for x in uu) or any(x < 0 for x in vv):
+        raise ValueError("u and v must be nonnegative")
+    dot = sum((a * b for a, b in zip(vv, uu)), Fraction(0))
+    if dot != 1:
+        raise ValueError(f"inner product v.u must be exactly 1, got {dot}")
+    return RMatrix(tuple(tuple(a * b for b in vv) for a in uu))
 
 
 _FRACTION_POOL = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3))
@@ -520,6 +536,24 @@ def rank_one_idempotent_diag_test(a: RMatrix) -> bool:
     if a @ a != a or a.rank() != 1:
         raise ValueError("input must be a nonnegative idempotent of rank one")
     return a.pattern().has_zero_diagonal_entry()
+
+
+def four_part_zero_trace_rule(a: RMatrix, r: int | None) -> tuple[bool, bool | None]:
+    """``(applicable, trace_is_zero)`` of the zero-trace identity, by the rule's four parts.
+
+    It applies when A is nonzero and indecomposable, and A is r-potent with
+    r >= 3 and rank r - 1; ``r`` is None when A is not potent.  Rank and
+    decomposability come from ``gauss_rank`` and the SCC count, not from
+    a ``Potent``.
+    """
+    applicable = (
+        not a.is_zero()
+        and not is_decomposable(a)
+        and r is not None
+        and r >= 3
+        and gauss_rank(a) == r - 1
+    )
+    return applicable, (sum(a.entries[i][i] for i in range(a.n)) == 0 if applicable else None)
 
 
 def wielandt_exponent(n: int) -> int:

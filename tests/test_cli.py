@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -385,6 +386,24 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("check_id", [cid for cid, spec in CHECKS.items() if spec.accepts_n])
+    def test_dimension_above_the_bound_exits_two_before_drawing(self, check_id, monkeypatch, capsys):
+        # the runner is a stub that records its call, so no large family is ever drawn
+        called = []
+
+        def stub(trials, seed, n):
+            called.append(n)
+            return iter([(True, 1, None, "", None)])
+
+        monkeypatch.setitem(CHECKS, check_id, dataclasses.replace(CHECKS[check_id], runner=stub))
+        assert main(["verify", "--theorem", check_id, "--n", str(MAX_SPEC_DIM)]) == 0
+        assert called == [MAX_SPEC_DIM]
+        capsys.readouterr()
+        assert main(["verify", "--theorem", check_id, "--n", str(MAX_SPEC_DIM + 1)]) == 2
+        captured = capsys.readouterr()
+        assert called == [MAX_SPEC_DIM] and captured.out == ""
+        assert captured.err == f"error: --n must be at most {MAX_SPEC_DIM}, got {MAX_SPEC_DIM + 1}\n"
 
     def test_three_trials_are_accepted_by_every_check(self, capsys):
         for check_id in CHECKS:

@@ -17,7 +17,6 @@ from rpotent.generators import (
     cycle_matrix,
     random_r_potent,
     random_singular_zero_diag,
-    rank_one_idempotent,
     uniform_idempotent,
 )
 from rpotent.matrix import PatternMatrix, RMatrix
@@ -32,6 +31,7 @@ from oracles import (
     is_decomposable_pattern,
     pattern_from_packed,
     random_pattern_local,
+    rank_one_idempotent,
     rank_one_idempotent_diag_test,
     triangularization_is_valid,
 )

@@ -16,7 +16,6 @@ from rpotent.generators import (
     random_rank_one_idempotent,
     random_singular_zero_diag,
     rank_dominant_semigroup_generators,
-    rank_one_idempotent,
     uniform_idempotent,
 )
 from rpotent.matrix import RMatrix, matrix_to_json
@@ -31,6 +30,7 @@ from oracles import (
     fraction_triangular_family,
     is_decomposable,
     is_positive,
+    rank_one_idempotent,
 )
 
 
@@ -72,6 +72,12 @@ class TestRankOneIdempotent:
         m = rank_one_idempotent([1, 2], ["1/3", "1/3"])
         assert m @ m == m
         assert m.rank() == 1
+
+    def test_uniform_idempotent_is_the_canonical_outer_product(self):
+        for k in range(1, 8):
+            m = uniform_idempotent(k)
+            reference = rank_one_idempotent([1] * k, [Fraction(1, k)] * k)
+            assert (m.den, m.num) == (reference.den, reference.num) == (k, ((1,) * k,) * k)
 
     def test_rejects_bad_inner_product(self):
         with pytest.raises(ValueError, match="inner product"):
@@ -323,6 +329,10 @@ class TestGeneratorSpec:
     def test_permutation_kind(self):
         m = GeneratorSpec("permutation", seed=3, params={"n": 5}).build()
         assert count_nonzero(m.pattern()) == 5
+
+    def test_a_fractional_size_is_refused_not_truncated(self):
+        with pytest.raises(TypeError):
+            GeneratorSpec("cycle", params={"length": 5.7}).build()
 
     @pytest.mark.parametrize("kind", sorted(GENERATOR_KINDS))
     def test_every_kind_rejects_a_foreign_parameter(self, kind):

@@ -10,7 +10,9 @@ decides one r from A's own powers when r - 1 <= n, is checked against the
 period route and the ``Fraction`` power on every 0/1 matrix with n <= 3 at
 r = 2..6, on seeded rational potents, perturbed copies of them and their
 doubles, and on the semigroup goldens' generators and members: the same
-verdict and the same projection, exactly.  The pattern power of
+verdict and the same projection, exactly.  ``_checked_power``, the checked
+power both entry points take, is checked against the ``Fraction`` powers,
+and its product count against ``RMatrix.pow`` and one check.  The pattern power of
 ``wielandt_check`` is checked against the exact rational power, and its
 squaring test, which stops at the first full square, against the oracle
 ``pattern_power`` on patterns whose powers do and do not fill.
@@ -29,13 +31,14 @@ import pytest
 from rpotent.decomposition import block_triangularize
 from rpotent.generators import block_diagonal, cycle_matrix, random_r_potent, uniform_idempotent
 from rpotent.matrix import PatternMatrix, Permutation, RMatrix, load_matrix
-from rpotent.potency import NonPotency, Potent, minimal_potency, potent_at
+from rpotent.potency import NonPotency, Potent, _checked_power, minimal_potency, potent_at
 from rpotent.semigroup import rational_closure
 from rpotent.spectral import _support_power_is_full, wielandt_check
 
 from oracles import (
     is_positive,
     is_primitive,
+    naive_multiply,
     naive_power,
     pattern_from_bools,
     pattern_from_packed,
@@ -282,6 +285,64 @@ class TestPotentAtAgainstThePeriodRoute:
             for m in members:
                 outcomes[_potent_at_agrees(m, 4)] += 1
         assert outcomes[("direct", True)] and outcomes[("direct", False)] and outcomes[("periods", True)]
+
+
+class TestCheckedPowerAgainstTheNaivePower:
+    """``_checked_power(a, k)``, the one checked power of both entry points, against ``Fraction`` powers.
+
+    For k = 1 .. 2n + 1: A^k exactly when the naive A^(k+1) is A, else None.
+    Where A^2 != A and k >= 2 it makes as many products as ``a.pow(k)`` and
+    one check.
+    """
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        count = [0]
+        matmul = RMatrix.__matmul__
+
+        def counted(x, y):
+            count[0] += 1
+            return matmul(x, y)
+
+        monkeypatch.setattr(RMatrix, "__matmul__", counted)
+        return count
+
+    def _agrees(self, a: RMatrix, products) -> Counter:
+        powers = [a]  # powers[j] is A^(j+1), by the Fraction oracle
+        while len(powers) < 2 * a.n + 2:
+            powers.append(naive_multiply(powers[-1], a))
+        idempotent = powers[1] == a
+        outcomes = Counter()
+        for k in range(1, 2 * a.n + 2):
+            products[0] = 0
+            got = _checked_power(a, k)
+            made = products[0]
+            expected = powers[k - 1] if powers[k] == a else None
+            assert got == expected, (a, k)
+            if got is not None:
+                assert (got.den, got.num) == (expected.den, expected.num)
+            if not idempotent and k >= 2:
+                products[0] = 0
+                a.pow(k)
+                assert made == products[0] + 1, (a, k)
+            outcomes[got is not None] += 1
+        return outcomes
+
+    def test_every_zero_one_matrix_up_to_three(self, products):
+        outcomes = Counter()
+        for n in (1, 2, 3):
+            for bits in itertools.product((0, 1), repeat=n * n):
+                outcomes += self._agrees(RMatrix([list(bits[i * n:(i + 1) * n]) for i in range(n)]), products)
+        assert outcomes[True] and outcomes[False]
+
+    def test_seeded_emissions_and_perturbed_copies(self, products):
+        rng = random.Random(35)
+        outcomes = Counter()
+        for seed in range(40):
+            a = random_r_potent(2 + seed % 6, 1 + seed % 4, seed, max_dim=6).a
+            outcomes += self._agrees(a, products)
+            outcomes += self._agrees(_perturbed(rng, a), products)
+        assert outcomes[True] >= 100 and outcomes[False] >= 100
 
 
 def _random_primitive(rng: random.Random, n: int) -> RMatrix:

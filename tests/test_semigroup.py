@@ -23,11 +23,10 @@ from rpotent.decomposition import BlockTriangularization, Digraph, block_triangu
 from rpotent.matrix import PatternMatrix, Permutation, RMatrix, load_matrix
 from rpotent import cli
 import rpotent.potency
+from rpotent.potency import main_decomposability_test
 import rpotent.semigroup
 from rpotent.semigroup import (
     PatternSemigroup,
-    cyclic_semigroup,
-    cyclic_semigroup_decomposable_check,
     equivalence_report,
     generator_reach,
     pattern_closure,
@@ -434,25 +433,22 @@ class TestSemigroupWitnessOracle:
 class TestCyclicSemigroup:
     def test_idempotent_gives_singleton(self):
         e = uniform_idempotent(2)
-        s = cyclic_semigroup(as_potent(e, 2))
-        assert s.members == (e,)
+        assert list(as_potent(e, 2).power_cycle()) == [e]
 
     def test_cycle_three_at_r_four(self):
         c = cycle_matrix(3)
-        s = cyclic_semigroup(as_potent(c, 4))
-        assert set(s.members) == {c, c.pow(2), RMatrix.identity(3)}
+        assert set(as_potent(c, 4).power_cycle()) == {c, c.pow(2), RMatrix.identity(3)}
 
     def test_closure_property_exhaustive(self):
         for seed in range(20):
             r = (3, 4, 5)[seed % 3]
-            s = cyclic_semigroup(random_r_potent(r, 1 + seed % 4, seed, max_dim=12))
-            members = set(s.members)
+            members = set(random_r_potent(r, 1 + seed % 4, seed, max_dim=12).power_cycle())
             for x in members:
                 for y in members:
                     assert x @ y in members
 
     def test_rejects_non_potent(self):
-        # the semigroup is built from a checked value; non-potent input stops at the check
+        # the powers are read off a checked value; non-potent input stops at the check
         with pytest.raises(ValueError, match="not 3-potent"):
             as_potent(RMatrix([[0, 1], [0, 0]]), 3)
 
@@ -461,15 +457,15 @@ class TestCyclicSemigroupCheck:
     def test_high_rank_case_shares_a_permutation(self):
         for seed in range(20):
             r = (2, 3, 4)[seed % 3]
-            rep = cyclic_semigroup_decomposable_check(random_r_potent(r, r + seed % 2, seed, max_dim=12))
-            assert rep.prediction.agrees
-            assert rep.applicable
-            assert rep.all_triangular
+            p = random_r_potent(r, r + seed % 2, seed, max_dim=12)
+            assert main_decomposability_test(p).agrees
+            assert not p.tri.is_trivial
+            assert all(p.per_exponent(p.tri.is_respected_by))
 
     def test_indecomposable_case_not_applicable(self):
-        rep = cyclic_semigroup_decomposable_check(as_potent(cycle_matrix(3), 4))
-        assert not rep.applicable
-        assert rep.prediction.case == "no_prediction"
+        p = as_potent(cycle_matrix(3), 4)
+        assert p.tri.is_trivial
+        assert main_decomposability_test(p).case == "no_prediction"
 
     def test_one_component_search_of_a(self, monkeypatch):
         scc = Digraph.strongly_connected_components
@@ -484,13 +480,15 @@ class TestCyclicSemigroupCheck:
             r = (2, 3, 4)[seed % 3]
             p = random_r_potent(r, 1 + seed % 4, seed, max_dim=10)
             searched.clear()
-            cyclic_semigroup_decomposable_check(p)
+            # the facts check 6.1 reads: the prediction and the triangularization of every power
+            main_decomposability_test(p)
+            p.tri.is_trivial or all(p.per_exponent(p.tri.is_respected_by))
             assert searched == [Digraph(p.a.pattern())]
 
     def test_block_diagonal_is_trivially_common(self):
         m = block_diagonal([uniform_idempotent(1), uniform_idempotent(2)])
-        rep = cyclic_semigroup_decomposable_check(as_potent(m, 2))
-        assert rep.applicable and rep.all_triangular
+        p = as_potent(m, 2)
+        assert not p.tri.is_trivial and all(p.per_exponent(p.tri.is_respected_by))
 
 
 class TestRationalClosure:

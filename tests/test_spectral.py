@@ -3,7 +3,10 @@
 import itertools
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from rpotent.generators import (
     uniform_idempotent,
 )
 from rpotent.decomposition import block_triangularize
-from rpotent.matrix import PatternMatrix, Permutation, RMatrix
+from rpotent.matrix import PatternMatrix, Permutation, RMatrix, load_matrix
 from rpotent.potency import Potent, minimal_potency
 from rpotent.spectral import (
     perron_value,
@@ -29,6 +32,7 @@ from rpotent.spectral import (
 
 from oracles import (
     as_potent,
+    four_part_zero_trace_rule,
     is_decomposable,
     is_primitive,
     pattern_from_packed,
@@ -344,12 +348,53 @@ class TestTraceZero:
         assert trace_zero_check(as_potent(m, 3))
 
     def test_rejects_decomposable(self):
-        with pytest.raises(ValueError, match="indecomposable"):
-            trace_zero_check(as_potent(RMatrix.identity(2), 3))
+        assert trace_zero_check(as_potent(RMatrix.identity(2), 3)) is None
 
     def test_rejects_r_two(self):
-        with pytest.raises(ValueError, match="r >= 3"):
-            trace_zero_check(as_potent(uniform_idempotent(2), 2))
+        assert trace_zero_check(as_potent(uniform_idempotent(2), 2)) is None
+
+
+def _zero_trace_outcomes(a: RMatrix) -> list[tuple[bool, bool | None]]:
+    """``spectral_report``'s zero-trace fields against the four-part rule: at the least r and at r + L, or unpotent."""
+    t = block_triangularize(a)
+    decision = minimal_potency(t)
+    if not isinstance(decision, Potent):
+        got = spectral_report(t).to_dict()
+        assert (got["trace_zero_applicable"], got["trace_is_zero"]) == four_part_zero_trace_rule(a, None)
+        return [(False, None)]
+    outcomes = []
+    for r in (decision.r, decision.r + decision.period):
+        got = spectral_report(t, decision.at(r)).to_dict()
+        outcome = (got["trace_zero_applicable"], got["trace_is_zero"])
+        assert outcome == four_part_zero_trace_rule(a, r), (a, r)
+        outcomes.append(outcome)
+    return outcomes
+
+
+class TestZeroTraceRuleAgainstTheFourParts:
+    """The rule stated once, in ``trace_zero_check``, against its four parts in ``oracles``."""
+
+    def test_goldens_and_bundled_inputs(self):
+        golden = Path(__file__).parent / "golden"
+        paths = [
+            p for p in sorted(golden.glob("*.json")) + sorted(golden.glob("*.csv"))
+            if ".analyze." not in p.name and ".semigroup." not in p.name
+        ]
+        paths += sorted(resources.files("rpotent").joinpath("data").glob("*.json"))
+        outcomes = Counter()
+        for path in paths:
+            outcomes.update(_zero_trace_outcomes(load_matrix(str(path))))
+        assert outcomes[(True, True)] and outcomes[(False, None)]
+
+    def test_every_zero_one_potent_up_to_three(self):
+        outcomes = Counter()
+        for n in (1, 2, 3):
+            for bits in itertools.product((0, 1), repeat=n * n):
+                m = RMatrix([list(bits[i * n:(i + 1) * n]) for i in range(n)])
+                if isinstance(minimal_potency(block_triangularize(m)), Potent):
+                    outcomes.update(_zero_trace_outcomes(m))
+        assert sum(outcomes.values()) == 2 * 87
+        assert outcomes[(True, True)] and outcomes[(False, None)]
 
 
 class TestSpectralReport:
