@@ -21,7 +21,13 @@ from .decomposition import block_triangularize, brute_force_decomposable_pattern
 from .generators import GENERATOR_KINDS, GeneratorSpec
 from .matrix import RMatrix, format_entry, json_text, load_matrix, matrix_to_json
 from .potency import NonPotency, main_decomposability_test, minimal_potency, potent_at, require_exponent
-from .semigroup import DEFAULT_CLOSURE_CAP, equivalence_report, pattern_closure, semigroup_rank_floor_check
+from .semigroup import (
+    DEFAULT_CLOSURE_CAP,
+    equivalence_report,
+    generator_blocks,
+    pattern_closure,
+    semigroup_rank_floor_check,
+)
 from .spectral import spectral_report
 from .structure import analyze_structure
 from .verification import CHECKS, run_check
@@ -249,11 +255,12 @@ def cmd_semigroup(args) -> int:
         potents = [potent_at(m, args.r) for m in matrices]
         if None in potents:
             raise ValueError(f"every generator must be {args.r}-potent")
-        patterns = [p.pattern for p in potents]  # read once, and reused by the rank floor
+        patterns = [p.pattern for p in potents]  # read once, off the decision's triangularization when it made one
     else:
         patterns = [m.pattern() for m in matrices]
     closure = pattern_closure(patterns, cap=args.cap)
-    eq = equivalence_report(patterns)
+    reach, components = generator_blocks(patterns)  # G+ and its blocks, read by both reports
+    eq = equivalence_report(reach, components)
     report: dict = {
         "generator_count": closure.generator_count,
         "closure_size": len(closure),
@@ -262,7 +269,7 @@ def cmd_semigroup(args) -> int:
     }
     exit_code = 0 if eq.consistent else 1
     if args.r is not None:
-        floor = semigroup_rank_floor_check(potents, cap=args.cap)
+        floor = semigroup_rank_floor_check(potents, components, cap=args.cap)
         report["rank_floor"] = floor.to_dict()
         if not floor.all_ok:
             exit_code = 1

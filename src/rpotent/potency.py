@@ -13,7 +13,9 @@ diagonal blocks of A's maximal triangularization, with no cap: it returns A
 checked at its least r, or the ``NonPotency`` certificate when none exists.
 ``Potent.at`` moves that value to another exponent without a new power.
 ``potent_at`` decides one given r: from A's own powers when r - 1 <= n,
-else by ``minimal_potency`` and ``Potent.at``.
+else by ``minimal_potency`` and ``Potent.at``.  ``block_ranks`` reads the
+ranks of A's diagonal blocks off a checked projection A^(r-1), whichever
+decision checked it.
 """
 
 from __future__ import annotations
@@ -79,26 +81,6 @@ class Potent:
     @cached_property
     def rank(self) -> int:
         return self.a.rank()
-
-    def block_ranks(self, components: Iterable[Sequence[int]]) -> list[int]:
-        """rank A[C, C] for each C of ``components``, read as trace E[C, C] off E = ``projection``.
-
-        Each C must be a diagonal block of a block triangular form that A
-        respects: its own components ``tri.components``, or those of a
-        pattern that contains A's.  A walk from C back to C then stays in C,
-        so compressing to C is multiplicative, and B = A[C, C] has
-        B^r = A^r[C, C] = B.  So E[C, C] = B^(r-1) is an idempotent, with
-        B = E[C, C] B and E[C, C] = B^(r-2) B (E[C, C] = B at r = 2):
-        rank B = rank E[C, C] = trace E[C, C], an integer, as asserted.  No
-        block is built and no rank is computed.
-        """
-        den, num = self.projection.den, self.projection.num
-        ranks = []
-        for comp in components:
-            rank, rest = divmod(sum(num[i][i] for i in comp), den)
-            assert not rest, "trace of a block projection is not an integer"
-            ranks.append(rank)
-        return ranks
 
     def power_cycle(self) -> Iterator[RMatrix]:
         """A, A^2, ..., A^L, built on demand; A^j is item (j - 1) mod L."""
@@ -221,6 +203,28 @@ def potent_at(a: RMatrix, r: int) -> Potent | None:
         return None if isinstance(decision, NonPotency) else decision.at(r)
     projection = _checked_power(a, r - 1)
     return None if projection is None else Potent(a, r, projection)
+
+
+def block_ranks(projection: RMatrix, components: Iterable[Sequence[int]]) -> list[int]:
+    """rank A[C, C] for each C of ``components``, read as trace E[C, C] off A's checked ``projection`` E.
+
+    E = A^(r-1) must come with E A = A checked exactly, as a ``Potent``'s
+    ``projection`` does.  Each C must be a diagonal block of a block
+    triangular form that A respects: its own components ``tri.components``,
+    or those of a pattern that contains A's.  A walk from C back to C then
+    stays in C, so compressing to C is multiplicative, and B = A[C, C] has
+    B^r = A^r[C, C] = B.  So E[C, C] = B^(r-1) is an idempotent, with
+    B = E[C, C] B and E[C, C] = B^(r-2) B (E[C, C] = B at r = 2):
+    rank B = rank E[C, C] = trace E[C, C], an integer, as asserted.  No
+    block is built and no rank is computed.
+    """
+    den, num = projection.den, projection.num
+    ranks = []
+    for comp in components:
+        rank, rest = divmod(sum(num[i][i] for i in comp), den)
+        assert not rest, "trace of a block projection is not an integer"
+        ranks.append(rank)
+    return ranks
 
 
 def rank_trace_check(p: Potent) -> bool:

@@ -19,17 +19,22 @@ of all members has a zero exactly where their union does.
 
 Only the rank floor needs the members: it decides each one's r-potency as
 the member is admitted, and reads its block ranks off that decision's
-projection; its blocks are those of G+, and its generators come checked
-(``Potent``).  Pattern and exact closures share one routine, which yields
-the members one at a time and multiplies each member on the right by each
-generator only (every member is a word in them): |S|·|G| products for |S|
-members.  The pattern closure runs it on bare row tuples, hashed and
-compared as tuples, and takes x·g from tables built once per generator g:
-one list of at most 256 entries per 8 rows of g, so a product row costs one
-lookup per 8 columns.  A closure stops at a member cap with a truncation
-flag.  The rank floor stops at its first member that is not r-potent, and
-reports it; once every member is r-potent the semigroup is finite
-(McNaughton & Zalcstein, 1975), and the cap only bounds the work.
+projection; its blocks are those of G+ (``generator_blocks``, computed once
+for both reports), and its generators come checked (``Potent``).  Pattern
+and exact closures share one routine, which yields the members one at a
+time and multiplies each member on the right by each generator only (every
+member is a word in them): |S|·|G| products for |S| members.  For
+r - 1 <= n the rank floor runs it over a table of the products it has made
+(the right Cayley graph), and decides a member M by walking M's word
+through that table to M^(r-1) and M^r: a complete closure makes its |S|·|G|
+exact products and none besides.  The pattern closure runs it on bare row
+tuples, hashed and compared as tuples, and takes x·g from tables built once
+per generator g: one list of at most 256 entries per 8 rows of g, so a
+product row costs one lookup per 8 columns.  A closure stops at a member
+cap with a truncation flag.  The rank floor stops at its first member that
+is not r-potent, and reports it; once every member is r-potent the
+semigroup is finite (McNaughton & Zalcstein, 1975), and the cap only bounds
+the work.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from math import lcm
 
 from .decomposition import Digraph, InvariantSubsetWitness, sink_witness
 from .matrix import PatternMatrix, Permutation, RMatrix
-from .potency import Potent, potent_at
+from .potency import Potent, block_ranks, potent_at
 
 DEFAULT_CLOSURE_CAP = 10_000
 
@@ -254,10 +259,19 @@ class EquivalenceReport:
         }
 
 
-def equivalence_report(generators: list[PatternMatrix]) -> EquivalenceReport:
-    """Every facet of the semigroup the generator patterns generate, read off G+."""
+def generator_blocks(generators: list[PatternMatrix]) -> tuple[PatternMatrix, list[tuple[int, ...]]]:
+    """G+ (``generator_reach``) and the strongly connected components of its digraph, in block order.
+
+    The semigroup's blocks: its equivalence report and its rank floor both
+    read them, so a caller that needs both computes them once.
+    """
     u = generator_reach(generators)
-    witness = sink_witness(u, Digraph(u).strongly_connected_components())
+    return u, Digraph(u).strongly_connected_components()
+
+
+def equivalence_report(u: PatternMatrix, components: list[tuple[int, ...]]) -> EquivalenceReport:
+    """Every facet of a semigroup, read off its G+ ``u`` and that pattern's ``components`` (``generator_blocks``)."""
+    witness = sink_witness(u, components)
     zero = u.first_zero()
     offdiag = None
     if witness is not None:
@@ -325,31 +339,94 @@ class RankFloorReport:
         }
 
 
-def semigroup_rank_floor_check(generators: list[Potent], *, cap: int = DEFAULT_CLOSURE_CAP) -> RankFloorReport:
+class _RightCayleyGraph:
+    """The exact products met so far, numbered, with each one's right product by each generator.
+
+    ``elements[i]`` times ``generators[k]`` is element ``right[i][k]``, or
+    None until someone needs it: the closure (``product``), or a walk that
+    follows a word from element i.  Whoever needs it first makes the
+    product and stores it, and later readers take it from the table, so
+    each is made once.  A member the closure admits as x·g takes the word
+    of x plus g.
+    """
+
+    def __init__(self, generators: list[RMatrix]) -> None:
+        self.generators = generators
+        self.elements = list(generators)
+        self.number = {g: i for i, g in enumerate(generators)}
+        self.right: list[list[int | None]] = [[None] * len(generators) for _ in generators]
+        self.words = {i: (i,) for i in range(len(generators))}
+
+    def times(self, i: int, k: int) -> int:
+        j = self.right[i][k]
+        if j is None:
+            p = self.elements[i] @ self.generators[k]
+            j = self.number.setdefault(p, len(self.elements))
+            if j == len(self.elements):
+                self.elements.append(p)
+                self.right.append([None] * len(self.generators))
+            self.right[i][k] = j
+        return j
+
+    def product(self, x: RMatrix, g: RMatrix) -> RMatrix:
+        """x·g for the closure, from the table; a member it admits takes its word here."""
+        i, k = self.number[x], self.number[g]
+        j = self.times(i, k)
+        if j not in self.words:
+            self.words[j] = self.words[i] + (k,)
+        return self.elements[j]
+
+    def walk(self, i: int, word: Iterable[int]) -> int:
+        """The number of element i times the generators of ``word``, in order."""
+        right = self.right
+        for k in word:
+            j = right[i][k]
+            i = self.times(i, k) if j is None else j
+        return i
+
+    def projection(self, m: RMatrix, r: int) -> RMatrix | None:
+        """M^(r-1) when M^r = M, else None, for an admitted member M with word w.
+
+        The walk takes M·w^(r-2) = M^(r-1) = E, then E·w = M^r, and M^r = M
+        exactly when it has M's number.
+        """
+        i = self.number[m]
+        w = self.words[i]
+        e = self.walk(i, w * (r - 2))
+        return self.elements[e] if self.walk(e, w) == i else None
+
+
+def semigroup_rank_floor_check(
+    generators: list[Potent], components: list[tuple[int, ...]], *, cap: int = DEFAULT_CLOSURE_CAP
+) -> RankFloorReport:
     """Close the semigroup of checked r-potents (``Potent``, one r), check each block's rank floor.
 
     Every nonzero diagonal block of the common triangularization is itself a
     closed set of r-potent compressions and must contain an element of rank
-    at most r-1.  The blocks are those of G+ (module docstring), so
-    ``decomposable`` is the verdict of ``equivalence_report`` whenever the
-    floor is given.
+    at most r-1.  The blocks are ``components``, those of G+ in block order
+    (``generator_blocks`` of the generators' patterns), so ``decomposable``
+    is the verdict of ``equivalence_report`` whenever the floor is given.
 
     The statement assumes every member r-potent, so each member is decided
     once as it is admitted: the generators by the ``Potent`` they come with,
-    every other member by ``potent_at``, as ``cmd_semigroup`` decides
-    generators: for r - 1 <= n by its own powers, M^(r-1) M = M with no
-    triangularization, and past n by its block periods, so a large r takes
-    no r-th power.  The split keeps the direct route within 2 floor(log2 n)
-    + 1 products, the bound the period route's block pre-check already
-    takes.  The first member that fails ends the closure and is reported.
-    Once every member is r-potent, every element is periodic, and a
-    finitely generated semigroup of matrices whose elements are all
-    periodic is finite (McNaughton & Zalcstein, J. Algebra 34, 1975); so the
-    cap only bounds the work, and a closure past it withholds the floor.
+    and for r - 1 <= n every other member M by a walk in the closure's own
+    products (``_RightCayleyGraph``): along M's word w, M·w^(r-2) = M^(r-1)
+    = E, then E·w = M^r, compared with M by number.  A product the walk
+    needs before the closure has made it is made then and kept for the
+    closure.  Each is some x·g with x in the semigroup, so a complete
+    closure makes exactly |S|·|G| exact products and none for the
+    decisions; a truncated one makes at most (r - 1)·|w| more per member,
+    past the cap.  Past n the closure keeps no table, and each member takes
+    ``potent_at``'s period route, so a large r takes no r-th power.  The
+    first member that fails ends the closure and is reported.  Once every
+    member is r-potent, every element is periodic, and a finitely generated
+    semigroup of matrices whose elements are all periodic is finite
+    (McNaughton & Zalcstein, J. Algebra 34, 1975); so the cap only bounds
+    the work, and a closure past it withholds the floor.
 
-    A block's rank in a member M is read off M's projection by
-    ``Potent.block_ranks``, with no rank computed: M's pattern lies in G+, so
-    M is block triangular in the order of G+'s blocks, the form that routine
+    A block's rank in a member M is read off M's projection E by
+    ``block_ranks``, with no rank computed: M's pattern lies in G+, so M is
+    block triangular in the order of G+'s blocks, the form that routine
     asks for.
     """
     exponents = {p.r for p in generators}
@@ -358,18 +435,24 @@ def semigroup_rank_floor_check(generators: list[Potent], *, cap: int = DEFAULT_C
     (r,) = exponents
     decided = list({p.a: p for p in generators}.values())  # _close yields them first, in this order
     matrices = [p.a for p in decided]
-    _check_generators(matrices, cap)
-    components = Digraph(generator_reach([p.pattern for p in decided])).strongly_connected_components()
+    n = _check_generators(matrices, cap)
+    graph = None if r - 1 > n else _RightCayleyGraph(matrices)
     ranks = [set() for _ in components]
-    for admitted, m in enumerate(_close(matrices, operator.matmul)):
+    for admitted, m in enumerate(_close(matrices, operator.matmul if graph is None else graph.product)):
         if admitted == cap:
             return RankFloorReport(closure_size=cap, truncated=True)
-        p = decided[admitted] if admitted < len(decided) else potent_at(m, r)
-        if p is None:
+        if admitted < len(decided):
+            e = decided[admitted].projection
+        elif graph is None:
+            p = potent_at(m, r)
+            e = None if p is None else p.projection
+        else:
+            e = graph.projection(m, r)
+        if e is None:
             return RankFloorReport(closure_size=admitted, truncated=False, non_potent_member=m)
-        for seen, rank in zip(ranks, p.block_ranks(components)):
+        for seen, rank in zip(ranks, block_ranks(e, components)):
             seen.add(rank)
-    lows = [min(block_ranks) if max(block_ranks) else None for block_ranks in ranks]
+    lows = [min(seen) if max(seen) else None for seen in ranks]
     blocks = tuple(
         BlockFloorRecord(comp, low is not None, low, low is None or low <= r - 1)
         for comp, low in zip(components, lows)

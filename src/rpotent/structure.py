@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .potency import Potent
+from .potency import Potent, block_ranks
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def analyze_structure(p: Potent) -> StructureReport:
     * B is zero iff its period in ``p.tri.periods`` is None: a component
       with no cycle is a lone index with no loop, and any other has an edge.
     * rank B is trace E[C, C] for E = ``p.projection`` = A^(r-1)
-      (``Potent.block_ranks``), so the block ranks sum to trace E.
+      (``block_ranks``), so the block ranks sum to trace E.
     * B is r-potent, by the C x C block of E A = A, which the decision that
       built ``p`` checked exactly.  A nonzero term E[i, w] A[w, j] with i, j
       in C is a walk from i through w to j, and j reaches i, so w lies in C:
@@ -107,7 +107,7 @@ def analyze_structure(p: Potent) -> StructureReport:
     records = reorder_to_avoid_consecutive_zeros(
         [
             BlockRecord(comp, period is None, rank)
-            for comp, period, rank in zip(t.components, t.periods, p.block_ranks(t.components))
+            for comp, period, rank in zip(t.components, t.periods, block_ranks(p.projection, t.components))
         ]
     )
     nonzero_count = sum(1 for rec in records if not rec.is_zero)

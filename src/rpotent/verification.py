@@ -31,7 +31,7 @@ from .potency import Potent, is_r_potent, main_decomposability_test, potent_at, 
 from .semigroup import (
     PatternSemigroup,
     equivalence_report,
-    generator_reach,
+    generator_blocks,
     pattern_closure,
     semigroup_rank_floor_check,
     symmetric_group_analysis,
@@ -316,9 +316,10 @@ def run_equivalences(trials: int, seed: int) -> Iterator[Verdict]:
     """Witness, common zero entry, and sum-with-zero agree, and G+ is the enumerated union."""
 
     def judge(gens, s) -> tuple[bool, str]:
-        if not equivalence_report(gens).consistent:
+        reach, components = generator_blocks(gens)
+        if not equivalence_report(reach, components).consistent:
             return False, "facets disagree"
-        if generator_reach(gens) != s.union_pattern():
+        if reach != s.union_pattern():
             return False, "generator reach differs from the closure's union pattern"
         return True, ""
 
@@ -328,7 +329,7 @@ def run_equivalences(trials: int, seed: int) -> Iterator[Verdict]:
 def run_semigroup_common_zero(trials: int, seed: int) -> Iterator[Verdict]:
     """Semigroups of rank-dominant families decompose with a common zero entry."""
     for i, case_seed, r, gens in semigroup_family_cases(trials, seed):
-        rep = equivalence_report([g.a.pattern() for g in gens])
+        rep = equivalence_report(*generator_blocks([g.a.pattern() for g in gens]))
         ok = (
             rep.consistent
             and rep.witness is not None
@@ -341,7 +342,8 @@ def run_semigroup_common_zero(trials: int, seed: int) -> Iterator[Verdict]:
 def run_rank_floor(trials: int, seed: int) -> Iterator[Verdict]:
     """Every nonzero diagonal block of a closed rank-dominant semigroup hits rank <= r-1."""
     for i, case_seed, r, gens in semigroup_family_cases(trials, seed):
-        report = semigroup_rank_floor_check(gens)
+        _, components = generator_blocks([p.pattern for p in gens])
+        report = semigroup_rank_floor_check(gens, components)
         detail = "closure truncated" if report.truncated else f"r={r}"
         if report.non_potent_member is not None:
             detail += f": a member is not {r}-potent"
@@ -353,7 +355,7 @@ def run_sum_zero(trials: int, seed: int) -> Iterator[Verdict]:
 
     def judge(gens, s) -> tuple[bool, str]:
         # a sum of nonnegative members vanishes exactly where their union does
-        ok = equivalence_report(gens).decomposable == (s.union_pattern().first_zero() is not None)
+        ok = equivalence_report(*generator_blocks(gens)).decomposable == (s.union_pattern().first_zero() is not None)
         return ok, "" if ok else "the closure's sum disagrees with the witness facet"
 
     return _random_closure_trials(trials, seed, judge)

@@ -18,10 +18,14 @@ reference's first block of the enumerated closure's union pattern, against
 the report that reads it off the block triangularization of the generators'
 reach, computed without the members; the rank floor's blocks, read off that
 reach too, are checked against the blocks of the union of every exact
-member's own pattern.  The right-product closure reference admits
-members in the package's order but multiplies with the bit loop of
-``PatternMatrix.__mul__``, against the closure that runs on row tuples and
-looks each product row up in per-generator tables.  The generator oracles place
+member's own pattern.  The per-member rank floor decides every member by
+``potent_at`` and ranks its compressions exactly, against the floor that
+walks each member's word in the closure's table of products and reads its
+block ranks as traces of the projection the walk reaches.  The
+right-product closure reference admits members in the package's order but
+multiplies with the bit loop of ``PatternMatrix.__mul__``, against the
+closure that runs on row tuples and looks each product row up in
+per-generator tables.  The generator oracles place
 ``Fraction`` entries one by one and compute the coupling B^(r-1) X with a
 triple loop, against builders that pad integer rows and take one exact
 product; the rank-one idempotent oracle draws ``Fraction`` factors and goes
@@ -60,7 +64,7 @@ from math import gcd, lcm
 from rpotent.decomposition import BlockTriangularization, Digraph, InvariantSubsetWitness, block_triangularize
 from rpotent.matrix import Entry, PatternMatrix, Permutation, RMatrix, coerce_entry
 from rpotent.potency import Potent, potent_at
-from rpotent.semigroup import PatternSemigroup
+from rpotent.semigroup import BlockFloorRecord, PatternSemigroup, RankFloorReport, generator_reach
 
 
 def fraction_grid(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -423,6 +427,47 @@ def member_union_rank_floor(members: list[RMatrix]) -> list[tuple[tuple[int, ...
         nonzero = any(not c.is_zero() for c in compressions)
         floor.append((comp, min(c.rank() for c in compressions) if nonzero else None))
     return floor
+
+
+def per_member_rank_floor(generators: list[Potent], *, cap: int) -> RankFloorReport:
+    """The rank floor with every member decided by ``potent_at`` on its own, as it is admitted.
+
+    The members come in the closure's order, the distinct generators and then
+    each member times each distinct generator on the right, when new.  The
+    generators are decided by their own ``Potent``, every other member by
+    ``potent_at`` (its own powers up to r - 1 <= n, past that the block
+    periods); the first that fails ends the floor.  The blocks are
+    ``closure_block_order`` of G+, and a block's rank in a member is the
+    exact rank of its compression: no walk, no product table and no trace.
+    """
+    (r,) = {p.r for p in generators}
+    gens = list(dict.fromkeys(p.a for p in generators))
+    components = closure_block_order(generator_reach([g.pattern() for g in gens]))
+    members, seen = list(gens), set(gens)
+
+    def admitted():
+        yield from gens
+        for x in members:  # also visits the members appended on the way
+            for g in gens:
+                p = x @ g
+                if p not in seen:
+                    seen.add(p)
+                    members.append(p)
+                    yield p
+
+    ranks = [set() for _ in components]
+    for count, m in enumerate(admitted()):
+        if count == cap:
+            return RankFloorReport(closure_size=cap, truncated=True)
+        if count >= len(gens) and potent_at(m, r) is None:
+            return RankFloorReport(closure_size=count, truncated=False, non_potent_member=m)
+        for block_ranks, comp in zip(ranks, components):
+            block_ranks.add(m.submatrix(comp).rank())
+    lows = [min(block_ranks) if max(block_ranks) else None for block_ranks in ranks]
+    blocks = tuple(
+        BlockFloorRecord(comp, low is not None, low, low is None or low <= r - 1) for comp, low in zip(components, lows)
+    )
+    return RankFloorReport(len(members), truncated=False, decomposable=len(components) > 1, blocks=blocks)
 
 
 def pattern_from_bools(grid) -> PatternMatrix:

@@ -24,6 +24,7 @@ from rpotent.matrix import PatternMatrix, Permutation, json_text, matrix_to_json
 from rpotent.potency import is_r_potent, zero_diagonal_powers
 from rpotent.semigroup import (
     equivalence_report,
+    generator_blocks,
     pattern_closure,
     symmetric_group_analysis,
 )
@@ -192,7 +193,7 @@ def test_semigroup_closures_have_common_zero():
         count += 1
         patterns = [g.a.pattern() for g in gens]
         assert not pattern_closure(patterns).truncated, f"seed={case_seed}"
-        rep = equivalence_report(patterns)
+        rep = equivalence_report(*generator_blocks(patterns))
         assert rep.witness is not None, f"seed={case_seed} r={r}"
         assert rep.zero_entry is not None, f"seed={case_seed}"
         assert rep.sum_has_zero, f"seed={case_seed}"

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from rpotent import generators
 from rpotent.cli import main
+from rpotent.decomposition import Digraph
 from rpotent.generators import MAX_SPEC_DIM, block_diagonal, cycle_matrix, uniform_idempotent
 from rpotent.matrix import PatternMatrix, RMatrix, load_matrix, matrix_from_json, matrix_to_json
 import rpotent.semigroup
@@ -511,9 +512,32 @@ class TestSemigroupCommand:
         assert capsys.readouterr().err == "error: every generator must be 3-potent\n"
         assert products == 0
 
+    def test_reach_and_its_blocks_are_computed_once_with_r(self, capsys, monkeypatch):
+        # G+ and its components feed both the equivalences and the rank
+        # floor; at r - 1 <= n no generator is triangularized, so these are
+        # the only reach and the only component search of the run
+        paths = [os.path.join(GOLDEN, f"rank_dominant_r4_seed11.g{i}.json") for i in (0, 1)]
+        reached, searched = [], []
+        reach = rpotent.semigroup.generator_reach
+        components = Digraph.strongly_connected_components
+
+        def counted_reach(gens):
+            reached.append(gens)
+            return reach(gens)
+
+        def counted_components(graph):
+            searched.append(graph)
+            return components(graph)
+
+        monkeypatch.setattr(rpotent.semigroup, "generator_reach", counted_reach)
+        monkeypatch.setattr(Digraph, "strongly_connected_components", counted_components)
+        assert main(["semigroup", *paths, "--r", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["rank_floor"]["all_ok"] is True
+        assert len(reached) == 1 and len(searched) == 1
+
     def test_each_generator_pattern_is_read_once_with_r(self, capsys, monkeypatch):
         # the potency decision's triangularization reads each generator's
-        # pattern; the closure, the equivalences and the rank floor reuse it
+        # pattern; the closure and G+, which both reports read, reuse it
         paths = [os.path.join(GOLDEN, f"rank_dominant_r4_seed11.g{i}.json") for i in (0, 1)]
         gens = [load_matrix(path) for path in paths]
         read = []

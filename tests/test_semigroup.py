@@ -28,19 +28,21 @@ import rpotent.semigroup
 from rpotent.semigroup import (
     PatternSemigroup,
     equivalence_report,
+    generator_blocks,
     generator_reach,
     pattern_closure,
     rational_closure,
     semigroup_rank_floor_check,
     symmetric_group_analysis,
 )
-from rpotent.verification import run_check
+from rpotent.verification import run_check, semigroup_family_cases
 
 from oracles import (
     as_potent,
     member_union_rank_floor,
     naive_multiply,
     naive_power,
+    per_member_rank_floor,
     random_pattern_local,
     right_product_closure,
     two_sided_closure,
@@ -245,7 +247,7 @@ class TestGeneratorProductClosure:
         gens = _permutation_patterns((1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0))
         s = pattern_closure(gens)
         assert len(s) == 720 and not s.truncated
-        assert equivalence_report(gens).zero_entry is None
+        assert equivalence_report(*generator_blocks(gens)).zero_entry is None
 
     def test_truncated_closure_holds_exactly_cap_members(self):
         gens = _permutation_patterns((1, 0, 2, 3), (1, 2, 3, 0))
@@ -286,19 +288,19 @@ class TestGeneratorProductClosure:
 
 class TestCommonZeroAndSum:
     def test_unit_projector_closure(self):
-        rep = equivalence_report([RMatrix([[1, 0], [0, 0]]).pattern()])
+        rep = equivalence_report(*generator_blocks([RMatrix([[1, 0], [0, 0]]).pattern()]))
         assert rep.zero_entry == (0, 1)
         assert rep.sum_has_zero
 
     def test_symmetric_group_has_no_common_zero(self):
         perms = [Permutation(p).to_matrix().pattern() for p in [(1, 0, 2), (1, 2, 0)]]
-        rep = equivalence_report(perms)
+        rep = equivalence_report(*generator_blocks(perms))
         assert rep.zero_entry is None
         assert not rep.sum_has_zero
         assert rep.witness is None
 
     def test_singleton_zero_matrix_sum_has_zero(self):
-        rep = equivalence_report([RMatrix.zeros(1).pattern()])
+        rep = equivalence_report(*generator_blocks([RMatrix.zeros(1).pattern()]))
         assert rep.sum_has_zero
         assert rep.zero_entry == (0, 0)
 
@@ -306,13 +308,13 @@ class TestCommonZeroAndSum:
         # no proper nonempty index set exists at n = 1, so a common zero
         # comes without a witness and the equivalence does not apply
         for entry in (0, 1):
-            rep = equivalence_report([PatternMatrix(1, (entry,))])
+            rep = equivalence_report(*generator_blocks([PatternMatrix(1, (entry,))]))
             assert rep.consistent and not rep.decomposable and rep.witness is None
             assert rep.sum_has_zero == (entry == 0)
 
     def test_block_tower_closure_has_off_block_zero(self):
         tower = block_diagonal([uniform_idempotent(k) for k in (1, 2, 3)])
-        rep = equivalence_report([tower.pattern()])
+        rep = equivalence_report(*generator_blocks([tower.pattern()]))
         assert rep.zero_entry is not None
         assert rep.consistent and rep.decomposable
         assert rep.offdiagonal_zero_entry is not None
@@ -332,7 +334,7 @@ class TestEquivalences:
             if s.truncated:
                 continue
             complete += 1
-            rep = equivalence_report(gens)
+            rep = equivalence_report(*generator_blocks(gens))
             assert rep.consistent
             assert (rep.witness is not None) == rep.sum_has_zero
 
@@ -356,11 +358,11 @@ class TestEquivalences:
             for _ in range(20):
                 gens = [random_pattern_local(rng, n, rng.uniform(0.05, 0.5)) for _ in range(rng.randint(1, 3))]
                 products = 0
-                equivalence_report(gens)
+                equivalence_report(*generator_blocks(gens))
                 assert products <= bound
             # the n-cycle needs walks of all n lengths, so it takes the whole bound
             products = 0
-            assert not equivalence_report([cycle_matrix(n).pattern()]).decomposable
+            assert not equivalence_report(*generator_blocks([cycle_matrix(n).pattern()])).decomposable
             assert products == bound
 
     def test_zero_entries_vanish_on_every_member(self):
@@ -370,7 +372,7 @@ class TestEquivalences:
             n = rng.randint(2, 4)
             gens = [random_pattern_local(rng, n, rng.uniform(0.1, 0.6)) for _ in range(rng.randint(1, 2))]
             s = pattern_closure(gens, cap=3000)
-            rep = equivalence_report(gens)
+            rep = equivalence_report(*generator_blocks(gens))
             if s.truncated or rep.zero_entry is None:
                 continue
             checked += 1
@@ -409,7 +411,7 @@ class TestSemigroupWitnessOracle:
             n = rng.randint(1, 6)
             gens = [random_pattern_local(rng, n, rng.uniform(0.1, 0.7)) for _ in range(rng.randint(1, 3))]
             s = pattern_closure(gens, cap=rng.choice((5, 60, 2000)))
-            witness = equivalence_report(gens).witness
+            witness = equivalence_report(*generator_blocks(gens)).witness
             if s.truncated:
                 kinds.add("truncated")
                 with pytest.raises(ValueError, match="truncated"):
@@ -427,7 +429,7 @@ class TestSemigroupWitnessOracle:
             n = rng.randint(1, 6)
             members = tuple({random_pattern_local(rng, n, rng.uniform(0.05, 0.5)) for _ in range(rng.randint(1, 4))})
             s = PatternSemigroup(n, tuple(m.rows for m in members), len(members), truncated=False)
-            assert equivalence_report(list(members)).witness == union_digraph_witness(s)
+            assert equivalence_report(*generator_blocks(list(members))).witness == union_digraph_witness(s)
 
 
 class TestCyclicSemigroup:
@@ -518,6 +520,12 @@ class TestRationalClosure:
         assert set(s.members) == {RMatrix([[2**k]]) for k in range(1, 6)}
 
 
+def _rank_floor(gens, **kwargs):
+    """``semigroup_rank_floor_check`` on the blocks of the generators' G+, as ``semigroup --r`` calls it."""
+    _, components = generator_blocks([p.pattern for p in gens])
+    return semigroup_rank_floor_check(gens, components, **kwargs)
+
+
 def _klein_pair():
     """(12)(34) and (13)(24), 3-potent of rank 4, which generate Z2 x Z2."""
     return [Permutation((1, 0, 3, 2)).to_matrix(), Permutation((2, 3, 0, 1)).to_matrix()]
@@ -527,42 +535,46 @@ class TestRankFloor:
     def test_single_high_rank_generator(self):
         for seed in range(10):
             r = (2, 3, 4)[seed % 3]
-            rep = semigroup_rank_floor_check([random_r_potent(r, r + seed % 2, seed, max_dim=12)])
+            rep = _rank_floor([random_r_potent(r, r + seed % 2, seed, max_dim=12)])
             assert rep.all_ok
 
     def test_family_generators(self):
         for seed in range(10):
             r = (2, 3, 4)[seed % 3]
-            rep = semigroup_rank_floor_check(rank_dominant_semigroup_generators(r, 1 + seed % 3, seed))
+            rep = _rank_floor(rank_dominant_semigroup_generators(r, 1 + seed % 3, seed))
             assert rep.all_ok
             assert rep.decomposable
 
     def test_all_zero_generator_is_vacuous(self):
-        rep = semigroup_rank_floor_check([as_potent(RMatrix.zeros(2), 3)])
+        rep = _rank_floor([as_potent(RMatrix.zeros(2), 3)])
         assert rep.all_ok
         assert all(not b.is_nonzero for b in rep.blocks)
 
     def test_generators_checked_at_different_exponents_are_refused(self):
         c3 = cycle_matrix(3)
         with pytest.raises(ValueError, match=r"one exponent, got \[4, 7\]"):
-            semigroup_rank_floor_check([as_potent(c3, 4), as_potent(c3, 7)])
+            _rank_floor([as_potent(c3, 4), as_potent(c3, 7)])
         with pytest.raises(ValueError, match=r"one exponent, got \[\]"):
-            semigroup_rank_floor_check([])
+            semigroup_rank_floor_check([], [(0,)])
 
     def test_cap_is_keyword_only(self):
-        # an old call f(gens, r) must not read r as the cap
+        # a call f(gens, components, r) must not read r as the cap
         with pytest.raises(TypeError):
-            semigroup_rank_floor_check([as_potent(cycle_matrix(3), 4)], 4)
+            semigroup_rank_floor_check([as_potent(cycle_matrix(3), 4)], [(0, 1, 2)], 4)
 
     def test_decides_no_generator_potency(self, monkeypatch):
-        # the generators' Potents are reused; every other member is decided
-        # once by potent_at, as it is admitted, and at r - 1 <= n by its own
-        # powers: no potency is decided from block periods
+        # the generators' Potents are reused, and at r - 1 <= n every other
+        # member is decided by a walk in the closure's own products: no
+        # member takes potent_at, no potency is decided from block periods,
+        # and the complete closure makes exactly |S|·|G| exact products
         gens = rank_dominant_semigroup_generators(3, 2, 4)
         assert all(3 - 1 <= p.a.n for p in gens)
+        _, components = generator_blocks([p.pattern for p in gens])
         decided, by_periods = [], []
+        products = 0
         potent_at = rpotent.semigroup.potent_at
         minimal_potency = rpotent.potency.minimal_potency
+        matmul = RMatrix.__matmul__
 
         def recorded(m, r):
             decided.append(m)
@@ -572,15 +584,22 @@ class TestRankFloor:
             by_periods.append(t.source)
             return minimal_potency(t)
 
+        def counted(x, y):
+            nonlocal products
+            products += 1
+            return matmul(x, y)
+
         monkeypatch.setattr(rpotent.semigroup, "potent_at", recorded)
         monkeypatch.setattr(rpotent.potency, "minimal_potency", recorded_periods)
-        rep = semigroup_rank_floor_check(gens)
+        monkeypatch.setattr(RMatrix, "__matmul__", counted)
+        rep = semigroup_rank_floor_check(gens, components)
+        monkeypatch.undo()
         matrices = list(dict.fromkeys(p.a for p in gens))
         members = rational_closure(matrices).members
         assert len(members) > len(matrices)
-        assert decided == list(members[len(matrices):])
-        assert not set(decided) & set(matrices)
+        assert decided == []
         assert by_periods == []
+        assert products == len(members) * len(matrices)
         assert rep.all_ok and rep.decomposable and rep.closure_size == len(members)
 
     def test_triangularizes_no_generator(self, monkeypatch):
@@ -598,7 +617,7 @@ class TestRankFloor:
         gens = rank_dominant_semigroup_generators(3, 2, 4)
         assert not any("tri" in vars(p) for p in gens)
         monkeypatch.setattr(rpotent.potency, "block_triangularize", recorded)
-        assert semigroup_rank_floor_check(gens).all_ok
+        assert _rank_floor(gens).all_ok
         assert triangularized == []
         assert not any("tri" in vars(p) for p in gens)
 
@@ -606,16 +625,16 @@ class TestRankFloor:
         potents = [as_potent(g, 7) for g in klein]
         assert triangularized == klein
         triangularized.clear()
-        assert semigroup_rank_floor_check(potents).closure_size == 4
+        assert _rank_floor(potents).closure_size == 4
         assert triangularized == list(rational_closure(klein).members[2:])
 
     def test_generator_potent_at_a_large_multiple_of_its_period(self):
         # 3 divides 10^10 - 1, so the 3-cycle is 10^10-potent
         p = rpotent.potency.potent_at(cycle_matrix(3), 10**10)
-        assert semigroup_rank_floor_check([p]).all_ok
+        assert _rank_floor([p]).all_ok
 
     def test_truncation_is_reported_as_data(self):
-        rep = semigroup_rank_floor_check([as_potent(cycle_matrix(3), 4)], cap=2)
+        rep = _rank_floor([as_potent(cycle_matrix(3), 4)], cap=2)
         assert rep.truncated and not rep.all_ok
         assert rep.to_dict() == {
             "closure_size": 2, "truncated": True, "decomposable": None, "blocks": [],
@@ -633,8 +652,8 @@ class TestRankFloor:
         assert len(closure) == 4 and not closure.truncated
         assert all(as_potent(m, 3).rank == 4 for m in closure.members)
         assert closure.union_pattern().is_full()
-        assert equivalence_report([g.pattern() for g in gens]).witness is None
-        rep = semigroup_rank_floor_check([as_potent(g, 3) for g in gens])
+        assert equivalence_report(*generator_blocks([g.pattern() for g in gens])).witness is None
+        rep = _rank_floor([as_potent(g, 3) for g in gens])
         assert not rep.all_ok
         assert not rep.decomposable
         assert [(b.min_rank, b.floor_ok) for b in rep.blocks] == [(4, False)]
@@ -662,7 +681,7 @@ class TestRankFloorDecidesEveryMember:
 
     @staticmethod
     def _refuted(gens, r):
-        rep = semigroup_rank_floor_check([as_potent(g, r) for g in gens])
+        rep = _rank_floor([as_potent(g, r) for g in gens])
         assert not rep.truncated and not rep.all_ok
         assert rep.blocks == () and rep.decomposable is None
         assert rep.non_potent_member is not None
@@ -692,7 +711,7 @@ class TestRankFloorDecidesEveryMember:
             return matmul(x, y)
 
         monkeypatch.setattr(RMatrix, "__matmul__", counted)
-        rep = semigroup_rank_floor_check(potents)
+        rep = _rank_floor(potents)
         assert products <= 10
         monkeypatch.undo()
         assert not rep.truncated and rep.non_potent_member is not None
@@ -708,6 +727,65 @@ class TestRankFloorDecidesEveryMember:
         assert _word_length([a, b], rep.non_potent_member, 3, 3) == 3
 
 
+class TestRankFloorWalkAgainstPerMemberDecisions:
+    """The floor that walks each member's word in the closure's products, against ``potent_at`` on every member."""
+
+    @staticmethod
+    def _assert_matches(gens, cap=rpotent.semigroup.DEFAULT_CLOSURE_CAP):
+        rep = _rank_floor(gens, cap=cap)
+        assert rep.to_dict() == per_member_rank_floor(gens, cap=cap).to_dict()
+        return rep
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_seeded_families(self, r):
+        for seed in range(10):
+            self._assert_matches(rank_dominant_semigroup_generators(r, 1 + seed % 3, 100 * r + seed))
+
+    def test_check_6_4_families_at_seed_8(self):
+        # trials 1 and 10 close to the Klein four-group, whose one block holds no member of rank <= r - 1
+        refuted = []
+        for i, _, _, gens in semigroup_family_cases(50, 8):
+            if not self._assert_matches(gens).all_ok:
+                refuted.append(i)
+        assert refuted == [1, 10]
+
+    @pytest.mark.parametrize("r", [3, 7])  # the walk at r - 1 <= n = 4, the period route past it
+    def test_klein_pair(self, r):
+        rep = self._assert_matches([as_potent(g, r) for g in _klein_pair()])
+        assert rep.closure_size == 4 and rep.all_ok == (r - 1 >= 4)  # every member has rank 4
+
+    @pytest.mark.parametrize("r", [3, 4])  # the walk at r - 1 <= n = 2, the period route past it
+    def test_bundled_rank_one_idempotents(self, r):
+        # the semigroup is infinite, and its first product that is not r-potent ends the floor
+        gens = [_bundled("decomposable_rank_one"), _bundled("indecomposable_rank_one")]
+        rep = self._assert_matches([as_potent(g, r) for g in gens])
+        assert rep.non_potent_member is not None and not rep.truncated
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_rectangular_band(self, r):
+        # u_i v_j^T with every v_j . u_i = 1: xyz = xz, so the order of a word's letters matters
+        u1, u2, v1, v2 = (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)
+        gens = [RMatrix([[a * b for b in v] for a in u]) for u, v in ((u1, v1), (u2, v2))]
+        rep = self._assert_matches([as_potent(g, r) for g in gens])
+        assert rep.closure_size == 4 and rep.all_ok
+
+    def test_symmetric_group_three_on_six_points(self):
+        # (12) and (123), fixing three more points: S3, of exponent 6, so 7-potent and walked at r - 1 <= n = 6
+        gens = [Permutation(images).to_matrix() for images in ((1, 0, 2, 3, 4, 5), (1, 2, 0, 3, 4, 5))]
+        rep = self._assert_matches([as_potent(g, 7) for g in gens])
+        assert rep.closure_size == 6
+
+    def test_caps_around_a_complete_closure(self):
+        # (C6 + C3) and (C6^2 + I3) generate Z6 x Z3: 18 members, 7-potent, walked at r - 1 <= n = 9
+        c6, c3 = cycle_matrix(6), cycle_matrix(3)
+        gens = [as_potent(block_diagonal([c6, c3]), 7), as_potent(block_diagonal([c6.pow(2), RMatrix.identity(3)]), 7)]
+        size = _rank_floor(gens).closure_size
+        assert size == 18
+        for cap in (1, 2, size - 1, size):
+            rep = self._assert_matches(gens, cap)
+            assert rep.truncated == (cap < size)
+
+
 class TestRankFloorBlocksFromTheReach:
     """The floor's blocks, read off G+, and their trace ranks, against the union of every member's pattern and exact ranks."""
 
@@ -721,11 +799,11 @@ class TestRankFloorBlocksFromTheReach:
 
     @staticmethod
     def _assert_matches_member_union(gens):
-        rep = semigroup_rank_floor_check(gens)
+        rep = _rank_floor(gens)
         assert not rep.truncated
         members = list(rational_closure([p.a for p in gens]).members)
         assert [(b.indices, b.min_rank) for b in rep.blocks] == member_union_rank_floor(members)
-        assert rep.decomposable == equivalence_report([p.a.pattern() for p in gens]).decomposable
+        assert rep.decomposable == equivalence_report(*generator_blocks([p.a.pattern() for p in gens])).decomposable
 
 
 class TestSymmetricGroup:

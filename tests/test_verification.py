@@ -86,16 +86,21 @@ def test_rank_trace_check_ranks_each_matrix_once(monkeypatch):
 
 def test_rank_floor_check_decides_each_generator_once(monkeypatch):
     # the emission check proves each generator r-potent and hands the Potent
-    # on; the rank floor reuses it, and decides every other member of each
-    # closure once, by potent_at
+    # on; the rank floor reuses it, and at r - 1 <= n decides every other
+    # member of each closure by a walk in the closure's own products: no
+    # member takes potent_at, and each complete closure makes exactly
+    # |S|·|G| exact products
     import rpotent.generators
     import rpotent.semigroup
     import rpotent.verification
 
-    families, checked, decided = [], [], []
+    families, checked, decided, floor_products = [], [], [], []
+    products = 0
     checked_potent_at = rpotent.generators.potent_at
     potent_at = rpotent.semigroup.potent_at
     build = rpotent.verification.rank_dominant_semigroup_generators
+    floor = rpotent.verification.semigroup_rank_floor_check
+    matmul = RMatrix.__matmul__
 
     def checking_potent_at(a, r):
         checked.append(a)
@@ -110,15 +115,31 @@ def test_rank_floor_check_decides_each_generator_once(monkeypatch):
         families.append(gens)
         return gens
 
+    def counted(x, y):
+        nonlocal products
+        products += 1
+        return matmul(x, y)
+
+    def counted_floor(*args, **kwargs):
+        before = products
+        report = floor(*args, **kwargs)
+        floor_products.append(products - before)
+        return report
+
     monkeypatch.setattr(rpotent.generators, "potent_at", checking_potent_at)
     monkeypatch.setattr(rpotent.semigroup, "potent_at", decided_potent_at)
     monkeypatch.setattr(rpotent.verification, "rank_dominant_semigroup_generators", built)
+    monkeypatch.setattr(rpotent.verification, "semigroup_rank_floor_check", counted_floor)
+    monkeypatch.setattr(RMatrix, "__matmul__", counted)
     result = run_check("6.4")
+    monkeypatch.undo()
     assert result.ok and result.total == 50
     assert len(families) >= 50
     assert checked == [p.a for gens in families for p in gens]
-    others = []
+    assert all(3 - 1 <= p.a.n for gens in families for p in gens)  # r <= 4 throughout
+    assert decided == []
+    expected = []
     for gens in families:
         matrices = list(dict.fromkeys(p.a for p in gens))
-        others.extend(rational_closure(matrices).members[len(matrices):])
-    assert others and decided == others
+        expected.append(len(rational_closure(matrices)) * len(matrices))
+    assert floor_products == expected
