@@ -67,13 +67,11 @@ def _analysis_bundle(a: RMatrix, r: int | None) -> dict:
             "trace_of_projection": None if trace is None else format_entry(trace),
             "rank_trace_ok": trace is None or trace == rank,
         }
+    # ok leaves out the blocks' rank bound and rank sum: the decision proves both (``analyze_structure``)
     checks_ok = (
         oracle_agrees
         and (potency is None or potency["rank_trace_ok"])
-        and (
-            potent is None
-            or (prediction.agrees and structure.blocks_ok and structure.rank_sum_ok and structure.bounds_ok)
-        )
+        and (potent is None or (prediction.agrees and structure.bounds_ok))
     )
     bundle = {
         "matrix": a,

@@ -4,7 +4,8 @@ A matrix with A^r = A for some r >= 2 is called r-potent (idempotent is the
 r = 2 case).  For such matrices A^(r-1) is an idempotent projection and the
 rank of A equals the trace of that projection, an identity this module checks
 with exact arithmetic only.  Reports take a ``Potent``, a matrix checked
-once, so none of them re-checks potency or recomputes a power.
+once, so none of them re-checks potency or recomputes a power, and none
+restates the decision: r and rank A are reported once, by the caller.
 
 The decision has two entry points, which check a power by one routine,
 ``_checked_power``: A^k, kept only once one product shows A^k A = A.
@@ -258,8 +259,6 @@ class DecompositionPrediction:
     case: str
     predicted_decomposable: bool | None
     actual_decomposable: bool
-    rank: int
-    r: int
 
     @property
     def agrees(self) -> bool:
@@ -272,8 +271,6 @@ class DecompositionPrediction:
             "case": self.case,
             "predicted_decomposable": self.predicted_decomposable,
             "actual_decomposable": self.actual_decomposable,
-            "rank": self.rank,
-            "r": self.r,
             "agrees": self.agrees,
         }
 
@@ -297,10 +294,4 @@ def main_decomposability_test(p: Potent) -> DecompositionPrediction:
         case, predicted = "singular_zero_diagonal", True
     else:
         case, predicted = "no_prediction", None
-    return DecompositionPrediction(
-        case=case,
-        predicted_decomposable=predicted,
-        actual_decomposable=actual,
-        rank=k,
-        r=r,
-    )
+    return DecompositionPrediction(case=case, predicted_decomposable=predicted, actual_decomposable=actual)

@@ -10,10 +10,11 @@ computes those facts over the sink-first order of the triangularization.
 
 Every block fact is read off the checked ``Potent`` (``analyze_structure``),
 with no block built and no rank or product taken; only k, the rank of A, is
-computed, the independent side of the rank-trace identity.  A record stores
-its indices, whether it is zero and its rank; its two flags are written, not
-stored: ``block_is_r_potent`` is always true, and ``block_is_indecomposable``
-is false only on a merged run of two or more zero components.
+computed (``p.rank``), and the count bounds compare against it.  A record
+states its size, whether it is zero and its rank, and nothing the decision
+already proves: every block is r-potent, every nonzero block has rank at
+most r - 1, the block ranks sum to k, and a block is indecomposable unless
+it is a merged run of two or more zero components.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ class BlockRecord:
             "size": self.size,
             "is_zero": self.is_zero,
             "block_rank": self.block_rank,
-            "block_is_r_potent": True,
-            "block_is_indecomposable": not self.is_zero or self.size == 1,
         }
 
 
@@ -51,35 +50,19 @@ class StructureReport:
     in which case the bounds are reported but carry no content.
     """
 
-    k: int
-    r: int
     applicable: bool
     blocks: tuple[BlockRecord, ...]
     nonzero_count: int
     total_count: int
     bounds_ok: bool
 
-    @property
-    def blocks_ok(self) -> bool:
-        """Every nonzero block has rank at most r - 1."""
-        return all(b.is_zero or b.block_rank <= self.r - 1 for b in self.blocks)
-
-    @property
-    def rank_sum_ok(self) -> bool:
-        """The block ranks, traces of the projection's diagonal blocks, sum to k = rank A."""
-        return sum(b.block_rank for b in self.blocks) == self.k
-
     def to_dict(self) -> dict:
         return {
-            "k": self.k,
-            "r": self.r,
             "applicable": self.applicable,
             "blocks": [b.to_dict() for b in self.blocks],
             "nonzero_count": self.nonzero_count,
             "total_count": self.total_count,
             "bounds_ok": self.bounds_ok,
-            "blocks_ok": self.blocks_ok,
-            "rank_sum_ok": self.rank_sum_ok,
         }
 
 
@@ -91,7 +74,9 @@ def analyze_structure(p: Potent) -> StructureReport:
     * B is zero iff its period in ``p.tri.periods`` is None: a component
       with no cycle is a lone index with no loop, and any other has an edge.
     * rank B is trace E[C, C] for E = ``p.projection`` = A^(r-1)
-      (``block_ranks``), so the block ranks sum to trace E.
+      (``block_ranks``).  The components partition the indices, so the
+      block ranks sum to trace E, which the report's ``potency.rank_trace_ok``
+      compares with k = rank A.
     * B is r-potent, by the C x C block of E A = A, which the decision that
       built ``p`` checked exactly.  A nonzero term E[i, w] A[w, j] with i, j
       in C is a walk from i through w to j, and j reaches i, so w lies in C:
@@ -99,9 +84,15 @@ def analyze_structure(p: Potent) -> StructureReport:
       (E A)[C, C] = E[C, C] B = B^r, and (E A)[C, C] = A[C, C] gives B^r = B.
       As E = A^L for the period L, which divides r - 1, this is also
       B^(L+1) = B.
+    * A nonzero B of period q has rank q <= r - 1: B^r = B makes B
+      diagonalizable with q simple nonzero eigenvalues, the q-th roots of
+      unity (``minimal_potency``), and q divides L, which divides r - 1.
     * B is indecomposable, as a strongly connected component.
 
-    Each run of consecutive zero components then counts as one zero block.
+    Each run of consecutive zero components then counts as one zero block,
+    indecomposable only when the run is one component.  None of these
+    proved facts is reported; check 4.1 (``structure_case_ok``) tests the
+    rank bound and the rank sum on its families.
     """
     t, r, k = p.tri, p.r, p.rank
     records = reorder_to_avoid_consecutive_zeros(
@@ -115,8 +106,6 @@ def analyze_structure(p: Potent) -> StructureReport:
     lower = -(-k // (r - 1))  # ceil(k / (r-1))
     bounds_ok = (lower <= nonzero_count <= k) and total <= 2 * k + 1
     return StructureReport(
-        k=k,
-        r=r,
         applicable=not t.is_trivial,
         blocks=tuple(records),
         nonzero_count=nonzero_count,

@@ -241,12 +241,12 @@ def structure_case_ok(p: Potent) -> tuple[bool, str]:
     report = analyze_structure(p)
     if not report.applicable:
         return True, "indecomposable, nothing to check"
-    if not report.blocks_ok:
+    if not all(b.is_zero or b.block_rank <= p.r - 1 for b in report.blocks):
         return False, "a diagonal block is neither zero nor an indecomposable potent block"
-    if not report.rank_sum_ok:
+    if sum(b.block_rank for b in report.blocks) != p.rank:
         return False, "block ranks do not sum to the rank"
     if not report.bounds_ok:
-        return False, f"{report.nonzero_count} nonzero of {report.total_count} blocks break the bounds at rank {report.k}"
+        return False, f"{report.nonzero_count} nonzero of {report.total_count} blocks break the bounds at rank {p.rank}"
     for b in report.blocks:
         if b.is_zero and not p.a.submatrix(b.indices).is_zero():
             return False, f"merged zero block {list(b.indices)} is not a zero submatrix"
@@ -274,16 +274,29 @@ def run_kron(trials: int, seed: int, idempotent_b: bool) -> Iterator[Verdict]:
         yield ok, i, case_seed, f"r={r}", k
 
 
+def powers_closed(powers: list[RMatrix], a: RMatrix) -> bool:
+    """Whether the set M of ``powers`` of ``a``, A among them, is closed under products: M A within M.
+
+    That suffices, as every member is a power of A: if M A lies in M, then
+    x A^j = (x A^(j-1)) A lies in M for every x in M, by induction on j.
+    It is needed too, as A is a member.  So one product per member is made,
+    not one per pair.  For M = {A, ..., A^L} with A^(L+1) = A, which the
+    potency decision checked, A^L A = A and every other A^j A = A^(j+1),
+    so the powers of a checked value are always closed.
+    """
+    members = set(powers)
+    return all(x @ a in members for x in powers)
+
+
 def run_power_semigroup(trials: int, seed: int) -> Iterator[Verdict]:
     """One permutation triangularizes every power of a decomposable r-potent.
 
-    Read off the checked value: its powers, closed as A^r = A, their supports, and the prediction.
+    Read off the checked value: its powers, closed as A^r = A (``powers_closed``), their supports, and the prediction.
     """
     half = trials // 2
     cases = itertools.chain(high_rank_cases(half, seed), singular_zero_diag_cases(trials - half, seed + 1))
     for i, (trial, case_seed, r, p) in enumerate(cases):
-        members = set(p.power_cycle())
-        closed = all(x @ y in members for x in members for y in members)
+        closed = powers_closed(list(p.power_cycle()), p.a)
         triangular = p.tri.is_trivial or all(p.per_exponent(p.tri.is_respected_by))
         ok = closed and main_decomposability_test(p).agrees and triangular
         yield ok, i, case_seed, f"r={r}", p.a

@@ -8,7 +8,9 @@ rows, which divides each updated row by the gcd of its entries, diagonal hits of
 boolean powers against the BFS-level period, the enumeration of every
 invariant index set against the column-closure witness, a closure that
 multiplies every new member with every member on both sides against the
-one that multiplies each member by the generators on the right, and a
+one that multiplies each member by the generators on the right, the
+product of every pair of powers against check 6.1's test of A's powers,
+which multiplies each by A alone, and a
 potency walk that takes every power up to its cap against the decision from
 the block periods.  The block-order reference reads the components off a
 transitive closure built by boolean squaring and places the sink of least
@@ -340,6 +342,12 @@ def two_sided_closure(gens: list, product, cap: int) -> tuple[list, bool]:
             if not admit(product(z, m)) or not admit(product(m, z)):
                 break
     return members, truncated
+
+
+def all_pairs_closed(members) -> bool:
+    """Whether ``members`` is closed under products, by multiplying every ordered pair."""
+    members = set(members)
+    return all(x @ y in members for x in members for y in members)
 
 
 def right_product_closure(gens: list[PatternMatrix], cap: int) -> tuple[list[PatternMatrix], bool, int]:

@@ -16,14 +16,14 @@ from rpotent.generators import (
     random_singular_zero_diag,
     uniform_idempotent,
 )
-from rpotent.cli import main
+from rpotent.cli import _analysis_bundle, main
 from rpotent.decomposition import BlockTriangularization
 from rpotent.matrix import RMatrix, load_matrix
 from rpotent.potency import Potent, is_r_potent, minimal_potency
 from rpotent.structure import analyze_structure
 from rpotent.verification import DEFAULT_SEED, decomposable_cases, structure_case_ok
 
-from oracles import as_potent, bareiss_rank
+from oracles import as_potent, bareiss_rank, gauss_rank, period_by_diagonal_hits
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = resources.files("rpotent").joinpath("data")
@@ -44,32 +44,64 @@ def _assert_blocks_match_the_old_path(p: Potent) -> None:
         blk = p.a.submatrix(rec.indices)
         assert rec.is_zero == blk.is_zero(), rec  # so every merged zero run is a zero submatrix
         assert rec.block_rank == bareiss_rank(blk), rec
-        flags = rec.to_dict()
-        assert flags["block_is_r_potent"] == is_r_potent(blk, p.r), rec
-        assert flags["block_is_indecomposable"] == block_triangularize(blk).is_trivial, rec
+        assert is_r_potent(blk, p.r), rec
+        assert block_triangularize(blk).is_trivial == (not rec.is_zero or rec.size == 1), rec
+
+
+def _assert_the_unreported_block_facts(p: Potent) -> None:
+    """The facts revision 7 of the analyze schema no longer reports, against independent oracles.
+
+    Each nonzero block's rank is its period, every zero block has rank 0 and
+    spans a zero submatrix, the block ranks sum to rank A, and ``ok`` is the
+    revision-6 formula, which also required every nonzero block rank to be
+    at most r - 1 and the block ranks to sum to rank A.
+    """
+    blocks = analyze_structure(p).blocks
+    for rec in blocks:
+        blk = p.a.submatrix(rec.indices)
+        if rec.is_zero:
+            assert rec.block_rank == 0 and blk.is_zero(), rec
+        else:
+            assert rec.block_rank == period_by_diagonal_hits(blk.pattern()), rec
+    assert sum(rec.block_rank for rec in blocks) == gauss_rank(p.a)
+    bundle = _analysis_bundle(p.a, p.r)
+    st, pot = bundle["structure"], bundle["potency"]
+    blocks_ok = all(b["is_zero"] or b["block_rank"] <= p.r - 1 for b in st["blocks"])
+    rank_sum_ok = sum(b["block_rank"] for b in st["blocks"]) == pot["rank"]
+    revision_6_ok = (
+        bundle["decomposability"]["oracle_agrees"]
+        and pot["rank_trace_ok"]
+        and bundle["prediction"]["agrees"]
+        and blocks_ok
+        and rank_sum_ok
+        and st["bounds_ok"]
+    )
+    assert bundle["ok"] == revision_6_ok
 
 
 class TestAnalyzeStructure:
     def test_uniform_tower(self):
         r = 4
         tower = block_diagonal([uniform_idempotent(k) for k in range(1, r)])
-        rep = analyze_structure(as_potent(tower, r))
+        p = as_potent(tower, r)
+        rep = analyze_structure(p)
         assert rep.applicable
-        assert rep.k == r - 1
+        assert p.rank == r - 1
         assert rep.nonzero_count == r - 1
         assert all(not b.is_zero and b.block_rank == 1 for b in rep.blocks)
-        assert all(b.to_dict()["block_is_indecomposable"] for b in rep.blocks)
+        assert all(block_triangularize(p.a.submatrix(b.indices)).is_trivial for b in rep.blocks)
         assert rep.bounds_ok
-        assert rep.rank_sum_ok
+        assert sum(b.block_rank for b in rep.blocks) == p.rank
 
     def test_kron_of_swaps(self):
         m = cycle_matrix(2).kron(cycle_matrix(2))
-        rep = analyze_structure(as_potent(m, 3))
+        p = as_potent(m, 3)
+        rep = analyze_structure(p)
         assert rep.applicable
-        assert rep.k == 4
+        assert p.rank == 4
         assert all(b.block_rank <= 2 for b in rep.blocks)
         assert 2 <= rep.nonzero_count <= 4
-        assert rep.rank_sum_ok
+        assert sum(b.block_rank for b in rep.blocks) == p.rank
         assert rep.bounds_ok
 
     def test_indecomposable_is_flagged_not_applicable(self):
@@ -95,11 +127,12 @@ class TestAnalyzeStructure:
             r = (2, 3, 4, 5)[seed % 4]
             p = random_r_potent(r, r + seed % 2, seed, max_dim=16)
             rep = analyze_structure(p)
-            assert rep.blocks_ok
-            assert rep.rank_sum_ok
+            assert all(b.is_zero or b.block_rank <= r - 1 for b in rep.blocks)
+            assert sum(b.block_rank for b in rep.blocks) == p.rank
             if rep.applicable:
-                lower = -(-rep.k // (r - 1))
-                assert lower <= rep.nonzero_count <= rep.k
+                lower = -(-p.rank // (r - 1))
+                assert lower <= rep.nonzero_count <= p.rank
+            _assert_the_unreported_block_facts(p)
 
 
 class TestBlockPotencyAgainstThePower:
@@ -115,6 +148,7 @@ class TestBlockPotencyAgainstThePower:
             for bits in itertools.product((0, 1), repeat=n * n):
                 for p in _potents_at_r_and_r_plus_period(RMatrix([list(bits[i * n:(i + 1) * n]) for i in range(n)])):
                     _assert_blocks_match_the_old_path(p)
+                    _assert_the_unreported_block_facts(p)
                     checked += 1
         assert checked == 2 * 87
 
@@ -152,8 +186,9 @@ class TestBlockPotencyAgainstThePower:
         bundle = json.loads(capsys.readouterr().out)
         assert bundle["potency"]["is_r_potent"] and bundle["structure"]["applicable"]
         blocks = block_triangularize(load_matrix(path)).diagonal_blocks
-        flags = [b["block_is_r_potent"] for b in bundle["structure"]["blocks"]]
-        assert flags == [is_r_potent(blk, r) for blk in blocks]
+        reported = [(b["is_zero"], b["block_rank"]) for b in bundle["structure"]["blocks"]]
+        assert reported == [(blk.is_zero(), bareiss_rank(blk)) for blk in blocks]
+        assert all(is_r_potent(blk, r) for blk in blocks)
 
 
 class TestAnalyzeBuildsNoBlock:
@@ -190,7 +225,7 @@ class TestZeroRunMerge:
     def test_single_block_unchanged(self):
         rep = analyze_structure(as_potent(RMatrix.zeros(1), 2))
         assert not rep.applicable
-        assert [(b.indices, b.is_zero, b.to_dict()["block_is_indecomposable"]) for b in rep.blocks] == [((0,), True, True)]
+        assert [(b.indices, b.is_zero, b.size) for b in rep.blocks] == [((0,), True, 1)]
 
     def test_two_adjacent_zeros_and_one_nonzero(self):
         # diag(0, 0, 1): the two zero components are adjacent, so they make one 2x2 zero block
@@ -200,28 +235,28 @@ class TestZeroRunMerge:
         rep = analyze_structure(p)
         assert [(b.size, b.is_zero) for b in rep.blocks] == [(2, True), (1, False)]
         assert rep.total_count == 2 and rep.nonzero_count == 1
-        assert rep.bounds_ok and rep.blocks_ok and rep.rank_sum_ok
+        assert rep.bounds_ok and [b.block_rank for b in rep.blocks] == [0, 1] and p.rank == 1
 
     def test_merged_block_is_indecomposable_only_at_size_one(self):
         for zeros in range(1, 6):
             m = block_diagonal([RMatrix.zeros(1)] * zeros + [RMatrix([[1]])])
             zero_block = analyze_structure(as_potent(m, 2)).blocks[0]
             assert zero_block.is_zero and zero_block.size == zeros
-            assert zero_block.to_dict()["block_is_indecomposable"] == (zeros == 1)
+            assert block_triangularize(m.submatrix(zero_block.indices)).is_trivial == (zeros == 1)
 
     def test_already_alternating_is_unchanged(self):
         m = block_diagonal([RMatrix.zeros(1), uniform_idempotent(2)])
         p = as_potent(m, 2)
         rep = analyze_structure(p)
         assert [b.indices for b in rep.blocks] == list(p.tri.components)
-        assert all(b.to_dict()["block_is_indecomposable"] for b in rep.blocks)
+        assert all(block_triangularize(p.a.submatrix(b.indices)).is_trivial for b in rep.blocks)
 
     def test_zeros_split_by_a_nonzero_block_stay_apart(self):
         # the rank-one idempotent (1,1,0)^T (0,1,1): zero, nonzero, zero, so 3 = 2k + 1 blocks
         p = as_potent(RMatrix([[0, 1, 1], [0, 1, 1], [0, 0, 0]]), 2)
         rep = analyze_structure(p)
         assert [b.is_zero for b in rep.blocks] == [True, False, True]
-        assert rep.total_count == 2 * rep.k + 1
+        assert rep.total_count == 2 * p.rank + 1
         assert rep.bounds_ok
 
     def test_eighteen_components(self):

@@ -1,10 +1,24 @@
 """The named check registry: every suite runs green and deterministically."""
 
+import itertools
+
 import pytest
 
+from rpotent.decomposition import block_triangularize
 from rpotent.matrix import PatternMatrix, RMatrix
+from rpotent.potency import Potent, minimal_potency
 from rpotent.semigroup import PatternSemigroup, rational_closure
-from rpotent.verification import CHECKS, CheckResult, run_check
+from rpotent.verification import (
+    CHECKS,
+    DEFAULT_SEED,
+    CheckResult,
+    high_rank_cases,
+    powers_closed,
+    run_check,
+    singular_zero_diag_cases,
+)
+
+from oracles import all_pairs_closed
 
 REDUCED_TRIALS = {
     "2.4": 15,
@@ -143,3 +157,33 @@ def test_rank_floor_check_decides_each_generator_once(monkeypatch):
         matrices = list(dict.fromkeys(p.a for p in gens))
         expected.append(len(rational_closure(matrices)) * len(matrices))
     assert floor_products == expected
+
+
+def _power_closure_inputs():
+    """Check 6.1's default cases and every 0/1 potent with n <= 3, each checked at its least r."""
+    half = CHECKS["6.1"].default_trials // 2
+    cases = itertools.chain(
+        high_rank_cases(half, DEFAULT_SEED),
+        singular_zero_diag_cases(CHECKS["6.1"].default_trials - half, DEFAULT_SEED + 1),
+    )
+    yield from (p for _, _, _, p in cases)
+    for n in (1, 2, 3):
+        for bits in itertools.product((0, 1), repeat=n * n):
+            p = minimal_potency(block_triangularize(RMatrix([list(bits[i * n:(i + 1) * n]) for i in range(n)])))
+            if isinstance(p, Potent):
+                yield p
+
+
+def test_power_closure_by_a_alone_matches_every_pair():
+    # check 6.1 multiplies each power by A alone; every pair of powers is the
+    # reference, on the powers A, ..., A^L and on each shorter prefix A, ..., A^j,
+    # which is closed only when A^(j+1) = A
+    closed = not_closed = 0
+    for p in _power_closure_inputs():
+        powers = list(p.power_cycle())
+        for j in range(1, len(powers) + 1):
+            verdict = powers_closed(powers[:j], p.a)
+            assert verdict == all_pairs_closed(powers[:j]), (p.a, j)
+            closed += verdict
+            not_closed += not verdict
+    assert closed >= 100 + 87 and not_closed > 0
