@@ -42,12 +42,25 @@ reference of the Wielandt squaring, and the hand-written Fisher-Yates loop,
 which calls ``rng.randrange(i + 1)`` for i = n - 1 down to 1, that of
 ``Permutation.random``, which calls ``rng.shuffle``.
 
+``naive_power`` is the one ``Fraction`` power: square-and-multiply over
+``naive_multiply``, kept per (A, k), so a sweep over r takes one new product
+per exponent.  ``diagonal_hit_period_lcm`` is the one period oracle: L, the
+lcm of the diagonal-hit periods of A's nonzero diagonal blocks.
+
+Tier-1's exhaustive small inputs come from here alone, each built once and
+kept: ``zero_one_patterns(n)`` and ``zero_one_matrices(n)``, every n x n 0/1
+pattern and matrix; ``small_patterns`` and ``small_zero_one_matrices``, the
+2 + 16 + 512 = 530 of them with n <= 3; and ``small_zero_one_potents``, the
+87 potent ones, each with its least r, read off the naive powers up to
+A^(L+1).
+
 The pattern, permutation and predicate helpers at the end (boolean grids,
 row-major bit packing, nonzero counts, positivity, transpositions, composed
 and inverse permutations, and the validity of a block triangularization)
 build or inspect test inputs; the package itself needs none of them.  So
 do the short forms after them: ``as_potent`` (``potent_at`` that raises
-unless A^r = A), the decomposability predicates on a matrix and on a
+unless A^r = A), ``decide`` (``minimal_potency`` of the block
+triangularization), the decomposability predicates on a matrix and on a
 pattern, the zero-diagonal test of a rank-one idempotent, the zero-trace
 identity's four-part applicability rule and Wielandt's exponent
 n^2 - 2n + 2.  ``rank_one_idempotent`` builds u v^T from checked ``Fraction``
@@ -61,11 +74,12 @@ import itertools
 import random
 from collections import deque
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from rpotent.decomposition import BlockTriangularization, Digraph, InvariantSubsetWitness, block_triangularize
 from rpotent.matrix import Entry, PatternMatrix, Permutation, RMatrix, coerce_entry
-from rpotent.potency import Potent, potent_at
+from rpotent.potency import NonPotency, Potent, minimal_potency, potent_at
 from rpotent.semigroup import BlockFloorRecord, PatternSemigroup, RankFloorReport, generator_reach
 
 
@@ -101,11 +115,17 @@ def naive_multiply(a: RMatrix, b: RMatrix) -> RMatrix:
     return RMatrix(tuple(rows))
 
 
+@cache
 def naive_power(a: RMatrix, k: int) -> RMatrix:
-    result = RMatrix.identity(a.n)
-    for _ in range(k):
-        result = naive_multiply(result, a)
-    return result
+    """A^k over ``naive_multiply``, kept per (A, k): A^0 = I, A^(k-1) A for odd k, (A^(k/2))^2 for even k."""
+    if k < 0:
+        raise ValueError("exponent must be nonnegative")
+    if k == 0:
+        return RMatrix.identity(a.n)
+    if k % 2:
+        return naive_multiply(naive_power(a, k - 1), a)
+    half = naive_power(a, k // 2)
+    return naive_multiply(half, half)
 
 
 def fraction_cycle_matrix(length: int) -> RMatrix:
@@ -274,6 +294,12 @@ def period_by_diagonal_hits(p: PatternMatrix) -> int:
             g = gcd(g, m)
         q = bool_product(q, p)
     return g
+
+
+def diagonal_hit_period_lcm(a: RMatrix) -> int:
+    """L, the lcm of ``period_by_diagonal_hits`` over the nonzero diagonal blocks, not of the BFS-level periods; 1 with none."""
+    blocks = block_triangularize(a).diagonal_blocks
+    return lcm(*[p for p in (period_by_diagonal_hits(b.pattern()) for b in blocks) if p])
 
 
 def closed_subsets(p: PatternMatrix) -> list[frozenset[int]]:
@@ -496,6 +522,46 @@ def pattern_to_bools(p: PatternMatrix) -> list[list[bool]]:
     return [[p.get(i, j) for j in range(p.n)] for i in range(p.n)]
 
 
+@cache
+def zero_one_patterns(n: int) -> tuple[PatternMatrix, ...]:
+    """Every n x n 0/1 pattern, 2^(n^2) of them, in the order of their row-major packing."""
+    return tuple(pattern_from_packed(n, packed) for packed in range(1 << n * n))
+
+
+@cache
+def zero_one_matrices(n: int) -> tuple[RMatrix, ...]:
+    """The matrices of ``zero_one_patterns(n)``, in order, each built from its 0/1 grid by the validating constructor."""
+    return tuple(RMatrix([[int(v) for v in row] for row in pattern_to_bools(p)]) for p in zero_one_patterns(n))
+
+
+@cache
+def small_patterns() -> tuple[PatternMatrix, ...]:
+    """Every 0/1 pattern with n <= 3: 2 + 16 + 512 = 530, by n."""
+    return tuple(p for n in (1, 2, 3) for p in zero_one_patterns(n))
+
+
+@cache
+def small_zero_one_matrices() -> tuple[RMatrix, ...]:
+    """The 530 matrices of ``small_patterns``, in the same order."""
+    return tuple(a for n in (1, 2, 3) for a in zero_one_matrices(n))
+
+
+@cache
+def small_zero_one_potents() -> tuple[tuple[RMatrix, int], ...]:
+    """The 87 potent matrices of ``small_zero_one_matrices``, each with its least r.
+
+    A^r = A for some r >= 2 iff A^(L+1) = A, for L = ``diagonal_hit_period_lcm``;
+    the least r is the first of 2, ..., L + 1 whose ``naive_power`` returns A.
+    """
+    potents = []
+    for a in small_zero_one_matrices():
+        big_l = diagonal_hit_period_lcm(a)
+        r = next((k for k in range(2, big_l + 2) if naive_power(a, k) == a), None)
+        if r is not None:
+            potents.append((a, r))
+    return tuple(potents)
+
+
 def count_nonzero(p: PatternMatrix) -> int:
     return sum(mask.bit_count() for mask in p.rows)
 
@@ -570,6 +636,11 @@ def as_potent(a: RMatrix, r: int) -> Potent:
     if p is None:
         raise ValueError(f"matrix is not {r}-potent")
     return p
+
+
+def decide(a: RMatrix) -> Potent | NonPotency:
+    """``minimal_potency`` of ``a``'s block triangularization: ``a`` at its least r, or the proof that no r exists."""
+    return minimal_potency(block_triangularize(a))
 
 
 def is_decomposable_pattern(p: PatternMatrix) -> bool:

@@ -41,7 +41,14 @@ from rpotent.verification import (
 )
 from rpotent.cli import main
 
-from oracles import as_potent, is_decomposable, is_decomposable_pattern, pattern_from_packed, rank_one_idempotent_diag_test
+from oracles import (
+    as_potent,
+    is_decomposable,
+    is_decomposable_pattern,
+    pattern_from_packed,
+    rank_one_idempotent_diag_test,
+    zero_one_patterns,
+)
 
 SEED = 20250810
 
@@ -66,8 +73,7 @@ def test_oracle_equivalence_exhaustive_and_random():
     """Component decision vs exhaustive subset oracle: zero disagreements."""
     t0 = time.monotonic()
     disagreements = 0
-    for packed in range(512):
-        p = pattern_from_packed(3, packed)
+    for p in zero_one_patterns(3):
         if (brute_force_decomposable_pattern(p) is not None) != is_decomposable_pattern(p):
             disagreements += 1
     for packed in range(1 << 16):

@@ -1,6 +1,5 @@
 """Decomposability: component decision, triangularization, column-closure oracle."""
 
-import itertools
 import random
 
 import pytest
@@ -21,7 +20,7 @@ from rpotent.generators import (
 )
 from rpotent.matrix import PatternMatrix, RMatrix
 from rpotent import potency
-from rpotent.potency import Potent, main_decomposability_test, minimal_potency, zero_diagonal_powers
+from rpotent.potency import main_decomposability_test, minimal_potency, zero_diagonal_powers
 
 from oracles import (
     as_potent,
@@ -29,11 +28,14 @@ from oracles import (
     closure_block_order,
     is_decomposable,
     is_decomposable_pattern,
-    pattern_from_packed,
     random_pattern_local,
     rank_one_idempotent,
     rank_one_idempotent_diag_test,
+    small_patterns,
+    small_zero_one_matrices,
+    small_zero_one_potents,
     triangularization_is_valid,
+    zero_one_patterns,
 )
 
 HALF = RMatrix([["1/2", "1/2"], ["1/2", "1/2"]])
@@ -70,11 +72,7 @@ class TestDigraph:
         assert back.strongly_connected_components() == [(v,) for v in range(n)]
 
     def test_block_order_matches_the_transitive_closure_reference(self):
-        patterns = [
-            PatternMatrix(n, rows)
-            for n in (1, 2, 3)
-            for rows in itertools.product(range(1 << n), repeat=n)
-        ]
+        patterns = list(small_patterns())
         rng = random.Random(19)
         for n in range(1, 41):
             # from mostly lone vertices to one large component, by the expected out-degree
@@ -120,8 +118,7 @@ class TestBruteForceOracle:
         assert brute_force_decomposable(cycle_matrix(40)) is None
 
     def test_agrees_with_components_on_all_three_by_three_patterns(self):
-        for packed in range(512):
-            p = pattern_from_packed(3, packed)
+        for p in zero_one_patterns(3):
             witness = brute_force_decomposable_pattern(p)
             assert (witness is not None) == is_decomposable_pattern(p)
             if witness is not None:
@@ -129,11 +126,7 @@ class TestBruteForceOracle:
 
     def test_witness_matches_full_subset_enumeration(self):
         # the witness is the least-bitmask invariant set, None when there is none
-        patterns = [
-            PatternMatrix(n, rows)
-            for n in (1, 2, 3)
-            for rows in itertools.product(range(1 << n), repeat=n)
-        ]
+        patterns = list(small_patterns())
         rng = random.Random(4)
         for _ in range(300):
             n = rng.randint(4, 10)
@@ -175,16 +168,11 @@ class TestBlockTriangularize:
     def test_every_block_is_indecomposable(self):
         # the subset oracle, not a second component search: structure reports
         # every diagonal block indecomposable without testing it
-        patterns = [
-            PatternMatrix(n, rows)
-            for n in (1, 2, 3)
-            for rows in itertools.product(range(1 << n), repeat=n)
-        ]
         potents = []
         for seed in range(40):
             r = (2, 3, 4, 5)[seed % 4]
             potents.append(random_r_potent(r, 1 + seed % 5, seed, max_dim=16).a)
-        for a in [p.to_matrix() for p in patterns] + potents:
+        for a in [*small_zero_one_matrices(), *potents]:
             t = block_triangularize(a)
             assert triangularization_is_valid(t)
             for blk in t.diagonal_blocks:
@@ -319,13 +307,8 @@ class TestMainDecomposabilityTest:
         # the singular branch reads a zero diagonal block off the periods; the
         # criterion itself asks for rank < n and a zero on the diagonal of
         # each of A^2 .. A^(r-1), taken here from the powers
-        cases = []
-        for n in (1, 2, 3):
-            for bits in itertools.product((0, 1), repeat=n * n):
-                a = RMatrix([list(bits[i * n:(i + 1) * n]) for i in range(n)])
-                decision = minimal_potency(block_triangularize(a))
-                if isinstance(decision, Potent):
-                    cases += [as_potent(a, k * decision.period + 1) for k in (1, 2, 3)]
+        # each 0/1 potent at r = L + 1, 2L + 1 and 3L + 1
+        cases = [as_potent(a, k * (r - 1) + 1) for a, r in small_zero_one_potents() for k in (1, 2, 3)]
         for seed in range(30):
             r = 3 + seed % 5
             cases.append(random_r_potent(r, 1 + seed % 4, seed, max_dim=8))

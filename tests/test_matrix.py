@@ -44,6 +44,8 @@ from oracles import (
     random_pattern_local,
     random_small_matrix,
     transposition,
+    zero_one_matrices,
+    zero_one_patterns,
 )
 
 CYCLE3 = RMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
@@ -179,10 +181,9 @@ class TestIntegerBackend:
         m = p.to_matrix()
         assert m == RMatrix(tuple(tuple(Fraction(int(p.images[j] == i)) for j in range(3)) for i in range(3)))
         assert m.den == 1
-        for packed in range(1 << 9):
-            pattern = pattern_from_packed(3, packed)
+        # each of the oracle's 0/1 matrices is the validated build of its pattern's grid
+        for pattern, rebuilt in zip(zero_one_patterns(3), zero_one_matrices(3)):
             m = pattern.to_matrix()
-            rebuilt = RMatrix([[int(v) for v in row] for row in pattern_to_bools(pattern)])
             assert (m.den, m.num) == (rebuilt.den, rebuilt.num) and hash(m) == hash(rebuilt)
             assert m.entries == rebuilt.entries and m.pattern() == pattern
 

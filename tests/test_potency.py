@@ -9,7 +9,6 @@ import random
 import pytest
 
 from rpotent.cli import _analysis_bundle
-from rpotent.decomposition import block_triangularize
 from rpotent.generators import (
     block_diagonal,
     cycle_matrix,
@@ -20,23 +19,18 @@ from rpotent.matrix import Permutation, RMatrix
 from rpotent.potency import (
     NonPotency,
     is_r_potent,
-    minimal_potency,
     rank_trace_check,
     zero_diagonal_powers,
 )
 
-from oracles import as_potent, naive_power, transposition
+from oracles import as_potent, decide, naive_power, transposition
 
 QUAD = RMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
 
-def _decide(a: RMatrix):
-    return minimal_potency(block_triangularize(a))
-
-
 def _at(a: RMatrix, r: int):
     """``a`` at ``r`` by the decision and ``Potent.at``; None unless A^r = A."""
-    decision = _decide(a)
+    decision = decide(a)
     return None if isinstance(decision, NonPotency) else decision.at(r)
 
 
@@ -60,18 +54,18 @@ class TestIsRPotent:
 
 class TestMinimalPotency:
     def test_identity(self):
-        assert _decide(RMatrix.identity(3)).r == 2
+        assert decide(RMatrix.identity(3)).r == 2
 
     def test_row_swap_of_identity_four(self):
         swap = transposition(4, 0, 1).to_matrix()
-        assert _decide(swap).r == 3
+        assert decide(swap).r == 3
 
     def test_full_cycle_on_four(self):
-        assert _decide(cycle_matrix(4)).r == 5
+        assert decide(cycle_matrix(4)).r == 5
 
     def test_nilpotent_is_certified(self):
         nilpotent = RMatrix([[0, 1], [0, 0]])
-        assert _decide(nilpotent) == NonPotency(1)
+        assert decide(nilpotent) == NonPotency(1)
 
     def test_permutation_matrices_follow_cycle_lcm(self):
         rng = random.Random(99)
@@ -80,14 +74,14 @@ class TestMinimalPotency:
         for _ in range(30):
             p = Permutation.random(rng.randint(1, 6), rng)
             expected = lcm(*p.cycle_lengths()) + 1
-            assert _decide(p.to_matrix()).r == expected
+            assert decide(p.to_matrix()).r == expected
 
     def test_divisibility_characterizes_potency(self):
         rng = random.Random(17)
         for seed in range(15):
             r = (3, 4, 5)[seed % 3]
             a = random_r_potent(r, 1 + seed % 4, seed, max_dim=12).a
-            decision = _decide(a)
+            decision = decide(a)
             assert decision.r <= r
             m = decision.r
             for r2 in range(2, 20):
@@ -95,7 +89,7 @@ class TestMinimalPotency:
                 assert (_at(a, r2) is not None) == is_r_potent(a, r2)
 
     def test_decision_keeps_the_projection_and_builds_the_powers_on_demand(self):
-        decision = _decide(QUAD)
+        decision = decide(QUAD)
         assert decision.a is QUAD and decision.period == 3
         assert decision.projection == naive_power(QUAD, 3) == RMatrix.identity(3)
         assert list(decision.power_cycle()) == [QUAD, naive_power(QUAD, 2), naive_power(QUAD, 3)]
@@ -218,7 +212,7 @@ class TestAnalyzePotencyObject:
         for seed in range(20):
             r = (3, 4, 5)[seed % 3]
             a = random_r_potent(r, 1 + seed % 3, seed).a
-            decision = _decide(a)
+            decision = decide(a)
             assert decision.at(r) is not None
             assert decision.r <= r
             assert (r - 1) % (decision.r - 1) == 0
@@ -233,14 +227,14 @@ class TestAnalyzePotencyObject:
     def test_default_exponent_is_the_minimal_one(self):
         bundle = _analysis_bundle(QUAD, None)
         assert bundle["r"] == bundle["potency"]["r"] == bundle["potency"]["minimal_r"] == 4
-        assert _decide(QUAD).at(4).r == 4
+        assert decide(QUAD).at(4).r == 4
         bundle = _analysis_bundle(RMatrix([[0, 1], [0, 0]]), None)
         assert bundle["r"] is None and bundle["potency"] is None and bundle["nonpotency"] == {"period_lcm": 1}
 
     def test_exponent_that_fails(self):
         bundle = _analysis_bundle(QUAD, 3)
         rep = bundle["potency"]
-        assert not rep["is_r_potent"] and _decide(QUAD).at(3) is None
+        assert not rep["is_r_potent"] and decide(QUAD).at(3) is None
         assert rep["minimal_r"] == 4
         assert rep["rank"] == 3
         # A^2 is no projection when A^3 != A, so no trace is reported
@@ -260,7 +254,7 @@ class TestAnalyzePotencyObject:
         a = Permutation(images).to_matrix()
         rep = _analysis_bundle(a, 106)["potency"]
         assert rep["is_r_potent"] and rep["minimal_r"] == 106
-        p = _decide(a).at(106)
+        p = decide(a).at(106)
         assert p.r == 106 and p.period == 105
         assert list(p.power_cycle()) == [a.pow(j) for j in range(1, 106)]
         assert rep["trace_of_projection"] == 15 and rep["rank"] == 15
@@ -272,7 +266,7 @@ class TestAnalyzePotencyObject:
         with pytest.raises(ValueError, match="at least 2"):
             _analysis_bundle(QUAD, 1)
         with pytest.raises(ValueError, match="at least 2"):
-            _decide(QUAD).at(1)
+            decide(QUAD).at(1)
 
 
 class TestLargeOrder:
@@ -294,7 +288,7 @@ class TestLargeOrder:
 
         monkeypatch.setattr(RMatrix, "__matmul__", counting)
         p = as_potent(a, 27721)
-        decision = _decide(a)
+        decision = decide(a)
         assert decision.at(27721) is not None and decision.r == 27721
         assert p.period == 27720 and rank_trace_check(p)
         assert decision.at(27720) is None

@@ -18,12 +18,10 @@ squaring test, which stops at the first full square, against the oracle
 ``pattern_power`` on patterns whose powers do and do not fill.
 """
 
-import itertools
 import random
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
-from math import lcm
 from pathlib import Path
 
 import pytest
@@ -31,20 +29,21 @@ import pytest
 from rpotent.decomposition import block_triangularize
 from rpotent.generators import block_diagonal, cycle_matrix, random_r_potent, uniform_idempotent
 from rpotent.matrix import PatternMatrix, Permutation, RMatrix, load_matrix
-from rpotent.potency import NonPotency, Potent, _checked_power, minimal_potency, potent_at
+from rpotent.potency import NonPotency, Potent, _checked_power, potent_at
 from rpotent.semigroup import rational_closure
 from rpotent.spectral import _support_power_is_full, wielandt_check
 
 from oracles import (
+    decide,
+    diagonal_hit_period_lcm,
     is_positive,
     is_primitive,
-    naive_multiply,
     naive_power,
     pattern_from_bools,
-    pattern_from_packed,
     pattern_power,
-    period_by_diagonal_hits,
     random_small_matrix,
+    small_patterns,
+    small_zero_one_matrices,
     unscreened_minimal_potency,
     wielandt_exponent,
 )
@@ -53,27 +52,16 @@ GOLDEN = Path(__file__).parent / "golden"
 DATA = resources.files("rpotent").joinpath("data")
 
 
-def _decide(a: RMatrix):
-    return minimal_potency(block_triangularize(a))
-
-
-def _independent_period_lcm(a: RMatrix) -> int:
-    """L from the diagonal hits of each block's boolean powers, not from the BFS levels."""
-    t = block_triangularize(a)
-    periods = [period_by_diagonal_hits(b.pattern()) for b in t.diagonal_blocks]
-    return lcm(*[p for p in periods if p])
-
-
 def _agrees_with_the_walk(a: RMatrix) -> Potent | NonPotency:
-    decision = _decide(a)
+    decision = decide(a)
     reference = unscreened_minimal_potency(a)
     if isinstance(decision, NonPotency):
         assert reference is None
-        assert decision.period_lcm == _independent_period_lcm(a)
+        assert decision.period_lcm == diagonal_hit_period_lcm(a)
         assert naive_power(a, decision.period_lcm + 1) != a
     else:
         assert decision.r == reference
-        assert decision.period == decision.r - 1 == _independent_period_lcm(a)
+        assert decision.period == decision.r - 1 == diagonal_hit_period_lcm(a)
         assert decision.projection == a.pow(decision.r - 1)
     return decision
 
@@ -114,11 +102,9 @@ def _block_triangular(rng: random.Random, n: int) -> RMatrix:
 class TestDecisionAgainstTheWalk:
     def test_every_zero_one_matrix_up_to_three(self):
         outcomes = Counter()
-        for n in (1, 2, 3):
-            for bits in itertools.product((0, 1), repeat=n * n):
-                a = RMatrix([list(bits[i * n:(i + 1) * n]) for i in range(n)])
-                decision = _agrees_with_the_walk(a)
-                outcomes["potent" if isinstance(decision, Potent) else "certified"] += 1
+        for a in small_zero_one_matrices():
+            decision = _agrees_with_the_walk(a)
+            outcomes["potent" if isinstance(decision, Potent) else "certified"] += 1
         # 2 + 16 + 512 matrices, 2 + 9 + 76 of them potent; each of the 443
         # others has a certificate, [[1, 1], [0, 1]] among them
         assert outcomes == {"potent": 87, "certified": 443}
@@ -142,7 +128,7 @@ class TestDecisionAgainstTheWalk:
         assert outcomes["Potent"] >= 400 and outcomes["NonPotency"] >= 400
 
     def test_the_zero_matrix_is_idempotent(self):
-        decision = _decide(RMatrix.zeros(4))
+        decision = decide(RMatrix.zeros(4))
         assert isinstance(decision, Potent) and decision.r == 2
 
     @pytest.mark.parametrize(
@@ -167,7 +153,7 @@ class TestPastTheOldCap:
     @pytest.mark.parametrize("lengths, r", [((3, 4, 7), 85), ((5, 7, 9), 316), ((67,), 68)])
     def test_long_permutations_are_potent(self, lengths, r):
         a = block_diagonal([cycle_matrix(k) for k in lengths])
-        decision = _decide(a)
+        decision = decide(a)
         assert isinstance(decision, Potent) and decision.r == r
         assert decision.projection == RMatrix.identity(a.n)
         assert a.pow(r) == a and a.pow(r - 1) != a
@@ -186,7 +172,7 @@ class TestPastTheOldCap:
         cycles = block_diagonal([cycle_matrix(k) for k in (5, 7, 8, 9, 11)])
         a = RMatrix([[weight * x for x in row] for row in cycles.num])
         monkeypatch.setattr(RMatrix, "__matmul__", counting)
-        decision = _decide(a)
+        decision = decide(a)
         monkeypatch.undo()
         assert decision == NonPotency(27720)
         # the first block, of period 5, takes B^6 = B^4 B^2: three 5 x 5 products
@@ -209,7 +195,7 @@ def _potent_at_agrees(a: RMatrix, r: int) -> tuple[str, bool]:
     holds a triangularization, and the verdict.
     """
     got = potent_at(a, r)
-    decision = _decide(a)
+    decision = decide(a)
     reference = None if isinstance(decision, NonPotency) else decision.at(r)
     potent = naive_power(a, r) == a
     assert (got is not None) == (reference is not None) == potent
@@ -246,11 +232,9 @@ class TestPotentAtAgainstThePeriodRoute:
     def test_every_zero_one_matrix_up_to_three(self):
         # r = 2..6 puts r - 1 below, at and above n for every n <= 3
         outcomes = Counter()
-        for n in (1, 2, 3):
-            for bits in itertools.product((0, 1), repeat=n * n):
-                a = RMatrix([list(bits[i * n:(i + 1) * n]) for i in range(n)])
-                for r in range(2, 7):
-                    outcomes[_potent_at_agrees(a, r)] += 1
+        for a in small_zero_one_matrices():
+            for r in range(2, 7):
+                outcomes[_potent_at_agrees(a, r)] += 1
         assert set(outcomes) == {(route, potent) for route in ("direct", "periods") for potent in (True, False)}
         assert sum(outcomes.values()) == 530 * 5
 
@@ -266,7 +250,7 @@ class TestPotentAtAgainstThePeriodRoute:
                     a = random_r_potent(rng.randint(2, 7), rng.randint(1, n), rng.randrange(10**6), max_dim=5).a
                 except ValueError:
                     continue
-            decision = _decide(a)
+            decision = decide(a)
             exponents = set(range(2, a.n + 4))
             if isinstance(decision, Potent):
                 exponents |= {decision.r, 2 * decision.r - 1}
@@ -308,9 +292,7 @@ class TestCheckedPowerAgainstTheNaivePower:
         return count
 
     def _agrees(self, a: RMatrix, products) -> Counter:
-        powers = [a]  # powers[j] is A^(j+1), by the Fraction oracle
-        while len(powers) < 2 * a.n + 2:
-            powers.append(naive_multiply(powers[-1], a))
+        powers = [naive_power(a, j) for j in range(1, 2 * a.n + 3)]  # powers[j] is A^(j+1)
         idempotent = powers[1] == a
         outcomes = Counter()
         for k in range(1, 2 * a.n + 2):
@@ -330,9 +312,8 @@ class TestCheckedPowerAgainstTheNaivePower:
 
     def test_every_zero_one_matrix_up_to_three(self, products):
         outcomes = Counter()
-        for n in (1, 2, 3):
-            for bits in itertools.product((0, 1), repeat=n * n):
-                outcomes += self._agrees(RMatrix([list(bits[i * n:(i + 1) * n]) for i in range(n)]), products)
+        for a in small_zero_one_matrices():
+            outcomes += self._agrees(a, products)
         assert outcomes[True] and outcomes[False]
 
     def test_seeded_emissions_and_perturbed_copies(self, products):
@@ -366,12 +347,9 @@ def _wielandt_extremal(n: int) -> PatternMatrix:
 
 class TestWielandtPatternPower:
     def test_squaring_agrees_with_pow_on_every_pattern_up_to_three(self):
-        for n in (1, 2, 3):
-            e = wielandt_exponent(n)
-            for packed in range(1 << (n * n)):
-                p = pattern_from_packed(n, packed)
-                for k in range(1, e + 4):
-                    assert _support_power_is_full(p, k) == pattern_power(p, k).is_full(), (n, packed, k)
+        for p in small_patterns():
+            for k in range(1, wielandt_exponent(p.n) + 4):
+                assert _support_power_is_full(p, k) == pattern_power(p, k).is_full(), (p, k)
 
     def test_squaring_agrees_with_pow_on_random_patterns(self):
         rng = random.Random(20)

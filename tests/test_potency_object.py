@@ -9,19 +9,16 @@ minimal r and at r + L, at r + 1 when L > 1 (where A is not potent), and
 every input that is potent at no r with no ``--r`` and at ``--r 5``.
 """
 
-import functools
 import json
 from importlib import resources
-from math import lcm
 from pathlib import Path
 
 import pytest
 
 from rpotent.cli import main
-from rpotent.decomposition import block_triangularize
 from rpotent.matrix import RMatrix, format_entry, load_matrix
 
-from oracles import gauss_rank, naive_multiply, naive_power, period_by_diagonal_hits
+from oracles import diagonal_hit_period_lcm, gauss_rank, naive_power
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = resources.files("rpotent").joinpath("data")
@@ -32,35 +29,17 @@ INPUTS = sorted(
 ) + sorted(Path(str(p)) for p in DATA.iterdir() if p.name.endswith(".json"))
 
 
-@functools.cache
-def _power(a: RMatrix, k: int) -> RMatrix:
-    """A^k by squaring over the naive product, so that k in the hundreds stays quick; kept per (A, k)."""
-    result, square = naive_power(a, 0), a
-    while k:
-        if k & 1:
-            result = naive_multiply(result, square)
-        square = naive_multiply(square, square)
-        k >>= 1
-    return result
-
-
-def _period_lcm(a: RMatrix) -> int:
-    """L, the lcm of the diagonal-hit periods of the nonzero blocks (1 when there are none)."""
-    blocks = block_triangularize(a).diagonal_blocks
-    return lcm(*[p for p in (period_by_diagonal_hits(b.pattern()) for b in blocks) if p])
-
-
 def _expected(a: RMatrix, big_l: int, r: int | None) -> dict:
     """The ``potency``, ``nonpotency`` and ``ok`` of ``analyze --json`` at ``r``, from the oracles."""
-    minimal_r = big_l + 1 if _power(a, big_l + 1) == a else None
+    minimal_r = big_l + 1 if naive_power(a, big_l + 1) == a else None
     if r is None:
         r = minimal_r
     nonpotency = None if minimal_r is not None else {"period_lcm": big_l}
     if r is None:
         return {"potency": None, "nonpotency": nonpotency, "ok": True}
     rank = gauss_rank(a)
-    potent = _power(a, r) == a
-    trace = sum(_power(a, r - 1).entries[i][i] for i in range(a.n)) if potent else None
+    potent = naive_power(a, r) == a
+    trace = sum(naive_power(a, r - 1).entries[i][i] for i in range(a.n)) if potent else None
     potency = {
         "is_r_potent": potent,
         "r": r,
@@ -83,10 +62,10 @@ def _analyze(capsys, path: Path, r: int | None) -> dict:
 @pytest.mark.parametrize("path", INPUTS, ids=lambda p: p.name)
 def test_potency_object_matches_the_fraction_oracles(capsys, path):
     a = load_matrix(str(path))
-    big_l = _period_lcm(a)
-    if _power(a, big_l + 1) == a:
+    big_l = diagonal_hit_period_lcm(a)
+    if naive_power(a, big_l + 1) == a:
         # L + 1 is the least exponent: no power below it returns A (checked where L is small)
-        assert big_l > 64 or all(_power(a, k) != a for k in range(2, big_l + 1))
+        assert big_l > 64 or all(naive_power(a, k) != a for k in range(2, big_l + 1))
         exponents = [None, big_l + 1, 2 * big_l + 1] + ([big_l + 2] if big_l > 1 else [])
     else:
         exponents = [None, 5]

@@ -45,6 +45,7 @@ from oracles import (
     per_member_rank_floor,
     random_pattern_local,
     right_product_closure,
+    small_patterns,
     two_sided_closure,
     union_digraph_witness,
 )
@@ -225,9 +226,8 @@ class TestGeneratorProductClosure:
             assert (s.truncated, s.generator_count) == (truncated, distinct), (gens, cap)
 
     def test_every_single_generator_up_to_three_matches_the_bit_loop(self):
-        for n in (1, 2, 3):
-            for rows in itertools.product(range(1 << n), repeat=n):
-                self._assert_matches_the_bit_loop([PatternMatrix(n, rows)])
+        for p in small_patterns():
+            self._assert_matches_the_bit_loop([p])
 
     def test_seeded_generator_sets_across_row_chunks_match_the_bit_loop(self):
         # 1-3 generators, each after the first an equal copy of an earlier one a

@@ -1,6 +1,5 @@
 """Period, primitivity, positive powers, exact Perron brackets, zero traces."""
 
-import itertools
 import random
 import sys
 from collections import Counter
@@ -35,9 +34,10 @@ from oracles import (
     four_part_zero_trace_rule,
     is_decomposable,
     is_primitive,
-    pattern_from_packed,
     period_by_diagonal_hits,
     random_small_matrix,
+    small_zero_one_matrices,
+    small_zero_one_potents,
     wielandt_exponent,
 )
 
@@ -72,8 +72,8 @@ class TestPeriod:
         for _ in range(60):
             n = rng.randint(1, 7)
             inputs.append(random_small_matrix(rng, n, density=rng.uniform(0.1, 0.5)))
-        # every 0/1 pattern with n <= 3: 2 + 16 + 512 = 530
-        inputs += [pattern_from_packed(n, packed).to_matrix() for n in (1, 2, 3) for packed in range(1 << n * n)]
+        # every 0/1 matrix with n <= 3: 2 + 16 + 512 = 530
+        inputs += small_zero_one_matrices()
         # the n-cycle plus each chord out of row 0, which is every chord up to rotation;
         # from n = 9 on a row spans two bytes
         for n in range(2, 17):
@@ -317,20 +317,18 @@ class TestEveryZeroOneMatrixUpToThree:
 
     def test_brackets(self):
         potent = nilpotent = 0
-        for n in (1, 2, 3):
-            for bits in itertools.product((0, 1), repeat=n * n):
-                m = RMatrix([list(bits[i * n:(i + 1) * n]) for i in range(n)])
-                t = block_triangularize(m)
-                _assert_sound(m, perron_value(t))
-                p = minimal_potency(t)
-                if isinstance(p, Potent):
-                    potent += 1
-                    exact = (0, 0) if m.is_zero() else (1, 1)
-                    assert spectral_report(t, p).perron_bracket == exact
-                if m.pow(n).is_zero():
-                    nilpotent += 1
-                    assert perron_value(t) == (0, 0)
-                    assert spectral_report(t).to_dict()["perron_value"] == 0.0
+        for m in small_zero_one_matrices():
+            t = block_triangularize(m)
+            _assert_sound(m, perron_value(t))
+            p = minimal_potency(t)
+            if isinstance(p, Potent):
+                potent += 1
+                exact = (0, 0) if m.is_zero() else (1, 1)
+                assert spectral_report(t, p).perron_bracket == exact
+            if m.pow(m.n).is_zero():
+                nilpotent += 1
+                assert perron_value(t) == (0, 0)
+                assert spectral_report(t).to_dict()["perron_value"] == 0.0
         assert potent == 87
         assert nilpotent == 1 + 3 + 25  # acyclic supports
 
@@ -388,11 +386,8 @@ class TestZeroTraceRuleAgainstTheFourParts:
 
     def test_every_zero_one_potent_up_to_three(self):
         outcomes = Counter()
-        for n in (1, 2, 3):
-            for bits in itertools.product((0, 1), repeat=n * n):
-                m = RMatrix([list(bits[i * n:(i + 1) * n]) for i in range(n)])
-                if isinstance(minimal_potency(block_triangularize(m)), Potent):
-                    outcomes.update(_zero_trace_outcomes(m))
+        for m, _ in small_zero_one_potents():
+            outcomes.update(_zero_trace_outcomes(m))
         assert sum(outcomes.values()) == 2 * 87
         assert outcomes[(True, True)] and outcomes[(False, None)]
 

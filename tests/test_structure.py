@@ -1,6 +1,5 @@
 """Block structure reports and the merge of adjacent zero components."""
 
-import itertools
 import json
 from importlib import resources
 from pathlib import Path
@@ -23,7 +22,7 @@ from rpotent.potency import Potent, is_r_potent, minimal_potency
 from rpotent.structure import analyze_structure
 from rpotent.verification import DEFAULT_SEED, decomposable_cases, structure_case_ok
 
-from oracles import as_potent, bareiss_rank, gauss_rank, period_by_diagonal_hits
+from oracles import as_potent, bareiss_rank, decide, gauss_rank, period_by_diagonal_hits, small_zero_one_potents
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = resources.files("rpotent").joinpath("data")
@@ -31,8 +30,7 @@ DATA = resources.files("rpotent").joinpath("data")
 
 def _potents_at_r_and_r_plus_period(a: RMatrix) -> list[Potent]:
     """``a`` checked at its least r and at r + L; empty when ``a`` is not potent."""
-    t = block_triangularize(a)
-    p = minimal_potency(t)
+    p = decide(a)
     if not isinstance(p, Potent):
         return []
     return [p, p.at(p.r + p.period)]
@@ -144,12 +142,11 @@ class TestBlockPotencyAgainstThePower:
 
     def test_every_zero_one_potent_up_to_three_at_r_and_r_plus_period(self):
         checked = 0
-        for n in (1, 2, 3):
-            for bits in itertools.product((0, 1), repeat=n * n):
-                for p in _potents_at_r_and_r_plus_period(RMatrix([list(bits[i * n:(i + 1) * n]) for i in range(n)])):
-                    _assert_blocks_match_the_old_path(p)
-                    _assert_the_unreported_block_facts(p)
-                    checked += 1
+        for a, _ in small_zero_one_potents():
+            for p in _potents_at_r_and_r_plus_period(a):
+                _assert_blocks_match_the_old_path(p)
+                _assert_the_unreported_block_facts(p)
+                checked += 1
         assert checked == 2 * 87
 
     def test_every_potent_golden_and_bundled_input(self):
@@ -289,18 +286,15 @@ class TestEveryZeroOneMatrixUpToThree:
 
     def test_bounds_and_structure_contract(self, tmp_path, capsys):
         potent = 0
-        for n in (1, 2, 3):
-            for bits in itertools.product((0, 1), repeat=n * n):
-                rows = [list(bits[i * n:(i + 1) * n]) for i in range(n)]
-                p = minimal_potency(block_triangularize(RMatrix(rows)))
-                if not isinstance(p, Potent):
-                    continue
-                potent += 1
-                path = tmp_path / "m.json"
-                path.write_text(json.dumps({"n": n, "entries": rows}))
-                assert main(["analyze", str(path), "--json"]) == 0, rows
-                assert json.loads(capsys.readouterr().out)["structure"]["bounds_ok"], rows
-                assert structure_case_ok(p)[0], rows
+        for a, r in small_zero_one_potents():
+            p = decide(a)
+            assert isinstance(p, Potent) and p.r == r, a
+            potent += 1
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps({"n": a.n, "entries": a.num}))
+            assert main(["analyze", str(path), "--json"]) == 0, a
+            assert json.loads(capsys.readouterr().out)["structure"]["bounds_ok"], a
+            assert structure_case_ok(p)[0], a
         assert potent == 87
 
 

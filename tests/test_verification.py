@@ -4,9 +4,7 @@ import itertools
 
 import pytest
 
-from rpotent.decomposition import block_triangularize
 from rpotent.matrix import PatternMatrix, RMatrix
-from rpotent.potency import Potent, minimal_potency
 from rpotent.semigroup import PatternSemigroup, rational_closure
 from rpotent.verification import (
     CHECKS,
@@ -18,7 +16,7 @@ from rpotent.verification import (
     singular_zero_diag_cases,
 )
 
-from oracles import all_pairs_closed
+from oracles import all_pairs_closed, decide, small_zero_one_potents
 
 REDUCED_TRIALS = {
     "2.4": 15,
@@ -167,11 +165,7 @@ def _power_closure_inputs():
         singular_zero_diag_cases(CHECKS["6.1"].default_trials - half, DEFAULT_SEED + 1),
     )
     yield from (p for _, _, _, p in cases)
-    for n in (1, 2, 3):
-        for bits in itertools.product((0, 1), repeat=n * n):
-            p = minimal_potency(block_triangularize(RMatrix([list(bits[i * n:(i + 1) * n]) for i in range(n)])))
-            if isinstance(p, Potent):
-                yield p
+    yield from (decide(a) for a, _ in small_zero_one_potents())
 
 
 def test_power_closure_by_a_alone_matches_every_pair():
