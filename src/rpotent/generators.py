@@ -5,9 +5,20 @@ rank-one idempotents; ranks multiply under Kronecker products and add under
 direct sums, so a target rank is hit exactly by solving a tiny partition over
 divisors of r-1.  Coupled decomposable examples come from wrapping a known
 r-potent block B as [[B, B^(r-1) x], [0, 0]], which is r-potent for any
-nonnegative column x and keeps the rank of B; the coupled block is one exact
-product, diag(B^(r-1), 0) times [[B, x], [0, 0]].  All randomness flows
+nonnegative column x and keeps the rank of B.  All randomness flows
 through ``random.Random(seed)``, so a spec plus seed identifies one matrix.
+
+Every part carries its normal form A = F C G (``NormalForm``) beside its
+matrix: G F = I_k, and C is a k x k monomial whose cycle lengths divide
+r-1 with scalars that multiply to 1 around each cycle.  A rank-one
+idempotent u v^T has F = u, C = [1] and G = v^T; a d-cycle has F = G = I and
+C the cycle; a Kronecker product has F1 (x) F2, C1 (x) C2 and G1 (x) G2; a
+direct sum block-diagonal F, C and G; the coupled wrap [F; 0], C and
+[G, C^-1 G x]; the seeded relabelling the rows of F and the columns of G
+relabelled.  The emission check (``_verify_emission``) proves each
+matrix r-potent of rank k from its factors (``Potent.from_normal_form``),
+with no power and no rank of the matrix.  The matrix itself is built as
+before, so the check compares two independent constructions.
 
 Entries are drawn from a small pool of rationals and idempotent factors are
 normalized exactly, which keeps entry bit-size bounded through repeated
@@ -20,10 +31,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .matrix import Permutation, RMatrix
-from .potency import Potent, potent_at, require_exponent
+from .potency import NormalForm, Potent, _unit_rows, require_exponent
 
 _POOL = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(3))
 _POOL_WITH_ZERO = _POOL + (Fraction(0),)
@@ -71,18 +84,103 @@ def block_diagonal(blocks: Sequence[RMatrix]) -> RMatrix:
     return RMatrix._normalized(den, tuple(rows))
 
 
-def _coupled(b: RMatrix, projection: RMatrix, x: Sequence[Fraction]) -> RMatrix:
-    """[[B, B^(r-1) x], [0, 0]] as diag(B^(r-1), 0) [[B, x], [0, 0]], for ``projection`` = B^(r-1) of an r-potent B.
+def _cycle_form(length: int) -> NormalForm:
+    """The form of ``cycle_matrix(length)``: F = G = I, and C the cycle, whose row i holds its 1 in column i - 1."""
+    f = tuple([(i, 1) for i in range(length)])
+    return NormalForm(f, f[-1:] + f[:-1], 1, _unit_rows(length), 1)
 
-    ``x`` is one column of k pool fractions.  B^(r-1) C = B^(2r-2) x = C for
-    C = B^(r-1) x, so the r-th power reproduces the matrix, and its rank is
-    rank(B): C lies in the range of B.
+
+def _idempotent_form(m: RMatrix) -> NormalForm:
+    """u v^T of a rank-one idempotent M with M[0, 0] > 0: F = u = M e_0, C = [1] and G = v^T = e_0^T M / M[0, 0].
+
+    F G = M[:, 0] M[0, :] / M[0, 0] = M for M = u v^T of rank one, and
+    G F = (M^2)[0, 0] / M[0, 0] = 1 as M^2 = M.  F holds the numerators of
+    column 0, and G's denominator takes M's.
     """
-    k = b.n
-    den = math.lcm(b.den, *[c.denominator for c in x])
-    rows = [(*[y * (den // b.den) for y in b_row], c.numerator * (den // c.denominator)) for b_row, c in zip(b.num, x)]
-    w = RMatrix._normalized(den, tuple(rows + [(0,) * (k + 1)]))
-    return block_diagonal([projection, RMatrix.zeros(1)]) @ w
+    num = m.num
+    return NormalForm(tuple([(0, row[0]) for row in num]), ((0, 1),), 1, (num[0],), m.den * num[0][0])
+
+
+# the form of the 1 x 1 zero block: rank 0, one zero row of F and one zero column of G
+_ZERO_FORM = NormalForm(((0, 0),), (), 1, (), 1)
+
+
+def _kron_form(x: NormalForm, y: NormalForm) -> NormalForm:
+    """(F1 (x) F2)(C1 (x) C2)(G1 (x) G2), in the index order of ``RMatrix.kron``: (i1, i2) is i1 n2 + i2.
+
+    F and C keep one nonzero per row: row (i1, i2) holds v1 v2 in column
+    (j1, j2).
+    """
+    k2 = y.k
+
+    def kron_rows(x_rows: tuple[tuple[int, int], ...], y_rows: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+        return tuple([(j1 * k2 + j2, v1 * v2) for j1, v1 in x_rows for j2, v2 in y_rows])
+
+    g = tuple([tuple([a * b for a in g1 for b in g2]) for g1 in x.g for g2 in y.g])
+    return NormalForm(kron_rows(x.f, y.f), kron_rows(x.c, y.c), x.c_den * y.c_den, g, x.g_den * y.g_den)
+
+
+def _direct_sum_form(forms: Sequence[NormalForm]) -> NormalForm:
+    """Block-diagonal F, C and G, in the block order of ``block_diagonal``."""
+    n = sum([len(x.f) for x in forms])
+    c_den, g_den = math.lcm(*[x.c_den for x in forms]), math.lcm(*[x.g_den for x in forms])
+    f: list[tuple[int, int]] = []
+    c: list[tuple[int, int]] = []
+    g: list[tuple[int, ...]] = []
+    for x in forms:
+        k_offset, c_scale, g_scale = len(c), c_den // x.c_den, g_den // x.g_den
+        left, right = (0,) * len(f), (0,) * (n - len(f) - len(x.f))
+        c += [(j + k_offset, v * c_scale) for j, v in x.c]
+        g += [(*left, *(row if g_scale == 1 else map(mul, row, repeat(g_scale))), *right) for row in x.g]
+        f += [(j + k_offset, v) for j, v in x.f]
+    return NormalForm(tuple(f), tuple(c), c_den, tuple(g), g_den)
+
+
+def _relabelled(a: RMatrix, form: NormalForm, p: Permutation) -> tuple[RMatrix, NormalForm]:
+    """``A.conjugate(p)`` and its form: row i of F is row p(i), and column j of G column p(j)."""
+    images = p.images
+    g = tuple([tuple([*map(row.__getitem__, images)]) for row in form.g])
+    return a.conjugate(p), form._replace(f=tuple([*map(form.f.__getitem__, images)]), g=g)
+
+
+def _power_form(form: NormalForm, s: int) -> NormalForm:
+    """F C^s G, the form of A^s for s >= 1, as G F = I: row i of C^s is the s-step walk from i along C's rows."""
+    c = form.c
+    for _ in range(s - 1):
+        c = tuple([(form.c[j][0], v * form.c[j][1]) for j, v in c])
+    return form._replace(c=c, c_den=form.c_den**s)
+
+
+def _coupled(b: RMatrix, form: NormalForm, x: Sequence[Fraction]) -> tuple[RMatrix, NormalForm]:
+    """[[B, E x], [0, 0]] and its form, for B = F C G checked at r by ``form``, E = B^(r-1) = F G.
+
+    ``x`` is one column of n pool fractions.  E x = F (G x) takes k dot
+    products and one pass over the nonzeros of F: no product of n x n
+    matrices and no power of B.  E B = B^r = B, so E [[B, x], [0, 0]] is this
+    matrix: the r-th power reproduces it, and its rank is rank(B), as E x
+    lies in the range of B.  Its form is F' = [F; 0], C' = C and
+    G' = [G, C^-1 G x], since F' C G' = [[F C G, F G x], [0, 0]] and
+    G' F' = G F = I.  C^-1 = C^(r-2) is C's inverse, read off its rows: row
+    i of C holds c / c_den in column j, so row j of C^-1 holds c_den / c in
+    column i.
+    """
+    n, g = b.n, form.g
+    x_den = math.lcm(*[t.denominator for t in x])
+    x_num = [t.numerator * (x_den // t.denominator) for t in x]
+    gx = [sum(map(mul, row, x_num)) for row in g]  # G x, over g_den x_den
+    ex = [v * gx[j] if v else 0 for j, v in form.f]  # E x = F G x, over the same
+    den = math.lcm(b.den, form.g_den * x_den)
+    b_scale, e_scale = den // b.den, den // (form.g_den * x_den)
+    rows = [(*[y * b_scale for y in b_row], e * e_scale) for b_row, e in zip(b.num, ex)]
+    m = RMatrix._normalized(den, tuple(rows + [(0,) * (n + 1)]))
+    # C^-1 G x over g_den x_den c_lcm: row j gets c_den gx[i] (c_lcm / c) from row i = (j, c) of C
+    c_lcm = math.lcm(*[v for _, v in form.c])
+    inverse_gx = [0] * form.k
+    for i, (j, v) in enumerate(form.c):
+        inverse_gx[j] = form.c_den * gx[i] * (c_lcm // v)
+    g_scale = x_den * c_lcm
+    g = tuple([(*[y * g_scale for y in row], t) for row, t in zip(g, inverse_gx)])
+    return m, form._replace(f=form.f + ((0, 0),), g=g, g_den=form.g_den * g_scale)
 
 
 def _random_idempotent(rng: random.Random, dim: int, su: range | set[int], sv: range | set[int]) -> RMatrix:
@@ -124,8 +222,8 @@ def random_rank_one_idempotent(dim: int, seed: int, padded: bool | None = None) 
 
 def _random_part(
     rng: random.Random, r: int, max_rank: int, dim_headroom: int
-) -> tuple[RMatrix, int]:
-    """One direct-sum part: a Kronecker product of cycles and idempotents.
+) -> tuple[RMatrix, NormalForm]:
+    """One direct-sum part and its form: a Kronecker product of cycles and idempotents.
 
     A factorization is a tuple of factor ranks, each either 1 (a rank-one
     idempotent) or a cycle length dividing r-1.  Its minimal dimension equals
@@ -133,6 +231,7 @@ def _random_part(
     factorization with rank <= ``max_rank`` fits; ``dim_headroom`` is spent
     growing idempotent factors beyond 1 x 1.  Only cycle lengths up to
     ``max_rank`` can enter one, so no divisor of r-1 above it is sought.
+    The part's rank is its form's k.
     """
     cycles = [d for d in range(2, max_rank + 1) if (r - 1) % d == 0]
     choices: list[tuple[int, ...]] = [(1,), (1, 1)]
@@ -145,9 +244,11 @@ def _random_part(
     allowed_dim = part_rank + dim_headroom
     dims = [max(f, 1) for f in factors]
     mats: list[RMatrix] = []
+    forms: list[NormalForm] = []
     for idx, f in enumerate(factors):
         if f >= 2:
             mats.append(cycle_matrix(f))
+            forms.append(_cycle_form(f))
             continue
         others = math.prod(dims) // dims[idx]
         k = 1
@@ -156,41 +257,45 @@ def _random_part(
             k += 1
         dims[idx] = k
         mats.append(_random_idempotent(rng, k, range(k), range(k)))
-    part = mats[0]
-    for m in mats[1:]:
-        part = part.kron(m)
+        forms.append(_idempotent_form(mats[-1]))
+    part, form = mats[0], forms[0]
+    for m, m_form in zip(mats[1:], forms[1:]):
+        part, form = part.kron(m), _kron_form(form, m_form)
     assert part.n <= allowed_dim
-    return part, part_rank
+    return part, form
 
 
-def _random_core(rng: random.Random, r: int, target_rank: int, max_dim: int) -> RMatrix:
-    """Direct sum of random parts with total rank exactly ``target_rank``."""
+def _random_core(rng: random.Random, r: int, target_rank: int, max_dim: int) -> tuple[RMatrix, NormalForm]:
+    """Direct sum of random parts with total rank exactly ``target_rank``, and its form."""
     if target_rank > max_dim:
         raise ValueError(
             f"target rank {target_rank} is unreachable within dimension budget {max_dim}"
         )
-    parts: list[RMatrix] = []
+    parts: list[tuple[RMatrix, NormalForm]] = []
     remaining = target_rank
     dim_left = max_dim
     while remaining > 0:
         # one dimension slot stays reserved per unit of rank still to place
-        part, part_rank = _random_part(rng, r, remaining, dim_left - remaining)
-        parts.append(part)
-        remaining -= part_rank
+        part, form = _random_part(rng, r, remaining, dim_left - remaining)
+        parts.append((part, form))
+        remaining -= form.k
         dim_left -= part.n
     rng.shuffle(parts)
-    return block_diagonal(parts)
+    return block_diagonal([m for m, _ in parts]), _direct_sum_form([form for _, form in parts])
 
 
-def _verify_emission(m: RMatrix, r: int, target_rank: int | None) -> Potent:
-    """``m`` checked at ``r`` by one exponent check, its rank checked and kept on the result.
+def _verify_emission(m: RMatrix, r: int, target_rank: int | None, form: NormalForm) -> Potent:
+    """``m`` checked at ``r`` by its normal form ``form``, with its rank k kept on the result.
 
-    RuntimeError when the generator broke its contract: ``m`` is not
-    r-potent, or its rank is not ``target_rank`` (when one is given).
+    ``Potent.from_normal_form`` checks A = F C G, G F = I and C's cycles
+    exactly, with no power and no rank of ``m``.  RuntimeError when the
+    generator broke its contract: ``form`` does not prove ``m`` r-potent,
+    or k is not ``target_rank`` (when one is given).
     """
-    p = potent_at(m, r)
-    if p is None:
-        raise RuntimeError("generator emitted a matrix that is not r-potent")
+    try:
+        p = Potent.from_normal_form(m, r, form)
+    except ValueError as exc:
+        raise RuntimeError(f"generator emitted a matrix that is not r-potent by its normal form: {exc}") from None
     if target_rank is not None and p.rank != target_rank:
         raise RuntimeError("generator missed the target rank")
     return p
@@ -204,9 +309,10 @@ def random_r_potent(
     Assembled from Kronecker products of cycles (lengths dividing r-1) and
     positive rank-one idempotents, summed block diagonally, optionally
     wrapped with a coupled zero block, and finally conjugated by a seeded
-    permutation.  The matrix is ``.a``; the emission check that proved it
-    r-potent also computed ``.rank``, so callers reuse both.  Raises
-    ValueError when the target rank cannot fit the dimension budget.
+    permutation, with the normal form carried through every step.  The
+    matrix is ``.a``; the emission check proved it r-potent of rank k from
+    that form, so ``.rank`` is k and ``.projection`` is F G, built when read.
+    Raises ValueError when the target rank cannot fit the dimension budget.
     """
     require_exponent(r)
     if target_rank < 1 or target_rank > max_dim:
@@ -214,13 +320,12 @@ def random_r_potent(
             f"target rank {target_rank} is unreachable within dimension budget {max_dim}"
         )
     rng = random.Random(seed)
-    m = _random_core(rng, r, target_rank, max_dim)
+    m, form = _random_core(rng, r, target_rank, max_dim)
     if m.n < max_dim and rng.random() < 0.4:
         x = [rng.choice(_POOL_WITH_ZERO) for _ in range(m.n)]
-        # the core is r-potent by construction; the emission check below proves the wrap
-        m = _coupled(m, m.pow(r - 1), x)
-    m = m.conjugate(Permutation.random(m.n, rng))
-    return _verify_emission(m, r, target_rank)
+        m, form = _coupled(m, form, x)
+    m, form = _relabelled(m, form, Permutation.random(m.n, rng))
+    return _verify_emission(m, r, target_rank, form)
 
 
 def random_singular_zero_diag(r: int, seed: int, max_dim: int = 24) -> Potent:
@@ -230,22 +335,24 @@ def random_singular_zero_diag(r: int, seed: int, max_dim: int = 24) -> Potent:
     the appended coordinate contributes a zero diagonal entry to every power,
     and the wrap keeps the rank of the core, so the matrix is singular.  The
     core's rank is drawn at most max_dim - 1, so that it fits its budget.
-    Returned as the checked ``Potent`` of the emission check, which carries
-    its projection and rank; the matrix is ``.a``.  Requires r >= 3 so that the
-    power window {2, ..., r-1} is nonempty.
+    The normal form comes through the wrap (``_coupled``) or the zero block
+    (a zero row of F and a zero column of G), and the relabelling.
+    Returned as the checked ``Potent`` of the emission check, whose rank is
+    the form's k and whose projection is F G; the matrix is ``.a``.
+    Requires r >= 3 so that the power window {2, ..., r-1} is nonempty.
     """
     if r < 3:
         raise ValueError("this family needs r >= 3")
     rng = random.Random(seed)
     target = rng.randint(1, min(r - 1, max_dim - 1))
-    core = _random_core(rng, r, target, max_dim - 1)
+    core, form = _random_core(rng, r, target, max_dim - 1)
     if rng.random() < 0.5:
         x = [rng.choice(_POOL_WITH_ZERO) for _ in range(core.n)]
-        m = _coupled(core, core.pow(r - 1), x)
+        m, form = _coupled(core, form, x)
     else:
-        m = block_diagonal([core, RMatrix.zeros(1)])
-    m = m.conjugate(Permutation.random(m.n, rng))
-    p = _verify_emission(m, r, target)
+        m, form = block_diagonal([core, RMatrix.zeros(1)]), _direct_sum_form([form, _ZERO_FORM])
+    m, form = _relabelled(m, form, Permutation.random(m.n, rng))
+    p = _verify_emission(m, r, target, form)
     if target >= m.n:
         raise RuntimeError("generator emitted a nonsingular matrix")
     return p
@@ -259,8 +366,9 @@ def rank_dominant_semigroup_generators(r: int, count: int, seed: int) -> list[Po
     generators are powers A^(a_i) (x) B^(b_i) under one shared conjugation.
     Every word then equals a conjugated A^s (x) B^t with s, t >= 1, which is
     r-potent of rank rank(A) * rank(B) > r-1.  Each comes as the ``Potent`` of
-    its emission check (the matrix is ``.a``), which check 6.4's rank floor
-    takes as it is: no generator's potency is decided twice.
+    its emission check (the matrix is ``.a``), proved from the normal form
+    (F_A (x) F_B)(C_A^s (x) C_B^t)(G_A (x) G_B), which check 6.4's rank
+    floor takes as it is: no generator's potency is decided twice.
 
     The closure is decomposable because A is (an r-potent of rank > r-1 is
     decomposable, and an invariant index set of A gives one shared by every
@@ -278,20 +386,22 @@ def rank_dominant_semigroup_generators(r: int, count: int, seed: int) -> list[Po
         raise ValueError("need at least one generator")
     rng = random.Random(seed)
     rank_a = r - 1 + rng.randint(1, 2)
-    a = _random_core(rng, r, rank_a, 2 * rank_a)
+    a, a_form = _random_core(rng, r, rank_a, 2 * rank_a)
     if count == 1 and rng.random() < 0.5:
-        m = a.conjugate(Permutation.random(a.n, rng))
-        return [_verify_emission(m, r, None)]
-    b = _random_core(rng, r, rng.randint(1, 2), 3)
+        m, form = _relabelled(a, a_form, Permutation.random(a.n, rng))
+        return [_verify_emission(m, r, None, form)]
+    b, b_form = _random_core(rng, r, rng.randint(1, 2), 3)
     p = None
     gens = []
     for _ in range(count):
         s = rng.randint(1, max(2, r - 1))
         t = rng.randint(1, max(2, r - 1))
         g = a.pow(s).kron(b.pow(t))
+        form = _kron_form(_power_form(a_form, s), _power_form(b_form, t))
         if p is None:
             p = Permutation.random(g.n, rng)
-        gens.append(_verify_emission(g.conjugate(p), r, None))
+        m, form = _relabelled(g, form, p)
+        gens.append(_verify_emission(m, r, None, form))
     return gens
 
 

@@ -13,19 +13,23 @@ The decision has two entry points, which check a power by one routine,
 diagonal blocks of A's maximal triangularization, with no cap: it returns A
 checked at its least r, or the ``NonPotency`` certificate when none exists.
 ``Potent.at`` moves that value to another exponent without a new power.
-``potent_at`` decides one given r: from A's own powers when r - 1 <= n,
-else by ``minimal_potency`` and ``Potent.at``.  ``block_ranks`` reads the
-ranks of A's diagonal blocks off a checked projection A^(r-1), whichever
-decision checked it.
+``potent_at`` decides one given r: a monomial A by its cycles
+(``_monomial_defect``), else from A's own powers when r - 1 <= n, else by
+``minimal_potency`` and ``Potent.at``.  ``Potent.from_normal_form`` checks
+a matrix that comes with its normal form A = F C G instead, with no power
+and no rank.  ``block_ranks`` reads the ranks of A's diagonal blocks off a
+checked projection A^(r-1), whichever decision checked it.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate, compress, repeat
+from math import gcd
+from operator import floordiv, mul
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .decomposition import BlockTriangularization, block_triangularize
 from .matrix import PatternMatrix, RMatrix
@@ -43,6 +47,71 @@ def is_r_potent(a: RMatrix, r: int) -> bool:
     return a.pow(r) == a
 
 
+def _monomial_defect(rows: Sequence[tuple[int, int]], den: int, r: int) -> str | None:
+    """None when the monomial M with M[i, j_i] = v_i / den, for ``rows`` = ((j_i, v_i), ...), has M^(r-1) = I; else what fails.
+
+    Row i of M^m is v_i v_(j_i) ... / den^m at the end of the m-step walk
+    i -> j_i -> ... of the column map.  So M^(r-1) = I exactly when the map
+    is a permutation with every v_i > 0 (M is monomial), each cycle's
+    length d divides r - 1, and the v_i around each cycle multiply to
+    den^d: the walk from i then goes (r - 1) / d times round its cycle, and
+    a positive product p has p^((r-1)/d) = 1 only at p = 1.  One pass over
+    the rows, O(n) integer products.
+    """
+    k = len(rows)
+    if sorted([j for j, _ in rows]) != list(range(k)) or min([v for _, v in rows], default=1) <= 0:
+        return "C is not monomial"
+    seen = [False] * k
+    for start in range(k):
+        if seen[start]:
+            continue
+        length, product, i = 0, 1, start
+        while not seen[i]:
+            seen[i] = True
+            i, v = rows[i]
+            length += 1
+            product *= v
+        if (r - 1) % length:
+            return f"a cycle of length {length} does not divide r - 1 = {r - 1}"
+        if product != den**length:
+            return "the scalars around a cycle do not multiply to 1"
+    return None
+
+
+class NormalForm(NamedTuple):
+    """The factors of A = F C G, on the integer grid: F is n x k, C is k x k, G is k x n.
+
+    ``f`` holds row a of F as its one (column, value) pair, with value 0
+    for a zero row: F is an integer matrix with at most one nonzero in each
+    row, which Kronecker products, direct sums and relabellings keep.  (A
+    common denominator d of F moves into G's, as (F/d) G = F (G/d).)  ``c``
+    holds row i of C as its one (column, numerator) pair over ``c_den``,
+    and ``g`` the k rows of G as numerators over ``g_den``.
+    ``Potent.from_normal_form`` checks that they factor a given matrix.
+    """
+
+    f: tuple[tuple[int, int], ...]
+    c: tuple[tuple[int, int], ...]
+    c_den: int
+    g: tuple[tuple[int, ...], ...]
+    g_den: int
+
+    @property
+    def k(self) -> int:
+        return len(self.c)
+
+    def projection(self) -> RMatrix:
+        """F G: row a is v G[j] for F's row a = (j, v)."""
+        g, zero = self.g, (0,) * len(self.f)
+        rows = [tuple([*map(mul, g[j], repeat(v))]) if v else zero for j, v in self.f]
+        return RMatrix._normalized(self.g_den, tuple(rows))
+
+
+def _unit_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of the n x n identity matrix."""
+    return tuple([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)])
+
+
 @dataclass(frozen=True)
 class Potent:
     """A matrix A with A^r = A, checked once.
@@ -51,18 +120,89 @@ class Potent:
     is also A^L for the ``period`` L, the least d >= 1 with A^(d+1) = A, as
     L divides r - 1.  The triangularization ``tri``, and with it L, comes on
     first use, unless the decision that built the value already had it.
-    Only this module builds one: holding one proves A^r = A.
+    Only this module builds one: holding one proves A^r = A.  The decisions
+    set the projection they checked; ``from_normal_form`` checks A from its
+    factors instead, keeps them as ``normal_form``, and builds the
+    projection F G and the rank k from them, the projection on first use.
     """
 
     a: RMatrix
     r: int
-    projection: RMatrix
+    normal_form: NormalForm | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def _decided(cls, t: BlockTriangularization, r: int, projection: RMatrix) -> Potent:
-        p = cls(t.source, r, projection)
-        vars(p)["tri"] = t  # the triangularization the cached property would build
+    def _decided(cls, a: RMatrix, r: int, projection: RMatrix, t: BlockTriangularization | None = None) -> Potent:
+        p = cls(a, r)
+        vars(p)["projection"] = projection  # the checked power the cached property stands for
+        if t is not None:
+            vars(p)["tri"] = t  # the triangularization the cached property would build
         return p
+
+    @classmethod
+    def from_normal_form(cls, a: RMatrix, r: int, form: NormalForm) -> Potent:
+        """``a`` checked at ``r`` by its normal form A = F C G; ValueError naming the condition that fails.
+
+        Three exact checks on the integer grid, none of them a power, a rank
+        or a product of n x n matrices, O(n^2) in all:
+
+        * A == F (C G): row a of F C G is one row of G times F[a, j] C[j, i],
+          or zero, compared with row a of A;
+        * G F == I_k, summed over the nonzeros of each row of G;
+        * C is monomial, each cycle length divides r - 1, and the scalars
+          around each cycle multiply to 1 (``_monomial_defect``), that is,
+          C^(r-1) = I.
+
+        Proof that A^r = A, rank A = k and A^(r-1) = F G.  As G F = I,
+        A^m = F C G F C G ... = F C^m G for every m >= 1, so
+        A^(r-1) = F C^(r-1) G = F G, and A^r = F C^r G = F C G = A.  F has
+        the left inverse G and G the right inverse F, so F is injective, G
+        is onto, and C is invertible: rank A = rank C = k.  No sign of F or
+        G enters.
+        """
+        require_exponent(r)
+        defect = _monomial_defect(form.c, form.c_den, r)
+        if defect is not None:
+            raise ValueError(defect)
+        n, k, f, g, g_den = a.n, form.k, form.f, form.g, form.g_den
+        columns = [j for j, v in f if v]
+        shaped = len(f) == n and len(g) == k and set(map(len, g)) <= {n} and g_den >= 1
+        if not shaped or columns and not 0 <= min(columns) <= max(columns) < k:
+            raise ValueError(f"the factors do not fit an {n} x {n} matrix of rank {k}")
+        # row i of G F is the sum of G[i, b] F[b] over the nonzeros of row i of G
+        for i, row in enumerate(g):
+            gf = [0] * k
+            for (j, v), w in zip(compress(f, row), compress(row, row)):
+                gf[j] += w * v
+            gf[i] -= g_den
+            if any(gf):
+                raise ValueError("G F is not the identity")
+        # Row a of F C G is v c / (c_den g_den) times G[i], for F's row a = (j, v) and C's row j = (i, c).
+        # With G[i] = q p, p primitive, it is A's row a = A.num[a] / A.den exactly when A.num[a] = m p
+        # for m = A.den v c q / (c_den g_den) an integer: a fraction m would leave m p off the
+        # integer grid, as the entries of p have no common factor.
+        primitive = []
+        for row in g:
+            q = gcd(*row)  # not 0: G F = I leaves no zero row
+            primitive.append((row, 1) if q == 1 else (tuple([*map(floordiv, row, repeat(q))]), q))
+        den, scale, c = a.den, form.c_den * g_den, form.c
+        for a_row, (j, v) in zip(a.num, f):
+            if not v:
+                if any(a_row):
+                    raise ValueError("A is not F C G")
+                continue
+            i, cv = c[j]
+            p, q = primitive[i]
+            m, rest = divmod(den * v * cv * q, scale)
+            if rest or a_row != (p if m == 1 else tuple([*map(mul, p, repeat(m))])):
+                raise ValueError("A is not F C G")
+        p = cls(a, r, form)
+        vars(p)["rank"] = k
+        return p
+
+    @cached_property
+    def projection(self) -> RMatrix:
+        """A^(r-1): F G of the normal form, for a value the decisions did not set it on."""
+        return self.normal_form.projection()
 
     @cached_property
     def tri(self) -> BlockTriangularization:
@@ -106,7 +246,7 @@ class Potent:
         require_exponent(r)
         if r == self.r:
             return self
-        return Potent._decided(self.tri, r, self.projection) if (r - 1) % self.period == 0 else None
+        return Potent._decided(self.a, r, self.projection, self.tri) if (r - 1) % self.period == 0 else None
 
 
 @dataclass(frozen=True)
@@ -161,7 +301,7 @@ def minimal_potency(t: BlockTriangularization) -> Potent | NonPotency:
     projection = _checked_power(a, big_l)
     if projection is None:
         return NonPotency(big_l)
-    return Potent._decided(t, big_l + 1, projection)
+    return Potent._decided(a, big_l + 1, projection, t)
 
 
 def _checked_power(a: RMatrix, k: int) -> RMatrix | None:
@@ -185,7 +325,11 @@ def _checked_power(a: RMatrix, k: int) -> RMatrix | None:
 def potent_at(a: RMatrix, r: int) -> Potent | None:
     """``a`` checked at exponent ``r``: its ``Potent`` when A^r = A, else None.
 
-    Two routes, split at r - 1 <= n:
+    A monomial A, whose support is a permutation, is decided by its cycles
+    (``_monomial_defect``), in O(n) after one pass over its rows: A^r = A
+    iff A^(r-1) = I, as A is invertible, so the projection is I, and no
+    power and no triangularization is built.  Every other A takes one of two
+    routes, split at r - 1 <= n:
 
     * r - 1 <= n: A's own powers, A^(r-1) checked by ``_checked_power``.
       No triangularization is built.
@@ -193,17 +337,24 @@ def potent_at(a: RMatrix, r: int) -> Potent | None:
       so a large r takes no r-th power: A^r = A iff the lcm L of the block
       periods divides r - 1, and the projection is A^L.
 
-    Both give the same projection, since A^(r-1) = A^L when L divides r - 1.
-    The split bounds the direct route to at most 2 floor(log2 n) + 1
+    All three give the same projection, since A^(r-1) = A^L when L divides
+    r - 1.  The split bounds the direct route to at most 2 floor(log2 n) + 1
     products, with entry bit lengths that grow at most n-fold, the bound the
     period route's block pre-check already takes (B^(p+1), p + 1 <= n + 1).
     """
     require_exponent(r)
-    if r - 1 > a.n:
+    n = a.n
+    if all(row.count(0) == n - 1 for row in a.num):
+        rows = [(row.index(v), v) for row in a.num for v in [max(row)]]
+        if len({j for j, _ in rows}) == n:  # one nonzero per row, in distinct columns
+            if _monomial_defect(rows, a.den, r):
+                return None
+            return Potent._decided(a, r, RMatrix._make(1, _unit_rows(n)))
+    if r - 1 > n:
         decision = minimal_potency(block_triangularize(a))
         return None if isinstance(decision, NonPotency) else decision.at(r)
     projection = _checked_power(a, r - 1)
-    return None if projection is None else Potent(a, r, projection)
+    return None if projection is None else Potent._decided(a, r, projection)
 
 
 def block_ranks(projection: RMatrix, components: Iterable[Sequence[int]]) -> list[int]:
@@ -229,8 +380,14 @@ def block_ranks(projection: RMatrix, components: Iterable[Sequence[int]]) -> lis
 
 
 def rank_trace_check(p: Potent) -> bool:
-    """Exact test of rank(A) == trace(A^(r-1)) for an r-potent A."""
-    return p.rank == p.projection.trace()
+    """Exact test of rank(A) == trace(A^(r-1)) for an r-potent A: the elimination kernel against the projection.
+
+    The rank is ``RMatrix.rank``'s elimination on A, never ``p.rank``: a
+    value checked by its normal form A = F C G has rank k and projection
+    F G, whose trace is trace(G F) = k, so comparing the two would hold
+    whatever the kernel did.
+    """
+    return p.a.rank() == p.projection.trace()
 
 
 def zero_diagonal_powers(p: Potent) -> set[int]:

@@ -417,7 +417,8 @@ def semigroup_rank_floor_check(
     closure makes exactly |S|·|G| exact products and none for the
     decisions; a truncated one makes at most (r - 1)·|w| more per member,
     past the cap.  Past n the closure keeps no table, and each member takes
-    ``potent_at``'s period route, so a large r takes no r-th power.  The
+    ``potent_at``: its cycles when it is monomial, else the period route, so
+    a large r takes no r-th power.  The
     first member that fails ends the closure and is reported.  Once every
     member is r-potent, every element is periodic, and a finitely generated
     semigroup of matrices whose elements are all periodic is finite

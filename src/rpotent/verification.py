@@ -203,7 +203,12 @@ def run_zero_diagonal_chain(trials: int, seed: int) -> Iterator[Verdict]:
 
 
 def run_rank_trace(trials: int, seed: int) -> Iterator[Verdict]:
-    """rank(A) equals trace(A^(r-1)) exactly, for every generated r-potent."""
+    """rank(A) equals trace(A^(r-1)) exactly, for every generated r-potent: the elimination kernel against the normal form.
+
+    Each case comes checked by its normal form A = F C G, with rank k and
+    projection F G of trace k, so the check tests ``RMatrix.rank``'s
+    elimination on A against that trace (``rank_trace_check``).
+    """
     for i, case_seed, r, p in rank_trace_cases(trials, seed):
         yield rank_trace_check(p), i, case_seed, f"r={r}", p.a
 

@@ -1,5 +1,7 @@
 """Generator constructions: emission guarantees, determinism, rank targeting."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from rpotent.generators import (
     uniform_idempotent,
 )
 from rpotent.matrix import RMatrix, matrix_to_json
-from rpotent.potency import is_r_potent, zero_diagonal_powers
+from rpotent.potency import NormalForm, Potent, is_r_potent, potent_at, zero_diagonal_powers
 
 from oracles import (
     as_potent,
@@ -134,7 +136,8 @@ class TestBlockDiagonal:
 class TestTriangularFamily:
     """The wrap [[B, B^(r-1) x], [0, 0]] that ``random_r_potent`` and the ``triangular_family`` kind make.
 
-    ``_coupled(B, B^(r-1), x)`` on one column of pool fractions, against the entry-by-entry oracle.
+    ``_coupled(B, form, x)`` on one column of pool fractions, B^(r-1) x read
+    off B's normal form, against the entry-by-entry oracle.
     """
 
     def test_rejects_non_potent_base(self):
@@ -148,7 +151,7 @@ class TestTriangularFamily:
             for seed in range(12):
                 rng = random.Random(seed)
                 # the core of random_r_potent(r, target, seed, 12), drawn as it draws it
-                core = generators._random_core(rng, r, 1 + seed % 4, 12)
+                core, form = generators._random_core(rng, r, 1 + seed % 4, 12)
                 p = as_potent(core, r)
                 k = core.n
                 columns = [
@@ -158,9 +161,10 @@ class TestTriangularFamily:
                     [rng.choice(pool) for _ in range(k)],
                 ]
                 for x in columns:
-                    m = generators._coupled(core, core.pow(r - 1), x)
+                    m, wrapped = generators._coupled(core, form, x)
                     assert _same(m, fraction_triangular_family(p, [[c] for c in x])), (r, seed, x)
                     assert is_r_potent(m, r) and m.rank() == p.rank, (r, seed)
+                    assert Potent.from_normal_form(m, r, wrapped).rank == p.rank, (r, seed)
 
 
 class TestRandomRPotent:
@@ -242,7 +246,14 @@ class TestSemigroupFamilies:
                 rank_dominant_semigroup_generators(r, 2, 3)
 
     def test_emission_check_reports_a_broken_contract(self, monkeypatch):
-        monkeypatch.setattr(generators, "potent_at", lambda m, r: None)
+        # every factorization is relabelled last; doubling G's denominator breaks G F = I
+        relabelled = generators._relabelled
+
+        def broken(a, form, p):
+            m, form = relabelled(a, form, p)
+            return m, form._replace(g_den=2 * form.g_den)
+
+        monkeypatch.setattr(generators, "_relabelled", broken)
         with pytest.raises(RuntimeError, match="generator emitted a matrix that is not r-potent"):
             rank_dominant_semigroup_generators(3, 2, 3)
 
@@ -269,17 +280,39 @@ def _singular(seed: int):
     return random_singular_zero_diag((3, 4, 5)[seed % 3], seed)
 
 
+# each builds the list of checked values a generator emits for one seed
+_EMITTED_POTENTS = {
+    "r_potent": lambda seed: [_r_potent(seed)],
+    "singular_zero_diag": lambda seed: [_singular(seed)],
+    "rank_dominant_semigroup": lambda seed: rank_dominant_semigroup_generators((2, 3, 4)[seed % 3], 1 + seed % 3, seed),
+}
+
 # each builds the list of matrices a generator emits for one seed
 _EMITTED = {
     "rank_one_padded": lambda seed: [random_rank_one_idempotent(1 + seed % 6, seed, True)],
     "rank_one_unpadded": lambda seed: [random_rank_one_idempotent(1 + seed % 6, seed, False)],
     "rank_one_default": lambda seed: [random_rank_one_idempotent(1 + seed % 6, seed)],
-    "r_potent": lambda seed: [_r_potent(seed).a],
-    "singular_zero_diag": lambda seed: [_singular(seed).a],
-    "rank_dominant_semigroup": lambda seed: [
-        g.a for g in rank_dominant_semigroup_generators((2, 3, 4)[seed % 3], 1 + seed % 3, seed)
-    ],
+    **{family: lambda seed, build=build: [p.a for p in build(seed)] for family, build in _EMITTED_POTENTS.items()},
 }
+
+# SHA-256 of every (matrix, r, rank) that the three checked families emit over seeds 0-399
+EMISSION_DIGEST = "70ad4170f134e1ec12effab43810e67705fab80f5b5ee223e704db685fc55227"
+
+
+def test_emission_digest():
+    """Every seeded draw of the checked families, pinned byte for byte with its r and rank.
+
+    A change to a seeded draw, or to the rank the emission reports, moves the
+    digest.  Each record is the JSON of ``[matrix, r, rank]``, with the
+    matrix as ``matrix_to_json`` writes it.
+    """
+    digest = hashlib.sha256()
+    for family in sorted(_EMITTED_POTENTS):
+        for seed in SEEDS:
+            for p in _EMITTED_POTENTS[family](seed):
+                record = [json.loads(matrix_to_json(p.a)), p.r, p.rank]
+                digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == EMISSION_DIGEST
 
 
 @pytest.mark.parametrize("family", sorted(_EMITTED))
@@ -299,7 +332,7 @@ def test_integer_grid_idempotents_match_the_fraction_oracle(monkeypatch, family)
 
 
 class TestEmittedPotent:
-    """The ``Potent`` a generator returns holds on a path other than the walk that made it."""
+    """The ``Potent`` a generator returns holds on a path other than the certificate that made it."""
 
     @pytest.mark.parametrize("build", [_r_potent, _singular])
     def test_power_and_rank(self, build):
@@ -307,6 +340,150 @@ class TestEmittedPotent:
             p = build(seed)
             assert p.a.pow(p.r) == p.a, seed
             assert p.rank == RMatrix.rank(p.a), seed
+
+    @pytest.mark.parametrize("family", sorted(_EMITTED_POTENTS))
+    def test_certificate_agrees_with_the_decision(self, family):
+        # the rank k of the normal form against elimination, and F G against potent_at's checked power
+        for seed in SEEDS:
+            for p in _EMITTED_POTENTS[family](seed):
+                assert p.normal_form is not None and p.rank == p.normal_form.k, seed
+                assert p.rank == RMatrix.rank(p.a), seed
+                decided = potent_at(p.a, p.r)
+                assert (p.projection.den, p.projection.num) == (decided.projection.den, decided.projection.num), seed
+
+
+def _dense(form: NormalForm) -> RMatrix:
+    """F C G entry by entry in ``Fraction``s: the oracle of a hand-built factorization."""
+    n, k = len(form.f), form.k
+    f = [[Fraction(0)] * k for _ in range(n)]
+    for i, (j, v) in enumerate(form.f):
+        f[i][j] += v
+    c = [[Fraction(0)] * k for _ in range(k)]
+    for i, (j, v) in enumerate(form.c):
+        c[i][j] += Fraction(v, form.c_den)
+    g = [[Fraction(x, form.g_den) for x in row] for row in form.g]
+    fc = [[sum((f[i][t] * c[t][j] for t in range(k)), Fraction(0)) for j in range(k)] for i in range(n)]
+    return RMatrix([[sum((fc[i][t] * g[t][j] for t in range(k)), Fraction(0)) for j in range(n)] for i in range(n)])
+
+
+# A = F C G with C = [[0, 2], [1/2, 0]], a 2-cycle whose scalars multiply to 1: 3-potent of rank 2
+_FORM = NormalForm(f=((0, 1), (1, 1), (0, 0)), c=((1, 4), (0, 1)), c_den=2, g=((1, 0, 1), (0, 1, 0)), g_den=1)
+
+
+class TestEmissionCertificate:
+    """``Potent.from_normal_form`` accepts a true factorization and rejects each broken condition."""
+
+    def test_hand_built_form(self):
+        a = _dense(_FORM)
+        assert a == RMatrix([[0, 2, 0], ["1/2", 0, "1/2"], [0, 0, 0]])
+        p = generators._verify_emission(a, 3, 2, _FORM)
+        assert p.rank == 2 == a.rank() and a.pow(3) == a
+        assert p.projection == a.pow(2) == _dense(_FORM._replace(c=((0, 1), (1, 1)), c_den=1))
+        assert generators._verify_emission(a, 5, None, _FORM).projection == p.projection
+
+    @pytest.mark.parametrize(
+        "case, r, form",
+        [
+            ("G F is not the identity", 3, _FORM._replace(g=((2, 0, 2), (0, 2, 0)))),
+            ("C is not monomial", 3, _FORM._replace(c=((1, 4), (1, 1)))),
+            ("does not divide r - 1", 4, _FORM),
+            ("do not multiply to 1", 3, _FORM._replace(c=((1, 4), (0, 2)))),
+        ],
+    )
+    def test_each_broken_condition_is_rejected(self, case, r, form):
+        # the matrix is F C G of the broken factors, so only the named condition fails
+        a = _dense(form)
+        with pytest.raises(ValueError, match=case):
+            Potent.from_normal_form(a, r, form)
+        with pytest.raises(RuntimeError, match="generator emitted a matrix that is not r-potent"):
+            generators._verify_emission(a, r, None, form)
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            _FORM._replace(g=((1, 0), (0, 1))),  # G is 2 x 2 for a 3 x 3 matrix
+            _FORM._replace(f=((0, 1), (1, 1))),  # F has 2 rows
+            _FORM._replace(f=((0, 1), (2, 1), (0, 0))),  # a column of F past k
+            _FORM._replace(g_den=0),
+        ],
+    )
+    def test_factors_of_the_wrong_shape_are_rejected(self, form):
+        with pytest.raises(ValueError, match="do not fit"):
+            Potent.from_normal_form(_dense(_FORM), 3, form)
+
+    def test_one_changed_entry_is_rejected(self):
+        num = [list(row) for row in _dense(_FORM).entries]
+        for i, j in [(0, 0), (1, 1), (2, 2), (1, 2)]:
+            changed = [list(row) for row in num]
+            changed[i][j] += 1
+            with pytest.raises(RuntimeError, match="A is not F C G"):
+                generators._verify_emission(RMatrix(changed), 3, None, _FORM)
+
+    def test_a_missed_target_rank_is_reported(self):
+        with pytest.raises(RuntimeError, match="missed the target rank"):
+            generators._verify_emission(_dense(_FORM), 3, 1, _FORM)
+
+
+class TestEmissionBudget:
+    """An emission is proved from its factors: no power, no rank and no triangularization of the matrix."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The calls of each costly routine, made anywhere (``"all"``) and inside an emission check (``"check"``)."""
+        import rpotent.decomposition
+        import rpotent.potency
+
+        calls = {"all": [], "check": []}
+        inside = []
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls["all"].append(name)
+                if inside:
+                    calls["check"].append(name)
+                return original(*args, **kwargs)
+
+            return call
+
+        # _power_form too: C^-1 is read off C's rows, never taken as the power C^(r-2)
+        for owner, name in [
+            (RMatrix, "rank"),
+            (RMatrix, "pow"),
+            (rpotent.potency, "block_triangularize"),
+            (rpotent.decomposition, "block_triangularize"),
+            (generators, "_power_form"),
+        ]:
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        verify = generators._verify_emission
+
+        def checking(*args):
+            inside.append(True)
+            try:
+                return verify(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(generators, "_verify_emission", checking)
+        return calls
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 10**12 + 1])
+    def test_r_potent_and_singular_families_take_none(self, calls, r):
+        wrapped = 0
+        for seed in range(30):
+            p = random_r_potent(r, 1 + seed % 4, seed, max_dim=12)
+            assert p.r == r and p.rank == 1 + seed % 4
+            wrapped += not all(v for _, v in p.normal_form.f)  # a zero row of F: the coupled wrap
+            if r >= 3:
+                q = random_singular_zero_diag(r, seed)
+                assert q.r == r and q.rank < q.a.n
+        assert wrapped and calls["all"] == []
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_semigroup_generators_check_takes_none(self, calls, r):
+        # the family builds A^s (x) B^t from powers of its cores; its emission check takes none
+        for seed in range(20):
+            assert rank_dominant_semigroup_generators(r, 1 + seed % 3, seed)
+        assert "pow" in calls["all"] and calls["check"] == []
 
 
 class TestGeneratorSpec:

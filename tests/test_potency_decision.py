@@ -10,14 +10,18 @@ decides one r from A's own powers when r - 1 <= n, is checked against the
 period route and the ``Fraction`` power on every 0/1 matrix with n <= 3 at
 r = 2..6, on seeded rational potents, perturbed copies of them and their
 doubles, and on the semigroup goldens' generators and members: the same
-verdict and the same projection, exactly.  ``_checked_power``, the checked
-power both entry points take, is checked against the ``Fraction`` powers,
-and its product count against ``RMatrix.pow`` and one check.  The pattern power of
+verdict and the same projection, exactly.  Its route for a monomial A, by
+the cycles, is checked against the period route and ``_checked_power`` on
+every permutation with n <= 5 and on scaled monomials, at r = 2..13.
+``_checked_power``, the checked power both entry points take, is checked
+against the ``Fraction`` powers, and its product count against
+``RMatrix.pow`` and one check.  The pattern power of
 ``wielandt_check`` is checked against the exact rational power, and its
 squaring test, which stops at the first full square, against the oracle
 ``pattern_power`` on patterns whose powers do and do not fill.
 """
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -188,11 +192,19 @@ class TestPastTheOldCap:
         assert _agrees_with_the_walk(a) == NonPotency(6)
 
 
+def _is_monomial(a: RMatrix) -> bool:
+    """One nonzero in each row and in each column: the support is a permutation."""
+    return all(sum(map(bool, row)) == 1 for row in a.num) and all(sum(map(bool, col)) == 1 for col in zip(*a.num))
+
+
 def _potent_at_agrees(a: RMatrix, r: int) -> tuple[str, bool]:
     """``potent_at`` against the period route and the ``Fraction`` oracle: one verdict, one projection.
 
-    Returns the route ``potent_at`` took, read off whether its ``Potent``
-    holds a triangularization, and the verdict.
+    Returns the side of the split r - 1 <= n, ``"direct"`` or
+    ``"periods"``, and the verdict.  The route ``potent_at`` took is read
+    off whether its ``Potent`` holds a triangularization: the periods side
+    builds one, except for a monomial A, which takes its cycles on either
+    side and builds none.
     """
     got = potent_at(a, r)
     decision = decide(a)
@@ -205,8 +217,36 @@ def _potent_at_agrees(a: RMatrix, r: int) -> tuple[str, bool]:
         projection = naive_power(a, r - 1)
         assert (got.projection.den, got.projection.num) == (reference.projection.den, reference.projection.num)
         assert got.projection == projection
-        assert ("tri" in vars(got)) == (route == "periods")
+        assert ("tri" in vars(got)) == (route == "periods" and not _is_monomial(a))
     return route, potent
+
+
+def _cycles(images: tuple[int, ...]) -> list[list[int]]:
+    """The cycles of i -> images[i], each from its least point."""
+    seen: set[int] = set()
+    cycles = []
+    for start in range(len(images)):
+        cycle, i = [], start
+        while i not in seen:
+            seen.add(i)
+            cycle.append(i)
+            i = images[i]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
+def _scaled_monomial(images: tuple[int, ...], products: tuple[Fraction, ...]) -> RMatrix:
+    """The monomial with row i's nonzero in column ``images[i]`` whose entries multiply to ``products[c]`` around cycle c.
+
+    A cycle of length >= 2 carries 3 p, then 1/3, then ones; a fixed point carries p.
+    """
+    rows = [[Fraction(0)] * len(images) for _ in images]
+    for cycle, p in zip(_cycles(images), products):
+        values = [p] if len(cycle) == 1 else [3 * p, Fraction(1, 3)] + [Fraction(1)] * (len(cycle) - 2)
+        for i, v in zip(cycle, values):
+            rows[i][images[i]] = v
+    return RMatrix(rows)
 
 
 def _perturbed(rng: random.Random, a: RMatrix) -> RMatrix:
@@ -269,6 +309,54 @@ class TestPotentAtAgainstThePeriodRoute:
             for m in members:
                 outcomes[_potent_at_agrees(m, 4)] += 1
         assert outcomes[("direct", True)] and outcomes[("direct", False)] and outcomes[("periods", True)]
+
+
+class TestMonomialRoute:
+    """``potent_at`` decides a monomial A by its cycles, against the period route and ``_checked_power``.
+
+    The same verdict and the same projection, I when A passes, and no
+    triangularization built either way.
+    """
+
+    @staticmethod
+    def _agrees(monkeypatch, a: RMatrix, r: int) -> bool:
+        import rpotent.potency
+
+        with monkeypatch.context() as patch:
+            patch.setattr(rpotent.potency, "block_triangularize", lambda a: pytest.fail("a monomial was triangularized"))
+            got = potent_at(a, r)
+        decision = decide(a)
+        by_periods = None if isinstance(decision, NonPotency) else decision.at(r)
+        by_power = _checked_power(a, r - 1)
+        assert (got is None) == (by_periods is None) == (by_power is None), (a, r)
+        if got is not None:
+            assert got.projection == by_periods.projection == by_power == RMatrix.identity(a.n), (a, r)
+            assert (got.projection.den, got.projection.num) == (by_power.den, by_power.num)
+            assert got.period == decision.period
+        return got is not None
+
+    def test_every_permutation_up_to_five(self, monkeypatch):
+        verdicts = Counter()
+        for n in range(1, 6):
+            for images in itertools.permutations(range(n)):
+                a = Permutation(images).to_matrix()
+                for r in range(2, 14):
+                    verdicts[self._agrees(monkeypatch, a, r)] += 1
+        assert sum(verdicts.values()) == (1 + 2 + 6 + 24 + 120) * 12 and verdicts[True] and verdicts[False]
+
+    def test_scaled_monomials(self, monkeypatch):
+        # each cycle's scalars multiply to 1/2, 2 or 1: potent exactly when every product is 1 and every length divides r - 1
+        verdicts = Counter()
+        for n in range(1, 5):
+            for images in itertools.permutations(range(n)):
+                cycles = _cycles(images)
+                for products in itertools.product((Fraction(1, 2), Fraction(2), Fraction(1)), repeat=len(cycles)):
+                    a = _scaled_monomial(images, products)
+                    for r in range(2, 14):
+                        potent = all(p == 1 and (r - 1) % len(c) == 0 for c, p in zip(cycles, products))
+                        assert self._agrees(monkeypatch, a, r) == potent, (images, products, r)
+                        verdicts[potent] += 1
+        assert verdicts[True] and verdicts[False]
 
 
 class TestCheckedPowerAgainstTheNaivePower:

@@ -299,8 +299,11 @@ class TestEveryZeroOneMatrixUpToThree:
 
 
 def _wrap(p: Potent, column: list) -> RMatrix:
-    """[[B, B^(r-1) x], [0, 0]] for B = ``p.a`` checked at r and one column x."""
-    return generators._coupled(p.a, p.projection, column)
+    """[[B, B^(r-1) x], [0, 0]] for the cycle B = ``p.a`` checked at r and one column x, from B's form F = G = I."""
+    assert p.a == cycle_matrix(p.a.n)
+    m, form = generators._coupled(p.a, generators._cycle_form(p.a.n), column)
+    assert Potent.from_normal_form(m, p.r, form).rank == p.rank
+    return m
 
 
 class TestTriangularFamilyShapes:

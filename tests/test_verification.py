@@ -81,8 +81,9 @@ def test_sum_check_reads_the_closure_it_builds(monkeypatch):
 
 
 def test_rank_trace_check_ranks_each_matrix_once(monkeypatch):
-    # the generator's emission check computes the rank on the Potent it
-    # returns; the check reads it there instead of ranking the matrix again
+    # the emission check proves each rank from the normal form, with no
+    # elimination, and the check ranks each matrix once by elimination:
+    # the kernel against the trace of the projection
     calls = []
     rank = RMatrix.rank
 
@@ -108,15 +109,15 @@ def test_rank_floor_check_decides_each_generator_once(monkeypatch):
 
     families, checked, decided, floor_products = [], [], [], []
     products = 0
-    checked_potent_at = rpotent.generators.potent_at
+    verify_emission = rpotent.generators._verify_emission
     potent_at = rpotent.semigroup.potent_at
     build = rpotent.verification.rank_dominant_semigroup_generators
     floor = rpotent.verification.semigroup_rank_floor_check
     matmul = RMatrix.__matmul__
 
-    def checking_potent_at(a, r):
+    def checking_emission(a, *args):
         checked.append(a)
-        return checked_potent_at(a, r)
+        return verify_emission(a, *args)
 
     def decided_potent_at(m, r):
         decided.append(m)
@@ -138,7 +139,7 @@ def test_rank_floor_check_decides_each_generator_once(monkeypatch):
         floor_products.append(products - before)
         return report
 
-    monkeypatch.setattr(rpotent.generators, "potent_at", checking_potent_at)
+    monkeypatch.setattr(rpotent.generators, "_verify_emission", checking_emission)
     monkeypatch.setattr(rpotent.semigroup, "potent_at", decided_potent_at)
     monkeypatch.setattr(rpotent.verification, "rank_dominant_semigroup_generators", built)
     monkeypatch.setattr(rpotent.verification, "semigroup_rank_floor_check", counted_floor)
